@@ -18,7 +18,13 @@
       the sharded path should approach ingest-time/shards plus a
       constant; this is the practical payoff of the monoid.
 
-   3. The distributional half of the monoid: GK quantile sketches are
+   3. Verdict cost against shard count: Service.verdict_info over S
+      shards of n = 2^16, timed, with the major-heap words each verdict
+      allocates.  The service merges in place into one accumulator, so
+      those words must not grow with S — a count, not a time, so the
+      gate repeats exactly on a noisy host.
+
+   4. The distributional half of the monoid: GK quantile sketches are
       merged under the PODS'12 rule (tree topology via Mergeable.Fold).
       The merged summary must keep the GK invariant and its rank bounds
       must still bracket true ranks with width <= 2*eps*N.  This flavor
@@ -140,7 +146,72 @@ let run (mode : Exp_common.mode) =
       shard_counts
   in
 
-  (* 3. GK merge: invariant preserved, rank bounds still epsilon-valid. *)
+  (* 3. Verdict cost vs shard count.  Each shard holds 1024 values; the
+     merge still walks all n counts of every shard.  The words of one
+     O(n) allocation (n = 2^16) dwarf the slack, which only absorbs
+     minor-heap promotions. *)
+  let verdict_n = 1 lsl 16 in
+  let verdict_reps = if quick then 20 else 100 in
+  let verdict_slack = 1024. in
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  Exp_common.row "@.verdict cost, n=%d, %d verdicts per row:@." verdict_n
+    verdict_reps;
+  Exp_common.row "%6s | %12s | %16s@." "shards" "ms/verdict"
+    "major words/verd";
+  Exp_common.hline ();
+  let verdict_rows =
+    List.map
+      (fun shards ->
+        let svc = Service.create () in
+        (match
+           Service.configure svc ~n:verdict_n ~family:"uniform" ~eps
+             ~cells:None ~seed
+         with
+        | Ok _ -> ()
+        | Error msg -> failwith msg);
+        let rng = Randkit.Rng.create ~seed:(seed + 4) in
+        for s = 0 to shards - 1 do
+          let xs = Array.init 1024 (fun _ -> Randkit.Rng.int rng verdict_n) in
+          match Service.observe svc ~shard:(Printf.sprintf "s%d" s) xs with
+          | Ok _ -> ()
+          | Error msg -> failwith msg
+        done;
+        let verdict () =
+          match Service.verdict_info svc with
+          | Ok _ -> ()
+          | Error msg -> failwith msg
+        in
+        verdict ();
+        let maj0 = major_words () in
+        let (), t =
+          Exp_common.wall_time_of (fun () ->
+              for _ = 1 to verdict_reps do
+                verdict ()
+              done)
+        in
+        let reps = float_of_int verdict_reps in
+        let words = (major_words () -. maj0) /. reps in
+        let ms = 1e3 *. t /. reps in
+        Exp_common.row "%6d | %12.3f | %16.1f@." shards ms words;
+        (shards, ms, words))
+      [ 1; 8; 64 ]
+  in
+  let verdict_pass =
+    match verdict_rows with
+    | (_, _, base) :: _ ->
+        List.for_all
+          (fun (_, _, words) -> words <= base +. verdict_slack)
+          verdict_rows
+    | [] -> false
+  in
+  Exp_common.row "verdict gate (major words flat in shards, slack %.0f): %s@."
+    verdict_slack
+    (if verdict_pass then "PASS" else "FAIL");
+
+  (* 4. GK merge: invariant preserved, rank bounds still epsilon-valid. *)
   let gk_eps = 0.01 in
   let gk_n = if quick then 40_000 else 200_000 in
   let gk_shards = 8 in
@@ -182,12 +253,13 @@ let run (mode : Exp_common.mode) =
     width_limit
     (if gk_pass then "PASS" else "FAIL");
 
-  let all_pass = gate_pass && gk_pass in
+  let all_pass = gate_pass && verdict_pass && gk_pass in
   let json =
     Printf.sprintf
       "{\"bench\":\"e20_merge\",\"n\":%d,\"k\":%d,\"eps\":%g,\"cells\":%d,\
        \"samples\":%d,\"seed\":%d,\"jobs\":%d,\"replays\":[%s],\
        \"ingest\":{\"single_ms\":%.1f,\"sharded\":[%s]},\
+       \"verdict_cost\":{\"n\":%d,\"reps\":%d,\"rows\":[%s],\"pass\":%b},\
        \"gk\":{\"eps\":%g,\"n\":%d,\"shards\":%d,\"invariant\":%b,\
        \"max_width\":%d,\"width_limit\":%d,\"pass\":%b},\
        \"merge_gate_pass\":%b}"
@@ -210,8 +282,16 @@ let run (mode : Exp_common.mode) =
                 "{\"shards\":%d,\"ms\":%.1f,\"speedup\":%.2f}"
                 shards (1e3 *. t) speedup)
             timing_rows))
-      gk_eps gk_n gk_shards (Gk.invariant_ok merged) !max_width width_limit
-      gk_pass all_pass
+      verdict_n verdict_reps
+      (String.concat ","
+         (List.map
+            (fun (shards, ms, words) ->
+              Printf.sprintf
+                "{\"shards\":%d,\"ms\":%.3f,\"major_words\":%.1f}" shards
+                ms words)
+            verdict_rows))
+      verdict_pass gk_eps gk_n gk_shards (Gk.invariant_ok merged) !max_width
+      width_limit gk_pass all_pass
   in
   let oc =
     open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 bench_file

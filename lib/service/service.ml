@@ -1,6 +1,6 @@
 (* The histotestd engine: per-shard Suffstat states, deterministic
-   left-fold merge in shard-arrival order, verdicts recomputed from the
-   merged state.
+   left-fold merge in shard-arrival order into one reused accumulator,
+   verdicts recomputed from the merged state.
 
    Determinism contract (pinned by the replay path and the E20 gate): the
    verdict depends on the accumulated stream only through exact integer
@@ -31,6 +31,10 @@ type t = {
       (* assoc list in first-arrival order: deterministic iteration (no
          Hashtbl), and the service-side merge always folds in this
          order *)
+  mutable acc : Suffstat.t option;
+      (* the verdict accumulator for the current config, created with its
+         first shard; every shard is an [empty_like] sibling, so the whole
+         config holds one element -> cell table *)
   cache : Structcache.t;
       (* built hypothesis structures keyed by config fingerprint, so
          reconfigure-heavy workloads stop paying the O(n) rebuild *)
@@ -40,6 +44,7 @@ let create ?cache_capacity () =
   {
     config = None;
     shards = [];
+    acc = None;
     cache = Structcache.create ?capacity:cache_capacity ();
   }
 
@@ -100,6 +105,7 @@ let configure t ~n ~family ~eps ~cells ~seed =
         let config = { n; family; eps; cells; seed; dstar; part } in
         t.config <- Some config;
         t.shards <- [];
+        t.acc <- None;
         Ok config
 
 let err_not_configured = "not configured (send a config request first)"
@@ -111,7 +117,15 @@ let shard_state t name =
       match List.assoc_opt name t.shards with
       | Some st -> Ok st
       | None ->
-          let st = Suffstat.create ~part:config.part in
+          let acc =
+            match t.acc with
+            | Some acc -> acc
+            | None ->
+                let acc = Suffstat.create ~part:config.part in
+                t.acc <- Some acc;
+                acc
+          in
+          let st = Suffstat.empty_like acc in
           t.shards <- t.shards @ [ (name, st) ];
           Ok st)
 
@@ -131,10 +145,17 @@ let observe_counts t ~shard counts =
       | () -> Ok (Suffstat.total st)
       | exception Invalid_argument msg -> Error msg)
 
+(* Clear-and-fold into the config's accumulator: one pass of integer adds
+   over the shards and no O(n) allocation per verdict.  The fold order is
+   arrival order, so the result is bitwise [Suff_fold.reduce] over the
+   shards. *)
 let merged t =
-  match t.shards with
-  | [] -> None
-  | shards -> Some (Suff_fold.reduce (Array.of_list (List.map snd shards)))
+  match (t.shards, t.acc) with
+  | [], _ | _, None -> None
+  | shards, Some acc ->
+      Suffstat.clear acc;
+      List.iter (fun (_, st) -> Suffstat.merge_into ~into:acc st) shards;
+      Some acc
 
 let shards t = t.shards
 
@@ -513,9 +534,11 @@ let exec_run t pool arena_ws slots resp i j =
              pool run_group garr
            [@histolint.disjoint
              "groups partition the run's k-indices, so each task writes \
-              its own resp slots and owns its shard state exclusively; \
-              the pool join publishes the writes before the render loop \
-              reads them"])
+              its own resp slots and owns its shard state's counts and \
+              accumulators exclusively; the element-to-cell table the \
+              shard states share is read-only after creation; the pool \
+              join publishes the writes before the render loop reads \
+              them"])
   end
 
 (* Execute a parsed batch in request order; non-ingest requests are

@@ -2,12 +2,12 @@
 
     The service keeps one {!Suffstat} per shard (assoc list in
     first-arrival order — deterministic iteration, no hash order), merges
-    them with a left fold in that order, and recomputes the accept/reject
-    verdict from the merged state on demand.  Because every
-    verdict-relevant field of [Suffstat] is integral, the served verdict
-    is bit-identical to a single process holding the concatenated stream,
-    whatever the sharding or merge topology — the contract [replay]
-    checks and the E20 bench gates. *)
+    them with a left fold in that order into one reused accumulator, and
+    recomputes the accept/reject verdict from the merged state on demand.
+    Because every verdict-relevant field of [Suffstat] is integral, the
+    served verdict is bit-identical to a single process holding the
+    concatenated stream, whatever the sharding or merge topology — the
+    contract [replay] checks and the E20 bench gates. *)
 
 type config = {
   n : int;
@@ -52,7 +52,12 @@ val observe_counts : t -> shard:string -> int array -> (int, string) result
 
 val merged : t -> Suffstat.t option
 (** Left-fold merge of all shards in arrival order; [None] when no shard
-    exists yet.  Fresh state — the per-shard states are not mutated. *)
+    exists yet.  The result is a view of the engine's accumulator, not a
+    fresh state: it is cleared and refilled in place (no O(n)
+    allocation per call), stays valid until the next [merged],
+    [configure] or ingest, and must not be mutated.  Bitwise equal to
+    [Suffstat.merge] folded over the shards; the per-shard states are not
+    mutated. *)
 
 val shards : t -> (string * Suffstat.t) list
 (** The live per-shard states, in first-arrival order.  Read-only by

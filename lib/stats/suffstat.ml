@@ -32,17 +32,15 @@ type t = {
          States are single-owner (one domain at a time), so no races. *)
 }
 
-let create ~part =
-  let n = Partition.domain_size part in
+(* An all-zero state over [part] reading the given element -> cell table.
+   The table is a function of the partition alone and never written after
+   [create] builds it, so sibling states share one copy. *)
+let zero_state ~part ~cell_of =
   let kk = Partition.cell_count part in
-  let cell_of = Array.make n 0 in
-  Partition.iteri
-    (fun j cell -> Interval.iter (fun i -> cell_of.(i) <- j) cell)
-    part;
   {
     part;
     cell_of;
-    counts = Array.make n 0;
+    counts = Array.make (Array.length cell_of) 0;
     cell_counts = Array.make kk 0;
     total = 0;
     mass_sum = Array.make kk 0.;
@@ -50,7 +48,22 @@ let create ~part =
     scratch = Array.make kk 0;
   }
 
-let empty_like t = create ~part:t.part
+let create ~part =
+  let cell_of = Array.make (Partition.domain_size part) 0 in
+  Partition.iteri
+    (fun j cell -> Interval.iter (fun i -> cell_of.(i) <- j) cell)
+    part;
+  zero_state ~part ~cell_of
+
+let empty_like t = zero_state ~part:t.part ~cell_of:t.cell_of
+
+let clear t =
+  let n = Array.length t.counts and kk = Array.length t.cell_counts in
+  Array.fill t.counts 0 n 0;
+  Array.fill t.cell_counts 0 kk 0;
+  t.total <- 0;
+  Array.fill t.mass_sum 0 kk 0.;
+  Array.fill t.mass_comp 0 kk 0.
 
 let partition t = t.part
 let domain_size t = Partition.domain_size t.part
@@ -123,16 +136,20 @@ let[@histolint.hot] observe_sub t xs ~pos ~len =
 
 let observe_all t xs = observe_sub t xs ~pos:0 ~len:(Array.length xs)
 
+(* Validate the whole vector before touching the state: a rejected
+   request must leave the shard exactly as it was, never with some cells'
+   counts added and [total] not yet updated. *)
 let observe_counts t counts =
   if Array.length counts <> domain_size t then
     invalid_arg "Suffstat.observe_counts: counts length mismatch";
+  if Array.exists (fun c -> c < 0) counts then
+    invalid_arg "Suffstat.observe_counts: negative count";
   Partition.iteri
     (fun j cell ->
       let cell_total = ref 0 in
       Interval.iter
         (fun i ->
           let c = counts.(i) in
-          if c < 0 then invalid_arg "Suffstat.observe_counts: negative count";
           t.counts.(i) <- t.counts.(i) + c;
           cell_total := !cell_total + c)
         cell;
@@ -146,27 +163,49 @@ let same_partition a b =
   && List.equal Int.equal (Partition.breakpoints a.part)
        (Partition.breakpoints b.part)
 
-let merge a b =
-  if not (same_partition a b) then
-    invalid_arg "Suffstat.merge: partition mismatch";
-  let n = domain_size a and kk = cell_count a in
-  let out = create ~part:a.part in
+(* The one merge loop.  States built by [empty_like] share their table,
+   so the physical check settles the common case without building the
+   breakpoint lists.  Counts add exactly; the cell-mass principal sums
+   merge by error-free two-sum and the compensations add. *)
+let[@histolint.hot] merge_into ~into src =
+  if
+    not
+      (into.cell_of == src.cell_of
+      || (same_partition into src
+         [@histolint.alloc_ok
+           "states from independent [create] calls compare breakpoint \
+            lists; [empty_like] siblings take the physical-equality \
+            branch"]))
+  then invalid_arg "Suffstat.merge_into: partition mismatch";
+  let n = Array.length into.counts and kk = Array.length into.cell_counts in
+  let counts = into.counts and src_counts = src.counts in
+  (* equal partitions, so equal lengths: the accesses are in bounds *)
   for i = 0 to n - 1 do
-    out.counts.(i) <- a.counts.(i) + b.counts.(i)
+    Array.unsafe_set counts i
+      (Array.unsafe_get counts i + Array.unsafe_get src_counts i)
   done;
   for j = 0 to kk - 1 do
-    out.cell_counts.(j) <- a.cell_counts.(j) + b.cell_counts.(j);
-    (* Error-free two-sum of the principal sums; compensations add. *)
-    let sa = a.mass_sum.(j) and sb = b.mass_sum.(j) in
+    into.cell_counts.(j) <- into.cell_counts.(j) + src.cell_counts.(j);
+    let sa = into.mass_sum.(j) and sb = src.mass_sum.(j) in
     let s = sa +. sb in
     let e =
       if Float.abs sa >= Float.abs sb then (sa -. s) +. sb
       else (sb -. s) +. sa
     in
-    out.mass_sum.(j) <- s;
-    out.mass_comp.(j) <- a.mass_comp.(j) +. b.mass_comp.(j) +. e
+    into.mass_sum.(j) <- s;
+    into.mass_comp.(j) <- into.mass_comp.(j) +. src.mass_comp.(j) +. e
   done;
-  out.total <- a.total + b.total;
+  into.total <- into.total + src.total
+
+(* Folding [a] into a zero state copies it exactly ([0. +. s = s], and
+   the two-sum error against zero is [+0.]), so [merge] agrees bit for bit
+   with a [clear] + [merge_into] fold, float cell masses included. *)
+let merge a b =
+  if not (same_partition a b) then
+    invalid_arg "Suffstat.merge: partition mismatch";
+  let out = empty_like a in
+  merge_into ~into:out a;
+  merge_into ~into:out b;
   out
 
 let equal a b =

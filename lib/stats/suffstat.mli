@@ -20,7 +20,14 @@ val create : part:Partition.t -> t
     (the χ² total is a sum over elements). *)
 
 val empty_like : t -> t
-(** A fresh identity compatible with [t]. *)
+(** A fresh identity compatible with [t].  It shares [t]'s partition and
+    its element-to-cell table (both immutable, O(n) to rebuild), so a
+    fleet of sibling shard states holds one copy of the table; the
+    counts and cell accumulators are the sibling's own. *)
+
+val clear : t -> unit
+(** Reset [t] to the merge identity in place (counts, totals and cell
+    masses to zero), keeping its buffers. *)
 
 val partition : t -> Partition.t
 val domain_size : t -> int
@@ -45,6 +52,8 @@ val observe_sub : t -> int array -> pos:int -> len:int -> unit
 val observe_counts : t -> int array -> unit
 (** Bulk-add a full count vector (e.g. another process's tallies); cell
     masses accrue each cell's added count as one weight term.
+    The whole vector is validated before anything is added, so a
+    rejected call leaves [t] unchanged.
     @raise Invalid_argument on length mismatch or negative count. *)
 
 val total : t -> int
@@ -64,7 +73,16 @@ val merge : t -> t -> t
     run over both streams would hold — associative, commutative, with
     [empty_like] as identity.  Cell-mass Neumaier pairs merge by
     error-free two-sum (the merge adds no rounding, though the floats
-    still reflect shard grouping).  Neither input is mutated.
+    still reflect shard grouping).  Neither input is mutated; the result
+    shares [a]'s table as {!empty_like} does.
+    @raise Invalid_argument unless both sides share the partition. *)
+
+val merge_into : into:t -> t -> unit
+(** [merge_into ~into src] adds [src] into [into] in place, allocating
+    nothing: the loop {!merge} runs, with the same arithmetic in the same
+    order.  So [clear acc] followed by [merge_into ~into:acc] over
+    [s0, s1, …] leaves [acc] bitwise equal — float cell masses included —
+    to the left fold [merge (merge s0 s1) …].  [src] is not mutated.
     @raise Invalid_argument unless both sides share the partition. *)
 
 val equal : t -> t -> bool

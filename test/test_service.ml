@@ -102,6 +102,97 @@ let test_suffstat_observe_counts () =
        false
      with Invalid_argument _ -> true)
 
+module Suff_fold = Numkit.Mergeable.Fold (struct
+  type t = Suffstat.t
+
+  let merge = Suffstat.merge
+end)
+
+(* Every verdict-relevant field via [equal], plus every cell's count and
+   float mass bit for bit. *)
+let suffstat_bitwise a b =
+  Suffstat.equal a b
+  && List.for_all
+       (fun j ->
+         Suffstat.cell_count_of a j = Suffstat.cell_count_of b j
+         && Float.equal (Suffstat.cell_mass a j) (Suffstat.cell_mass b j))
+       (List.init (Suffstat.cell_count a) Fun.id)
+
+(* Random shard sets with random weights, so the cell masses carry
+   non-integral floats and nonzero compensations.  Some shards come from
+   [create] (own table), the rest are [empty_like] siblings (shared
+   table): [merge_into] must treat both alike. *)
+let prop_suffstat_merge_into_matches_reduce =
+  QCheck.Test.make
+    ~name:"clear + merge_into fold = Suff_fold.reduce, cell masses bitwise"
+    ~count:200
+    (QCheck.int_range 0 1_000_000)
+    (fun seed ->
+      let part, n, values = suffstat_case seed in
+      let r = Randkit.Rng.create ~seed:(seed + 1) in
+      let shards = 1 + Randkit.Rng.int r 8 in
+      let first = Suffstat.create ~part in
+      let parts =
+        Array.init shards (fun s ->
+            if s = 0 then first
+            else if Randkit.Rng.int r 2 = 0 then Suffstat.create ~part
+            else Suffstat.empty_like first)
+      in
+      Array.iteri
+        (fun i x ->
+          let weight = Randkit.Rng.float r 3.0 -. 1.0 in
+          Suffstat.observe ~weight parts.(i mod shards) x)
+        values;
+      let expected = Suff_fold.reduce parts in
+      let acc = Suffstat.empty_like first in
+      (* stale contents must not leak through [clear] *)
+      Suffstat.observe ~weight:0.3 acc (n - 1);
+      Suffstat.clear acc;
+      Array.iter (fun st -> Suffstat.merge_into ~into:acc st) parts;
+      suffstat_bitwise acc expected)
+
+let test_suffstat_siblings_independent () =
+  (* [empty_like] siblings share only the element -> cell table. *)
+  let part = part_of ~n:64 ~cells:8 in
+  let a = Suffstat.create ~part in
+  let b = Suffstat.empty_like a and c = Suffstat.empty_like a in
+  Suffstat.observe_all b [| 0; 9; 9; 63 |];
+  Alcotest.(check int) "a untouched" 0 (Suffstat.total a);
+  Alcotest.(check int) "c untouched" 0 (Suffstat.total c);
+  Alcotest.(check bool) "c counts all zero" true
+    (Array.for_all (fun x -> x = 0) (Suffstat.counts c));
+  Alcotest.(check int) "b holds its own" 4 (Suffstat.total b);
+  Alcotest.(check int) "b's cell 1" 2 (Suffstat.cell_count_of b 1);
+  Alcotest.(check int) "c's cell 1" 0 (Suffstat.cell_count_of c 1);
+  Alcotest.(check bool) "cell masses not shared" true
+    (Float.equal (Suffstat.cell_mass c 1) 0.);
+  Suffstat.observe_all c [| 9 |];
+  Alcotest.(check int) "b unchanged by c" 2 (Suffstat.count b 9);
+  Alcotest.(check int) "c's own count" 1 (Suffstat.count c 9)
+
+let test_suffstat_observe_counts_atomic () =
+  (* A negative entry deep inside a cell (after that cell's first
+     element, after whole earlier cells) must be rejected before any
+     count is added. *)
+  let n = 64 in
+  let part = part_of ~n ~cells:8 in
+  let st = Suffstat.create ~part in
+  Suffstat.observe_all st [| 0; 3; 17; 40; 40 |];
+  let before = Suffstat.empty_like st in
+  Suffstat.merge_into ~into:before st;
+  let counts = Array.make n 2 in
+  counts.(21) <- -1;
+  (try
+     Suffstat.observe_counts st counts;
+     Alcotest.fail "negative count accepted"
+   with Invalid_argument m ->
+     Alcotest.(check string) "message" "Suffstat.observe_counts: negative count"
+       m);
+  Alcotest.(check bool) "state unchanged" true (suffstat_bitwise st before);
+  Alcotest.(check int) "total = sum of counts"
+    (Array.fold_left ( + ) 0 (Suffstat.counts st))
+    (Suffstat.total st)
+
 let test_suffstat_matches_chi2 () =
   (* The statistic is literally Chi2stat.compute on the accumulated
      per-element counts — same m, same dstar, same partition. *)
@@ -287,6 +378,129 @@ let test_service_verdict_matches_suffstat () =
     (Printf.sprintf "served z %.17g = computed %.17g" served_z expected)
     true
     (Float.equal served_z expected)
+
+(* [merged] is a view of one reused accumulator: repeated calls agree,
+   interleaved ingest is picked up, and no shard state is ever touched. *)
+let test_service_merged_in_place () =
+  let n = 256 in
+  let t = Service.create () in
+  (match
+     Service.configure t ~n ~family:"uniform" ~eps:0.25 ~cells:(Some 16)
+       ~seed:1
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "no shards, no state" true
+    (Option.is_none (Service.merged t));
+  let r = Randkit.Rng.create ~seed:21 in
+  let ingest () =
+    List.iter
+      (fun shard ->
+        let xs = Array.init 50 (fun _ -> Randkit.Rng.int r n) in
+        match Service.observe t ~shard xs with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e)
+      [ "a"; "b"; "c"; "a" ]
+  in
+  let snapshot () =
+    List.map
+      (fun (name, st) ->
+        let copy = Suffstat.create ~part:(Suffstat.partition st) in
+        Suffstat.merge_into ~into:copy st;
+        (name, copy))
+      (Service.shards t)
+  in
+  let shards_unchanged label snap =
+    Alcotest.(check bool) label true
+      (List.for_all2
+         (fun (n1, s1) (n2, s2) -> String.equal n1 n2 && suffstat_bitwise s1 s2)
+         snap (Service.shards t))
+  in
+  let merged () =
+    match Service.merged t with
+    | Some st -> st
+    | None -> Alcotest.fail "no merged state"
+  in
+  let reference () =
+    Suff_fold.reduce (Array.of_list (List.map snd (Service.shards t)))
+  in
+  ingest ();
+  let snap = snapshot () in
+  let m1 = merged () in
+  let first = Suffstat.create ~part:(Suffstat.partition m1) in
+  Suffstat.merge_into ~into:first m1;
+  let m2 = merged () in
+  Alcotest.(check bool) "second call = first" true (suffstat_bitwise m2 first);
+  Alcotest.(check bool) "= left fold of merge" true
+    (suffstat_bitwise m2 (reference ()));
+  shards_unchanged "shards untouched by merged" snap;
+  ingest ();
+  let snap = snapshot () in
+  let m3 = merged () in
+  Alcotest.(check int) "picks up new ingest" 400 (Suffstat.total m3);
+  Alcotest.(check bool) "after ingest = left fold of merge" true
+    (suffstat_bitwise m3 (reference ()));
+  shards_unchanged "shards untouched after ingest" snap;
+  (* a single shard still merges into the accumulator, never aliases it *)
+  Service.reset t;
+  (match Service.observe t ~shard:"solo" [| 1; 2; 3 |] with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  let solo = merged () in
+  Alcotest.(check int) "solo total" 3 (Suffstat.total solo);
+  Alcotest.(check bool) "view is not the shard state" true
+    (match Service.shards t with
+    | [ (_, st) ] -> solo != st
+    | _ -> false)
+
+(* The hostile-input regression at the daemon boundary: on both the
+   strict path and the batched fast path, a counts request with a
+   negative entry deep in a cell gets the error and the shard keeps
+   exactly its previous counts and total. *)
+let test_counts_negative_leaves_no_partial_state () =
+  let n = 64 in
+  let counts = Array.make n 1 in
+  counts.(13) <- -4;
+  let bad =
+    Printf.sprintf {|{"cmd":"counts","shard":"a","counts":[%s]}|}
+      (String.concat "," (Array.to_list (Array.map string_of_int counts)))
+  in
+  let script =
+    [|
+      {|{"cmd":"config","n":64,"family":"uniform","eps":0.25,"cells":8,"seed":1}|};
+      {|{"cmd":"observe","shard":"a","xs":[0,9,9,30]}|};
+      bad;
+      {|{"cmd":"stats"}|};
+    |]
+  in
+  List.iter
+    (fun (label, batch, fast_path) ->
+      let t = Service.create () in
+      let ex = Service.Batch.create ~pool:Parkit.Pool.sequential ~batch ~fast_path t in
+      let out = Buffer.create 256 in
+      Array.iter
+        (fun line ->
+          Service.Batch.push ex line;
+          if not (Service.Batch.want_more ex) then
+            ignore (Service.Batch.execute ex ~out : bool))
+        script;
+      ignore (Service.Batch.execute ex ~out : bool);
+      let responses = String.split_on_char '\n' (Buffer.contents out) in
+      Alcotest.(check string)
+        (label ^ ": error response")
+        (Service.rendered_error "Suffstat.observe_counts: negative count")
+        (List.nth responses 2);
+      match Service.shards t with
+      | [ ("a", st) ] ->
+          Alcotest.(check int) (label ^ ": total kept") 4 (Suffstat.total st);
+          Alcotest.(check int)
+            (label ^ ": total = sum of counts")
+            (Suffstat.total st)
+            (Array.fold_left ( + ) 0 (Suffstat.counts st));
+          Alcotest.(check int) (label ^ ": count 9 kept") 2 (Suffstat.count st 9);
+          Alcotest.(check int) (label ^ ": count 1 kept") 0 (Suffstat.count st 1)
+      | _ -> Alcotest.fail (label ^ ": expected one shard"))
+    [ ("strict", 1, false); ("fast path", 64, true) ]
 
 (* --- replay: the determinism contract, fed by harness streams --- *)
 
@@ -800,6 +1014,11 @@ let () =
           qc prop_suffstat_split_exact;
           qc prop_suffstat_monoid_laws;
           Alcotest.test_case "observe_counts" `Quick test_suffstat_observe_counts;
+          Alcotest.test_case "observe_counts validates first" `Quick
+            test_suffstat_observe_counts_atomic;
+          qc prop_suffstat_merge_into_matches_reduce;
+          Alcotest.test_case "empty_like siblings independent" `Quick
+            test_suffstat_siblings_independent;
           Alcotest.test_case "matches chi2stat" `Quick test_suffstat_matches_chi2;
           Alcotest.test_case "kahan merge" `Quick test_kahan_merge;
         ] );
@@ -841,6 +1060,10 @@ let () =
           Alcotest.test_case "verdict = suffstat" `Quick
             test_service_verdict_matches_suffstat;
           Alcotest.test_case "family specs" `Quick test_family_of_spec;
+          Alcotest.test_case "merged in place" `Quick
+            test_service_merged_in_place;
+          Alcotest.test_case "rejected counts leave no partial state" `Quick
+            test_counts_negative_leaves_no_partial_state;
         ] );
       ( "replay",
         [
