@@ -32,9 +32,13 @@ type t = {
          Hashtbl), and the service-side merge always folds in this
          order *)
   mutable acc : Suffstat.t option;
-      (* the verdict accumulator for the current config, created with its
-         first shard; every shard is an [empty_like] sibling, so the whole
-         config holds one element -> cell table *)
+      (* the verdict accumulator, created with the first shard over its
+         partition; every shard is an [empty_like] sibling, so the engine
+         holds one element -> cell table per partition *)
+  mutable spare : Suffstat.t list;
+      (* states released by [configure] and [reset], siblings of [acc],
+         cleared when a new shard takes one: storage outlives the config
+         as long as the partition does *)
   cache : Structcache.t;
       (* built hypothesis structures keyed by config fingerprint, so
          reconfigure-heavy workloads stop paying the O(n) rebuild *)
@@ -45,6 +49,7 @@ let create ?cache_capacity () =
     config = None;
     shards = [];
     acc = None;
+    spare = [];
     cache = Structcache.create ?capacity:cache_capacity ();
   }
 
@@ -80,6 +85,12 @@ let family_of_spec ~n ~seed spec =
 
 let default_cells n = min n 64
 
+(* Hand every shard state to the spare list (first arrival first, so the
+   next config's shards take them in the same order). *)
+let release t =
+  t.spare <- List.map snd t.shards @ t.spare;
+  t.shards <- []
+
 let configure t ~n ~family ~eps ~cells ~seed =
   if n < 1 then Error "n must be positive"
   else if eps <= 0. || eps >= 1. then Error "eps outside (0, 1)"
@@ -104,11 +115,37 @@ let configure t ~n ~family ~eps ~cells ~seed =
     | Ok { Structcache.dstar; part } ->
         let config = { n; family; eps; cells; seed; dstar; part } in
         t.config <- Some config;
-        t.shards <- [];
-        t.acc <- None;
+        (* Configs cycling hypotheses over one (n, cells) keep their
+           storage; a new partition drops it for the collector. *)
+        (match t.acc with
+        | Some acc when Suffstat.fits acc part -> release t
+        | Some _ | None ->
+            t.shards <- [];
+            t.spare <- [];
+            t.acc <- None);
         Ok config
 
 let err_not_configured = "not configured (send a config request first)"
+
+(* Storage for a new shard: a spare cleared in place when one is left,
+   else a fresh sibling of the accumulator, which the first shard over a
+   partition creates (so [configure] itself allocates nothing). *)
+let new_state t config =
+  match t.spare with
+  | st :: rest ->
+      t.spare <- rest;
+      Suffstat.clear st;
+      st
+  | [] ->
+      let acc =
+        match t.acc with
+        | Some acc -> acc
+        | None ->
+            let acc = Suffstat.create ~part:config.part in
+            t.acc <- Some acc;
+            acc
+      in
+      Suffstat.empty_like acc
 
 let shard_state t name =
   match t.config with
@@ -117,15 +154,7 @@ let shard_state t name =
       match List.assoc_opt name t.shards with
       | Some st -> Ok st
       | None ->
-          let acc =
-            match t.acc with
-            | Some acc -> acc
-            | None ->
-                let acc = Suffstat.create ~part:config.part in
-                t.acc <- Some acc;
-                acc
-          in
-          let st = Suffstat.empty_like acc in
+          let st = new_state t config in
           t.shards <- t.shards @ [ (name, st) ];
           Ok st)
 
@@ -194,7 +223,7 @@ let verdict_info t =
               shard_count = List.length t.shards;
             })
 
-let reset t = t.shards <- []
+let reset = release
 
 (* --- one protocol step --- *)
 
@@ -535,10 +564,11 @@ let exec_run t pool arena_ws slots resp i j =
            [@histolint.disjoint
              "groups partition the run's k-indices, so each task writes \
               its own resp slots and owns its shard state's counts and \
-              accumulators exclusively; the element-to-cell table the \
-              shard states share is read-only after creation; the pool \
-              join publishes the writes before the render loop reads \
-              them"])
+              accumulators exclusively: a recycled spare state is handed \
+              to exactly one shard name, and cleared during grouping, \
+              before dispatch; the element-to-cell table the shard states \
+              share is read-only after creation; the pool join publishes \
+              the writes before the render loop reads them"])
   end
 
 (* Execute a parsed batch in request order; non-ingest requests are

@@ -41,7 +41,14 @@ val configure :
   cells:int option ->
   seed:int ->
   (config, string) result
-(** Set the hypothesis; drops all shard state. *)
+(** Set the hypothesis and start every shard from zero.  When the new
+    partition equals the accumulator's (same [n] and [cells], whatever
+    the family or seed), the shard states are released to a spare list
+    rather than dropped: later new shards take them, cleared in place,
+    instead of allocating O(n) each, and the accumulator and its
+    element-to-cell table carry over.  The engine then holds at most the
+    most shard states it ever held live over this partition.  A new
+    partition drops the states and the spares. *)
 
 val observe : t -> shard:string -> int array -> (int, string) result
 (** Batch-ingest observations into a shard (created on first use);
@@ -55,14 +62,16 @@ val merged : t -> Suffstat.t option
     exists yet.  The result is a view of the engine's accumulator, not a
     fresh state: it is cleared and refilled in place (no O(n)
     allocation per call), stays valid until the next [merged],
-    [configure] or ingest, and must not be mutated.  Bitwise equal to
-    [Suffstat.merge] folded over the shards; the per-shard states are not
-    mutated. *)
+    [configure], [reset] or ingest, and must not be mutated.  Bitwise
+    equal to [Suffstat.merge] folded over the shards; the per-shard
+    states are not mutated. *)
 
 val shards : t -> (string * Suffstat.t) list
 (** The live per-shard states, in first-arrival order.  Read-only by
     convention: callers must not mutate the states (tests use this to
-    pin socket-served shard state against a single-process replay). *)
+    pin socket-served shard state against a single-process replay).
+    After a [configure] or [reset] a state may be recycled for a later
+    shard, so a state read here describes its shard only until then. *)
 
 type verdict_info = {
   verdict : Verdict.t;
@@ -77,7 +86,9 @@ val verdict_info : t -> (verdict_info, string) result
     configured hypothesis at the plug-in mean [m = total]. *)
 
 val reset : t -> unit
-(** Drop shard state, keep the configuration. *)
+(** Start every shard from zero, keep the configuration; the shard
+    states go to the spare list, as on a [configure] over the same
+    partition. *)
 
 val handle_request : t -> Wire.request -> Jsonl.t * bool
 val handle_line : t -> string -> Jsonl.t * bool

@@ -57,7 +57,7 @@ let create ~part =
 
 let empty_like t = zero_state ~part:t.part ~cell_of:t.cell_of
 
-let clear t =
+let[@histolint.hot] clear t =
   let n = Array.length t.counts and kk = Array.length t.cell_counts in
   Array.fill t.counts 0 n 0;
   Array.fill t.cell_counts 0 kk 0;
@@ -158,10 +158,11 @@ let observe_counts t counts =
       add_weight t j (float_of_int !cell_total))
     t.part
 
-let same_partition a b =
-  Partition.domain_size a.part = Partition.domain_size b.part
-  && List.equal Int.equal (Partition.breakpoints a.part)
-       (Partition.breakpoints b.part)
+let fits t part =
+  t.part == part
+  || Partition.domain_size t.part = Partition.domain_size part
+     && List.equal Int.equal (Partition.breakpoints t.part)
+          (Partition.breakpoints part)
 
 (* The one merge loop.  States built by [empty_like] share their table,
    so the physical check settles the common case without building the
@@ -171,7 +172,7 @@ let[@histolint.hot] merge_into ~into src =
   if
     not
       (into.cell_of == src.cell_of
-      || (same_partition into src
+      || (fits into src.part
          [@histolint.alloc_ok
            "states from independent [create] calls compare breakpoint \
             lists; [empty_like] siblings take the physical-equality \
@@ -201,7 +202,7 @@ let[@histolint.hot] merge_into ~into src =
    the two-sum error against zero is [+0.]), so [merge] agrees bit for bit
    with a [clear] + [merge_into] fold, float cell masses included. *)
 let merge a b =
-  if not (same_partition a b) then
+  if not (fits a b.part) then
     invalid_arg "Suffstat.merge: partition mismatch";
   let out = empty_like a in
   merge_into ~into:out a;
@@ -209,7 +210,7 @@ let merge a b =
   out
 
 let equal a b =
-  same_partition a b && a.total = b.total
+  fits a b.part && a.total = b.total
   && Array.for_all2 Int.equal a.counts b.counts
   && Array.for_all2 Int.equal a.cell_counts b.cell_counts
 

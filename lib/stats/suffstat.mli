@@ -27,7 +27,18 @@ val empty_like : t -> t
 
 val clear : t -> unit
 (** Reset [t] to the merge identity in place (counts, totals and cell
-    masses to zero), keeping its buffers. *)
+    masses to zero), keeping its buffers and its table.  A cleared state
+    is indistinguishable from a fresh [empty_like t]: every later
+    operation leaves both bitwise equal, float cell masses included.
+    This is what lets a long-lived owner recycle states instead of
+    allocating O(n) per state. *)
+
+val fits : t -> Partition.t -> bool
+(** [fits t part]: [t] is a state over a partition equal to [part] (same
+    domain and breakpoints; physically the same partition is the O(1)
+    case).  A state that fits can stand in for [create ~part]: it merges
+    with states over [part], and its statistic against any hypothesis is
+    the one a state over [part] would give. *)
 
 val partition : t -> Partition.t
 val domain_size : t -> int

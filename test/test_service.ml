@@ -193,6 +193,53 @@ let test_suffstat_observe_counts_atomic () =
     (Array.fold_left ( + ) 0 (Suffstat.counts st))
     (Suffstat.total st)
 
+(* A cleared state stands in for a fresh one: after the same operations
+   both are bitwise equal, cell masses included, whatever the cleared
+   state held before. *)
+let prop_suffstat_clear_is_fresh =
+  QCheck.Test.make ~name:"cleared state = fresh state under any ingest"
+    ~count:200
+    (QCheck.int_range 0 1_000_000)
+    (fun seed ->
+      let part, n, values = suffstat_case seed in
+      let r = Randkit.Rng.create ~seed:(seed + 7) in
+      let recycled = Suffstat.create ~part in
+      Array.iter
+        (fun x ->
+          Suffstat.observe ~weight:(Randkit.Rng.float r 2.0 -. 0.5) recycled x)
+        values;
+      Suffstat.clear recycled;
+      let fresh = Suffstat.empty_like recycled in
+      let ops = 1 + Randkit.Rng.int r 6 in
+      for _ = 1 to ops do
+        match Randkit.Rng.int r 3 with
+        | 0 ->
+            let x = Randkit.Rng.int r n
+            and weight = Randkit.Rng.float r 3.0 -. 1.0 in
+            Suffstat.observe ~weight recycled x;
+            Suffstat.observe ~weight fresh x
+        | 1 ->
+            let xs = Array.init (Randkit.Rng.int r 50) (fun _ -> Randkit.Rng.int r n) in
+            Suffstat.observe_all recycled xs;
+            Suffstat.observe_all fresh xs
+        | _ ->
+            let counts = Array.init n (fun _ -> Randkit.Rng.int r 3) in
+            Suffstat.observe_counts recycled counts;
+            Suffstat.observe_counts fresh counts
+      done;
+      suffstat_bitwise recycled fresh)
+
+let test_suffstat_fits () =
+  let st = Suffstat.create ~part:(part_of ~n:256 ~cells:16) in
+  Alcotest.(check bool) "own partition" true
+    (Suffstat.fits st (Suffstat.partition st));
+  Alcotest.(check bool) "an equal partition built apart" true
+    (Suffstat.fits st (part_of ~n:256 ~cells:16));
+  Alcotest.(check bool) "other cell count" false
+    (Suffstat.fits st (part_of ~n:256 ~cells:8));
+  Alcotest.(check bool) "other domain" false
+    (Suffstat.fits st (part_of ~n:512 ~cells:16))
+
 let test_suffstat_matches_chi2 () =
   (* The statistic is literally Chi2stat.compute on the accumulated
      per-element counts — same m, same dstar, same partition. *)
@@ -745,8 +792,7 @@ let prop_jsonl_fuzz_roundtrip =
 (* --- batched serve engine --- *)
 
 let serve_in_memory ?(pool = Parkit.Pool.sequential) ?(batch = 1)
-    ?(fast_path = true) lines =
-  let t = Service.create () in
+    ?(fast_path = true) ?(t = Service.create ()) lines =
   let idx = ref 0 in
   let read_line ~block:_ =
     if !idx < Array.length lines then begin
@@ -980,6 +1026,199 @@ let test_observe_sub_partial () =
        false
      with Invalid_argument _ -> true)
 
+(* --- shard storage across config and reset --- *)
+
+let configure_ok t ?(n = 256) ?(cells = 16) family =
+  match Service.configure t ~n ~family ~eps:0.25 ~cells:(Some cells) ~seed:1 with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e
+
+let observe_ok t shard xs =
+  match Service.observe t ~shard xs with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e
+
+let test_storage_outlives_config () =
+  let t = Service.create () in
+  let states () = List.map snd (Service.shards t) in
+  let state name = List.assoc name (Service.shards t) in
+  let mem st sts = List.exists (fun s -> s == st) sts in
+  configure_ok t "uniform";
+  observe_ok t "a" [| 1; 2 |];
+  observe_ok t "b" [| 3 |];
+  observe_ok t "c" [| 4; 4 |];
+  let first = states () in
+  let acc = Option.get (Service.merged t) in
+  (* another hypothesis over the same n and cells: the storage stays *)
+  configure_ok t "zipf:1.1";
+  Alcotest.(check int) "configure starts from no shards" 0
+    (List.length (Service.shards t));
+  observe_ok t "x" [| 5 |];
+  let x = state "x" in
+  Alcotest.(check bool) "first released state taken first" true
+    (x == List.hd first);
+  Alcotest.(check int) "cleared before reuse" 1 (Suffstat.total x);
+  Alcotest.(check int) "old counts gone" 0 (Suffstat.count x 1);
+  (match Service.merged t with
+  | Some m ->
+      Alcotest.(check bool) "accumulator carried over" true (m == acc);
+      Alcotest.(check int) "merged sees only the new config" 1
+        (Suffstat.total m)
+  | None -> Alcotest.fail "no merged state");
+  List.iter (fun s -> observe_ok t s [| 6 |]) [ "y"; "z"; "w" ];
+  Alcotest.(check bool) "spares in release order" true
+    (List.for_all2 ( == ) first [ x; state "y"; state "z" ]);
+  Alcotest.(check bool) "then a fresh state" false (mem (state "w") first);
+  let live = states () in
+  Alcotest.(check bool) "live states pairwise distinct" true
+    (List.for_all
+       (fun a -> List.length (List.filter (fun b -> a == b) live) = 1)
+       live);
+  Service.reset t;
+  let _, resp, _ = response t {|{"cmd":"verdict"}|} in
+  Alcotest.(check bool) "no data after reset" false (is_ok resp);
+  observe_ok t "a" [| 7 |];
+  Alcotest.(check bool) "reset releases for reuse" true (state "a" == x);
+  Alcotest.(check int) "reused state holds only the new data" 1
+    (Suffstat.total (state "a"));
+  (* a new partition drops the storage for the collector *)
+  configure_ok t ~n:512 "uniform";
+  observe_ok t "a" [| 300 |];
+  Alcotest.(check bool) "new n: fresh state" false (mem (state "a") live);
+  let acc512 = Option.get (Service.merged t) in
+  Alcotest.(check bool) "new n: new accumulator" true (acc512 != acc);
+  Alcotest.(check int) "new n: new domain" 512
+    (Suffstat.domain_size (state "a"));
+  let a512 = state "a" in
+  configure_ok t ~n:512 ~cells:32 "uniform";
+  observe_ok t "a" [| 300 |];
+  Alcotest.(check bool) "new cells drop too" true
+    (state "a" != a512 && Option.get (Service.merged t) != acc512);
+  (* a refused config changes nothing *)
+  let before = states () in
+  let _, resp, _ =
+    response t {|{"cmd":"config","n":0,"family":"uniform","eps":0.25,"seed":1}|}
+  in
+  Alcotest.(check bool) "bad config refused" false (is_ok resp);
+  Alcotest.(check bool) "refused config keeps the shards" true
+    (List.equal ( == ) before (states ()));
+  Alcotest.(check int) "and their counts" 1 (Suffstat.total (state "a"))
+
+(* Scripts that cycle configs over a few partitions (two n, two cell
+   counts, three families), with resets, so released states are
+   recycled, dropped and recycled again; counts vectors sized for either
+   n, so some are refused for their length. *)
+let storage_script r =
+  let ns = [| 64; 65 + Randkit.Rng.int r 64 |] in
+  let config () =
+    Printf.sprintf
+      {|{"cmd":"config","n":%d,"family":"%s","eps":0.25,"cells":%d,"seed":%d}|}
+      ns.(Randkit.Rng.int r 2)
+      [| "uniform"; "staircase:2"; "zipf:1.1" |].(Randkit.Rng.int r 3)
+      (if Randkit.Rng.int r 4 = 0 then 4 else 8)
+      (Randkit.Rng.int r 2)
+  in
+  let steps = 40 + Randkit.Rng.int r 60 in
+  let line () =
+    match Randkit.Rng.int r 14 with
+    | 0 | 1 | 2 | 3 | 4 | 5 ->
+        let xs =
+          List.init (Randkit.Rng.int r 7) (fun _ ->
+              string_of_int (Randkit.Rng.int r (ns.(1) + 4) - 2))
+        in
+        Printf.sprintf {|{"cmd":"observe","shard":"s%d","xs":[%s]}|}
+          (Randkit.Rng.int r 6) (String.concat "," xs)
+    | 6 ->
+        let counts =
+          List.init ns.(Randkit.Rng.int r 2) (fun _ ->
+              string_of_int (Randkit.Rng.int r 3))
+        in
+        Printf.sprintf {|{"cmd":"counts","shard":"s%d","counts":[%s]}|}
+          (Randkit.Rng.int r 6) (String.concat "," counts)
+    | 7 | 8 -> {|{"cmd":"verdict"}|}
+    | 9 -> {|{"cmd":"reset"}|}
+    | 10 | 11 -> config ()
+    | 12 -> {|{"cmd":"stats"}|}
+    | _ -> {|{"cmd":"config","n":0,"family":"uniform","eps":0.25,"seed":1}|}
+  in
+  Array.of_list (config () :: List.init steps (fun _ -> line ()))
+
+(* The reference never recycles: every successful config, and every
+   reset, starts a fresh engine (a reset replays the last config into
+   it), so each of its shard states is freshly allocated. *)
+let serve_fresh_per_config lines =
+  let fresh () = Service.create () in
+  let t = ref (fresh ()) and last_config = ref None in
+  let out = Buffer.create 4096 in
+  let emit resp =
+    Buffer.add_string out (Jsonl.to_string resp);
+    Buffer.add_char out '\n'
+  in
+  (try
+     Array.iter
+       (fun line ->
+         let next, resp, continue =
+           match Wire.request_of_line line with
+           | Ok (Wire.Config _) ->
+               let e = fresh () in
+               let resp, continue = Service.handle_line e line in
+               if is_ok resp then begin
+                 last_config := Some line;
+                 (e, resp, continue)
+               end
+               else (!t, resp, continue)
+           | Ok Wire.Reset ->
+               let e = fresh () in
+               Option.iter
+                 (fun l -> ignore (Service.handle_line e l : Jsonl.t * bool))
+                 !last_config;
+               let resp, continue = Service.handle_line e line in
+               (e, resp, continue)
+           | Ok _ | Error _ ->
+               let resp, continue = Service.handle_line !t line in
+               (!t, resp, continue)
+         in
+         t := next;
+         emit resp;
+         if not continue then raise Exit)
+       lines
+   with Exit -> ());
+  (Buffer.contents out, !t)
+
+(* Recycling is invisible: a long-lived engine, batched and parallel,
+   answers byte for byte what fresh-per-config engines answer, its final
+   shard states are bitwise theirs, and no two live shards (nor the
+   merged view) share a state. *)
+let prop_storage_reuse_invisible =
+  QCheck.Test.make
+    ~name:"recycled shard storage = fresh engine per config (transcript, states)"
+    ~count:60
+    (QCheck.int_range 0 1_000_000)
+    (fun seed ->
+      let r = Randkit.Rng.create ~seed in
+      let script = storage_script r in
+      let ref_out, ref_t = serve_fresh_per_config script in
+      List.for_all
+        (fun (batch, jobs) ->
+          let t = Service.create () in
+          let out, _ =
+            Parkit.Pool.with_pool ~jobs (fun pool ->
+                serve_in_memory ~pool ~batch ~t script)
+          in
+          let live = List.map snd (Service.shards t) in
+          let merged = Service.merged t in
+          String.equal out ref_out
+          && List.equal
+               (fun (n1, s1) (n2, s2) ->
+                 String.equal n1 n2 && suffstat_bitwise s1 s2)
+               (Service.shards t) (Service.shards ref_t)
+          && List.for_all
+               (fun a ->
+                 List.length (List.filter (fun b -> a == b) live) = 1
+                 && Option.fold ~none:true ~some:(fun m -> m != a) merged)
+               live)
+        [ (1, 1); (64, 1); (16, 2) ])
+
 (* --- corpus files --- *)
 
 let test_corpus_of_file () =
@@ -1019,6 +1258,8 @@ let () =
           qc prop_suffstat_merge_into_matches_reduce;
           Alcotest.test_case "empty_like siblings independent" `Quick
             test_suffstat_siblings_independent;
+          qc prop_suffstat_clear_is_fresh;
+          Alcotest.test_case "fits" `Quick test_suffstat_fits;
           Alcotest.test_case "matches chi2stat" `Quick test_suffstat_matches_chi2;
           Alcotest.test_case "kahan merge" `Quick test_kahan_merge;
         ] );
@@ -1064,6 +1305,12 @@ let () =
             test_service_merged_in_place;
           Alcotest.test_case "rejected counts leave no partial state" `Quick
             test_counts_negative_leaves_no_partial_state;
+        ] );
+      ( "storage",
+        [
+          Alcotest.test_case "outlives config and reset" `Quick
+            test_storage_outlives_config;
+          qc prop_storage_reuse_invisible;
         ] );
       ( "replay",
         [
