@@ -20,8 +20,8 @@
 
    3. Verdict cost against shard count: Service.verdict_info over S
       shards of n = 2^16, timed, with the major-heap words each verdict
-      allocates.  The service merges in place into one accumulator, so
-      those words must not grow with S — a count, not a time, so the
+      allocates.  The service keeps one accumulator that every shard
+      adds into, so those words must not grow with S — a count, not a time, so the
       gate repeats exactly on a noisy host.
 
    4. The distributional half of the monoid: GK quantile sketches are

@@ -5,17 +5,18 @@
 
    1. The transcript gate (wired into CI as `make bench-serve`): a fixed
       request script — one accepting corpus, one rejecting — is served
-      through the batched engine across a (batch, jobs) grid with the
-      wire fast path on, and the full response transcript must be
-      BYTE-IDENTICAL to the unbatched (batch=1, jobs=1) single-domain
-      strict-parser reference.  Any divergence exits non-zero, like
-      E18/E19/E20.
+      through the batched engine across a batch grid with the wire fast
+      path on, and the full response transcript must be BYTE-IDENTICAL
+      to the unbatched (batch=1) strict-parser reference.  Any
+      divergence exits non-zero, like E18/E19/E20.
 
    2. Ingest throughput (values/s) across the same grid and two payload
       shapes — many small `observe` lines vs few large ones — plus the
-      fast-path hit rate as provenance.  The acceptance bar is the
-      single-core one: fast path + batched output alone must clear >= 5x
-      over the line-at-a-time strict reference at batch >= 64.
+      fast-path hit rate as provenance.  The acceptance bar: fast path +
+      batched output must clear >= 5x over the line-at-a-time strict
+      reference at batch >= 64.  Serving runs on one domain; the
+      shard-parallel ingest an earlier engine offered never measured
+      faster (EXPERIMENTS.md, E21) and was removed.
 
    3. The structure cache: a reconfigure-heavy script cycling a working
       set of hypotheses is served twice over — all-miss (distinct
@@ -37,8 +38,7 @@ let bench_file = "BENCH_serve.json"
    line-at-a-time reference), one per batch otherwise.  An
    in-process-only transcript would hide exactly the buffered-I/O saving
    the acceptance bar is about. *)
-let run_script ?(pool = Parkit.Pool.sequential) ?(repeats = 1) ~batch
-    ~fast_path lines =
+let run_script ?(repeats = 1) ~batch ~fast_path lines =
   let r, w = Unix.pipe () in
   (* the drainer must not inherit [w], or it never sees EOF *)
   Unix.set_close_on_exec w;
@@ -67,7 +67,7 @@ let run_script ?(pool = Parkit.Pool.sequential) ?(repeats = 1) ~batch
     let _, wall =
       Exp_common.wall_time_of (fun () ->
           stats :=
-            Some (Service.serve t ~pool ~batch ~fast_path ~read_line ~write))
+            Some (Service.serve t ~batch ~fast_path ~read_line ~write))
     in
     (Buffer.contents transcript, Option.get !stats, wall, t)
   in
@@ -120,10 +120,9 @@ let run (mode : Exp_common.mode) =
   Exp_common.section
     ~id:"E21 (serve path: batched parallel ingest, byte-identical)"
     ~claim:
-      "The batched serve engine — wire fast path, shard-parallel ingest of \
-       consecutive observes, one flush per batch — produces a response \
-       transcript byte-identical to unbatched single-domain strict-parser \
-       serve, while ingesting >= 5x faster on one core at batch >= 64.";
+      "The batched serve engine — wire fast path, one flush per batch — \
+       produces a response transcript byte-identical to unbatched \
+       strict-parser serve, while ingesting >= 5x faster at batch >= 64.";
   let seed = mode.Exp_common.seed in
   let quick = mode.Exp_common.quick in
 
@@ -136,9 +135,7 @@ let run (mode : Exp_common.mode) =
       [ ("small", 8_000, 16); ("large", 48, 8_192) ]
     else [ ("small", 40_000, 16); ("large", 192, 16_384) ]
   in
-  let grid =
-    [ (1, 1); (16, 1); (64, 1); (256, 1); (64, 4); (256, 4) ]
-  in
+  let grid = [ 1; 16; 64; 256 ] in
 
   (* 1 + 2. Transcript gate and throughput, per side x shape x grid. *)
   let all_rows = ref [] in
@@ -156,31 +153,27 @@ let run (mode : Exp_common.mode) =
           in
           let ref_rate = float_of_int ref_stats.Service.values /. ref_wall in
           Exp_common.row
-            "@.%s/%s: %d lines x %d values, reference (batch=1, jobs=1, \
-             strict): %.1f ms, %.2e values/s@."
+            "@.%s/%s: %d lines x %d values, reference (batch=1, strict): \
+             %.1f ms, %.2e values/s@."
             side shape lines per_line (1e3 *. ref_wall) ref_rate;
-          Exp_common.row "%6s | %5s | %10s | %8s | %9s | %9s@." "batch" "jobs"
-            "values/s" "speedup" "fast-path" "identical";
+          Exp_common.row "%6s | %10s | %8s | %9s | %9s@." "batch" "values/s"
+            "speedup" "fast-path" "identical";
           Exp_common.hline ();
           List.iter
-            (fun (batch, jobs) ->
-              let transcript, stats, wall =
-                Parkit.Pool.with_pool ~jobs (fun pool ->
-                    let t, s, w, _ =
-                      run_script ~pool ~repeats:9 ~batch ~fast_path:true script
-                    in
-                    (t, s, w))
+            (fun batch ->
+              let transcript, stats, wall, _ =
+                run_script ~repeats:9 ~batch ~fast_path:true script
               in
               let rate = float_of_int stats.Service.values /. wall in
               let identical = String.equal transcript ref_transcript in
               if not identical then gate_pass := false;
-              Exp_common.row "%6d | %5d | %10.3e | %7.2fx | %8.0f%% | %9b@."
-                batch jobs rate (rate /. ref_rate)
+              Exp_common.row "%6d | %10.3e | %7.2fx | %8.0f%% | %9b@." batch
+                rate (rate /. ref_rate)
                 (100. *. hit_rate stats)
                 identical;
               all_rows :=
-                (side, shape, batch, jobs, rate, rate /. ref_rate,
-                 hit_rate stats, identical)
+                (side, shape, batch, rate, rate /. ref_rate, hit_rate stats,
+                 identical)
                 :: !all_rows)
             grid)
         shapes)
@@ -189,18 +182,18 @@ let run (mode : Exp_common.mode) =
   Exp_common.row "@.serve gate (all transcripts byte-identical): %s@."
     (if !gate_pass then "PASS" else "FAIL");
 
-  (* Single-core acceptance bar: fast path + batched output alone. *)
-  let single_core_speedups =
+  (* Acceptance bar: fast path + batched output. *)
+  let batch64_speedups =
     List.filter_map
-      (fun (_, _, batch, jobs, _, speedup, _, _) ->
-        if batch >= 64 && jobs = 1 then Some speedup else None)
+      (fun (_, _, batch, _, speedup, _, _) ->
+        if batch >= 64 then Some speedup else None)
       rows
   in
   let min_single_core =
-    List.fold_left Float.min Float.infinity single_core_speedups
+    List.fold_left Float.min Float.infinity batch64_speedups
   in
   Exp_common.row
-    "single-core speedup at batch >= 64 (min across sides/shapes): %.2fx \
+    "speedup at batch >= 64 (min across sides/shapes): %.2fx \
      (bar: 5x)@."
     min_single_core;
 
@@ -246,14 +239,14 @@ let run (mode : Exp_common.mode) =
   let fast_path_by_shape =
     let shapes_seen =
       List.sort_uniq String.compare
-        (List.map (fun (_, shape, _, _, _, _, _, _) -> shape) rows)
+        (List.map (fun (_, shape, _, _, _, _, _) -> shape) rows)
     in
     String.concat ","
       (List.map
          (fun shape ->
            let rates =
              List.filter_map
-               (fun (_, s, _, _, _, _, fp, _) ->
+               (fun (_, s, _, _, _, fp, _) ->
                  if String.equal s shape then Some fp else None)
                rows
            in
@@ -280,12 +273,12 @@ let run (mode : Exp_common.mode) =
       n k eps shards seed
       (String.concat ","
          (List.map
-            (fun (side, shape, batch, jobs, rate, speedup, fp, identical) ->
+            (fun (side, shape, batch, rate, speedup, fp, identical) ->
               Printf.sprintf
-                "{\"side\":\"%s\",\"shape\":\"%s\",\"batch\":%d,\"jobs\":%d,\
+                "{\"side\":\"%s\",\"shape\":\"%s\",\"batch\":%d,\
                  \"values_per_s\":%.3e,\"speedup\":%.2f,\
                  \"fast_path_rate\":%.4f,\"identical\":%b}"
-                side shape batch jobs rate speedup fp identical)
+                side shape batch rate speedup fp identical)
             rows))
       min_single_core fast_path_by_shape cache_n (working_set * rounds)
       working_set

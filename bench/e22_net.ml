@@ -3,14 +3,14 @@
 
    Two gates (wired into CI as `make bench-net`):
 
-   1. Transcript identity: across a (clients, batch, jobs) grid, on an
+   1. Transcript identity: across a (clients, batch) grid, on an
       accepting and a rejecting corpus, every client's response stream
       over a real loopback TCP connection must be BYTE-IDENTICAL to
       [Service.serve] (the stdio loop) on that client's request stream.
       Any divergence exits non-zero, like E18..E21.
 
-   2. Single-client overhead: socket serve at (clients=1, batch=64,
-      jobs=1) must ingest within 1.3x of stdio serve — the daemon's
+   2. Single-client overhead: socket serve at (clients=1, batch=64)
+      must ingest within 1.3x of stdio serve — the daemon's
       stdin/stdout mode over real pipes, transport costs included — on
       the same script.  The reactor's select/read/flush round must not
       tax the single-client path that PR 8 optimized.
@@ -74,7 +74,7 @@ let reference_transcript ~seed script =
   let out = Buffer.create (1 lsl 20) in
   let write buf = Buffer.add_buffer out buf in
   let (_ : Service.serve_stats) =
-    Service.serve svc ~pool:Parkit.Pool.sequential ~batch:64 ~read_line ~write
+    Service.serve svc ~batch:64 ~read_line ~write
   in
   Buffer.contents out
 
@@ -133,7 +133,7 @@ let client_worker ~port ~payload () =
 (* One cell: spawn [clients] domains against a fresh ephemeral-port
    listener, serve with the reactor until all of them are done, return
    (transcripts, reactor stats, serve wall time). *)
-let run_cell ~seed ~pool ~batch ~payloads () =
+let run_cell ~seed ~batch ~payloads () =
   let lfd = Netio.listener (Netio.Tcp ("127.0.0.1", 0)) in
   let port = Netio.bound_port lfd in
   let service = Service.create () in
@@ -144,7 +144,7 @@ let run_cell ~seed ~pool ~batch ~payloads () =
   in
   let stats, wall =
     Exp_common.wall_time_of (fun () ->
-        Netio.serve_net service ~pool ~batch
+        Netio.serve_net service ~batch
           ~accept_limit:(Array.length payloads) ~poll_interval:0.05
           ~listeners:[ lfd ] ())
   in
@@ -205,8 +205,7 @@ let stdio_round ~seed ~batch ~payload ~reference () =
   in
   let stats, wall =
     Exp_common.wall_time_of (fun () ->
-        Service.serve service ~pool:Parkit.Pool.sequential ~batch ~read_line
-          ~write)
+        Service.serve service ~batch ~read_line ~write)
   in
   close_out oc;
   Unix.close in_r;
@@ -216,10 +215,10 @@ let stdio_round ~seed ~batch ~payload ~reference () =
     failwith "E22 stdio baseline transcript diverged from the reference";
   (stats, wall)
 
-let best_cell ~repeats ~seed ~pool ~batch ~payloads =
-  let best = ref (run_cell ~seed ~pool ~batch ~payloads ()) in
+let best_cell ~repeats ~seed ~batch ~payloads =
+  let best = ref (run_cell ~seed ~batch ~payloads ()) in
   for _ = 2 to repeats do
-    let (_, _, wall) as r = run_cell ~seed ~pool ~batch ~payloads () in
+    let (_, _, wall) as r = run_cell ~seed ~batch ~payloads () in
     let _, _, best_wall = !best in
     if wall < best_wall then best := r
   done;
@@ -231,7 +230,7 @@ let run (mode : Exp_common.mode) =
     ~claim:
       "Per-client response streams served over loopback TCP through the \
        Netio reactor are byte-identical to stdio serve on the same request \
-       stream, at any (clients, batch, jobs); the single-client socket \
+       stream, at any (clients, batch); the single-client socket \
        path ingests within 1.3x of stdio serve.";
   let seed = mode.Exp_common.seed in
   let quick = mode.Exp_common.quick in
@@ -241,22 +240,12 @@ let run (mode : Exp_common.mode) =
   let lines = if quick then 8_000 else 24_000 in
   let per_line = 16 in
   let grid =
-    if quick then [ (1, 64, 1); (2, 64, 1); (4, 64, 1); (1, 1, 1); (4, 256, 4) ]
-    else
-      [
-        (1, 64, 1);
-        (2, 64, 1);
-        (4, 64, 1);
-        (8, 64, 1);
-        (1, 1, 1);
-        (4, 1, 1);
-        (4, 256, 4);
-        (8, 256, 4);
-      ]
+    if quick then [ (1, 64); (2, 64); (4, 64); (1, 1); (4, 256) ]
+    else [ (1, 64); (2, 64); (4, 64); (8, 64); (1, 1); (4, 1); (4, 256); (8, 256) ]
   in
   let repeats = if quick then 3 else 5 in
   let max_clients =
-    List.fold_left (fun acc (c, _, _) -> max acc c) 1 grid
+    List.fold_left (fun acc (c, _) -> max acc c) 1 grid
   in
 
   let gate_pass = ref true in
@@ -282,19 +271,14 @@ let run (mode : Exp_common.mode) =
       let references = Array.map (reference_transcript ~seed) scripts in
       Exp_common.row "@.%s: %d clients max, %d lines x %d values each@." side
         max_clients lines per_line;
-      Exp_common.row "%7s | %5s | %4s | %10s | %8s | %9s@." "clients" "batch"
-        "jobs" "values/s" "per-conn" "identical";
+      Exp_common.row "%7s | %5s | %10s | %8s | %9s@." "clients" "batch"
+        "values/s" "per-conn" "identical";
       Exp_common.hline ();
       List.iter
-        (fun (clients, batch, jobs) ->
+        (fun (clients, batch) ->
           let cell_payloads = Array.sub payloads 0 clients in
-          let with_jobs f =
-            if jobs <= 1 then f Parkit.Pool.sequential
-            else Parkit.Pool.with_pool ~jobs f
-          in
           let transcripts, stats, wall =
-            with_jobs (fun pool ->
-                best_cell ~repeats ~seed ~pool ~batch ~payloads:cell_payloads)
+            best_cell ~repeats ~seed ~batch ~payloads:cell_payloads
           in
           let identical = ref true in
           Array.iteri
@@ -302,20 +286,20 @@ let run (mode : Exp_common.mode) =
               if not (String.equal t references.(c)) then begin
                 identical := false;
                 Exp_common.row
-                  "MISMATCH %s clients=%d batch=%d jobs=%d client=%d (%d vs \
-                   %d bytes)@."
-                  side clients batch jobs c (String.length t)
+                  "MISMATCH %s clients=%d batch=%d client=%d (%d vs %d \
+                   bytes)@."
+                  side clients batch c (String.length t)
                   (String.length references.(c))
               end)
             transcripts;
           if not !identical then gate_pass := false;
           let rate = float_of_int stats.Netio.engine.Service.values /. wall in
-          Exp_common.row "%7d | %5d | %4d | %10.3e | %8.2e | %9b@." clients
-            batch jobs rate
+          Exp_common.row "%7d | %5d | %10.3e | %8.2e | %9b@." clients batch
+            rate
             (rate /. float_of_int clients)
             !identical;
           all_rows :=
-            (side, clients, batch, jobs, rate, !identical) :: !all_rows)
+            (side, clients, batch, rate, !identical) :: !all_rows)
         grid)
     [ ("yes", yes, seed + 1); ("no", no, seed + 2) ];
   let rows = List.rev !all_rows in
@@ -345,8 +329,7 @@ let run (mode : Exp_common.mode) =
   let best_socket = ref 0. and best_stdio = ref 0. in
   for _ = 1 to gate_rounds do
     let _, stats, wall =
-      run_cell ~seed ~pool:Parkit.Pool.sequential ~batch:64
-        ~payloads:[| gate_payload |] ()
+      run_cell ~seed ~batch:64 ~payloads:[| gate_payload |] ()
     in
     let rate = float_of_int stats.Netio.engine.Service.values /. wall in
     if rate > !best_socket then best_socket := rate;
@@ -376,11 +359,11 @@ let run (mode : Exp_common.mode) =
       n k eps seed lines per_line
       (String.concat ","
          (List.map
-            (fun (side, clients, batch, jobs, rate, identical) ->
+            (fun (side, clients, batch, rate, identical) ->
               Printf.sprintf
-                "{\"side\":\"%s\",\"clients\":%d,\"batch\":%d,\"jobs\":%d,\
+                "{\"side\":\"%s\",\"clients\":%d,\"batch\":%d,\
                  \"values_per_s\":%.3e,\"identical\":%b}"
-                side clients batch jobs rate identical)
+                side clients batch rate identical)
             rows))
       stdio_rate !best_socket overhead overhead_pass !gate_pass
   in

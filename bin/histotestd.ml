@@ -1,22 +1,23 @@
 (* histotestd — long-running histogram-testing service.
 
    Serve mode (default): batched line-oriented JSON over stdin/stdout.
-   Each request is one JSON object per line (see Wire); shards accumulate
-   mergeable sufficient statistics and verdicts are recomputed from the
-   merged state, so the daemon never holds raw samples beyond the counts.
+   Each request is one JSON object per line (see Wire); every shard's
+   observations are added into one count vector per config, shards are
+   reported by name and total, and verdicts are computed from that
+   vector, so the daemon never holds raw samples beyond the counts.
 
      $ histotestd
      {"cmd":"config","n":4096,"family":"staircase:4","eps":0.25}
      {"cmd":"observe","shard":"edge-eu","xs":[17,803,2044]}
      {"cmd":"verdict"}
 
-   The serve loop is batched and pipelined (PR 8): it blocks for one
-   request, drains up to --batch more that are already available, decodes
+   The serve loop is batched and pipelined: it blocks for one request,
+   drains up to --batch more that are already available, decodes
    observe/counts lines through the zero-allocation wire fast path
-   (Service.Scan), ingests consecutive observe runs shard-parallel on the
-   parkit pool (--jobs), and answers with one buffered write per batch.
-   Responses are byte-identical to line-at-a-time single-domain serve at
-   any (batch, jobs) — the contract the E21 bench gates.
+   (Service.Scan), applies them in request order on one domain, and
+   answers with one buffered write per batch.  Responses are
+   byte-identical to line-at-a-time serve at any --batch — the contract
+   the E21 bench gates.
 
    Socket mode (--listen addr:port and/or --unix path): the same engine
    behind the Netio reactor — one select loop, up to --max-conns
@@ -31,8 +32,8 @@
    bit-identical statistics and verdicts.  Exit status 1 on any
    divergence, so CI can gate on it. *)
 
-(* stdin/stdout, one client: the PR 8 loop, reading through the
-   (extracted, now line-length-bounded) Netio.Reader.  An over-long line
+(* stdin/stdout, one client: the batched loop, reading through the
+   line-length-bounded Netio.Reader.  An over-long line
    answers with the same wire error the reactor sends, then exits 1 —
    it cannot be parsed without unbounded buffering. *)
 let serve ~batch ~fast_path ~max_line_bytes =
@@ -213,10 +214,10 @@ let jobs_arg =
     value & opt int 0
     & info [ "jobs" ] ~docv:"JOBS"
         ~doc:
-          "Pool domains for sharded ingest, in serve mode (batch \
-           shard-groups) and --replay alike (results are identical at any \
-           value). 0 means $(b,HISTOTEST_JOBS) if set, otherwise all \
-           recommended cores.")
+          "Pool domains for $(b,--replay), which builds its shard states \
+           in parallel (results are identical at any value); serve mode \
+           runs on one domain and ignores it. 0 means \
+           $(b,HISTOTEST_JOBS) if set, otherwise all recommended cores.")
 
 let batch_arg =
   Arg.(
@@ -326,7 +327,7 @@ let run replay_mode file samples family n eps cells seed shards jobs batch
 
 let cmd =
   let doc =
-    "histogram-testing service: merge per-shard sufficient statistics, \
+    "histogram-testing service: accumulate sharded observation counts, \
      serve incremental verdicts over line-oriented JSON — on \
      stdin/stdout, TCP, or a Unix-domain socket"
   in

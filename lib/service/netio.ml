@@ -24,7 +24,7 @@
      rendering the stdio loop uses — so per-connection response streams
      are byte-identical to stdio serve on the same request stream (the
      contract E22 gates).
-   - The engine ([Service.t]) is shared: shard states accumulate across
+   - The engine ([Service.t]) is shared: shards accumulate across
      clients, per-connection request order is preserved, and because
      verdicts are functions of exact merged counts (PR 7), any
      interleaving of clients that preserves per-connection order yields
@@ -367,7 +367,6 @@ let zero_stats =
 
 type t = {
   service : Service.t;
-  pool : Parkit.Pool.t;
   batch : int;
   fast_path : bool;
   max_conns : int;
@@ -390,7 +389,7 @@ let overlong_error max_line_bytes =
     (Printf.sprintf "line exceeds max-line-bytes (%d); closing connection"
        max_line_bytes)
 
-let create_reactor ?pool ?(batch = 64) ?(fast_path = true) ?(max_conns = 64)
+let create_reactor ?(batch = 64) ?(fast_path = true) ?(max_conns = 64)
     ?(max_line_bytes = Reader.default_max_line_bytes)
     ?(max_pending_bytes = 1 lsl 23) ~service ~listeners () =
   if batch < 1 then invalid_arg "Netio.create_reactor: batch < 1";
@@ -399,16 +398,12 @@ let create_reactor ?pool ?(batch = 64) ?(fast_path = true) ?(max_conns = 64)
     invalid_arg "Netio.create_reactor: max_line_bytes < 1";
   if max_pending_bytes < 1 then
     invalid_arg "Netio.create_reactor: max_pending_bytes < 1";
-  let pool =
-    match pool with Some p -> p | None -> Parkit.Pool.get_default ()
-  in
   (* a client closing mid-write must surface as EPIPE, not kill the
      process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   {
     service;
-    pool;
     batch;
     fast_path;
     max_conns;
@@ -460,7 +455,7 @@ let add_connection t fd =
           fd;
           reader = Reader.create ~max_line_bytes:t.max_line_bytes fd;
           exec =
-            Service.Batch.create ~pool:t.pool ~batch:t.batch
+            Service.Batch.create ~batch:t.batch
               ~fast_path:t.fast_path t.service;
           out = Outbuf.create 65536;
           draining = false;
@@ -612,11 +607,11 @@ let step t ~timeout =
           end)
         t.conns
 
-let serve_net ?pool ?batch ?fast_path ?max_conns ?max_line_bytes
+let serve_net ?batch ?fast_path ?max_conns ?max_line_bytes
     ?max_pending_bytes ?accept_limit ?(poll_interval = 0.5) ?stop service
     ~listeners () =
   let t =
-    create_reactor ?pool ?batch ?fast_path ?max_conns ?max_line_bytes
+    create_reactor ?batch ?fast_path ?max_conns ?max_line_bytes
       ?max_pending_bytes ~service ~listeners ()
   in
   let idle () = match t.conns with [] -> true | _ :: _ -> false in

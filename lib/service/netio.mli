@@ -9,8 +9,8 @@
     clients get backpressure (the reactor stops reading them past
     [max_pending_bytes]) and never stall anyone else.  Per-connection
     response streams are byte-identical to stdio serve on the same
-    request stream; the engine is shared, so shard states aggregate
-    across clients exactly as one process replaying the merged arrival
+    request stream; the engine is shared, so shards aggregate across
+    clients exactly as one process replaying the merged arrival
     order (the contracts E22 and the socketpair tests gate). *)
 
 (** The buffered line reader formerly inlined in [bin/histotestd.ml],
@@ -110,7 +110,6 @@ type t
     the thread that created it. *)
 
 val create_reactor :
-  ?pool:Parkit.Pool.t ->
   ?batch:int ->
   ?fast_path:bool ->
   ?max_conns:int ->
@@ -120,7 +119,7 @@ val create_reactor :
   listeners:Unix.file_descr list ->
   unit ->
   t
-(** [batch]/[fast_path]/[pool] parameterize each connection's
+(** [batch]/[fast_path] parameterize each connection's
     {!Service.Batch} executor ([batch] defaults to 64 here — the
     daemon's default).  [max_conns] (default 64) stops accepting — the
     kernel backlog queues the excess — until a connection closes.
@@ -148,7 +147,6 @@ val accepted : t -> int
 val stats : t -> stats
 
 val serve_net :
-  ?pool:Parkit.Pool.t ->
   ?batch:int ->
   ?fast_path:bool ->
   ?max_conns:int ->

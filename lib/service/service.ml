@@ -1,13 +1,16 @@
-(* The histotestd engine: per-shard Suffstat states, deterministic
-   left-fold merge in shard-arrival order into one reused accumulator,
-   verdicts recomputed from the merged state.
+(* The histotestd engine: one Suffstat accumulator per config that every
+   shard's traffic is added into, shards reduced to a name and a running
+   total, verdicts computed from the accumulator.
 
    Determinism contract (pinned by the replay path and the E20 gate): the
    verdict depends on the accumulated stream only through exact integer
    counts, so ANY sharding of a stream, ingested in any interleaving that
    preserves nothing but the multiset of observations, merged under ANY
    topology, yields the verdict — and the statistic, bit for bit — of a
-   single process that saw the whole stream. *)
+   single process that saw the whole stream.  That same fact makes
+   per-shard count vectors redundant here: adding each shard's traffic
+   into one vector gives, integer for integer, the sum of the vectors
+   the shards would have held. *)
 
 module Suff_fold = Numkit.Mergeable.Fold (struct
   type t = Suffstat.t
@@ -25,20 +28,17 @@ type config = {
   part : Partition.t;
 }
 
+type shard = { name : string; mutable total : int }
+
 type t = {
   mutable config : config option;
-  mutable shards : (string * Suffstat.t) list;
-      (* assoc list in first-arrival order: deterministic iteration (no
-         Hashtbl), and the service-side merge always folds in this
-         order *)
   mutable acc : Suffstat.t option;
-      (* the verdict accumulator, created with the first shard over its
-         partition; every shard is an [empty_like] sibling, so the engine
-         holds one element -> cell table per partition *)
-  mutable spare : Suffstat.t list;
-      (* states released by [configure] and [reset], siblings of [acc],
-         cleared when a new shard takes one: storage outlives the config
-         as long as the partition does *)
+      (* the verdict accumulator, created by the first ingest over its
+         partition and kept, cleared, across configs over that partition *)
+  mutable shards : shard list;
+      (* newest first; reversed for the first-arrival order [stats]
+         reports, never iterated in hash order *)
+  index : (string, shard) Hashtbl.t;  (* name -> its entry in [shards] *)
   cache : Structcache.t;
       (* built hypothesis structures keyed by config fingerprint, so
          reconfigure-heavy workloads stop paying the O(n) rebuild *)
@@ -47,9 +47,9 @@ type t = {
 let create ?cache_capacity () =
   {
     config = None;
-    shards = [];
     acc = None;
-    spare = [];
+    shards = [];
+    index = Hashtbl.create 16;
     cache = Structcache.create ?capacity:cache_capacity ();
   }
 
@@ -85,11 +85,11 @@ let family_of_spec ~n ~seed spec =
 
 let default_cells n = min n 64
 
-(* Hand every shard state to the spare list (first arrival first, so the
-   next config's shards take them in the same order). *)
-let release t =
-  t.spare <- List.map snd t.shards @ t.spare;
-  t.shards <- []
+(* Start every shard from zero: forget the names, clear the counts. *)
+let reset t =
+  t.shards <- [];
+  Hashtbl.clear t.index;
+  Option.iter Suffstat.clear t.acc
 
 let configure t ~n ~family ~eps ~cells ~seed =
   if n < 1 then Error "n must be positive"
@@ -115,78 +115,74 @@ let configure t ~n ~family ~eps ~cells ~seed =
     | Ok { Structcache.dstar; part } ->
         let config = { n; family; eps; cells; seed; dstar; part } in
         t.config <- Some config;
-        (* Configs cycling hypotheses over one (n, cells) keep their
-           storage; a new partition drops it for the collector. *)
+        (* Configs cycling hypotheses over one (n, cells) keep the
+           accumulator; a new partition drops it for the collector. *)
         (match t.acc with
-        | Some acc when Suffstat.fits acc part -> release t
-        | Some _ | None ->
-            t.shards <- [];
-            t.spare <- [];
-            t.acc <- None);
+        | Some acc when not (Suffstat.fits acc part) -> t.acc <- None
+        | Some _ | None -> ());
+        reset t;
         Ok config
 
 let err_not_configured = "not configured (send a config request first)"
 
-(* Storage for a new shard: a spare cleared in place when one is left,
-   else a fresh sibling of the accumulator, which the first shard over a
-   partition creates (so [configure] itself allocates nothing). *)
-let new_state t config =
-  match t.spare with
-  | st :: rest ->
-      t.spare <- rest;
-      Suffstat.clear st;
-      st
-  | [] ->
-      let acc =
-        match t.acc with
-        | Some acc -> acc
-        | None ->
-            let acc = Suffstat.create ~part:config.part in
-            t.acc <- Some acc;
-            acc
-      in
-      Suffstat.empty_like acc
+(* The accumulator of the configured partition, created on first use. *)
+let accumulator t config =
+  match t.acc with
+  | Some acc -> acc
+  | None ->
+      let acc = Suffstat.create ~part:config.part in
+      t.acc <- Some acc;
+      acc
 
-let shard_state t name =
+let shard_of t name =
+  match Hashtbl.find t.index name with
+  | sh -> sh
+  | exception Not_found ->
+      let sh = { name; total = 0 } in
+      Hashtbl.add t.index name sh;
+      t.shards <- sh :: t.shards;
+      sh
+
+(* The one ingest path, behind [observe], [observe_counts], the protocol
+   step and the batch executor: [len] payload values at [pos] in [xs],
+   added to the accumulator, and the shard's total raised by what the
+   accumulator actually took — an out-of-domain element leaves its prefix
+   counted on both, so shard totals always sum to the accumulator's. *)
+let ingest t shard kind xs ~pos ~len =
   match t.config with
   | None -> Error err_not_configured
   | Some config -> (
-      match List.assoc_opt name t.shards with
-      | Some st -> Ok st
-      | None ->
-          let st = new_state t config in
-          t.shards <- t.shards @ [ (name, st) ];
-          Ok st)
+      let acc = accumulator t config in
+      let sh = shard_of t shard in
+      let before = Suffstat.total acc in
+      let error =
+        match
+          match kind with
+          | Scan.Observe -> Suffstat.observe_sub acc xs ~pos ~len
+          | Scan.Counts ->
+              Suffstat.observe_counts acc
+                (if pos = 0 && len = Array.length xs then xs
+                 else Array.sub xs pos len)
+        with
+        | () -> None
+        | exception Invalid_argument msg -> Some msg
+      in
+      sh.total <- sh.total + (Suffstat.total acc - before);
+      match error with None -> Ok sh.total | Some msg -> Error msg)
 
 let observe t ~shard xs =
-  match shard_state t shard with
-  | Error _ as e -> e
-  | Ok st -> (
-      match Suffstat.observe_all st xs with
-      | () -> Ok (Suffstat.total st)
-      | exception Invalid_argument msg -> Error msg)
+  ingest t shard Scan.Observe xs ~pos:0 ~len:(Array.length xs)
 
 let observe_counts t ~shard counts =
-  match shard_state t shard with
-  | Error _ as e -> e
-  | Ok st -> (
-      match Suffstat.observe_counts st counts with
-      | () -> Ok (Suffstat.total st)
-      | exception Invalid_argument msg -> Error msg)
+  ingest t shard Scan.Counts counts ~pos:0 ~len:(Array.length counts)
 
-(* Clear-and-fold into the config's accumulator: one pass of integer adds
-   over the shards and no O(n) allocation per verdict.  The fold order is
-   arrival order, so the result is bitwise [Suff_fold.reduce] over the
-   shards. *)
-let merged t =
-  match (t.shards, t.acc) with
-  | [], _ | _, None -> None
-  | shards, Some acc ->
-      Suffstat.clear acc;
-      List.iter (fun (_, st) -> Suffstat.merge_into ~into:acc st) shards;
-      Some acc
+let merged t = match t.shards with [] -> None | _ :: _ -> t.acc
+let shard_totals t = List.rev_map (fun sh -> (sh.name, sh.total)) t.shards
 
-let shards t = t.shards
+let shards t =
+  match t.acc with
+  | None -> []
+  | Some acc -> List.rev_map (fun sh -> (sh.name, acc)) t.shards
 
 type verdict_info = {
   verdict : Verdict.t;
@@ -198,7 +194,7 @@ type verdict_info = {
 
 let verdict_info t =
   match t.config with
-  | None -> Error "not configured (send a config request first)"
+  | None -> Error err_not_configured
   | Some config -> (
       match merged t with
       | None -> Error "no observations yet"
@@ -220,10 +216,8 @@ let verdict_info t =
               z = stat.Chi2stat.z;
               threshold;
               total = Suffstat.total st;
-              shard_count = List.length t.shards;
+              shard_count = Hashtbl.length t.index;
             })
-
-let reset = release
 
 (* --- one protocol step --- *)
 
@@ -283,17 +277,15 @@ let handle_request t req =
   | Wire.Stats ->
       let shards =
         List.map
-          (fun (name, st) ->
+          (fun (name, total) ->
             Jsonl.Obj
               [
                 ("name", Jsonl.Str name);
-                ("total", Jsonl.Num (float_of_int (Suffstat.total st)));
+                ("total", Jsonl.Num (float_of_int total));
               ])
-          t.shards
+          (shard_totals t)
       in
-      let total =
-        List.fold_left (fun acc (_, st) -> acc + Suffstat.total st) 0 t.shards
-      in
+      let total = Option.fold ~none:0 ~some:Suffstat.total (merged t) in
       ( Wire.ok
           [
             ("cmd", Jsonl.Str "stats");
@@ -460,143 +452,39 @@ let rendered_counts_ok ~shard ~shard_total =
 
 let rendered_error msg = render_to_string (R_error msg)
 
-let is_ingest = function
-  | S_fast _ | S_req (Wire.Observe _) | S_req (Wire.Counts _) -> true
-  | S_req _ | S_err _ -> false
+let exec_ingest t kind shard xs ~pos ~len =
+  match ingest t shard kind xs ~pos ~len with
+  | Ok total -> (
+      match kind with
+      | Scan.Observe -> R_observe_ok { shard; added = len; total }
+      | Scan.Counts -> R_counts_ok { shard; total })
+  | Error msg -> R_error msg
 
-let shard_of_slot = function
-  | S_fast { Scan.shard; _ }
-  | S_req (Wire.Observe { shard; _ })
-  | S_req (Wire.Counts { shard; _ }) ->
-      shard
-  | S_req _ | S_err _ -> assert false
-
-(* Module-level so the grouping loop allocates no closure per slot, and
-   raising instead of returning an option keeps the hit path (every slot
-   after a shard's first) allocation-free. *)
-let[@histolint.hot] rec find_group groups shard =
-  match groups with
-  | [] -> raise Not_found
-  | ((s, _, _) as g) :: rest ->
-      if String.equal s shard then g else find_group rest shard
-
-(* Execute one ingest slot against its shard state.  Mirrors [observe] /
-   [observe_counts] exactly — including partial ingestion before an
-   out-of-domain element, and the error messages. *)
-let exec_ingest_slot arena st slot =
-  match slot with
-  | S_fast { Scan.kind = Scan.Observe; shard; off; len } -> (
-      match Suffstat.observe_sub st arena ~pos:off ~len with
-      | () -> R_observe_ok { shard; added = len; total = Suffstat.total st }
-      | exception Invalid_argument msg -> R_error msg)
-  | S_fast { Scan.kind = Scan.Counts; shard; off; len } -> (
-      let counts = Array.sub arena off len in
-      match Suffstat.observe_counts st counts with
-      | () -> R_counts_ok { shard; total = Suffstat.total st }
-      | exception Invalid_argument msg -> R_error msg)
-  | S_req (Wire.Observe { shard; xs }) -> (
-      match Suffstat.observe_all st xs with
-      | () ->
-          R_observe_ok
-            { shard; added = Array.length xs; total = Suffstat.total st }
-      | exception Invalid_argument msg -> R_error msg)
-  | S_req (Wire.Counts { shard; counts }) -> (
-      match Suffstat.observe_counts st counts with
-      | () -> R_counts_ok { shard; total = Suffstat.total st }
-      | exception Invalid_argument msg -> R_error msg)
-  | S_req _ | S_err _ -> assert false
-
-(* A maximal run of consecutive ingest slots [i, j): group by shard
-   (shard states created sequentially in arrival order, so first-arrival
-   semantics and `stats` output are unchanged), then ingest the groups in
-   parallel — one pool domain owns a whole shard group, and items within
-   a group run in arrival order, so every shard state sees exactly the
-   sequence of mutations sequential serve would apply.  Each group
-   writes its own [resp] slots (disjoint indices, so parallel groups
-   never touch the same cell; the pool join orders those writes before
-   the render loop reads them). *)
-let exec_run t pool arena_ws slots resp i j =
-  if Option.is_none t.config then
-    for k = i to j - 1 do
-      resp.(k) <- R_error err_not_configured
-    done
-  else begin
-    let arena = Scan.buffer arena_ws in
-    let groups = ref [] in
-    (* rev order of first arrival; each group's slot list is also in rev
-       arrival order *)
-    for k = i to j - 1 do
-      let shard = shard_of_slot slots.(k) in
-      let ks =
-        match find_group !groups shard with
-        | _, _, ks -> ks
-        | exception Not_found ->
-            let st =
-              match shard_state t shard with
-              | Ok st -> st
-              | Error _ -> assert false (* configured above *)
-            in
-            let ks = ref [] in
-            groups := (shard, st, ks) :: !groups;
-            ks
-      in
-      ks := k :: !ks
-    done;
-    match !groups with
-    | [ (_, st, ks) ] ->
-        (* single shard in the run (batch=1 included): no dispatch *)
-        List.iter
-          (fun k -> resp.(k) <- exec_ingest_slot arena st slots.(k))
-          (List.rev !ks)
-    | groups ->
-        let garr = Array.of_list (List.rev groups) in
-        let run_group (_, st, ks) =
-          (* iterate arrival-ordered so mutations happen in arrival
-             order *)
-          List.iter
-            (fun k -> resp.(k) <- exec_ingest_slot arena st slots.(k))
-            (List.rev !ks)
-        in
-        if Parkit.Pool.jobs pool = 1 then Array.iter run_group garr
-        else
-          (Parkit.Pool.iter
-             pool run_group garr
-           [@histolint.disjoint
-             "groups partition the run's k-indices, so each task writes \
-              its own resp slots and owns its shard state's counts and \
-              accumulators exclusively: a recycled spare state is handed \
-              to exactly one shard name, and cleared during grouping, \
-              before dispatch; the element-to-cell table the shard states \
-              share is read-only after creation; the pool join publishes \
-              the writes before the render loop reads them"])
-  end
-
-(* Execute a parsed batch in request order; non-ingest requests are
-   barriers (config/verdict/stats read or reset the shard registry).
-   Returns the index of a quit request, if any — slots after it are
-   dropped unanswered, exactly as sequential serve never reads them. *)
-let exec_batch t pool arena slots resp k =
+(* Execute a parsed batch in request order through the same [ingest] and
+   [handle_request] a line-at-a-time loop would call, so the transcript
+   is that loop's.  Returns the index of a quit request, if any — slots
+   after it are dropped unanswered, exactly as sequential serve never
+   reads them. *)
+let exec_batch t arena slots resp k =
+  let arena = Scan.buffer arena in
   let stop = ref None in
   let i = ref 0 in
   while !i < k && Option.is_none !stop do
-    if is_ingest slots.(!i) then begin
-      let j = ref (!i + 1) in
-      while !j < k && is_ingest slots.(!j) do
-        incr j
-      done;
-      exec_run t pool arena slots resp !i !j;
-      i := !j
-    end
-    else begin
+    resp.(!i) <-
       (match slots.(!i) with
-      | S_err msg -> resp.(!i) <- R_error msg
+      | S_fast { Scan.kind; shard; off; len } ->
+          exec_ingest t kind shard arena ~pos:off ~len
+      | S_req (Wire.Observe { shard; xs }) ->
+          exec_ingest t Scan.Observe shard xs ~pos:0 ~len:(Array.length xs)
+      | S_req (Wire.Counts { shard; counts }) ->
+          exec_ingest t Scan.Counts shard counts ~pos:0
+            ~len:(Array.length counts)
       | S_req req ->
           let json, continue = handle_request t req in
-          resp.(!i) <- R_json json;
-          if not continue then stop := Some !i
-      | S_fast _ -> assert false);
-      incr i
-    end
+          if not continue then stop := Some !i;
+          R_json json
+      | S_err msg -> R_error msg);
+    incr i
   done;
   !stop
 
@@ -625,8 +513,8 @@ let[@histolint.hot] is_blank_sub line pos len =
   !i = hi
 
 (* Batch fill stops once this many payload values are staged in the
-   arena (128 KiB of ints): batching amortizes syscalls and parallelizes
-   ingest, but an unbounded arena outgrows the cache — the ingest pass
+   arena (128 KiB of ints): batching amortizes syscalls, but an
+   unbounded arena outgrows the cache — the ingest pass
    re-reads spans the scanner has already evicted — and large-payload
    batches get slower, not faster.  Small lines never hit this bound
    (a 256-line batch of 16-value observes stages 4K values); it only
@@ -644,7 +532,6 @@ let arena_budget = 1 lsl 14
 module Batch = struct
   type exec = {
     service : t;
-    pool : Parkit.Pool.t;
     fast_path : bool;
     batch : int;
     arena : Scan.t;
@@ -658,14 +545,12 @@ module Batch = struct
     mutable batches : int;
   }
 
-  let create ?pool ?(batch = 1) ?(fast_path = true) service =
+  (* [pool] is accepted and ignored: ingest runs on the caller's domain. *)
+  let create ?pool:(_ : Parkit.Pool.t option) ?(batch = 1) ?(fast_path = true)
+      service =
     if batch < 1 then invalid_arg "Service.Batch.create: batch < 1";
-    let pool =
-      match pool with Some p -> p | None -> Parkit.Pool.get_default ()
-    in
     {
       service;
-      pool;
       fast_path;
       batch;
       arena = Scan.create ();
@@ -728,7 +613,7 @@ module Batch = struct
     if e.k = 0 then true
     else begin
       e.batches <- e.batches + 1;
-      let stop = exec_batch e.service e.pool e.arena e.slots e.resp e.k in
+      let stop = exec_batch e.service e.arena e.slots e.resp e.k in
       let last = match stop with Some q -> q | None -> e.k - 1 in
       e.requests <- e.requests + last + 1;
       for i = 0 to last do
@@ -756,9 +641,10 @@ module Batch = struct
     e.batches <- 0
 end
 
-let serve ?pool ?(batch = 1) ?(fast_path = true) t ~read_line ~write =
+let serve ?pool:(_ : Parkit.Pool.t option) ?(batch = 1) ?(fast_path = true) t
+    ~read_line ~write =
   if batch < 1 then invalid_arg "Service.serve: batch < 1";
-  let ex = Batch.create ?pool ~batch ~fast_path t in
+  let ex = Batch.create ~batch ~fast_path t in
   let out = Buffer.create 65536 in
   let continue = ref true in
   while !continue do

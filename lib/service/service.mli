@@ -1,13 +1,16 @@
 (** The [histotestd] engine: testing as aggregation.
 
-    The service keeps one {!Suffstat} per shard (assoc list in
-    first-arrival order — deterministic iteration, no hash order), merges
-    them with a left fold in that order into one reused accumulator, and
-    recomputes the accept/reject verdict from the merged state on demand.
+    The service keeps one {!Suffstat} per config, the accumulator, and
+    adds every shard's traffic straight into it; a shard is just a name
+    (reported in first-arrival order) and the running total of what it
+    contributed.  The verdict is computed from the accumulator on demand.
     Because every verdict-relevant field of [Suffstat] is integral, the
-    served verdict is bit-identical to a single process holding the
-    concatenated stream, whatever the sharding or merge topology — the
-    contract [replay] checks and the E20 bench gates. *)
+    accumulator is bitwise the merge of the count vectors the shards
+    would have held on their own, and the served verdict is bit-identical
+    to a single process holding the concatenated stream, whatever the
+    sharding or merge topology — the contract [replay] checks and the
+    E20 bench gates.  So the engine holds one n-vector per config, and a
+    new shard name costs O(1) words. *)
 
 type config = {
   n : int;
@@ -41,37 +44,40 @@ val configure :
   cells:int option ->
   seed:int ->
   (config, string) result
-(** Set the hypothesis and start every shard from zero.  When the new
-    partition equals the accumulator's (same [n] and [cells], whatever
-    the family or seed), the shard states are released to a spare list
-    rather than dropped: later new shards take them, cleared in place,
-    instead of allocating O(n) each, and the accumulator and its
-    element-to-cell table carry over.  The engine then holds at most the
-    most shard states it ever held live over this partition.  A new
-    partition drops the states and the spares. *)
+(** Set the hypothesis and start from zero: no shards, an empty
+    accumulator.  When the new partition equals the accumulator's (same
+    [n] and [cells], whatever the family or seed), the accumulator and
+    its element-to-cell table carry over, cleared in place; a new
+    partition drops it, and the next ingest allocates one over the new
+    partition.  A refused config changes nothing. *)
 
 val observe : t -> shard:string -> int array -> (int, string) result
-(** Batch-ingest observations into a shard (created on first use);
-    returns the shard's new total. *)
+(** Batch-ingest observations on behalf of a shard (created on first
+    use); returns the shard's new total.  On an out-of-domain element the
+    prefix before it stays ingested and counted in the shard's total. *)
 
 val observe_counts : t -> shard:string -> int array -> (int, string) result
-(** Bulk-add a count vector into a shard; returns the shard's new total. *)
+(** Bulk-add a count vector on behalf of a shard; returns the shard's new
+    total.  A rejected vector (wrong length, a negative entry, or a sum
+    that would push the accumulator's total past 2^53) adds nothing. *)
 
 val merged : t -> Suffstat.t option
-(** Left-fold merge of all shards in arrival order; [None] when no shard
-    exists yet.  The result is a view of the engine's accumulator, not a
-    fresh state: it is cleared and refilled in place (no O(n)
-    allocation per call), stays valid until the next [merged],
-    [configure], [reset] or ingest, and must not be mutated.  Bitwise
-    equal to [Suffstat.merge] folded over the shards; the per-shard
-    states are not mutated. *)
+(** The accumulator — every shard's traffic since the last [configure]
+    or [reset]; [None] when no shard exists yet.  A view, not a copy: no
+    fold and no allocation per call.  It keeps changing with later
+    ingest and is cleared by [configure] and [reset]; callers must not
+    mutate it.  Bitwise equal, counts and total, to [Suffstat.merge]
+    folded over per-shard states holding the same traffic. *)
+
+val shard_totals : t -> (string * int) list
+(** Each live shard with the number of values it contributed, in
+    first-arrival order (what the [stats] request reports).  The totals
+    sum to the accumulator's total. *)
 
 val shards : t -> (string * Suffstat.t) list
-(** The live per-shard states, in first-arrival order.  Read-only by
-    convention: callers must not mutate the states (tests use this to
-    pin socket-served shard state against a single-process replay).
-    After a [configure] or [reset] a state may be recycled for a later
-    shard, so a state read here describes its shard only until then. *)
+(** Each live shard name, in first-arrival order, paired with the
+    accumulator (the same state for every name: shards keep no counts of
+    their own).  Read-only by convention, like {!merged}. *)
 
 type verdict_info = {
   verdict : Verdict.t;
@@ -86,9 +92,8 @@ val verdict_info : t -> (verdict_info, string) result
     configured hypothesis at the plug-in mean [m = total]. *)
 
 val reset : t -> unit
-(** Start every shard from zero, keep the configuration; the shard
-    states go to the spare list, as on a [configure] over the same
-    partition. *)
+(** Forget every shard and clear the accumulator in place; keep the
+    configuration. *)
 
 val handle_request : t -> Wire.request -> Jsonl.t * bool
 val handle_line : t -> string -> Jsonl.t * bool
@@ -113,7 +118,7 @@ module Batch : sig
   val create :
     ?pool:Parkit.Pool.t -> ?batch:int -> ?fast_path:bool -> t -> exec
   (** Same parameters and defaults as {!serve} ([batch] defaults to 1,
-      [fast_path] to true, [pool] to [Parkit.Pool.get_default ()]).
+      [fast_path] to true; [pool] is ignored, as there).
       @raise Invalid_argument if [batch < 1]. *)
 
   val count : exec -> int
@@ -143,7 +148,7 @@ module Batch : sig
 
   val execute : exec -> out:Buffer.t -> bool
   (** Execute the staged batch with the sequential-equivalence contract
-      of {!serve} (non-ingest barriers, shard-grouped parallel ingest,
+      of {!serve} (requests applied one by one in request order,
       responses in request order) and append the newline-terminated
       responses to [out].  Returns false when the batch contained a
       [quit] — staged requests after it are dropped unanswered.  The
@@ -180,17 +185,16 @@ val serve :
     the batch and hand one buffer of newline-terminated responses to
     [write] (one flush per batch).
 
-    Execution preserves the sequential semantics exactly: non-ingest
-    requests are barriers processed in request order; maximal runs of
-    consecutive observe/counts requests are grouped by shard and the
-    groups ingested in parallel on [pool] (default
-    [Parkit.Pool.get_default ()]) with per-shard arrival order intact,
-    so every [Suffstat] sees the mutation sequence sequential serve
-    would apply and the response transcript is byte-identical at any
-    (batch, jobs) — the contract E21 gates.  Responses come back in
-    request order; requests after a [quit] in the same batch are
-    dropped unanswered, exactly as a sequential loop would never have
-    read them.
+    Execution preserves the sequential semantics exactly: the batch's
+    requests run one by one in request order on the calling domain,
+    through the same ingest function and protocol step a line-at-a-time
+    loop uses, so the response transcript is byte-identical at any
+    [batch] — the contract E21 gates.  Requests after a [quit] in the
+    same batch are dropped unanswered, exactly as a sequential loop
+    would never have read them.  [pool] is accepted for compatibility
+    and ignored: ingest is a few integer adds per value into one
+    accumulator, and shard-parallel ingest never measured faster on
+    the hosts it was tried on (EXPERIMENTS.md, E21).
     @raise Invalid_argument if [batch < 1]. *)
 
 val rendered_observe_ok : shard:string -> added:int -> shard_total:int -> string

@@ -82,9 +82,15 @@ let[@histolint.hot] add_weight t j w =
   else t.mass_comp.(j) <- t.mass_comp.(j) +. ((w -. s) +. sum);
   t.mass_sum.(j) <- s
 
+(* [total] never exceeds 2^53, so the plug-in mean [float_of_int total]
+   the statistic reads is exact. *)
+let max_total = 1 lsl 53
+
 let[@histolint.hot] observe ?(weight = 1.) t x =
   if x < 0 || x >= domain_size t then
     invalid_arg "Suffstat.observe: outside domain";
+  if t.total >= max_total then
+    invalid_arg "Suffstat.observe: total would exceed 2^53";
   t.counts.(x) <- t.counts.(x) + 1;
   t.total <- t.total + 1;
   let j = t.cell_of.(x) in
@@ -103,6 +109,8 @@ let[@histolint.hot] observe ?(weight = 1.) t x =
 let[@histolint.hot] observe_sub t xs ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Array.length xs then
     invalid_arg "Suffstat.observe_sub: slice outside array";
+  if len > max_total - t.total then
+    invalid_arg "Suffstat.observe: total would exceed 2^53";
   let n = Array.length t.counts in
   let kk = Array.length t.cell_counts in
   let added = t.scratch in
@@ -137,13 +145,22 @@ let[@histolint.hot] observe_sub t xs ~pos ~len =
 let observe_all t xs = observe_sub t xs ~pos:0 ~len:(Array.length xs)
 
 (* Validate the whole vector before touching the state: a rejected
-   request must leave the shard exactly as it was, never with some cells'
-   counts added and [total] not yet updated. *)
+   request must leave the state exactly as it was, never with some
+   cells' counts added and [total] not yet updated.  The sum is bounded
+   by subtracting from the room left under [max_total], so even entries
+   near [max_int] cannot wrap it. *)
 let observe_counts t counts =
   if Array.length counts <> domain_size t then
     invalid_arg "Suffstat.observe_counts: counts length mismatch";
   if Array.exists (fun c -> c < 0) counts then
     invalid_arg "Suffstat.observe_counts: negative count";
+  let room = ref (max_total - t.total) and i = ref 0 in
+  while !room >= 0 && !i < Array.length counts do
+    room := !room - counts.(!i);
+    incr i
+  done;
+  if !room < 0 then
+    invalid_arg "Suffstat.observe_counts: total would exceed 2^53";
   Partition.iteri
     (fun j cell ->
       let cell_total = ref 0 in

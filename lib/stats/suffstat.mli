@@ -7,9 +7,10 @@
     totals and Neumaier-compensated weight accumulators for diagnostics),
     and a fleet of shards reaches the *bit-identical* verdict a single
     process holding the whole stream would, under any merge topology.
-    This is the state [histotestd] keeps per shard and the E20 bench
-    merges at scale; it implements the {!Numkit.Mergeable.S} contract in
-    its exact flavor. *)
+    [histotestd] keeps one such state per config and adds every shard's
+    traffic straight into it; [Service.replay] and the E20 bench merge
+    per-shard states at scale.  It implements the {!Numkit.Mergeable.S}
+    contract in its exact flavor. *)
 
 type t
 
@@ -47,7 +48,8 @@ val cell_count : t -> int
 val observe : ?weight:float -> t -> int -> unit
 (** Ingest one observation (mutates [t]); [weight] (default 1.) feeds only
     the per-cell mass accumulators, never the integer counts.
-    @raise Invalid_argument outside the domain. *)
+    @raise Invalid_argument outside the domain, or when [total] would
+    pass 2^53 (the bound that keeps [float_of_int total] exact). *)
 
 val observe_all : t -> int array -> unit
 (** Batch [observe] in array order, unit weights. *)
@@ -57,7 +59,8 @@ val observe_sub : t -> int array -> pos:int -> len:int -> unit
     zero-copy entry point for the service fast path, which decodes wire
     payloads into a reusable workspace buffer.  Raises exactly as a
     sequence of {!observe} calls would: on an out-of-domain element the
-    preceding prefix is already ingested.
+    preceding prefix is already ingested.  A slice that would push
+    [total] past 2^53 is refused whole, before anything is added.
     @raise Invalid_argument if the slice falls outside the array. *)
 
 val observe_counts : t -> int array -> unit
@@ -65,7 +68,8 @@ val observe_counts : t -> int array -> unit
     masses accrue each cell's added count as one weight term.
     The whole vector is validated before anything is added, so a
     rejected call leaves [t] unchanged.
-    @raise Invalid_argument on length mismatch or negative count. *)
+    @raise Invalid_argument on length mismatch, a negative count, or a
+    sum that would push [total] past 2^53. *)
 
 val total : t -> int
 val counts : t -> int array

@@ -193,6 +193,45 @@ let test_suffstat_observe_counts_atomic () =
     (Array.fold_left ( + ) 0 (Suffstat.counts st))
     (Suffstat.total st)
 
+(* [total] is bounded by 2^53, checked before anything is added: entries
+   near [max_int] that would wrap the sum, a vector that would overshoot
+   the bound, and a slice of observations past it are all refused with
+   the state untouched. *)
+let test_suffstat_total_bound () =
+  let part = part_of ~n:4 ~cells:2 in
+  let st = Suffstat.create ~part in
+  Suffstat.observe_all st [| 0; 3 |];
+  let snapshot () =
+    let copy = Suffstat.empty_like st in
+    Suffstat.merge_into ~into:copy st;
+    copy
+  in
+  let before = ref (snapshot ()) in
+  let refused label f expected =
+    (try
+       f ();
+       Alcotest.fail (label ^ ": accepted")
+     with Invalid_argument m -> Alcotest.(check string) label expected m);
+    Alcotest.(check bool) (label ^ ": state unchanged") true
+      (suffstat_bitwise st !before)
+  in
+  let counts_msg = "Suffstat.observe_counts: total would exceed 2^53" in
+  refused "wrapping sum"
+    (fun () -> Suffstat.observe_counts st [| max_int; max_int; max_int; 1 |])
+    counts_msg;
+  refused "one past the bound"
+    (fun () -> Suffstat.observe_counts st [| 1 lsl 52; 1 lsl 52; 0; 0 |])
+    counts_msg;
+  Suffstat.observe_counts st [| (1 lsl 52) - 2; 1 lsl 52; 0; 0 |];
+  Alcotest.(check int) "up to the bound" (1 lsl 53) (Suffstat.total st);
+  before := snapshot ();
+  refused "observe at the bound"
+    (fun () -> Suffstat.observe_all st [| 1 |])
+    "Suffstat.observe: total would exceed 2^53";
+  refused "single observe at the bound"
+    (fun () -> Suffstat.observe st 1)
+    "Suffstat.observe: total would exceed 2^53"
+
 (* A cleared state stands in for a fresh one: after the same operations
    both are bitwise equal, cell masses included, whatever the cleared
    state held before. *)
@@ -426,8 +465,8 @@ let test_service_verdict_matches_suffstat () =
     true
     (Float.equal served_z expected)
 
-(* [merged] is a view of one reused accumulator: repeated calls agree,
-   interleaved ingest is picked up, and no shard state is ever touched. *)
+(* [merged] is the accumulator itself: no fold, the same state on every
+   call, picking up later ingest; [shards] pairs every name with it. *)
 let test_service_merged_in_place () =
   let n = 256 in
   let t = Service.create () in
@@ -440,65 +479,41 @@ let test_service_merged_in_place () =
   Alcotest.(check bool) "no shards, no state" true
     (Option.is_none (Service.merged t));
   let r = Randkit.Rng.create ~seed:21 in
+  let whole = Suffstat.create ~part:(part_of ~n ~cells:16) in
   let ingest () =
     List.iter
       (fun shard ->
         let xs = Array.init 50 (fun _ -> Randkit.Rng.int r n) in
+        Suffstat.observe_all whole xs;
         match Service.observe t ~shard xs with
         | Ok _ -> ()
         | Error e -> Alcotest.fail e)
       [ "a"; "b"; "c"; "a" ]
-  in
-  let snapshot () =
-    List.map
-      (fun (name, st) ->
-        let copy = Suffstat.create ~part:(Suffstat.partition st) in
-        Suffstat.merge_into ~into:copy st;
-        (name, copy))
-      (Service.shards t)
-  in
-  let shards_unchanged label snap =
-    Alcotest.(check bool) label true
-      (List.for_all2
-         (fun (n1, s1) (n2, s2) -> String.equal n1 n2 && suffstat_bitwise s1 s2)
-         snap (Service.shards t))
   in
   let merged () =
     match Service.merged t with
     | Some st -> st
     | None -> Alcotest.fail "no merged state"
   in
-  let reference () =
-    Suff_fold.reduce (Array.of_list (List.map snd (Service.shards t)))
-  in
   ingest ();
-  let snap = snapshot () in
   let m1 = merged () in
-  let first = Suffstat.create ~part:(Suffstat.partition m1) in
-  Suffstat.merge_into ~into:first m1;
-  let m2 = merged () in
-  Alcotest.(check bool) "second call = first" true (suffstat_bitwise m2 first);
-  Alcotest.(check bool) "= left fold of merge" true
-    (suffstat_bitwise m2 (reference ()));
-  shards_unchanged "shards untouched by merged" snap;
+  Alcotest.(check bool) "second call is the same state" true (merged () == m1);
+  Alcotest.(check bool) "= the whole stream" true (suffstat_bitwise m1 whole);
+  Alcotest.(check bool) "every shard name reads the accumulator" true
+    (List.map fst (Service.shards t) = [ "a"; "b"; "c" ]
+    && List.for_all (fun (_, st) -> st == m1) (Service.shards t));
   ingest ();
-  let snap = snapshot () in
-  let m3 = merged () in
-  Alcotest.(check int) "picks up new ingest" 400 (Suffstat.total m3);
-  Alcotest.(check bool) "after ingest = left fold of merge" true
-    (suffstat_bitwise m3 (reference ()));
-  shards_unchanged "shards untouched after ingest" snap;
-  (* a single shard still merges into the accumulator, never aliases it *)
+  Alcotest.(check int) "picks up new ingest" 400 (Suffstat.total m1);
+  Alcotest.(check bool) "still the whole stream" true
+    (merged () == m1 && suffstat_bitwise m1 whole);
   Service.reset t;
+  Alcotest.(check bool) "reset: no shards, no state" true
+    (Option.is_none (Service.merged t) && Service.shards t = []);
   (match Service.observe t ~shard:"solo" [| 1; 2; 3 |] with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  let solo = merged () in
-  Alcotest.(check int) "solo total" 3 (Suffstat.total solo);
-  Alcotest.(check bool) "view is not the shard state" true
-    (match Service.shards t with
-    | [ (_, st) ] -> solo != st
-    | _ -> false)
+  Alcotest.(check bool) "cleared in place" true (merged () == m1);
+  Alcotest.(check int) "solo total" 3 (Suffstat.total m1)
 
 (* The hostile-input regression at the daemon boundary: on both the
    strict path and the batched fast path, a counts request with a
@@ -523,7 +538,7 @@ let test_counts_negative_leaves_no_partial_state () =
   List.iter
     (fun (label, batch, fast_path) ->
       let t = Service.create () in
-      let ex = Service.Batch.create ~pool:Parkit.Pool.sequential ~batch ~fast_path t in
+      let ex = Service.Batch.create ~batch ~fast_path t in
       let out = Buffer.create 256 in
       Array.iter
         (fun line ->
@@ -537,8 +552,11 @@ let test_counts_negative_leaves_no_partial_state () =
         (label ^ ": error response")
         (Service.rendered_error "Suffstat.observe_counts: negative count")
         (List.nth responses 2);
-      match Service.shards t with
-      | [ ("a", st) ] ->
+      Alcotest.(check (list (pair string int)))
+        (label ^ ": shard total kept")
+        [ ("a", 4) ] (Service.shard_totals t);
+      match Service.merged t with
+      | Some st ->
           Alcotest.(check int) (label ^ ": total kept") 4 (Suffstat.total st);
           Alcotest.(check int)
             (label ^ ": total = sum of counts")
@@ -546,7 +564,7 @@ let test_counts_negative_leaves_no_partial_state () =
             (Array.fold_left ( + ) 0 (Suffstat.counts st));
           Alcotest.(check int) (label ^ ": count 9 kept") 2 (Suffstat.count st 9);
           Alcotest.(check int) (label ^ ": count 1 kept") 0 (Suffstat.count st 1)
-      | _ -> Alcotest.fail (label ^ ": expected one shard"))
+      | None -> Alcotest.fail (label ^ ": no merged state"))
     [ ("strict", 1, false); ("fast path", 64, true) ]
 
 (* --- replay: the determinism contract, fed by harness streams --- *)
@@ -791,8 +809,8 @@ let prop_jsonl_fuzz_roundtrip =
 
 (* --- batched serve engine --- *)
 
-let serve_in_memory ?(pool = Parkit.Pool.sequential) ?(batch = 1)
-    ?(fast_path = true) ?(t = Service.create ()) lines =
+let serve_in_memory ?(batch = 1) ?(fast_path = true) ?(t = Service.create ())
+    lines =
   let idx = ref 0 in
   let read_line ~block:_ =
     if !idx < Array.length lines then begin
@@ -804,7 +822,7 @@ let serve_in_memory ?(pool = Parkit.Pool.sequential) ?(batch = 1)
   in
   let out = Buffer.create 4096 in
   let stats =
-    Service.serve t ~pool ~batch ~fast_path ~read_line
+    Service.serve t ~batch ~fast_path ~read_line
       ~write:(fun b -> Buffer.add_buffer out b)
   in
   (Buffer.contents out, stats)
@@ -812,7 +830,7 @@ let serve_in_memory ?(pool = Parkit.Pool.sequential) ?(batch = 1)
 (* Random protocol scripts: canonical and whitespace-y ingest lines
    (in- and out-of-domain values, so error paths are exercised),
    reconfigs, verdicts, garbage, blanks, the odd quit.  Serving any of
-   them batched, parallel, fast-path-on must be byte-identical to the
+   them batched, fast-path-on must be byte-identical to the
    unbatched strict-parser loop — the same contract E21 gates, here on
    adversarial scripts rather than throughput-shaped ones. *)
 let random_script r =
@@ -864,13 +882,10 @@ let prop_serve_batched_identical =
       let script = random_script r in
       let ref_out, _ = serve_in_memory ~batch:1 ~fast_path:false script in
       List.for_all
-        (fun (batch, jobs) ->
-          let out, _ =
-            Parkit.Pool.with_pool ~jobs (fun pool ->
-                serve_in_memory ~pool ~batch ~fast_path:true script)
-          in
+        (fun batch ->
+          let out, _ = serve_in_memory ~batch ~fast_path:true script in
           String.equal out ref_out)
-        [ (1, 1); (7, 1); (64, 1); (16, 2) ])
+        [ 1; 7; 16; 64 ])
 
 let test_serve_blank_and_quit () =
   (* Blank lines are skipped without a response; everything after a quit
@@ -998,6 +1013,56 @@ let test_service_cache_stats_protocol () =
   Alcotest.(check (option int)) "served misses" (Some 2)
     (Option.bind (Jsonl.member "misses" resp) Jsonl.to_int)
 
+(* The overflow regression at the daemon boundary: on both paths a
+   counts vector whose sum would wrap [max_int], or would push the
+   accumulator's total past 2^53, gets the error and leaves [stats]
+   exactly as it was.  Every entry has at most 15 digits, so the fast
+   path claims the lines. *)
+let test_counts_total_bound () =
+  let n = 8192 in
+  let big = 999_999_999_999_999 in
+  let counts_line f =
+    Printf.sprintf {|{"cmd":"counts","shard":"a","counts":[%s]}|}
+      (String.concat "," (List.init n (fun i -> string_of_int (f i))))
+  in
+  let stats = {|{"cmd":"stats"}|} in
+  let script =
+    [|
+      Printf.sprintf
+        {|{"cmd":"config","n":%d,"family":"uniform","eps":0.25,"cells":8,"seed":1}|}
+        n;
+      {|{"cmd":"observe","shard":"a","xs":[1,2]}|};
+      stats;
+      counts_line (fun _ -> big) (* the sum wraps past max_int *);
+      stats;
+      counts_line (fun i -> if i < 9 then big else 0) (* just under 2^53 *);
+      stats;
+      counts_line (fun i -> if i = 0 then 10_000_000_000_000 else 0);
+      stats;
+    |]
+  in
+  let refused =
+    Service.rendered_error "Suffstat.observe_counts: total would exceed 2^53"
+  in
+  List.iter
+    (fun (label, batch, fast_path) ->
+      let out, served = serve_in_memory ~batch ~fast_path script in
+      let r = Array.of_list (String.split_on_char '\n' out) in
+      Alcotest.(check string) (label ^ ": wrapping sum refused") refused r.(3);
+      Alcotest.(check string) (label ^ ": stats unchanged") r.(2) r.(4);
+      Alcotest.(check string)
+        (label ^ ": under the bound accepted")
+        (Service.rendered_counts_ok ~shard:"a"
+           ~shard_total:((9 * big) + 2))
+        r.(5);
+      Alcotest.(check string) (label ^ ": past 2^53 refused") refused r.(7);
+      Alcotest.(check string) (label ^ ": stats unchanged again") r.(6) r.(8);
+      Alcotest.(check bool)
+        (label ^ ": decoded by the intended path")
+        fast_path
+        (served.Service.fast_hits > 0))
+    [ ("strict", 1, false); ("fast path", 64, true) ]
+
 (* --- batched ingest: partial-prefix error semantics --- *)
 
 let test_observe_sub_partial () =
@@ -1038,77 +1103,192 @@ let observe_ok t shard xs =
   | Ok _ -> ()
   | Error e -> Alcotest.fail e
 
+(* The accumulator outlives a config over the same partition, cleared
+   in place; a new partition drops it; a refused config changes
+   nothing. *)
 let test_storage_outlives_config () =
   let t = Service.create () in
-  let states () = List.map snd (Service.shards t) in
-  let state name = List.assoc name (Service.shards t) in
-  let mem st sts = List.exists (fun s -> s == st) sts in
+  let acc () = Option.get (Service.merged t) in
   configure_ok t "uniform";
   observe_ok t "a" [| 1; 2 |];
   observe_ok t "b" [| 3 |];
-  observe_ok t "c" [| 4; 4 |];
-  let first = states () in
-  let acc = Option.get (Service.merged t) in
+  let first = acc () in
   (* another hypothesis over the same n and cells: the storage stays *)
   configure_ok t "zipf:1.1";
-  Alcotest.(check int) "configure starts from no shards" 0
-    (List.length (Service.shards t));
+  Alcotest.(check bool) "configure starts from no shards" true
+    (Service.shard_totals t = [] && Option.is_none (Service.merged t));
+  Alcotest.(check int) "cleared in place" 0 (Suffstat.total first);
   observe_ok t "x" [| 5 |];
-  let x = state "x" in
-  Alcotest.(check bool) "first released state taken first" true
-    (x == List.hd first);
-  Alcotest.(check int) "cleared before reuse" 1 (Suffstat.total x);
-  Alcotest.(check int) "old counts gone" 0 (Suffstat.count x 1);
-  (match Service.merged t with
-  | Some m ->
-      Alcotest.(check bool) "accumulator carried over" true (m == acc);
-      Alcotest.(check int) "merged sees only the new config" 1
-        (Suffstat.total m)
-  | None -> Alcotest.fail "no merged state");
-  List.iter (fun s -> observe_ok t s [| 6 |]) [ "y"; "z"; "w" ];
-  Alcotest.(check bool) "spares in release order" true
-    (List.for_all2 ( == ) first [ x; state "y"; state "z" ]);
-  Alcotest.(check bool) "then a fresh state" false (mem (state "w") first);
-  let live = states () in
-  Alcotest.(check bool) "live states pairwise distinct" true
-    (List.for_all
-       (fun a -> List.length (List.filter (fun b -> a == b) live) = 1)
-       live);
+  Alcotest.(check bool) "accumulator carried over" true (acc () == first);
+  Alcotest.(check int) "old counts gone" 0 (Suffstat.count first 1);
+  Alcotest.(check int) "holds only the new config" 1 (Suffstat.total first);
   Service.reset t;
+  Alcotest.(check int) "reset clears in place" 0 (Suffstat.total first);
   let _, resp, _ = response t {|{"cmd":"verdict"}|} in
   Alcotest.(check bool) "no data after reset" false (is_ok resp);
   observe_ok t "a" [| 7 |];
-  Alcotest.(check bool) "reset releases for reuse" true (state "a" == x);
-  Alcotest.(check int) "reused state holds only the new data" 1
-    (Suffstat.total (state "a"));
+  Alcotest.(check bool) "reset keeps the accumulator" true (acc () == first);
   (* a new partition drops the storage for the collector *)
   configure_ok t ~n:512 "uniform";
   observe_ok t "a" [| 300 |];
-  Alcotest.(check bool) "new n: fresh state" false (mem (state "a") live);
-  let acc512 = Option.get (Service.merged t) in
-  Alcotest.(check bool) "new n: new accumulator" true (acc512 != acc);
-  Alcotest.(check int) "new n: new domain" 512
-    (Suffstat.domain_size (state "a"));
-  let a512 = state "a" in
+  let acc512 = acc () in
+  Alcotest.(check bool) "new n: new accumulator" true (acc512 != first);
+  Alcotest.(check int) "new n: new domain" 512 (Suffstat.domain_size acc512);
   configure_ok t ~n:512 ~cells:32 "uniform";
   observe_ok t "a" [| 300 |];
-  Alcotest.(check bool) "new cells drop too" true
-    (state "a" != a512 && Option.get (Service.merged t) != acc512);
+  Alcotest.(check bool) "new cells drop too" true (acc () != acc512);
   (* a refused config changes nothing *)
-  let before = states () in
+  let before = acc () in
   let _, resp, _ =
     response t {|{"cmd":"config","n":0,"family":"uniform","eps":0.25,"seed":1}|}
   in
   Alcotest.(check bool) "bad config refused" false (is_ok resp);
-  Alcotest.(check bool) "refused config keeps the shards" true
-    (List.equal ( == ) before (states ()));
-  Alcotest.(check int) "and their counts" 1 (Suffstat.total (state "a"))
+  Alcotest.(check bool) "refused config keeps the accumulator" true
+    (acc () == before);
+  Alcotest.(check (list (pair string int)))
+    "and the shards" [ ("a", 1) ] (Service.shard_totals t)
 
-(* Scripts that cycle configs over a few partitions (two n, two cell
-   counts, three families), with resets, so released states are
-   recycled, dropped and recycled again; counts vectors sized for either
-   n, so some are refused for their length. *)
-let storage_script r =
+(* --- reference model: one count vector per shard --- *)
+
+(* The design the engine replaced, kept as an executable specification:
+   every shard owns a [Suffstat], and a verdict folds them with
+   [Suff_fold.reduce] in arrival order.  Requests are answered line at a
+   time through the strict parser.  Building hypotheses (and the
+   structure cache behind [cache_stats]) is delegated to a private
+   [Service.t], which never ingests. *)
+module Ref_engine = struct
+  type t = {
+    svc : Service.t;
+    mutable config : Service.config option;
+    mutable shards : (string * Suffstat.t) list;  (** arrival order *)
+  }
+
+  let create () = { svc = Service.create (); config = None; shards = [] }
+
+  let merged t =
+    match t.shards with
+    | [] -> None
+    | shards -> Some (Suff_fold.reduce (Array.of_list (List.map snd shards)))
+
+  let shard_totals t =
+    List.map (fun (name, st) -> (name, Suffstat.total st)) t.shards
+
+  let num i = Jsonl.Num (float_of_int i)
+  let not_configured = Wire.error "not configured (send a config request first)"
+
+  let ingest t shard add ok =
+    match t.config with
+    | None -> not_configured
+    | Some config -> (
+        let st =
+          match List.assoc_opt shard t.shards with
+          | Some st -> st
+          | None ->
+              let st = Suffstat.create ~part:config.Service.part in
+              t.shards <- t.shards @ [ (shard, st) ];
+              st
+        in
+        match add st with
+        | () -> Wire.ok (ok (Suffstat.total st))
+        | exception Invalid_argument msg -> Wire.error msg)
+
+  let verdict t =
+    match (t.config, merged t) with
+    | None, _ -> not_configured
+    | Some _, None -> Wire.error "no observations yet"
+    | Some _, Some st when Suffstat.total st = 0 ->
+        Wire.error "no observations yet"
+    | Some { Service.dstar; eps; _ }, Some st ->
+        let stat = Suffstat.statistic st ~dstar ~eps in
+        let threshold = Chi2stat.accept_threshold ~m:stat.Chi2stat.m ~eps in
+        let verdict =
+          if stat.Chi2stat.z <= threshold then Verdict.Accept
+          else Verdict.Reject
+        in
+        Wire.ok
+          [
+            ("cmd", Jsonl.Str "verdict");
+            ("verdict", Jsonl.Str (Verdict.to_string verdict));
+            ("z", Jsonl.Num stat.Chi2stat.z);
+            ("threshold", Jsonl.Num threshold);
+            ("total", num (Suffstat.total st));
+            ("shards", num (List.length t.shards));
+          ]
+
+  let handle t (req : Wire.request) =
+    match req with
+    | Wire.Config { n; family; eps; cells; seed } -> (
+        match Service.configure t.svc ~n ~family ~eps ~cells ~seed with
+        | Error msg -> Wire.error msg
+        | Ok c ->
+            t.config <- Some c;
+            t.shards <- [];
+            Wire.ok
+              [
+                ("cmd", Jsonl.Str "config");
+                ("n", num c.Service.n);
+                ("family", Jsonl.Str c.Service.family);
+                ("eps", Jsonl.Num c.Service.eps);
+                ("cells", num c.Service.cells);
+                ("seed", num c.Service.seed);
+              ])
+    | Wire.Observe { shard; xs } ->
+        ingest t shard
+          (fun st -> Suffstat.observe_all st xs)
+          (fun total ->
+            [
+              ("cmd", Jsonl.Str "observe");
+              ("shard", Jsonl.Str shard);
+              ("added", num (Array.length xs));
+              ("shard_total", num total);
+            ])
+    | Wire.Counts { shard; counts } ->
+        ingest t shard
+          (fun st -> Suffstat.observe_counts st counts)
+          (fun total ->
+            [
+              ("cmd", Jsonl.Str "counts");
+              ("shard", Jsonl.Str shard);
+              ("shard_total", num total);
+            ])
+    | Wire.Verdict -> verdict t
+    | Wire.Stats ->
+        let totals = shard_totals t in
+        Wire.ok
+          [
+            ("cmd", Jsonl.Str "stats");
+            ("configured", Jsonl.Bool (Option.is_some t.config));
+            ( "shards",
+              Jsonl.List
+                (List.map
+                   (fun (name, total) ->
+                     Jsonl.Obj
+                       [ ("name", Jsonl.Str name); ("total", num total) ])
+                   totals) );
+            ("total", num (List.fold_left (fun a (_, c) -> a + c) 0 totals));
+          ]
+    | Wire.Reset ->
+        t.shards <- [];
+        Wire.ok [ ("cmd", Jsonl.Str "reset") ]
+    | Wire.Cache_stats | Wire.Quit -> fst (Service.handle_request t.svc req)
+
+  (* One request line: [None] for a blank line, else the response and
+     whether to go on. *)
+  let line t l =
+    if String.trim l = "" then None
+    else
+      match Wire.request_of_line l with
+      | Error msg -> Some (Wire.error msg, true)
+      | Ok req -> Some (handle t req, req <> Wire.Quit)
+end
+
+(* Scripts over two domain sizes and two cell counts (so configs keep or
+   drop the accumulator), three families, resets, refused configs,
+   observes over a dozen shard names with out-of-domain values, counts
+   vectors sized for either domain (so some are short) with the odd
+   negative entry, verdicts and stats.  Some lines carry blanks and
+   whitespace, so the strict parser takes them on the fast-path run. *)
+let engine_script r =
   let ns = [| 64; 65 + Randkit.Rng.int r 64 |] in
   let config () =
     Printf.sprintf
@@ -1118,106 +1298,90 @@ let storage_script r =
       (if Randkit.Rng.int r 4 = 0 then 4 else 8)
       (Randkit.Rng.int r 2)
   in
-  let steps = 40 + Randkit.Rng.int r 60 in
+  let shard () = Printf.sprintf "s%d" (Randkit.Rng.int r 12) in
+  let steps = 40 + Randkit.Rng.int r 80 in
   let line () =
-    match Randkit.Rng.int r 14 with
+    match Randkit.Rng.int r 16 with
     | 0 | 1 | 2 | 3 | 4 | 5 ->
         let xs =
           List.init (Randkit.Rng.int r 7) (fun _ ->
               string_of_int (Randkit.Rng.int r (ns.(1) + 4) - 2))
         in
-        Printf.sprintf {|{"cmd":"observe","shard":"s%d","xs":[%s]}|}
-          (Randkit.Rng.int r 6) (String.concat "," xs)
-    | 6 ->
+        Printf.sprintf {|{"cmd":"observe","shard":"%s","xs":[%s]}|} (shard ())
+          (String.concat "," xs)
+    | 6 | 7 ->
+        let negative = Randkit.Rng.int r 5 = 0 in
         let counts =
           List.init ns.(Randkit.Rng.int r 2) (fun _ ->
-              string_of_int (Randkit.Rng.int r 3))
+              if negative && Randkit.Rng.int r 16 = 0 then "-1"
+              else string_of_int (Randkit.Rng.int r 3))
         in
-        Printf.sprintf {|{"cmd":"counts","shard":"s%d","counts":[%s]}|}
-          (Randkit.Rng.int r 6) (String.concat "," counts)
-    | 7 | 8 -> {|{"cmd":"verdict"}|}
-    | 9 -> {|{"cmd":"reset"}|}
-    | 10 | 11 -> config ()
-    | 12 -> {|{"cmd":"stats"}|}
+        Printf.sprintf {|{"cmd":"counts","shard":"%s","counts":[%s]}|}
+          (shard ()) (String.concat "," counts)
+    | 8 | 9 -> {|{"cmd":"verdict"}|}
+    | 10 -> {|{"cmd":"reset"}|}
+    | 11 | 12 -> config ()
+    | 13 -> {|{"cmd":"stats"}|}
+    | 14 ->
+        Printf.sprintf {| {"cmd":"observe","shard":"%s","xs":[ 0 ]}|}
+          (shard ())
     | _ -> {|{"cmd":"config","n":0,"family":"uniform","eps":0.25,"seed":1}|}
   in
   Array.of_list (config () :: List.init steps (fun _ -> line ()))
 
-(* The reference never recycles: every successful config, and every
-   reset, starts a fresh engine (a reset replays the last config into
-   it), so each of its shard states is freshly allocated. *)
-let serve_fresh_per_config lines =
-  let fresh () = Service.create () in
-  let t = ref (fresh ()) and last_config = ref None in
-  let out = Buffer.create 4096 in
-  let emit resp =
-    Buffer.add_string out (Jsonl.to_string resp);
-    Buffer.add_char out '\n'
-  in
-  (try
-     Array.iter
-       (fun line ->
-         let next, resp, continue =
-           match Wire.request_of_line line with
-           | Ok (Wire.Config _) ->
-               let e = fresh () in
-               let resp, continue = Service.handle_line e line in
-               if is_ok resp then begin
-                 last_config := Some line;
-                 (e, resp, continue)
-               end
-               else (!t, resp, continue)
-           | Ok Wire.Reset ->
-               let e = fresh () in
-               Option.iter
-                 (fun l -> ignore (Service.handle_line e l : Jsonl.t * bool))
-                 !last_config;
-               let resp, continue = Service.handle_line e line in
-               (e, resp, continue)
-           | Ok _ | Error _ ->
-               let resp, continue = Service.handle_line !t line in
-               (!t, resp, continue)
-         in
-         t := next;
-         emit resp;
-         if not continue then raise Exit)
-       lines
-   with Exit -> ());
-  (Buffer.contents out, !t)
-
-(* Recycling is invisible: a long-lived engine, batched and parallel,
-   answers byte for byte what fresh-per-config engines answer, its final
-   shard states are bitwise theirs, and no two live shards (nor the
-   merged view) share a state. *)
-let prop_storage_reuse_invisible =
-  QCheck.Test.make
-    ~name:"recycled shard storage = fresh engine per config (transcript, states)"
-    ~count:60
+(* The one-accumulator engine, fed through [Service.Batch] at several
+   batch sizes, against the per-shard reference stepped line by line in
+   lockstep: after every executed batch the transcripts so far are
+   byte-equal, the accumulator is bitwise the reference's fold, the
+   shard totals are the reference's, and they sum to the accumulator's
+   total. *)
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"accumulator = per-shard reference" ~count:60
     (QCheck.int_range 0 1_000_000)
     (fun seed ->
-      let r = Randkit.Rng.create ~seed in
-      let script = storage_script r in
-      let ref_out, ref_t = serve_fresh_per_config script in
+      let script = engine_script (Randkit.Rng.create ~seed) in
       List.for_all
-        (fun (batch, jobs) ->
-          let t = Service.create () in
-          let out, _ =
-            Parkit.Pool.with_pool ~jobs (fun pool ->
-                serve_in_memory ~pool ~batch ~t script)
+        (fun (batch, fast_path) ->
+          let t = Service.create () and reference = Ref_engine.create () in
+          let ex = Service.Batch.create ~batch ~fast_path t in
+          let out = Buffer.create 4096 and ref_out = Buffer.create 4096 in
+          let stopped = ref false and ok = ref true in
+          let check () =
+            let total =
+              Option.fold ~none:0 ~some:Suffstat.total (Service.merged t)
+            in
+            ok :=
+              !ok
+              && String.equal (Buffer.contents out) (Buffer.contents ref_out)
+              && (match (Service.merged t, Ref_engine.merged reference) with
+                 | None, None -> true
+                 | Some a, Some b -> suffstat_bitwise a b
+                 | _ -> false)
+              && Service.shard_totals t = Ref_engine.shard_totals reference
+              && List.fold_left (fun a (_, c) -> a + c) 0
+                   (Service.shard_totals t)
+                 = total
           in
-          let live = List.map snd (Service.shards t) in
-          let merged = Service.merged t in
-          String.equal out ref_out
-          && List.equal
-               (fun (n1, s1) (n2, s2) ->
-                 String.equal n1 n2 && suffstat_bitwise s1 s2)
-               (Service.shards t) (Service.shards ref_t)
-          && List.for_all
-               (fun a ->
-                 List.length (List.filter (fun b -> a == b) live) = 1
-                 && Option.fold ~none:true ~some:(fun m -> m != a) merged)
-               live)
-        [ (1, 1); (64, 1); (16, 2) ])
+          let execute () =
+            if not (Service.Batch.execute ex ~out) then stopped := true;
+            check ()
+          in
+          Array.iter
+            (fun l ->
+              if not !stopped then begin
+                Service.Batch.push ex l;
+                (match Ref_engine.line reference l with
+                | None -> ()
+                | Some (resp, continue) ->
+                    Buffer.add_string ref_out (Jsonl.to_string resp);
+                    Buffer.add_char ref_out '\n';
+                    if not continue then stopped := true);
+                if !stopped || not (Service.Batch.want_more ex) then execute ()
+              end)
+            script;
+          if not !stopped then execute ();
+          !ok)
+        [ (1, false); (1, true); (7, true); (64, true) ])
 
 (* --- corpus files --- *)
 
@@ -1255,6 +1419,8 @@ let () =
           Alcotest.test_case "observe_counts" `Quick test_suffstat_observe_counts;
           Alcotest.test_case "observe_counts validates first" `Quick
             test_suffstat_observe_counts_atomic;
+          Alcotest.test_case "total bounded by 2^53" `Quick
+            test_suffstat_total_bound;
           qc prop_suffstat_merge_into_matches_reduce;
           Alcotest.test_case "empty_like siblings independent" `Quick
             test_suffstat_siblings_independent;
@@ -1305,12 +1471,14 @@ let () =
             test_service_merged_in_place;
           Alcotest.test_case "rejected counts leave no partial state" `Quick
             test_counts_negative_leaves_no_partial_state;
+          Alcotest.test_case "counts total bounded by 2^53" `Quick
+            test_counts_total_bound;
         ] );
       ( "storage",
         [
           Alcotest.test_case "outlives config and reset" `Quick
             test_storage_outlives_config;
-          qc prop_storage_reuse_invisible;
+          qc prop_engine_matches_reference;
         ] );
       ( "replay",
         [
