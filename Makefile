@@ -29,7 +29,7 @@ lint:
 # gate.
 lint-json:
 	dune build @default
-	-dune exec bin/histolint.exe -- --json --summaries _build/histolint-cache _build/default > _build/histolint.json
+	-dune exec bin/histolint.exe -- --json --summaries _build/histolint-cache --lib-prefix test/reference/ _build/default > _build/histolint.json
 	@echo "wrote _build/histolint.json"
 
 # Regenerate the lint golden file after changing fixtures or finding
@@ -75,19 +75,19 @@ bench-merge:
 	dune exec bench/main.exe -- e20
 
 # The serve-path gate (E21 quick mode): the batched, pipelined engine
-# (wire fast path + shard-parallel ingest + one flush per batch) must
-# produce response transcripts BYTE-IDENTICAL to the unbatched
-# single-domain strict-parser serve at every (batch, jobs) grid point,
-# on both an accepting and a rejecting corpus.  Non-zero exit on any
-# divergence; also records ingest throughput, the single-core speedup
-# at batch >= 64, and structure-cache hit rates to BENCH_serve.json.
+# (wire fast path + one flush per batch, on one domain) must produce
+# response transcripts BYTE-IDENTICAL to the line-at-a-time oracle
+# (Refkit.Strict_serve) at every batch size, on both an accepting and a
+# rejecting corpus.  Non-zero exit on any divergence; also records
+# ingest throughput, the speedup over the oracle at batch >= 64, and
+# structure-cache hit rates to BENCH_serve.json.
 bench-serve:
 	dune exec bench/main.exe -- e21
 
 # The socket-transport gate (E22 quick mode): every client's response
 # stream over loopback TCP through the Netio reactor must be
 # BYTE-IDENTICAL to stdio serve on that client's request stream, at
-# every (clients, batch, jobs) grid point, on both an accepting and a
+# every (clients, batch) grid point, on both an accepting and a
 # rejecting corpus; and single-client socket throughput must be within
 # 1.3x of stdio serve over real pipes.  Non-zero exit on either gate;
 # appends one machine-readable line to BENCH_net.json.

@@ -5,13 +5,14 @@
 
    1. The determinism gate (the headline, wired into CI as
       `make bench-merge`): replay a fixed corpus — one yes-instance, one
-      no-instance — through Service.replay across a sweep of shard
-      counts.  Each shard ingests its round-robin slice on its own pool
-      domain; the shard states are merged under both a left fold and a
-      balanced tree.  Because the χ² verdict is a function of the exact
-      integer count vector alone, every topology must reproduce the
-      single-process statistic BIT FOR BIT — not approximately.  Any
-      divergence fails the gate and exits non-zero, like E18/E19.
+      no-instance — through the reference Refkit.Replay across a sweep
+      of shard counts.  Each shard ingests its round-robin slice on its
+      own pool domain; the shard states are merged under both a left
+      fold and a balanced tree.  Because the χ² verdict is a function of
+      the exact integer count vector alone, every topology must
+      reproduce the single-process statistic BIT FOR BIT — not
+      approximately.  Any divergence fails the gate and exits non-zero,
+      like E18/E19.
 
    2. Ingest scaling: wall time of single-process ingest vs sharded
       ingest + merge at each shard count.  Merging is O(cells + n), so
@@ -40,32 +41,12 @@ let draw_corpus ~pmf ~samples ~seed =
   let alias = Alias.of_pmf pmf in
   Array.init samples (fun _ -> Alias.draw alias rng)
 
-(* Wall time of the sharded path: build one Suffstat per shard on its own
-   pool domain, then left-fold merge.  Mirrors Service.replay's sharding
-   exactly, but clocked. *)
-module Suff_fold = Numkit.Mergeable.Fold (struct
-  type t = Suffstat.t
-
-  let merge = Suffstat.merge
-end)
-
+(* Wall time of the sharded path: replay's shard-per-domain build, then
+   its left-fold merge, clocked. *)
 let sharded_time ~pool ~part ~shards values =
-  let result = ref None in
-  let _, t =
-    Exp_common.wall_time_of (fun () ->
-        let parts =
-          Parkit.Pool.init pool shards (fun s ->
-              let st = Suffstat.create ~part in
-              let i = ref s in
-              while !i < Array.length values do
-                Suffstat.observe st values.(!i);
-                i := !i + shards
-              done;
-              st)
-        in
-        result := Some (Suff_fold.reduce parts))
-  in
-  (!result, t)
+  Exp_common.wall_time_of (fun () ->
+      Refkit.Replay.Suff_fold.reduce
+        (Refkit.Replay.shard_states ~pool ~part ~shards values))
 
 module Gk_fold = Numkit.Mergeable.Fold (struct
   type t = Gk.t
@@ -108,17 +89,20 @@ let run (mode : Exp_common.mode) =
         let values = draw_corpus ~pmf ~samples ~seed:corpus_seed in
         List.map
           (fun shards ->
-            let r = Service.replay ~pool ~part ~dstar:yes ~eps ~shards values in
+            let r =
+              Refkit.Replay.replay ~pool ~part ~dstar:yes ~eps ~shards values
+            in
             Exp_common.row "%5s | %6d | %9s | %22.15g | %22.15g | %9b@." side
               shards
-              (Verdict.to_string r.Service.single_verdict)
-              r.Service.single_z r.Service.fold_z r.Service.identical;
+              (Verdict.to_string r.Refkit.Replay.single_verdict)
+              r.Refkit.Replay.single_z r.Refkit.Replay.fold_z
+              r.Refkit.Replay.identical;
             (side, shards, r))
           shard_counts)
       [ ("yes", yes, seed + 1); ("no", no, seed + 2) ]
   in
   let gate_pass =
-    List.for_all (fun (_, _, r) -> r.Service.identical) replay_rows
+    List.for_all (fun (_, _, r) -> r.Refkit.Replay.identical) replay_rows
   in
   Exp_common.row "merge gate (all topologies bit-identical): %s@."
     (if gate_pass then "PASS" else "FAIL");
@@ -271,8 +255,8 @@ let run (mode : Exp_common.mode) =
                 "{\"side\":\"%s\",\"shards\":%d,\"verdict\":\"%s\",\
                  \"z\":%.17g,\"identical\":%b}"
                 side shards
-                (Verdict.to_string r.Service.single_verdict)
-                r.Service.single_z r.Service.identical)
+                (Verdict.to_string r.Refkit.Replay.single_verdict)
+                r.Refkit.Replay.single_z r.Refkit.Replay.identical)
             replay_rows))
       (1e3 *. single_t)
       (String.concat ","

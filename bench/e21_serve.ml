@@ -5,18 +5,20 @@
 
    1. The transcript gate (wired into CI as `make bench-serve`): a fixed
       request script — one accepting corpus, one rejecting — is served
-      through the batched engine across a batch grid with the wire fast
-      path on, and the full response transcript must be BYTE-IDENTICAL
-      to the unbatched (batch=1) strict-parser reference.  Any
-      divergence exits non-zero, like E18/E19/E20.
+      through the batched engine across a batch grid, and the full
+      response transcript must be BYTE-IDENTICAL to the line-at-a-time
+      oracle Refkit.Strict_serve (Service.handle_line per line, printed
+      through the Jsonl tree; it shares no code with Scan, Batch or the
+      direct renderer).  Any divergence exits non-zero, like
+      E18/E19/E20.
 
    2. Ingest throughput (values/s) across the same grid and two payload
       shapes — many small `observe` lines vs few large ones — plus the
       fast-path hit rate as provenance.  The acceptance bar: fast path +
-      batched output must clear >= 5x over the line-at-a-time strict
-      reference at batch >= 64.  Serving runs on one domain; the
-      shard-parallel ingest an earlier engine offered never measured
-      faster (EXPERIMENTS.md, E21) and was removed.
+      batched output must clear >= 5x over the line-at-a-time oracle at
+      batch >= 64.  Serving runs on one domain; the shard-parallel
+      ingest an earlier engine offered never measured faster
+      (EXPERIMENTS.md, E21) and was removed.
 
    3. The structure cache: a reconfigure-heavy script cycling a working
       set of hypotheses is served twice over — all-miss (distinct
@@ -27,18 +29,19 @@
 
 let bench_file = "BENCH_serve.json"
 
-(* Serve a script held in memory: every line is "already available", so
+(* Serve a script held in memory with [serve] on a fresh service, best
+   wall time of [repeats] runs: every line is "already available", so
    batches fill to --batch, which is exactly the saturated-ingest regime
    the daemon sees under load.
 
-   Each flush also goes through one real [Unix.write] into a pipe
+   Every write also goes through one real [Unix.write] into a pipe
    drained by a `cat > /dev/null` child, so the measurement pays the
    daemon's actual I/O pattern — the daemon writes responses into a pipe
-   to its client: one pipe write per response at batch=1 (the
-   line-at-a-time reference), one per batch otherwise.  An
-   in-process-only transcript would hide exactly the buffered-I/O saving
-   the acceptance bar is about. *)
-let run_script ?(repeats = 1) ~batch ~fast_path lines =
+   to its client: one pipe write per response for the line-at-a-time
+   oracle, one per batch for the engine.  An in-process-only transcript
+   would hide exactly the buffered-I/O saving the acceptance bar is
+   about. *)
+let run_script ?(repeats = 1) serve lines =
   let r, w = Unix.pipe () in
   (* the drainer must not inherit [w], or it never sees EOF *)
   Unix.set_close_on_exec w;
@@ -49,7 +52,7 @@ let run_script ?(repeats = 1) ~batch ~fast_path lines =
   let run () =
     let t = Service.create () in
     let idx = ref 0 in
-    let read_line ~block:_ =
+    let next () =
       if !idx < Array.length lines then begin
         let l = lines.(!idx) in
         incr idx;
@@ -58,18 +61,14 @@ let run_script ?(repeats = 1) ~batch ~fast_path lines =
       else None
     in
     let transcript = Buffer.create (1 lsl 20) in
-    let write buf =
-      Buffer.add_buffer transcript buf;
-      let s = Buffer.contents buf in
+    let write s =
+      Buffer.add_string transcript s;
       ignore (Unix.write_substring w s 0 (String.length s))
     in
-    let stats = ref None in
-    let _, wall =
-      Exp_common.wall_time_of (fun () ->
-          stats :=
-            Some (Service.serve t ~batch ~fast_path ~read_line ~write))
+    let result, wall =
+      Exp_common.wall_time_of (fun () -> serve t ~next ~write)
     in
-    (Buffer.contents transcript, Option.get !stats, wall, t)
+    (Buffer.contents transcript, result, wall, t)
   in
   let best = ref (run ()) in
   for _ = 2 to repeats do
@@ -80,6 +79,13 @@ let run_script ?(repeats = 1) ~batch ~fast_path lines =
   Unix.close w;
   ignore (Unix.waitpid [] cat);
   !best
+
+let oracle t ~next ~write = Refkit.Strict_serve.serve t ~read_line:next ~write
+
+let batched batch t ~next ~write =
+  Service.serve t ~batch
+    ~read_line:(fun ~block:_ -> next ())
+    ~write:(fun buf -> write (Buffer.contents buf))
 
 let config_line ~n ~family ~eps ~seed =
   Printf.sprintf {|{"cmd":"config","n":%d,"family":"%s","eps":%g,"seed":%d}|} n
@@ -118,11 +124,11 @@ let hit_rate stats =
 
 let run (mode : Exp_common.mode) =
   Exp_common.section
-    ~id:"E21 (serve path: batched parallel ingest, byte-identical)"
+    ~id:"E21 (serve path: batched ingest, byte-identical)"
     ~claim:
       "The batched serve engine — wire fast path, one flush per batch — \
-       produces a response transcript byte-identical to unbatched \
-       strict-parser serve, while ingesting >= 5x faster at batch >= 64.";
+       produces a response transcript byte-identical to the \
+       line-at-a-time oracle, while ingesting >= 5x faster at batch >= 64.";
   let seed = mode.Exp_common.seed in
   let quick = mode.Exp_common.quick in
 
@@ -148,13 +154,13 @@ let run (mode : Exp_common.mode) =
             observe_script ~n ~family ~eps ~seed ~pmf ~corpus_seed ~shards
               ~lines ~per_line
           in
-          let ref_transcript, ref_stats, ref_wall, _ =
-            run_script ~repeats:9 ~batch:1 ~fast_path:false script
+          let ref_transcript, _, ref_wall, _ =
+            run_script ~repeats:9 oracle script
           in
-          let ref_rate = float_of_int ref_stats.Service.values /. ref_wall in
+          let ref_rate = float_of_int (lines * per_line) /. ref_wall in
           Exp_common.row
-            "@.%s/%s: %d lines x %d values, reference (batch=1, strict): \
-             %.1f ms, %.2e values/s@."
+            "@.%s/%s: %d lines x %d values, line-at-a-time oracle: %.1f ms, \
+             %.2e values/s@."
             side shape lines per_line (1e3 *. ref_wall) ref_rate;
           Exp_common.row "%6s | %10s | %8s | %9s | %9s@." "batch" "values/s"
             "speedup" "fast-path" "identical";
@@ -162,7 +168,7 @@ let run (mode : Exp_common.mode) =
           List.iter
             (fun batch ->
               let transcript, stats, wall, _ =
-                run_script ~repeats:9 ~batch ~fast_path:true script
+                run_script ~repeats:9 (batched batch) script
               in
               let rate = float_of_int stats.Service.values /. wall in
               let identical = String.equal transcript ref_transcript in
@@ -214,8 +220,8 @@ let run (mode : Exp_common.mode) =
           ~family:(Printf.sprintf "khist:%d" (8 + (i mod working_set)))
           ~eps ~seed:(1000 + (i mod working_set)))
   in
-  let _, _, miss_wall, miss_t = run_script ~batch:64 ~fast_path:true miss_script in
-  let _, _, hit_wall, hit_t = run_script ~batch:64 ~fast_path:true hit_script in
+  let _, _, miss_wall, miss_t = run_script (batched 64) miss_script in
+  let _, _, hit_wall, hit_t = run_script (batched 64) hit_script in
   let miss_stats = Service.cache_stats miss_t in
   let hit_stats = Service.cache_stats hit_t in
   let per_config w = 1e3 *. w /. float_of_int (working_set * rounds) in

@@ -7,35 +7,6 @@
      histotest dist --family zipf:1.2 --domain 1024 --pieces 8
      histotest demo-lb --domain 4096 --pieces 33 *)
 
-let parse_family spec ~n ~rng =
-  let fail msg = `Error (false, msg) in
-  match String.split_on_char ':' spec with
-  | [ "uniform" ] -> `Ok (Pmf.uniform n)
-  | [ "staircase"; k ] ->
-      `Ok (Families.staircase ~n ~k:(int_of_string k) ~rng)
-  | [ "khist"; k ] ->
-      `Ok (Families.random_khist ~n ~k:(int_of_string k) ~rng)
-  | [ "zipf"; s ] -> `Ok (Families.zipf ~n ~s:(float_of_string s))
-  | [ "geometric"; r ] ->
-      `Ok (Families.geometric_like ~n ~ratio:(float_of_string r))
-  | [ "comb"; teeth ] -> `Ok (Families.comb ~n ~teeth:(int_of_string teeth))
-  | [ "bimodal" ] -> `Ok (Families.bimodal ~n)
-  | [ "paninski"; eps ] ->
-      `Ok
-        (Histotest.Lowerbound.paninski_instance ~n ~eps:(float_of_string eps)
-           ~rng ())
-  | [ "spiked"; spikes ] ->
-      `Ok
-        (Families.spiked ~n ~spikes:(int_of_string spikes) ~spike_mass:0.5 ~rng)
-  | [ "monotone"; p ] ->
-      `Ok (Families.monotone_decreasing ~n ~power:(float_of_string p))
-  | _ ->
-      fail
-        (Printf.sprintf
-           "unknown family %S (try uniform, staircase:K, khist:K, zipf:S, \
-            geometric:R, comb:T, bimodal, paninski:EPS, spiked:S, monotone:P)"
-           spec)
-
 open Cmdliner
 
 let n_arg =
@@ -108,11 +79,11 @@ let config_of_paper paper =
 
 let with_family spec n seed f =
   let rng = Randkit.Rng.create ~seed in
-  match parse_family spec ~n ~rng with
-  | `Error (_, msg) ->
+  match Families.of_spec ~n ~rng spec with
+  | Error msg ->
       prerr_endline ("error: " ^ msg);
       1
-  | `Ok pmf -> f pmf rng
+  | Ok pmf -> f pmf rng
 
 (* --- test command --- *)
 
@@ -240,11 +211,11 @@ let demo_lb_cmd =
 let run_closeness fam1 fam2 n eps seed trials jobs =
   apply_jobs jobs;
   with_family fam1 n seed (fun p1 rng ->
-      match parse_family fam2 ~n ~rng with
-      | `Error (_, msg) ->
+      match Families.of_spec ~n ~rng fam2 with
+      | Error msg ->
           prerr_endline ("error: " ^ msg);
           1
-      | `Ok p2 ->
+      | Ok p2 ->
           Format.printf "tv(%s, %s) = %.4f (ground truth)@." fam1 fam2
             (Distance.tv p1 p2);
           (* Two oracles per trial: split both generators sequentially

@@ -117,3 +117,30 @@ let bimodal ~n =
 let monotone_decreasing ~n ~power =
   if power < 0. then invalid_arg "Families.monotone_decreasing: negative power";
   Pmf.of_weights (Array.init n (fun i -> (1. /. float_of_int (i + 1)) ** power))
+
+let of_spec ~n ~rng spec =
+  let num = float_of_string and int = int_of_string in
+  match
+    match String.split_on_char ':' spec with
+    | [ "uniform" ] -> Some (uniform n)
+    | [ "staircase"; k ] -> Some (staircase ~n ~k:(int k) ~rng)
+    | [ "khist"; k ] -> Some (random_khist ~n ~k:(int k) ~rng)
+    | [ "zipf"; s ] -> Some (zipf ~n ~s:(num s))
+    | [ "geometric"; r ] -> Some (geometric_like ~n ~ratio:(num r))
+    | [ "comb"; teeth ] -> Some (comb ~n ~teeth:(int teeth))
+    | [ "bimodal" ] -> Some (bimodal ~n)
+    | [ "paninski"; eps ] -> Some (paninski ~n ~eps:(num eps) ~c:6. ~rng)
+    | [ "spiked"; s ] -> Some (spiked ~n ~spikes:(int s) ~spike_mass:0.5 ~rng)
+    | [ "monotone"; p ] -> Some (monotone_decreasing ~n ~power:(num p))
+    | _ -> None
+  with
+  | Some pmf -> Ok pmf
+  | None ->
+      Error
+        (Printf.sprintf
+           "unknown family %S (try uniform, staircase:K, khist:K, zipf:S, \
+            geometric:R, comb:T, bimodal, paninski:EPS, spiked:S, monotone:P)"
+           spec)
+  | exception Failure _ ->
+      Error (Printf.sprintf "bad numeric parameter in family %S" spec)
+  | exception Invalid_argument msg -> Error msg

@@ -40,3 +40,11 @@ val bimodal : n:int -> Pmf.t
 val monotone_decreasing : n:int -> power:float -> Pmf.t
 (** p(i) ∝ (i+1)^(−power); smooth, far from coarse histograms for large
     power. *)
+
+val of_spec : n:int -> rng:Randkit.Rng.t -> string -> (Pmf.t, string) result
+(** The family vocabulary the CLI and the daemon share: [uniform],
+    [staircase:K], [khist:K], [zipf:S], [geometric:R], [comb:T],
+    [bimodal], [paninski:EPS] ({!paninski} at c = 6), [spiked:S],
+    [monotone:P].  Randomized families draw from [rng].  An unknown name,
+    a malformed number or parameters the constructor refuses come back
+    as [Error], never as an exception. *)

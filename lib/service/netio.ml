@@ -368,7 +368,6 @@ let zero_stats =
 type t = {
   service : Service.t;
   batch : int;
-  fast_path : bool;
   max_conns : int;
   max_line_bytes : int;
   max_pending_bytes : int;
@@ -389,7 +388,7 @@ let overlong_error max_line_bytes =
     (Printf.sprintf "line exceeds max-line-bytes (%d); closing connection"
        max_line_bytes)
 
-let create_reactor ?(batch = 64) ?(fast_path = true) ?(max_conns = 64)
+let create_reactor ?(batch = 64) ?(max_conns = 64)
     ?(max_line_bytes = Reader.default_max_line_bytes)
     ?(max_pending_bytes = 1 lsl 23) ~service ~listeners () =
   if batch < 1 then invalid_arg "Netio.create_reactor: batch < 1";
@@ -405,7 +404,6 @@ let create_reactor ?(batch = 64) ?(fast_path = true) ?(max_conns = 64)
   {
     service;
     batch;
-    fast_path;
     max_conns;
     max_line_bytes;
     max_pending_bytes;
@@ -454,9 +452,7 @@ let add_connection t fd =
         {
           fd;
           reader = Reader.create ~max_line_bytes:t.max_line_bytes fd;
-          exec =
-            Service.Batch.create ~batch:t.batch
-              ~fast_path:t.fast_path t.service;
+          exec = Service.Batch.create ~batch:t.batch t.service;
           out = Outbuf.create 65536;
           draining = false;
           dead = false;
@@ -607,12 +603,11 @@ let step t ~timeout =
           end)
         t.conns
 
-let serve_net ?batch ?fast_path ?max_conns ?max_line_bytes
-    ?max_pending_bytes ?accept_limit ?(poll_interval = 0.5) ?stop service
-    ~listeners () =
+let serve_net ?batch ?max_conns ?max_line_bytes ?max_pending_bytes
+    ?accept_limit ?(poll_interval = 0.5) ?stop service ~listeners () =
   let t =
-    create_reactor ?batch ?fast_path ?max_conns ?max_line_bytes
-      ?max_pending_bytes ~service ~listeners ()
+    create_reactor ?batch ?max_conns ?max_line_bytes ?max_pending_bytes
+      ~service ~listeners ()
   in
   let idle () = match t.conns with [] -> true | _ :: _ -> false in
   let finished () =

@@ -111,7 +111,6 @@ type t
 
 val create_reactor :
   ?batch:int ->
-  ?fast_path:bool ->
   ?max_conns:int ->
   ?max_line_bytes:int ->
   ?max_pending_bytes:int ->
@@ -119,10 +118,10 @@ val create_reactor :
   listeners:Unix.file_descr list ->
   unit ->
   t
-(** [batch]/[fast_path] parameterize each connection's
-    {!Service.Batch} executor ([batch] defaults to 64 here — the
-    daemon's default).  [max_conns] (default 64) stops accepting — the
-    kernel backlog queues the excess — until a connection closes.
+(** [batch] sizes each connection's {!Service.Batch} executor
+    (default 64 here — the daemon's default).  [max_conns] (default 64)
+    stops accepting — the kernel backlog queues the excess — until a
+    connection closes.
     [max_line_bytes] (default 1 MiB) bounds request lines: an over-long
     line gets one wire error response and the connection is closed.
     [max_pending_bytes] (default 8 MiB) is the backpressure threshold on
@@ -148,7 +147,6 @@ val stats : t -> stats
 
 val serve_net :
   ?batch:int ->
-  ?fast_path:bool ->
   ?max_conns:int ->
   ?max_line_bytes:int ->
   ?max_pending_bytes:int ->

@@ -2,21 +2,15 @@
    shard's traffic is added into, shards reduced to a name and a running
    total, verdicts computed from the accumulator.
 
-   Determinism contract (pinned by the replay path and the E20 gate): the
-   verdict depends on the accumulated stream only through exact integer
-   counts, so ANY sharding of a stream, ingested in any interleaving that
-   preserves nothing but the multiset of observations, merged under ANY
-   topology, yields the verdict — and the statistic, bit for bit — of a
-   single process that saw the whole stream.  That same fact makes
+   Determinism contract (pinned by the E20 gate): the verdict depends on
+   the accumulated stream only through exact integer counts, so ANY
+   sharding of a stream, ingested in any interleaving that preserves
+   nothing but the multiset of observations, merged under ANY topology,
+   yields the verdict — and the statistic, bit for bit — of a single
+   process that saw the whole stream.  That same fact makes
    per-shard count vectors redundant here: adding each shard's traffic
    into one vector gives, integer for integer, the sum of the vectors
    the shards would have held. *)
-
-module Suff_fold = Numkit.Mergeable.Fold (struct
-  type t = Suffstat.t
-
-  let merge = Suffstat.merge
-end)
 
 type config = {
   n : int;
@@ -56,32 +50,13 @@ let create ?cache_capacity () =
 let cache_stats t = Structcache.stats t.cache
 
 let family_of_spec ~n ~seed spec =
-  let rng = Randkit.Rng.create ~seed in
-  let num = float_of_string and int = int_of_string in
-  match
-    match String.split_on_char ':' spec with
-    | [ "uniform" ] -> Some (Pmf.uniform n)
-    | [ "staircase"; k ] -> Some (Families.staircase ~n ~k:(int k) ~rng)
-    | [ "khist"; k ] -> Some (Families.random_khist ~n ~k:(int k) ~rng)
-    | [ "zipf"; s ] -> Some (Families.zipf ~n ~s:(num s))
-    | [ "geometric"; r ] -> Some (Families.geometric_like ~n ~ratio:(num r))
-    | [ "comb"; teeth ] -> Some (Families.comb ~n ~teeth:(int teeth))
-    | [ "bimodal" ] -> Some (Families.bimodal ~n)
-    | [ "spiked"; s ] ->
-        Some (Families.spiked ~n ~spikes:(int s) ~spike_mass:0.5 ~rng)
-    | [ "monotone"; p ] -> Some (Families.monotone_decreasing ~n ~power:(num p))
-    | _ -> None
-  with
-  | Some pmf -> Ok pmf
-  | None ->
-      Error
-        (Printf.sprintf
-           "unknown family %S (try uniform, staircase:K, khist:K, zipf:S, \
-            geometric:R, comb:T, bimodal, spiked:S, monotone:P)"
-           spec)
-  | exception Failure _ ->
-      Error (Printf.sprintf "bad numeric parameter in family %S" spec)
-  | exception Invalid_argument msg -> Error msg
+  Families.of_spec ~n ~rng:(Randkit.Rng.create ~seed) spec
+
+(* The largest domain a config may ask for: every config costs O(n)
+   words (the hypothesis, its cell table, the count vector), so an
+   unbounded n lets one request exhaust memory.  2^22 is 16x the largest
+   n any bench or workload uses. *)
+let max_n = 1 lsl 22
 
 let default_cells n = min n 64
 
@@ -93,6 +68,7 @@ let reset t =
 
 let configure t ~n ~family ~eps ~cells ~seed =
   if n < 1 then Error "n must be positive"
+  else if n > max_n then Error (Printf.sprintf "n must be at most %d" max_n)
   else if eps <= 0. || eps >= 1. then Error "eps outside (0, 1)"
   else
     let cells =
@@ -316,70 +292,6 @@ let handle_line t line =
   | Error msg -> (Wire.error msg, true)
   | Ok req -> handle_request t req
 
-(* --- replay: the determinism gate --- *)
-
-type replay_report = {
-  shards : int;
-  total : int;
-  single_verdict : Verdict.t;
-  single_z : float;
-  fold_verdict : Verdict.t;
-  fold_z : float;
-  tree_verdict : Verdict.t;
-  tree_z : float;
-  identical : bool;
-}
-
-let replay ?pool ~part ~dstar ~eps ~shards values =
-  if shards < 1 then invalid_arg "Service.replay: shards < 1";
-  if Array.length values = 0 then invalid_arg "Service.replay: empty corpus";
-  let pool =
-    match pool with Some p -> p | None -> Parkit.Pool.get_default ()
-  in
-  let single = Suffstat.create ~part in
-  Suffstat.observe_all single values;
-  (* Round-robin sharding, intra-shard order preserved; each shard's
-     state is built on its own pool domain (shard-per-domain). *)
-  let parts =
-    Parkit.Pool.init pool shards (fun s ->
-        let st = Suffstat.create ~part in
-        let i = ref s in
-        while !i < Array.length values do
-          Suffstat.observe st values.(!i);
-          i := !i + shards
-        done;
-        st)
-  in
-  let z_and_verdict st =
-    let stat = Suffstat.statistic st ~dstar ~eps in
-    let threshold = Chi2stat.accept_threshold ~m:stat.Chi2stat.m ~eps in
-    ( stat.Chi2stat.z,
-      if stat.Chi2stat.z <= threshold then Verdict.Accept else Verdict.Reject )
-  in
-  let folded = Suff_fold.reduce parts in
-  let treed = Suff_fold.tree_reduce parts in
-  let single_z, single_verdict = z_and_verdict single in
-  let fold_z, fold_verdict = z_and_verdict folded in
-  let tree_z, tree_verdict = z_and_verdict treed in
-  let identical =
-    Suffstat.equal single folded && Suffstat.equal single treed
-    && Float.equal single_z fold_z
-    && Float.equal single_z tree_z
-    && Verdict.equal single_verdict fold_verdict
-    && Verdict.equal single_verdict tree_verdict
-  in
-  {
-    shards;
-    total = Array.length values;
-    single_verdict;
-    single_z;
-    fold_verdict;
-    fold_z;
-    tree_verdict;
-    tree_z;
-    identical;
-  }
-
 (* --- batched, pipelined serve engine --- *)
 
 (* One parsed request slot.  The fast path keeps its payload as a span
@@ -496,8 +408,8 @@ type serve_stats = {
   batches : int;
 }
 
-(* Matches the whitespace class of [String.trim]: the legacy serve loop
-   skipped lines that trim to "". *)
+(* Matches the whitespace class of [String.trim]: a line that trims to ""
+   is no request, at any batch size. *)
 let[@histolint.hot] is_blank_sub line pos len =
   let hi = pos + len in
   let i = ref pos in
@@ -532,7 +444,6 @@ let arena_budget = 1 lsl 14
 module Batch = struct
   type exec = {
     service : t;
-    fast_path : bool;
     batch : int;
     arena : Scan.t;
     slots : slot array;
@@ -546,12 +457,10 @@ module Batch = struct
   }
 
   (* [pool] is accepted and ignored: ingest runs on the caller's domain. *)
-  let create ?pool:(_ : Parkit.Pool.t option) ?(batch = 1) ?(fast_path = true)
-      service =
+  let create ?pool:(_ : Parkit.Pool.t option) ?(batch = 1) service =
     if batch < 1 then invalid_arg "Service.Batch.create: batch < 1";
     {
       service;
-      fast_path;
       batch;
       arena = Scan.create ();
       slots = Array.make batch (S_err "");
@@ -590,14 +499,12 @@ module Batch = struct
     if not (want_more e) then invalid_arg "Service.Batch.push: batch full";
     if not (is_blank_sub line pos len) then begin
       let slot =
-        if e.fast_path then
-          match Scan.scan_sub e.arena line ~pos ~len with
-          | Some h ->
-              e.fast_hits <- e.fast_hits + 1;
-              e.values <- e.values + h.Scan.len;
-              S_fast h
-          | None -> strict e (String.sub line pos len)
-        else strict e (String.sub line pos len)
+        match Scan.scan_sub e.arena line ~pos ~len with
+        | Some h ->
+            e.fast_hits <- e.fast_hits + 1;
+            e.values <- e.values + h.Scan.len;
+            S_fast h
+        | None -> strict e (String.sub line pos len)
       in
       e.slots.(e.k) <- slot;
       e.k <- e.k + 1
@@ -641,16 +548,14 @@ module Batch = struct
     e.batches <- 0
 end
 
-let serve ?pool:(_ : Parkit.Pool.t option) ?(batch = 1) ?(fast_path = true) t
-    ~read_line ~write =
+let serve ?pool:(_ : Parkit.Pool.t option) ?(batch = 1) t ~read_line ~write =
   if batch < 1 then invalid_arg "Service.serve: batch < 1";
-  let ex = Batch.create ~batch ~fast_path t in
+  let ex = Batch.create ~batch t in
   let out = Buffer.create 65536 in
   let continue = ref true in
   while !continue do
     let eof = ref false in
-    (* Block until one request is staged (blank lines re-block, exactly
-       as the pre-Batch loop did) ... *)
+    (* Block until one request is staged (blank lines re-block) ... *)
     while Batch.count ex = 0 && not !eof do
       match read_line ~block:true with
       | None -> eof := true
@@ -675,29 +580,3 @@ let serve ?pool:(_ : Parkit.Pool.t option) ?(batch = 1) ?(fast_path = true) t
     end
   done;
   Batch.stats ex
-
-(* --- corpus files (shared by --replay and its error reporting) --- *)
-
-let corpus_of_file path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      let values = ref [] in
-      let lineno = ref 0 in
-      let bad = ref None in
-      (try
-         while Option.is_none !bad do
-           let line = input_line ic in
-           incr lineno;
-           let line = String.trim line in
-           if String.length line > 0 then
-             match int_of_string_opt line with
-             | Some v -> values := v :: !values
-             | None ->
-                 bad := Some (Printf.sprintf "%s:%d: not an integer" path !lineno)
-         done
-       with End_of_file -> ());
-      close_in ic;
-      (match !bad with
-      | Some msg -> Error msg
-      | None -> Ok (Array.of_list (List.rev !values)))

@@ -8,8 +8,7 @@
     accumulator is bitwise the merge of the count vectors the shards
     would have held on their own, and the served verdict is bit-identical
     to a single process holding the concatenated stream, whatever the
-    sharding or merge topology — the contract [replay] checks and the
-    E20 bench gates.  So the engine holds one n-vector per config, and a
+    sharding or merge topology — the contract the E20 bench gates.  So the engine holds one n-vector per config, and a
     new shard name costs O(1) words. *)
 
 type config = {
@@ -33,8 +32,13 @@ val cache_stats : t -> Structcache.stats
     the [cache_stats] wire request). *)
 
 val family_of_spec : n:int -> seed:int -> string -> (Pmf.t, string) result
-(** The CLI family vocabulary (["staircase:4"], ["zipf:1.2"], …) minus the
-    lower-bound instances. *)
+(** {!Families.of_spec} drawing from a fresh generator seeded with
+    [seed]. *)
+
+val max_n : int
+(** The largest domain [configure] accepts, 2^22: every config holds
+    O(n) words, so the bound is what keeps one request from exhausting
+    memory. *)
 
 val configure :
   t ->
@@ -49,7 +53,9 @@ val configure :
     [n] and [cells], whatever the family or seed), the accumulator and
     its element-to-cell table carry over, cleared in place; a new
     partition drops it, and the next ingest allocates one over the new
-    partition.  A refused config changes nothing. *)
+    partition.  A refused config ([n] outside [\[1, max_n\]], [eps]
+    outside (0, 1), an unknown family) changes nothing, and [n] is
+    checked before anything is built. *)
 
 val observe : t -> shard:string -> int array -> (int, string) result
 (** Batch-ingest observations on behalf of a shard (created on first
@@ -115,10 +121,9 @@ module Batch : sig
       owns the fast-path arena and the slot/response buffers, all reused
       across batches. *)
 
-  val create :
-    ?pool:Parkit.Pool.t -> ?batch:int -> ?fast_path:bool -> t -> exec
-  (** Same parameters and defaults as {!serve} ([batch] defaults to 1,
-      [fast_path] to true; [pool] is ignored, as there).
+  val create : ?pool:Parkit.Pool.t -> ?batch:int -> t -> exec
+  (** Same parameters and defaults as {!serve} ([batch] defaults to 1;
+      [pool] is ignored, as there).
       @raise Invalid_argument if [batch < 1]. *)
 
   val count : exec -> int
@@ -131,7 +136,7 @@ module Batch : sig
 
   val push : exec -> string -> unit
   (** Parse one request line into the next slot — {!Scan} fast path
-      first when enabled, strict parser otherwise.  Blank lines are
+      first, the strict parser for every line it declines.  Blank lines are
       skipped without consuming a slot, exactly as {!serve} skips them.
       @raise Invalid_argument when [want_more] is false. *)
 
@@ -170,7 +175,6 @@ end
 val serve :
   ?pool:Parkit.Pool.t ->
   ?batch:int ->
-  ?fast_path:bool ->
   t ->
   read_line:(block:bool -> string option) ->
   write:(Buffer.t -> unit) ->
@@ -180,8 +184,8 @@ val serve :
     Per iteration: block for one request line, drain up to [batch - 1]
     more that are available without blocking ([read_line ~block:false]
     returning [None] just cuts the batch short; with [~block:true] it
-    means end of input), parse each line — {!Scan} fast path first when
-    [fast_path] (default true), strict parser otherwise — then execute
+    means end of input), parse each line — {!Scan} fast path first, the
+    strict parser for every line it declines — then execute
     the batch and hand one buffer of newline-terminated responses to
     [write] (one flush per batch).
 
@@ -189,7 +193,8 @@ val serve :
     requests run one by one in request order on the calling domain,
     through the same ingest function and protocol step a line-at-a-time
     loop uses, so the response transcript is byte-identical at any
-    [batch] — the contract E21 gates.  Requests after a [quit] in the
+    [batch], and to {!handle_line} applied line by line — the contract
+    E21 gates.  Requests after a [quit] in the
     same batch are dropped unanswered, exactly as a sequential loop
     would never have read them.  [pool] is accepted for compatibility
     and ignored: ingest is a few integer adds per value into one
@@ -203,37 +208,3 @@ val rendered_error : string -> string
 (** The direct renderings the batch path writes for the hot responses —
     exposed so tests can pin them byte-for-byte against
     [Jsonl.to_string (Wire.ok [...])] / [Wire.error]. *)
-
-val corpus_of_file : string -> (int array, string) result
-(** Read a replay corpus (one integer per line, blank lines skipped).
-    [Error "<path>:<lineno>: not an integer"] on the first malformed
-    line; [Error] with the system message if the file cannot be opened. *)
-
-type replay_report = {
-  shards : int;
-  total : int;
-  single_verdict : Verdict.t;
-  single_z : float;
-  fold_verdict : Verdict.t;
-  fold_z : float;
-  tree_verdict : Verdict.t;
-  tree_z : float;
-  identical : bool;
-      (** merged counts, statistics and verdicts all bit-equal to the
-          single-process run *)
-}
-
-val replay :
-  ?pool:Parkit.Pool.t ->
-  part:Partition.t ->
-  dstar:Pmf.t ->
-  eps:float ->
-  shards:int ->
-  int array ->
-  replay_report
-(** Prove the determinism contract on a concrete corpus: ingest the values
-    single-process, then round-robin across [shards] shard states (each
-    built on its own pool domain), merge under both the left-fold and the
-    balanced-tree topology, and compare counts, statistics and verdicts
-    bit for bit.  @raise Invalid_argument on an empty corpus or
-    [shards < 1]. *)

@@ -8,8 +8,8 @@
     and a fleet of shards reaches the *bit-identical* verdict a single
     process holding the whole stream would, under any merge topology.
     [histotestd] keeps one such state per config and adds every shard's
-    traffic straight into it; [Service.replay] and the E20 bench merge
-    per-shard states at scale.  It implements the {!Numkit.Mergeable.S}
+    traffic straight into it; the test-only reference replay and the E20
+    bench merge per-shard states at scale.  It implements the {!Numkit.Mergeable.S}
     contract in its exact flavor. *)
 
 type t

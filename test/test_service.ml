@@ -1,6 +1,7 @@
 (* servicekit: the exact half of the merge monoid (Suffstat, Kahan), the
-   JSON line protocol, and the replay determinism contract against the
-   harness's sample streams.
+   JSON line protocol, the batched engine against the line-at-a-time
+   oracle, and the sharded reference replay against the harness's sample
+   streams.
 
    Every QCheck case is derived from one drawn seed through Randkit, so a
    failure reproduces from the printed seed alone. *)
@@ -102,11 +103,7 @@ let test_suffstat_observe_counts () =
        false
      with Invalid_argument _ -> true)
 
-module Suff_fold = Numkit.Mergeable.Fold (struct
-  type t = Suffstat.t
-
-  let merge = Suffstat.merge
-end)
+module Suff_fold = Refkit.Replay.Suff_fold
 
 (* Every verdict-relevant field via [equal], plus every cell's count and
    float mass bit for bit. *)
@@ -515,19 +512,20 @@ let test_service_merged_in_place () =
   Alcotest.(check bool) "cleared in place" true (merged () == m1);
   Alcotest.(check int) "solo total" 3 (Suffstat.total m1)
 
-(* The hostile-input regression at the daemon boundary: on both the
-   strict path and the batched fast path, a counts request with a
-   negative entry deep in a cell gets the error and the shard keeps
-   exactly its previous counts and total. *)
+(* The hostile-input regression at the daemon boundary: whether the
+   fast path decodes it or (spaces inside the array, which Scan declines)
+   the strict decoder does, a counts request with a negative entry deep
+   in a cell gets the error and the shard keeps exactly its previous
+   counts and total. *)
 let test_counts_negative_leaves_no_partial_state () =
   let n = 64 in
   let counts = Array.make n 1 in
   counts.(13) <- -4;
-  let bad =
+  let bad sep =
     Printf.sprintf {|{"cmd":"counts","shard":"a","counts":[%s]}|}
-      (String.concat "," (Array.to_list (Array.map string_of_int counts)))
+      (String.concat sep (Array.to_list (Array.map string_of_int counts)))
   in
-  let script =
+  let script bad =
     [|
       {|{"cmd":"config","n":64,"family":"uniform","eps":0.25,"cells":8,"seed":1}|};
       {|{"cmd":"observe","shard":"a","xs":[0,9,9,30]}|};
@@ -536,17 +534,21 @@ let test_counts_negative_leaves_no_partial_state () =
     |]
   in
   List.iter
-    (fun (label, batch, fast_path) ->
+    (fun (label, batch, bad, strict_parses) ->
       let t = Service.create () in
-      let ex = Service.Batch.create ~batch ~fast_path t in
+      let ex = Service.Batch.create ~batch t in
       let out = Buffer.create 256 in
       Array.iter
         (fun line ->
           Service.Batch.push ex line;
           if not (Service.Batch.want_more ex) then
             ignore (Service.Batch.execute ex ~out : bool))
-        script;
+        (script bad);
       ignore (Service.Batch.execute ex ~out : bool);
+      (* config and stats always take the strict decoder *)
+      Alcotest.(check int)
+        (label ^ ": strict decodes")
+        strict_parses (Service.Batch.stats ex).Service.strict_parses;
       let responses = String.split_on_char '\n' (Buffer.contents out) in
       Alcotest.(check string)
         (label ^ ": error response")
@@ -565,7 +567,50 @@ let test_counts_negative_leaves_no_partial_state () =
           Alcotest.(check int) (label ^ ": count 9 kept") 2 (Suffstat.count st 9);
           Alcotest.(check int) (label ^ ": count 1 kept") 0 (Suffstat.count st 1)
       | None -> Alcotest.fail (label ^ ": no merged state"))
-    [ ("strict", 1, false); ("fast path", 64, true) ]
+    [ ("strict", 1, bad ", ", 3); ("fast path", 64, bad ",", 2) ]
+
+(* Hostile config: an n past [Service.max_n] is refused with a wire
+   error before any structure is built, and the previous config, shard
+   totals and accumulator are untouched. *)
+let test_config_n_capped () =
+  let t = Service.create () in
+  let run line =
+    let printed, _, _ = response t line in
+    printed
+  in
+  let config n =
+    Printf.sprintf
+      {|{"cmd":"config","n":%d,"family":"uniform","eps":0.25,"cells":8,"seed":1}|}
+      n
+  in
+  ignore (run (config 64) : string);
+  ignore (run {|{"cmd":"observe","shard":"a","xs":[1,2,60]}|} : string);
+  let stats = {|{"cmd":"stats"}|} in
+  let stats_before = run stats in
+  let acc = Service.merged t in
+  let counts_before =
+    Option.map (fun st -> Array.copy (Suffstat.counts st)) acc
+  in
+  let misses = (Service.cache_stats t).Structcache.misses in
+  List.iter
+    (fun n ->
+      Alcotest.(check string)
+        (Printf.sprintf "n=%d refused" n)
+        (Service.rendered_error
+           (Printf.sprintf "n must be at most %d" Service.max_n))
+        (run (config n)))
+    [ Service.max_n + 1; 1_000_000_000 ];
+  Alcotest.(check int) "nothing built" misses
+    (Service.cache_stats t).Structcache.misses;
+  Alcotest.(check string) "stats unchanged" stats_before (run stats);
+  Alcotest.(check (list (pair string int)))
+    "shard totals unchanged" [ ("a", 3) ] (Service.shard_totals t);
+  Alcotest.(check bool) "same accumulator, same counts" true
+    (Service.merged t == acc
+    && Option.map Suffstat.counts (Service.merged t) = counts_before);
+  Alcotest.(check string) "previous config still serves"
+    (Service.rendered_observe_ok ~shard:"a" ~added:1 ~shard_total:4)
+    (run {|{"cmd":"observe","shard":"a","xs":[63]}|})
 
 (* --- replay: the determinism contract, fed by harness streams --- *)
 
@@ -578,15 +623,15 @@ let test_replay_identical () =
   let values = Array.init 30_000 (fun _ -> Alias.draw alias r) in
   List.iter
     (fun shards ->
-      let rep = Service.replay ~part ~dstar ~eps ~shards values in
+      let rep = Refkit.Replay.replay ~part ~dstar ~eps ~shards values in
       Alcotest.(check bool)
         (Printf.sprintf "%d shards identical" shards)
-        true rep.Service.identical;
+        true rep.Refkit.Replay.identical;
       Alcotest.(check bool)
         (Printf.sprintf "%d shards z bit-equal" shards)
         true
-        (Float.equal rep.Service.single_z rep.Service.fold_z
-        && Float.equal rep.Service.single_z rep.Service.tree_z))
+        (Float.equal rep.Refkit.Replay.single_z rep.Refkit.Replay.fold_z
+        && Float.equal rep.Refkit.Replay.single_z rep.Refkit.Replay.tree_z))
     [ 1; 2; 3; 8; 17 ]
 
 let test_replay_matches_harness_trials () =
@@ -613,11 +658,11 @@ let test_replay_matches_harness_trials () =
         let direct = Suffstat.create ~part in
         Suffstat.observe_counts direct counts;
         let expected = Suffstat.verdict direct ~dstar ~eps in
-        let rep = Service.replay ~part ~dstar ~eps ~shards:4 stream in
-        rep.Service.identical
-        && Verdict.equal rep.Service.single_verdict expected
-        && Verdict.equal rep.Service.fold_verdict expected
-        && Verdict.equal rep.Service.tree_verdict expected)
+        let rep = Refkit.Replay.replay ~part ~dstar ~eps ~shards:4 stream in
+        rep.Refkit.Replay.identical
+        && Verdict.equal rep.Refkit.Replay.single_verdict expected
+        && Verdict.equal rep.Refkit.Replay.fold_verdict expected
+        && Verdict.equal rep.Refkit.Replay.tree_verdict expected)
   in
   Alcotest.(check bool) "every trial agrees" true
     (Array.for_all (fun ok -> ok) agreements)
@@ -634,9 +679,9 @@ let test_replay_rejects_bad_args () =
          with Invalid_argument _ -> true))
     [
       ( "empty corpus",
-        fun () -> Service.replay ~part ~dstar ~eps:0.25 ~shards:2 [||] );
+        fun () -> Refkit.Replay.replay ~part ~dstar ~eps:0.25 ~shards:2 [||] );
       ( "zero shards",
-        fun () -> Service.replay ~part ~dstar ~eps:0.25 ~shards:0 [| 1 |] );
+        fun () -> Refkit.Replay.replay ~part ~dstar ~eps:0.25 ~shards:0 [| 1 |] );
     ]
 
 let test_family_of_spec () =
@@ -647,14 +692,18 @@ let test_family_of_spec () =
       | Error e -> Alcotest.failf "%s rejected: %s" spec e)
     [
       "uniform"; "staircase:4"; "khist:8"; "zipf:1.1"; "geometric:0.9";
-      "comb:5"; "bimodal"; "spiked:3"; "monotone:1.5";
+      "comb:5"; "bimodal"; "spiked:3"; "monotone:1.5"; "paninski:0.1";
     ];
   List.iter
     (fun spec ->
       match Service.family_of_spec ~n:128 ~seed:1 spec with
       | Ok _ -> Alcotest.failf "%s accepted" spec
       | Error _ -> ())
-    [ "nonsense"; "staircase"; "staircase:x"; "zipf" ]
+    [
+      "nonsense"; "staircase"; "staircase:x"; "zipf";
+      (* constructor refusals: c·ε ≥ 1, k < 1 *)
+      "paninski:0.2"; "staircase:0";
+    ]
 
 (* --- Scan: the zero-allocation wire fast path --- *)
 
@@ -809,8 +858,7 @@ let prop_jsonl_fuzz_roundtrip =
 
 (* --- batched serve engine --- *)
 
-let serve_in_memory ?(batch = 1) ?(fast_path = true) ?(t = Service.create ())
-    lines =
+let serve_in_memory ?(batch = 1) ?(t = Service.create ()) lines =
   let idx = ref 0 in
   let read_line ~block:_ =
     if !idx < Array.length lines then begin
@@ -822,7 +870,7 @@ let serve_in_memory ?(batch = 1) ?(fast_path = true) ?(t = Service.create ())
   in
   let out = Buffer.create 4096 in
   let stats =
-    Service.serve t ~batch ~fast_path ~read_line
+    Service.serve t ~batch ~read_line
       ~write:(fun b -> Buffer.add_buffer out b)
   in
   (Buffer.contents out, stats)
@@ -830,9 +878,9 @@ let serve_in_memory ?(batch = 1) ?(fast_path = true) ?(t = Service.create ())
 (* Random protocol scripts: canonical and whitespace-y ingest lines
    (in- and out-of-domain values, so error paths are exercised),
    reconfigs, verdicts, garbage, blanks, the odd quit.  Serving any of
-   them batched, fast-path-on must be byte-identical to the
-   unbatched strict-parser loop — the same contract E21 gates, here on
-   adversarial scripts rather than throughput-shaped ones. *)
+   them batched must be byte-identical to the line-at-a-time oracle —
+   the same contract E21 gates, here on adversarial scripts rather than
+   throughput-shaped ones. *)
 let random_script r =
   let n = 64 + Randkit.Rng.int r 192 in
   let config ~seed =
@@ -880,10 +928,10 @@ let prop_serve_batched_identical =
     (fun seed ->
       let r = Randkit.Rng.create ~seed in
       let script = random_script r in
-      let ref_out, _ = serve_in_memory ~batch:1 ~fast_path:false script in
+      let ref_out, _ = Refkit.Strict_serve.transcript script in
       List.for_all
         (fun batch ->
-          let out, _ = serve_in_memory ~batch ~fast_path:true script in
+          let out, _ = serve_in_memory ~batch script in
           String.equal out ref_out)
         [ 1; 7; 16; 64 ])
 
@@ -906,12 +954,11 @@ let test_serve_blank_and_quit () =
   Alcotest.(check int) "answered up to quit" 3 stats.Service.requests;
   let lines = String.split_on_char '\n' (String.trim out) in
   Alcotest.(check int) "three response lines" 3 (List.length lines);
-  let ref_out, ref_stats = serve_in_memory ~batch:1 ~fast_path:false script in
-  Alcotest.(check string) "batched = unbatched" ref_out out;
-  Alcotest.(check int) "same request count" ref_stats.Service.requests
+  let ref_out, ref_requests = Refkit.Strict_serve.transcript script in
+  Alcotest.(check string) "batched = line-at-a-time oracle" ref_out out;
+  Alcotest.(check int) "same request count" ref_requests
     stats.Service.requests;
   Alcotest.(check bool) "fast path was used" true (stats.Service.fast_hits > 0);
-  Alcotest.(check int) "strict loop never scans" 0 ref_stats.Service.fast_hits;
   Alcotest.(check bool) "batch < 1 rejected" true
     (try
        ignore (serve_in_memory ~batch:0 script);
@@ -1013,20 +1060,21 @@ let test_service_cache_stats_protocol () =
   Alcotest.(check (option int)) "served misses" (Some 2)
     (Option.bind (Jsonl.member "misses" resp) Jsonl.to_int)
 
-(* The overflow regression at the daemon boundary: on both paths a
+(* The overflow regression at the daemon boundary: on both decoders a
    counts vector whose sum would wrap [max_int], or would push the
    accumulator's total past 2^53, gets the error and leaves [stats]
    exactly as it was.  Every entry has at most 15 digits, so the fast
-   path claims the lines. *)
+   path claims the lines unless spaces inside the array send them to
+   the strict decoder. *)
 let test_counts_total_bound () =
   let n = 8192 in
   let big = 999_999_999_999_999 in
-  let counts_line f =
-    Printf.sprintf {|{"cmd":"counts","shard":"a","counts":[%s]}|}
-      (String.concat "," (List.init n (fun i -> string_of_int (f i))))
-  in
   let stats = {|{"cmd":"stats"}|} in
-  let script =
+  let script sep =
+    let counts_line f =
+      Printf.sprintf {|{"cmd":"counts","shard":"a","counts":[%s]}|}
+        (String.concat sep (List.init n (fun i -> string_of_int (f i))))
+    in
     [|
       Printf.sprintf
         {|{"cmd":"config","n":%d,"family":"uniform","eps":0.25,"cells":8,"seed":1}|}
@@ -1045,8 +1093,8 @@ let test_counts_total_bound () =
     Service.rendered_error "Suffstat.observe_counts: total would exceed 2^53"
   in
   List.iter
-    (fun (label, batch, fast_path) ->
-      let out, served = serve_in_memory ~batch ~fast_path script in
+    (fun (label, batch, sep, counts_fast) ->
+      let out, served = serve_in_memory ~batch (script sep) in
       let r = Array.of_list (String.split_on_char '\n' out) in
       Alcotest.(check string) (label ^ ": wrapping sum refused") refused r.(3);
       Alcotest.(check string) (label ^ ": stats unchanged") r.(2) r.(4);
@@ -1057,11 +1105,12 @@ let test_counts_total_bound () =
         r.(5);
       Alcotest.(check string) (label ^ ": past 2^53 refused") refused r.(7);
       Alcotest.(check string) (label ^ ": stats unchanged again") r.(6) r.(8);
-      Alcotest.(check bool)
+      (* the observe line always takes the fast path *)
+      Alcotest.(check int)
         (label ^ ": decoded by the intended path")
-        fast_path
-        (served.Service.fast_hits > 0))
-    [ ("strict", 1, false); ("fast path", 64, true) ]
+        (if counts_fast then 4 else 1)
+        served.Service.fast_hits)
+    [ ("strict", 1, ", ", false); ("fast path", 64, ",", true) ]
 
 (* --- batched ingest: partial-prefix error semantics --- *)
 
@@ -1341,9 +1390,9 @@ let prop_engine_matches_reference =
     (fun seed ->
       let script = engine_script (Randkit.Rng.create ~seed) in
       List.for_all
-        (fun (batch, fast_path) ->
+        (fun batch ->
           let t = Service.create () and reference = Ref_engine.create () in
-          let ex = Service.Batch.create ~batch ~fast_path t in
+          let ex = Service.Batch.create ~batch t in
           let out = Buffer.create 4096 and ref_out = Buffer.create 4096 in
           let stopped = ref false and ok = ref true in
           let check () =
@@ -1381,32 +1430,7 @@ let prop_engine_matches_reference =
             script;
           if not !stopped then execute ();
           !ok)
-        [ (1, false); (1, true); (7, true); (64, true) ])
-
-(* --- corpus files --- *)
-
-let test_corpus_of_file () =
-  let path = Filename.temp_file "histotest_corpus" ".txt" in
-  let write s =
-    let oc = open_out path in
-    output_string oc s;
-    close_out oc
-  in
-  write " 1 \n\n2\n-3\n";
-  (match Service.corpus_of_file path with
-  | Ok xs ->
-      Alcotest.(check (array int)) "values, blanks skipped" [| 1; 2; -3 |] xs
-  | Error e -> Alcotest.fail e);
-  write "1\n\n2\nx7\n3\n";
-  (match Service.corpus_of_file path with
-  | Error e ->
-      Alcotest.(check string) "line-numbered error"
-        (path ^ ":4: not an integer") e
-  | Ok _ -> Alcotest.fail "malformed corpus accepted");
-  Sys.remove path;
-  match Service.corpus_of_file path with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing file accepted"
+        [ 1; 7; 64 ])
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -1451,7 +1475,6 @@ let () =
           Alcotest.test_case "rendered responses" `Quick test_rendered_responses;
           Alcotest.test_case "partial batch ingest" `Quick
             test_observe_sub_partial;
-          Alcotest.test_case "corpus files" `Quick test_corpus_of_file;
         ] );
       ( "structcache",
         [
@@ -1473,6 +1496,7 @@ let () =
             test_counts_negative_leaves_no_partial_state;
           Alcotest.test_case "counts total bounded by 2^53" `Quick
             test_counts_total_bound;
+          Alcotest.test_case "config n capped" `Quick test_config_n_capped;
         ] );
       ( "storage",
         [
