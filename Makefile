@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint lint-json lint-fixtures bench-smoke bench-parallel bench-closest bench-counts bench-merge bench-serve bench-net bench clean
+.PHONY: all build test sloc lint lint-json lint-fixtures bench-smoke bench-parallel bench-closest bench-counts bench-merge bench-serve bench-net bench clean
 
 all: build
 
@@ -10,11 +10,21 @@ build:
 test:
 	dune runtest
 
+# Line counts the net-lines gates read: production OCaml (lib/ + bin/,
+# .ml and .mli) and the test-only reference library (test/reference/),
+# whose sum is what a simplicity change must shrink.
+sloc:
+	@lb=$$(cat $$(find lib bin \( -name '*.ml' -o -name '*.mli' \)) | wc -l); \
+	rk=$$(cat $$(find test/reference \( -name '*.ml' -o -name '*.mli' \)) | wc -l); \
+	echo "lib+bin $$lb"; echo "test/reference $$rk"; echo "total $$((lb + rk))"
+
 # Static invariants: histolint scans the compiled typedtrees
 # (_build/default/**/*.cmt) for determinism and float-discipline
 # violations plus the v2 interprocedural passes — domain-safety of
 # closures handed to Parkit.Pool, and [@histolint.hot] allocation
-# discipline (see DESIGN.md "Static invariants").  Per-unit function
+# discipline, and dead/unreferenced-export: every val a lib/ .mli
+# exports is referenced by another production unit or carries an audited
+# [@@histolint.keep "reason"] (see DESIGN.md "Static invariants").  Per-unit function
 # summaries are cached under _build/default/.histolint-summaries keyed
 # by cmt digest, so a warm re-run only re-summarizes changed modules.
 # Non-zero exit on any unsuppressed error-severity finding or unknown
@@ -28,7 +38,7 @@ lint:
 # artifact flowing even when the scan has findings; `make lint` is the
 # gate.
 lint-json:
-	dune build @default
+	dune build @default @check
 	-dune exec bin/histolint.exe -- --json --summaries _build/histolint-cache --lib-prefix test/reference/ _build/default > _build/histolint.json
 	@echo "wrote _build/histolint.json"
 
@@ -40,8 +50,8 @@ lint-fixtures:
 	@echo "regenerated test/lint_fixtures/GOLDEN.txt"
 
 # One quick experiment per family (E1 accuracy sweep, E10 ablation, E17
-# parallel engine): CI-style verification that harness changes did not
-# regress behaviour, without a full sweep.
+# parallel engine, E21 serve-path transcript gate): CI-style verification
+# that harness changes did not regress behaviour, without a full sweep.
 bench-smoke:
 	dune build @bench-smoke
 

@@ -13,7 +13,7 @@
      D&C     — Closest.fit_cells, the monotone-argmin fast path
                (re-builds its own index, so its total time is
                build + DP; the DP split reported is total - build);
-     dense   — Closest.fit_cells_dense, the Theta(K^2 k) reference
+     dense   — Refkit.Closest_dense.fit_cells, the Theta(K^2 k) reference
                with its K x K cost matrix.
 
    Every row cross-checks the two paths: exact_match is true iff the
@@ -84,7 +84,7 @@ let measure ~seed ~cells ~k =
     alloc_timed (fun () -> Closest.fit_cells cs ~k)
   in
   let (cost_dense, starts_dense), t_dense, dense_mb =
-    alloc_timed (fun () -> Closest.fit_cells_dense cs ~k)
+    alloc_timed (fun () -> Refkit.Closest_dense.fit_cells cs ~k)
   in
   let exact =
     Float.equal cost_fast cost_dense

@@ -25,7 +25,7 @@
       trial ensembles on yes/no instances across an (n, k, eps) grid,
       stream vs counts; the two-proportion z-score must stay below 5.
       The two paths consume generators differently, so this is the same
-      pin discipline as fit_cells_dense: distributional, never
+      pin discipline as Refkit.Closest_dense: distributional, never
       bit-exact.
 
    One machine-readable line per run is appended to BENCH_counts.json. *)

@@ -120,7 +120,7 @@ let run_test family n k eps seed trials paper tester_name jobs oracle =
           let accepts = ref 0 in
           Array.iteri
             (fun i v ->
-              if v = Verdict.Accept then incr accepts;
+              if Verdict.equal v Verdict.Accept then incr accepts;
               Format.printf "trial %d: %a@." (i + 1) Verdict.pp v)
             verdicts;
           if trials > 1 then
@@ -239,8 +239,8 @@ let run_closeness fam1 fam2 n eps seed trials jobs =
           let accepts = ref 0 in
           Array.iteri
             (fun i out ->
-              if out.Histotest.Closeness.verdict = Verdict.Accept then
-                incr accepts;
+              if Verdict.equal out.Histotest.Closeness.verdict Verdict.Accept
+              then incr accepts;
               Format.printf "trial %d: %a (Z = %.1f vs %.1f, %d samples)@."
                 (i + 1) Verdict.pp out.Histotest.Closeness.verdict
                 out.Histotest.Closeness.statistic
@@ -370,7 +370,10 @@ let run_test_file path domain k eps seed trials jobs oracle =
         let accepts = ref 0 in
         Array.iteri
           (fun i report ->
-            if report.Histotest.Hist_tester.verdict = Verdict.Accept then
+            if
+              Verdict.equal report.Histotest.Hist_tester.verdict
+                Verdict.Accept
+            then
               incr accepts;
             Format.printf "trial %d:@.%a@." (i + 1)
               Histotest.Hist_tester.pp_report report)

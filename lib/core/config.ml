@@ -65,7 +65,7 @@ let paper =
      threshold (half the final one in chi^2 units) clears noise too.
 
    Experiments E1/E2 validate the profile end to end. *)
-let practical =
+let default =
   {
     c_test = 60.;
     z_threshold_div = 6.;
@@ -84,8 +84,6 @@ let practical =
     sieve_delta_mult = 10.;
     sieve_reps_cap = 3;
   }
-
-let default = practical
 
 let scale_budget t factor =
   if factor <= 0. then invalid_arg "Config.scale_budget: factor <= 0";

@@ -7,13 +7,14 @@
     confidence δ = 1/(10(k+1)), the 10·U / 2·U / stage-1 sieve schedule of
     §3.2.1 with U = m·α²).
 
-    [practical] keeps every structural choice — the √n/ε² scaling, the
-    log k iteration schedule, the k·log k removal budget, all threshold
-    ratios — and re-balances only the leading constants, which are proof
-    artifacts that put the statistical regimes out of reach at laptop n;
-    the comment in the implementation derives the margins and experiments
-    E1/E2 validate them end to end.  The sieve knobs exist so experiment
-    E10 (the corrigendum-focused ablation) can vary the schedule. *)
+    [default], the practical profile, keeps every structural choice —
+    the √n/ε² scaling, the log k iteration schedule, the k·log k removal
+    budget, all threshold ratios — and re-balances only the leading
+    constants, which are proof artifacts that put the statistical regimes
+    out of reach at laptop n; the comment in the implementation derives
+    the margins and experiments E1/E2 validate them end to end.  The
+    sieve knobs exist so experiment E10 (the corrigendum-focused
+    ablation) can vary the schedule. *)
 
 type t = {
   c_test : float;  (** χ² tester budget: m = c_test·√n/ε² *)
@@ -38,10 +39,7 @@ type t = {
 }
 
 val paper : t
-val practical : t
-
 val default : t
-(** = [practical]. *)
 
 val scale_budget : t -> float -> t
 (** Scale every sample budget (test, learner, partition) by a factor —

@@ -104,10 +104,6 @@ let run ?(config = Config.default) ?ws oracle ~k ~eps =
 
 let test ?config ?ws oracle ~k ~eps = (run ?config ?ws oracle ~k ~eps).verdict
 
-let run_boosted ?config ?ws ?(reps = 3) oracle ~k ~eps =
-  if reps < 1 then invalid_arg "Hist_tester.run_boosted: reps < 1";
-  Amplify.majority_vote ~trials:reps (fun _ -> test ?config ?ws oracle ~k ~eps)
-
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>verdict: %a (decided at %s)@," Verdict.pp r.verdict
     (stage_to_string r.decided_at);

@@ -57,16 +57,5 @@ val test :
 (** Just the verdict — with [ws] this is the allocation-free hot path the
     experiment harness runs per trial. *)
 
-val run_boosted :
-  ?config:Config.t ->
-  ?ws:Workspace.t ->
-  ?reps:int ->
-  Poissonize.oracle ->
-  k:int ->
-  eps:float ->
-  Verdict.t
-(** Majority vote of [reps] independent runs (each drawing fresh samples):
-    standard success-probability amplification of the 2/3 guarantee. *)
-
 val pp_report : Format.formatter -> report -> unit
 (** Multi-line human-readable rendering of a report. *)

@@ -1,9 +1,3 @@
-let run ?(config = Config.default) oracle ~dstar ~eps =
-  (* Plain (non-tolerant) identity testing against an explicit hypothesis:
-     the ADK15 machinery over the trivial partition.  Note the asymmetric
-     guarantee: acceptance is promised only when D is chi^2-close to D*,
-     which for identity (D = D∗) holds with divergence 0. *)
-  Adk15.run ~config oracle ~dstar ~eps
 
 let l2_run ?(config = Config.default) oracle ~dstar ~eps =
   (* l2-flavoured identity tester: the statistic

@@ -1,14 +1,5 @@
-(** Identity testing against an explicit hypothesis — thin wrappers packaging
-    the two statistics used across the repository. *)
-
-val run :
-  ?config:Config.t ->
-  Poissonize.oracle ->
-  dstar:Pmf.t ->
-  eps:float ->
-  Adk15.outcome
-(** χ² identity test over the trivial partition (accepts when D = D*,
-    rejects when ε-far). *)
+(** Identity testing against an explicit hypothesis with the ℓ2-style
+    statistic the CDGR16 baseline verifies its learned candidate with. *)
 
 val l2_run :
   ?config:Config.t ->

@@ -1,11 +1,3 @@
-type report = {
-  verdict : Verdict.t;
-  leaves : int;  (** flat intervals the recursion settled on *)
-  max_depth : int;
-  fitted_distance : float;  (** DP distance of the flattened estimate to H_k *)
-  samples_used : int;
-}
-
 let budget ?(config = Config.default) ~n ~k ~eps () =
   ignore config;
   (* sqrt(k n) * log n / eps^5 is ILR12's stated complexity; the eps power
@@ -34,9 +26,9 @@ let flat_enough ~counts ~lo ~hi ~eps =
     end
   end
 
-let run ?(config = Config.default) oracle ~k ~eps =
-  if k < 1 then invalid_arg "Ilr12.run: k must be at least 1";
-  if eps <= 0. || eps > 1. then invalid_arg "Ilr12.run: eps outside (0, 1]";
+let test ?(config = Config.default) oracle ~k ~eps =
+  if k < 1 then invalid_arg "Ilr12.test: k must be at least 1";
+  if eps <= 0. || eps > 1. then invalid_arg "Ilr12.test: eps outside (0, 1]";
   let n = oracle.Poissonize.n in
   let m = budget ~config ~n ~k ~eps () in
   (* Stage 1 — adaptive dyadic decomposition: one batch of samples feeds
@@ -45,11 +37,9 @@ let run ?(config = Config.default) oracle ~k ~eps =
      needs far more, no coarse histogram structure exists at all. *)
   let counts = oracle.Poissonize.exact m in
   let leaf_budget = 8 * k * Config.log2i n in
-  let leaves = ref [] and leaf_count = ref 0 in
-  let max_depth = ref 0 and exceeded = ref false in
-  let rec explore lo hi depth =
-    if not !exceeded then begin
-      if depth > !max_depth then max_depth := depth;
+  let leaves = ref [] and leaf_count = ref 0 and exceeded = ref false in
+  let rec explore lo hi =
+    if not !exceeded then
       if flat_enough ~counts ~lo ~hi ~eps || hi - lo <= 1 then begin
         leaves := (lo, hi) :: !leaves;
         incr leaf_count;
@@ -57,20 +47,12 @@ let run ?(config = Config.default) oracle ~k ~eps =
       end
       else begin
         let mid = (lo + hi) / 2 in
-        explore lo mid (depth + 1);
-        explore mid hi (depth + 1)
+        explore lo mid;
+        explore mid hi
       end
-    end
   in
-  explore 0 n 0;
-  if !exceeded then
-    {
-      verdict = Verdict.Reject;
-      leaves = !leaf_count;
-      max_depth = !max_depth;
-      fitted_distance = infinity;
-      samples_used = m;
-    }
+  explore 0 n;
+  if !exceeded then Verdict.Reject
   else begin
     (* Stage 2 — structure check: the empirical flattening over the
        decomposition is close to D (each leaf passed a flatness test), so
@@ -91,17 +73,5 @@ let run ?(config = Config.default) oracle ~k ~eps =
       |> Array.of_list
     in
     let cost, _ = Closest.fit_cells cells ~k in
-    let fitted_distance = 0.5 *. cost in
-    let verdict =
-      if fitted_distance <= eps /. 2. then Verdict.Accept else Verdict.Reject
-    in
-    {
-      verdict;
-      leaves = !leaf_count;
-      max_depth = !max_depth;
-      fitted_distance;
-      samples_used = m;
-    }
+    if 0.5 *. cost <= eps /. 2. then Verdict.Accept else Verdict.Reject
   end
-
-let test ?config oracle ~k ~eps = (run ?config oracle ~k ~eps).verdict

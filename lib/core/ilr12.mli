@@ -14,16 +14,5 @@
     decomposition explodes, or every leaf is conditionally flat — making
     the flattening close to D, so the DP fit stays ≥ ~ε/2. *)
 
-type report = {
-  verdict : Verdict.t;
-  leaves : int;
-  max_depth : int;
-  fitted_distance : float;
-      (** exact TV of the flattened empirical estimate to H_k;
-          [infinity] when the decomposition exploded *)
-  samples_used : int;
-}
-
 val budget : ?config:Config.t -> n:int -> k:int -> eps:float -> unit -> int
-val run : ?config:Config.t -> Poissonize.oracle -> k:int -> eps:float -> report
 val test : ?config:Config.t -> Poissonize.oracle -> k:int -> eps:float -> Verdict.t

@@ -1,9 +1,3 @@
-type report = {
-  verdict : Verdict.t;
-  hypothesis : Khist.t;
-  samples_used : int;
-}
-
 let budget ?(config = Config.default) ~n ~k ~eps () =
   (* sqrt(k n)/eps^3 * log n: the CDGR16 bound this baseline realizes. *)
   let fn = float_of_int n and fk = float_of_int k in
@@ -13,10 +7,10 @@ let budget ?(config = Config.default) ~n ~k ~eps () =
 
 let learn_budget ~k ~eps = Learn.budget ~k ~eps
 
-let run ?(config = Config.default) oracle ~k ~eps =
-  if k < 1 then invalid_arg "Learn_then_test.run: k must be at least 1";
+let test ?(config = Config.default) oracle ~k ~eps =
+  if k < 1 then invalid_arg "Learn_then_test.test: k must be at least 1";
   if eps <= 0. || eps > 1. then
-    invalid_arg "Learn_then_test.run: eps outside (0, 1]";
+    invalid_arg "Learn_then_test.test: eps outside (0, 1]";
   (* Stage 1 - agnostic TV learning of a candidate k-histogram.  If D is
      in H_k this lands TV-close to D; if D is far the hypothesis cannot be
      close, and stage 2 sees it. *)
@@ -25,13 +19,7 @@ let run ?(config = Config.default) oracle ~k ~eps =
   (* Stage 2 - verify with an l2-style identity test at eps/2 (the learned
      hypothesis is eps/10-ish close in the completeness case, so the test
      tolerance must sit between learning error and eps). *)
-  let verdict, _, _, m_test =
+  let verdict, _, _, _ =
     Identity.l2_run ~config oracle ~dstar ~eps:(eps /. 2.)
   in
-  {
-    verdict;
-    hypothesis = learned.Learn.hypothesis;
-    samples_used = learned.Learn.samples_used + m_test;
-  }
-
-let test ?config oracle ~k ~eps = (run ?config oracle ~k ~eps).verdict
+  verdict

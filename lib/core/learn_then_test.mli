@@ -9,16 +9,9 @@
     verification price).  Its sample budget and empirical error rates are
     what experiment E3 compares Algorithm 1 against. *)
 
-type report = {
-  verdict : Verdict.t;
-  hypothesis : Khist.t;  (** the learned candidate *)
-  samples_used : int;
-}
-
 val budget : ?config:Config.t -> n:int -> k:int -> eps:float -> unit -> int
 (** The √(kn)/ε³·log n planned budget (for the comparison table). *)
 
 val learn_budget : k:int -> eps:float -> int
 
-val run : ?config:Config.t -> Poissonize.oracle -> k:int -> eps:float -> report
 val test : ?config:Config.t -> Poissonize.oracle -> k:int -> eps:float -> Verdict.t

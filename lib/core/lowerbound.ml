@@ -1,9 +1,6 @@
 let paninski_instance ~n ~eps ?(c = 6.) ~rng () =
   Families.paninski ~n ~eps ~c ~rng
 
-let paninski_pair ~n ~eps ?c ~rng () =
-  (Pmf.uniform n, paninski_instance ~n ~eps ?c ~rng ())
-
 type supp_side = Small | Large
 
 let supp_size_m ~k =

@@ -14,10 +14,6 @@
 val paninski_instance :
   n:int -> eps:float -> ?c:float -> rng:Randkit.Rng.t -> unit -> Pmf.t
 
-val paninski_pair :
-  n:int -> eps:float -> ?c:float -> rng:Randkit.Rng.t -> unit -> Pmf.t * Pmf.t
-(** (uniform, a fresh Q_ε draw). *)
-
 type supp_side = Small | Large
 
 val supp_size_m : k:int -> int
@@ -38,6 +34,7 @@ val supp_size_pair :
 (** Both sides plus m, with independent permutations. *)
 
 val eps_embedded : Pmf.t -> eps:float -> eps1:float -> Pmf.t
+[@@histolint.keep "tested only by test_histotest; no production caller"]
 (** The ε-dilution trick closing §4.2 (adds one heavy element of mass
     1 − ε/ε₁; the domain grows by one). *)
 

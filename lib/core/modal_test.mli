@@ -10,5 +10,4 @@ type report = {
   samples_used : int;
 }
 
-val budget : n:int -> k:int -> eps:float -> int
 val run : Poissonize.oracle -> k:int -> eps:float -> report

@@ -16,18 +16,6 @@ let l2_sq a b =
       let d = pa.(i) -. pb.(i) in
       d *. d)
 
-let l2 a b = sqrt (l2_sq a b)
-
-let linf a b =
-  check_sizes "Distance.linf" a b;
-  let pa = Pmf.unsafe_array a and pb = Pmf.unsafe_array b in
-  let best = ref 0. in
-  for i = 0 to Array.length pa - 1 do
-    let d = Float.abs (pa.(i) -. pb.(i)) in
-    if d > !best then best := d
-  done;
-  !best
-
 let chi2 a ~against:b =
   check_sizes "Distance.chi2" a b;
   let pa = Pmf.unsafe_array a and pb = Pmf.unsafe_array b in
@@ -37,19 +25,6 @@ let chi2 a ~against:b =
     let d = pa.(i) -. pb.(i) in
     if pb.(i) > 0. then Numkit.Kahan.add acc (d *. d /. pb.(i))
     else if pa.(i) > 0. then infinite := true
-  done;
-  if !infinite then infinity else Numkit.Kahan.total acc
-
-let kl a ~against:b =
-  check_sizes "Distance.kl" a b;
-  let pa = Pmf.unsafe_array a and pb = Pmf.unsafe_array b in
-  let acc = Numkit.Kahan.create () in
-  let infinite = ref false in
-  for i = 0 to Array.length pa - 1 do
-    if pa.(i) > 0. then begin
-      if pb.(i) > 0. then Numkit.Kahan.add acc (pa.(i) *. log (pa.(i) /. pb.(i)))
-      else infinite := true
-    end
   done;
   if !infinite then infinity else Numkit.Kahan.total acc
 
@@ -83,19 +58,6 @@ let tv_mask mask a b =
   0.5
   *. Numkit.Kahan.sum_f (Array.length pa) (fun i ->
          if mask.(i) then Float.abs (pa.(i) -. pb.(i)) else 0.)
-
-let chi2_on iv a ~against:b =
-  check_sizes "Distance.chi2_on" a b;
-  let pa = Pmf.unsafe_array a and pb = Pmf.unsafe_array b in
-  let lo = Interval.lo iv and hi = Interval.hi iv in
-  let acc = Numkit.Kahan.create () in
-  let infinite = ref false in
-  for i = lo to hi - 1 do
-    let d = pa.(i) -. pb.(i) in
-    if pb.(i) > 0. then Numkit.Kahan.add acc (d *. d /. pb.(i))
-    else if pa.(i) > 0. then infinite := true
-  done;
-  if !infinite then infinity else Numkit.Kahan.total acc
 
 let chi2_mask mask a ~against:b =
   check_sizes "Distance.chi2_mask" a b;

@@ -6,22 +6,22 @@
     footnote 6 used by the sieved tester. All sums are compensated. *)
 
 val l1 : Pmf.t -> Pmf.t -> float
+[@@histolint.keep "[tv] runs it; test_distrib pins it directly"]
 val tv : Pmf.t -> Pmf.t -> float
-val l2 : Pmf.t -> Pmf.t -> float
 val l2_sq : Pmf.t -> Pmf.t -> float
-val linf : Pmf.t -> Pmf.t -> float
+[@@histolint.keep "tested only by test_distrib; no production caller"]
 
 val chi2 : Pmf.t -> against:Pmf.t -> float
 (** dχ²(a ‖ b); [infinity] when a places mass where b has none. *)
 
-val kl : Pmf.t -> against:Pmf.t -> float
 val hellinger : Pmf.t -> Pmf.t -> float
+[@@histolint.keep "tested only by test_distrib; no production caller"]
 
-val l1_on : Interval.t -> Pmf.t -> Pmf.t -> float
 val tv_on : Interval.t -> Pmf.t -> Pmf.t -> float
+[@@histolint.keep "tested only by test_distrib; no production caller"]
 
 val tv_mask : bool array -> Pmf.t -> Pmf.t -> float
+[@@histolint.keep "tested only by test_distrib; no production caller"]
 (** ½ Σ_{i : mask(i)} |a(i) − b(i)| — dTV restricted to the sieved domain G. *)
 
-val chi2_on : Interval.t -> Pmf.t -> against:Pmf.t -> float
 val chi2_mask : bool array -> Pmf.t -> against:Pmf.t -> float

@@ -13,8 +13,6 @@ let of_counts counts =
   if total <= 0 then invalid_arg "Empirical.of_counts: no samples";
   Pmf.of_weights (Array.map float_of_int counts)
 
-let of_samples ~n samples = of_counts (counts_of_samples ~n samples)
-
 let cell_counts part counts =
   if Array.length counts <> Partition.domain_size part then
     invalid_arg "Empirical.cell_counts: counts length mismatch";

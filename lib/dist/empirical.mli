@@ -3,13 +3,12 @@
     learner of Lemma 3.5. *)
 
 val counts_of_samples : n:int -> int array -> int array
+[@@histolint.keep "tested only by test_distrib; no production caller"]
 (** Occurrence counts N_i. @raise Invalid_argument on out-of-domain values. *)
 
 val of_counts : int array -> Pmf.t
 (** Plug-in (maximum-likelihood) distribution N_i / m.
     @raise Invalid_argument when all counts are zero. *)
-
-val of_samples : n:int -> int array -> Pmf.t
 
 val cell_counts : Partition.t -> int array -> int array
 (** Aggregate per-element counts into per-cell counts m_I. *)

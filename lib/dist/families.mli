@@ -2,14 +2,8 @@
     members of H_k (completeness instances), distributions far from H_k
     (soundness instances), and the paper's lower-bound constructions. *)
 
-val uniform : int -> Pmf.t
-(** The 1-histogram. *)
-
 val zipf : n:int -> s:float -> Pmf.t
 (** Power-law ranks — the classic database attribute-skew model. *)
-
-val geometric_like : n:int -> ratio:float -> Pmf.t
-(** p(i) ∝ ratio^i. *)
 
 val staircase : n:int -> k:int -> rng:Randkit.Rng.t -> Pmf.t
 (** k equal-width steps with random levels — an exactly-k-piece histogram
@@ -34,12 +28,7 @@ val spiked : n:int -> spikes:int -> spike_mass:float -> rng:Randkit.Rng.t -> Pmf
 val comb : n:int -> teeth:int -> Pmf.t
 (** Alternating high/low blocks: an exactly (2·teeth)-histogram. *)
 
-val discretized_gaussian : n:int -> mu:float -> sigma:float -> Pmf.t
 val bimodal : n:int -> Pmf.t
-
-val monotone_decreasing : n:int -> power:float -> Pmf.t
-(** p(i) ∝ (i+1)^(−power); smooth, far from coarse histograms for large
-    power. *)
 
 val of_spec : n:int -> rng:Randkit.Rng.t -> string -> (Pmf.t, string) result
 (** The family vocabulary the CLI and the daemon share: [uniform],

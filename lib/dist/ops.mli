@@ -14,10 +14,12 @@ val flatten : Pmf.t -> Partition.t -> Pmf.t
     I.  A member of H_K by construction. *)
 
 val flatten_outside : Pmf.t -> Partition.t -> keep_cells:bool array -> Pmf.t
+[@@histolint.keep "tested only by test_distrib; no production caller"]
 (** The D̃^J of Lemma 3.5: identical to D on the marked cells, flattened on
     the rest. *)
 
 val condition_on : Pmf.t -> Interval.t -> Pmf.t
+[@@histolint.keep "tested only by test_distrib; no production caller"]
 (** Conditional distribution on an interval (re-normalized, re-indexed
     from 0). @raise Invalid_argument on zero mass. *)
 

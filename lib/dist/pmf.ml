@@ -73,12 +73,3 @@ let equal ?(eps = tolerance) a b =
   size a = size b
   && Array.for_all2 (fun x y -> Float.abs (x -. y) <= eps) a.p b.p
 
-let pp ppf t =
-  Format.fprintf ppf "@[<h>pmf[n=%d](" (size t);
-  let shown = min 8 (size t) in
-  for i = 0 to shown - 1 do
-    if i > 0 then Format.fprintf ppf ", ";
-    Format.fprintf ppf "%.4g" t.p.(i)
-  done;
-  if size t > shown then Format.fprintf ppf ", ...";
-  Format.fprintf ppf ")@]"

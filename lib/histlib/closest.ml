@@ -2,9 +2,10 @@ type cell = { value : float; weight : float }
 (* [weight] is the l1 weight of the cell: its length for kept cells, 0 for
    cells excluded from the (restricted) domain. *)
 
-(* Both DP paths draw every segment cost from the same O(log K) oracle
-   (Numkit.Rank_index over the cells' value ranks), so their layer values
-   are comparable float for float: the dense path differs only in its
+(* Every segment cost comes from one O(log K) oracle (Numkit.Rank_index
+   over the cells' value ranks).  The dense reference in the test-only
+   refkit (Refkit.Closest_dense) builds the same oracle, so the two DPs'
+   layer values are comparable float for float: it differs only in its
    search strategy (exhaustive scan + Theta(K^2) cost matrix), which is
    exactly what the divide-and-conquer optimization replaces.  The fully
    independent cross-check is [brute_force_l1], which shares nothing but
@@ -29,38 +30,6 @@ let validate_fit name cells ~k =
   if kk = 0 then invalid_arg (name ^ ": no cells");
   if k <= 0 then invalid_arg (name ^ ": k must be positive");
   min k kk
-
-(* Reference implementation: the classic Theta(K^2 k) DP over a dense
-   K x K cost matrix.  Kept for cross-checking and ablation (E18 pins
-   fit_cells against it on every benchmark row); all production callers
-   go through [fit_cells]. *)
-let fit_cells_dense cells ~k =
-  let kk = Array.length cells in
-  let k = validate_fit "Closest.fit_cells_dense" cells ~k in
-  let idx = oracle_of_cells cells in
-  let seg = Array.make_matrix kk kk 0. in
-  for l = 0 to kk - 1 do
-    for r = l to kk - 1 do
-      seg.(l).(r) <- Numkit.Rank_index.seg_cost idx ~lo:l ~hi:(r + 1)
-    done
-  done;
-  let dp = Array.make_matrix k kk infinity in
-  let choice = Array.make_matrix k kk 0 in
-  for r = 0 to kk - 1 do
-    dp.(0).(r) <- seg.(0).(r)
-  done;
-  for j = 1 to k - 1 do
-    for r = j to kk - 1 do
-      for l = j to r do
-        let c = dp.(j - 1).(l - 1) +. seg.(l).(r) in
-        if c < dp.(j).(r) then begin
-          dp.(j).(r) <- c;
-          choice.(j).(r) <- l
-        end
-      done
-    done
-  done;
-  (dp.(k - 1).(kk - 1), walk_starts choice ~k ~kk)
 
 (* Is the positive-weight value sequence monotone (either direction)?
    Zero-weight cells are cost-transparent — the segment cost ignores

@@ -19,10 +19,10 @@
     an ascending scan with a certified suffix-min cutoff instead — still
     exact, typically far below the dense candidate count and provably
     never above it.  Either way O(K log K + kK) memory, instead of the
-    classic Θ(K²k) time / Θ(K²) cost matrix — which is kept as
-    {!fit_cells_dense} for cross-checking (see bench E18).  Ties between
-    equal-cost piece starts are broken leftmost in all paths, so their
-    costs AND chosen breakpoints are bit-identical.
+    classic Θ(K²k) time / Θ(K²) cost matrix — which the test-only
+    [Refkit.Closest_dense] keeps for cross-checking (see bench E18).
+    Ties between equal-cost piece starts are broken leftmost in all
+    paths, so their costs AND chosen breakpoints are bit-identical.
 
     Note the fit is over all piecewise-constant functions with at most k
     pieces (no sum-to-one constraint): on a restricted domain the excluded
@@ -36,21 +36,6 @@ val fit_cells : cell array -> k:int -> float * int list
     conquer on value-monotone cells (O(k · K log K) oracle calls after
     an O(K log K) index build), certified pruned scan otherwise; no K×K
     allocation either way.  Leftmost argmin on ties. *)
-
-val fit_cells_dense : cell array -> k:int -> float * int list
-(** Reference implementation of {!fit_cells}: exhaustive Θ(K²k) DP over
-    a dense K×K cost matrix filled from the same segment-cost oracle,
-    with the same leftmost tie-break — so on every input it returns the
-    same cost and the same starts, float for float (QCheck-pinned; E18
-    asserts it per benchmark row).  Quadratic memory: cross-checking and
-    ablation only. *)
-
-val runs_of_pmf : ?mask:bool array -> Pmf.t -> cell array * int array
-(** The shared run decomposition: maximal runs of equal (value, kept)
-    status as DP cells, paired with each cell's starting domain
-    position.  Masked-out runs become zero-weight cells (split in two
-    when long enough to host an interior boundary; the second half-cell
-    starts at the run's midpoint). *)
 
 val cells_of_pmf : ?mask:bool array -> Pmf.t -> cell array
 (** [fst (runs_of_pmf ?mask pmf)] — the cells alone. *)
@@ -66,6 +51,6 @@ val witness : ?mask:bool array -> Pmf.t -> k:int -> float * Khist.t
 
 val brute_force_l1 : ?mask:bool array -> Pmf.t -> k:int -> float
 (** Exhaustive reference implementation, domains of size ≤ 16 only; used by
-    the test suite to certify the DP (and, unlike {!fit_cells_dense}, it
+    the test suite to certify the DP (and, unlike [Refkit.Closest_dense], it
     shares no oracle with the fast path). @raise Invalid_argument
     beyond. *)

@@ -12,6 +12,7 @@ val equi_depth : Pmf.t -> k:int -> Khist.t
 
 val v_optimal_cells :
   values:float array -> weights:float array -> k:int -> float * int list
+[@@histolint.keep "[v_optimal] runs it; test_histkit pins it directly"]
 (** Exact V-optimal (minimum weighted sum of squared errors) segmentation of
     a cell sequence into at most k pieces (Jagadish et al., VLDB'98 DP).
     Returns (cost, piece start indices, ascending, first = 0).  O(K²k). *)
@@ -22,6 +23,7 @@ val v_optimal : Pmf.t -> k:int -> Khist.t
 
 val greedy_merge_cells :
   values:float array -> weights:float array -> k:int -> (int * int) list
+[@@histolint.keep "[greedy_merge] runs it; test_histkit pins it directly"]
 (** Bottom-up greedy merging of adjacent cells (ADLS15-flavored
     near-linear-time alternative to the exact DP): repeatedly merge the
     adjacent pair with the smallest SSE increase until k segments remain.

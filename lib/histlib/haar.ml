@@ -92,8 +92,3 @@ let synopsis ?(clip = true) pmf ~b =
   in
   let approx = Pmf.of_weights (Array.map (fun x -> x +. 1e-300) rec_vals) in
   Khist.of_pmf approx
-
-let nonzero_count coeffs =
-  Array.fold_left
-    (fun acc c -> if not (Float.equal c 0.) then acc + 1 else acc)
-    0 coeffs

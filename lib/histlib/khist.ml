@@ -73,11 +73,3 @@ let flatten_pmf pmf part =
   in
   { part; levels }
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>khist (%d pieces over [0, %d)):@," (pieces t)
-    (domain_size t);
-  Partition.iteri
-    (fun j cell ->
-      Format.fprintf ppf "  %a -> %.6g@," Interval.pp cell t.levels.(j))
-    t.part;
-  Format.fprintf ppf "@]"

@@ -14,23 +14,25 @@ val make : Partition.t -> float array -> t
 val partition : t -> Partition.t
 val levels : t -> float array
 val pieces : t -> int
-val domain_size : t -> int
 val level : t -> int -> float
 
 val value_at : t -> int -> float
 (** Value at a domain point (O(log pieces)). *)
 
 val total_mass : t -> float
+[@@histolint.keep "tested only by test_histkit; no production caller"]
 
 val to_pmf : t -> Pmf.t
 (** @raise Invalid_argument if the represented mass is not 1. *)
 
 val breakpoints_of_pmf : ?eps:float -> Pmf.t -> int list
+[@@histolint.keep "[of_pmf] runs it; test_histkit pins it directly"]
 (** Positions i ≥ 1 with |D(i) − D(i−1)| > eps (default: exact
     inequality), ascending — the paper's breakpoints. *)
 
 val pieces_of_pmf : ?eps:float -> Pmf.t -> int
 val is_k_histogram : ?eps:float -> Pmf.t -> k:int -> bool
+[@@histolint.keep "tested only by test_histkit; no production caller"]
 
 val of_pmf : ?eps:float -> Pmf.t -> t
 (** Exact piecewise-constant decomposition into maximal constant runs. *)
@@ -42,5 +44,3 @@ val breakpoint_cells : Pmf.t -> Partition.t -> bool array
 val flatten_pmf : Pmf.t -> Partition.t -> t
 (** The histogram whose cell levels are the conditional-uniform masses
     D(I)/|I|. *)
-
-val pp : Format.formatter -> t -> unit

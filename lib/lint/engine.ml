@@ -11,8 +11,6 @@
 
 type config = { lib_prefixes : string list; summaries_dir : string option }
 
-let default_config = { lib_prefixes = []; summaries_dir = None }
-
 type report = {
   findings : Finding.t list;
   suppressed : Finding.t list;
@@ -386,7 +384,8 @@ type unit_info = {
   u_modname : string;
   u_source : string;
   u_structure : Typedtree.structure;
-  u_digest : string;
+  u_intf : Typedtree.signature option;  (* from the sibling .cmti *)
+  u_digest : string;  (* of the .cmt and the .cmti *)
 }
 
 let load_unit path =
@@ -397,12 +396,26 @@ let load_unit path =
   | Some cmt -> (
       match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
       | Cmt_format.Implementation structure, Some source ->
+          let cmti = Filename.remove_extension path ^ ".cmti" in
+          let intf =
+            match
+              (try Some (Cmt_format.read_cmt cmti) with _ -> None)
+            with
+            | Some { Cmt_format.cmt_annots = Cmt_format.Interface sg; _ } ->
+                Some sg
+            | _ -> None
+          in
+          let digest =
+            Digest.file path
+            ^ if Option.is_some intf then Digest.file cmti else ""
+          in
           Some
             {
               u_modname = cmt.Cmt_format.cmt_modname;
               u_source = normalize_source source;
               u_structure = structure;
-              u_digest = Digest.to_hex (Digest.file path);
+              u_intf = intf;
+              u_digest = Digest.to_hex (Digest.string digest);
             }
       | _ -> None)
 
@@ -417,7 +430,7 @@ let summarize config u =
   | None ->
       let ms =
         Summary.of_structure ~modname:u.u_modname ~source:u.u_source
-          u.u_structure
+          ?intf:u.u_intf u.u_structure
       in
       (match config.summaries_dir with
       | None -> ()
@@ -497,6 +510,98 @@ let scan_unit config table u msum =
     audit = allow_audits @ ctx.audits;
   }
 
+(* --- dead exports: a whole-program pass over the summaries --------------- *)
+
+(* ["A.B.f"] -> ["A.B.f"; "B.f"]: how a reference may spell the name,
+   whether or not the defining library is wrapped. *)
+let rec dotted_suffixes name =
+  match String.index_opt name '.' with
+  | None -> []
+  | Some i ->
+      name
+      :: dotted_suffixes (String.sub name (i + 1) (String.length name - i - 1))
+
+(* ["A.B.f"] -> ["A"; "A.B"]: every module whose whole use covers f. *)
+let enclosing_modules name =
+  let rec prefixes acc = function
+    | [] | [ _ ] -> []
+    | m :: rest ->
+        let p = if String.equal acc "" then m else acc ^ "." ^ m in
+        p :: prefixes p rest
+  in
+  prefixes "" (String.split_on_char '.' name)
+
+let dead_message name =
+  Printf.sprintf
+    "`%s` is exported but no other production unit references it \
+     (histolint --explain dead/unreferenced-export)"
+    name
+
+(* Subjects are the .mli values of lib/ units (refkit excluded); a subject
+   is live when a production unit other than its own references it, or
+   uses a module enclosing it whole.  A reasoned keep moves its finding to
+   [suppressed]; a reasonless one suppresses nothing and is itself a
+   finding.  Every keep is audited. *)
+let dead_exports config (summaries : Summary.module_summary list) =
+  let refs = Hashtbl.create 4096 and whole = Hashtbl.create 64 in
+  List.iter
+    (fun (ms : Summary.module_summary) ->
+      if Rules.is_production ~lib_prefixes:config.lib_prefixes ms.m_source
+      then begin
+        List.iter (fun r -> Hashtbl.add refs r ms.m_name) ms.m_refs;
+        List.iter (fun m -> Hashtbl.add whole m ms.m_name) ms.m_whole
+      end)
+    summaries;
+  let used_elsewhere (ms : Summary.module_summary) tbl keys =
+    List.exists
+      (fun k ->
+        List.exists
+          (fun u -> not (String.equal u ms.m_name))
+          (Hashtbl.find_all tbl k))
+      keys
+  in
+  let subject (ms : Summary.module_summary) =
+    Rules.applies Rules.Dead_unreferenced_export
+      (Rules.scope_of_path ~lib_prefixes:config.lib_prefixes ms.m_source)
+    && not (String.starts_with ~prefix:Rules.reference_prefix ms.m_source)
+  in
+  let check ms (e : Summary.export) =
+    let finding rule message =
+      { Finding.file = e.e_loc.s_file; line = e.e_loc.s_line;
+        col = e.e_loc.s_col; rule; message }
+    in
+    let dead =
+      if used_elsewhere ms refs (dotted_suffixes e.e_name)
+         || used_elsewhere ms whole (enclosing_modules e.e_name)
+      then []
+      else [ finding Rules.Dead_unreferenced_export (dead_message e.e_name) ]
+    in
+    match e.e_keep with
+    | None -> { empty_report with findings = dead }
+    | Some reason ->
+        let audit =
+          { Finding.au_file = e.e_loc.s_file; au_line = e.e_loc.s_line;
+            au_col = e.e_loc.s_col; au_kind = "keep";
+            au_rules = [ Rules.name Rules.Dead_unreferenced_export ];
+            au_reason = reason; au_used = not (List.is_empty dead) }
+        in
+        if Option.is_some reason then
+          { empty_report with suppressed = dead; audit = [ audit ] }
+        else
+          { findings =
+              finding Rules.Lint_unknown_allow
+                "[@@histolint.keep] is missing its mandatory reason string"
+              :: dead;
+            suppressed = [];
+            audit = [ audit ] }
+  in
+  List.fold_left
+    (fun acc (ms : Summary.module_summary) ->
+      if subject ms then
+        List.fold_left (fun acc e -> merge acc (check ms e)) acc ms.m_exports
+      else acc)
+    empty_report summaries
+
 (* --- recursive scan ----------------------------------------------------- *)
 
 let rec collect_cmts acc path =
@@ -522,15 +627,13 @@ let scan_units config units =
   let summaries = List.map (fun u -> (u, summarize config u)) units in
   let table = Summary.build_table (List.map snd summaries) in
   finalize
-    (List.fold_left
-       (fun acc (u, msum) -> merge acc (scan_unit config table u msum))
-       empty_report summaries)
+    (merge
+       (List.fold_left
+          (fun acc (u, msum) -> merge acc (scan_unit config table u msum))
+          empty_report summaries)
+       (dead_exports config (List.map snd summaries)))
 
 let scan_paths config paths =
   let cmts = List.fold_left collect_cmts [] paths |> List.sort String.compare in
   scan_units config (List.filter_map load_unit cmts)
 
-let scan_cmt config path =
-  match load_unit path with
-  | None -> empty_report
-  | Some u -> scan_units config [ u ]

@@ -7,7 +7,9 @@
     cross-module table.  Pass B walks each typedtree running the v1
     per-expression rules, the interprocedural domain-safety pass
     ({!Race}) at every [Parkit.Pool] call site, and the hot-path
-    allocation pass ({!Alloc}) over the summaries.
+    allocation pass ({!Alloc}) over the summaries.  Once every unit is
+    summarized, the dead-export pass checks each [lib/] interface's
+    values against the references of the other production units.
 
     Suppression: a [[@histolint.allow "rule"]] attribute on an
     expression or a [let]-binding suppresses matching findings inside
@@ -15,10 +17,11 @@
     rest of the file; [[@histolint.disjoint "reason"]] on a pool
     application suppresses that site's race findings;
     [[@histolint.alloc_ok "reason"]] on a sub-expression exempts its
-    allocations.  Every suppression site lands in the [audit] list
-    (with its reason and whether it covered anything), and naming an
-    unknown rule id — or omitting a mandatory reason — is itself a
-    [lint/unknown-allow] finding. *)
+    allocations; [[@@histolint.keep "reason"]] on an interface [val]
+    keeps an unreferenced export.  Every suppression site lands in the
+    [audit] list (with its reason and whether it covered anything), and
+    naming an unknown rule id — or omitting a mandatory reason — is
+    itself a [lint/unknown-allow] finding. *)
 
 type config = {
   lib_prefixes : string list;
@@ -29,16 +32,11 @@ type config = {
           caching (summaries are still computed in memory) *)
 }
 
-val default_config : config
-
 type report = {
   findings : Finding.t list;  (** live findings, sorted *)
   suppressed : Finding.t list;  (** suppressed by an allow attribute, sorted *)
   audit : Finding.audit list;  (** every suppression site, sorted *)
 }
-
-val empty_report : report
-val merge : report -> report -> report
 
 val errors : report -> int
 val warnings : report -> int
@@ -46,12 +44,6 @@ val warnings : report -> int
 val rule_counts : report -> (string * int) list
 (** Live findings per rule name, rules with zero findings omitted;
     ordered by the [Rules.all] declaration order. *)
-
-val scan_cmt : config -> string -> report
-(** Lint one [.cmt] file (the cross-module table then only contains
-    that unit's own summaries).  Files that are unreadable,
-    interface-only, or whose source path cannot be classified produce
-    an empty report. *)
 
 val scan_paths : config -> string list -> report
 (** Recursively collect [.cmt] files under each path (directories are

@@ -19,8 +19,6 @@ type verdict = {
           into a [lint/unknown-allow] finding) *)
 }
 
-val pool_entrypoints : string list
-
 val check_apply :
   table:Summary.table ->
   modname:string ->

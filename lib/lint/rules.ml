@@ -9,6 +9,7 @@ type t =
   | Par_raw_domain
   | Par_shared_mutable
   | Hot_alloc
+  | Dead_unreferenced_export
   | Lint_unknown_allow
 
 type scope = Lib | Lib_parallel | Bin | Test | Bench | Other
@@ -23,6 +24,7 @@ let all =
     Par_raw_domain;
     Par_shared_mutable;
     Hot_alloc;
+    Dead_unreferenced_export;
     Lint_unknown_allow;
   ]
 
@@ -35,6 +37,7 @@ let name = function
   | Par_raw_domain -> "par/raw-domain"
   | Par_shared_mutable -> "par/shared-mutable-capture"
   | Hot_alloc -> "hot/alloc"
+  | Dead_unreferenced_export -> "dead/unreferenced-export"
   | Lint_unknown_allow -> "lint/unknown-allow"
 
 let of_name s = List.find_opt (fun r -> String.equal (name r) s) all
@@ -42,7 +45,8 @@ let of_name s = List.find_opt (fun r -> String.equal (name r) s) all
 let severity = function
   | Poly_compare_structural -> Warn
   | Det_stdlib_random | Det_hashtbl_order | Det_wallclock | Float_poly_compare
-  | Par_raw_domain | Par_shared_mutable | Hot_alloc | Lint_unknown_allow ->
+  | Par_raw_domain | Par_shared_mutable | Hot_alloc | Dead_unreferenced_export
+  | Lint_unknown_allow ->
       Error
 
 let severity_name = function Warn -> "warning" | Error -> "error"
@@ -77,6 +81,10 @@ let describe = function
       "a function marked [@histolint.hot] (or one it calls) allocates; hot \
        paths must stay allocation-free, or audit the site with \
        [@histolint.alloc_ok \"reason\"]"
+  | Dead_unreferenced_export ->
+      "a value a lib/ .mli exports is referenced by no other production unit \
+       (test/*.ml does not count); delete it, drop it from the .mli, move it \
+       to refkit, or audit it with [@@histolint.keep \"reason\"]"
   | Lint_unknown_allow ->
       "a suppression attribute names an unknown rule id or is missing its \
        audit reason; suppressions must be checkable"
@@ -134,14 +142,35 @@ let explain = function
        Example finding:\n\
        \  let[@histolint.hot] f x = (x, x)\n\
        \  ^ tuple construction allocates 3 words per call."
+  | Dead_unreferenced_export ->
+      "dead/unreferenced-export — only what serves ships.\n\n\
+       Every `val` in the .mli of a lib/ unit must be referenced by some \
+       other production unit: lib/, bin/, bench/, perf/, examples/ or the \
+       test-only reference library test/reference/ (refkit, which the \
+       bench gates run against).  A reference is any qualified path the \
+       typedtree mentions — a call, a value passed as an argument, a name \
+       reached through `open` or a module alias.  A module used whole (a \
+       functor argument, a packed first-class module, a signature \
+       coercion, an `include`) counts as using every export.  References \
+       from test/*.ml do not count: a test that is an export's only caller \
+       tests code nothing ships.  Refkit itself is never a subject.\n\n\
+       Fixes, in order of preference: delete the value (and its tests); \
+       drop it from the .mli when its own module still uses it; move it to \
+       refkit when tests use it as a reference oracle.  Where a reason \
+       exists that the code does not show, audit the declaration:\n\
+       \  val f : int -> int [@@histolint.keep \"reason\"]\n\
+       The reason is mandatory and lands in the audit trail.\n\n\
+       Example finding:\n\
+       \  lib/x/m.mli: val helper : int -> int\n\
+       \  ^ only test/test_x.ml calls M.helper."
   | Lint_unknown_allow ->
       "lint/unknown-allow — suppressions must be checkable.\n\n\
        [@histolint.allow \"rule\"] must name rule ids the engine knows \
-       (see --rules), [@histolint.disjoint]/[@histolint.alloc_ok] must \
-       carry a non-empty reason string.  A typo'd rule id would otherwise \
-       silently suppress nothing (or worse, rot after a rename); a missing \
-       reason defeats the audit trail.  The engine exits non-zero on \
-       both."
+       (see --rules); [@histolint.disjoint], [@histolint.alloc_ok] and \
+       [@@histolint.keep] must carry a non-empty reason string.  A typo'd \
+       rule id would otherwise silently suppress nothing (or worse, rot \
+       after a rename); a missing reason defeats the audit trail.  The \
+       engine exits non-zero on both."
   | r ->
       (* v1 rules: the one-line description plus the suppression recipe. *)
       Printf.sprintf
@@ -167,6 +196,14 @@ let scope_of_path ~lib_prefixes path =
   else if has_prefix ~prefix:"bench/" path then Bench
   else Other
 
+let reference_prefix = "test/reference/"
+
+let is_production ~lib_prefixes path =
+  List.exists
+    (fun prefix -> has_prefix ~prefix path)
+    ([ "lib/"; "bin/"; "bench/"; "perf/"; "examples/"; reference_prefix ]
+    @ lib_prefixes)
+
 let applies rule scope =
   match (rule, scope) with
   | Det_stdlib_random, (Lib | Lib_parallel | Bin) -> true
@@ -180,6 +217,7 @@ let applies rule scope =
      the race rule polices pool *clients*. *)
   | Par_shared_mutable, (Lib | Bin) -> true
   | Hot_alloc, (Lib | Lib_parallel | Bin) -> true
+  | Dead_unreferenced_export, (Lib | Lib_parallel) -> true
   (* Not in Test scope: the fixture tree deliberately contains bad
      suppressions, and `make lint` scans those cmts. *)
   | Lint_unknown_allow, (Lib | Lib_parallel | Bin) -> true

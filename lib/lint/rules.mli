@@ -11,7 +11,9 @@
     [Parkit.Pool] must not capture shared mutable state) and
     [Hot_alloc] (functions marked [\[@histolint.hot\]] must not
     allocate, transitively), plus [Lint_unknown_allow] which polices
-    the suppression attributes themselves. *)
+    the suppression attributes themselves.  [Dead_unreferenced_export]
+    is whole-program: it checks every [lib/] interface against the
+    references the other production units make. *)
 
 type severity = Warn | Error
 
@@ -53,10 +55,17 @@ type t =
           allocator.  Audited escape hatch:
           [\[@histolint.alloc_ok "reason"\]] on the allocating
           sub-expression. *)
+  | Dead_unreferenced_export
+      (** A [val] in the interface of a [lib/] unit that no other
+          production unit references ({!is_production}; [test/*.ml]
+          does not count).  A module used whole counts as using all of
+          its exports.  Audited escape hatch:
+          [\[@@histolint.keep "reason"\]] on the [val]. *)
   | Lint_unknown_allow
       (** A [\[@histolint.allow\]] names a rule id the engine does not
-          know, or a [\[@histolint.disjoint\]]/[\[@histolint.alloc_ok\]]
-          is missing its mandatory reason string. *)
+          know, or a [\[@histolint.disjoint\]], [\[@histolint.alloc_ok\]]
+          or [\[@@histolint.keep\]] is missing its mandatory reason
+          string. *)
 
 (** Where a compilation unit lives, derived from its source path. *)
 type scope = Lib | Lib_parallel | Bin | Test | Bench | Other
@@ -84,3 +93,12 @@ val scope_of_path : lib_prefixes:string list -> string -> scope
     elsewhere — the linter's own test fixtures use this. *)
 
 val applies : t -> scope -> bool
+
+val reference_prefix : string
+(** ["test/reference/"]: the test-only reference library, which the
+    library rules cover but which is never a dead-export subject. *)
+
+val is_production : lib_prefixes:string list -> string -> bool
+(** Does a unit at this source path ship (or gate what ships)?  [lib/],
+    [bin/], [bench/], [perf/], [examples/], {!reference_prefix}, and any
+    of [lib_prefixes]. *)

@@ -348,11 +348,20 @@ type marker = {
   mutable mk_hits : int;  (** sites the marker covered *)
 }
 
+type export = {
+  e_name : string;  (** canonical, module-qualified *)
+  e_loc : sloc;  (** the [val] in the .mli *)
+  e_keep : string option option;  (** as {!reason_attr} *)
+}
+
 type module_summary = {
   m_name : string;  (** canonical module name *)
   m_source : string;  (** normalized source path *)
   m_funcs : func_summary list;
   m_markers : marker list;
+  m_refs : string list;  (** canonical value paths the unit mentions *)
+  m_whole : string list;  (** canonical module paths it uses whole *)
+  m_exports : export list;  (** the [val]s of its .mli *)
 }
 
 (* --- attribute helpers -------------------------------------------------- *)
@@ -759,7 +768,98 @@ let summarize_binding ~modname ~source (vb : Typedtree.value_binding) =
       Some (f, List.rev st.ws_markers)
   | _ -> None
 
-let of_structure ~modname ~source (str : Typedtree.structure) =
+(* --- references and exports (dead/unreferenced-export) ------------------ *)
+
+(* Every qualified path the unit mentions: values through [Texp_ident],
+   with local module aliases resolved to their target, and modules used
+   whole — functor arguments, packed first-class modules, signature
+   coercions, [include].  [open] needs no entry: the typer already
+   resolves an opened name to its full path.  Unqualified names other
+   than compilation units are the unit's own and are not recorded. *)
+let references (str : Typedtree.structure) =
+  let aliases = Hashtbl.create 8 in
+  let values = ref [] and whole = ref [] in
+  let rec resolve (p : Path.t) =
+    match p with
+    | Path.Pident id -> (
+        match Hashtbl.find_opt aliases (Ident.unique_name id) with
+        | Some target -> target
+        | None -> p)
+    | Path.Pdot (q, s) -> Path.Pdot (resolve q, s)
+    | p -> p
+  in
+  let note acc p =
+    match resolve p with
+    | Path.Pident id when not (Ident.persistent id) -> ()
+    | p -> acc := canonical_of_path p :: !acc
+  in
+  let rec alias id (me : Typedtree.module_expr) =
+    match me.mod_desc with
+    | Typedtree.Tmod_ident (p, _) ->
+        Hashtbl.replace aliases (Ident.unique_name id) (resolve p);
+        true
+    | Typedtree.Tmod_constraint (me, _, Typedtree.Tmodtype_implicit, _) ->
+        alias id me
+    | _ -> false
+  in
+  let default = Tast_iterator.default_iterator in
+  let module_expr sub (me : Typedtree.module_expr) =
+    (match me.mod_desc with
+    | Typedtree.Tmod_ident (p, _) -> note whole p
+    | _ -> ());
+    default.module_expr sub me
+  in
+  let module_binding sub (mb : Typedtree.module_binding) =
+    match mb.mb_id with
+    | Some id when alias id mb.mb_expr -> ()
+    | _ -> default.module_binding sub mb
+  in
+  let open_declaration sub (od : Typedtree.open_declaration) =
+    match od.open_expr.mod_desc with
+    | Typedtree.Tmod_ident _ -> ()
+    | _ -> default.open_declaration sub od
+  in
+  let expr sub (e : Typedtree.expression) =
+    match e.exp_desc with
+    | Typedtree.Texp_letmodule (Some id, _, _, me, body) when alias id me ->
+        sub.Tast_iterator.expr sub body
+    | Typedtree.Texp_ident (p, _, _) -> note values p
+    | _ -> default.expr sub e
+  in
+  let it =
+    { default with expr; module_expr; module_binding; open_declaration }
+  in
+  it.structure it str;
+  (List.sort_uniq String.compare !values, List.sort_uniq String.compare !whole)
+
+(* The [val]s an interface exports, nested signatures included; module
+   types and functors declare no values of their own. *)
+let exports ~modname ~source (sg : Typedtree.signature) =
+  let rec items prefix (sg : Typedtree.signature) =
+    List.concat_map
+      (fun (si : Typedtree.signature_item) ->
+        match si.sig_desc with
+        | Typedtree.Tsig_value vd ->
+            [
+              {
+                e_name = prefix ^ "." ^ vd.val_name.txt;
+                e_loc = sloc_of ~fallback:source vd.val_loc;
+                e_keep = reason_attr "histolint.keep" vd.val_attributes;
+              };
+            ]
+        | Typedtree.Tsig_module
+            {
+              md_name = { txt = Some m; _ };
+              md_type = { mty_desc = Typedtree.Tmty_signature sg; _ };
+              _;
+            } ->
+            items (prefix ^ "." ^ m) sg
+        | _ -> [])
+      sg.sig_items
+  in
+  items modname sg
+
+let of_structure ~modname ~source ?intf (str : Typedtree.structure) =
   let modname = canonical modname in
   let funcs = ref [] in
   let markers = ref [] in
@@ -777,18 +877,25 @@ let of_structure ~modname ~source (str : Typedtree.structure) =
             vbs
       | _ -> ())
     str.str_items;
+  let refs, whole = references str in
   {
     m_name = modname;
     m_source = source;
     m_funcs = List.rev !funcs;
     m_markers = List.rev !markers;
+    m_refs = refs;
+    m_whole = whole;
+    m_exports =
+      (match intf with
+      | None -> []
+      | Some sg -> exports ~modname ~source sg);
   }
 
 (* --- cache -------------------------------------------------------------- *)
 
 (* Bump when the summary model or the walk changes shape: stale caches
    must miss, not misparse. *)
-let cache_version = 1
+let cache_version = 2
 
 let cache_file dir ~modname ~digest =
   Filename.concat dir (Printf.sprintf "%s.%s.hsum" modname digest)

@@ -1,5 +1,6 @@
 (** Per-function summaries over the typedtree, plus the cross-module
-    table the interprocedural passes query.
+    table the interprocedural passes query, plus each unit's references
+    and interface values for the dead-export pass.
 
     For every top-level [let] in a compilation unit the summary
     records: the allocating constructs in its body, the calls it makes
@@ -29,8 +30,6 @@ val canonical_of_path : Path.t -> string
 
 val payload_strings : Parsetree.payload -> string list
 (** The string literals in an attribute payload. *)
-
-val has_attr : string -> Parsetree.attributes -> bool
 
 val reason_attr :
   string -> Parsetree.attributes -> string option option
@@ -75,8 +74,6 @@ val peel_function :
 (* -- the data model -- *)
 
 type sloc = { s_file : string; s_line : int; s_col : int; s_cnum : int }
-
-val sloc_of : fallback:string -> Location.t -> sloc
 
 type alloc_kind =
   | A_closure
@@ -128,19 +125,38 @@ type marker = {
   mutable mk_hits : int;
 }
 
+type export = {
+  e_name : string;  (** canonical, module-qualified *)
+  e_loc : sloc;  (** the [val] in the .mli *)
+  e_keep : string option option;
+      (** [[@@histolint.keep "reason"]], read as {!reason_attr} *)
+}
+
 type module_summary = {
   m_name : string;
   m_source : string;
   m_funcs : func_summary list;
   m_markers : marker list;
+  m_refs : string list;
+      (** every qualified value path the unit mentions, canonical, with
+          local module aliases resolved; [open]ed names arrive fully
+          qualified from the typer *)
+  m_whole : string list;
+      (** modules the unit uses whole: functor arguments, packed
+          first-class modules, signature coercions, [include] *)
+  m_exports : export list;  (** the [val]s of the unit's interface *)
 }
 
 val of_structure :
-  modname:string -> source:string -> Typedtree.structure -> module_summary
+  modname:string ->
+  source:string ->
+  ?intf:Typedtree.signature ->
+  Typedtree.structure ->
+  module_summary
+(** [intf] is the unit's typed interface (its [.cmti]); without one the
+    unit exports nothing the dead-export rule looks at. *)
 
 (* -- cache -- *)
-
-val cache_version : int
 
 val load : string -> modname:string -> digest:string -> module_summary option
 val store : string -> modname:string -> digest:string -> module_summary -> unit
@@ -150,12 +166,6 @@ val store : string -> modname:string -> digest:string -> module_summary -> unit
 type table
 
 val build_table : module_summary list -> table
-
-val find : table -> string -> func_summary option
-(** Lookup by canonical name; module-path suffixes of the definition
-    site are also indexed (["Service.render"] finds
-    ["Servicekit.Service.render"]), so references resolve however the
-    defining library is wrapped. *)
 
 val allocates : table -> string -> string option
 (** Transitive: a witness chain if calling [name] can allocate outside

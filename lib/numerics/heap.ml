@@ -5,8 +5,6 @@ type 'a t = {
 }
 
 let create ?(max_heap = false) () = { data = [||]; size = 0; max_heap }
-let size t = t.size
-let is_empty t = t.size = 0
 
 let better t a b = if t.max_heap then a > b else a < b
 

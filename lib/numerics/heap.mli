@@ -6,8 +6,6 @@ type 'a t
 val create : ?max_heap:bool -> unit -> 'a t
 (** Min-heap by default; [~max_heap:true] flips the order. *)
 
-val size : 'a t -> int
-val is_empty : 'a t -> bool
 val push : 'a t -> priority:float -> 'a -> unit
 
 val peek : 'a t -> (float * 'a) option

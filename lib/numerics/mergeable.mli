@@ -7,16 +7,15 @@
     and each module documents which it provides:
 
     - {b exact}: observable behaviour of the merged state is identical to
-      having fed one shard the concatenated stream ([Suffstat] counts,
-      [Count_min] rows — integer adds commute and associate exactly);
+      having fed one shard the concatenated stream ([Suffstat] counts —
+      integer adds commute and associate exactly);
     - {b distributional / ε-bounded}: the merged state obeys the same
       approximation guarantee as a single-stream state over the union
-      ([Gk] rank queries stay within ε·n; [Reservoir] remains a uniform
-      sample).
+      ([Gk] rank queries stay within ε·n).
 
     Identities are parameterized (an empty [Gk] summary carries an [eps],
-    an empty [Count_min] a seed and shape), so each implementation exposes
-    its own identity constructor rather than this signature forcing a
+    an empty [Suffstat] a partition), so each implementation exposes its
+    own identity constructor rather than this signature forcing a
     nullary [empty]. *)
 
 module type S = sig

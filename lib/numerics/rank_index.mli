@@ -28,6 +28,7 @@ val create : values:float array -> weights:float array -> t
     allowed (they never move the median and add nothing to any cost). *)
 
 val size : t -> int
+[@@histolint.keep "tested only by test_numkit; no production caller"]
 (** Number of positions indexed. *)
 
 val seg_cost : t -> lo:int -> hi:int -> float
@@ -36,8 +37,10 @@ val seg_cost : t -> lo:int -> hi:int -> float
     Invalid_argument if [not (0 <= lo < hi <= size t)]. *)
 
 val seg_median : t -> lo:int -> hi:int -> float
+[@@histolint.keep "[seg_cost] runs it; test_numkit pins it directly"]
 (** The weighted lower median of the range's values ([nan] when the
     range carries no weight) — the value attaining {!seg_cost}. *)
 
 val seg_weight : t -> lo:int -> hi:int -> float
+[@@histolint.keep "[seg_cost] runs it; test_numkit pins it directly"]
 (** Total weight on [\[lo, hi)]. *)

@@ -7,6 +7,7 @@
     instances of [doubling_first_true]. *)
 
 val first_true : lo:int -> hi:int -> (int -> bool) -> int option
+[@@histolint.keep "tested only by test_numkit; no production caller"]
 (** [first_true ~lo ~hi pred] is the smallest [x] in [lo, hi] with
     [pred x = true], assuming [pred] is monotone (false then true).
     [None] if [pred hi] is false. @raise Invalid_argument if [lo > hi]. *)
@@ -17,6 +18,7 @@ val doubling_first_true : start:int -> limit:int -> (int -> bool) -> int option
     @raise Invalid_argument if [start <= 0]. *)
 
 val bisect_float : lo:float -> hi:float -> eps:float -> (float -> float) -> float
+[@@histolint.keep "tested only by test_numkit; no production caller"]
 (** Root of a continuous function by bisection, given a sign change on
     [lo, hi]; stops when the bracket is narrower than [eps]. *)
 
@@ -27,6 +29,7 @@ val upper_bound : float array -> float -> int
 (** First index whose value is [> x] in a sorted array, or the length. *)
 
 val lower_bound_int : int array -> int -> int
+[@@histolint.keep "tested only by test_numkit; no production caller"]
 (** {!lower_bound} over a sorted [int array]. *)
 
 val upper_bound_int : int array -> int -> int

@@ -1,32 +1,20 @@
-type t = {
-  mutable count : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min : float;
-  mutable max : float;
-}
+type t = { mutable count : int; mutable mean : float; mutable m2 : float }
 
-let create () =
-  { count = 0; mean = 0.; m2 = 0.; min = infinity; max = neg_infinity }
+let create () = { count = 0; mean = 0.; m2 = 0. }
 
 let add t x =
   (* Welford's online update: numerically stable single pass. *)
   t.count <- t.count + 1;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.count);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.min then t.min <- x;
-  if x > t.max then t.max <- x
+  t.m2 <- t.m2 +. (delta *. (x -. t.mean))
 
-let count t = t.count
 let mean t = if t.count = 0 then nan else t.mean
 
 let variance t =
   if t.count < 2 then nan else t.m2 /. float_of_int (t.count - 1)
 
 let stddev t = sqrt (variance t)
-let min_value t = if t.count = 0 then nan else t.min
-let max_value t = if t.count = 0 then nan else t.max
 
 let of_array a =
   let t = create () in
@@ -34,8 +22,6 @@ let of_array a =
   t
 
 let mean_of a = mean (of_array a)
-let stddev_of a = stddev (of_array a)
-
 let quantile a q =
   if Array.length a = 0 then invalid_arg "Summary.quantile: empty array";
   if q < 0. || q > 1. then invalid_arg "Summary.quantile: q outside [0, 1]";

@@ -7,20 +7,17 @@ type t
 
 val create : unit -> t
 val add : t -> float -> unit
-val count : t -> int
 
 val mean : t -> float
 (** [nan] when empty. *)
 
 val variance : t -> float
+[@@histolint.keep "[stddev] roots it; the moment tests read it directly"]
 (** Unbiased sample variance; [nan] when fewer than two observations. *)
 
 val stddev : t -> float
-val min_value : t -> float
-val max_value : t -> float
 val of_array : float array -> t
 val mean_of : float array -> float
-val stddev_of : float array -> float
 
 val quantile : float array -> float -> float
 (** Type-7 (linear interpolation) sample quantile.
@@ -29,6 +26,7 @@ val quantile : float array -> float -> float
 val median : float array -> float
 
 val median_int : int array -> int
+[@@histolint.keep "tested only by test_numkit; no production caller"]
 (** Upper median of an int array (no interpolation); the median-trick
     amplifier uses this. *)
 
@@ -37,4 +35,5 @@ val prefix_sums : float array -> float array
     length is [Array.length a + 1]. *)
 
 val argmax : float array -> int
+[@@histolint.keep "tested only by test_numkit; no production caller"]
 (** Index of the (first) maximum. @raise Invalid_argument on empty input. *)

@@ -14,8 +14,6 @@ val add : t -> value:float -> weight:float -> unit
 (** Zero-weight adds are no-ops. @raise Invalid_argument on negative
     weight. *)
 
-val total_weight : t -> float
-
 val median : t -> float
 (** A weighted median of the values added so far; [nan] when empty. *)
 

@@ -17,6 +17,7 @@
 type t
 
 val create : ?grain:int -> ?minor_heap_words:int -> jobs:int -> unit -> t
+[@@histolint.keep "[with_pool] runs it; test_parkit pins it directly"]
 (** A pool running batches on [jobs] domains ([jobs - 1] spawned workers
     plus the submitting domain).  A 1-job pool spawns nothing, runs
     sequentially, and leaves the GC alone.
@@ -37,6 +38,7 @@ val create : ?grain:int -> ?minor_heap_words:int -> jobs:int -> unit -> t
 val jobs : t -> int
 
 val default_grain : jobs:int -> total:int -> int
+[@@histolint.keep "[map] runs it; test_parkit pins it directly"]
 (** [max 1 (total / (4 * jobs))] — about four claim rounds per domain:
     coarse enough that lock handoffs are negligible even for sub-millisecond
     trial bodies, fine enough that uneven per-index cost still balances. *)
@@ -49,6 +51,7 @@ val sequential : t
 (** The shared 1-job pool: a plain loop, always safe. *)
 
 val default_jobs : unit -> int
+[@@histolint.keep "[get_default] runs it; test_parkit pins it directly"]
 (** The [HISTOTEST_JOBS] environment variable if set to a positive
     integer, otherwise [Domain.recommended_domain_count ()]. *)
 
@@ -75,11 +78,13 @@ val init : t -> int -> (int -> 'a) -> 'a array
 (** [init pool n f] is [map] over indices [0 .. n-1], in index order. *)
 
 val iter : t -> ('a -> unit) -> 'a array -> unit
+[@@histolint.keep "tested only by test_parkit; no production caller"]
 (** [iter pool f arr] is {!map} for effectful [f], without building a
     result array.  Same concurrency contract as [map]; the join orders
     every effect of [f] before [iter] returns. *)
 
 val shutdown : t -> unit
+[@@histolint.keep "[with_pool] runs it; test_parkit pins it directly"]
 (** Join the worker domains.  The pool must not be used afterwards;
     shutting down [sequential] or an already-shut pool is a no-op. *)
 

@@ -5,6 +5,7 @@
     support-size reduction rests on a random permutation keeping this large. *)
 
 val of_mask : bool array -> int
+[@@histolint.keep "[of_points] runs it; test_intervals pins it directly"]
 (** Number of maximal [true]-runs. *)
 
 val of_points : n:int -> int list -> int
@@ -12,5 +13,6 @@ val of_points : n:int -> int list -> int
     @raise Invalid_argument if a point falls outside the domain. *)
 
 val right_borders : n:int -> int list -> int
+[@@histolint.keep "tested only by test_intervals; no production caller"]
 (** The X statistic from the proof of Lemma 4.4 (count of i in S with
     i+1 not in S, i < n−1); satisfies cover − 1 ≤ X ≤ cover. *)

@@ -11,9 +11,6 @@ let is_empty t = t.hi = t.lo
 let mem t i = t.lo <= i && i < t.hi
 let is_singleton t = length t = 1
 
-let compare a b =
-  match Int.compare a.lo b.lo with 0 -> Int.compare a.hi b.hi | c -> c
-
 let equal a b = a.lo = b.lo && a.hi = b.hi
 let contains ~outer ~inner = outer.lo <= inner.lo && inner.hi <= outer.hi
 
@@ -46,6 +43,3 @@ let iter f t =
   for i = t.lo to t.hi - 1 do
     f i
   done
-
-let pp ppf t = Format.fprintf ppf "[%d, %d)" t.lo t.hi
-let to_string t = Format.asprintf "%a" pp t

@@ -13,27 +13,31 @@ val hi : t -> int
 val length : t -> int
 val is_empty : t -> bool
 val mem : t -> int -> bool
+[@@histolint.keep "tested only by test_intervals; no production caller"]
 val is_singleton : t -> bool
 
-val compare : t -> t -> int
-(** Lexicographic on (lo, hi). *)
-
 val equal : t -> t -> bool
+[@@histolint.keep "tested only by test_intervals; no production caller"]
 
 val contains : outer:t -> inner:t -> bool
+[@@histolint.keep "tested only by test_intervals; no production caller"]
 val intersect : t -> t -> t option
 val disjoint : t -> t -> bool
+[@@histolint.keep "tested only by test_intervals; no production caller"]
 val adjacent : t -> t -> bool
+[@@histolint.keep "tested only by test_intervals; no production caller"]
 
 val union_adjacent : t -> t -> t
+[@@histolint.keep "tested only by test_intervals; no production caller"]
 (** @raise Invalid_argument unless the two intervals share an endpoint. *)
 
 val split_at : t -> int -> t * t
+[@@histolint.keep "tested only by test_intervals; no production caller"]
 (** [split_at t i] = ([lo, i), [i, hi)).
     @raise Invalid_argument unless [i] is strictly interior. *)
 
 val to_list : t -> int list
+[@@histolint.keep "tested only by test_intervals; no production caller"]
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
+[@@histolint.keep "tested only by test_intervals; no production caller"]
 val iter : (int -> unit) -> t -> unit
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -23,10 +23,6 @@ let make ~n cells =
   validate n cells;
   { n; cells }
 
-let of_array ~n cells =
-  validate n cells;
-  { n; cells = Array.copy cells }
-
 let of_breakpoints ~n breaks =
   (* [breaks] are interior cut positions: cell boundaries besides 0 and n. *)
   let breaks = List.sort_uniq Int.compare breaks in
@@ -57,8 +53,6 @@ let equal_width ~n ~cells:count =
 let domain_size t = t.n
 let cell_count t = Array.length t.cells
 let cell t i = t.cells.(i)
-let cells t = Array.copy t.cells
-let to_list t = Array.to_list t.cells
 
 let breakpoints t =
   Array.to_list t.cells
@@ -100,11 +94,3 @@ let restrict_mask t ~keep =
     t.cells;
   mask
 
-let pp ppf t =
-  Format.fprintf ppf "@[<h>{";
-  Array.iteri
-    (fun i cell ->
-      if i > 0 then Format.fprintf ppf ",@ ";
-      Interval.pp ppf cell)
-    t.cells;
-  Format.fprintf ppf "}@]"

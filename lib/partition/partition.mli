@@ -6,10 +6,9 @@
 type t
 
 val make : n:int -> Interval.t list -> t
+[@@histolint.keep "tested only by test_intervals; no production caller"]
 (** Validates contiguity, coverage and non-emptiness of every cell.
     @raise Invalid_argument on any violation. *)
-
-val of_array : n:int -> Interval.t array -> t
 
 val of_breakpoints : n:int -> int list -> t
 (** Partition cut at the given interior positions (deduplicated, sorted).
@@ -19,6 +18,7 @@ val trivial : n:int -> t
 (** The single-cell partition. *)
 
 val singletons : n:int -> t
+[@@histolint.keep "tested only by test_intervals; no production caller"]
 (** Every point its own cell. *)
 
 val equal_width : n:int -> cells:int -> t
@@ -30,9 +30,6 @@ val cell_count : t -> int
 val cell : t -> int -> Interval.t
 (** Cells are indexed left to right from 0. *)
 
-val cells : t -> Interval.t array
-val to_list : t -> Interval.t list
-
 val breakpoints : t -> int list
 (** Interior cut positions, ascending. *)
 
@@ -41,16 +38,17 @@ val find : t -> int -> int
     @raise Invalid_argument outside the domain. *)
 
 val fold : ('a -> Interval.t -> 'a) -> 'a -> t -> 'a
+[@@histolint.keep "tested only by test_intervals; no production caller"]
 val iteri : (int -> Interval.t -> unit) -> t -> unit
 
 val refine : t -> t -> t
+[@@histolint.keep "tested only by test_intervals; no production caller"]
 (** Common refinement (union of breakpoints). *)
 
 val is_refinement : coarse:t -> fine:t -> bool
+[@@histolint.keep "tested only by test_intervals; no production caller"]
 
 val restrict_mask : t -> keep:bool array -> bool array
 (** Point-level membership mask of the kept cells; [keep] is indexed by
     cell.  This is how the sieved domain [G] is passed to the restricted
     testers. *)
-
-val pp : Format.formatter -> t -> unit

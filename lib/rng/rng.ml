@@ -1,7 +1,6 @@
 type t = Xoshiro.t
 
 let create ~seed = Xoshiro.of_seed (Int64.of_int seed)
-let of_int64 seed = Xoshiro.of_seed seed
 let copy = Xoshiro.copy
 
 let split t =

@@ -6,7 +6,6 @@
 type t
 
 val create : seed:int -> t
-val of_int64 : int64 -> t
 
 val copy : t -> t
 (** Snapshot; the copy and the original evolve independently. *)
@@ -17,12 +16,14 @@ val split : t -> t
     splits differ. *)
 
 val bits64 : t -> int64
+[@@histolint.keep "the raw draw the stream-determinism tests pin"]
 
 val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound); rejection-sampled, no modulo
     bias. @raise Invalid_argument if [bound <= 0]. *)
 
 val int_in_range : t -> lo:int -> hi:int -> int
+[@@histolint.keep "tested only by test_randkit; no production caller"]
 (** Uniform on the inclusive range. @raise Invalid_argument if [lo > hi]. *)
 
 val float : t -> float -> float

@@ -6,10 +6,13 @@
     independent. *)
 
 val bernoulli : Rng.t -> float -> bool
+[@@histolint.keep "tested only by test_randkit; no production caller"]
 val exponential : Rng.t -> rate:float -> float
+[@@histolint.keep "tested only by test_randkit; no production caller"]
 val gaussian : Rng.t -> mu:float -> sigma:float -> float
 
 val geometric : Rng.t -> p:float -> int
+[@@histolint.keep "[poisson] runs it; test_randkit pins it directly"]
 (** Number of failures before the first success (support 0, 1, 2, ...). *)
 
 val poisson : Rng.t -> mean:float -> int
@@ -27,12 +30,14 @@ val binomial : Rng.t -> n:int -> p:float -> int
     @raise Invalid_argument if [n < 0] or [p] is NaN or outside [0, 1]. *)
 
 val binomial_waiting_time : Rng.t -> n:int -> p:float -> int
+[@@histolint.keep "one branch of [binomial]; test_randkit pins its law"]
 (** The waiting-time branch alone (geometric jumps over failures),
     O(n·min(p, 1-p)) expected — the reference implementation [binomial]
     dispatches to below the cutoff.  Same guards and closed-form
     extremes as [binomial]. *)
 
 val binomial_btrs : Rng.t -> n:int -> p:float -> int
+[@@histolint.keep "one branch of [binomial]; test_randkit pins its law"]
 (** The BTRS rejection branch alone, O(1) expected.  Statistically exact
     only in its validity regime [n·min(p, 1-p) >= binomial_btrs_cutoff];
     outside it the fitted dominating curve may fail to dominate — exposed
@@ -40,11 +45,13 @@ val binomial_btrs : Rng.t -> n:int -> p:float -> int
     guards and closed-form extremes as [binomial]. *)
 
 val binomial_btrs_cutoff : float
+[@@histolint.keep "[binomial]'s dispatch point; test_randkit pins it"]
 (** The pinned dispatch threshold on [n·min(p, 1-p)] (currently 10, the
     BTRS validity floor).  Part of the draw-stream contract: changing it
     changes every stream that crosses it. *)
 
 val categorical_from_cdf : Rng.t -> float array -> int
+[@@histolint.keep "tested only by test_randkit; no production caller"]
 (** Draw an index given the (nondecreasing, positive-total) cumulative
     weights; O(log n) by binary search.  For bulk draws prefer
     {!Distrib.Alias}. *)

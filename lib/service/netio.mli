@@ -44,6 +44,7 @@ module Reader : sig
       the reactor pools readers across connections. *)
 
   val buffered : t -> int
+  [@@histolint.keep "[step] runs it; test_netio pins it directly"]
   (** Unconsumed bytes currently buffered. *)
 
   val refill : t -> [ `Data of int | `Eof | `Would_block ]
@@ -52,6 +53,7 @@ module Reader : sig
       ECONNRESET counts as EOF). *)
 
   val next : t -> result
+  [@@histolint.keep "[step] runs it; test_netio pins it directly"]
   (** Pop one complete buffered line; never touches the fd.  At EOF a
       final unterminated line is delivered first, like [input_line]. *)
 
@@ -118,6 +120,7 @@ val create_reactor :
   listeners:Unix.file_descr list ->
   unit ->
   t
+[@@histolint.keep "[serve_net] runs it; test_netio pins it directly"]
 (** [batch] sizes each connection's {!Service.Batch} executor
     (default 64 here — the daemon's default).  [max_conns] (default 64)
     stops accepting — the kernel backlog queues the excess — until a
@@ -130,11 +133,13 @@ val create_reactor :
     @raise Invalid_argument on non-positive parameters. *)
 
 val add_connection : t -> Unix.file_descr -> unit
+[@@histolint.keep "[serve_net] runs it; test_netio pins it directly"]
 (** Adopt an already-connected stream socket (the accept path uses this;
     tests hand in socketpair ends).  The fd is set non-blocking and
     counts toward [accepted]/[max_conns]. *)
 
 val step : t -> timeout:float -> unit
+[@@histolint.keep "[serve_net] runs it; test_netio pins it directly"]
 (** One reactor round: select on (listeners + readable-interest
     connections, connections with pending output) with [timeout]
     seconds, then write, accept, read, execute and flush.  Returns after
@@ -142,8 +147,11 @@ val step : t -> timeout:float -> unit
     interleaving [step] with client I/O. *)
 
 val active : t -> int
+[@@histolint.keep "reactor state test_netio asserts admission with"]
 val accepted : t -> int
+[@@histolint.keep "reactor state test_netio asserts admission with"]
 val stats : t -> stats
+[@@histolint.keep "[serve_net] returns it; test_netio reads it mid-run"]
 
 val serve_net :
   ?batch:int ->

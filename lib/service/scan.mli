@@ -38,6 +38,7 @@ val buffer : t -> int array
     after the batch is fully scanned, not across [scan] calls. *)
 
 val scan : t -> string -> hit option
+[@@histolint.keep "[Batch] runs it; test_service fuzzes it vs the parser"]
 (** Try the fast path on one request line.  [Some hit] appends the
     decoded payload to the arena; [None] leaves the arena untouched —
     hand the line to the strict parser. *)

@@ -58,6 +58,11 @@ let family_of_spec ~n ~seed spec =
    n any bench or workload uses. *)
 let max_n = 1 lsl 22
 
+(* The most shard names one config may hold: each costs a table entry
+   plus its string, so an unbounded count lets one client exhaust memory.
+   2^12 is 64x the most any bench or workload uses (serve-verdict's 64). *)
+let max_shards = 1 lsl 12
+
 let default_cells n = min n 64
 
 (* Start every shard from zero: forget the names, clear the counts. *)
@@ -110,41 +115,51 @@ let accumulator t config =
       t.acc <- Some acc;
       acc
 
-let shard_of t name =
-  match Hashtbl.find t.index name with
-  | sh -> sh
-  | exception Not_found ->
-      let sh = { name; total = 0 } in
-      Hashtbl.add t.index name sh;
-      t.shards <- sh :: t.shards;
-      sh
+(* Add [len] payload values at [pos] in [xs] to the accumulator and raise
+   [sh]'s total by what the accumulator actually took — an out-of-domain
+   element leaves its prefix counted on both, so shard totals always sum
+   to the accumulator's. *)
+let add_to t config sh kind xs ~pos ~len =
+  let acc = accumulator t config in
+  let before = Suffstat.total acc in
+  let error =
+    match
+      match kind with
+      | Scan.Observe -> Suffstat.observe_sub acc xs ~pos ~len
+      | Scan.Counts ->
+          Suffstat.observe_counts acc
+            (if pos = 0 && len = Array.length xs then xs
+             else Array.sub xs pos len)
+    with
+    | () -> None
+    | exception Invalid_argument msg -> Some msg
+  in
+  sh.total <- sh.total + (Suffstat.total acc - before);
+  match error with None -> Ok sh.total | Some msg -> Error msg
 
 (* The one ingest path, behind [observe], [observe_counts], the protocol
-   step and the batch executor: [len] payload values at [pos] in [xs],
-   added to the accumulator, and the shard's total raised by what the
-   accumulator actually took — an out-of-domain element leaves its prefix
-   counted on both, so shard totals always sum to the accumulator's. *)
+   step and the batch executor.  A new name is registered only by a
+   request that succeeds or adds a value, so a rejected request leaves no
+   ghost shard; past [max_shards] a new name is refused before anything
+   is ingested. *)
 let ingest t shard kind xs ~pos ~len =
   match t.config with
   | None -> Error err_not_configured
   | Some config -> (
-      let acc = accumulator t config in
-      let sh = shard_of t shard in
-      let before = Suffstat.total acc in
-      let error =
-        match
-          match kind with
-          | Scan.Observe -> Suffstat.observe_sub acc xs ~pos ~len
-          | Scan.Counts ->
-              Suffstat.observe_counts acc
-                (if pos = 0 && len = Array.length xs then xs
-                 else Array.sub xs pos len)
-        with
-        | () -> None
-        | exception Invalid_argument msg -> Some msg
-      in
-      sh.total <- sh.total + (Suffstat.total acc - before);
-      match error with None -> Ok sh.total | Some msg -> Error msg)
+      match Hashtbl.find t.index shard with
+      | sh -> add_to t config sh kind xs ~pos ~len
+      | exception Not_found ->
+          if Hashtbl.length t.index >= max_shards then
+            Error (Printf.sprintf "at most %d shards per config" max_shards)
+          else
+            let sh = { name = shard; total = 0 } in
+            let result = add_to t config sh kind xs ~pos ~len in
+            (match result with
+            | Error _ when sh.total = 0 -> ()
+            | Ok _ | Error _ ->
+                Hashtbl.add t.index shard sh;
+                t.shards <- sh :: t.shards);
+            result)
 
 let observe t ~shard xs =
   ingest t shard Scan.Observe xs ~pos:0 ~len:(Array.length xs)

@@ -36,9 +36,16 @@ val family_of_spec : n:int -> seed:int -> string -> (Pmf.t, string) result
     [seed]. *)
 
 val max_n : int
+[@@histolint.keep "wire limit; test_service reads it, not a copy"]
 (** The largest domain [configure] accepts, 2^22: every config holds
     O(n) words, so the bound is what keeps one request from exhausting
     memory. *)
+
+val max_shards : int
+[@@histolint.keep "wire limit; test_service reads it, not a copy"]
+(** The most shard names one config holds, 2^12: each name costs a table
+    entry and its string.  A request naming a new shard past the cap gets
+    a wire error and changes nothing. *)
 
 val configure :
   t ->
@@ -58,24 +65,24 @@ val configure :
     checked before anything is built. *)
 
 val observe : t -> shard:string -> int array -> (int, string) result
-(** Batch-ingest observations on behalf of a shard (created on first
-    use); returns the shard's new total.  On an out-of-domain element the
-    prefix before it stays ingested and counted in the shard's total. *)
-
-val observe_counts : t -> shard:string -> int array -> (int, string) result
-(** Bulk-add a count vector on behalf of a shard; returns the shard's new
-    total.  A rejected vector (wrong length, a negative entry, or a sum
-    that would push the accumulator's total past 2^53) adds nothing. *)
+(** Batch-ingest observations on behalf of a shard; returns the shard's
+    new total.  On an out-of-domain element the prefix before it stays
+    ingested and counted in the shard's total.  A new name is registered
+    only when the request succeeds or adds at least one value, so a
+    rejected request leaves no empty shard behind; a new name past
+    {!max_shards} is refused. *)
 
 val merged : t -> Suffstat.t option
 (** The accumulator — every shard's traffic since the last [configure]
-    or [reset]; [None] when no shard exists yet.  A view, not a copy: no
-    fold and no allocation per call.  It keeps changing with later
-    ingest and is cleared by [configure] and [reset]; callers must not
-    mutate it.  Bitwise equal, counts and total, to [Suffstat.merge]
-    folded over per-shard states holding the same traffic. *)
+    or reset command; [None] when no shard exists yet.  A view, not a
+    copy: no fold and no allocation per call.  It keeps changing with
+    later ingest and is cleared by [configure] and the reset command;
+    callers must not mutate it.  Bitwise equal, counts and total, to
+    [Suffstat.merge] folded over per-shard states holding the same
+    traffic. *)
 
 val shard_totals : t -> (string * int) list
+[@@histolint.keep "[stats] renders it; test_service checks it"]
 (** Each live shard with the number of values it contributed, in
     first-arrival order (what the [stats] request reports).  The totals
     sum to the accumulator's total. *)
@@ -97,11 +104,8 @@ val verdict_info : t -> (verdict_info, string) result
 (** Merge and test: the χ² statistic of the merged counts against the
     configured hypothesis at the plug-in mean [m = total]. *)
 
-val reset : t -> unit
-(** Forget every shard and clear the accumulator in place; keep the
-    configuration. *)
-
 val handle_request : t -> Wire.request -> Jsonl.t * bool
+[@@histolint.keep "[handle_line] runs it; test_service pins it directly"]
 val handle_line : t -> string -> Jsonl.t * bool
 (** One protocol step; the boolean is false after a [quit] request. *)
 
@@ -135,6 +139,7 @@ module Batch : sig
       budget.  Callers must check this before every push. *)
 
   val push : exec -> string -> unit
+  [@@histolint.keep "[serve] runs it; test_service cuts batches with it"]
   (** Parse one request line into the next slot — {!Scan} fast path
       first, the strict parser for every line it declines.  Blank lines are
       skipped without consuming a slot, exactly as {!serve} skips them.
@@ -203,7 +208,9 @@ val serve :
     @raise Invalid_argument if [batch < 1]. *)
 
 val rendered_observe_ok : shard:string -> added:int -> shard_total:int -> string
+[@@histolint.keep "the fast path's bytes, pinned by test_service"]
 val rendered_counts_ok : shard:string -> shard_total:int -> string
+[@@histolint.keep "the fast path's bytes, pinned by test_service"]
 val rendered_error : string -> string
 (** The direct renderings the batch path writes for the hot responses —
     exposed so tests can pin them byte-for-byte against

@@ -12,9 +12,6 @@ type entry = { dstar : Pmf.t; part : Partition.t }
 
 type t
 
-val default_capacity : int
-(** 16 — a working set of hypotheses, not a registry. *)
-
 val create : ?capacity:int -> unit -> t
 (** @raise Invalid_argument if [capacity < 1]. *)
 

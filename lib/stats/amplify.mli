@@ -17,9 +17,11 @@ val majority_vote :
 
 val median_value :
   ?pool:Parkit.Pool.t -> trials:int -> (int -> float) -> float
+[@@histolint.keep "tested only by test_statkit; no production caller"]
 (** Median of repeated real-valued estimates.  Same [?pool] contract as
     [majority_vote]. *)
 
 val boosted :
   ?pool:Parkit.Pool.t -> delta:float -> (int -> Verdict.t) -> Verdict.t
+[@@histolint.keep "tested only by test_statkit; no production caller"]
 (** [majority_vote] with [repetitions_for ~delta] trials. *)

@@ -60,8 +60,6 @@ let good_turing_missing_mass t =
   if t.samples = 0 then 1.
   else float_of_int (singletons t) /. float_of_int t.samples
 
-let support_size_lower_bound t = distinct t
-
 let chao1_support_estimate t =
   (* Chao's 1984 lower-bound estimator: distinct + F1^2 / (2 F2). *)
   let f1 = float_of_int (singletons t) in

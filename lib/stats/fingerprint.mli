@@ -14,12 +14,15 @@ val of_counts : int array -> t
 val samples : t -> int
 
 val prevalence : t -> int -> int
+[@@histolint.keep "[chao1_support_estimate] runs it; test_statkit pins it"]
 (** [prevalence t j] = number of elements observed exactly j ≥ 1 times. *)
 
 val distinct : t -> int
 val singletons : t -> int
+[@@histolint.keep "the estimators runs it; test_statkit pins it directly"]
 
 val collisions : t -> int
+[@@histolint.keep "[l2_norm_sq_estimate] runs it; test_statkit pins it"]
 (** Σ_i C(N_i, 2). *)
 
 val l2_norm_sq_estimate : t -> float
@@ -28,14 +31,12 @@ val l2_norm_sq_estimate : t -> float
 val good_turing_missing_mass : t -> float
 (** Estimated total mass of the unseen part of the support (F₁/m). *)
 
-val support_size_lower_bound : t -> int
-(** The trivially certified bound: elements actually seen. *)
-
 val chao1_support_estimate : t -> float
 (** Chao's abundance-based support-size estimate (a lower-bound-style
     estimator; consistent when rare masses dominate). *)
 
 val entropy_plugin : int array -> float
+[@@histolint.keep "[entropy_miller_madow] runs it; test_statkit pins it"]
 (** Plug-in Shannon entropy (nats) of the empirical distribution. *)
 
 val entropy_miller_madow : int array -> float

@@ -14,10 +14,12 @@ val make : lo:float -> hi:float -> cells:int -> spec
 val cells : spec -> int
 
 val cell_of : spec -> float -> int
+[@@histolint.keep "[oracle_of_sampler] runs it; test_statkit pins it directly"]
 (** Grid cell of a real observation; values outside [lo, hi) clamp to the
     boundary cells. @raise Invalid_argument on nan. *)
 
 val cell_bounds : spec -> int -> float * float
+[@@histolint.keep "[pmf_of_density] runs it; test_statkit pins it directly"]
 
 val pmf_of_density : ?resolution:int -> spec -> (float -> float) -> Pmf.t
 (** Discretize a (not necessarily normalized) density by midpoint

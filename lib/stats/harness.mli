@@ -71,6 +71,7 @@ val error_rate :
   in_class:bool ->
   (trial -> Verdict.t) ->
   float
+[@@histolint.keep "[min_samples] runs it; test_statkit pins it directly"]
 (** Rejection rate if [in_class], acceptance rate otherwise. *)
 
 type complexity_result = {
@@ -90,6 +91,7 @@ val min_samples :
   no_pmf:Pmf.t ->
   (m:int -> trial -> Verdict.t) ->
   complexity_result
+[@@histolint.keep "tested only by test_statkit; no production caller"]
 (** Doubling-plus-bisection search for the empirical sample complexity of a
     tester on a completeness/soundness instance pair.  The probe predicate
     is stochastic, so this is an estimate — the experiments report it with

@@ -38,6 +38,7 @@ val of_alias_ws : Workspace.t -> Randkit.Rng.t -> Alias.t -> oracle
     [of_alias]). *)
 
 val counts_of_tree : Randkit.Rng.t -> Split_tree.t -> oracle
+[@@histolint.keep "tests pin [counts_of_tree_ws] against it"]
 (** The counts path: occurrence vectors generated directly by recursive
     binomial splitting over a shared {!Split_tree} — O(s·log(n/s)) per
     call for [s] occupied elements, independent of the sample budget,

@@ -14,6 +14,7 @@ val insert : t -> float -> unit
 (** Add one observation; amortized compression keeps the summary small. *)
 
 val count : t -> int
+[@@histolint.keep "the n of the GK invariant test_streamkit checks"]
 (** Observations inserted so far. *)
 
 val quantile : t -> float -> float

@@ -12,6 +12,7 @@ val observe : t -> int -> unit
 val total : t -> int
 
 val current_partition : t -> Partition.t
+[@@histolint.keep "[current_histogram] runs it; test_streamkit pins it"]
 (** Bucket boundaries at the current approximate quantiles.
 
     {b May have fewer than [buckets] cells.}  On skewed or
@@ -22,6 +23,7 @@ val current_partition : t -> Partition.t
     off the requested [buckets]. *)
 
 val realized_cells : t -> int
+[@@histolint.keep "tested only by test_streamkit; no production caller"]
 (** Cell count of {!current_partition} — equals [buckets] unless quantile
     cuts collapsed (always 1 before the first observation). *)
 
@@ -33,6 +35,7 @@ val current_histogram : t -> Khist.t
     @raise Invalid_argument before the first observation. *)
 
 val merge : t -> t -> t
+[@@histolint.keep "tested only by test_streamkit; no production caller"]
 (** Merge monoid ({!Numkit.Mergeable.S}): exact per-element counts add
     bitwise, the boundary sketch merges via {!Gk.merge} — so merged bucket
     masses are exactly single-stream, while boundary placement keeps the

@@ -1,9 +1,7 @@
 (** Sample-budget accounting middleware: wraps a {!Poissonize.oracle} and
-    meters every draw, optionally enforcing a hard cap.
-
-    Used by the test suite to certify that each tester's actual consumption
-    stays within its planned budget, and by starvation experiments to cut a
-    tester off mid-flight. *)
+    meters every draw, optionally enforcing a hard cap.  The test suite uses
+    it to certify that each tester's actual consumption stays within its
+    planned budget. *)
 
 type t
 

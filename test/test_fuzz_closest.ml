@@ -3,7 +3,7 @@
 
    [Closest.fit_cells] (rank-index oracle + exact subquadratic search) is
    documented to return the same cost and the same starts as the dense
-   Θ(K²k) reference [fit_cells_dense], float for float, leftmost argmin on
+   Θ(K²k) reference [Refkit.Closest_dense.fit_cells], float for float, leftmost argmin on
    ties.  The adversarial generator that found real divergences during
    development: values with a 2^[-12, 12) magnitude spread to force
    rounding interplay, sorted ascending or descending to hit the
@@ -47,7 +47,7 @@ let prop_fit_cells_matches_dense =
     (fun seed ->
       let cells, k = case_of_seed seed in
       let cf, sf = Closest.fit_cells cells ~k in
-      let cd, sd = Closest.fit_cells_dense cells ~k in
+      let cd, sd = Refkit.Closest_dense.fit_cells cells ~k in
       Float.equal cf cd && List.equal Int.equal sf sd)
 
 let () =

@@ -10,11 +10,11 @@ let test_config_profiles () =
     H.Config.paper.H.Config.c_test;
   Alcotest.(check (float 1e-12)) "paper eps fraction" (13. /. 30.)
     H.Config.paper.H.Config.test_eps_frac;
-  Alcotest.(check bool) "practical is default" true
-    (H.Config.default = H.Config.practical)
+  Alcotest.(check (float 0.)) "practical test constant" 60.
+    H.Config.default.H.Config.c_test
 
 let test_config_scalings () =
-  let c = H.Config.practical in
+  let c = H.Config.default in
   let m1 = H.Config.test_samples c ~n:1024 ~eps:0.25 in
   let m2 = H.Config.test_samples c ~n:4096 ~eps:0.25 in
   (* sqrt scaling: 4x the domain = 2x the samples. *)
@@ -25,7 +25,7 @@ let test_config_scalings () =
     (Float.abs ((float_of_int m3 /. float_of_int m1) -. 4.) < 0.01)
 
 let test_config_scale_budget () =
-  let c = H.Config.scale_budget H.Config.practical 0.5 in
+  let c = H.Config.scale_budget H.Config.default 0.5 in
   Alcotest.(check (float 1e-12)) "halved" (60. *. 0.5) c.H.Config.c_test;
   Alcotest.(check bool) "invalid" true
     (try
@@ -41,11 +41,11 @@ let test_log2i () =
 
 let test_sieve_reps_cap () =
   Alcotest.(check bool) "practical capped" true
-    (H.Config.sieve_reps H.Config.practical ~k:64
-    <= H.Config.practical.H.Config.sieve_reps_cap);
+    (H.Config.sieve_reps H.Config.default ~k:64
+    <= H.Config.default.H.Config.sieve_reps_cap);
   Alcotest.(check bool) "paper uncapped grows" true
     (H.Config.sieve_reps H.Config.paper ~k:64
-    > H.Config.sieve_reps H.Config.practical ~k:64)
+    > H.Config.sieve_reps H.Config.default ~k:64)
 
 (* --- Approx_part --- *)
 
@@ -658,7 +658,10 @@ let test_pp_report_and_boost () =
   in
   Alcotest.(check bool) "mentions verdict" true (contains rendered "verdict");
   Alcotest.(check bool) "mentions sieve" true (contains rendered "sieve");
-  let v = H.Hist_tester.run_boosted ~reps:3 (oracle_of d) ~k:2 ~eps:0.3 in
+  let v =
+    Amplify.majority_vote ~trials:3 (fun _ ->
+        H.Hist_tester.test (oracle_of d) ~k:2 ~eps:0.3)
+  in
   Alcotest.(check bool) "boosted accepts member" true (v = Verdict.Accept)
 
 

@@ -2,13 +2,16 @@
    library (test/lint_fixtures/) and assert the exact findings list —
    file, line, and rule for every violation — plus the suppressed list
    and the audit trail for every suppression form ([@histolint.allow],
-   [@histolint.disjoint], [@histolint.alloc_ok]).
+   [@histolint.disjoint], [@histolint.alloc_ok], [@@histolint.keep]).
 
    The fixture tree lives under test/, where most rules are scoped off;
    lib_prefixes reclassifies it as lib/ code, exactly as the driver's
    --lib-prefix flag does.  The v2 fixtures cover both interprocedural
    passes: a race reached only through a helper call resolved via the
-   summary table, and a hot-path allocation one call deep. *)
+   summary table, and a hot-path allocation one call deep.  The
+   dead-export fixtures pair a violating, a kept and a reasonless-keep
+   export with exports reached only through [open], a module alias and
+   a functor argument (dead_user.ml), which must not be findings. *)
 
 module Engine = Histolint_lib.Engine
 module Finding = Histolint_lib.Finding
@@ -55,12 +58,16 @@ let expected_findings =
     ("test/lint_fixtures/bad_race_overlap.ml", 13, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_random.ml", 4, "det/stdlib-random");
     ("test/lint_fixtures/bad_wallclock.ml", 3, "det/wallclock");
+    ("test/lint_fixtures/dead_export.mli", 5, "dead/unreferenced-export");
+    ("test/lint_fixtures/dead_export.mli", 11, "dead/unreferenced-export");
+    ("test/lint_fixtures/dead_export.mli", 11, "lint/unknown-allow");
   ]
 
 let expected_suppressed =
   [
     ("test/lint_fixtures/allowed.ml", 4, "det/stdlib-random");
     ("test/lint_fixtures/allowed_race.ml", 9, "par/shared-mutable-capture");
+    ("test/lint_fixtures/dead_export.mli", 8, "dead/unreferenced-export");
   ]
 
 let pp_triples ts =
@@ -83,7 +90,8 @@ let test_suppressed_counted () =
 let test_audit_trail () =
   (* One entry per suppression site, used-flag included: the unknown
      rule id in bad_allow.ml is present but unused (its finding stayed
-     live), and every other site covered something. *)
+     live), and every other site covered something.  The reasonless keep
+     is listed too, and its export's finding stays live. *)
   let r = Lazy.force report in
   let quad (a : Finding.audit) =
     Printf.sprintf "%s:%d %s used=%b" a.Finding.au_file a.Finding.au_line
@@ -96,6 +104,8 @@ let test_audit_trail () =
       "test/lint_fixtures/allowed_hot.ml:6 alloc_ok used=true";
       "test/lint_fixtures/allowed_race.ml:7 disjoint used=true";
       "test/lint_fixtures/bad_allow.ml:5 allow used=false";
+      "test/lint_fixtures/dead_export.mli:8 keep used=true";
+      "test/lint_fixtures/dead_export.mli:11 keep used=true";
     ]
     (List.map quad r.Engine.audit)
 
@@ -116,7 +126,7 @@ let test_one_violation_per_rule () =
 
 let test_severities () =
   let r = Lazy.force report in
-  Alcotest.(check int) "errors" 15 (Engine.errors r);
+  Alcotest.(check int) "errors" 18 (Engine.errors r);
   Alcotest.(check int) "warnings" 1 (Engine.warnings r)
 
 let test_rule_counts () =
@@ -134,7 +144,8 @@ let test_rule_counts () =
       ("par/raw-domain", 1);
       ("par/shared-mutable-capture", 6);
       ("hot/alloc", 2);
-      ("lint/unknown-allow", 1);
+      ("dead/unreferenced-export", 2);
+      ("lint/unknown-allow", 2);
     ]
     (Engine.rule_counts r)
 
@@ -143,7 +154,7 @@ let test_scoping_off_in_test_tree () =
      only the everywhere-rules could bite — and none are configured to:
      the same tree must come back clean.  This is what keeps `make lint`
      green on the full repo while the fixtures stay red here. *)
-  let r = Engine.scan_paths Engine.default_config [ fixture_root ] in
+  let r = Engine.scan_paths { config with lib_prefixes = [] } [ fixture_root ] in
   Alcotest.(check int) "no findings" 0 (List.length r.Engine.findings);
   Alcotest.(check int) "no suppressed" 0 (List.length r.Engine.suppressed);
   Alcotest.(check int) "no audit entries" 0 (List.length r.Engine.audit)

@@ -107,10 +107,7 @@ let test_gamma_p_bounds () =
 let test_summary_moments () =
   let t = Numkit.Summary.of_array [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |] in
   check_float "mean" 5. (Numkit.Summary.mean t);
-  check_close 1e-9 "variance" (32. /. 7.) (Numkit.Summary.variance t);
-  check_float "min" 2. (Numkit.Summary.min_value t);
-  check_float "max" 9. (Numkit.Summary.max_value t);
-  Alcotest.(check int) "count" 8 (Numkit.Summary.count t)
+  check_close 1e-9 "variance" (32. /. 7.) (Numkit.Summary.variance t)
 
 let test_summary_empty () =
   let t = Numkit.Summary.create () in

@@ -503,7 +503,7 @@ let test_service_merged_in_place () =
   Alcotest.(check int) "picks up new ingest" 400 (Suffstat.total m1);
   Alcotest.(check bool) "still the whole stream" true
     (merged () == m1 && suffstat_bitwise m1 whole);
-  Service.reset t;
+  ignore (Service.handle_line t {|{"cmd":"reset"}|});
   Alcotest.(check bool) "reset: no shards, no state" true
     (Option.is_none (Service.merged t) && Service.shards t = []);
   (match Service.observe t ~shard:"solo" [| 1; 2; 3 |] with
@@ -567,7 +567,72 @@ let test_counts_negative_leaves_no_partial_state () =
           Alcotest.(check int) (label ^ ": count 9 kept") 2 (Suffstat.count st 9);
           Alcotest.(check int) (label ^ ": count 1 kept") 0 (Suffstat.count st 1)
       | None -> Alcotest.fail (label ^ ": no merged state"))
-    [ ("strict", 1, bad ", ", 3); ("fast path", 64, bad ",", 2) ]
+    [ ("strict", 1, bad ", ", 3); ("fast path", 64, bad ",", 2) ];
+  (* Fresh names: a rejected counts and a wholly out-of-domain observe
+     under names never seen before register no shard, so neither the
+     shard list nor the verdict's shard count shows a ghost. *)
+  List.iter
+    (fun batch ->
+      let label = Printf.sprintf "fresh names, batch %d" batch in
+      let t = Service.create () in
+      let ex = Service.Batch.create ~batch t in
+      let out = Buffer.create 256 in
+      List.iter
+        (fun line ->
+          Service.Batch.push ex line;
+          if not (Service.Batch.want_more ex) then
+            ignore (Service.Batch.execute ex ~out : bool))
+        [
+          {|{"cmd":"config","n":64,"family":"uniform","eps":0.25,"cells":8,"seed":1}|};
+          {|{"cmd":"observe","shard":"a","xs":[1,2]}|};
+          {|{"cmd":"counts","shard":"b","counts":[-1]}|};
+          {|{"cmd":"observe","shard":"c","xs":[999]}|};
+          {|{"cmd":"verdict"}|};
+        ];
+      ignore (Service.Batch.execute ex ~out : bool);
+      Alcotest.(check (list (pair string int)))
+        (label ^ ": shard totals")
+        [ ("a", 2) ] (Service.shard_totals t);
+      let verdict =
+        Jsonl.parse (List.nth (String.split_on_char '\n' (Buffer.contents out)) 4)
+      in
+      Alcotest.(check bool)
+        (label ^ ": verdict counts one shard")
+        true
+        (Result.map (Jsonl.member "shards") verdict = Ok (Some (Jsonl.Num 1.))))
+    [ 1; 64 ]
+
+(* Hostile shard names: once [Service.max_shards] names are live, a new
+   name gets a wire error and leaves the shard list and the accumulator
+   as they were; a known name still ingests. *)
+let test_shard_names_capped () =
+  let t = Service.create () in
+  let run line =
+    let printed, _, _ = response t line in
+    printed
+  in
+  ignore
+    (run
+       {|{"cmd":"config","n":64,"family":"uniform","eps":0.25,"cells":8,"seed":1}|}
+      : string);
+  for i = 0 to Service.max_shards - 1 do
+    ignore (run (Printf.sprintf {|{"cmd":"observe","shard":"s%d","xs":[%d]}|} i (i mod 64)) : string)
+  done;
+  let totals = Service.shard_totals t in
+  let counts = Option.map (fun st -> Array.copy (Suffstat.counts st)) (Service.merged t) in
+  Alcotest.(check string)
+    "new name refused"
+    (Service.rendered_error
+       (Printf.sprintf "at most %d shards per config" Service.max_shards))
+    (run {|{"cmd":"observe","shard":"one-too-many","xs":[1,2,3]}|});
+  Alcotest.(check bool) "shard totals unchanged" true
+    (Service.shard_totals t = totals);
+  Alcotest.(check bool) "accumulator unchanged" true
+    (Option.map Suffstat.counts (Service.merged t) = counts);
+  Alcotest.(check string)
+    "known name still ingests"
+    (Service.rendered_observe_ok ~shard:"s0" ~added:1 ~shard_total:2)
+    (run {|{"cmd":"observe","shard":"s0","xs":[5]}|})
 
 (* Hostile config: an n past [Service.max_n] is refused with a wire
    error before any structure is built, and the previous config, shard
@@ -1171,7 +1236,7 @@ let test_storage_outlives_config () =
   Alcotest.(check bool) "accumulator carried over" true (acc () == first);
   Alcotest.(check int) "old counts gone" 0 (Suffstat.count first 1);
   Alcotest.(check int) "holds only the new config" 1 (Suffstat.total first);
-  Service.reset t;
+  ignore (Service.handle_line t {|{"cmd":"reset"}|});
   Alcotest.(check int) "reset clears in place" 0 (Suffstat.total first);
   let _, resp, _ = response t {|{"cmd":"verdict"}|} in
   Alcotest.(check bool) "no data after reset" false (is_ok resp);
@@ -1228,18 +1293,23 @@ module Ref_engine = struct
   let ingest t shard add ok =
     match t.config with
     | None -> not_configured
-    | Some config -> (
+    | Some config ->
+        let known = List.assoc_opt shard t.shards in
         let st =
-          match List.assoc_opt shard t.shards with
+          match known with
           | Some st -> st
-          | None ->
-              let st = Suffstat.create ~part:config.Service.part in
-              t.shards <- t.shards @ [ (shard, st) ];
-              st
+          | None -> Suffstat.create ~part:config.Service.part
         in
-        match add st with
-        | () -> Wire.ok (ok (Suffstat.total st))
-        | exception Invalid_argument msg -> Wire.error msg)
+        let response, failed =
+          match add st with
+          | () -> (Wire.ok (ok (Suffstat.total st)), false)
+          | exception Invalid_argument msg -> (Wire.error msg, true)
+        in
+        (* A new name is kept only if the request succeeded or added a
+           value: a rejected request leaves no empty shard behind. *)
+        if Option.is_none known && ((not failed) || Suffstat.total st > 0) then
+          t.shards <- t.shards @ [ (shard, st) ];
+        response
 
   let verdict t =
     match (t.config, merged t) with
@@ -1497,6 +1567,8 @@ let () =
           Alcotest.test_case "counts total bounded by 2^53" `Quick
             test_counts_total_bound;
           Alcotest.test_case "config n capped" `Quick test_config_n_capped;
+          Alcotest.test_case "shard names capped" `Quick
+            test_shard_names_capped;
         ] );
       ( "storage",
         [

@@ -170,13 +170,13 @@ let test_all_oracles_poissonized_metering () =
   let pmf = Families.zipf ~n:40 ~s:1. in
   List.iter
     (fun (name, make) ->
-      let meter = Budget_oracle.wrap (make ()) in
-      let o = Budget_oracle.oracle meter in
+      let meter = Refkit.Budget_oracle.wrap (make ()) in
+      let o = Refkit.Budget_oracle.oracle meter in
       let counts = o.Poissonize.poissonized 500. in
       let realized = Array.fold_left ( + ) 0 counts in
       Alcotest.(check int)
         (name ^ ": poissonized charge = realized count")
-        realized (Budget_oracle.drawn meter))
+        realized (Refkit.Budget_oracle.drawn meter))
     (oracle_constructors pmf)
 
 (* --- chi^2 equivalence of the stream and counts paths --- *)
@@ -644,26 +644,26 @@ let test_chunked_scheduling_jobs_invariant () =
 
 let test_budget_metering () =
   let inner = Poissonize.of_pmf (rng ()) (Pmf.uniform 8) in
-  let meter = Budget_oracle.wrap inner in
-  let o = Budget_oracle.oracle meter in
+  let meter = Refkit.Budget_oracle.wrap inner in
+  let o = Refkit.Budget_oracle.oracle meter in
   ignore (o.Poissonize.exact 100);
   ignore (o.Poissonize.stream 50);
-  Alcotest.(check int) "exact+stream metered" 150 (Budget_oracle.drawn meter);
+  Alcotest.(check int) "exact+stream metered" 150 (Refkit.Budget_oracle.drawn meter);
   let counts = o.Poissonize.poissonized 200. in
   let realized = Array.fold_left ( + ) 0 counts in
   Alcotest.(check int) "poissonized charged at realized count"
-    (150 + realized) (Budget_oracle.drawn meter)
+    (150 + realized) (Refkit.Budget_oracle.drawn meter)
 
 let test_budget_cap () =
   let inner = Poissonize.of_pmf (rng ()) (Pmf.uniform 8) in
-  let meter = Budget_oracle.wrap ~cap:100 inner in
-  let o = Budget_oracle.oracle meter in
+  let meter = Refkit.Budget_oracle.wrap ~cap:100 inner in
+  let o = Refkit.Budget_oracle.oracle meter in
   ignore (o.Poissonize.exact 100);
   Alcotest.(check bool) "cap enforced" true
     (try
        ignore (o.Poissonize.exact 1);
        false
-     with Budget_oracle.Budget_exceeded _ -> true)
+     with Refkit.Budget_oracle.Budget_exceeded _ -> true)
 
 let test_tester_respects_plan () =
   (* Algorithm 1's realized consumption must stay within its planned
@@ -671,15 +671,15 @@ let test_tester_respects_plan () =
   let n = 512 and k = 2 and eps = 0.3 in
   let plan = Histotest.Hist_tester.plan ~n ~k ~eps () in
   let inner = Poissonize.of_pmf (rng ()) (Families.staircase ~n ~k ~rng:(rng ())) in
-  let meter = Budget_oracle.wrap inner in
-  let report = Histotest.Hist_tester.run (Budget_oracle.oracle meter) ~k ~eps in
+  let meter = Refkit.Budget_oracle.wrap inner in
+  let report = Histotest.Hist_tester.run (Refkit.Budget_oracle.oracle meter) ~k ~eps in
   Alcotest.(check bool) "reported samples match meter" true
-    (abs (report.Histotest.Hist_tester.samples_used - Budget_oracle.drawn meter)
+    (abs (report.Histotest.Hist_tester.samples_used - Refkit.Budget_oracle.drawn meter)
      < plan / 10);
   Alcotest.(check bool)
-    (Printf.sprintf "drawn %d <= plan %d (+10%%)" (Budget_oracle.drawn meter) plan)
+    (Printf.sprintf "drawn %d <= plan %d (+10%%)" (Refkit.Budget_oracle.drawn meter) plan)
     true
-    (Budget_oracle.drawn meter <= plan + (plan / 10))
+    (Refkit.Budget_oracle.drawn meter <= plan + (plan / 10))
 
 (* --- Fingerprint --- *)
 

@@ -90,42 +90,6 @@ let test_gk_rank_bounds () =
     true
     (lo <= 500 + 100 && hi >= 500 - 100 && lo <= hi)
 
-(* --- Reservoir --- *)
-
-let test_reservoir_fills () =
-  let res = Reservoir.create ~capacity:10 (rng ()) in
-  for i = 1 to 5 do
-    Reservoir.add res i
-  done;
-  Alcotest.(check int) "partial" 5 (Reservoir.size res);
-  Alcotest.(check (list int)) "contents" [ 1; 2; 3; 4; 5 ]
-    (List.sort compare (Reservoir.contents res));
-  for i = 6 to 100 do
-    Reservoir.add res i
-  done;
-  Alcotest.(check int) "capped" 10 (Reservoir.size res);
-  Alcotest.(check int) "seen" 100 (Reservoir.seen res)
-
-let test_reservoir_uniform () =
-  (* Element 1 should survive with probability k/n. *)
-  let r = rng () in
-  let n = 50 and k = 5 in
-  let trials = 20_000 in
-  let survived = ref 0 in
-  for _ = 1 to trials do
-    let res = Reservoir.create ~capacity:k r in
-    for i = 1 to n do
-      Reservoir.add res i
-    done;
-    if List.mem 1 (Reservoir.contents res) then incr survived
-  done;
-  let f = float_of_int !survived /. float_of_int trials in
-  let expect = float_of_int k /. float_of_int n in
-  Alcotest.(check bool)
-    (Printf.sprintf "survival %.3f vs %.3f" f expect)
-    true
-    (Float.abs (f -. expect) < 0.01)
-
 (* --- Stream_hist --- *)
 
 let test_stream_hist_basic () =
@@ -197,65 +161,6 @@ let test_stream_hist_tracks_distribution () =
     true
     (Distance.tv streamed offline < 0.12)
 
-
-(* --- Count_min --- *)
-
-let test_cm_never_undercounts () =
-  let r = rng () in
-  let cm = Count_min.create ~width:64 ~depth:4 () in
-  let truth = Hashtbl.create 32 in
-  for _ = 1 to 5000 do
-    let x = Randkit.Rng.int r 128 in
-    Count_min.add cm x;
-    Hashtbl.replace truth x (1 + Option.value ~default:0 (Hashtbl.find_opt truth x))
-  done;
-  Hashtbl.iter
-    (fun x c ->
-      Alcotest.(check bool)
-        (Printf.sprintf "element %d" x)
-        true
-        (Count_min.estimate cm x >= c))
-    truth;
-  Alcotest.(check int) "total" 5000 (Count_min.total cm)
-
-let test_cm_overcount_bounded () =
-  let r = rng () in
-  let eps = 0.02 in
-  let cm = Count_min.for_error ~eps ~delta:0.01 () in
-  let truth = Hashtbl.create 64 in
-  let stream = 20_000 in
-  for _ = 1 to stream do
-    let x = Randkit.Rng.int r 1024 in
-    Count_min.add cm x;
-    Hashtbl.replace truth x (1 + Option.value ~default:0 (Hashtbl.find_opt truth x))
-  done;
-  let bad = ref 0 in
-  Hashtbl.iter
-    (fun x c ->
-      if Count_min.estimate cm x - c > int_of_float (eps *. float_of_int stream)
-      then incr bad)
-    truth;
-  Alcotest.(check bool)
-    (Printf.sprintf "%d elements overcounted beyond eps*N" !bad)
-    true (!bad <= 10)
-
-let test_cm_heavy_hitters () =
-  let r = rng () in
-  let cm = Count_min.create ~width:256 ~depth:5 () in
-  (* Element 7 carries ~30% of a noisy stream. *)
-  for _ = 1 to 10_000 do
-    let x = if Randkit.Rng.float r 1. < 0.3 then 7 else Randkit.Rng.int r 512 in
-    Count_min.add cm x
-  done;
-  let hh = Count_min.heavy_hitters cm ~threshold:0.2 ~universe:512 in
-  Alcotest.(check bool) "7 detected" true (List.mem_assoc 7 hh);
-  Alcotest.(check bool) "few candidates" true (List.length hh <= 3)
-
-let test_cm_counted_adds () =
-  let cm = Count_min.create ~width:32 ~depth:3 () in
-  Count_min.add ~count:41 cm 5;
-  Count_min.add cm 5;
-  Alcotest.(check bool) "bulk add" true (Count_min.estimate cm 5 >= 42)
 
 (* --- GK bugfix pins: insert-time invariant and exact rank bounds --- *)
 
@@ -401,89 +306,6 @@ let test_gk_merge_eps_mismatch () =
        false
      with Invalid_argument _ -> true)
 
-(* Count-Min merge is exact: same-seed sketches over a split stream merge
-   to the bitwise sketch of the whole stream. *)
-let prop_cm_merge_exact =
-  QCheck.Test.make ~name:"Count_min merge = whole-stream sketch" ~count:100
-    (QCheck.int_range 0 1_000_000)
-    (fun seed ->
-      let r = Randkit.Rng.create ~seed in
-      let n = 500 + Randkit.Rng.int r 2_000 in
-      let universe = 1 + Randkit.Rng.int r 300 in
-      let width = 16 + Randkit.Rng.int r 100 in
-      let stream = Array.init n (fun _ -> Randkit.Rng.int r universe) in
-      let make () = Count_min.create ~seed ~width ~depth:4 () in
-      let whole = make () and a = make () and b = make () in
-      Array.iteri
-        (fun i x ->
-          Count_min.add whole x;
-          Count_min.add (if i mod 2 = 0 then a else b) x)
-        stream;
-      let merged = Count_min.merge a b in
-      Count_min.total merged = Count_min.total whole
-      && Array.for_all
-           (fun x -> Count_min.estimate merged x = Count_min.estimate whole x)
-           (Array.init universe (fun i -> i)))
-
-let test_cm_merge_identity_and_mismatch () =
-  let cm = Count_min.create ~seed:3 ~width:64 ~depth:4 () in
-  for i = 0 to 99 do
-    Count_min.add cm i
-  done;
-  let merged = Count_min.merge cm (Count_min.create ~seed:3 ~width:64 ~depth:4 ()) in
-  Alcotest.(check int) "identity total" (Count_min.total cm)
-    (Count_min.total merged);
-  Alcotest.(check bool) "identity estimates" true
-    (Array.for_all
-       (fun x -> Count_min.estimate merged x = Count_min.estimate cm x)
-       (Array.init 100 (fun i -> i)));
-  let other = Count_min.create ~seed:3 ~width:32 ~depth:4 () in
-  Alcotest.(check bool) "incompatible" false (Count_min.compatible cm other);
-  Alcotest.(check bool) "mismatch raises" true
-    (try
-       ignore (Count_min.merge cm other);
-       false
-     with Invalid_argument _ -> true)
-
-let test_reservoir_merge_small () =
-  (* When the union fits, the merge is the exact union — no randomness. *)
-  let a = Reservoir.create ~capacity:10 (rng ()) in
-  let b = Reservoir.create ~capacity:10 (rng ()) in
-  List.iter (Reservoir.add a) [ 1; 2; 3 ];
-  List.iter (Reservoir.add b) [ 4; 5; 6; 7 ];
-  let m = Reservoir.merge a b in
-  Alcotest.(check int) "size" 7 (Reservoir.size m);
-  Alcotest.(check int) "seen" 7 (Reservoir.seen m);
-  Alcotest.(check (list int)) "contents" [ 1; 2; 3; 4; 5; 6; 7 ]
-    (List.sort compare (Reservoir.contents m))
-
-let test_reservoir_merge_weighted () =
-  (* Sides represented ~proportionally to their seen counts: side a saw
-     3x the population of side b, so ~3/4 of merged slots come from a. *)
-  let r = rng () in
-  let trials = 2_000 and capacity = 10 in
-  let from_a = ref 0 in
-  for _ = 1 to trials do
-    let a = Reservoir.create ~capacity r in
-    let b = Reservoir.create ~capacity r in
-    for i = 1 to 300 do
-      Reservoir.add a i
-    done;
-    for i = 1001 to 1100 do
-      Reservoir.add b i
-    done;
-    let m = Reservoir.merge a b in
-    if Reservoir.size m <> capacity then
-      Alcotest.failf "merged size %d" (Reservoir.size m);
-    if Reservoir.seen m <> 400 then Alcotest.failf "seen %d" (Reservoir.seen m);
-    List.iter (fun x -> if x <= 300 then incr from_a) (Reservoir.contents m)
-  done;
-  let frac = float_of_int !from_a /. float_of_int (trials * capacity) in
-  Alcotest.(check bool)
-    (Printf.sprintf "fraction from a %.3f vs 0.75" frac)
-    true
-    (Float.abs (frac -. 0.75) < 0.02)
-
 let test_stream_hist_merge () =
   let r = rng () in
   let n = 512 in
@@ -552,27 +374,9 @@ let () =
           Alcotest.test_case "gk identity" `Quick test_gk_merge_identity;
           Alcotest.test_case "gk eps mismatch" `Quick
             test_gk_merge_eps_mismatch;
-          qc prop_cm_merge_exact;
-          Alcotest.test_case "cm identity/mismatch" `Quick
-            test_cm_merge_identity_and_mismatch;
-          Alcotest.test_case "reservoir small" `Quick test_reservoir_merge_small;
-          Alcotest.test_case "reservoir weighted" `Quick
-            test_reservoir_merge_weighted;
           Alcotest.test_case "stream_hist" `Quick test_stream_hist_merge;
           Alcotest.test_case "stream_hist realized cells" `Quick
             test_stream_hist_realized_cells;
-        ] );
-      ( "reservoir",
-        [
-          Alcotest.test_case "fills" `Quick test_reservoir_fills;
-          Alcotest.test_case "uniform" `Quick test_reservoir_uniform;
-        ] );
-      ( "count_min",
-        [
-          Alcotest.test_case "never undercounts" `Quick test_cm_never_undercounts;
-          Alcotest.test_case "overcount bounded" `Quick test_cm_overcount_bounded;
-          Alcotest.test_case "heavy hitters" `Quick test_cm_heavy_hitters;
-          Alcotest.test_case "counted adds" `Quick test_cm_counted_adds;
         ] );
       ( "stream_hist",
         [
