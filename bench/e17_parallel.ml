@@ -6,9 +6,9 @@
    1. alias sharing — the sequential win from building the O(n) Vose
       table once per PMF (Poissonize.of_alias) instead of once per trial
       (Poissonize.of_pmf inside the loop).  Measured on a probe-style
-      workload (a few hundred draws per trial, the regime of
-      min_samples' early probes) where the per-trial rebuild used to
-      dominate; reported even on one core.
+      workload (a few hundred draws per trial, the regime of a
+      sample-complexity sweep's small budgets) where the per-trial
+      rebuild used to dominate; reported even on one core.
    2. GC pressure of the chi^2 hot path — the allocating oracle plus a
       replica of the per-cell-Kahan statistic (what the harness ran
       before workspaces) against the workspace oracle plus the buffered

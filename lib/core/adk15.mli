@@ -44,7 +44,7 @@ val run_boosted :
   dstar:Pmf.t ->
   eps:float ->
   outcome * Chi2stat.t array
-[@@histolint.keep "tested only by test_histotest; no production caller"]
+[@@histolint.keep "reproduction artifact: §3.2.1 median amplification"]
 (** Median-of-[reps] amplification of the statistic (§3.2.1's "repeating
     the test and taking the median value"); also returns the per-repetition
     statistics so callers can take per-cell medians.  With [ws] every

@@ -34,7 +34,7 @@ val supp_size_pair :
 (** Both sides plus m, with independent permutations. *)
 
 val eps_embedded : Pmf.t -> eps:float -> eps1:float -> Pmf.t
-[@@histolint.keep "tested only by test_histotest; no production caller"]
+[@@histolint.keep "reproduction artifact: §4.2 ε-dilution"]
 (** The ε-dilution trick closing §4.2 (adds one heavy element of mass
     1 − ε/ε₁; the domain grows by one). *)
 

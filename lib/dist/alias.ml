@@ -6,8 +6,8 @@ let of_pmf pmf =
      head/tail cursors — the same visit order as the previous [Queue.t]
      implementation (so tables, and therefore every downstream draw stream,
      are bit-identical), but without a heap-allocated node per entry.  This
-     matters because [min_samples] probes rebuild the table once per probed
-     budget.  Capacity bounds: an index enters [small] at most once (small
+     matters because every [Harness.run_trials] call rebuilds the table for
+     its PMF.  Capacity bounds: an index enters [small] at most once (small
      indices are consumed and finalized, never re-enqueued), so n slots
      suffice; [large] receives at most its initial entries plus one re-add
      per loop iteration, and there are at most n iterations (each consumes

@@ -1,13 +1,3 @@
-let counts_of_samples ~n samples =
-  let counts = Array.make n 0 in
-  Array.iter
-    (fun s ->
-      if s < 0 || s >= n then
-        invalid_arg "Empirical.counts_of_samples: sample outside domain";
-      counts.(s) <- counts.(s) + 1)
-    samples;
-  counts
-
 let of_counts counts =
   let total = Array.fold_left ( + ) 0 counts in
   if total <= 0 then invalid_arg "Empirical.of_counts: no samples";

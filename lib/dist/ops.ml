@@ -46,13 +46,6 @@ let flatten_outside pmf part ~keep_cells =
     part;
   Pmf.create out
 
-let condition_on pmf iv =
-  let mass = Pmf.mass_on pmf iv in
-  if mass <= 0. then invalid_arg "Ops.condition_on: zero mass on interval";
-  let p = Pmf.unsafe_array pmf in
-  let lo = Interval.lo iv in
-  Pmf.of_weights (Array.init (Interval.length iv) (fun j -> p.(lo + j)))
-
 let pad_with_heavy_point pmf ~weight =
   if weight < 0. || weight >= 1. then
     invalid_arg "Ops.pad_with_heavy_point: weight outside [0, 1)";

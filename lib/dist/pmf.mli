@@ -28,27 +28,10 @@ val unsafe_array : t -> float array
 val mass_on : t -> Interval.t -> float
 (** D(I), compensated. *)
 
-val mass_on_mask : t -> bool array -> float
-[@@histolint.keep "tested only by test_distrib; no production caller"]
-
 val support : t -> int list
 val support_size : t -> int
-
-val min_nonzero : t -> float
-[@@histolint.keep "tested only by test_distrib; no production caller"]
-(** Smallest positive mass ([infinity] for the all-zero edge case, which
-    cannot occur in a valid pmf). *)
 
 val cdf : t -> float array
 (** Length n+1 prefix sums; [cdf.(i)] = mass of [0..i-1]. *)
 
 val uniform : int -> t
-val point_mass : n:int -> int -> t
-[@@histolint.keep "tests build fixtures with it; no production caller"]
-
-val map_weights : t -> (int -> float -> float) -> t
-[@@histolint.keep "tested only by test_distrib; no production caller"]
-(** Pointwise reweighting followed by normalization. *)
-
-val equal : ?eps:float -> t -> t -> bool
-[@@histolint.keep "tests compare fixtures with it; no production caller"]

@@ -15,11 +15,6 @@ let levels t = Array.copy t.levels
 let pieces t = Partition.cell_count t.part
 let domain_size t = Partition.domain_size t.part
 let level t j = t.levels.(j)
-let value_at t i = t.levels.(Partition.find t.part i)
-
-let total_mass t =
-  Numkit.Kahan.sum_f (pieces t) (fun j ->
-      t.levels.(j) *. float_of_int (Interval.length (Partition.cell t.part j)))
 
 let to_pmf t =
   let n = domain_size t in
@@ -38,7 +33,6 @@ let breakpoints_of_pmf ?(eps = 0.) pmf =
   !out
 
 let pieces_of_pmf ?eps pmf = List.length (breakpoints_of_pmf ?eps pmf) + 1
-let is_k_histogram ?eps pmf ~k = pieces_of_pmf ?eps pmf <= k
 
 let of_pmf ?eps pmf =
   let n = Pmf.size pmf in

@@ -2,8 +2,8 @@
 
     A [Khist.t] is a partition of [0..n-1] into contiguous cells plus one
     per-element level per cell; it represents a function (usually a pmf,
-    but the type also carries sub-normalized learner outputs — check
-    [total_mass] when it matters). *)
+    but the type also carries sub-normalized learner outputs, which
+    {!to_pmf} refuses). *)
 
 type t
 
@@ -16,12 +16,6 @@ val levels : t -> float array
 val pieces : t -> int
 val level : t -> int -> float
 
-val value_at : t -> int -> float
-(** Value at a domain point (O(log pieces)). *)
-
-val total_mass : t -> float
-[@@histolint.keep "tested only by test_histkit; no production caller"]
-
 val to_pmf : t -> Pmf.t
 (** @raise Invalid_argument if the represented mass is not 1. *)
 
@@ -31,8 +25,6 @@ val breakpoints_of_pmf : ?eps:float -> Pmf.t -> int list
     inequality), ascending — the paper's breakpoints. *)
 
 val pieces_of_pmf : ?eps:float -> Pmf.t -> int
-val is_k_histogram : ?eps:float -> Pmf.t -> k:int -> bool
-[@@histolint.keep "tested only by test_histkit; no production caller"]
 
 val of_pmf : ?eps:float -> Pmf.t -> t
 (** Exact piecewise-constant decomposition into maximal constant runs. *)

@@ -19,8 +19,6 @@ let direction_changes pmf =
   done;
   !changes
 
-let is_k_modal pmf ~k = direction_changes pmf <= k
-
 let random_kmodal ~n ~k ~rng =
   if k < 0 || k + 1 > n then
     invalid_arg "Modal.random_kmodal: need 0 <= k < n";
@@ -50,28 +48,10 @@ let random_kmodal ~n ~k ~rng =
     part;
   Pmf.of_weights w
 
-(* Minimum L1 cost of fitting a nondecreasing sequence to [values]
-   (unit weights): the classical max-heap slope-trimming algorithm.
-   Every element is pushed once and popped at most once, O(n log n). *)
-let monotone_fit_cost ?(dir = Up) values =
-  let heap = Numkit.Heap.create ~max_heap:true () in
-  let orient v = match dir with Up -> v | Down -> -.v in
-  let cost = ref 0. in
-  Array.iter
-    (fun raw ->
-      let x = orient raw in
-      Numkit.Heap.push heap ~priority:x ();
-      match Numkit.Heap.peek heap with
-      | Some (top, ()) when top > x ->
-          cost := !cost +. (top -. x);
-          ignore (Numkit.Heap.pop heap);
-          Numkit.Heap.push heap ~priority:x ()
-      | _ -> ())
-    values;
-  !cost
-
-(* cost_table.(l).(r): min L1 cost of a [dir]-monotone fit to values l..r.
-   One heap-trick sweep per left endpoint: O(n^2 log n) total. *)
+(* cost_table.(l).(r): min L1 cost of a [dir]-monotone fit to values l..r
+   (unit weights), by the classical max-heap slope-trimming algorithm:
+   one sweep per left endpoint, each element pushed once and popped at
+   most once, O(n^2 log n) total. *)
 let monotone_cost_table ~dir values =
   let n = Array.length values in
   let table = Array.make_matrix n n 0. in

@@ -136,7 +136,6 @@ let mutators =
     (* drawing from an RNG advances its state: racing draws from a
        shared rng destroy the pre-split stream discipline *)
     ("Randkit.Rng.int", 0);
-    ("Randkit.Rng.int_in_range", 0);
     ("Randkit.Rng.float", 0);
     ("Randkit.Rng.bool", 0);
     ("Randkit.Rng.bits64", 0);

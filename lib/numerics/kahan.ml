@@ -11,26 +11,9 @@ let add t x =
 
 let total t = t.sum +. t.comp
 
-let merge a b =
-  (* Two-sum of the principal sums is an error-free transformation:
-     sum_a + sum_b = s + e exactly, so no information is lost at the
-     merge itself — the only rounding in the merged accumulator's history
-     is what the per-shard additions already committed. *)
-  let s = a.sum +. b.sum in
-  let e =
-    if Float.abs a.sum >= Float.abs b.sum then (a.sum -. s) +. b.sum
-    else (b.sum -. s) +. a.sum
-  in
-  { sum = s; comp = a.comp +. b.comp +. e }
-
 let sum_array a =
   let t = create () in
   Array.iter (add t) a;
-  total t
-
-let sum_seq s =
-  let t = create () in
-  Seq.iter (add t) s;
   total t
 
 let sum_f n f =

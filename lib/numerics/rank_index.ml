@@ -56,7 +56,6 @@ type t = {
   root : node;
 }
 
-let size t = t.size
 
 let create ~values ~weights =
   let k = Array.length values in

@@ -27,14 +27,11 @@ val create : values:float array -> weights:float array -> t
     mismatch, NaN values, or negative/NaN weights.  Zero weights are
     allowed (they never move the median and add nothing to any cost). *)
 
-val size : t -> int
-[@@histolint.keep "tested only by test_numkit; no production caller"]
-(** Number of positions indexed. *)
-
 val seg_cost : t -> lo:int -> hi:int -> float
 (** [seg_cost t ~lo ~hi] is [min_v Σ_{i ∈ [lo,hi)} w_i·|v_i − v|], in
     O(log R); [0.] when the range carries no weight.  @raise
-    Invalid_argument if [not (0 <= lo < hi <= size t)]. *)
+    Invalid_argument unless [0 <= lo < hi <= K], K the number of
+    positions indexed. *)
 
 val seg_median : t -> lo:int -> hi:int -> float
 [@@histolint.keep "[seg_cost] runs it; test_numkit pins it directly"]

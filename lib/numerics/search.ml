@@ -1,16 +1,3 @@
-let first_true ~lo ~hi pred =
-  if lo > hi then invalid_arg "Search.first_true: lo > hi";
-  if not (pred hi) then None
-  else begin
-    (* Invariant: pred hi holds; pred (lo-1) unknown/false region below lo. *)
-    let lo = ref lo and hi = ref hi in
-    while !lo < !hi do
-      let mid = !lo + ((!hi - !lo) / 2) in
-      if pred mid then hi := mid else lo := mid + 1
-    done;
-    Some !lo
-  end
-
 let doubling_first_true ~start ~limit pred =
   if start <= 0 then invalid_arg "Search.doubling_first_true: start <= 0";
   let rec grow x =
@@ -33,56 +20,8 @@ let doubling_first_true ~start ~limit pred =
       done;
       Some !hi
 
-let bisect_float ~lo ~hi ~eps f =
-  if lo >= hi then invalid_arg "Search.bisect_float: lo >= hi";
-  if eps <= 0. then invalid_arg "Search.bisect_float: eps <= 0";
-  let flo = f lo in
-  if Float.equal flo 0. then lo
-  else begin
-    let fhi = f hi in
-    if Float.equal fhi 0. then hi
-    else if flo *. fhi > 0. then
-      invalid_arg "Search.bisect_float: no sign change on [lo, hi]"
-    else begin
-      let lo = ref lo and hi = ref hi and flo = ref flo in
-      while !hi -. !lo > eps do
-        let mid = 0.5 *. (!lo +. !hi) in
-        let fmid = f mid in
-        if Float.equal fmid 0. then begin
-          lo := mid;
-          hi := mid
-        end
-        else if !flo *. fmid < 0. then hi := mid
-        else begin
-          lo := mid;
-          flo := fmid
-        end
-      done;
-      0.5 *. (!lo +. !hi)
-    end
-  end
-
 let lower_bound a x =
   (* First index i with a.(i) >= x, or length a. *)
-  let n = Array.length a in
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = !lo + ((!hi - !lo) / 2) in
-    if a.(mid) < x then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let upper_bound a x =
-  (* First index i with a.(i) > x, or length a. *)
-  let n = Array.length a in
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = !lo + ((!hi - !lo) / 2) in
-    if a.(mid) <= x then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let lower_bound_int (a : int array) x =
   let n = Array.length a in
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do

@@ -38,77 +38,6 @@ let log_factorial n =
   if n < log_factorial_cache_size then (Lazy.force log_factorial_cache).(n)
   else log_gamma (float_of_int n +. 1.)
 
-let log_binomial n k =
-  if k < 0 || k > n then neg_infinity
-  else log_factorial n -. log_factorial k -. log_factorial (n - k)
-
-(* Abramowitz & Stegun 7.1.26 rational approximation; |error| <= 1.5e-7,
-   sign handled by oddness. *)
-let erf x =
-  let sign = if x < 0. then -1. else 1. in
-  let x = Float.abs x in
-  let t = 1. /. (1. +. (0.3275911 *. x)) in
-  let a1 = 0.254829592
-  and a2 = -0.284496736
-  and a3 = 1.421413741
-  and a4 = -1.453152027
-  and a5 = 1.061405429 in
-  let poly = ((((a5 *. t) +. a4) *. t +. a3) *. t +. a2) *. t +. a1 in
-  let y = 1. -. (poly *. t *. exp (-.x *. x)) in
-  sign *. y
-
-let normal_cdf ?(mu = 0.) ?(sigma = 1.) x =
-  if sigma <= 0. then invalid_arg "Special.normal_cdf: sigma must be positive";
-  0.5 *. (1. +. erf ((x -. mu) /. (sigma *. sqrt 2.)))
-
-(* Acklam's inverse-normal approximation, refined with one Halley step.
-   Relative error below 1e-9 over (0, 1). *)
-let normal_quantile p =
-  if p <= 0. || p >= 1. then
-    invalid_arg "Special.normal_quantile: p must lie in (0, 1)";
-  let a =
-    [| -3.969683028665376e+01; 2.209460984245205e+02; -2.759285104469687e+02;
-       1.383577518672690e+02; -3.066479806614716e+01; 2.506628277459239e+00 |]
-  and b =
-    [| -5.447609879822406e+01; 1.615858368580409e+02; -1.556989798598866e+02;
-       6.680131188771972e+01; -1.328068155288572e+01 |]
-  and c =
-    [| -7.784894002430293e-03; -3.223964580411365e-01; -2.400758277161838e+00;
-       -2.549732539343734e+00; 4.374664141464968e+00; 2.938163982698783e+00 |]
-  and d =
-    [| 7.784695709041462e-03; 3.224671290700398e-01; 2.445134137142996e+00;
-       3.754408661907416e+00 |]
-  in
-  let p_low = 0.02425 in
-  let x =
-    if p < p_low then
-      let q = sqrt (-2. *. log p) in
-      (((((c.(0) *. q +. c.(1)) *. q +. c.(2)) *. q +. c.(3)) *. q +. c.(4))
-       *. q
-      +. c.(5))
-      /. ((((d.(0) *. q +. d.(1)) *. q +. d.(2)) *. q +. d.(3)) *. q +. 1.)
-    else if p <= 1. -. p_low then
-      let q = p -. 0.5 in
-      let r = q *. q in
-      (((((a.(0) *. r +. a.(1)) *. r +. a.(2)) *. r +. a.(3)) *. r +. a.(4))
-       *. r
-      +. a.(5))
-      *. q
-      /. (((((b.(0) *. r +. b.(1)) *. r +. b.(2)) *. r +. b.(3)) *. r +. b.(4))
-          *. r
-         +. 1.)
-    else
-      let q = sqrt (-2. *. log (1. -. p)) in
-      -.((((((c.(0) *. q +. c.(1)) *. q +. c.(2)) *. q +. c.(3)) *. q +. c.(4))
-          *. q
-         +. c.(5))
-         /. ((((d.(0) *. q +. d.(1)) *. q +. d.(2)) *. q +. d.(3)) *. q +. 1.))
-  in
-  (* One Halley refinement step using the forward CDF. *)
-  let e = normal_cdf x -. p in
-  let u = e *. sqrt (2. *. pi) *. exp (x *. x /. 2.) in
-  x -. (u /. (1. +. (x *. u /. 2.)))
-
 let log_poisson_pmf ~mean k =
   if mean < 0. then invalid_arg "Special.log_poisson_pmf: negative mean";
   if k < 0 then neg_infinity
@@ -118,7 +47,7 @@ let log_poisson_pmf ~mean k =
 let poisson_pmf ~mean k = exp (log_poisson_pmf ~mean k)
 
 (* Regularized lower incomplete gamma P(a, x) by series (x < a+1) or
-   continued fraction (otherwise); used for Poisson tail probabilities. *)
+   continued fraction (otherwise). *)
 let gamma_p a x =
   if a <= 0. then invalid_arg "Special.gamma_p: a must be positive";
   if x < 0. then invalid_arg "Special.gamma_p: x must be nonnegative";
@@ -163,8 +92,3 @@ let gamma_p a x =
     let q = exp ((-.x) +. (a *. log x) -. log_gamma a) *. !h in
     1. -. q
   end
-
-let poisson_cdf ~mean k =
-  if k < 0 then 0.
-  else if Float.equal mean 0. then 1.
-  else 1. -. gamma_p (float_of_int k +. 1.) mean

@@ -40,12 +40,6 @@ let quantile a q =
 
 let median a = quantile a 0.5
 
-let median_int a =
-  if Array.length a = 0 then invalid_arg "Summary.median_int: empty array";
-  let sorted = Array.copy a in
-  Array.sort Int.compare sorted;
-  sorted.(Array.length sorted / 2)
-
 let prefix_sums a =
   let n = Array.length a in
   let out = Array.make (n + 1) 0. in
@@ -55,11 +49,3 @@ let prefix_sums a =
     out.(i + 1) <- Kahan.total acc
   done;
   out
-
-let argmax a =
-  if Array.length a = 0 then invalid_arg "Summary.argmax: empty array";
-  let best = ref 0 in
-  for i = 1 to Array.length a - 1 do
-    if a.(i) > a.(!best) then best := i
-  done;
-  !best

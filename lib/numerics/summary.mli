@@ -25,15 +25,6 @@ val quantile : float array -> float -> float
 
 val median : float array -> float
 
-val median_int : int array -> int
-[@@histolint.keep "tested only by test_numkit; no production caller"]
-(** Upper median of an int array (no interpolation); the median-trick
-    amplifier uses this. *)
-
 val prefix_sums : float array -> float array
 (** [prefix_sums a].(i) = compensated sum of [a.(0) .. a.(i-1)];
     length is [Array.length a + 1]. *)
-
-val argmax : float array -> int
-[@@histolint.keep "tested only by test_numkit; no production caller"]
-(** Index of the (first) maximum. @raise Invalid_argument on empty input. *)

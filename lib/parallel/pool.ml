@@ -1,8 +1,8 @@
 (* A monitor-style work-sharing pool: one mutex, two conditions, and an
    index counter workers race on.  Workers claim *chunks* of contiguous
    indices per mutex round-trip (grain configurable, defaulting to
-   ~total/(4*jobs)), so a batch of short tasks — the probe-style trials of
-   [min_samples] — costs O(jobs) lock handoffs instead of O(total).
+   ~total/(4*jobs)), so a batch of short tasks — a harness run of many
+   cheap trials — costs O(jobs) lock handoffs instead of O(total).
    Results still land in submission order and a [jobs = 1] pool is exactly
    a sequential loop. *)
 

@@ -78,7 +78,7 @@ val init : t -> int -> (int -> 'a) -> 'a array
 (** [init pool n f] is [map] over indices [0 .. n-1], in index order. *)
 
 val iter : t -> ('a -> unit) -> 'a array -> unit
-[@@histolint.keep "tested only by test_parkit; no production caller"]
+[@@histolint.keep "a Race.pool_entrypoints name; race-lint fixtures call it"]
 (** [iter pool f arr] is {!map} for effectful [f], without building a
     result array.  Same concurrency contract as [map]; the join orders
     every effect of [f] before [iter] returns. *)

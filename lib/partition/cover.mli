@@ -13,6 +13,6 @@ val of_points : n:int -> int list -> int
     @raise Invalid_argument if a point falls outside the domain. *)
 
 val right_borders : n:int -> int list -> int
-[@@histolint.keep "tested only by test_intervals; no production caller"]
+[@@histolint.keep "reproduction artifact: Lemma 4.4's X; test_intervals checks it"]
 (** The X statistic from the proof of Lemma 4.4 (count of i in S with
     i+1 not in S, i < n−1); satisfies cover − 1 ≤ X ≤ cover. *)

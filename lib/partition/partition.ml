@@ -1,28 +1,5 @@
 type t = { n : int; cells : Interval.t array }
 
-let validate n cells =
-  if n < 0 then invalid_arg "Partition: negative domain size";
-  let count = Array.length cells in
-  if n = 0 then (if count <> 0 then invalid_arg "Partition: cells over empty domain")
-  else begin
-    if count = 0 then invalid_arg "Partition: no cells over nonempty domain";
-    if Interval.lo cells.(0) <> 0 then
-      invalid_arg "Partition: first cell must start at 0";
-    if Interval.hi cells.(count - 1) <> n then
-      invalid_arg "Partition: last cell must end at n";
-    for i = 0 to count - 1 do
-      if Interval.is_empty cells.(i) then
-        invalid_arg "Partition: empty cell";
-      if i > 0 && Interval.hi cells.(i - 1) <> Interval.lo cells.(i) then
-        invalid_arg "Partition: cells not contiguous"
-    done
-  end
-
-let make ~n cells =
-  let cells = Array.of_list cells in
-  validate n cells;
-  { n; cells }
-
 let of_breakpoints ~n breaks =
   (* [breaks] are interior cut positions: cell boundaries besides 0 and n. *)
   let breaks = List.sort_uniq Int.compare breaks in
@@ -40,7 +17,6 @@ let of_breakpoints ~n breaks =
   { n; cells }
 
 let trivial ~n = of_breakpoints ~n []
-let singletons ~n = of_breakpoints ~n (List.init (max 0 (n - 1)) (fun i -> i + 1))
 
 let equal_width ~n ~cells:count =
   if count <= 0 || count > n then
@@ -69,21 +45,7 @@ let find t x =
   done;
   !lo
 
-let fold f init t = Array.fold_left f init t.cells
 let iteri f t = Array.iteri f t.cells
-
-let refine a b =
-  if a.n <> b.n then invalid_arg "Partition.refine: mismatched domains";
-  let cuts =
-    List.sort_uniq Int.compare (breakpoints a @ breakpoints b)
-  in
-  of_breakpoints ~n:a.n cuts
-
-let is_refinement ~coarse ~fine =
-  coarse.n = fine.n
-  &&
-  let coarse_breaks = breakpoints coarse and fine_breaks = breakpoints fine in
-  List.for_all (fun b -> List.mem b fine_breaks) coarse_breaks
 
 let restrict_mask t ~keep =
   if Array.length keep <> cell_count t then

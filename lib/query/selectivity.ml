@@ -19,8 +19,6 @@ let estimate_range khist iv =
     part;
   Numkit.Kahan.total acc
 
-let estimate_point khist i = Khist.value_at khist i
-
 let absolute_error pmf khist iv =
   Float.abs (true_range pmf iv -. estimate_range khist iv)
 

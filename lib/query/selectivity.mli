@@ -11,9 +11,6 @@ val estimate_range : Khist.t -> Interval.t -> float
 [@@histolint.keep "[evaluate] runs it; test_querykit pins it directly"]
 (** Histogram estimate under the uniform-spread assumption. *)
 
-val estimate_point : Khist.t -> int -> float
-[@@histolint.keep "tested only by test_querykit; no production caller"]
-
 val absolute_error : Pmf.t -> Khist.t -> Interval.t -> float
 [@@histolint.keep "[evaluate] runs it; test_querykit pins it directly"]
 val relative_error : Pmf.t -> Khist.t -> Interval.t -> float

@@ -5,13 +5,6 @@ let uniform_ranges ~n ~count ~rng =
       let lo = min a b and hi = max a b + 1 in
       Interval.make ~lo ~hi)
 
-let fixed_width_ranges ~n ~width ~count ~rng =
-  if width <= 0 || width > n then
-    invalid_arg "Workload.fixed_width_ranges: need 0 < width <= n";
-  List.init count (fun _ ->
-      let lo = Randkit.Rng.int rng (n - width + 1) in
-      Interval.make ~lo ~hi:(lo + width))
-
 let data_centered_ranges ~pmf ~width ~count ~rng =
   (* Ranges centered on sampled data points: heavy regions get queried
      more, like a workload driven by actual key lookups. *)
@@ -23,13 +16,3 @@ let data_centered_ranges ~pmf ~width ~count ~rng =
       let center = Alias.draw alias rng in
       let lo = max 0 (min (n - width) (center - (width / 2))) in
       Interval.make ~lo ~hi:(lo + width))
-
-let point_queries ~pmf ~count ~rng =
-  let alias = Alias.of_pmf pmf in
-  List.init count (fun _ -> Alias.draw alias rng)
-
-let prefix_ranges ~n ~count =
-  if count <= 0 then invalid_arg "Workload.prefix_ranges: count <= 0";
-  List.init count (fun j ->
-      let hi = max 1 ((j + 1) * n / count) in
-      Interval.make ~lo:0 ~hi)

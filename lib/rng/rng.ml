@@ -18,10 +18,6 @@ let[@inline] [@histolint.hot] int t bound =
      inside Xoshiro so no boxed int64 crosses a function boundary. *)
   if bound = 1 then 0 else Xoshiro.next_below t bound
 
-let int_in_range t ~lo ~hi =
-  if lo > hi then invalid_arg "Rng.int_in_range: lo > hi";
-  lo + int t (hi - lo + 1)
-
 let[@inline] [@histolint.hot] float t bound =
   if bound <= 0. then invalid_arg "Rng.float: bound must be positive";
   (* 53 uniform mantissa bits -> uniform in [0, 1).  [next_top53 t] is

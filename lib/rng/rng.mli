@@ -22,10 +22,6 @@ val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound); rejection-sampled, no modulo
     bias. @raise Invalid_argument if [bound <= 0]. *)
 
-val int_in_range : t -> lo:int -> hi:int -> int
-[@@histolint.keep "tested only by test_randkit; no production caller"]
-(** Uniform on the inclusive range. @raise Invalid_argument if [lo > hi]. *)
-
 val float : t -> float -> float
 (** Uniform on [0, bound) with full 53-bit resolution. *)
 

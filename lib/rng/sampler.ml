@@ -1,11 +1,3 @@
-let bernoulli rng p =
-  if p < 0. || p > 1. then invalid_arg "Sampler.bernoulli: p outside [0, 1]";
-  Rng.float rng 1. < p
-
-let exponential rng ~rate =
-  if rate <= 0. then invalid_arg "Sampler.exponential: rate must be positive";
-  -.log (Rng.unit_open rng) /. rate
-
 let gaussian rng ~mu ~sigma =
   if sigma < 0. then invalid_arg "Sampler.gaussian: sigma must be nonnegative";
   (* Marsaglia polar method; one of the pair is discarded to keep the
@@ -148,12 +140,6 @@ let binomial rng ~n ~p =
         binomial_waiting_core rng ~n ~p
       else binomial_btrs_core rng ~n ~p)
     rng ~n ~p
-
-let categorical_from_cdf rng cdf =
-  let n = Array.length cdf in
-  if n = 0 then invalid_arg "Sampler.categorical_from_cdf: empty CDF";
-  let u = Rng.float rng cdf.(n - 1) in
-  Numkit.Search.upper_bound cdf u |> min (n - 1)
 
 let permutation rng n =
   let a = Array.init n (fun i -> i) in

@@ -5,10 +5,6 @@
     the testers draw [Poisson(m)] of them, making per-element counts
     independent. *)
 
-val bernoulli : Rng.t -> float -> bool
-[@@histolint.keep "tested only by test_randkit; no production caller"]
-val exponential : Rng.t -> rate:float -> float
-[@@histolint.keep "tested only by test_randkit; no production caller"]
 val gaussian : Rng.t -> mu:float -> sigma:float -> float
 
 val geometric : Rng.t -> p:float -> int
@@ -49,12 +45,6 @@ val binomial_btrs_cutoff : float
 (** The pinned dispatch threshold on [n·min(p, 1-p)] (currently 10, the
     BTRS validity floor).  Part of the draw-stream contract: changing it
     changes every stream that crosses it. *)
-
-val categorical_from_cdf : Rng.t -> float array -> int
-[@@histolint.keep "tested only by test_randkit; no production caller"]
-(** Draw an index given the (nondecreasing, positive-total) cumulative
-    weights; O(log n) by binary search.  For bulk draws prefer
-    {!Distrib.Alias}. *)
 
 val permutation : Rng.t -> int -> int array
 (** Uniform permutation of [0..n-1] (Fisher–Yates); this is the [σ ∈ S_n]

@@ -43,13 +43,12 @@ let[@histolint.hot] escape_string buf s =
   Buffer.add_char buf '"'
 
 let add_num buf x =
-  if Float.is_integer x && Float.abs x <= 9.007199254740992e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" x)
-  else if Float.is_nan x || (Float.is_integer x && not (Float.is_finite x))
-  then
+  if not (Float.is_finite x) then
     (* JSON has no NaN/inf; the service never emits them, but the printer
        must not produce unparseable output if one slips through. *)
     Buffer.add_string buf "null"
+  else if Float.is_integer x && Float.abs x <= 9.007199254740992e15 then
+    Buffer.add_string buf (Printf.sprintf "%.0f" x)
   else Buffer.add_string buf (Printf.sprintf "%.17g" x)
 
 let rec add buf = function

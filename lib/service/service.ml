@@ -38,13 +38,13 @@ type t = {
          reconfigure-heavy workloads stop paying the O(n) rebuild *)
 }
 
-let create ?cache_capacity () =
+let create () =
   {
     config = None;
     acc = None;
     shards = [];
     index = Hashtbl.create 16;
-    cache = Structcache.create ?capacity:cache_capacity ();
+    cache = Structcache.create ();
   }
 
 let cache_stats t = Structcache.stats t.cache

@@ -8,8 +8,9 @@
     accumulator is bitwise the merge of the count vectors the shards
     would have held on their own, and the served verdict is bit-identical
     to a single process holding the concatenated stream, whatever the
-    sharding or merge topology — the contract the E20 bench gates.  So the engine holds one n-vector per config, and a
-    new shard name costs O(1) words. *)
+    sharding or merge topology — the contract the E20 bench gates.  So
+    the engine holds one n-vector per config, and a new shard name costs
+    O(1) words. *)
 
 type config = {
   n : int;
@@ -23,9 +24,8 @@ type config = {
 
 type t
 
-val create : ?cache_capacity:int -> unit -> t
-(** [cache_capacity] bounds the structure cache (default
-    {!Structcache.default_capacity}). *)
+val create : unit -> t
+(** A service with no config and an empty structure cache. *)
 
 val cache_stats : t -> Structcache.stats
 (** Introspection over the hypothesis-structure cache (also served as

@@ -9,8 +9,9 @@
       observations into a shard (created on first use).
     - [{"cmd":"counts","shard":ID,"counts":[c_0,...,c_{n-1}]}] — bulk-add
       a full count vector (another process's tallies).
-    - [{"cmd":"verdict"}] — merge all shards, return the incremental
-      accept/reject verdict.
+    - [{"cmd":"verdict"}] — the incremental accept/reject verdict,
+      computed from the one accumulator every shard adds into (there is
+      no merge step).
     - [{"cmd":"cache_stats"}] — structure-cache introspection (size,
       hits, misses, evictions).
     - [{"cmd":"stats"}], [{"cmd":"reset"}], [{"cmd":"quit"}]. *)
@@ -20,7 +21,9 @@ type request =
       n : int;
       family : string;
       eps : float;
-      cells : int option;  (** diagnostic partition cells; default √n-ish *)
+      cells : int option;
+          (** diagnostic partition cells; default [min n 64], clamped to
+              [1..n] *)
       seed : int;
     }
   | Observe of { shard : string; xs : int array }

@@ -22,10 +22,3 @@ let majority_vote ?(pool = Parkit.Pool.sequential) ~trials f =
       0 verdicts
   in
   if 2 * accepts > trials then Verdict.Accept else Verdict.Reject
-
-let median_value ?(pool = Parkit.Pool.sequential) ~trials f =
-  if trials <= 0 then invalid_arg "Amplify.median_value: trials <= 0";
-  Numkit.Summary.median (Parkit.Pool.init pool trials f)
-
-let boosted ?pool ~delta f =
-  majority_vote ?pool ~trials:(repetitions_for ~delta) f

@@ -63,31 +63,3 @@ let accept_rate ?pool ?oracle ~rng ~trials ~pmf decide =
       0 verdicts
   in
   float_of_int accepts /. float_of_int trials
-
-let error_rate ?pool ?oracle ~rng ~trials ~pmf ~in_class decide =
-  let rate = accept_rate ?pool ?oracle ~rng ~trials ~pmf decide in
-  if in_class then 1. -. rate else rate
-
-type complexity_result = {
-  samples : int option;
-  probed : (int * float) list;  (** (m, worst error rate) per probe *)
-}
-
-let min_samples ?pool ?oracle ~rng ~trials ~limit ~start ~yes_pmf ~no_pmf
-    decide =
-  let probed = ref [] in
-  let ok m =
-    let err_yes =
-      error_rate ?pool ?oracle ~rng ~trials ~pmf:yes_pmf ~in_class:true
-        (decide ~m)
-    in
-    let err_no =
-      error_rate ?pool ?oracle ~rng ~trials ~pmf:no_pmf ~in_class:false
-        (decide ~m)
-    in
-    let worst = Float.max err_yes err_no in
-    probed := (m, worst) :: !probed;
-    worst <= 1. /. 3.
-  in
-  let samples = Numkit.Search.doubling_first_true ~start ~limit ok in
-  { samples; probed = List.rev !probed }

@@ -1,5 +1,5 @@
 (** Experiment harness: repeated independent tester trials against known
-    ground truth, and empirical sample-complexity search.
+    ground truth.
 
     Each trial gets a split-off generator and a fresh oracle, so trials are
     statistically independent yet the whole experiment is reproducible from
@@ -61,38 +61,3 @@ val accept_rate :
   pmf:Pmf.t ->
   (trial -> Verdict.t) ->
   float
-
-val error_rate :
-  ?pool:Parkit.Pool.t ->
-  ?oracle:oracle_kind ->
-  rng:Randkit.Rng.t ->
-  trials:int ->
-  pmf:Pmf.t ->
-  in_class:bool ->
-  (trial -> Verdict.t) ->
-  float
-[@@histolint.keep "[min_samples] runs it; test_statkit pins it directly"]
-(** Rejection rate if [in_class], acceptance rate otherwise. *)
-
-type complexity_result = {
-  samples : int option;
-      (** smallest probed sample budget with worst-side error ≤ 1/3 *)
-  probed : (int * float) list;  (** every (budget, worst error) probed *)
-}
-
-val min_samples :
-  ?pool:Parkit.Pool.t ->
-  ?oracle:oracle_kind ->
-  rng:Randkit.Rng.t ->
-  trials:int ->
-  limit:int ->
-  start:int ->
-  yes_pmf:Pmf.t ->
-  no_pmf:Pmf.t ->
-  (m:int -> trial -> Verdict.t) ->
-  complexity_result
-[@@histolint.keep "tested only by test_statkit; no production caller"]
-(** Doubling-plus-bisection search for the empirical sample complexity of a
-    tester on a completeness/soundness instance pair.  The probe predicate
-    is stochastic, so this is an estimate — the experiments report it with
-    the number of trials used. *)

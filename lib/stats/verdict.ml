@@ -4,11 +4,3 @@ let to_string = function Accept -> "accept" | Reject -> "reject"
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 let equal a b =
   match (a, b) with Accept, Accept | Reject, Reject -> true | _ -> false
-
-let majority verdicts =
-  let accepts =
-    List.fold_left
-      (fun acc v -> if equal v Accept then acc + 1 else acc)
-      0 verdicts
-  in
-  if 2 * accepts > List.length verdicts then Accept else Reject

@@ -20,21 +20,6 @@ let observe t x =
 
 let total t = t.total
 
-let merge a b =
-  if a.n <> b.n then invalid_arg "Stream_hist.merge: domain mismatch";
-  if a.buckets <> b.buckets then
-    invalid_arg "Stream_hist.merge: bucket-count mismatch";
-  (* Gk.merge validates the eps; exact counts add elementwise, so bucket
-     masses of the merged state are bitwise those of a single-stream
-     state, and only the boundary placement is eps-approximate. *)
-  {
-    n = a.n;
-    buckets = a.buckets;
-    sketch = Gk.merge a.sketch b.sketch;
-    counts = Array.init a.n (fun i -> a.counts.(i) + b.counts.(i));
-    total = a.total + b.total;
-  }
-
 let current_partition t =
   if t.total = 0 then Partition.trivial ~n:t.n
   else begin
@@ -48,8 +33,6 @@ let current_partition t =
     done;
     Partition.of_breakpoints ~n:t.n (List.sort_uniq Int.compare !breaks)
   end
-
-let realized_cells t = Partition.cell_count (current_partition t)
 
 let current_histogram t =
   if t.total = 0 then invalid_arg "Stream_hist.current_histogram: no data";

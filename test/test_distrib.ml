@@ -1,6 +1,9 @@
 let rng () = Randkit.Rng.create ~seed:4242
 let iv lo hi = Interval.make ~lo ~hi
 
+let point_mass ~n i =
+  Pmf.create (Array.init n (fun j -> if j = i then 1. else 0.))
+
 (* --- Pmf --- *)
 
 let test_pmf_create_valid () =
@@ -43,11 +46,7 @@ let test_pmf_mass_and_support () =
   let p = Pmf.create [| 0.5; 0.; 0.25; 0.25 |] in
   Alcotest.(check (float 1e-12)) "mass_on" 0.25 (Pmf.mass_on p (iv 1 3));
   Alcotest.(check (list int)) "support" [ 0; 2; 3 ] (Pmf.support p);
-  Alcotest.(check int) "support_size" 3 (Pmf.support_size p);
-  Alcotest.(check (float 1e-12)) "min_nonzero" 0.25 (Pmf.min_nonzero p);
-  Alcotest.(check (float 1e-12)) "mask"
-    0.75
-    (Pmf.mass_on_mask p [| true; true; false; true |])
+  Alcotest.(check int) "support_size" 3 (Pmf.support_size p)
 
 let test_pmf_cdf () =
   let p = Pmf.create [| 0.1; 0.2; 0.7 |] in
@@ -59,13 +58,9 @@ let test_pmf_cdf () =
 let test_pmf_uniform_point () =
   let u = Pmf.uniform 4 in
   Alcotest.(check (float 1e-12)) "uniform" 0.25 (Pmf.get u 1);
-  let pm = Pmf.point_mass ~n:5 2 in
+  let pm = point_mass ~n:5 2 in
   Alcotest.(check (float 0.)) "point" 1. (Pmf.get pm 2);
   Alcotest.(check (float 0.)) "elsewhere" 0. (Pmf.get pm 0)
-
-let test_pmf_equal () =
-  let a = Pmf.create [| 0.5; 0.5 |] and b = Pmf.of_weights [| 1.; 1. |] in
-  Alcotest.(check bool) "equal" true (Pmf.equal a b)
 
 (* --- Alias --- *)
 
@@ -85,7 +80,7 @@ let test_alias_frequencies () =
     counts
 
 let test_alias_point_mass () =
-  let a = Alias.of_pmf (Pmf.point_mass ~n:10 7) in
+  let a = Alias.of_pmf (point_mass ~n:10 7) in
   for _ = 1 to 100 do
     Alcotest.(check int) "always 7" 7 (Alias.draw a (rng ()))
   done
@@ -168,7 +163,7 @@ let test_split_tree_marginals () =
     acc
 
 let test_split_tree_point_mass () =
-  let t = Split_tree.of_pmf (Pmf.point_mass ~n:10 7) in
+  let t = Split_tree.of_pmf (point_mass ~n:10 7) in
   let counts = Split_tree.draw_counts t (rng ()) 500 in
   Array.iteri
     (fun i c ->
@@ -217,7 +212,7 @@ let test_split_tree_into_same_stream () =
     (Randkit.Rng.bits64 r1) (Randkit.Rng.bits64 r2)
 
 let test_split_tree_into_zeroes_buffer () =
-  let p = Pmf.point_mass ~n:4 0 in
+  let p = point_mass ~n:4 0 in
   let t = Split_tree.of_pmf p in
   let counts = Array.make 4 99 in
   Split_tree.draw_counts_into t (rng ()) ~counts 5;
@@ -243,12 +238,11 @@ let test_split_tree_invalid () =
 let test_distance_identical () =
   let p = Families.zipf ~n:64 ~s:1. in
   Alcotest.(check (float 1e-12)) "tv self" 0. (Distance.tv p p);
-  Alcotest.(check (float 1e-12)) "chi2 self" 0. (Distance.chi2 p ~against:p);
-  Alcotest.(check (float 1e-12)) "hellinger self" 0. (Distance.hellinger p p)
+  Alcotest.(check (float 1e-12)) "chi2 self" 0. (Distance.chi2 p ~against:p)
 
 let test_distance_uniform_point () =
   let n = 10 in
-  let u = Pmf.uniform n and pm = Pmf.point_mass ~n 0 in
+  let u = Pmf.uniform n and pm = point_mass ~n 0 in
   Alcotest.(check (float 1e-12)) "tv" (1. -. (1. /. float_of_int n))
     (Distance.tv u pm);
   Alcotest.(check bool) "chi2 infinite" true
@@ -259,37 +253,12 @@ let test_distance_closed_form () =
   Alcotest.(check (float 1e-12)) "tv" 0.25 (Distance.tv a b);
   Alcotest.(check (float 1e-12)) "l1" 0.5 (Distance.l1 a b);
   (* chi2(a || b) = (0.25)^2/0.25 + (0.25)^2/0.75 = 1/4 + 1/12 = 1/3. *)
-  Alcotest.(check (float 1e-12)) "chi2" (1. /. 3.) (Distance.chi2 a ~against:b);
-  Alcotest.(check (float 1e-12)) "l2 sq" (2. *. 0.0625) (Distance.l2_sq a b)
+  Alcotest.(check (float 1e-12)) "chi2" (1. /. 3.) (Distance.chi2 a ~against:b)
 
 let test_distance_symmetry () =
   let a = Families.zipf ~n:32 ~s:1.1 and b = Pmf.uniform 32 in
   Alcotest.(check (float 1e-12)) "tv symmetric" (Distance.tv a b)
-    (Distance.tv b a);
-  Alcotest.(check (float 1e-12)) "hellinger symmetric" (Distance.hellinger a b)
-    (Distance.hellinger b a)
-
-let prop_restricted_sums_to_full =
-  QCheck.Test.make ~name:"tv_on over partition cells sums to l1/2" ~count:100
-    QCheck.(pair (int_range 2 64) (int_range 1 8))
-    (fun (n, cells) ->
-      let cells = min cells n in
-      let r = rng () in
-      let a = Families.random_khist ~n ~k:(min 4 n) ~rng:r in
-      let b = Families.zipf ~n ~s:0.8 in
-      let part = Partition.equal_width ~n ~cells in
-      let total =
-        Partition.fold (fun acc cell -> acc +. Distance.tv_on cell a b) 0. part
-      in
-      Float.abs (total -. Distance.tv a b) < 1e-9)
-
-let test_tv_mask_full_is_tv () =
-  let a = Families.zipf ~n:16 ~s:1. and b = Pmf.uniform 16 in
-  let full = Array.make 16 true in
-  Alcotest.(check (float 1e-12)) "full mask" (Distance.tv a b)
-    (Distance.tv_mask full a b);
-  let none = Array.make 16 false in
-  Alcotest.(check (float 1e-12)) "empty mask" 0. (Distance.tv_mask none a b)
+    (Distance.tv b a)
 
 let test_chi2_mask () =
   let a = Pmf.create [| 0.5; 0.25; 0.25 |] in
@@ -333,7 +302,7 @@ let test_comb_pieces () =
   Alcotest.(check int) "8 pieces" 8 (Khist.pieces_of_pmf p)
 
 let test_mixture () =
-  let a = Pmf.point_mass ~n:2 0 and b = Pmf.point_mass ~n:2 1 in
+  let a = point_mass ~n:2 0 and b = point_mass ~n:2 1 in
   let m = Families.mixture [ (1., a); (3., b) ] in
   Alcotest.(check (float 1e-12)) "weights normalized" 0.75 (Pmf.get m 1)
 
@@ -378,7 +347,7 @@ let test_permute_preserves_distances () =
     (Distance.tv a' b')
 
 let test_permute_moves_mass () =
-  let p = Pmf.point_mass ~n:4 0 in
+  let p = point_mass ~n:4 0 in
   let sigma = [| 2; 0; 1; 3 |] in
   let q = Ops.permute p sigma in
   Alcotest.(check (float 0.)) "mass moved to sigma(0)" 1. (Pmf.get q 2)
@@ -396,7 +365,7 @@ let test_flatten () =
   let f = Ops.flatten p part in
   Alcotest.(check (float 1e-12)) "cell average" 0.2 (Pmf.get f 0);
   Alcotest.(check (float 1e-12)) "cell average 2" 0.3 (Pmf.get f 3);
-  Alcotest.(check bool) "member of H_2" true (Khist.is_k_histogram f ~k:2)
+  Alcotest.(check bool) "member of H_2" true (Khist.pieces_of_pmf f <= 2)
 
 let test_flatten_outside () =
   let p = Pmf.create [| 0.4; 0.; 0.3; 0.3 |] in
@@ -404,12 +373,6 @@ let test_flatten_outside () =
   let f = Ops.flatten_outside p part ~keep_cells:[| true; false |] in
   Alcotest.(check (float 1e-12)) "kept cell untouched" 0.4 (Pmf.get f 0);
   Alcotest.(check (float 1e-12)) "other cell flattened" 0.3 (Pmf.get f 2)
-
-let test_condition_on () =
-  let p = Pmf.create [| 0.1; 0.3; 0.6 |] in
-  let c = Ops.condition_on p (iv 1 3) in
-  Alcotest.(check int) "size" 2 (Pmf.size c);
-  Alcotest.(check (float 1e-12)) "renormalized" (1. /. 3.) (Pmf.get c 0)
 
 let test_pad_with_heavy_point () =
   let p = Pmf.uniform 4 in
@@ -419,10 +382,6 @@ let test_pad_with_heavy_point () =
   Alcotest.(check (float 1e-12)) "scaled" 0.1 (Pmf.get q 0)
 
 (* --- Empirical --- *)
-
-let test_counts_of_samples () =
-  let c = Empirical.counts_of_samples ~n:4 [| 0; 1; 1; 3; 3; 3 |] in
-  Alcotest.(check (array int)) "counts" [| 1; 2; 0; 3 |] c
 
 let test_of_counts () =
   let p = Empirical.of_counts [| 1; 3 |] in
@@ -434,7 +393,8 @@ let test_add_one_histogram () =
   (* (3+1)/(4+2)/2 = 1/3 per element on the first cell. *)
   Alcotest.(check (float 1e-12)) "laplace level" (1. /. 3.) (Pmf.get p 0);
   Alcotest.(check (float 1e-12)) "second cell" (1. /. 6.) (Pmf.get p 2);
-  Alcotest.(check bool) "strictly positive" true (Pmf.min_nonzero p > 0.)
+  Alcotest.(check bool) "strictly positive" true
+    (Array.for_all (fun x -> x > 0.) (Pmf.to_array p))
 
 let prop_empirical_converges =
   QCheck.Test.make ~name:"empirical tv shrinks with more samples" ~count:20
@@ -447,13 +407,6 @@ let prop_empirical_converges =
       let large = Empirical.of_counts (o.Poissonize.exact 100_000) in
       Distance.tv large p <= Distance.tv small p +. 0.05)
 
-
-
-let test_map_weights () =
-  let p = Pmf.create [| 0.25; 0.75 |] in
-  (* Double element 0's weight and renormalize: 0.5/1.25, 0.75/1.25. *)
-  let q = Pmf.map_weights p (fun i w -> if i = 0 then 2. *. w else w) in
-  Alcotest.(check (float 1e-12)) "reweighted" (0.5 /. 1.25) (Pmf.get q 0)
 
 let test_unsafe_array_is_shared () =
   let p = Pmf.create [| 0.5; 0.5 |] in
@@ -468,14 +421,6 @@ let test_flatten_outside_mask_mismatch () =
   Alcotest.(check bool) "bad mask" true
     (try
        ignore (Ops.flatten_outside p part ~keep_cells:[| true |]);
-       false
-     with Invalid_argument _ -> true)
-
-let test_condition_on_zero_mass () =
-  let p = Pmf.create [| 1.; 0.; 0. |] in
-  Alcotest.(check bool) "zero mass" true
-    (try
-       ignore (Ops.condition_on p (iv 1 3));
        false
      with Invalid_argument _ -> true)
 
@@ -497,14 +442,19 @@ let prop_tv_triangle =
       QCheck.assume (Pmf.size a = Pmf.size b && Pmf.size b = Pmf.size c);
       Distance.tv a c <= Distance.tv a b +. Distance.tv b c +. 1e-9)
 
-let prop_hellinger_triangle =
-  QCheck.Test.make ~name:"hellinger satisfies the triangle inequality"
+let prop_chi2_mask_additive =
+  QCheck.Test.make ~name:"chi2_mask over complementary masks sums to chi2"
     ~count:200
-    (QCheck.triple arb_pmf arb_pmf arb_pmf)
-    (fun (a, b, c) ->
-      QCheck.assume (Pmf.size a = Pmf.size b && Pmf.size b = Pmf.size c);
-      Distance.hellinger a c
-      <= Distance.hellinger a b +. Distance.hellinger b c +. 1e-9)
+    (QCheck.pair arb_pmf arb_pmf)
+    (fun (a, b) ->
+      QCheck.assume (Pmf.size a = Pmf.size b);
+      let mask = Array.init (Pmf.size a) (fun i -> Pmf.get a i > Pmf.get b i) in
+      let whole = Distance.chi2 a ~against:b in
+      let parts =
+        Distance.chi2_mask mask a ~against:b
+        +. Distance.chi2_mask (Array.map not mask) a ~against:b
+      in
+      Float.abs (parts -. whole) <= 1e-9 *. Float.max 1. whole)
 
 let prop_chi2_dominates_tv =
   QCheck.Test.make ~name:"chi2 >= (2 tv)^2 (Cauchy-Schwarz)" ~count:200
@@ -514,12 +464,21 @@ let prop_chi2_dominates_tv =
       let t = 2. *. Distance.tv a b in
       Distance.chi2 a ~against:b >= (t *. t) -. 1e-9)
 
+(* Hellinger distance, computed here only as an independent bound on tv. *)
+let hellinger a b =
+  let s = ref 0. in
+  for i = 0 to Pmf.size a - 1 do
+    let d = sqrt (Pmf.get a i) -. sqrt (Pmf.get b i) in
+    s := !s +. (d *. d)
+  done;
+  sqrt (0.5 *. !s)
+
 let prop_hellinger_tv_sandwich =
   QCheck.Test.make ~name:"h^2 <= tv <= sqrt(2) h" ~count:200
     (QCheck.pair arb_pmf arb_pmf)
     (fun (a, b) ->
       QCheck.assume (Pmf.size a = Pmf.size b);
-      let h = Distance.hellinger a b and t = Distance.tv a b in
+      let h = hellinger a b and t = Distance.tv a b in
       (h *. h) -. 1e-9 <= t && t <= (sqrt 2. *. h) +. 1e-9)
 
 let prop_tv_bounds =
@@ -629,8 +588,6 @@ let () =
           Alcotest.test_case "mass and support" `Quick test_pmf_mass_and_support;
           Alcotest.test_case "cdf" `Quick test_pmf_cdf;
           Alcotest.test_case "uniform/point" `Quick test_pmf_uniform_point;
-          Alcotest.test_case "equal" `Quick test_pmf_equal;
-          Alcotest.test_case "map_weights" `Quick test_map_weights;
           Alcotest.test_case "unsafe sharing" `Quick test_unsafe_array_is_shared;
         ] );
       ( "alias",
@@ -667,14 +624,12 @@ let () =
           Alcotest.test_case "uniform vs point" `Quick test_distance_uniform_point;
           Alcotest.test_case "closed form" `Quick test_distance_closed_form;
           Alcotest.test_case "symmetry" `Quick test_distance_symmetry;
-          Alcotest.test_case "tv mask" `Quick test_tv_mask_full_is_tv;
           Alcotest.test_case "chi2 mask" `Quick test_chi2_mask;
-          qc prop_restricted_sums_to_full;
         ] );
       ( "metric-properties",
         [
           qc prop_tv_triangle;
-          qc prop_hellinger_triangle;
+          qc prop_chi2_mask_additive;
           qc prop_chi2_dominates_tv;
           qc prop_hellinger_tv_sandwich;
           qc prop_tv_bounds;
@@ -700,16 +655,12 @@ let () =
           Alcotest.test_case "embed" `Quick test_embed;
           Alcotest.test_case "flatten" `Quick test_flatten;
           Alcotest.test_case "flatten outside" `Quick test_flatten_outside;
-          Alcotest.test_case "condition" `Quick test_condition_on;
           Alcotest.test_case "pad heavy point" `Quick test_pad_with_heavy_point;
           Alcotest.test_case "flatten_outside mask mismatch" `Quick
             test_flatten_outside_mask_mismatch;
-          Alcotest.test_case "condition zero mass" `Quick
-            test_condition_on_zero_mass;
         ] );
       ( "empirical",
         [
-          Alcotest.test_case "counts" `Quick test_counts_of_samples;
           Alcotest.test_case "of_counts" `Quick test_of_counts;
           Alcotest.test_case "add-one histogram" `Quick test_add_one_histogram;
           qc prop_empirical_converges;

@@ -7,45 +7,22 @@ let test_interval_basics () =
   Alcotest.(check int) "lo" 2 (Interval.lo i);
   Alcotest.(check int) "hi" 5 (Interval.hi i);
   Alcotest.(check int) "length" 3 (Interval.length i);
-  Alcotest.(check bool) "mem lo" true (Interval.mem i 2);
-  Alcotest.(check bool) "mem hi excluded" false (Interval.mem i 5);
-  Alcotest.(check bool) "not empty" false (Interval.is_empty i);
-  Alcotest.(check bool) "empty" true (Interval.is_empty (iv 3 3));
+  Alcotest.(check int) "empty" 0 (Interval.length (iv 3 3));
   Alcotest.(check bool) "singleton" true (Interval.is_singleton (iv 4 5))
 
 let test_interval_make_invalid () =
   Alcotest.check_raises "lo > hi" (Invalid_argument "Interval.make: lo > hi")
     (fun () -> ignore (iv 5 2))
 
+let bounds i = (Interval.lo i, Interval.hi i)
+
 let test_interval_relations () =
-  Alcotest.(check bool) "contains" true
-    (Interval.contains ~outer:(iv 0 10) ~inner:(iv 2 5));
-  Alcotest.(check bool) "not contains" false
-    (Interval.contains ~outer:(iv 2 5) ~inner:(iv 0 10));
-  Alcotest.(check bool) "disjoint" true (Interval.disjoint (iv 0 3) (iv 3 6));
-  Alcotest.(check bool) "adjacent" true (Interval.adjacent (iv 0 3) (iv 3 6));
-  (match Interval.intersect (iv 0 5) (iv 3 8) with
-  | Some i -> Alcotest.(check bool) "overlap" true (Interval.equal i (iv 3 5))
-  | None -> Alcotest.fail "expected overlap");
-  Alcotest.(check bool) "union adjacent" true
-    (Interval.equal (Interval.union_adjacent (iv 0 3) (iv 3 6)) (iv 0 6))
-
-let test_interval_union_invalid () =
-  Alcotest.check_raises "gap"
-    (Invalid_argument "Interval.union_adjacent: intervals not adjacent")
-    (fun () -> ignore (Interval.union_adjacent (iv 0 2) (iv 3 5)))
-
-let test_interval_split () =
-  let a, b = Interval.split_at (iv 2 8) 5 in
-  Alcotest.(check bool) "left" true (Interval.equal a (iv 2 5));
-  Alcotest.(check bool) "right" true (Interval.equal b (iv 5 8));
-  Alcotest.check_raises "at lo"
-    (Invalid_argument "Interval.split_at: split point must be interior")
-    (fun () -> ignore (Interval.split_at (iv 2 8) 2))
+  Alcotest.(check (option (pair int int))) "overlap" (Some (3, 5))
+    (Option.map bounds (Interval.intersect (iv 0 5) (iv 3 8)));
+  Alcotest.(check (option (pair int int))) "touching" None
+    (Option.map bounds (Interval.intersect (iv 0 3) (iv 3 6)))
 
 let test_interval_iteration () =
-  Alcotest.(check (list int)) "to_list" [ 3; 4; 5 ] (Interval.to_list (iv 3 6));
-  Alcotest.(check int) "fold sum" 12 (Interval.fold ( + ) 0 (iv 3 6));
   let seen = ref [] in
   Interval.iter (fun i -> seen := i :: !seen) (iv 0 3);
   Alcotest.(check (list int)) "iter" [ 2; 1; 0 ] !seen
@@ -57,31 +34,29 @@ let test_partition_of_breakpoints () =
   Alcotest.(check int) "cells" 3 (Partition.cell_count p);
   Alcotest.(check int) "domain" 10 (Partition.domain_size p);
   Alcotest.(check (list int)) "breakpoints" [ 3; 7 ] (Partition.breakpoints p);
-  Alcotest.(check bool) "cell 1" true
-    (Interval.equal (Partition.cell p 1) (iv 3 7))
+  Alcotest.(check (pair int int)) "cell 1" (3, 7) (bounds (Partition.cell p 1))
 
 let test_partition_validation () =
-  Alcotest.check_raises "gap" (Invalid_argument "Partition: cells not contiguous")
-    (fun () -> ignore (Partition.make ~n:10 [ iv 0 3; iv 4 10 ]));
-  Alcotest.check_raises "start"
-    (Invalid_argument "Partition: first cell must start at 0") (fun () ->
-      ignore (Partition.make ~n:10 [ iv 1 10 ]));
-  Alcotest.check_raises "end"
-    (Invalid_argument "Partition: last cell must end at n") (fun () ->
-      ignore (Partition.make ~n:10 [ iv 0 9 ]));
   Alcotest.check_raises "break range"
     (Invalid_argument "Partition.of_breakpoints: break outside (0, n)")
-    (fun () -> ignore (Partition.of_breakpoints ~n:10 [ 10 ]))
+    (fun () -> ignore (Partition.of_breakpoints ~n:10 [ 10 ]));
+  Alcotest.check_raises "break at 0"
+    (Invalid_argument "Partition.of_breakpoints: break outside (0, n)")
+    (fun () -> ignore (Partition.of_breakpoints ~n:10 [ 0 ]))
 
 let test_partition_trivial_singletons () =
   Alcotest.(check int) "trivial" 1 (Partition.cell_count (Partition.trivial ~n:7));
   Alcotest.(check int) "singletons" 7
-    (Partition.cell_count (Partition.singletons ~n:7))
+    (Partition.cell_count (Partition.of_breakpoints ~n:7 [ 1; 2; 3; 4; 5; 6 ]))
 
 let test_partition_equal_width () =
   let p = Partition.equal_width ~n:10 ~cells:3 in
   Alcotest.(check int) "cells" 3 (Partition.cell_count p);
-  let total = Partition.fold (fun acc c -> acc + Interval.length c) 0 p in
+  let total =
+    List.init (Partition.cell_count p) (fun j ->
+        Interval.length (Partition.cell p j))
+    |> List.fold_left ( + ) 0
+  in
   Alcotest.(check int) "covers domain" 10 total
 
 let prop_partition_find =
@@ -93,7 +68,8 @@ let prop_partition_find =
       List.for_all
         (fun x ->
           let j = Partition.find p x in
-          Interval.mem (Partition.cell p j) x)
+          let c = Partition.cell p j in
+          Interval.lo c <= x && x < Interval.hi c)
         (List.init n (fun i -> i)))
 
 let test_partition_find_invalid () =
@@ -101,18 +77,6 @@ let test_partition_find_invalid () =
   Alcotest.check_raises "outside"
     (Invalid_argument "Partition.find: point outside domain") (fun () ->
       ignore (Partition.find p 5))
-
-let test_partition_refine () =
-  let a = Partition.of_breakpoints ~n:10 [ 4 ] in
-  let b = Partition.of_breakpoints ~n:10 [ 6 ] in
-  let r = Partition.refine a b in
-  Alcotest.(check (list int)) "union of cuts" [ 4; 6 ] (Partition.breakpoints r);
-  Alcotest.(check bool) "refines a" true
-    (Partition.is_refinement ~coarse:a ~fine:r);
-  Alcotest.(check bool) "refines b" true
-    (Partition.is_refinement ~coarse:b ~fine:r);
-  Alcotest.(check bool) "a does not refine b" false
-    (Partition.is_refinement ~coarse:b ~fine:a)
 
 let test_restrict_mask () =
   let p = Partition.of_breakpoints ~n:6 [ 2; 4 ] in
@@ -143,31 +107,6 @@ let prop_right_borders_vs_cover =
       let x = Cover.right_borders ~n pts in
       x <= c && x >= c - 1)
 
-
-let prop_refine_breakpoints_union =
-  QCheck.Test.make ~name:"refine has exactly the union of breakpoints"
-    ~count:200
-    QCheck.(
-      triple (int_range 2 64) (list (int_range 1 63)) (list (int_range 1 63)))
-    (fun (n, ba, bb) ->
-      let clamp = List.filter (fun b -> b > 0 && b < n) in
-      let a = Partition.of_breakpoints ~n (clamp ba) in
-      let b = Partition.of_breakpoints ~n (clamp bb) in
-      let r = Partition.refine a b in
-      Partition.breakpoints r
-      = List.sort_uniq compare (Partition.breakpoints a @ Partition.breakpoints b))
-
-let prop_refine_commutes =
-  QCheck.Test.make ~name:"refine is commutative" ~count:200
-    QCheck.(
-      triple (int_range 2 64) (list (int_range 1 63)) (list (int_range 1 63)))
-    (fun (n, ba, bb) ->
-      let clamp = List.filter (fun b -> b > 0 && b < n) in
-      let a = Partition.of_breakpoints ~n (clamp ba) in
-      let b = Partition.of_breakpoints ~n (clamp bb) in
-      Partition.breakpoints (Partition.refine a b)
-      = Partition.breakpoints (Partition.refine b a))
-
 let prop_cells_tile_domain =
   QCheck.Test.make ~name:"cells tile the domain exactly" ~count:200
     QCheck.(pair (int_range 1 128) (list (int_range 1 127)))
@@ -189,8 +128,6 @@ let () =
           Alcotest.test_case "basics" `Quick test_interval_basics;
           Alcotest.test_case "make invalid" `Quick test_interval_make_invalid;
           Alcotest.test_case "relations" `Quick test_interval_relations;
-          Alcotest.test_case "union invalid" `Quick test_interval_union_invalid;
-          Alcotest.test_case "split" `Quick test_interval_split;
           Alcotest.test_case "iteration" `Quick test_interval_iteration;
         ] );
       ( "partition",
@@ -202,11 +139,8 @@ let () =
             test_partition_trivial_singletons;
           Alcotest.test_case "equal width" `Quick test_partition_equal_width;
           Alcotest.test_case "find invalid" `Quick test_partition_find_invalid;
-          Alcotest.test_case "refine" `Quick test_partition_refine;
           Alcotest.test_case "restrict mask" `Quick test_restrict_mask;
           qc prop_partition_find;
-          qc prop_refine_breakpoints_union;
-          qc prop_refine_commutes;
           qc prop_cells_tile_domain;
         ] );
       ( "cover",

