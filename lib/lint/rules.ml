@@ -130,7 +130,7 @@ let explain = function
        whose callee allocates (with a witness chain).\n\n\
        Deliberately not flagged:\n\
        \  - `ref`/local mutable state that does not escape — flambda-less \
-       ocamlopt unboxes non-escaping refs, and Scan.scan leans on this;\n\
+       ocamlopt unboxes non-escaping refs, and Scan.scan_sub leans on this;\n\
        \  - Int64 arithmetic — the xoshiro draws are written to stay \
        unboxed;\n\
        \  - raise/invalid_arg/failwith/assert guard branches — error paths \

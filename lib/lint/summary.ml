@@ -187,7 +187,7 @@ let is_raise name = List.exists (String.equal name) raise_family
    not exhaustive: unknown callees are assumed clean, so the table errs
    on covering everything hot paths could plausibly reach.  `ref` is
    deliberately absent (classic ocamlopt unboxes non-escaping refs and
-   Scan.scan leans on this); Int64 arithmetic likewise (the xoshiro
+   Scan.scan_sub leans on this); Int64 arithmetic likewise (the xoshiro
    draws are written to stay unboxed). *)
 let known_allocators =
   [
@@ -438,7 +438,10 @@ type walk_state = {
   ws_fallback : string;
   ws_bound : (string, unit) Hashtbl.t;  (** Ident stamps bound in scope *)
   ws_params : (Ident.t * int) list;  (** param ident -> nolabel index *)
-  ws_modname : string;
+  ws_modname : string;  (** the enclosing (sub)module's path *)
+  ws_scope : (string, string) Hashtbl.t;
+      (** module-level Ident stamps -> qualified names: a submodule's
+          bare reference to an outer value resolves to the outer path *)
   mutable ws_allocs : alloc_site list;
   mutable ws_calls : call_site list;
   mutable ws_mutates : int list;
@@ -450,6 +453,11 @@ type walk_state = {
 
 let bind st id = Hashtbl.replace st.ws_bound (Ident.unique_name id) ()
 let is_bound st id = Hashtbl.mem st.ws_bound (Ident.unique_name id)
+
+let qualify st id =
+  match Hashtbl.find_opt st.ws_scope (Ident.unique_name id) with
+  | Some q -> q
+  | None -> st.ws_modname ^ "." ^ Ident.name id
 
 let param_index st id =
   List.find_map
@@ -471,7 +479,7 @@ let classify_root st (e : Typedtree.expression) =
       | Some i -> R_param i
       | None ->
           if is_bound st id then R_local
-          else R_global (st.ws_modname ^ "." ^ Ident.name id))
+          else R_global (qualify st id))
   | Some p -> R_global (canonical_of_path p)
 
 let cold_reason st =
@@ -615,7 +623,7 @@ let walk_iterator st =
           in
           let qualified =
             match p with
-            | Path.Pident id -> st.ws_modname ^ "." ^ Ident.name id
+            | Path.Pident id -> qualify st id
             | _ -> name
           in
           let param_args =
@@ -687,7 +695,7 @@ let walk_iterator st =
             | _ ->
                 let qualified =
                   match p with
-                  | Path.Pident id -> st.ws_modname ^ "." ^ Ident.name id
+                  | Path.Pident id -> qualify st id
                   | _ -> canonical_of_path p
                 in
                 if not (is_raise qualified || is_getter qualified) then
@@ -730,9 +738,11 @@ let walk_iterator st =
   in
   { default with expr; pat }
 
-let summarize_binding ~modname ~source (vb : Typedtree.value_binding) =
+let summarize_binding ~modname ~scope ~source (vb : Typedtree.value_binding) =
   match vb.vb_pat.pat_desc with
   | Typedtree.Tpat_var (id, _) ->
+      Hashtbl.replace scope (Ident.unique_name id)
+        (modname ^ "." ^ Ident.name id);
       let params, binders, bodies = peel_function vb.vb_expr in
       let st =
         {
@@ -740,6 +750,7 @@ let summarize_binding ~modname ~source (vb : Typedtree.value_binding) =
           ws_bound = Hashtbl.create 64;
           ws_params = params;
           ws_modname = modname;
+          ws_scope = scope;
           ws_allocs = [];
           ws_calls = [];
           ws_mutates = [];
@@ -860,22 +871,32 @@ let exports ~modname ~source (sg : Typedtree.signature) =
 
 let of_structure ~modname ~source ?intf (str : Typedtree.structure) =
   let modname = canonical modname in
+  let scope = Hashtbl.create 64 in
   let funcs = ref [] in
   let markers = ref [] in
-  List.iter
-    (fun (si : Typedtree.structure_item) ->
-      match si.str_desc with
-      | Typedtree.Tstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              match summarize_binding ~modname ~source vb with
-              | Some (f, mks) ->
-                  funcs := f :: !funcs;
-                  markers := List.rev_append mks !markers
-              | None -> ())
-            vbs
-      | _ -> ())
-    str.str_items;
+  (* Submodules defined by a plain [struct] are summarized too, their
+     functions named by the full path ([Service.Batch.push_sub]). *)
+  let rec items prefix (str : Typedtree.structure) =
+    List.iter
+      (fun (si : Typedtree.structure_item) ->
+        match si.str_desc with
+        | Typedtree.Tstr_value (_, vbs) ->
+            List.iter
+              (fun vb ->
+                match summarize_binding ~modname:prefix ~scope ~source vb with
+                | Some (f, mks) ->
+                    funcs := f :: !funcs;
+                    markers := List.rev_append mks !markers
+                | None -> ())
+              vbs
+        | Typedtree.Tstr_module { mb_id = Some id; mb_expr; _ } -> (
+            match mb_expr.mod_desc with
+            | Tmod_structure sub -> items (prefix ^ "." ^ Ident.name id) sub
+            | _ -> ())
+        | _ -> ())
+      str.str_items
+  in
+  items modname str;
   let refs, whole = references str in
   {
     m_name = modname;
@@ -894,7 +915,7 @@ let of_structure ~modname ~source ?intf (str : Typedtree.structure) =
 
 (* Bump when the summary model or the walk changes shape: stale caches
    must miss, not misparse. *)
-let cache_version = 2
+let cache_version = 3
 
 let cache_file dir ~modname ~digest =
   Filename.concat dir (Printf.sprintf "%s.%s.hsum" modname digest)

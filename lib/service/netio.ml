@@ -20,7 +20,7 @@
      queue passes [max_pending_bytes] the reactor simply stops reading
      from it (backpressure) until the client drains.
    - Each connection owns a pooled {!Service.Batch} executor — the same
-     Scan fast path, shard-grouped parallel ingest, and direct response
+     Scan fast path, allocation-free ingest, and direct response
      rendering the stdio loop uses — so per-connection response streams
      are byte-identical to stdio serve on the same request stream (the
      contract E22 gates).

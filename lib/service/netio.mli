@@ -4,7 +4,7 @@
 
     Per-connection state machines own a hardened line {!Reader}, a
     pooled {!Service.Batch} executor (the same Scan fast path and
-    shard-grouped parallel ingest as stdio serve), and a bounded
+    allocation-free ingest as stdio serve), and a bounded
     outbound queue flushed only when the socket is writable — slow
     clients get backpressure (the reactor stops reading them past
     [max_pending_bytes]) and never stall anyone else.  Per-connection

@@ -13,12 +13,13 @@
    only claims a line when the strict parser would accept it AND decode
    it to the same request.  It recognizes exactly the canonical producer
    form — no whitespace anywhere, fields in the order (cmd, shard,
-   xs|counts), a shard string with no escapes, plain integer elements of
-   <= 15 digits (well inside the range where the strict parser's float
-   round-trip is exact).  Anything else — other commands, whitespace,
-   reordered or extra fields, floats, huge integers, escapes, malformed
-   input — returns [None] and falls back to the strict parser, which
-   then produces exactly the response (or error message) it always did.
+   xs|counts), a shard string of at most [max_shard_bytes] bytes with no
+   escapes, plain integer elements of <= 15 digits (well inside the
+   range where the strict parser's float round-trip is exact).
+   Anything else — other commands, whitespace, reordered or extra
+   fields, floats, huge integers, escapes, long ids, malformed input —
+   returns false and falls back to the strict parser, which then
+   produces exactly the response (or error message) it always did.
    Declining a valid line is always safe: it is just served through the
    slow parser.
 
@@ -28,14 +29,47 @@
 
 type kind = Observe | Counts
 
-type hit = { kind : kind; shard : string; off : int; len : int }
+type t = {
+  mutable buf : int array;
+  mutable len : int;
+  interned : string option array;
+      (* shard ids seen, open-addressed by a hash of their bytes: a
+         repeated id is served from here instead of copied again *)
+  mutable interned_count : int;
+  mutable hit_kind : kind;
+  mutable hit_shard : string;
+  mutable hit_off : int;
+  mutable hit_len : int;
+}
 
-type t = { mutable buf : int array; mutable len : int }
+(* The longest shard id, in bytes: every live name is kept, so without
+   a bound the service's 2^12 names could pin gigabytes.  Ids are short
+   tags in every bench and workload. *)
+let max_shard_bytes = 256
 
-let create () = { buf = Array.make 4096 0; len = 0 }
+(* 2^9 (the probe start takes 9 bits), kept at most half full: at
+   [max_shard_bytes] the table holds at most 64 KiB of ids. *)
+let intern_slots = 512
+
+let create () =
+  {
+    buf = Array.make 4096 0;
+    len = 0;
+    interned = Array.make intern_slots None;
+    interned_count = 0;
+    hit_kind = Observe;
+    hit_shard = "";
+    hit_off = 0;
+    hit_len = 0;
+  }
+
 let clear t = t.len <- 0
 let length t = t.len
 let buffer t = t.buf
+let hit_kind t = t.hit_kind
+let hit_shard t = t.hit_shard
+let hit_off t = t.hit_off
+let hit_len t = t.hit_len
 
 let grow t =
   let nb = Array.make (2 * Array.length t.buf) 0 in
@@ -44,8 +78,8 @@ let grow t =
 
 exception Fail
 
-(* [line] carries literal [s] (never empty) starting at [lo], within the
-   window bounded by [hi]. *)
+(* [line] carries the bytes of [s] starting at [lo], within the window
+   bounded by [hi]. *)
 let prefix line lo hi s =
   let l = String.length s in
   lo + l <= hi
@@ -61,68 +95,96 @@ let prefix line lo hi s =
   done;
   !ok
 
-(* Literal [s] at the cursor. *)
-let lit line n pos s =
-  let l = String.length s in
-  if !pos + l > n then raise Fail;
-  for i = 0 to l - 1 do
-    if
-      Char.code (String.unsafe_get line (!pos + i))
-      <> Char.code (String.unsafe_get s i)
-    then raise Fail
-  done;
-  pos := !pos + l
+(* Literal [s] at [p]; the position after it.  Positions are passed
+   and returned as ints, never as a [ref]: a ref handed to a function is
+   boxed. *)
+let lit line n p s =
+  if prefix line p n s then p + String.length s else raise Fail
 
-(* A JSON string with no escapes and no control bytes: decodes to the
-   raw span, exactly as the strict parser would. *)
-let simple_string line n pos =
-  if !pos >= n || Char.code (String.unsafe_get line !pos) <> Char.code '"'
-  then raise Fail;
-  incr pos;
-  let start = !pos in
-  let stop = ref (-1) in
-  while !stop < 0 do
-    if !pos >= n then raise Fail;
+(* A JSON string at [p] of at most [limit] bytes with no escapes and no
+   control bytes: it decodes to the raw span, exactly as the strict
+   parser would.  Returns the position of its closing quote. *)
+let simple_string line n p limit =
+  let quote = Char.code '"' in
+  if p >= n || Char.code (String.unsafe_get line p) <> quote then raise Fail;
+  let pos = ref (p + 1) in
+  while
+    !pos < n
+    &&
     let c = Char.code (String.unsafe_get line !pos) in
-    if c = Char.code '"' then stop := !pos
-    else if c = Char.code '\\' || c < 0x20 then raise Fail
-    else incr pos
+    c <> quote && c <> Char.code '\\' && c >= 0x20
+  do
+    incr pos
   done;
-  incr pos;
-  String.sub line start (!stop - start)
+  if !pos >= n || Char.code (String.unsafe_get line !pos) <> quote then
+    raise Fail;
+  if !pos - p - 1 > limit then raise Fail;
+  !pos
+
+(* A new id, copied into free slot [i] ([home] starts its probe).  A
+   table at its load limit is emptied first, so it never holds more than
+   [intern_slots / 2] ids. *)
+let add_id t i home line start stop =
+  let i =
+    if t.interned_count < intern_slots / 2 then i
+    else begin
+      Array.fill t.interned 0 intern_slots None;
+      t.interned_count <- 0;
+      home
+    end
+  in
+  let s = String.sub line start (stop - start) in
+  t.interned.(i) <- Some s;
+  t.interned_count <- t.interned_count + 1;
+  s
+
+(* The id in [line]'s bytes [\[start, stop)], from the table.  Its probe
+   starts at the top bits of a multiplicative mix of a hash of the bytes,
+   so ids that differ only in a last digit spread out. *)
+let[@histolint.hot] intern t line start stop =
+  let h = ref 0 in
+  for i = start to stop - 1 do
+    h := (!h * 31) + Char.code (String.unsafe_get line i)
+  done;
+  let home = (!h * 0x1E3779B97F4A7C15) lsr 54 in
+  let i = ref home in
+  while
+    match Array.unsafe_get t.interned !i with
+    | None -> false
+    | Some s -> not (String.length s = stop - start && prefix line start stop s)
+  do
+    i := (!i + 1) land (intern_slots - 1)
+  done;
+  match Array.unsafe_get t.interned !i with
+  | Some s -> s
+  | None ->
+      (add_id t !i home line start stop
+       [@histolint.alloc_ok
+         "an id's first line (or first since the table was emptied); \
+          repeated ids hit, and the length cap bounds the copy"])
 
 let observe_header = {|{"cmd":"observe","shard":|}
 let counts_header = {|{"cmd":"counts","shard":|}
 
-(* The windowed scanner: parse the bytes of [line] in [\[pos, pos+len)]
-   exactly as [scan] parses a whole line — the reactor feeds it line
-   spans straight out of its read buffer, with no per-line substring. *)
+(* The scanner, on the bytes of [line] in [\[pos, pos+len)]: the reactor
+   feeds it line spans straight out of its read buffer, with no per-line
+   substring.  A hit is reported through the [hit_*] fields, so a line
+   whose shard id is interned allocates nothing. *)
 let[@histolint.hot] scan_sub t line ~pos:lo ~len:wlen =
   let n = lo + wlen in
   let start_len = t.len in
   let pos = ref lo in
   try
-    let kind =
-      if prefix line lo n observe_header then begin
-        pos := lo + String.length observe_header;
-        Observe
-      end
-      else if prefix line lo n counts_header then begin
-        pos := lo + String.length counts_header;
-        Counts
-      end
-      else raise Fail
+    let kind = if prefix line lo n observe_header then Observe else Counts in
+    let id_start =
+      match kind with
+      | Observe -> lo + String.length observe_header + 1
+      | Counts -> lit line n lo counts_header + 1
     in
-    let shard =
-      (simple_string
-         line n pos
-       [@histolint.alloc_ok
-         "one shard-id string per accepted line, reused in the response; \
-          the strict parser would build the same string plus a tree"])
-    in
-    (match kind with
-    | Observe -> lit line n pos {|,"xs":[|}
-    | Counts -> lit line n pos {|,"counts":[|});
+    let id_stop = simple_string line n (id_start - 1) max_shard_bytes in
+    pos :=
+      lit line n (id_stop + 1)
+        (match kind with Observe -> {|,"xs":[|} | Counts -> {|,"counts":[|});
     if !pos < n && Char.code (String.unsafe_get line !pos) = Char.code ']'
     then incr pos
     else begin
@@ -177,12 +239,11 @@ let[@histolint.hot] scan_sub t line ~pos:lo ~len:wlen =
     end;
     if !pos + 1 <> n || Char.code (String.unsafe_get line !pos) <> Char.code '}'
     then raise Fail;
-    (Some { kind; shard; off = start_len; len = t.len - start_len }
-     [@histolint.alloc_ok
-       "one hit record per accepted line; the payload itself stayed in \
-        the arena"])
+    t.hit_kind <- kind;
+    t.hit_shard <- intern t line id_start id_stop;
+    t.hit_off <- start_len;
+    t.hit_len <- t.len - start_len;
+    true
   with Fail ->
     t.len <- start_len;
-    None
-
-let scan t line = scan_sub t line ~pos:0 ~len:(String.length line)
+    false

@@ -11,15 +11,14 @@
 
 type kind = Observe | Counts
 
-type hit = {
-  kind : kind;
-  shard : string;
-  off : int;  (** payload start in {!buffer} *)
-  len : int;  (** payload length *)
-}
-
 type t
-(** Workspace: one growable int arena, reused across a whole batch. *)
+(** Workspace: one growable int arena reused across a whole batch, the
+    last hit, and the interned shard ids. *)
+
+val max_shard_bytes : int
+(** The longest shard id, 256 bytes.  The scanner declines longer ids
+    (the strict parser then sees them), which bounds what the intern
+    table holds; the service refuses them on either path. *)
 
 val create : unit -> t
 
@@ -33,19 +32,26 @@ val length : t -> int
     scan-then-ingest working set stays cache-resident). *)
 
 val buffer : t -> int array
-(** The live arena.  Valid to read at a [hit]'s [off..off+len-1] only
-    until the next {!clear}; growth may replace the array, so re-read
-    after the batch is fully scanned, not across [scan] calls. *)
+(** The live arena.  Valid to read at a hit's
+    [hit_off .. hit_off + hit_len - 1] only until the next {!clear};
+    growth may replace the array, so re-read after the batch is fully
+    scanned, not across [scan_sub] calls. *)
 
-val scan : t -> string -> hit option
-[@@histolint.keep "[Batch] runs it; test_service fuzzes it vs the parser"]
-(** Try the fast path on one request line.  [Some hit] appends the
-    decoded payload to the arena; [None] leaves the arena untouched —
-    hand the line to the strict parser. *)
+val scan_sub : t -> string -> pos:int -> len:int -> bool
+(** Try the fast path on the request line in the window
+    [\[pos, pos + len)] of the string, without materializing it — the
+    socket reactor feeds line spans straight out of its read buffer.
+    [true] appends the decoded payload to the arena and sets the hit
+    fields below; [false] leaves the arena untouched — hand the line to
+    the strict parser.  The window must be in bounds (unchecked, like
+    [String.unsafe_get]).  Allocates nothing unless the line's shard id
+    is not yet interned. *)
 
-val scan_sub : t -> string -> pos:int -> len:int -> hit option
-(** [scan] on the window [\[pos, pos + len)] of the string, decoding
-    exactly as [scan] would on the corresponding substring but without
-    materializing it — the socket reactor feeds line spans straight out
-    of its read buffer.  The window must be in bounds (unchecked, like
-    [String.unsafe_get]). *)
+val hit_kind : t -> kind
+val hit_shard : t -> string
+val hit_off : t -> int
+val hit_len : t -> int
+(** The last hit, valid after [scan_sub] returns [true] until the next
+    [scan_sub]: its kind, its shard id (an interned string shared by
+    every hit with the same bytes, never a reference into the line), and
+    its payload's start and length in {!buffer}. *)

@@ -38,6 +38,17 @@ type t = {
          reconfigure-heavy workloads stop paying the O(n) rebuild *)
 }
 
+(* The largest domain a config may ask for: every config costs O(n)
+   words (the hypothesis and the count vector), so an
+   unbounded n lets one request exhaust memory.  2^22 is 16x the largest
+   n any bench or workload uses. *)
+let max_n = 1 lsl 22
+
+(* The most shard names one config may hold: each costs a table entry
+   plus its string, so an unbounded count lets one client exhaust memory.
+   2^12 is 64x the most any bench or workload uses (serve-verdict's 64). *)
+let max_shards = 1 lsl 12
+
 let create () =
   {
     config = None;
@@ -51,17 +62,6 @@ let cache_stats t = Structcache.stats t.cache
 
 let family_of_spec ~n ~seed spec =
   Families.of_spec ~n ~rng:(Randkit.Rng.create ~seed) spec
-
-(* The largest domain a config may ask for: every config costs O(n)
-   words (the hypothesis, its cell table, the count vector), so an
-   unbounded n lets one request exhaust memory.  2^22 is 16x the largest
-   n any bench or workload uses. *)
-let max_n = 1 lsl 22
-
-(* The most shard names one config may hold: each costs a table entry
-   plus its string, so an unbounded count lets one client exhaust memory.
-   2^12 is 64x the most any bench or workload uses (serve-verdict's 64). *)
-let max_shards = 1 lsl 12
 
 let default_cells n = min n 64
 
@@ -106,70 +106,82 @@ let configure t ~n ~family ~eps ~cells ~seed =
 
 let err_not_configured = "not configured (send a config request first)"
 
-(* The accumulator of the configured partition, created on first use. *)
-let accumulator t config =
-  match t.acc with
-  | Some acc -> acc
-  | None ->
+(* An ingest refused with this wire message; success returns the shard's
+   new total and builds nothing. *)
+exception Rejected of string
+
+(* The accumulator, created by the first ingest after a config over a
+   new partition; with no config yet, the ingest is refused. *)
+let new_accumulator t =
+  match t.config with
+  | None -> raise (Rejected err_not_configured)
+  | Some config ->
       let acc = Suffstat.create ~part:config.part in
       t.acc <- Some acc;
       acc
 
-(* Add [len] payload values at [pos] in [xs] to the accumulator and raise
-   [sh]'s total by what the accumulator actually took — an out-of-domain
-   element leaves its prefix counted on both, so shard totals always sum
-   to the accumulator's. *)
-let add_to t config sh kind xs ~pos ~len =
-  let acc = accumulator t config in
+(* Add [len] payload values at [pos] in [xs] to [acc] and raise [sh]'s
+   total by what [acc] actually took — an out-of-domain element leaves
+   its prefix counted on both, so shard totals always sum to the
+   accumulator's. *)
+let[@histolint.hot] add_to acc sh kind xs ~pos ~len =
   let before = Suffstat.total acc in
-  let error =
-    match
-      match kind with
-      | Scan.Observe -> Suffstat.observe_sub acc xs ~pos ~len
-      | Scan.Counts ->
-          Suffstat.observe_counts acc
-            (if pos = 0 && len = Array.length xs then xs
-             else Array.sub xs pos len)
-    with
-    | () -> None
-    | exception Invalid_argument msg -> Some msg
-  in
-  sh.total <- sh.total + (Suffstat.total acc - before);
-  match error with None -> Ok sh.total | Some msg -> Error msg
+  match
+    match kind with
+    | Scan.Observe -> Suffstat.observe_sub acc xs ~pos ~len
+    | Scan.Counts -> Suffstat.observe_counts acc xs ~pos ~len
+  with
+  | () ->
+      sh.total <- sh.total + (Suffstat.total acc - before);
+      sh.total
+  | exception Invalid_argument msg ->
+      sh.total <- sh.total + (Suffstat.total acc - before);
+      raise (Rejected msg)
 
-(* The one ingest path, behind [observe], [observe_counts], the protocol
-   step and the batch executor.  A new name is registered only by a
-   request that succeeds or adds a value, so a rejected request leaves no
-   ghost shard; past [max_shards] a new name is refused before anything
-   is ingested. *)
-let ingest t shard kind xs ~pos ~len =
-  match t.config with
-  | None -> Error err_not_configured
-  | Some config -> (
-      match Hashtbl.find t.index shard with
-      | sh -> add_to t config sh kind xs ~pos ~len
-      | exception Not_found ->
-          if Hashtbl.length t.index >= max_shards then
-            Error (Printf.sprintf "at most %d shards per config" max_shards)
-          else
-            let sh = { name = shard; total = 0 } in
-            let result = add_to t config sh kind xs ~pos ~len in
-            (match result with
-            | Error _ when sh.total = 0 -> ()
-            | Ok _ | Error _ ->
-                Hashtbl.add t.index shard sh;
-                t.shards <- sh :: t.shards);
-            result)
+(* A request naming a shard not seen since the last reset: the name is
+   kept only if the request succeeds or adds a value, so a rejected
+   request leaves no ghost shard; past [max_shards] it is refused before
+   anything is ingested. *)
+let ingest_new t acc shard kind xs ~pos ~len =
+  if Hashtbl.length t.index >= max_shards then
+    raise
+      (Rejected (Printf.sprintf "at most %d shards per config" max_shards));
+  let sh = { name = shard; total = 0 } in
+  Hashtbl.add t.index shard sh;
+  t.shards <- sh :: t.shards;
+  try add_to acc sh kind xs ~pos ~len
+  with Rejected _ as e when sh.total = 0 ->
+    Hashtbl.remove t.index shard;
+    t.shards <- List.tl t.shards;
+    raise e
+
+(* The one ingest path, behind [observe], the protocol step and the
+   batch executor: the shard's new total, or [Rejected].  An over-long
+   id is refused before anything else. *)
+let[@histolint.hot] ingest t shard kind xs ~pos ~len =
+  if String.length shard > Scan.max_shard_bytes then
+    raise
+      (Rejected
+         (Printf.sprintf "shard id longer than %d bytes" Scan.max_shard_bytes));
+  let acc =
+    match t.acc with
+    | Some acc -> acc
+    | None -> (new_accumulator t [@histolint.alloc_ok "once per partition"])
+  in
+  match Hashtbl.find t.index shard with
+  | sh -> add_to acc sh kind xs ~pos ~len
+  | exception Not_found ->
+      (ingest_new
+         t acc shard kind xs ~pos ~len
+       [@histolint.alloc_ok "a shard's first request registers its name"])
 
 let observe t ~shard xs =
-  ingest t shard Scan.Observe xs ~pos:0 ~len:(Array.length xs)
-
-let observe_counts t ~shard counts =
-  ingest t shard Scan.Counts counts ~pos:0 ~len:(Array.length counts)
+  match ingest t shard Scan.Observe xs ~pos:0 ~len:(Array.length xs) with
+  | total -> Ok total
+  | exception Rejected msg -> Error msg
 
 let merged t = match t.shards with [] -> None | _ :: _ -> t.acc
 let shard_totals t = List.rev_map (fun sh -> (sh.name, sh.total)) t.shards
-
 let shards t =
   match t.acc with
   | None -> []
@@ -241,9 +253,10 @@ let handle_request t req =
               ],
             true ))
   | Wire.Counts { shard; counts } -> (
-      match observe_counts t ~shard counts with
-      | Error msg -> (Wire.error msg, true)
-      | Ok total ->
+      let len = Array.length counts in
+      match ingest t shard Scan.Counts counts ~pos:0 ~len with
+      | exception Rejected msg -> (Wire.error msg, true)
+      | total ->
           ( Wire.ok
               [
                 ("cmd", Jsonl.Str "counts");
@@ -309,21 +322,11 @@ let handle_line t line =
 
 (* --- batched, pipelined serve engine --- *)
 
-(* One parsed request slot.  The fast path keeps its payload as a span
-   into the batch arena; everything else is the strict parser's request
-   (or its error message). *)
-type slot = S_req of Wire.request | S_fast of Scan.hit | S_err of string
-
-(* Rendered responses.  The hot ingest responses carry just the fields
-   and are written to the output buffer directly — no Jsonl tree — with
-   bytes identical to [Jsonl.to_string (Wire.ok [...])] (pinned by a
-   unit test).  Integers here are exact in double, so [string_of_int]
-   matches the printer's "%.0f". *)
-type rendered =
-  | R_json of Jsonl.t
-  | R_observe_ok of { shard : string; added : int; total : int }
-  | R_counts_ok of { shard : string; total : int }
-  | R_error of string
+(* The ingest responses and errors are written to the output buffer
+   directly — no Jsonl tree — with bytes identical to
+   [Jsonl.to_string (Wire.ok [...])] (pinned by a unit test).  Integers
+   here are exact in double, so decimal digits match the printer's
+   "%.0f". *)
 
 (* Digits straight into the buffer: [string_of_int] goes through the
    generic %d formatter plus an allocation, and the hot responses carry
@@ -339,81 +342,44 @@ let[@histolint.hot] add_int buf v =
   end
   else add_digits buf v
 
-let[@histolint.hot] render buf = function
-  | R_json j ->
-      (Jsonl.add_to_buffer
-         buf j
-       [@histolint.alloc_ok
-         "R_json responses come from the strict parser / registry \
-          commands, which already allocated a Jsonl tree; they are off \
-          the fast ingest path"])
-  | R_observe_ok { shard; added; total } ->
-      Buffer.add_string buf {|{"ok":true,"cmd":"observe","shard":|};
-      Jsonl.add_escaped buf shard;
+let[@histolint.hot] add_ingest_ok buf kind ~shard ~added ~total =
+  Buffer.add_string buf
+    (match kind with
+    | Scan.Observe -> {|{"ok":true,"cmd":"observe","shard":|}
+    | Scan.Counts -> {|{"ok":true,"cmd":"counts","shard":|});
+  Jsonl.add_escaped buf shard;
+  (match kind with
+  | Scan.Observe ->
       Buffer.add_string buf {|,"added":|};
-      add_int buf added;
-      Buffer.add_string buf {|,"shard_total":|};
-      add_int buf total;
-      Buffer.add_char buf '}'
-  | R_counts_ok { shard; total } ->
-      Buffer.add_string buf {|{"ok":true,"cmd":"counts","shard":|};
-      Jsonl.add_escaped buf shard;
-      Buffer.add_string buf {|,"shard_total":|};
-      add_int buf total;
-      Buffer.add_char buf '}'
-  | R_error msg ->
-      Buffer.add_string buf {|{"ok":false,"error":|};
-      Jsonl.add_escaped buf msg;
-      Buffer.add_char buf '}'
+      add_int buf added
+  | Scan.Counts -> ());
+  Buffer.add_string buf {|,"shard_total":|};
+  add_int buf total;
+  Buffer.add_char buf '}'
 
-let render_to_string r =
+let[@histolint.hot] add_error buf msg =
+  Buffer.add_string buf {|{"ok":false,"error":|};
+  Jsonl.add_escaped buf msg;
+  Buffer.add_char buf '}'
+
+let rendered add =
   let buf = Buffer.create 64 in
-  render buf r;
+  add buf;
   Buffer.contents buf
 
-let rendered_observe_ok ~shard ~added ~shard_total =
-  render_to_string (R_observe_ok { shard; added; total = shard_total })
+let rendered_observe_ok ~shard ~added ~shard_total:total =
+  rendered (fun b -> add_ingest_ok b Scan.Observe ~shard ~added ~total)
 
-let rendered_counts_ok ~shard ~shard_total =
-  render_to_string (R_counts_ok { shard; total = shard_total })
+let rendered_counts_ok ~shard ~shard_total:total =
+  rendered (fun b -> add_ingest_ok b Scan.Counts ~shard ~added:0 ~total)
 
-let rendered_error msg = render_to_string (R_error msg)
+let rendered_error msg = rendered (fun b -> add_error b msg)
 
-let exec_ingest t kind shard xs ~pos ~len =
+(* One ingest request, its response rendered into [out]. *)
+let[@histolint.hot] exec_ingest t out kind shard xs ~pos ~len =
   match ingest t shard kind xs ~pos ~len with
-  | Ok total -> (
-      match kind with
-      | Scan.Observe -> R_observe_ok { shard; added = len; total }
-      | Scan.Counts -> R_counts_ok { shard; total })
-  | Error msg -> R_error msg
-
-(* Execute a parsed batch in request order through the same [ingest] and
-   [handle_request] a line-at-a-time loop would call, so the transcript
-   is that loop's.  Returns the index of a quit request, if any — slots
-   after it are dropped unanswered, exactly as sequential serve never
-   reads them. *)
-let exec_batch t arena slots resp k =
-  let arena = Scan.buffer arena in
-  let stop = ref None in
-  let i = ref 0 in
-  while !i < k && Option.is_none !stop do
-    resp.(!i) <-
-      (match slots.(!i) with
-      | S_fast { Scan.kind; shard; off; len } ->
-          exec_ingest t kind shard arena ~pos:off ~len
-      | S_req (Wire.Observe { shard; xs }) ->
-          exec_ingest t Scan.Observe shard xs ~pos:0 ~len:(Array.length xs)
-      | S_req (Wire.Counts { shard; counts }) ->
-          exec_ingest t Scan.Counts shard counts ~pos:0
-            ~len:(Array.length counts)
-      | S_req req ->
-          let json, continue = handle_request t req in
-          if not continue then stop := Some !i;
-          R_json json
-      | S_err msg -> R_error msg);
-    incr i
-  done;
-  !stop
+  | total -> add_ingest_ok out kind ~shard ~added:len ~total
+  | exception Rejected msg -> add_error out msg
 
 type serve_stats = {
   requests : int;
@@ -461,8 +427,15 @@ module Batch = struct
     service : t;
     batch : int;
     arena : Scan.t;
-    slots : slot array;
-    resp : rendered array;
+    (* The slots, one array per field, so nothing is allocated per line.
+       A fast-path slot is a payload span of the arena; a strict slot is
+       the one boxed field, the parser's result in [strict], which is
+       [unused] (physically) for every fast slot. *)
+    kinds : Scan.kind array;
+    shards : string array;
+    offs : int array;
+    lens : int array;
+    strict : (Wire.request, string) result array;
     mutable k : int;
     mutable requests : int;
     mutable values : int;
@@ -471,6 +444,8 @@ module Batch = struct
     mutable batches : int;
   }
 
+  let unused = Error ""
+
   (* [pool] is accepted and ignored: ingest runs on the caller's domain. *)
   let create ?pool:(_ : Parkit.Pool.t option) ?(batch = 1) service =
     if batch < 1 then invalid_arg "Service.Batch.create: batch < 1";
@@ -478,8 +453,11 @@ module Batch = struct
       service;
       batch;
       arena = Scan.create ();
-      slots = Array.make batch (S_err "");
-      resp = Array.make batch (R_error "");
+      kinds = Array.make batch Scan.Observe;
+      shards = Array.make batch "";
+      offs = Array.make batch 0;
+      lens = Array.make batch 0;
+      strict = Array.make batch unused;
       k = 0;
       requests = 0;
       values = 0;
@@ -493,57 +471,89 @@ module Batch = struct
   (* Stop filling once the arena holds [arena_budget] decoded values:
      past that, scanning ahead just evicts the very spans ingest is
      about to read, and large-payload batches get slower, not faster. *)
-  let want_more e = e.k < e.batch && Scan.length e.arena < arena_budget
+  let[@histolint.hot] want_more e =
+    e.k < e.batch && Scan.length e.arena < arena_budget
 
   let strict e line =
     e.strict_parses <- e.strict_parses + 1;
-    match Wire.request_of_line line with
-    | Error msg -> S_err msg
-    | Ok req ->
-        (match req with
-        | Wire.Observe { xs; _ } -> e.values <- e.values + Array.length xs
-        | Wire.Counts { counts; _ } ->
-            e.values <- e.values + Array.length counts
-        | _ -> ());
-        S_req req
+    let parsed = Wire.request_of_line line in
+    (match parsed with
+    | Ok (Wire.Observe { xs; _ }) -> e.values <- e.values + Array.length xs
+    | Ok (Wire.Counts { counts; _ }) ->
+        e.values <- e.values + Array.length counts
+    | Ok _ | Error _ -> ());
+    parsed
 
   (* The windowed push the socket reactor uses: fast-path lines decode
-     straight out of the transport's read buffer (the shard id is the
-     only copy); only strict-parser fallbacks materialize the line. *)
-  let push_sub e line ~pos ~len =
+     straight out of the transport's read buffer into the arena and the
+     slot arrays; only strict-parser fallbacks materialize the line. *)
+  let[@histolint.hot] push_sub e line ~pos ~len =
     if not (want_more e) then invalid_arg "Service.Batch.push: batch full";
     if not (is_blank_sub line pos len) then begin
-      let slot =
-        match Scan.scan_sub e.arena line ~pos ~len with
-        | Some h ->
-            e.fast_hits <- e.fast_hits + 1;
-            e.values <- e.values + h.Scan.len;
-            S_fast h
-        | None -> strict e (String.sub line pos len)
-      in
-      e.slots.(e.k) <- slot;
-      e.k <- e.k + 1
+      let k = e.k and a = e.arena in
+      if Scan.scan_sub a line ~pos ~len then begin
+        e.fast_hits <- e.fast_hits + 1;
+        e.values <- e.values + Scan.hit_len a;
+        e.kinds.(k) <- Scan.hit_kind a;
+        e.shards.(k) <- Scan.hit_shard a;
+        e.offs.(k) <- Scan.hit_off a;
+        e.lens.(k) <- Scan.hit_len a
+      end
+      else
+        e.strict.(k) <-
+          (strict e (String.sub line pos len)
+          [@histolint.alloc_ok
+            "strict-parser fallback: off the fast path, and the parse \
+             allocates its tree anyway"]);
+      e.k <- k + 1
     end
 
   let push e line = push_sub e line ~pos:0 ~len:(String.length line)
 
   let clear e =
+    Array.fill e.strict 0 e.k unused;
     e.k <- 0;
     Scan.clear e.arena
 
-  let execute e ~out =
+  (* A strict slot's response into [out]; false after a quit. *)
+  let exec_strict t out = function
+    | Error msg ->
+        add_error out msg;
+        true
+    | Ok req ->
+        let json, continue = handle_request t req in
+        Jsonl.add_to_buffer out json;
+        continue
+
+  (* Execute the staged slots in request order through the same [ingest]
+     and [handle_request] a line-at-a-time loop would call, rendering
+     each response as it goes, so the transcript is that loop's.  Slots
+     after a quit are dropped unanswered, exactly as sequential serve
+     never reads them. *)
+  let[@histolint.hot] execute e ~out =
     if e.k = 0 then true
     else begin
       e.batches <- e.batches + 1;
-      let stop = exec_batch e.service e.arena e.slots e.resp e.k in
-      let last = match stop with Some q -> q | None -> e.k - 1 in
-      e.requests <- e.requests + last + 1;
-      for i = 0 to last do
-        render out e.resp.(i);
-        Buffer.add_char out '\n'
+      let t = e.service and arena = Scan.buffer e.arena in
+      let go = ref true and i = ref 0 in
+      while !go && !i < e.k do
+        let k = !i in
+        if e.strict.(k) == unused then
+          exec_ingest t out e.kinds.(k) e.shards.(k) arena ~pos:e.offs.(k)
+            ~len:e.lens.(k)
+        else
+          go :=
+            (exec_strict
+               t out e.strict.(k)
+             [@histolint.alloc_ok
+               "strict slots: off the fast path, their requests and \
+                responses are Jsonl trees"]);
+        Buffer.add_char out '\n';
+        incr i
       done;
+      e.requests <- e.requests + !i;
       clear e;
-      Option.is_none stop
+      !go
     end
 
   let stats e =

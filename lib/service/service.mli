@@ -25,7 +25,8 @@ type config = {
 type t
 
 val create : unit -> t
-(** A service with no config and an empty structure cache. *)
+(** A service with no config and an empty structure cache (at most 16
+    hypotheses, domain sizes summing to at most [2 * max_n]). *)
 
 val cache_stats : t -> Structcache.stats
 (** Introspection over the hypothesis-structure cache (also served as
@@ -45,7 +46,10 @@ val max_shards : int
 [@@histolint.keep "wire limit; test_service reads it, not a copy"]
 (** The most shard names one config holds, 2^12: each name costs a table
     entry and its string.  A request naming a new shard past the cap gets
-    a wire error and changes nothing. *)
+    a wire error and changes nothing.  Names are at most
+    {!Scan.max_shard_bytes} long: an ingest request with a longer id gets
+    the wire error ["shard id longer than 256 bytes"] and changes
+    nothing, whichever parser decoded it. *)
 
 val configure :
   t ->
@@ -57,29 +61,27 @@ val configure :
   (config, string) result
 (** Set the hypothesis and start from zero: no shards, an empty
     accumulator.  When the new partition equals the accumulator's (same
-    [n] and [cells], whatever the family or seed), the accumulator and
-    its element-to-cell table carry over, cleared in place; a new
-    partition drops it, and the next ingest allocates one over the new
-    partition.  A refused config ([n] outside [\[1, max_n\]], [eps]
+    [n] and [cells], whatever the family or seed), the accumulator
+    carries over, cleared in place; a new partition replaces it with a
+    fresh one.  A refused config ([n] outside [\[1, max_n\]], [eps]
     outside (0, 1), an unknown family) changes nothing, and [n] is
     checked before anything is built. *)
 
 val observe : t -> shard:string -> int array -> (int, string) result
 (** Batch-ingest observations on behalf of a shard; returns the shard's
-    new total.  On an out-of-domain element the prefix before it stays
-    ingested and counted in the shard's total.  A new name is registered
-    only when the request succeeds or adds at least one value, so a
-    rejected request leaves no empty shard behind; a new name past
-    {!max_shards} is refused. *)
+    new total, or the wire error.  On an out-of-domain element the prefix
+    before it stays ingested and counted in the shard's total.  A new
+    name is registered only when the request succeeds or adds at least
+    one value, so a rejected request leaves no empty shard behind; a new
+    name past {!max_shards} is refused. *)
 
 val merged : t -> Suffstat.t option
 (** The accumulator — every shard's traffic since the last [configure]
     or reset command; [None] when no shard exists yet.  A view, not a
-    copy: no fold and no allocation per call.  It keeps changing with
-    later ingest and is cleared by [configure] and the reset command;
-    callers must not mutate it.  Bitwise equal, counts and total, to
-    [Suffstat.merge] folded over per-shard states holding the same
-    traffic. *)
+    copy: no fold per call.  It keeps changing with later ingest and is
+    cleared by [configure] and the reset command; callers must not
+    mutate it.  Equal, counts and total, to [Suffstat.merge] folded over
+    per-shard states holding the same traffic. *)
 
 val shard_totals : t -> (string * int) list
 [@@histolint.keep "[stats] renders it; test_service checks it"]
@@ -151,19 +153,21 @@ module Batch : sig
       reactor's zero-copy feed.  Decodes identically to [push] on the
       corresponding substring; the window must be in bounds (unchecked).
       The executor never retains a reference into [line] past the call
-      (fast-path payloads land in the arena, the shard id is copied, and
-      strict-parser fallbacks copy the substring), so transports may
-      reuse the underlying buffer immediately.
+      (fast-path payloads land in the arena, the shard id is interned,
+      and strict-parser fallbacks copy the substring), so transports may
+      reuse the underlying buffer immediately.  A fast-path line whose
+      shard id is already interned allocates nothing.
       @raise Invalid_argument when [want_more] is false. *)
 
   val execute : exec -> out:Buffer.t -> bool
   (** Execute the staged batch with the sequential-equivalence contract
       of {!serve} (requests applied one by one in request order,
-      responses in request order) and append the newline-terminated
-      responses to [out].  Returns false when the batch contained a
-      [quit] — staged requests after it are dropped unanswered.  The
-      executor is cleared and ready for the next batch either way;
-      executing an empty batch is a no-op returning true. *)
+      responses in request order), appending each newline-terminated
+      response to [out] as its request runs; accepted fast-path slots
+      allocate nothing.  Returns false when the batch contained a [quit]
+      — staged requests after it are dropped unanswered.  The executor
+      is cleared and ready for the next batch either way; executing an
+      empty batch is a no-op returning true. *)
 
   val clear : exec -> unit
   (** Drop any staged-but-unexecuted requests (a transport closing a

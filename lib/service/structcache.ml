@@ -10,9 +10,9 @@
    request path.
 
    Eviction is deterministic: an LRU over an assoc list in
-   most-recently-used-first order (no Hashtbl, no clock).  Capacity is
-   small — the point is a working set of hypotheses, not an unbounded
-   registry. *)
+   most-recently-used-first order (no Hashtbl, no clock).  It holds a
+   working set of hypotheses, not a registry: both an entry count and
+   the summed domain sizes are bounded, as an entry costs O(n) words. *)
 
 type entry = { dstar : Pmf.t; part : Partition.t }
 
@@ -25,6 +25,11 @@ type t = {
 }
 
 let default_capacity = 16
+
+(* Bound on the sum of the cached domain sizes: 2^23, twice the
+   service's largest domain (2^22), so two largest hypotheses fit and
+   serve-verdict's 4 x 2^16 working set never evicts. *)
+let budget = 1 lsl 23
 
 let create ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Structcache.create: capacity < 1";
@@ -46,15 +51,20 @@ let find t key =
   in
   go [] t.entries
 
+(* Evict from the LRU end until both bounds hold; the MRU entry, just
+   built, always stays. *)
 let truncate t =
-  let rec keep n = function
+  let rec keep count size = function
     | [] -> []
-    | _ :: _ when n = 0 ->
-        t.evictions <- t.evictions + 1;
-        []
-    | kv :: rest -> kv :: keep (n - 1) rest
+    | ((_, e) as kv) :: rest ->
+        let size = size + Partition.domain_size e.part in
+        if count > 0 && (count >= t.capacity || size > budget) then begin
+          t.evictions <- t.evictions + 1 + List.length rest;
+          []
+        end
+        else kv :: keep (count + 1) size rest
   in
-  t.entries <- keep t.capacity t.entries
+  t.entries <- keep 0 0 t.entries
 
 let find_or_build t ~key build =
   match find t key with

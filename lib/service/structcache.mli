@@ -13,7 +13,10 @@ type entry = { dstar : Pmf.t; part : Partition.t }
 type t
 
 val create : ?capacity:int -> unit -> t
-(** @raise Invalid_argument if [capacity < 1]. *)
+(** At most [capacity] entries (default 16) whose domain sizes sum to at
+    most 2^23, twice the service's largest domain: each entry holds O(n)
+    words.
+    @raise Invalid_argument if [capacity < 1]. *)
 
 val fingerprint : n:int -> family:string -> seed:int -> cells:int -> string
 (** The canonical cache key. *)
@@ -21,8 +24,9 @@ val fingerprint : n:int -> family:string -> seed:int -> cells:int -> string
 val find_or_build :
   t -> key:string -> (unit -> (entry, string) result) -> (entry, string) result
 (** Return the cached entry (a hit refreshes its recency) or run the
-    builder and remember a successful result, evicting the least
-    recently used entry beyond capacity.  Errors are never cached. *)
+    builder and remember a successful result, evicting least recently
+    used entries until both bounds hold again (the new entry always
+    stays).  Errors are never cached. *)
 
 type stats = {
   size : int;

@@ -8,7 +8,8 @@
    lib_prefixes reclassifies it as lib/ code, exactly as the driver's
    --lib-prefix flag does.  The v2 fixtures cover both interprocedural
    passes: a race reached only through a helper call resolved via the
-   summary table, and a hot-path allocation one call deep.  The
+   summary table, and a hot-path allocation one call deep, also from
+   inside a [struct] submodule calling its enclosing module.  The
    dead-export fixtures pair a violating, a kept and a reasonless-keep
    export with exports reached only through [open], a module alias and
    a functor argument (dead_user.ml), which must not be findings. *)
@@ -47,6 +48,8 @@ let expected_findings =
     ("test/lint_fixtures/bad_hashtbl.ml", 5, "det/hashtbl-order");
     ("test/lint_fixtures/bad_hot.ml", 4, "hot/alloc");
     ("test/lint_fixtures/bad_hot_interproc.ml", 4, "hot/alloc");
+    ("test/lint_fixtures/bad_hot_submodule.ml", 8, "hot/alloc");
+    ("test/lint_fixtures/bad_hot_submodule.ml", 9, "hot/alloc");
     ("test/lint_fixtures/bad_poly_compare.ml", 4, "poly/compare-structural");
     ("test/lint_fixtures/bad_race.ml", 8, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_race_interproc.ml", 8, "par/shared-mutable-capture");
@@ -126,7 +129,7 @@ let test_one_violation_per_rule () =
 
 let test_severities () =
   let r = Lazy.force report in
-  Alcotest.(check int) "errors" 18 (Engine.errors r);
+  Alcotest.(check int) "errors" 20 (Engine.errors r);
   Alcotest.(check int) "warnings" 1 (Engine.warnings r)
 
 let test_rule_counts () =
@@ -143,7 +146,7 @@ let test_rule_counts () =
       ("poly/compare-structural", 1);
       ("par/raw-domain", 1);
       ("par/shared-mutable-capture", 6);
-      ("hot/alloc", 2);
+      ("hot/alloc", 4);
       ("dead/unreferenced-export", 2);
       ("lint/unknown-allow", 2);
     ]

@@ -24,6 +24,9 @@ let ingest part values =
   Suffstat.observe_all st values;
   st
 
+let add_counts st counts =
+  Suffstat.observe_counts st counts ~pos:0 ~len:(Array.length counts)
+
 let slice values ~shards ~offset =
   let out = ref [] in
   let i = ref offset in
@@ -82,7 +85,7 @@ let test_suffstat_observe_counts () =
   let r = Randkit.Rng.create ~seed:11 in
   let counts = Array.init n (fun _ -> Randkit.Rng.int r 50) in
   let via_counts = Suffstat.create ~part in
-  Suffstat.observe_counts via_counts counts;
+  add_counts via_counts counts;
   let via_stream = Suffstat.create ~part in
   Array.iteri
     (fun x c ->
@@ -92,36 +95,36 @@ let test_suffstat_observe_counts () =
     counts;
   Alcotest.(check bool) "counts = stream" true
     (Suffstat.equal via_counts via_stream);
+  (* a slice of a larger array ingests exactly that slice *)
+  let via_slice = Suffstat.create ~part in
+  let padded = Array.concat [ [| -1; 7 |]; counts; [| -5 |] ] in
+  Suffstat.observe_counts via_slice padded ~pos:2 ~len:n;
+  Alcotest.(check bool) "slice = whole vector" true
+    (Suffstat.equal via_slice via_counts);
+  Alcotest.(check bool) "slice past the array rejected" true
+    (try
+       Suffstat.observe_counts via_slice padded ~pos:4 ~len:n;
+       false
+     with Invalid_argument _ -> true);
   Alcotest.(check bool) "negative counts rejected" true
     (try
-       Suffstat.observe_counts via_counts (Array.make n (-1));
+       add_counts via_counts (Array.make n (-1));
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "length mismatch rejected" true
     (try
-       Suffstat.observe_counts via_counts [| 1; 2 |];
+       add_counts via_counts [| 1; 2 |];
        false
      with Invalid_argument _ -> true)
 
 module Suff_fold = Refkit.Replay.Suff_fold
 
-(* Every verdict-relevant field via [equal], plus every cell's count and
-   float mass bit for bit. *)
-let suffstat_bitwise a b =
-  Suffstat.equal a b
-  && List.for_all
-       (fun j ->
-         Suffstat.cell_count_of a j = Suffstat.cell_count_of b j
-         && Float.equal (Suffstat.cell_mass a j) (Suffstat.cell_mass b j))
-       (List.init (Suffstat.cell_count a) Fun.id)
-
-(* Random shard sets with random weights, so the cell masses carry
-   non-integral floats and nonzero compensations.  Some shards come from
-   [create] (own table), the rest are [empty_like] siblings (shared
-   table): [merge_into] must treat both alike. *)
+(* Random shard sets.  Some shards come from [create] (own partition),
+   the rest are [empty_like] siblings (shared partition): [merge_into]
+   must treat both alike. *)
 let prop_suffstat_merge_into_matches_reduce =
   QCheck.Test.make
-    ~name:"clear + merge_into fold = Suff_fold.reduce, cell masses bitwise"
+    ~name:"clear + merge_into fold = Suff_fold.reduce"
     ~count:200
     (QCheck.int_range 0 1_000_000)
     (fun seed ->
@@ -135,21 +138,17 @@ let prop_suffstat_merge_into_matches_reduce =
             else if Randkit.Rng.int r 2 = 0 then Suffstat.create ~part
             else Suffstat.empty_like first)
       in
-      Array.iteri
-        (fun i x ->
-          let weight = Randkit.Rng.float r 3.0 -. 1.0 in
-          Suffstat.observe ~weight parts.(i mod shards) x)
-        values;
+      Array.iteri (fun i x -> Suffstat.observe parts.(i mod shards) x) values;
       let expected = Suff_fold.reduce parts in
       let acc = Suffstat.empty_like first in
       (* stale contents must not leak through [clear] *)
-      Suffstat.observe ~weight:0.3 acc (n - 1);
+      Suffstat.observe acc (n - 1);
       Suffstat.clear acc;
       Array.iter (fun st -> Suffstat.merge_into ~into:acc st) parts;
-      suffstat_bitwise acc expected)
+      Suffstat.equal acc expected)
 
 let test_suffstat_siblings_independent () =
-  (* [empty_like] siblings share only the element -> cell table. *)
+  (* [empty_like] siblings share only the partition. *)
   let part = part_of ~n:64 ~cells:8 in
   let a = Suffstat.create ~part in
   let b = Suffstat.empty_like a and c = Suffstat.empty_like a in
@@ -159,13 +158,11 @@ let test_suffstat_siblings_independent () =
   Alcotest.(check bool) "c counts all zero" true
     (Array.for_all (fun x -> x = 0) (Suffstat.counts c));
   Alcotest.(check int) "b holds its own" 4 (Suffstat.total b);
-  Alcotest.(check int) "b's cell 1" 2 (Suffstat.cell_count_of b 1);
-  Alcotest.(check int) "c's cell 1" 0 (Suffstat.cell_count_of c 1);
-  Alcotest.(check bool) "cell masses not shared" true
-    (Float.equal (Suffstat.cell_mass c 1) 0.);
+  Alcotest.(check int) "b's count 9" 2 (Suffstat.counts b).(9);
+  Alcotest.(check int) "c's count 9" 0 (Suffstat.counts c).(9);
   Suffstat.observe_all c [| 9 |];
-  Alcotest.(check int) "b unchanged by c" 2 (Suffstat.count b 9);
-  Alcotest.(check int) "c's own count" 1 (Suffstat.count c 9)
+  Alcotest.(check int) "b unchanged by c" 2 (Suffstat.counts b).(9);
+  Alcotest.(check int) "c's own count" 1 (Suffstat.counts c).(9)
 
 let test_suffstat_observe_counts_atomic () =
   (* A negative entry deep inside a cell (after that cell's first
@@ -180,12 +177,12 @@ let test_suffstat_observe_counts_atomic () =
   let counts = Array.make n 2 in
   counts.(21) <- -1;
   (try
-     Suffstat.observe_counts st counts;
+     add_counts st counts;
      Alcotest.fail "negative count accepted"
    with Invalid_argument m ->
      Alcotest.(check string) "message" "Suffstat.observe_counts: negative count"
        m);
-  Alcotest.(check bool) "state unchanged" true (suffstat_bitwise st before);
+  Alcotest.(check bool) "state unchanged" true (Suffstat.equal st before);
   Alcotest.(check int) "total = sum of counts"
     (Array.fold_left ( + ) 0 (Suffstat.counts st))
     (Suffstat.total st)
@@ -210,16 +207,16 @@ let test_suffstat_total_bound () =
        Alcotest.fail (label ^ ": accepted")
      with Invalid_argument m -> Alcotest.(check string) label expected m);
     Alcotest.(check bool) (label ^ ": state unchanged") true
-      (suffstat_bitwise st !before)
+      (Suffstat.equal st !before)
   in
   let counts_msg = "Suffstat.observe_counts: total would exceed 2^53" in
   refused "wrapping sum"
-    (fun () -> Suffstat.observe_counts st [| max_int; max_int; max_int; 1 |])
+    (fun () -> add_counts st [| max_int; max_int; max_int; 1 |])
     counts_msg;
   refused "one past the bound"
-    (fun () -> Suffstat.observe_counts st [| 1 lsl 52; 1 lsl 52; 0; 0 |])
+    (fun () -> add_counts st [| 1 lsl 52; 1 lsl 52; 0; 0 |])
     counts_msg;
-  Suffstat.observe_counts st [| (1 lsl 52) - 2; 1 lsl 52; 0; 0 |];
+  add_counts st [| (1 lsl 52) - 2; 1 lsl 52; 0; 0 |];
   Alcotest.(check int) "up to the bound" (1 lsl 53) (Suffstat.total st);
   before := snapshot ();
   refused "observe at the bound"
@@ -230,8 +227,7 @@ let test_suffstat_total_bound () =
     "Suffstat.observe: total would exceed 2^53"
 
 (* A cleared state stands in for a fresh one: after the same operations
-   both are bitwise equal, cell masses included, whatever the cleared
-   state held before. *)
+   both are equal, whatever the cleared state held before. *)
 let prop_suffstat_clear_is_fresh =
   QCheck.Test.make ~name:"cleared state = fresh state under any ingest"
     ~count:200
@@ -240,30 +236,26 @@ let prop_suffstat_clear_is_fresh =
       let part, n, values = suffstat_case seed in
       let r = Randkit.Rng.create ~seed:(seed + 7) in
       let recycled = Suffstat.create ~part in
-      Array.iter
-        (fun x ->
-          Suffstat.observe ~weight:(Randkit.Rng.float r 2.0 -. 0.5) recycled x)
-        values;
+      Suffstat.observe_all recycled values;
       Suffstat.clear recycled;
       let fresh = Suffstat.empty_like recycled in
       let ops = 1 + Randkit.Rng.int r 6 in
       for _ = 1 to ops do
         match Randkit.Rng.int r 3 with
         | 0 ->
-            let x = Randkit.Rng.int r n
-            and weight = Randkit.Rng.float r 3.0 -. 1.0 in
-            Suffstat.observe ~weight recycled x;
-            Suffstat.observe ~weight fresh x
+            let x = Randkit.Rng.int r n in
+            Suffstat.observe recycled x;
+            Suffstat.observe fresh x
         | 1 ->
             let xs = Array.init (Randkit.Rng.int r 50) (fun _ -> Randkit.Rng.int r n) in
             Suffstat.observe_all recycled xs;
             Suffstat.observe_all fresh xs
         | _ ->
             let counts = Array.init n (fun _ -> Randkit.Rng.int r 3) in
-            Suffstat.observe_counts recycled counts;
-            Suffstat.observe_counts fresh counts
+            add_counts recycled counts;
+            add_counts fresh counts
       done;
-      suffstat_bitwise recycled fresh)
+      Suffstat.equal recycled fresh)
 
 let test_suffstat_fits () =
   let st = Suffstat.create ~part:(part_of ~n:256 ~cells:16) in
@@ -478,14 +470,14 @@ let test_service_merged_in_place () =
   ingest ();
   let m1 = merged () in
   Alcotest.(check bool) "second call is the same state" true (merged () == m1);
-  Alcotest.(check bool) "= the whole stream" true (suffstat_bitwise m1 whole);
+  Alcotest.(check bool) "= the whole stream" true (Suffstat.equal m1 whole);
   Alcotest.(check bool) "every shard name reads the accumulator" true
     (List.map fst (Service.shards t) = [ "a"; "b"; "c" ]
     && List.for_all (fun (_, st) -> st == m1) (Service.shards t));
   ingest ();
   Alcotest.(check int) "picks up new ingest" 400 (Suffstat.total m1);
   Alcotest.(check bool) "still the whole stream" true
-    (merged () == m1 && suffstat_bitwise m1 whole);
+    (merged () == m1 && Suffstat.equal m1 whole);
   ignore (Service.handle_line t {|{"cmd":"reset"}|});
   Alcotest.(check bool) "reset: no shards, no state" true
     (Option.is_none (Service.merged t) && Service.shards t = []);
@@ -547,8 +539,9 @@ let test_counts_negative_leaves_no_partial_state () =
             (label ^ ": total = sum of counts")
             (Suffstat.total st)
             (Array.fold_left ( + ) 0 (Suffstat.counts st));
-          Alcotest.(check int) (label ^ ": count 9 kept") 2 (Suffstat.count st 9);
-          Alcotest.(check int) (label ^ ": count 1 kept") 0 (Suffstat.count st 1)
+          let count x = (Suffstat.counts st).(x) in
+          Alcotest.(check int) (label ^ ": count 9 kept") 2 (count 9);
+          Alcotest.(check int) (label ^ ": count 1 kept") 0 (count 1)
       | None -> Alcotest.fail (label ^ ": no merged state"))
     [ ("strict", 1, bad ", ", 3); ("fast path", 64, bad ",", 2) ];
   (* Fresh names: a rejected counts and a wholly out-of-domain observe
@@ -704,7 +697,7 @@ let test_replay_matches_harness_trials () =
             (List.init n (fun x -> Array.make counts.(x) x))
         in
         let direct = Suffstat.create ~part in
-        Suffstat.observe_counts direct counts;
+        add_counts direct counts;
         let expected = Suffstat.verdict direct ~dstar ~eps in
         let rep = Refkit.Replay.replay ~part ~dstar ~eps ~shards:4 stream in
         rep.Refkit.Replay.identical
@@ -755,27 +748,36 @@ let test_family_of_spec () =
 
 (* --- Scan: the zero-allocation wire fast path --- *)
 
-let scan_payload ws hit = Array.sub (Scan.buffer ws) hit.Scan.off hit.Scan.len
+let scan ws line = Scan.scan_sub ws line ~pos:0 ~len:(String.length line)
+let scan_payload ws =
+  Array.sub (Scan.buffer ws) (Scan.hit_off ws) (Scan.hit_len ws)
 
 let test_scan_canonical () =
   let ws = Scan.create () in
-  (match
-     Scan.scan ws {|{"cmd":"observe","shard":"a","xs":[0,12,-3,999999999999999]}|}
-   with
-  | Some h ->
-      Alcotest.(check bool) "observe kind" true (h.Scan.kind = Scan.Observe);
-      Alcotest.(check string) "shard" "a" h.Scan.shard;
-      Alcotest.(check (array int))
-        "payload"
-        [| 0; 12; -3; 999_999_999_999_999 |]
-        (scan_payload ws h)
-  | None -> Alcotest.fail "canonical observe declined");
-  (match Scan.scan ws {|{"cmd":"counts","shard":"s-1","counts":[]}|} with
-  | Some h ->
-      Alcotest.(check bool) "counts kind" true (h.Scan.kind = Scan.Counts);
-      Alcotest.(check int) "empty payload" 0 h.Scan.len
-  | None -> Alcotest.fail "canonical counts declined");
-  Alcotest.(check int) "arena accumulates across scans" 4 (Scan.length ws);
+  if scan ws {|{"cmd":"observe","shard":"a","xs":[0,12,-3,999999999999999]}|}
+  then begin
+    Alcotest.(check bool) "observe kind" true (Scan.hit_kind ws = Scan.Observe);
+    Alcotest.(check string) "shard" "a" (Scan.hit_shard ws);
+    Alcotest.(check (array int))
+      "payload"
+      [| 0; 12; -3; 999_999_999_999_999 |]
+      (scan_payload ws)
+  end
+  else Alcotest.fail "canonical observe declined";
+  if scan ws {|{"cmd":"counts","shard":"s-1","counts":[]}|} then begin
+    Alcotest.(check bool) "counts kind" true (Scan.hit_kind ws = Scan.Counts);
+    Alcotest.(check int) "empty payload" 0 (Scan.hit_len ws)
+  end
+  else Alcotest.fail "canonical counts declined";
+  (* a repeated id is the interned string, and a window decodes as the
+     substring would *)
+  let first = Scan.hit_shard ws in
+  let framed = {|xx{"cmd":"counts","shard":"s-1","counts":[5]}yy|} in
+  Alcotest.(check bool) "window hit" true
+    (Scan.scan_sub ws framed ~pos:2 ~len:(String.length framed - 4));
+  Alcotest.(check bool) "repeated id interned" true (Scan.hit_shard ws == first);
+  Alcotest.(check (array int)) "window payload" [| 5 |] (scan_payload ws);
+  Alcotest.(check int) "arena accumulates across scans" 5 (Scan.length ws);
   Scan.clear ws;
   Alcotest.(check int) "clear resets the arena" 0 (Scan.length ws);
   (* arena growth beyond the initial 4096-int capacity keeps the data *)
@@ -784,17 +786,15 @@ let test_scan_canonical () =
     Printf.sprintf {|{"cmd":"observe","shard":"g","xs":[%s]}|}
       (String.concat "," (Array.to_list (Array.map string_of_int big)))
   in
-  match Scan.scan ws line with
-  | Some h -> Alcotest.(check (array int)) "grown arena" big (scan_payload ws h)
-  | None -> Alcotest.fail "long canonical observe declined"
+  if scan ws line then
+    Alcotest.(check (array int)) "grown arena" big (scan_payload ws)
+  else Alcotest.fail "long canonical observe declined"
 
 let test_scan_fallback () =
   let ws = Scan.create () in
   List.iter
     (fun line ->
-      (match Scan.scan ws line with
-      | Some _ -> Alcotest.failf "claimed: %s" line
-      | None -> ());
+      if scan ws line then Alcotest.failf "claimed: %s" line;
       Alcotest.(check int)
         (Printf.sprintf "arena untouched after %s" line)
         0 (Scan.length ws))
@@ -813,6 +813,8 @@ let test_scan_fallback () =
       {|{"cmd":"observe","shard":"a","xs":[1,]}|} (* dangling comma *);
       {|{"cmd":"observe","shard":"a","xs":[--1]}|} (* double sign *);
       {|{"cmd":"observe","shard":"a","xs":[1,2|} (* truncated mid-payload *);
+      Printf.sprintf {|{"cmd":"observe","shard":"%s","xs":[1]}|}
+        (String.make (Scan.max_shard_bytes + 1) 'x') (* over-long id *);
     ]
 
 (* Differential fuzz: on any line, a fast-path claim must decode to
@@ -855,20 +857,21 @@ let prop_scan_matches_strict =
               canonical
       in
       let ws = Scan.create () in
-      match Scan.scan ws line with
-      | None ->
-          (* declining is always safe, but the canonical form must hit *)
-          not (String.equal line canonical)
-      | Some h -> (
-          let payload = scan_payload ws h in
-          match Wire.request_of_line line with
-          | Ok (Wire.Observe { shard = s; xs = strict }) ->
-              h.Scan.kind = Scan.Observe && String.equal s h.Scan.shard
-              && strict = payload
-          | Ok (Wire.Counts { shard = s; counts = strict }) ->
-              h.Scan.kind = Scan.Counts && String.equal s h.Scan.shard
-              && strict = payload
-          | Ok _ | Error _ -> false))
+      if not (scan ws line) then
+        (* declining is always safe, but the canonical form must hit *)
+        not (String.equal line canonical)
+      else
+        let payload = scan_payload ws in
+        match Wire.request_of_line line with
+        | Ok (Wire.Observe { shard = s; xs = strict }) ->
+            Scan.hit_kind ws = Scan.Observe
+            && String.equal s (Scan.hit_shard ws)
+            && strict = payload
+        | Ok (Wire.Counts { shard = s; counts = strict }) ->
+            Scan.hit_kind ws = Scan.Counts
+            && String.equal s (Scan.hit_shard ws)
+            && strict = payload
+        | Ok _ | Error _ -> false)
 
 (* Structured fuzz for the codec itself: any value the printer can emit
    must re-parse to the same single line. *)
@@ -1041,6 +1044,151 @@ let test_rendered_responses () =
     (Jsonl.to_string (Wire.error "bad \\ news"))
     (Service.rendered_error "bad \\ news")
 
+(* The allocation gate: once ids are interned, shards registered and
+   the accumulator built, staging and executing a 64-line batch of
+   canonical ingest lines allocates nothing — scan, slots, ingest and
+   rendering alike.  Lines are pushed as the reactor pushes them: spans
+   of one read buffer.  [hot/alloc] cannot see boxing at call
+   boundaries, so the gate runs the code. *)
+let test_batch_allocates_nothing () =
+  let gate label line =
+    let t = Service.create () in
+    ignore
+      (Service.handle_line t
+         {|{"cmd":"config","n":64,"family":"uniform","eps":0.25,"seed":1}|}
+        : Jsonl.t * bool);
+    let ex = Service.Batch.create ~batch:64 t in
+    let lines = List.init 64 line in
+    let raw = String.concat "\n" lines in
+    let len = Array.of_list (List.map String.length lines) in
+    let pos = Array.make 64 0 in
+    for i = 1 to 63 do
+      pos.(i) <- pos.(i - 1) + len.(i - 1) + 1
+    done;
+    let out = Buffer.create 65536 in
+    let batch () =
+      Buffer.clear out;
+      for i = 0 to 63 do
+        Service.Batch.push_sub ex raw ~pos:pos.(i) ~len:len.(i)
+      done;
+      Service.Batch.execute ex ~out
+    in
+    ignore (batch () : bool);
+    ignore (batch () : bool);
+    let w0 = Gc.minor_words () in
+    let go = batch () in
+    let w1 = Gc.minor_words () in
+    Alcotest.(check bool) (label ^ ": served") true go;
+    Alcotest.(check int)
+      (label ^ ": every line fast")
+      (3 * 64) (Service.Batch.stats ex).Service.fast_hits;
+    Alcotest.(check (float 0.)) (label ^ ": minor words") 0. (w1 -. w0)
+  in
+  let ints k f = String.concat "," (List.init k (fun j -> string_of_int (f j))) in
+  gate "observe" (fun i ->
+      Printf.sprintf {|{"cmd":"observe","shard":"s%d","xs":[%s]}|} (i mod 16)
+        (ints 16 (fun j -> (i + j) mod 64)));
+  gate "counts" (fun i ->
+      Printf.sprintf {|{"cmd":"counts","shard":"c%d","counts":[%s]}|} (i mod 8)
+        (ints 64 (fun j -> i * j mod 3)))
+
+(* Shard interning against the line-at-a-time oracle: more distinct ids
+   than the intern table holds (so it is emptied and refilled), ids that
+   share prefixes and lengths (so probes collide), ids at and one past
+   [Scan.max_shard_bytes], round-robin and repeated traffic, and the
+   same ids through the strict parser.  Every transcript is byte-equal
+   to [Refkit.Strict_serve]'s, and a too-long id gets the same error on
+   both paths. *)
+let test_shard_interning_differential () =
+  let cap = Scan.max_shard_bytes in
+  let ids =
+    Array.concat
+      [
+        Array.init 600 (Printf.sprintf "id%d");
+        Array.init 40 (fun i -> String.make (i + 1) 'a');
+        [|
+          String.make cap 'x';
+          String.make (cap - 1) 'x' ^ "y";
+          String.make (cap + 1) 'x';
+        |];
+      ]
+  in
+  let r = Randkit.Rng.create ~seed:17 in
+  let line id =
+    let xs =
+      List.init (1 + Randkit.Rng.int r 4) (fun _ ->
+          string_of_int (Randkit.Rng.int r 64))
+    in
+    (* one line in ten has a space, so the strict parser takes it *)
+    Printf.sprintf {|{"cmd":"observe",%s"shard":"%s","xs":[%s]}|}
+      (if Randkit.Rng.int r 10 = 0 then " " else "")
+      id (String.concat "," xs)
+  in
+  let count = Array.length ids in
+  let round_robin = List.init (3 * count) (fun i -> line ids.(i mod count)) in
+  let hot = List.init 400 (fun _ -> line ids.(Randkit.Rng.int r 8)) in
+  let config = {|{"cmd":"config","n":64,"family":"uniform","eps":0.25,"seed":1}|} in
+  let script =
+    Array.of_list
+      ((config :: round_robin)
+      @ hot @ [ {|{"cmd":"stats"}|}; {|{"cmd":"verdict"}|} ])
+  in
+  let ref_out, _ = Refkit.Strict_serve.transcript script in
+  List.iter
+    (fun batch ->
+      let out, stats = serve_in_memory ~batch script in
+      Alcotest.(check string)
+        (Printf.sprintf "batch %d = oracle" batch)
+        ref_out out;
+      Alcotest.(check bool) "fast path claimed most lines" true
+        (stats.Service.fast_hits > Array.length script / 2))
+    [ 1; 7; 64 ];
+  let too_long =
+    Service.rendered_error (Printf.sprintf "shard id longer than %d bytes" cap)
+  in
+  let responses = String.split_on_char '\n' ref_out in
+  Alcotest.(check bool) "over-long id refused" true
+    (List.mem too_long responses);
+  let at_cap =
+    Printf.sprintf {|{"ok":true,"cmd":"observe","shard":"%s"|}
+      (String.make cap 'x')
+  in
+  Alcotest.(check bool) "ids at the cap served" true
+    (List.exists (String.starts_with ~prefix:at_cap) responses)
+
+(* The shard-id bound: an ingest naming an id past [Scan.max_shard_bytes]
+   gets one wire error on either decoder and leaves the shards and the
+   accumulator as they were. *)
+let test_shard_id_capped () =
+  let long = String.make (Scan.max_shard_bytes + 1) 's' in
+  List.iter
+    (fun (label, line) ->
+      let t = Service.create () in
+      let run line =
+        let printed, _, _ = response t line in
+        printed
+      in
+      ignore
+        (run {|{"cmd":"config","n":64,"family":"uniform","eps":0.25,"seed":1}|}
+          : string);
+      ignore (run {|{"cmd":"observe","shard":"a","xs":[1,2]}|} : string);
+      let out, _ =
+        serve_in_memory ~batch:64 ~t [| line; {|{"cmd":"stats"}|} |]
+      in
+      Alcotest.(check string)
+        (label ^ ": refused")
+        (Service.rendered_error
+           (Printf.sprintf "shard id longer than %d bytes"
+              Scan.max_shard_bytes))
+        (List.hd (String.split_on_char '\n' out));
+      Alcotest.(check (list (pair string int)))
+        (label ^ ": shards unchanged") [ ("a", 2) ] (Service.shard_totals t))
+    [
+      ("fast", Printf.sprintf {|{"cmd":"observe","shard":"%s","xs":[3]}|} long);
+      ("strict", Printf.sprintf {|{"cmd":"observe", "shard":"%s","xs":[3]}|} long);
+      ("counts", Printf.sprintf {|{"cmd":"counts","shard":"%s","counts":[]}|} long);
+    ]
+
 (* --- structure cache --- *)
 
 let test_structcache_lru () =
@@ -1073,6 +1221,55 @@ let test_structcache_lru () =
        ignore (Structcache.create ~capacity:0 ());
        false
      with Invalid_argument _ -> true)
+
+(* The size bound: entries are charged their domain size, and least
+   recently used ones go until the sum fits the 2^23 budget; the entry
+   just built always stays, even alone past the budget.  The cache reads
+   only the partition's domain size, so the entries share one tiny pmf
+   and a one-cell partition: nothing O(n) is built. *)
+let test_structcache_budget () =
+  let c = Structcache.create () in
+  let u = 1 lsl 20 (* the budget is 8u *) in
+  let dstar = Pmf.uniform 1 in
+  let get key units =
+    ignore
+      (Structcache.find_or_build c ~key (fun () ->
+           Ok { Structcache.dstar; part = part_of ~n:(units * u) ~cells:1 }))
+  in
+  get "a" 3;
+  get "b" 3;
+  get "a" 3 (* hit: "b" is now the LRU *);
+  get "c" 2;
+  Alcotest.(check int) "within budget: no eviction" 0
+    (Structcache.stats c).Structcache.evictions;
+  get "d" 1 (* 9u > 8u: "b" goes *);
+  let s = Structcache.stats c in
+  Alcotest.(check int) "LRU evicted" 1 s.Structcache.evictions;
+  Alcotest.(check int) "three stay" 3 s.Structcache.size;
+  get "a" 3;
+  Alcotest.(check int) "a survived" 2 (Structcache.stats c).Structcache.hits;
+  get "huge" 9;
+  let s = Structcache.stats c in
+  Alcotest.(check int) "an oversized entry stays alone" 1 s.Structcache.size;
+  Alcotest.(check int) "the rest evicted" 4 s.Structcache.evictions
+
+(* serve-verdict's working set — four hypotheses at n = 2^16 cycled —
+   sits well inside the cache's budget of 2 * max_n and never
+   evicts. *)
+let test_service_cache_working_set () =
+  let t = Service.create () in
+  for i = 0 to 11 do
+    match
+      Service.configure t ~n:(1 lsl 16)
+        ~family:(Printf.sprintf "khist:%d" (8 + (i mod 4)))
+        ~eps:0.25 ~cells:None ~seed:1
+    with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e
+  done;
+  let s = Service.cache_stats t in
+  Alcotest.(check int) "no evictions" 0 s.Structcache.evictions;
+  Alcotest.(check int) "every repeat hits" 8 s.Structcache.hits
 
 let test_structcache_fingerprint_distinct () =
   let fps =
@@ -1217,7 +1414,7 @@ let test_storage_outlives_config () =
   Alcotest.(check int) "cleared in place" 0 (Suffstat.total first);
   observe_ok t "x" [| 5 |];
   Alcotest.(check bool) "accumulator carried over" true (acc () == first);
-  Alcotest.(check int) "old counts gone" 0 (Suffstat.count first 1);
+  Alcotest.(check int) "old counts gone" 0 (Suffstat.counts first).(1);
   Alcotest.(check int) "holds only the new config" 1 (Suffstat.total first);
   ignore (Service.handle_line t {|{"cmd":"reset"}|});
   Alcotest.(check int) "reset clears in place" 0 (Suffstat.total first);
@@ -1230,7 +1427,8 @@ let test_storage_outlives_config () =
   observe_ok t "a" [| 300 |];
   let acc512 = acc () in
   Alcotest.(check bool) "new n: new accumulator" true (acc512 != first);
-  Alcotest.(check int) "new n: new domain" 512 (Suffstat.domain_size acc512);
+  Alcotest.(check int) "new n: new domain" 512
+    (Array.length (Suffstat.counts acc512));
   configure_ok t ~n:512 ~cells:32 "uniform";
   observe_ok t "a" [| 300 |];
   Alcotest.(check bool) "new cells drop too" true (acc () != acc512);
@@ -1346,7 +1544,7 @@ module Ref_engine = struct
             ])
     | Wire.Counts { shard; counts } ->
         ingest t shard
-          (fun st -> Suffstat.observe_counts st counts)
+          (fun st -> add_counts st counts)
           (fun total ->
             [
               ("cmd", Jsonl.Str "counts");
@@ -1457,7 +1655,7 @@ let prop_engine_matches_reference =
               && String.equal (Buffer.contents out) (Buffer.contents ref_out)
               && (match (Service.merged t, Ref_engine.merged reference) with
                  | None, None -> true
-                 | Some a, Some b -> suffstat_bitwise a b
+                 | Some a, Some b -> Suffstat.equal a b
                  | _ -> false)
               && Service.shard_totals t = Ref_engine.shard_totals reference
               && List.fold_left (fun a (_, c) -> a + c) 0
@@ -1527,10 +1725,17 @@ let () =
           Alcotest.test_case "rendered responses" `Quick test_rendered_responses;
           Alcotest.test_case "partial batch ingest" `Quick
             test_observe_sub_partial;
+          Alcotest.test_case "batches allocate nothing" `Quick
+            test_batch_allocates_nothing;
+          Alcotest.test_case "shard interning = strict serve" `Quick
+            test_shard_interning_differential;
         ] );
       ( "structcache",
         [
           Alcotest.test_case "LRU eviction" `Quick test_structcache_lru;
+          Alcotest.test_case "domain-size budget" `Quick test_structcache_budget;
+          Alcotest.test_case "working set never evicts" `Quick
+            test_service_cache_working_set;
           Alcotest.test_case "fingerprint coordinates" `Quick
             test_structcache_fingerprint_distinct;
           Alcotest.test_case "cache_stats protocol" `Quick
@@ -1551,6 +1756,7 @@ let () =
           Alcotest.test_case "config n capped" `Quick test_config_n_capped;
           Alcotest.test_case "shard names capped" `Quick
             test_shard_names_capped;
+          Alcotest.test_case "shard ids capped" `Quick test_shard_id_capped;
         ] );
       ( "storage",
         [
