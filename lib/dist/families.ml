@@ -1,11 +1,31 @@
+(* Every builder fills one fresh n-float array with unboxed loops and
+   hands it to [Pmf.create] or [Pmf.of_weights], which take ownership:
+   the pmf costs that array and no boxed float (DESIGN.md "Set-up").
+   Piecewise families fill a cell at a time with [Array.fill]. *)
+
+let fresh n = (Array.make n 0. [@histolint.alloc_ok "the pmf's one array"])
+
+(* Weight [levels.(j)] on every element of cell [j]. *)
+let[@histolint.hot] piecewise ~n part levels =
+  let w = fresh n in
+  for j = 0 to Partition.cell_count part - 1 do
+    let cell = Partition.cell part j in
+    Array.fill w (Interval.lo cell) (Interval.length cell) levels.(j)
+  done;
+  Pmf.of_weights w
+
 let uniform = Pmf.uniform
 
 let zipf ~n ~s = Pmf.of_weights (Randkit.Sampler.zipf_weights ~n ~s)
 
-let geometric_like ~n ~ratio =
+let[@histolint.hot] geometric_like ~n ~ratio =
   if ratio <= 0. || ratio >= 1. then
     invalid_arg "Families.geometric_like: ratio must lie in (0, 1)";
-  Pmf.of_weights (Array.init n (fun i -> ratio ** float_of_int i))
+  let w = fresh n in
+  for i = 0 to n - 1 do
+    w.(i) <- ratio ** float_of_int i
+  done;
+  Pmf.of_weights w
 
 let staircase ~n ~k ~rng =
   if k < 1 || k > n then invalid_arg "Families.staircase: need 1 <= k <= n";
@@ -13,11 +33,7 @@ let staircase ~n ~k ~rng =
      histogram whenever adjacent levels differ, which holds almost surely. *)
   let part = Partition.equal_width ~n ~cells:k in
   let levels = Array.init k (fun _ -> 0.1 +. Randkit.Rng.float rng 1.) in
-  let w = Array.make n 0. in
-  Partition.iteri
-    (fun j cell -> Interval.iter (fun i -> w.(i) <- levels.(j)) cell)
-    part;
-  Pmf.of_weights w
+  piecewise ~n part levels
 
 let random_khist ~n ~k ~rng =
   if k < 1 || k > n then invalid_arg "Families.random_khist: need 1 <= k <= n";
@@ -26,13 +42,11 @@ let random_khist ~n ~k ~rng =
     |> List.map (fun b -> b + 1)
   in
   let part = Partition.of_breakpoints ~n breaks in
-  let w = Array.make n 0. in
-  Partition.iteri
-    (fun _ cell ->
-      let level = 0.05 +. Randkit.Rng.float rng 1. in
-      Interval.iter (fun i -> w.(i) <- level) cell)
-    part;
-  Pmf.of_weights w
+  let levels =
+    Array.init (Partition.cell_count part) (fun _ ->
+        0.05 +. Randkit.Rng.float rng 1.)
+  in
+  piecewise ~n part levels
 
 let paninski ~n ~eps ~c ~rng =
   if n mod 2 <> 0 then invalid_arg "Families.paninski: n must be even";
@@ -90,23 +104,24 @@ let comb ~n ~teeth =
   if teeth < 1 || 2 * teeth > n then
     invalid_arg "Families.comb: need 1 <= teeth <= n/2";
   (* Alternating high/low blocks: a (2*teeth)-histogram that is far from any
-     histogram with noticeably fewer pieces. *)
+     histogram with noticeably fewer pieces.  The last block takes the
+     remainder of n. *)
   let block = n / (2 * teeth) in
-  let w =
-    Array.init n (fun i ->
-        let b = min (i / block) ((2 * teeth) - 1) in
-        if b mod 2 = 0 then 3. else 1.)
+  let part =
+    Partition.of_breakpoints ~n
+      (List.init ((2 * teeth) - 1) (fun b -> (b + 1) * block))
   in
-  Pmf.of_weights w
+  piecewise ~n part
+    (Array.init (2 * teeth) (fun b -> if b mod 2 = 0 then 3. else 1.))
 
-let discretized_gaussian ~n ~mu ~sigma =
+let[@histolint.hot] discretized_gaussian ~n ~mu ~sigma =
   if sigma <= 0. then
     invalid_arg "Families.discretized_gaussian: sigma must be positive";
-  let w =
-    Array.init n (fun i ->
-        let x = float_of_int i in
-        exp (-.((x -. mu) ** 2.) /. (2. *. sigma *. sigma)))
-  in
+  let w = fresh n in
+  for i = 0 to n - 1 do
+    let x = float_of_int i in
+    w.(i) <- exp (-.((x -. mu) ** 2.) /. (2. *. sigma *. sigma))
+  done;
   Pmf.of_weights w
 
 let bimodal ~n =
@@ -114,9 +129,13 @@ let bimodal ~n =
   let g2 = discretized_gaussian ~n ~mu:(3. *. float_of_int n /. 4.) ~sigma:(float_of_int n /. 16.) in
   mixture [ (0.6, g1); (0.4, g2) ]
 
-let monotone_decreasing ~n ~power =
+let[@histolint.hot] monotone_decreasing ~n ~power =
   if power < 0. then invalid_arg "Families.monotone_decreasing: negative power";
-  Pmf.of_weights (Array.init n (fun i -> (1. /. float_of_int (i + 1)) ** power))
+  let w = fresh n in
+  for i = 0 to n - 1 do
+    w.(i) <- (1. /. float_of_int (i + 1)) ** power
+  done;
+  Pmf.of_weights w
 
 let of_spec ~n ~rng spec =
   let num = float_of_string and int = int_of_string in

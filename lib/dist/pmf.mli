@@ -6,12 +6,25 @@
 
 type t
 
+(** {2 Ownership}
+
+    Both constructors take ownership of the array they are given: the
+    pmf {e is} that array, not a copy of it, and {!of_weights} normalizes
+    it in place.  The caller hands over a fresh array and never reads or
+    writes it again — to keep a copy, pass [Array.copy w].  A pmf so
+    costs exactly its n floats, and construction allocates nothing per
+    element. *)
+
 val create : float array -> t
-(** @raise Invalid_argument if empty, non-finite/negative entries, or total
+(** Takes ownership of its argument (see above).
+    @raise Invalid_argument if empty, non-finite/negative entries, or total
     mass differs from 1 by more than 1e-9. *)
 
 val of_weights : float array -> t
-(** Normalize nonnegative weights. @raise Invalid_argument if all zero. *)
+(** Normalize nonnegative weights in place, taking ownership of the array
+    (see above).  Each entry becomes [w.(i) /. total] for the compensated
+    total.  @raise Invalid_argument if empty, any entry is non-finite or
+    negative, or all are zero; the array is then left unchanged. *)
 
 val size : t -> int
 (** Domain size [n]. *)

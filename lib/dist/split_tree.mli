@@ -4,8 +4,9 @@
     An alias table makes one draw O(1), so a trial that only ever looks at
     the occurrence-count vector still pays Θ(m) to produce it.  A split
     tree generates the count vector directly: the domain is laid out as a
-    static balanced interval tree whose nodes carry subtree mass, and a
-    total of [m] balls is pushed from the root down, each node sending
+    static balanced interval tree whose internal nodes carry the share
+    w_left/w of their subtree's mass that lies left, and a total of [m]
+    balls is pushed from the root down, each node sending
     [Binomial(c, w_left/w)] of its [c] balls into the left subtree.  The
     result is exactly multinomial([m], pmf) — the same law as
     [Alias.draw_counts], but NOT the same generator stream, so
@@ -28,7 +29,8 @@
 type t
 
 val of_pmf : Pmf.t -> t
-(** O(n) time, 2·2^⌈log₂ n⌉ floats. *)
+(** O(n) time; one array of 2^⌈log₂ n⌉ floats (a split probability per
+    internal node), allocated once — no other allocation. *)
 
 val size : t -> int
 

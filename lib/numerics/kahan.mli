@@ -18,7 +18,15 @@ val total : t -> float
 (** Current compensated total. *)
 
 val sum_array : float array -> float
-(** Compensated sum of an array. *)
+(** Compensated sum of an array.  Allocates nothing, and is bitwise the
+    [add] fold over the array. *)
+
+val sum_sub : float array -> pos:int -> len:int -> float
+(** [sum_sub a ~pos ~len] is [sum_array] of [a.(pos) .. a.(pos+len-1)],
+    without copying the range.
+    @raise Invalid_argument if the range lies outside [a]. *)
 
 val sum_f : int -> (int -> float) -> float
-(** [sum_f n f] is the compensated sum of [f 0 .. f (n-1)]. *)
+(** [sum_f n f] is the compensated sum of [f 0 .. f (n-1)].  Each
+    result of [f] is a boxed float; a sum over an array range is
+    {!sum_sub}. *)

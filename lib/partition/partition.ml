@@ -21,10 +21,15 @@ let trivial ~n = of_breakpoints ~n []
 let equal_width ~n ~cells:count =
   if count <= 0 || count > n then
     invalid_arg "Partition.equal_width: need 0 < cells <= n";
-  let breaks =
-    List.init (count - 1) (fun i -> (i + 1) * n / count) |> List.sort_uniq compare
-  in
-  of_breakpoints ~n breaks
+  (* The bounds i·n/count rise by at least 1 per step (count <= n), so
+     they need no sort or dedup: O(cells) words, the cell records and
+     their array. *)
+  {
+    n;
+    cells =
+      Array.init count (fun i ->
+          Interval.make ~lo:(i * n / count) ~hi:((i + 1) * n / count));
+  }
 
 let domain_size t = t.n
 let cell_count t = Array.length t.cells

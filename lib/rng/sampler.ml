@@ -174,6 +174,10 @@ let sample_without_replacement rng ~n ~k =
   done;
   !out
 
-let zipf_weights ~n ~s =
+let[@histolint.hot] zipf_weights ~n ~s =
   if n <= 0 then invalid_arg "Sampler.zipf_weights: n must be positive";
-  Array.init n (fun i -> (float_of_int (i + 1)) ** (-.s))
+  let w = (Array.make n 0. [@histolint.alloc_ok "the result array"]) in
+  for i = 0 to n - 1 do
+    w.(i) <- float_of_int (i + 1) ** (-.s)
+  done;
+  w

@@ -576,6 +576,169 @@ let prop_split_tree_counts_sum =
       && Array.for_all (fun c -> c >= 0) counts
       && Array.fold_left ( + ) 0 counts = m)
 
+(* --- construction pins --- *)
+
+(* Every family's pmf as float bits, pinned from the copying, boxing
+   constructors the allocation-free builders replaced: the one-array
+   builders must not move a single bit, or every transcript and verdict
+   computed against a hypothesis could move with them.  Parameters are
+   capped to n so the small domains exercise the builders; a refused
+   parameter pins its error message. *)
+let family_pin_specs n =
+  let k = min 8 n and teeth = max 1 (min 8 (n / 2)) and spikes = min 4 n in
+  [
+    "uniform";
+    Printf.sprintf "staircase:%d" k;
+    Printf.sprintf "khist:%d" k;
+    "zipf:1.2";
+    "geometric:0.999";
+    Printf.sprintf "comb:%d" teeth;
+    "bimodal";
+    "paninski:0.1";
+    Printf.sprintf "spiked:%d" spikes;
+    "monotone:1.5";
+  ]
+
+let float_bits_digest a =
+  let b = Buffer.create (8 * Array.length a) in
+  Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) a;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let family_pins =
+  [
+    (1, 1, "uniform", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 1, "staircase:1", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 1, "khist:1", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 1, "zipf:1.2", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 1, "geometric:0.999", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 1, "comb:1", "error: Families.comb: need 1 <= teeth <= n/2");
+    (1, 1, "bimodal", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 1, "paninski:0.1", "error: Families.paninski: n must be even");
+    (1, 1, "spiked:1", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 1, "monotone:1.5", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 2, "uniform", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 2, "staircase:1", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 2, "khist:1", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 2, "zipf:1.2", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 2, "geometric:0.999", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 2, "comb:1", "error: Families.comb: need 1 <= teeth <= n/2");
+    (1, 2, "bimodal", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 2, "paninski:0.1", "error: Families.paninski: n must be even");
+    (1, 2, "spiked:1", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 2, "monotone:1.5", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 3, "uniform", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 3, "staircase:1", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 3, "khist:1", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 3, "zipf:1.2", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 3, "geometric:0.999", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 3, "comb:1", "error: Families.comb: need 1 <= teeth <= n/2");
+    (1, 3, "bimodal", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 3, "paninski:0.1", "error: Families.paninski: n must be even");
+    (1, 3, "spiked:1", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (1, 3, "monotone:1.5", "e02e0d84c1f7b647c18ab9646d57ec89");
+    (7, 1, "uniform", "c4005092425267b9227a668e6d6a739e");
+    (7, 1, "staircase:7", "5799526160c355add55aa7087fc179a0");
+    (7, 1, "khist:7", "f0ac86a9c2453e4f800db4df1d909320");
+    (7, 1, "zipf:1.2", "10e38492c00751071a4408f5659e5cf7");
+    (7, 1, "geometric:0.999", "0ee4f2cfc862da2c95aebe74abb1db45");
+    (7, 1, "comb:3", "b4556c3e180ecb22b7208ceb69252aab");
+    (7, 1, "bimodal", "b7a37305edacc1126fe2c52ff7b85764");
+    (7, 1, "paninski:0.1", "error: Families.paninski: n must be even");
+    (7, 1, "spiked:4", "6ffd308888810cd72b13aa6da3e2db4d");
+    (7, 1, "monotone:1.5", "37ff58a8ab2c4cf20a64ab4fbb4f9d42");
+    (7, 2, "uniform", "c4005092425267b9227a668e6d6a739e");
+    (7, 2, "staircase:7", "274d4339c92cdc40a4e83007bc89c5f7");
+    (7, 2, "khist:7", "d6e36d0a45651838ac54d3d8eed87476");
+    (7, 2, "zipf:1.2", "10e38492c00751071a4408f5659e5cf7");
+    (7, 2, "geometric:0.999", "0ee4f2cfc862da2c95aebe74abb1db45");
+    (7, 2, "comb:3", "b4556c3e180ecb22b7208ceb69252aab");
+    (7, 2, "bimodal", "b7a37305edacc1126fe2c52ff7b85764");
+    (7, 2, "paninski:0.1", "error: Families.paninski: n must be even");
+    (7, 2, "spiked:4", "f5d593183924295eb2d7d2c31cba4579");
+    (7, 2, "monotone:1.5", "37ff58a8ab2c4cf20a64ab4fbb4f9d42");
+    (7, 3, "uniform", "c4005092425267b9227a668e6d6a739e");
+    (7, 3, "staircase:7", "dcb743dd12d9595f1ce1174e636b3130");
+    (7, 3, "khist:7", "6dd0675baa4abd476c3585b655302034");
+    (7, 3, "zipf:1.2", "10e38492c00751071a4408f5659e5cf7");
+    (7, 3, "geometric:0.999", "0ee4f2cfc862da2c95aebe74abb1db45");
+    (7, 3, "comb:3", "b4556c3e180ecb22b7208ceb69252aab");
+    (7, 3, "bimodal", "b7a37305edacc1126fe2c52ff7b85764");
+    (7, 3, "paninski:0.1", "error: Families.paninski: n must be even");
+    (7, 3, "spiked:4", "64cdf711593074f3239f866da2a7fff6");
+    (7, 3, "monotone:1.5", "37ff58a8ab2c4cf20a64ab4fbb4f9d42");
+    (65536, 1, "uniform", "de848d2e579d9a06e8c7a5a1fe79c901");
+    (65536, 1, "staircase:8", "16c8c27834fd092fe960ccc565ab0750");
+    (65536, 1, "khist:8", "cf8b3a1ebe41bc19c71e3ea9ecf86ebe");
+    (65536, 1, "zipf:1.2", "84826bb710ea2b1d292bdabb02a2d1e6");
+    (65536, 1, "geometric:0.999", "e69a7b76b12464787e24a2556b189175");
+    (65536, 1, "comb:8", "2b33a497779d15c68e55b655b638e68d");
+    (65536, 1, "bimodal", "7174ea928550e84df9d4df18c6dcda65");
+    (65536, 1, "paninski:0.1", "72a675b01d3740346bde76949426f146");
+    (65536, 1, "spiked:4", "891b942fcddeca467716b062ce98d2d3");
+    (65536, 1, "monotone:1.5", "9e8b075051407dfab590884e4631a787");
+    (65536, 2, "uniform", "de848d2e579d9a06e8c7a5a1fe79c901");
+    (65536, 2, "staircase:8", "254fe2d2d6cfda04abdcc2a6e49eb072");
+    (65536, 2, "khist:8", "6ab6b0d136557ace383b5abefa5a1d3a");
+    (65536, 2, "zipf:1.2", "84826bb710ea2b1d292bdabb02a2d1e6");
+    (65536, 2, "geometric:0.999", "e69a7b76b12464787e24a2556b189175");
+    (65536, 2, "comb:8", "2b33a497779d15c68e55b655b638e68d");
+    (65536, 2, "bimodal", "7174ea928550e84df9d4df18c6dcda65");
+    (65536, 2, "paninski:0.1", "9ea05e188d41b85997df7422bcaddca5");
+    (65536, 2, "spiked:4", "bd5807d43849f05be9b8ea9e9976fb95");
+    (65536, 2, "monotone:1.5", "9e8b075051407dfab590884e4631a787");
+    (65536, 3, "uniform", "de848d2e579d9a06e8c7a5a1fe79c901");
+    (65536, 3, "staircase:8", "1d191f2c3ab4d3f1fd6d6fc7f3503a25");
+    (65536, 3, "khist:8", "8802b4fa6960144a7424871797b3fc36");
+    (65536, 3, "zipf:1.2", "84826bb710ea2b1d292bdabb02a2d1e6");
+    (65536, 3, "geometric:0.999", "e69a7b76b12464787e24a2556b189175");
+    (65536, 3, "comb:8", "2b33a497779d15c68e55b655b638e68d");
+    (65536, 3, "bimodal", "7174ea928550e84df9d4df18c6dcda65");
+    (65536, 3, "paninski:0.1", "1a0853b0c378ca3cdbc69798a3558428");
+    (65536, 3, "spiked:4", "569aa6fc5c20d94614875a438db3f263");
+    (65536, 3, "monotone:1.5", "9e8b075051407dfab590884e4631a787");
+  ]
+
+let test_family_bits_pinned () =
+  let got =
+    List.concat_map
+      (fun n ->
+        List.concat_map
+          (fun seed ->
+            List.map
+              (fun spec ->
+                let r =
+                  match
+                    Families.of_spec ~n ~rng:(Randkit.Rng.create ~seed) spec
+                  with
+                  | Ok p -> float_bits_digest (Pmf.unsafe_array p)
+                  | Error e -> "error: " ^ e
+                in
+                (n, seed, spec, r))
+              (family_pin_specs n))
+          [ 1; 2; 3 ])
+      [ 1; 7; 1 lsl 16 ]
+  in
+  Alcotest.(check int) "pin count" (List.length family_pins) (List.length got);
+  List.iter2
+    (fun (n, seed, spec, want) (_, _, _, r) ->
+      Alcotest.(check string) (Printf.sprintf "%s n=%d seed=%d" spec n seed) want r)
+    family_pins got
+
+(* The constructors own their argument: the pmf is that array (no copy),
+   and [of_weights] normalizes it in place.  A rejected array is left as
+   it was. *)
+let test_constructors_take_ownership () =
+  let a = [| 0.25; 0.75 |] in
+  Alcotest.(check bool) "create keeps the array" true
+    (Pmf.unsafe_array (Pmf.create a) == a);
+  let w = [| 1.; 3. |] in
+  let p = Pmf.of_weights w in
+  Alcotest.(check bool) "of_weights keeps the array" true (Pmf.unsafe_array p == w);
+  Alcotest.(check (array (float 0.))) "normalized in place" [| 0.25; 0.75 |] w;
+  let bad = [| 1.; -1. |] in
+  (try ignore (Pmf.of_weights bad : Pmf.t) with Invalid_argument _ -> ());
+  Alcotest.(check (array (float 0.))) "rejected array untouched" [| 1.; -1. |] bad
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "distrib"
@@ -589,6 +752,8 @@ let () =
           Alcotest.test_case "cdf" `Quick test_pmf_cdf;
           Alcotest.test_case "uniform/point" `Quick test_pmf_uniform_point;
           Alcotest.test_case "unsafe sharing" `Quick test_unsafe_array_is_shared;
+          Alcotest.test_case "constructors take ownership" `Quick
+            test_constructors_take_ownership;
         ] );
       ( "alias",
         [
@@ -646,6 +811,7 @@ let () =
           Alcotest.test_case "monotone shapes" `Quick
             test_geometric_and_monotone_shapes;
           Alcotest.test_case "bimodal" `Quick test_bimodal_modality;
+          Alcotest.test_case "pmf bits pinned" `Quick test_family_bits_pinned;
         ] );
       ( "ops",
         [

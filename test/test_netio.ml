@@ -579,6 +579,131 @@ let test_unix_listener_capacity () =
   Unix.close lfd;
   try Sys.remove path with Sys_error _ -> ()
 
+(* Idle and slow-loris clients against [max_conns] (README: the excess
+   waits in the kernel backlog until a slot frees).  Four slots: two
+   connections that never send, one that trickles a request a byte per
+   round without its newline, and one that keeps working.  A fifth
+   client connects and sends its request at once.  The reactor must
+   keep answering the worker while the others sit there, leave the
+   fifth queued (its request unread, no response), answer the slow line
+   once its newline arrives, and admit and answer the fifth as soon as
+   the worker quits.  Idle connections hold their slots until they
+   close: there is no idle timeout, so [max_conns] idle clients lock
+   everyone else out — the documented admission behaviour, pinned here
+   so a change to it is deliberate. *)
+let test_idle_and_slow_clients_at_capacity () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "histotestd-loris-%d.sock" (Unix.getpid ()))
+  in
+  (try Sys.remove path with Sys_error _ -> ());
+  let lfd = Netio.listener (Netio.Unix_path path) in
+  let shared = Service.create () in
+  configure shared;
+  let reactor =
+    Netio.create_reactor ~batch:4 ~max_conns:4 ~service:shared
+      ~listeners:[ lfd ] ()
+  in
+  let connect () =
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    Unix.set_nonblock fd;
+    fd
+  in
+  let steps k =
+    for _ = 1 to k do
+      Netio.step reactor ~timeout:0.0
+    done
+  in
+  let admit fd expect =
+    let guard = ref 0 in
+    while Netio.accepted reactor < expect && !guard < 1000 do
+      Netio.step reactor ~timeout:0.01;
+      incr guard
+    done;
+    Alcotest.(check int) "admitted in connect order" expect
+      (Netio.accepted reactor);
+    fd
+  in
+  let idle1 = admit (connect ()) 1 in
+  let idle2 = admit (connect ()) 2 in
+  let loris = admit (connect ()) 3 in
+  let worker = admit (connect ()) 4 in
+  let extra = connect () in
+  let extra_script = [ observe_line ~shard:"extra" [ 1; 2; 3 ] ] in
+  write_all extra (List.hd extra_script ^ "\n");
+  let slow_script = [ observe_line ~shard:"slow" [ 5; 6 ] ] in
+  let slow = List.hd slow_script in
+  let tmp = Bytes.create 4096 in
+  let bufs = Array.init 5 (fun _ -> Buffer.create 1024) in
+  let fds = [| idle1; idle2; loris; worker; extra |] in
+  let read_all () = Array.iteri (fun i fd -> read_avail tmp bufs.(i) fd) fds in
+  (* the worker sends one line per round while the loris drips *)
+  let worker_script = client_script 7 in
+  let sent = ref 0 in
+  List.iteri
+    (fun i line ->
+      write_all worker (line ^ "\n");
+      if i < String.length slow then
+        write_all loris (String.sub slow i 1);
+      sent := i + 1;
+      steps 3;
+      read_all ())
+    worker_script;
+  Alcotest.(check bool) "the slow line outlasted the worker's script" true
+    (!sent < String.length slow);
+  let expect_worker, _ = reference_transcript worker_script in
+  Alcotest.(check string) "worker served throughout" expect_worker
+    (Buffer.contents bufs.(3));
+  Alcotest.(check int) "fifth client still queued" 4 (Netio.accepted reactor);
+  Alcotest.(check int) "all slots held" 4 (Netio.active reactor);
+  Alcotest.(check string) "queued client's request unread" ""
+    (Buffer.contents bufs.(4));
+  Alcotest.(check string) "partial line unanswered" ""
+    (Buffer.contents bufs.(2));
+  Alcotest.(check bool) "partial line not ingested" true
+    (Option.is_none (find_shard shared "slow"));
+  (* the loris finishes its line: it is answered like any other *)
+  write_all loris (String.sub slow !sent (String.length slow - !sent) ^ "\n");
+  steps 5;
+  read_all ();
+  let expect_slow, _ = reference_transcript slow_script in
+  Alcotest.(check string) "slow line answered once complete" expect_slow
+    (Buffer.contents bufs.(2));
+  (* the worker quits: its slot goes to the queued client *)
+  write_all worker "{\"cmd\":\"quit\"}\n";
+  let guard = ref 0 in
+  while
+    (Buffer.length bufs.(4) = 0 || Netio.accepted reactor < 5) && !guard < 1000
+  do
+    Netio.step reactor ~timeout:0.01;
+    read_all ();
+    incr guard
+  done;
+  Alcotest.(check int) "queued client admitted once a slot frees" 5
+    (Netio.accepted reactor);
+  let expect_extra, _ = reference_transcript extra_script in
+  Alcotest.(check string) "queued client's request answered" expect_extra
+    (Buffer.contents bufs.(4));
+  Alcotest.(check string) "idle clients got nothing" ""
+    (Buffer.contents bufs.(0) ^ Buffer.contents bufs.(1));
+  (* everyone leaves; the reactor closes every connection *)
+  Array.iter
+    (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
+    [| idle1; idle2; loris; extra |];
+  let guard = ref 0 in
+  while Netio.active reactor > 0 && !guard < 1000 do
+    Netio.step reactor ~timeout:0.01;
+    read_all ();
+    incr guard
+  done;
+  Alcotest.(check int) "all closed" 0 (Netio.active reactor);
+  Alcotest.(check int) "no write drops" 0 (Netio.stats reactor).Netio.write_drops;
+  Array.iter Unix.close fds;
+  Unix.close lfd;
+  try Sys.remove path with Sys_error _ -> ()
+
 let () =
   Alcotest.run "netio"
     [
@@ -604,5 +729,7 @@ let () =
             test_backpressure_bounded_queue;
           Alcotest.test_case "max-conns admission" `Quick
             test_unix_listener_capacity;
+          Alcotest.test_case "idle and slow-loris clients at max-conns"
+            `Quick test_idle_and_slow_clients_at_capacity;
         ] );
     ]

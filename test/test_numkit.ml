@@ -20,6 +20,56 @@ let test_kahan_sum_array () =
   check_float "plain array" 6. (Numkit.Kahan.sum_array [| 1.; 2.; 3. |]);
   check_float "empty array" 0. (Numkit.Kahan.sum_array [||])
 
+(* The unboxed loops against the accumulator they restate: terms of wide
+   magnitude and both signs, so both compensation branches run and
+   cancellation happens, must give bitwise the [add] fold's total — over
+   the whole array and over every prefix and suffix range. *)
+let add_fold a ~pos ~len =
+  let t = Numkit.Kahan.create () in
+  for i = pos to pos + len - 1 do
+    Numkit.Kahan.add t a.(i)
+  done;
+  Numkit.Kahan.total t
+
+let prop_kahan_loop_bitwise =
+  let term =
+    QCheck.Gen.(
+      map3
+        (fun m e neg ->
+          let x = ldexp m e in
+          if neg then -.x else x)
+        (float_bound_inclusive 1.) (int_range (-60) 60) bool)
+  in
+  QCheck.Test.make ~name:"sum_array/sum_sub are bitwise the add fold"
+    ~count:300
+    QCheck.(
+      make ~print:Print.(array float) Gen.(array_size (int_range 0 48) term))
+    (fun a ->
+      let n = Array.length a in
+      let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      same (Numkit.Kahan.sum_array a) (add_fold a ~pos:0 ~len:n)
+      && List.for_all
+           (fun pos ->
+             same
+               (Numkit.Kahan.sum_sub a ~pos ~len:(n - pos))
+               (add_fold a ~pos ~len:(n - pos))
+             && same
+                  (Numkit.Kahan.sum_sub a ~pos:0 ~len:pos)
+                  (add_fold a ~pos:0 ~len:pos))
+           (List.init (n + 1) Fun.id))
+
+let test_kahan_sum_sub_bounds () =
+  let a = [| 1.; 2.; 3. |] in
+  check_float "middle" 2. (Numkit.Kahan.sum_sub a ~pos:1 ~len:1);
+  check_float "empty at end" 0. (Numkit.Kahan.sum_sub a ~pos:3 ~len:0);
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos %d len %d" pos len)
+        (Invalid_argument "Kahan.sum_sub: range outside the array")
+        (fun () -> ignore (Numkit.Kahan.sum_sub a ~pos ~len : float)))
+    [ (-1, 1); (0, 4); (2, 2); (4, 0); (1, -1) ]
+
 (* --- Special --- *)
 
 let test_log_gamma_half () =
@@ -333,6 +383,8 @@ let () =
           Alcotest.test_case "cancellation" `Quick test_kahan_cancellation;
           Alcotest.test_case "many small" `Quick test_kahan_many_small;
           Alcotest.test_case "sum_array" `Quick test_kahan_sum_array;
+          Alcotest.test_case "sum_sub bounds" `Quick test_kahan_sum_sub_bounds;
+          qc prop_kahan_loop_bitwise;
         ] );
       ( "special",
         [

@@ -1092,6 +1092,39 @@ let test_batch_allocates_nothing () =
       Printf.sprintf {|{"cmd":"counts","shard":"c%d","counts":[%s]}|} (i mod 8)
         (ints 64 (fun j -> i * j mod 3)))
 
+(* The set-up gate: a config that misses the structure cache builds its
+   hypothesis in one pass — O(cells) minor words (spec parsing, the
+   family's and the service's partitions, the levels, the cache entry)
+   and, in the major heap, the pmf's one n-float array.  A boxed float
+   per element (an [Array.map] or [Array.init] over floats, a closure
+   per element) costs 2n minor words; a copying constructor, a second
+   n-array of major words.  Each family is measured on a fresh service,
+   so the config is a miss; the minor heap is emptied first, so no
+   promotion lands in the major count. *)
+let test_configure_miss_allocates_one_array () =
+  let n = 1 lsl 16 and cells = 64 in
+  List.iter
+    (fun family ->
+      let t = Service.create () in
+      Gc.minor ();
+      (* [Gc.counters]'s minor count misses the live minor arena *)
+      let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
+      let r =
+        Service.configure t ~n ~family ~eps:0.25 ~cells:(Some cells) ~seed:3
+      in
+      let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
+      Alcotest.(check bool) (family ^ ": configured") true (Result.is_ok r);
+      let minor = minor1 -. minor0 and major = major1 -. major0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words <= 64 per cell" family minor)
+        true
+        (minor <= float_of_int (64 * cells));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f major words <= one n-array" family major)
+        true
+        (major <= float_of_int (n + 1 + 256)))
+    [ "staircase:8"; "khist:8"; "comb:8"; "zipf:1.2"; "monotone:1.5" ]
+
 (* Shard interning against the line-at-a-time oracle: more distinct ids
    than the intern table holds (so it is emptied and refilled), ids that
    share prefixes and lengths (so probes collide), ids at and one past
@@ -1727,6 +1760,8 @@ let () =
             test_observe_sub_partial;
           Alcotest.test_case "batches allocate nothing" `Quick
             test_batch_allocates_nothing;
+          Alcotest.test_case "a config miss allocates one array" `Quick
+            test_configure_miss_allocates_one_array;
           Alcotest.test_case "shard interning = strict serve" `Quick
             test_shard_interning_differential;
         ] );

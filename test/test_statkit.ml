@@ -114,6 +114,53 @@ let test_counts_ws_reuses_buffers () =
   let s2 = o.Poissonize.stream 50 in
   Alcotest.(check bool) "same physical samples buffer" true (s1 == s2)
 
+(* [draw_counts_into] streams pinned from the tree that stored subtree
+   masses and divided at every visited node: storing the split
+   probability instead is the same IEEE division done at build time, so
+   no draw may move.  One generator per pmf, six draws in a row (m = 0
+   consumes nothing); each digest covers a whole count vector. *)
+let split_tree_pins =
+  [
+    ("staircase:4", [ "59071590099d21dd439896592338bf95"; "00ea42847d94d045a2ccb249c4428d39"; "930716f5e8135eb8ffaf20e56fe50693"; "d99fde103a05705b8e617a5a351a1165"; "23b102f56686c753ed7859a27058fd86"; "5a0bba109b656fb4153f03108e9652ca" ]);
+    ("comb:8", [ "59071590099d21dd439896592338bf95"; "2a5563187cf670f575122cb01b216f82"; "7612edb5e15ee5ce9ff8129121cef7f5"; "d130fb8b509c134248e2e9b76a90a6b8"; "aa445ecd4da4f2672eec8dc68b74002f"; "58854d2d986f9e4dc77f488d8bff38a6" ]);
+    ("sparse7", [ "e3c4dd21a9171fd39d208efa09bf7883"; "abd3c3fe224c0e2fa528824c201d9503"; "24f0e524d99d3e38b7dcae19acd643d3"; "d094fa30b4b1f3ef4adcb613ce186946"; "f668b74de6a7f2dad1ba8a50f4d006c8"; "2e522cc6bd771cd994bc7687ffc8dbd6" ]);
+    ("point1", [ "7dea362b3fac8e00956a4952a3d4f474"; "33cdeccccebe80329f1fdbee7f5874cb"; "843fd2acf107350d495cae589a37913c"; "6a6874884400eacf8e6f8c87507971fd"; "cc1d9d477197918c6dd3bfd27b9e407c"; "1febdacb459c7441bf673fed25c19e5c" ]);
+    ("zipf1000", [ "58101249c76b735bd74ce5302b009317"; "2790dfe78a10f1a6604fe31dc180aea3"; "9b226a579bad9555f4cfbf88076da6a7"; "148aaaa88816f2455b5b52b5de310338"; "045b6c37a762687a9ca0d255c57405ed"; "8dd72232f421373d40937e91c88c0b54" ]);
+  ]
+
+let test_split_tree_draws_pinned () =
+  let pmfs =
+    [
+      ( "staircase:4",
+        Result.get_ok
+          (Families.of_spec ~n:(1 lsl 16) ~rng:(Randkit.Rng.create ~seed:7)
+             "staircase:4") );
+      ("comb:8", Families.comb ~n:(1 lsl 16) ~teeth:8);
+      ("sparse7", Pmf.create [| 0.5; 0.; 0.25; 0.; 0.; 0.25; 0. |]);
+      ("point1", Pmf.create [| 1. |]);
+      ("zipf1000", Families.zipf ~n:1000 ~s:1.1);
+    ]
+  in
+  let digest c =
+    let b = Buffer.create (8 * Array.length c) in
+    Array.iter (fun x -> Buffer.add_int64_le b (Int64.of_int x)) c;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  List.iter2
+    (fun (name, pmf) (name', want) ->
+      Alcotest.(check string) "pin order" name' name;
+      let t = Split_tree.of_pmf pmf in
+      let rng = Randkit.Rng.create ~seed:99 in
+      let counts = Array.make (Pmf.size pmf) 0 in
+      List.iter2
+        (fun m want ->
+          Split_tree.draw_counts_into t rng ~counts m;
+          Alcotest.(check string) (Printf.sprintf "%s m=%d" name m) want
+            (digest counts))
+        [ 0; 1; 17; 1000; 100_000; 10_000_000 ]
+        want)
+    pmfs split_tree_pins
+
 (* Constructor-invariant suite: every oracle constructor satisfies the
    same contract, checked uniformly.  The workspace-backed ones lend
    views; the others hand out fresh arrays — both are fine here because
@@ -762,6 +809,8 @@ let () =
             test_counts_ws_matches_allocating;
           Alcotest.test_case "ws reuses buffers" `Quick
             test_counts_ws_reuses_buffers;
+          Alcotest.test_case "split-tree draws pinned" `Quick
+            test_split_tree_draws_pinned;
           Alcotest.test_case "all constructors: exact sums" `Quick
             test_all_oracles_exact_sum;
           Alcotest.test_case "all constructors: stream in domain" `Quick
