@@ -15,13 +15,15 @@ test:
 # whose sum is what a simplicity change must shrink.  Also the size of
 # the dead-export audit trail: the [@@histolint.keep "reason"] attributes
 # on lib/ interface values (lines that open with the attribute, so the
-# lint's own docs that mention it are not counted).
+# lint's own docs that mention it are not counted); and the knob count:
+# the optional labels ([?name:]) in lib/ interfaces.
 sloc:
 	@lb=$$(cat $$(find lib bin \( -name '*.ml' -o -name '*.mli' \)) | wc -l); \
 	rk=$$(cat $$(find test/reference \( -name '*.ml' -o -name '*.mli' \)) | wc -l); \
 	keep=$$(cat $$(find lib -name '*.mli') | grep -c '^[[:space:]]*\[@@histolint\.keep'); \
+	opts=$$(cat $$(find lib -name '*.mli') | grep -o '?[a-z_0-9]*:' | wc -l); \
 	echo "lib+bin $$lb"; echo "test/reference $$rk"; echo "total $$((lb + rk))"; \
-	echo "lib keep audits $$keep"
+	echo "lib keep audits $$keep"; echo "lib optional args $$opts"
 
 # Static invariants: histolint scans the compiled typedtrees
 # (_build/default/**/*.cmt) for determinism and float-discipline
@@ -30,8 +32,7 @@ sloc:
 # discipline, and dead/unreferenced-export: every val a lib/ .mli
 # exports is referenced by another production unit or carries an audited
 # [@@histolint.keep "reason"] (see DESIGN.md "Static invariants").  Per-unit function
-# summaries are cached under _build/default/.histolint-summaries keyed
-# by cmt digest, so a warm re-run only re-summarizes changed modules.
+# summaries are computed in memory on every run.
 # Non-zero exit on any unsuppressed error-severity finding or unknown
 # rule id in a suppression.
 lint:
@@ -44,7 +45,7 @@ lint:
 # gate.
 lint-json:
 	dune build @default @check
-	-dune exec bin/histolint.exe -- --json --summaries _build/histolint-cache --lib-prefix test/reference/ _build/default > _build/histolint.json
+	-dune exec bin/histolint.exe -- --json --lib-prefix test/reference/ _build/default > _build/histolint.json
 	@echo "wrote _build/histolint.json"
 
 # Regenerate the lint golden file after changing fixtures or finding

@@ -17,7 +17,7 @@ let row fmt = Format.printf fmt
 let hline () =
   Format.printf "%s@." (String.make 72 '-')
 
-(* Trials run on the Parkit default pool (--jobs / HISTOTEST_JOBS).  The
+(* Trials run on the Parkit default pool (--jobs).  The
    harness pre-splits the generators and shares one sampling structure
    (alias table or split tree, per --oracle), so the measured rates are
    bit-identical at any job count within an oracle kind. *)

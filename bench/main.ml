@@ -46,11 +46,26 @@ let () =
     in
     find args
   in
-  let seed =
-    match opt_value "--seed" with Some v -> int_of_string v | None -> 1
+  (* A malformed value is a usage error (exit 2), like an unknown
+     --oracle, not an uncaught exception. *)
+  let int_opt name ~valid ~expected =
+    match opt_value name with
+    | None -> None
+    | Some v -> (
+        match int_of_string_opt v with
+        | Some i when valid i -> Some i
+        | _ ->
+            Format.eprintf "bad %s %S (%s)@." name v expected;
+            exit 2)
   in
-  (match opt_value "--jobs" with
-  | Some v -> Parkit.Pool.set_default ~jobs:(int_of_string v)
+  let seed =
+    Option.value ~default:1
+      (int_opt "--seed" ~valid:(fun _ -> true) ~expected:"an integer")
+  in
+  (match
+     int_opt "--jobs" ~valid:(fun j -> j > 0) ~expected:"a positive integer"
+   with
+  | Some jobs -> Parkit.Pool.set_default ~jobs
   | None -> ());
   let oracle =
     match opt_value "--oracle" with

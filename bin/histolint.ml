@@ -7,8 +7,8 @@
    warnings to failures too. *)
 
 let usage =
-  "histolint [--json] [--strict] [--lib-prefix P] [--summaries DIR] [--only \
-   RULE] [--rules] [--explain RULE] [PATH...]"
+  "histolint [--json] [--strict] [--lib-prefix P] [--only RULE] [--rules] \
+   [--explain RULE] [PATH...]"
 
 let () =
   let json = ref false in
@@ -16,7 +16,6 @@ let () =
   let show_rules = ref false in
   let explain = ref None in
   let only = ref [] in
-  let summaries = ref None in
   let lib_prefixes = ref [] in
   let paths = ref [] in
   let spec =
@@ -28,10 +27,6 @@ let () =
       ( "--lib-prefix",
         Arg.String (fun p -> lib_prefixes := p :: !lib_prefixes),
         "P treat source paths under prefix P as lib/ code (repeatable)" );
-      ( "--summaries",
-        Arg.String (fun d -> summaries := Some d),
-        "DIR cache per-module summaries in DIR keyed by cmt digest \
-         (incremental re-lints)" );
       ( "--only",
         Arg.String (fun r -> only := r :: !only),
         "RULE report only this rule id (repeatable)" );
@@ -81,10 +76,7 @@ let () =
     | ps -> ps
   in
   let config =
-    {
-      Histolint_lib.Engine.lib_prefixes = List.rev !lib_prefixes;
-      summaries_dir = !summaries;
-    }
+    { Histolint_lib.Engine.lib_prefixes = List.rev !lib_prefixes }
   in
   let report = Histolint_lib.Engine.scan_paths config paths in
   let report =

@@ -38,13 +38,20 @@ let trials_arg =
     value & opt int 1 & info [ "trials" ] ~docv:"T" ~doc:"Independent trials.")
 
 let jobs_arg =
+  let non_negative =
+    let parse s =
+      match int_of_string_opt s with
+      | Some j when j >= 0 -> Ok j
+      | _ -> Error (`Msg ("expected a non-negative integer, got " ^ s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   Arg.(
-    value & opt int 0
+    value & opt non_negative 0
     & info [ "jobs" ] ~docv:"JOBS"
         ~doc:
           "Domains for the trial loop (results are bit-identical at any \
-           value). 0 means $(b,HISTOTEST_JOBS) if set, otherwise all \
-           recommended cores.")
+           value). 0 means all recommended cores.")
 
 let apply_jobs jobs = if jobs > 0 then Parkit.Pool.set_default ~jobs
 
@@ -65,7 +72,9 @@ let paper_arg =
     value & flag
     & info [ "paper" ]
         ~doc:"Use the paper's literal constants instead of the practical \
-              profile (enormous sample budgets).")
+              profile (enormous sample budgets).  Changes Algorithm 1, \
+              cdgr16's testing stage, uniformity and model selection; \
+              ilr12 and the learner read no profile constant.")
 
 let tester_arg =
   Arg.(
@@ -94,7 +103,7 @@ let run_test family n k eps seed trials paper tester_name jobs oracle =
       let tester =
         match tester_name with
         | "algorithm1" -> Some (Histotest.Tester.algorithm1 ~config ())
-        | "ilr12" -> Some (Histotest.Tester.ilr12 ~config ())
+        | "ilr12" -> Some Histotest.Tester.ilr12
         | "cdgr16" -> Some (Histotest.Tester.cdgr16 ~config ())
         | "uniformity" -> Some (Histotest.Tester.uniformity ~config ())
         | _ -> None

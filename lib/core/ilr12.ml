@@ -1,5 +1,4 @@
-let budget ?(config = Config.default) ~n ~k ~eps () =
-  ignore config;
+let budget ~n ~k ~eps =
   (* sqrt(k n) * log n / eps^5 is ILR12's stated complexity; the eps power
      makes even moderate eps prohibitive, which is part of what E3 shows.
      We keep the constant small since the growth shape is the point. *)
@@ -26,11 +25,11 @@ let flat_enough ~counts ~lo ~hi ~eps =
     end
   end
 
-let test ?(config = Config.default) oracle ~k ~eps =
+let test oracle ~k ~eps =
   if k < 1 then invalid_arg "Ilr12.test: k must be at least 1";
   if eps <= 0. || eps > 1. then invalid_arg "Ilr12.test: eps outside (0, 1]";
   let n = oracle.Poissonize.n in
-  let m = budget ~config ~n ~k ~eps () in
+  let m = budget ~n ~k ~eps in
   (* Stage 1 — adaptive dyadic decomposition: one batch of samples feeds
      every scale (the original algorithm's sample reuse).  A k-histogram
      splits into at most ~2 k log2 n flat dyadic pieces; if the recursion

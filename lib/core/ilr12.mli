@@ -14,5 +14,5 @@
     decomposition explodes, or every leaf is conditionally flat — making
     the flattening close to D, so the DP fit stays ≥ ~ε/2. *)
 
-val budget : ?config:Config.t -> n:int -> k:int -> eps:float -> unit -> int
-val test : ?config:Config.t -> Poissonize.oracle -> k:int -> eps:float -> Verdict.t
+val budget : n:int -> k:int -> eps:float -> int
+val test : Poissonize.oracle -> k:int -> eps:float -> Verdict.t

@@ -7,8 +7,7 @@ type result = {
 let budget ~k ~eps =
   int_of_float (ceil (200. *. float_of_int k /. (eps *. eps)))
 
-let run ?(config = Config.default) ?(method_ = `Greedy) oracle ~k ~eps =
-  ignore config;
+let run oracle ~k ~eps =
   if k < 1 then invalid_arg "Learn.run: k must be at least 1";
   if eps <= 0. || eps > 1. then invalid_arg "Learn.run: eps outside (0, 1]";
   let n = oracle.Poissonize.n in
@@ -36,9 +35,5 @@ let run ?(config = Config.default) ?(method_ = `Greedy) oracle ~k ~eps =
   let empirical =
     Empirical.add_one_histogram grid ~counts:cell_counts ~total:m
   in
-  let hypothesis =
-    match method_ with
-    | `Greedy -> Construct.greedy_merge empirical ~k
-    | `V_optimal -> Construct.v_optimal empirical ~k
-  in
+  let hypothesis = Construct.greedy_merge empirical ~k in
   { hypothesis; samples_used = m; grid_cells = Partition.cell_count grid }

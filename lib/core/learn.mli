@@ -4,11 +4,10 @@
     the succinct representation itself, from Θ(k/ε²) samples.
 
     Method: empirical masses over an equal-empirical-mass grid of O(k/ε)
-    cells, compressed to k pieces either greedily (near-linear time,
-    default) or by the exact V-optimal DP.  If D ∈ H_k the output is
-    O(ε)-close in TV; in general it competes with the best k-histogram up
-    to O(ε) (agnostic guarantee).  This is also the learning stage the
-    CDGR16-style baseline uses. *)
+    cells, compressed to k pieces by greedy merging (near-linear time).
+    If D ∈ H_k the output is O(ε)-close in TV; in general it competes with
+    the best k-histogram up to O(ε) (agnostic guarantee).  This is also
+    the learning stage the CDGR16-style baseline uses. *)
 
 type result = {
   hypothesis : Khist.t;
@@ -19,10 +18,4 @@ type result = {
 val budget : k:int -> eps:float -> int
 (** Θ(k/ε²). *)
 
-val run :
-  ?config:Config.t ->
-  ?method_:[ `Greedy | `V_optimal ] ->
-  Poissonize.oracle ->
-  k:int ->
-  eps:float ->
-  result
+val run : Poissonize.oracle -> k:int -> eps:float -> result

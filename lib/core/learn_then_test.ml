@@ -14,7 +14,7 @@ let test ?(config = Config.default) oracle ~k ~eps =
   (* Stage 1 - agnostic TV learning of a candidate k-histogram.  If D is
      in H_k this lands TV-close to D; if D is far the hypothesis cannot be
      close, and stage 2 sees it. *)
-  let learned = Learn.run ~config oracle ~k ~eps in
+  let learned = Learn.run oracle ~k ~eps in
   let dstar = Khist.to_pmf learned.Learn.hypothesis in
   (* Stage 2 - verify with an l2-style identity test at eps/2 (the learned
      hypothesis is eps/10-ish close in the completeness case, so the test

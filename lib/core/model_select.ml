@@ -4,9 +4,11 @@ type result = {
   samples_used : int;
 }
 
-let run ?(config = Config.default) ?(boost = 3) ~make_oracle ~k_max ~eps () =
+(* Majority-vote count per probe. *)
+let boost = 3
+
+let run ?(config = Config.default) ~make_oracle ~k_max ~eps () =
   if k_max < 1 then invalid_arg "Model_select.run: k_max < 1";
-  if boost < 1 then invalid_arg "Model_select.run: boost < 1";
   let probes = ref [] in
   let samples = ref 0 in
   let accepts k =

@@ -19,11 +19,11 @@ type result = {
 
 val run :
   ?config:Config.t ->
-  ?boost:int ->
   make_oracle:(unit -> Poissonize.oracle) ->
   k_max:int ->
   eps:float ->
   unit ->
   result
 (** [make_oracle] must hand out fresh sample access on every call (probes
-    must be independent); [boost] is the per-probe majority-vote count. *)
+    must be independent); each probe is a majority vote over 3 tester
+    runs. *)

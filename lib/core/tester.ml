@@ -11,12 +11,7 @@ let algorithm1 ?(config = Config.default) () =
     run = (fun oracle ~k ~eps -> Hist_tester.test ~config oracle ~k ~eps);
   }
 
-let ilr12 ?(config = Config.default) () =
-  {
-    name = "ilr12";
-    budget = (fun ~n ~k ~eps -> Ilr12.budget ~config ~n ~k ~eps ());
-    run = (fun oracle ~k ~eps -> Ilr12.test ~config oracle ~k ~eps);
-  }
+let ilr12 = { name = "ilr12"; budget = Ilr12.budget; run = Ilr12.test }
 
 let cdgr16 ?(config = Config.default) () =
   {
@@ -38,4 +33,4 @@ let uniformity ?(config = Config.default) () =
   }
 
 let all ?config () =
-  [ algorithm1 ?config (); ilr12 ?config (); cdgr16 ?config () ]
+  [ algorithm1 ?config (); ilr12; cdgr16 ?config () ]

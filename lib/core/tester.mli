@@ -12,7 +12,9 @@ type t = {
 val algorithm1 : ?config:Config.t -> unit -> t
 (** This paper (Theorem 3.1). *)
 
-val ilr12 : ?config:Config.t -> unit -> t
+val ilr12 : t
+(** Reads no {!Config} constant, so it has no profile argument. *)
+
 val cdgr16 : ?config:Config.t -> unit -> t
 
 val uniformity : ?config:Config.t -> unit -> t

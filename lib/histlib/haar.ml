@@ -81,14 +81,13 @@ let top_coefficients ~b coeffs =
   done;
   Array.mapi (fun i c -> if keep.(i) then c else 0.) coeffs
 
-let synopsis ?(clip = true) pmf ~b =
+let synopsis pmf ~b =
   let n0 = Pmf.size pmf in
   let coeffs = transform (Pmf.unsafe_array pmf) in
   let kept = top_coefficients ~b coeffs in
   let rec_full = inverse kept in
-  let rec_vals = Array.sub rec_full 0 n0 in
   let rec_vals =
-    if clip then Array.map (fun x -> Float.max 0. x) rec_vals else rec_vals
+    Array.map (fun x -> Float.max 0. x) (Array.sub rec_full 0 n0)
   in
   let approx = Pmf.of_weights (Array.map (fun x -> x +. 1e-300) rec_vals) in
   Khist.of_pmf approx

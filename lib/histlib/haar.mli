@@ -21,6 +21,6 @@ val top_coefficients : b:int -> float array -> float array
     contribution — the overall average always survives — zeroing the
     rest. *)
 
-val synopsis : ?clip:bool -> Pmf.t -> b:int -> Khist.t
+val synopsis : Pmf.t -> b:int -> Khist.t
 (** The b-term synopsis as a histogram: transform, threshold, reconstruct,
-    clip negatives (on by default), renormalize. *)
+    clip negatives, renormalize. *)

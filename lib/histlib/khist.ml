@@ -24,19 +24,19 @@ let to_pmf t =
     t.part;
   Pmf.create p
 
-let breakpoints_of_pmf ?(eps = 0.) pmf =
+let breakpoints_of_pmf pmf =
   let p = Pmf.unsafe_array pmf in
   let out = ref [] in
   for i = Array.length p - 1 downto 1 do
-    if Float.abs (p.(i) -. p.(i - 1)) > eps then out := i :: !out
+    if Float.abs (p.(i) -. p.(i - 1)) > 0. then out := i :: !out
   done;
   !out
 
-let pieces_of_pmf ?eps pmf = List.length (breakpoints_of_pmf ?eps pmf) + 1
+let pieces_of_pmf pmf = List.length (breakpoints_of_pmf pmf) + 1
 
-let of_pmf ?eps pmf =
+let of_pmf pmf =
   let n = Pmf.size pmf in
-  let part = Partition.of_breakpoints ~n (breakpoints_of_pmf ?eps pmf) in
+  let part = Partition.of_breakpoints ~n (breakpoints_of_pmf pmf) in
   let levels =
     Array.init (Partition.cell_count part) (fun j ->
         Pmf.get pmf (Interval.lo (Partition.cell part j)))

@@ -19,14 +19,14 @@ val level : t -> int -> float
 val to_pmf : t -> Pmf.t
 (** @raise Invalid_argument if the represented mass is not 1. *)
 
-val breakpoints_of_pmf : ?eps:float -> Pmf.t -> int list
+val breakpoints_of_pmf : Pmf.t -> int list
 [@@histolint.keep "[of_pmf] runs it; test_histkit pins it directly"]
-(** Positions i ≥ 1 with |D(i) − D(i−1)| > eps (default: exact
-    inequality), ascending — the paper's breakpoints. *)
+(** Positions i ≥ 1 with D(i) ≠ D(i−1), ascending — the paper's
+    breakpoints. *)
 
-val pieces_of_pmf : ?eps:float -> Pmf.t -> int
+val pieces_of_pmf : Pmf.t -> int
 
-val of_pmf : ?eps:float -> Pmf.t -> t
+val of_pmf : Pmf.t -> t
 (** Exact piecewise-constant decomposition into maximal constant runs. *)
 
 val breakpoint_cells : Pmf.t -> Partition.t -> bool array

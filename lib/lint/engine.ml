@@ -1,15 +1,14 @@
 (* The histolint engine, v2: a two-pass scan over the compiled
    typedtrees.
 
-   Pass A summarizes every compilation unit (Summary.of_structure,
-   with a digest-keyed cache under [config.summaries_dir]) and builds
-   the cross-module table.  Pass B walks each typedtree once more,
-   running the v1 per-expression rules, the interprocedural race pass
-   at every pool call site (race.ml), and — from the summaries — the
-   hot-path allocation pass (alloc.ml), all feeding the same
-   suppression machinery and audit trail. *)
+   Pass A summarizes every compilation unit (Summary.of_structure) in
+   memory and builds the cross-module table.  Pass B walks each
+   typedtree once more, running the v1 per-expression rules, the
+   interprocedural race pass at every pool call site (race.ml), and —
+   from the summaries — the hot-path allocation pass (alloc.ml), all
+   feeding the same suppression machinery and audit trail. *)
 
-type config = { lib_prefixes : string list; summaries_dir : string option }
+type config = { lib_prefixes : string list }
 
 type report = {
   findings : Finding.t list;
@@ -385,7 +384,6 @@ type unit_info = {
   u_source : string;
   u_structure : Typedtree.structure;
   u_intf : Typedtree.signature option;  (* from the sibling .cmti *)
-  u_digest : string;  (* of the .cmt and the .cmti *)
 }
 
 let load_unit path =
@@ -405,37 +403,18 @@ let load_unit path =
                 Some sg
             | _ -> None
           in
-          let digest =
-            Digest.file path
-            ^ if Option.is_some intf then Digest.file cmti else ""
-          in
           Some
             {
               u_modname = cmt.Cmt_format.cmt_modname;
               u_source = normalize_source source;
               u_structure = structure;
               u_intf = intf;
-              u_digest = Digest.to_hex (Digest.string digest);
             }
       | _ -> None)
 
-let summarize config u =
-  let cached =
-    match config.summaries_dir with
-    | None -> None
-    | Some dir -> Summary.load dir ~modname:u.u_modname ~digest:u.u_digest
-  in
-  match cached with
-  | Some ms -> ms
-  | None ->
-      let ms =
-        Summary.of_structure ~modname:u.u_modname ~source:u.u_source
-          ?intf:u.u_intf u.u_structure
-      in
-      (match config.summaries_dir with
-      | None -> ()
-      | Some dir -> Summary.store dir ~modname:u.u_modname ~digest:u.u_digest ms);
-      ms
+let summarize u =
+  Summary.of_structure ~modname:u.u_modname ~source:u.u_source ?intf:u.u_intf
+    u.u_structure
 
 let toplevel_stamps (str : Typedtree.structure) =
   let tbl = Hashtbl.create 64 in
@@ -624,7 +603,7 @@ let finalize report =
   }
 
 let scan_units config units =
-  let summaries = List.map (fun u -> (u, summarize config u)) units in
+  let summaries = List.map (fun u -> (u, summarize u)) units in
   let table = Summary.build_table (List.map snd summaries) in
   finalize
     (merge

@@ -2,9 +2,8 @@
     files, via [compiler-libs.common]) and lints them in two passes.
 
     Pass A computes a per-function summary of every compilation unit
-    ({!Summary}), cached under [summaries_dir] keyed by cmt digest so
-    repeated runs only re-summarize what changed, and builds the
-    cross-module table.  Pass B walks each typedtree running the v1
+    ({!Summary}) in memory, on every run, and builds the cross-module
+    table.  Pass B walks each typedtree running the v1
     per-expression rules, the interprocedural domain-safety pass
     ({!Race}) at every [Parkit.Pool] call site, and the hot-path
     allocation pass ({!Alloc}) over the summaries.  Once every unit is
@@ -27,9 +26,6 @@ type config = {
   lib_prefixes : string list;
       (** extra path prefixes classified as [lib/] — the linter's own
           fixture tree uses this; empty by default *)
-  summaries_dir : string option;
-      (** where to cache marshaled module summaries; [None] disables
-          caching (summaries are still computed in memory) *)
 }
 
 type report = {

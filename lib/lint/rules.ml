@@ -97,7 +97,7 @@ let explain = function
        siblings.  The lint computes a capture summary for the closure: every \
        mutable location it can reach (refs, arrays, Bytes, Buffer, Hashtbl, \
        mutable record fields), both directly and through helper calls \
-       resolved bottom-up from the per-module summaries (see --summaries).  \
+       resolved bottom-up from the per-module summaries.  \
        A closure that reads or writes a captured mutable location is \
        flagged, because a sibling running on another domain can reach the \
        same location: that is a data race, and data races are exactly the \

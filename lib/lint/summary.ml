@@ -7,9 +7,7 @@
    captured ref, or allocates, two calls away from the flagged site is
    still seen.
 
-   Summaries are plain marshalable data, cached per compilation unit
-   keyed by the cmt digest (see [load] / [store]), so `make lint`
-   only re-summarizes modules whose cmt changed. *)
+   Summaries are computed in memory on every run. *)
 
 (* --- shared path helpers ------------------------------------------------ *)
 
@@ -910,55 +908,6 @@ let of_structure ~modname ~source ?intf (str : Typedtree.structure) =
       | None -> []
       | Some sg -> exports ~modname ~source sg);
   }
-
-(* --- cache -------------------------------------------------------------- *)
-
-(* Bump when the summary model or the walk changes shape: stale caches
-   must miss, not misparse. *)
-let cache_version = 3
-
-let cache_file dir ~modname ~digest =
-  Filename.concat dir (Printf.sprintf "%s.%s.hsum" modname digest)
-
-let load dir ~modname ~digest =
-  let file = cache_file dir ~modname ~digest in
-  if not (Sys.file_exists file) then None
-  else
-    try
-      let ic = open_in_bin file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let v : int = Marshal.from_channel ic in
-          if v <> cache_version then None
-          else
-            let (ms : module_summary) = Marshal.from_channel ic in
-            Some ms)
-    with _ -> None
-
-let store dir ~modname ~digest ms =
-  try
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    (* drop stale entries for the same module (old digests) *)
-    Array.iter
-      (fun entry ->
-        let prefix = modname ^ "." in
-        if
-          String.length entry > String.length prefix
-          && String.equal (String.sub entry 0 (String.length prefix)) prefix
-          && Filename.check_suffix entry ".hsum"
-          && not (String.equal entry (Filename.basename
-                                        (cache_file dir ~modname ~digest)))
-        then try Sys.remove (Filename.concat dir entry) with _ -> ())
-      (Sys.readdir dir);
-    let file = cache_file dir ~modname ~digest in
-    let oc = open_out_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        Marshal.to_channel oc cache_version [];
-        Marshal.to_channel oc ms [])
-  with Sys_error _ -> ()
 
 (* --- the summary table -------------------------------------------------- *)
 

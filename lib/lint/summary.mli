@@ -10,10 +10,7 @@
     ([!]-deref) or writes.  Nested closures' effects are attributed to
     the enclosing function — a closure built and run inside a hot
     function allocates and mutates on that function's behalf.
-
-    Summaries are plain marshalable data, cached per compilation unit
-    keyed by the cmt digest, so [make lint] only re-summarizes what
-    changed. *)
+    Summaries are computed in memory on every run. *)
 
 (* -- shared helpers (also used by the engine and the passes) -- *)
 
@@ -155,11 +152,6 @@ val of_structure :
   module_summary
 (** [intf] is the unit's typed interface (its [.cmti]); without one the
     unit exports nothing the dead-export rule looks at. *)
-
-(* -- cache -- *)
-
-val load : string -> modname:string -> digest:string -> module_summary option
-val store : string -> modname:string -> digest:string -> module_summary -> unit
 
 (* -- cross-module table -- *)
 

@@ -1,8 +1,8 @@
 (* A monitor-style work-sharing pool: one mutex, two conditions, and an
    index counter workers race on.  Workers claim *chunks* of contiguous
-   indices per mutex round-trip (grain configurable, defaulting to
-   ~total/(4*jobs)), so a batch of short tasks — a harness run of many
-   cheap trials — costs O(jobs) lock handoffs instead of O(total).
+   indices per mutex round-trip ([default_grain]: ~total/(4*jobs)), so a
+   batch of short tasks — a harness run of many cheap trials — costs
+   O(jobs) lock handoffs instead of O(total).
    Results still land in submission order and a [jobs = 1] pool is exactly
    a sequential loop. *)
 
@@ -22,7 +22,7 @@ type state = {
   mutable domains : unit Domain.t list;
 }
 
-type t = { jobs : int; grain : int option; state : state option }
+type t = { jobs : int; state : state option }
 
 let jobs t = t.jobs
 
@@ -34,12 +34,10 @@ let jobs t = t.jobs
    relying on an environment variable. *)
 let default_minor_heap_words = 8192 * 1024
 
-let enlarge_minor_heap words =
-  if words > 0 then begin
-    let params = Gc.get () in
-    if params.Gc.minor_heap_size < words then
-      Gc.set { params with Gc.minor_heap_size = words }
-  end
+let enlarge_minor_heap () =
+  let params = Gc.get () in
+  if params.Gc.minor_heap_size < default_minor_heap_words then
+    Gc.set { params with Gc.minor_heap_size = default_minor_heap_words }
 
 let default_grain ~jobs ~total =
   if jobs <= 1 then max 1 total else max 1 (total / (4 * jobs))
@@ -81,8 +79,8 @@ let drain st =
   in
   loop ()
 
-let worker ~minor_heap_words st () =
-  enlarge_minor_heap minor_heap_words;
+let worker st () =
+  enlarge_minor_heap ();
   Domain.DLS.set in_task true;
   let seen = ref 0 in
   Mutex.lock st.mutex;
@@ -97,17 +95,14 @@ let worker ~minor_heap_words st () =
 
 let nop_body _ = ()
 
-let create ?grain ?(minor_heap_words = default_minor_heap_words) ~jobs () =
+let create ~jobs () =
   if jobs <= 0 then invalid_arg "Pool.create: jobs must be positive";
-  (match grain with
-  | Some g when g <= 0 -> invalid_arg "Pool.create: grain must be positive"
-  | _ -> ());
-  if jobs = 1 then { jobs = 1; grain; state = None }
+  if jobs = 1 then { jobs = 1; state = None }
   else begin
     (* The submitting domain participates in every batch, so it needs the
        enlarged minor heap as much as the workers do — one domain filling
        a small nursery stalls all of them. *)
-    enlarge_minor_heap minor_heap_words;
+    enlarge_minor_heap ();
     let st =
       {
         mutex = Mutex.create ();
@@ -126,12 +121,11 @@ let create ?grain ?(minor_heap_words = default_minor_heap_words) ~jobs () =
       }
     in
     st.domains <-
-      List.init (jobs - 1) (fun _ ->
-          Domain.spawn (worker ~minor_heap_words st));
-    { jobs; grain; state = Some st }
+      List.init (jobs - 1) (fun _ -> Domain.spawn (worker st));
+    { jobs; state = Some st }
   end
 
-let sequential = { jobs = 1; grain = None; state = None }
+let sequential = { jobs = 1; state = None }
 
 let shutdown t =
   match t.state with
@@ -191,13 +185,9 @@ let map t f arr =
   | None -> Array.map f arr
   | Some _ when n <= 1 || Domain.DLS.get in_task -> Array.map f arr
   | Some st ->
-      let chunk =
-        match t.grain with
-        | Some g -> g
-        | None -> default_grain ~jobs:t.jobs ~total:n
-      in
       let results = Array.make n None in
-      run st ~total:n ~chunk (fun i -> results.(i) <- Some (f arr.(i)));
+      run st ~total:n ~chunk:(default_grain ~jobs:t.jobs ~total:n) (fun i ->
+          results.(i) <- Some (f arr.(i)));
       Array.map (function Some v -> v | None -> assert false) results
 
 let init t n f =
@@ -210,20 +200,10 @@ let iter t f arr =
   | None -> Array.iter f arr
   | Some _ when n <= 1 || Domain.DLS.get in_task -> Array.iter f arr
   | Some st ->
-      let chunk =
-        match t.grain with
-        | Some g -> g
-        | None -> default_grain ~jobs:t.jobs ~total:n
-      in
-      run st ~total:n ~chunk (fun i -> f arr.(i))
+      run st ~total:n ~chunk:(default_grain ~jobs:t.jobs ~total:n) (fun i ->
+          f arr.(i))
 
-let default_jobs () =
-  match Sys.getenv_opt "HISTOTEST_JOBS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j > 0 -> j
-      | _ -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+let default_jobs () = Domain.recommended_domain_count ()
 
 (* Process-wide default pool: lazily created, replaceable by --jobs, and
    shut down at exit so worker domains are joined cleanly. *)
@@ -260,6 +240,6 @@ let set_default ~jobs =
       Mutex.unlock default_lock;
       raise e)
 
-let with_pool ?grain ?minor_heap_words ~jobs f =
-  let pool = create ?grain ?minor_heap_words ~jobs () in
+let with_pool ~jobs f =
+  let pool = create ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)

@@ -8,7 +8,7 @@
     long as the per-index work is independent (the harness guarantees this
     by pre-splitting one RNG per trial sequentially, before dispatch).
     Chunked claiming changes only *where* indices run, never what any
-    index computes, so grain settings cannot affect results either.
+    index computes, so the chunk size cannot affect results either.
 
     A [jobs = 1] pool degenerates to a plain sequential loop with no
     domains, no locks and no extra allocation, so callers can thread a
@@ -16,24 +16,22 @@
 
 type t
 
-val create : ?grain:int -> ?minor_heap_words:int -> jobs:int -> unit -> t
+val create : jobs:int -> unit -> t
 [@@histolint.keep "[with_pool] runs it; test_parkit pins it directly"]
 (** A pool running batches on [jobs] domains ([jobs - 1] spawned workers
     plus the submitting domain).  A 1-job pool spawns nothing, runs
     sequentially, and leaves the GC alone.
 
-    [grain] fixes how many contiguous batch indices a domain claims per
-    mutex round-trip; when omitted each batch uses
-    [default_grain ~jobs ~total].
+    Each batch of [total] indices is claimed in chunks of
+    [default_grain ~jobs ~total] contiguous indices per mutex round-trip.
 
-    [minor_heap_words] (default [default_minor_heap_words], pass [0] to
-    disable) is applied via [Gc.set] to every worker domain *and* to the
-    calling domain when [jobs > 1]: OCaml 5 minor collections are
-    stop-the-world across all domains, so one domain with a small nursery
-    stalls the whole pool.  The setting is only ever an enlargement (a
-    domain whose minor heap is already at least this big is untouched)
-    and is not restored on [shutdown].
-    @raise Invalid_argument if [jobs <= 0] or [grain <= 0]. *)
+    When [jobs > 1], every worker domain *and* the calling domain get a
+    minor heap of at least [default_minor_heap_words] via [Gc.set]: OCaml
+    5 minor collections are stop-the-world across all domains, so one
+    domain with a small nursery stalls the whole pool.  The setting is
+    only ever an enlargement (a domain whose minor heap is already at
+    least this big is untouched) and is not restored on [shutdown].
+    @raise Invalid_argument if [jobs <= 0]. *)
 
 val jobs : t -> int
 
@@ -52,8 +50,7 @@ val sequential : t
 
 val default_jobs : unit -> int
 [@@histolint.keep "[get_default] runs it; test_parkit pins it directly"]
-(** The [HISTOTEST_JOBS] environment variable if set to a positive
-    integer, otherwise [Domain.recommended_domain_count ()]. *)
+(** [Domain.recommended_domain_count ()]. *)
 
 val get_default : unit -> t
 (** A process-wide shared pool, created lazily with [default_jobs ()].
@@ -88,5 +85,5 @@ val shutdown : t -> unit
 (** Join the worker domains.  The pool must not be used afterwards;
     shutting down [sequential] or an already-shut pool is a no-op. *)
 
-val with_pool : ?grain:int -> ?minor_heap_words:int -> jobs:int -> (t -> 'a) -> 'a
+val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** Create, run, and always shut down. *)

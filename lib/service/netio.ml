@@ -55,15 +55,12 @@ module Reader = struct
 
   let default_max_line_bytes = 1 lsl 20
 
-  let create ?(initial_bytes = 65536) ?(max_line_bytes = default_max_line_bytes)
-      fd =
-    if initial_bytes < 1 then
-      invalid_arg "Netio.Reader.create: initial_bytes < 1";
+  let create ?(max_line_bytes = default_max_line_bytes) fd =
     if max_line_bytes < 1 then
       invalid_arg "Netio.Reader.create: max_line_bytes < 1";
     {
       fd;
-      buf = Bytes.create initial_bytes;
+      buf = Bytes.create 65536;
       pos = 0;
       len = 0;
       scanned = 0;
@@ -604,18 +601,16 @@ let step t ~timeout =
         t.conns
 
 let serve_net ?batch ?max_conns ?max_line_bytes ?max_pending_bytes
-    ?accept_limit ?(poll_interval = 0.5) ?stop service ~listeners () =
+    ?accept_limit ?(poll_interval = 0.5) service ~listeners () =
   let t =
     create_reactor ?batch ?max_conns ?max_line_bytes ?max_pending_bytes
       ~service ~listeners ()
   in
   let idle () = match t.conns with [] -> true | _ :: _ -> false in
   let finished () =
-    (match accept_limit with
+    match accept_limit with
     | Some limit -> t.accepted >= limit && idle ()
-    | None -> false)
-    ||
-    match stop with Some f -> f () && idle () | None -> false
+    | None -> false
   in
   while not (finished ()) do
     step t ~timeout:poll_interval

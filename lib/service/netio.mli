@@ -32,12 +32,11 @@ module Reader : sig
   val default_max_line_bytes : int
   (** 1 MiB. *)
 
-  val create : ?initial_bytes:int -> ?max_line_bytes:int -> Unix.file_descr -> t
-  (** Buffer starts at [initial_bytes] (default 64 KiB) and doubles as
-      needed, bounded by the line-length check.  A line longer than
-      [max_line_bytes] (default {!default_max_line_bytes}) makes the
-      reader return [Too_long].
-      @raise Invalid_argument on non-positive sizes. *)
+  val create : ?max_line_bytes:int -> Unix.file_descr -> t
+  (** Buffer starts at 64 KiB and doubles as needed, bounded by the
+      line-length check.  A line longer than [max_line_bytes] (default
+      {!default_max_line_bytes}) makes the reader return [Too_long].
+      @raise Invalid_argument if [max_line_bytes < 1]. *)
 
   val reset : t -> Unix.file_descr -> unit
   (** Rebind a parked reader to a fresh fd, dropping all buffered state —
@@ -160,17 +159,15 @@ val serve_net :
   ?max_pending_bytes:int ->
   ?accept_limit:int ->
   ?poll_interval:float ->
-  ?stop:(unit -> bool) ->
   Service.t ->
   listeners:Unix.file_descr list ->
   unit ->
   stats
-(** The event loop: {!create_reactor} plus [step] until done.  Runs
-    forever by default; with [accept_limit] it returns once that many
-    connections have been admitted {e and} all of them have closed
-    (benches know their client count); [stop] is polled every round
-    (at most [poll_interval] seconds apart, default 0.5) and ends the
-    loop once it returns true and no connection is open. *)
+(** The event loop: {!create_reactor} plus [step] (each waiting at most
+    [poll_interval] seconds, default 0.5) until done.  Runs forever by
+    default; with [accept_limit] it returns once that many connections
+    have been admitted {e and} all of them have closed (benches know
+    their client count). *)
 
 val overlong_error : int -> string
 (** The rendered wire error sent before closing an over-long-line

@@ -17,23 +17,20 @@
 type entry = { dstar : Pmf.t; part : Partition.t }
 
 type t = {
-  capacity : int;
   mutable entries : (string * entry) list; (* MRU first *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
 }
 
-let default_capacity = 16
+let capacity = 16
 
 (* Bound on the sum of the cached domain sizes: 2^23, twice the
    service's largest domain (2^22), so two largest hypotheses fit and
    serve-verdict's 4 x 2^16 working set never evicts. *)
 let budget = 1 lsl 23
 
-let create ?(capacity = default_capacity) () =
-  if capacity < 1 then invalid_arg "Structcache.create: capacity < 1";
-  { capacity; entries = []; hits = 0; misses = 0; evictions = 0 }
+let create () = { entries = []; hits = 0; misses = 0; evictions = 0 }
 
 let fingerprint ~n ~family ~seed ~cells =
   Printf.sprintf "n=%d;family=%s;seed=%d;cells=%d" n family seed cells
@@ -58,7 +55,7 @@ let truncate t =
     | [] -> []
     | ((_, e) as kv) :: rest ->
         let size = size + Partition.domain_size e.part in
-        if count > 0 && (count >= t.capacity || size > budget) then begin
+        if count > 0 && (count >= capacity || size > budget) then begin
           t.evictions <- t.evictions + 1 + List.length rest;
           []
         end
@@ -91,7 +88,7 @@ type stats = {
 let stats t =
   {
     size = List.length t.entries;
-    capacity = t.capacity;
+    capacity;
     hits = t.hits;
     misses = t.misses;
     evictions = t.evictions;

@@ -12,11 +12,9 @@ type entry = { dstar : Pmf.t; part : Partition.t }
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** At most [capacity] entries (default 16) whose domain sizes sum to at
-    most 2^23, twice the service's largest domain: each entry holds O(n)
-    words.
-    @raise Invalid_argument if [capacity < 1]. *)
+val create : unit -> t
+(** At most 16 entries whose domain sizes sum to at most 2^23, twice the
+    service's largest domain: each entry holds O(n) words. *)
 
 val fingerprint : n:int -> family:string -> seed:int -> cells:int -> string
 (** The canonical cache key. *)

@@ -21,8 +21,10 @@ let cell_bounds t i =
   let w = (t.hi -. t.lo) /. float_of_int t.cells in
   (t.lo +. (float_of_int i *. w), t.lo +. (float_of_int (i + 1) *. w))
 
-let pmf_of_density ?(resolution = 16) t density =
-  if resolution < 1 then invalid_arg "Gridding.pmf_of_density: resolution < 1";
+(* Midpoint-rule points per cell. *)
+let resolution = 16
+
+let pmf_of_density t density =
   let w =
     Array.init t.cells (fun i ->
         let a, b = cell_bounds t i in

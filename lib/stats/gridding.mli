@@ -21,10 +21,9 @@ val cell_of : spec -> float -> int
 val cell_bounds : spec -> int -> float * float
 [@@histolint.keep "[pmf_of_density] runs it; test_statkit pins it directly"]
 
-val pmf_of_density : ?resolution:int -> spec -> (float -> float) -> Pmf.t
+val pmf_of_density : spec -> (float -> float) -> Pmf.t
 (** Discretize a (not necessarily normalized) density by midpoint
-    integration with [resolution] points per cell; the result is
-    normalized. *)
+    integration with 16 points per cell; the result is normalized. *)
 
 val oracle_of_sampler :
   spec -> Randkit.Rng.t -> (Randkit.Rng.t -> float) -> Poissonize.oracle

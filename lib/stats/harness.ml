@@ -55,8 +55,8 @@ let run_trials ?pool ?(oracle = Stream) ~rng ~trials ~pmf f =
       f { rng = child; oracle = make_oracle ws child; ws })
     rngs
 
-let accept_rate ?pool ?oracle ~rng ~trials ~pmf decide =
-  let verdicts = run_trials ?pool ?oracle ~rng ~trials ~pmf decide in
+let accept_rate ?oracle ~rng ~trials ~pmf decide =
+  let verdicts = run_trials ?oracle ~rng ~trials ~pmf decide in
   let accepts =
     Array.fold_left
       (fun acc v -> if Verdict.equal v Verdict.Accept then acc + 1 else acc)

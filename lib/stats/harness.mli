@@ -3,8 +3,8 @@
 
     Each trial gets a split-off generator and a fresh oracle, so trials are
     statistically independent yet the whole experiment is reproducible from
-    one seed.  Trials run on the [Parkit] pool (the process default unless
-    [?pool] is given; [HISTOTEST_JOBS] / [--jobs] control it).  The
+    one seed.  Trials run on the [Parkit] pool: the process default, whose
+    size [--jobs] sets, unless [run_trials] is given [~pool].  The
     generators are split sequentially *before* dispatch and the O(n) alias
     table is built once per PMF and shared read-only, so results are
     bit-identical at any job count — trial [i] sees the same generator
@@ -54,10 +54,11 @@ val run_trials :
     within a kind, results remain bit-identical at any job count. *)
 
 val accept_rate :
-  ?pool:Parkit.Pool.t ->
   ?oracle:oracle_kind ->
   rng:Randkit.Rng.t ->
   trials:int ->
   pmf:Pmf.t ->
   (trial -> Verdict.t) ->
   float
+(** The fraction of accepting trials of {!run_trials} on the process
+    default pool. *)

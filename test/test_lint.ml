@@ -30,8 +30,7 @@ let fixture_root =
       "test/lint_fixtures";
     ]
 
-let config =
-  { Engine.lib_prefixes = [ "test/lint_fixtures/" ]; summaries_dir = None }
+let config = { Engine.lib_prefixes = [ "test/lint_fixtures/" ] }
 
 let report = lazy (Engine.scan_paths config [ fixture_root ])
 
@@ -157,38 +156,10 @@ let test_scoping_off_in_test_tree () =
      only the everywhere-rules could bite — and none are configured to:
      the same tree must come back clean.  This is what keeps `make lint`
      green on the full repo while the fixtures stay red here. *)
-  let r = Engine.scan_paths { config with lib_prefixes = [] } [ fixture_root ] in
+  let r = Engine.scan_paths { Engine.lib_prefixes = [] } [ fixture_root ] in
   Alcotest.(check int) "no findings" 0 (List.length r.Engine.findings);
   Alcotest.(check int) "no suppressed" 0 (List.length r.Engine.suppressed);
   Alcotest.(check int) "no audit entries" 0 (List.length r.Engine.audit)
-
-let test_summary_cache () =
-  (* A warm cache must not change the report: run once to populate the
-     cache directory, then again reading from it, and compare reports
-     line for line.  Also assert the cache actually materialized. *)
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "histolint_hsum" in
-  if Sys.file_exists dir then
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir);
-  let config = { config with Engine.summaries_dir = Some dir } in
-  let r1 = Engine.scan_paths config [ fixture_root ] in
-  let cached =
-    Array.to_list (Sys.readdir dir)
-    |> List.filter (fun f -> Filename.check_suffix f ".hsum")
-  in
-  Alcotest.(check bool) "cache populated" true (List.length cached > 0);
-  let r2 = Engine.scan_paths config [ fixture_root ] in
-  check_triples "warm-cache findings identical"
-    (List.map triple r1.Engine.findings)
-    (List.map triple r2.Engine.findings);
-  check_triples "warm-cache suppressed identical"
-    (List.map triple r1.Engine.suppressed)
-    (List.map triple r2.Engine.suppressed);
-  Alcotest.(check int)
-    "warm-cache audit identical"
-    (List.length r1.Engine.audit)
-    (List.length r2.Engine.audit)
 
 let test_golden_file () =
   (* The committed GOLDEN.txt (regenerated by `make lint-fixtures`)
@@ -277,7 +248,6 @@ let () =
           Alcotest.test_case "rule counts" `Quick test_rule_counts;
           Alcotest.test_case "scoped off outside lib" `Quick
             test_scoping_off_in_test_tree;
-          Alcotest.test_case "summary cache" `Quick test_summary_cache;
           Alcotest.test_case "golden file" `Quick test_golden_file;
           Alcotest.test_case "json shape" `Quick test_json_shape;
         ] );

@@ -52,7 +52,7 @@ let pump r =
 
 let test_reader_partial_lines () =
   let rd, wr = nb_socketpair () in
-  let r = Netio.Reader.create ~initial_bytes:16 rd in
+  let r = Netio.Reader.create rd in
   Alcotest.check result_t "empty buffer" Netio.Reader.Pending
     (Netio.Reader.next r);
   write_all wr "hel";
@@ -101,17 +101,43 @@ let test_reader_multi_lines_and_eof_midline () =
     (Netio.Reader.next r);
   Unix.close rd
 
+(* The buffer starts at 64 KiB.  A 60 000-byte line ends just before
+   that boundary and an 80 000-byte one straddles it, fed in 7 000-byte
+   writes with lines popped as they complete, the way the reactor
+   consumes them: refills cross the boundary, compaction moves the
+   second line's head to the front, and growth doubles the buffer under
+   it. *)
 let test_reader_buffer_growth () =
   let rd, wr = nb_socketpair () in
-  let r = Netio.Reader.create ~initial_bytes:8 rd in
-  let long = String.make 1000 'q' in
-  write_all wr (long ^ "\nafter\n");
-  pump r;
-  Alcotest.check result_t "long line through a tiny initial buffer"
-    (Netio.Reader.Line long) (Netio.Reader.next r);
-  Alcotest.check result_t "next line intact after growth"
-    (Netio.Reader.Line "after") (Netio.Reader.next r);
+  let r = Netio.Reader.create rd in
+  let first = String.make 60_000 'a' and second = String.make 80_000 'b' in
+  let stream = first ^ "\n" ^ second ^ "\nafter\n" in
+  let got = ref [] in
+  let rec pop () =
+    match Netio.Reader.next r with
+    | Netio.Reader.Line l ->
+        got := l :: !got;
+        pop ()
+    | _ -> ()
+  in
+  let chunk = 7_000 in
+  let rec feed pos =
+    if pos < String.length stream then begin
+      let len = min chunk (String.length stream - pos) in
+      write_all wr (String.sub stream pos len);
+      pump r;
+      pop ();
+      feed (pos + len)
+    end
+  in
+  feed 0;
+  Alcotest.(check (list int)) "line lengths" [ 60_000; 80_000; 5 ]
+    (List.rev_map String.length !got);
+  Alcotest.(check bool) "lines intact across refills, compaction and growth"
+    true
+    (List.rev !got = [ first; second; "after" ]);
   Alcotest.check result_t "dry" Netio.Reader.Pending (Netio.Reader.next r);
+  Alcotest.(check int) "nothing buffered" 0 (Netio.Reader.buffered r);
   Unix.close wr;
   Unix.close rd
 
@@ -704,6 +730,179 @@ let test_idle_and_slow_clients_at_capacity () =
   Unix.close lfd;
   try Sys.remove path with Sys_error _ -> ()
 
+(* --- daemon boundary: hostile scripts ---------------------------------
+
+   Random, mostly malformed request streams through the two transports
+   the daemon runs: [Service.serve] at a random batch size (with
+   non-blocking reads that cut batches short at random), and a reactor
+   fed through a socketpair in random write chunks.  Each must answer
+   byte for byte what the line-at-a-time oracle answers, let no
+   exception out, and keep Σ shard totals equal to the accumulator's
+   total (with no more than [max_shards] names) after every batch.
+   Every case derives from one drawn seed. *)
+
+let hostile_script r =
+  let n = 16 + Randkit.Rng.int r 240 in
+  let pick a = a.(Randkit.Rng.int r (Array.length a)) in
+  let config n =
+    Printf.sprintf
+      {|{"cmd":"config","n":%d,"family":"%s","eps":0.25,"seed":%d}|} n
+      (pick [| "uniform"; "staircase:2"; "zipf:1.1" |])
+      (Randkit.Rng.int r 3)
+  in
+  let shard () = Printf.sprintf "s%d" (Randkit.Rng.int r 6) in
+  let value () = string_of_int (Randkit.Rng.int r (n + 8) - 4) in
+  let observe xs =
+    Printf.sprintf {|{"cmd":"observe","shard":"%s","xs":[%s]}|} (shard ())
+      (String.concat "," xs)
+  in
+  let line () =
+    match Randkit.Rng.int r 20 with
+    | 0 | 1 | 2 | 3 | 4 ->
+        observe (List.init (Randkit.Rng.int r 6) (fun _ -> value ()))
+    | 5 -> pick [| ""; " \t "; "\t" |]
+    | 6 ->
+        (* non-integer payloads, among valid values *)
+        observe
+          [
+            value ();
+            pick
+              [| "1.5"; "\"7\""; "true"; "null"; "1e3";
+                 "99999999999999999999"; "-" |];
+            value ();
+          ]
+    | 7 ->
+        Printf.sprintf {|{"cmd":"observe","shard":"%s","xs":[%s]}|}
+          (String.make (Scan.max_shard_bytes + 1 + Randkit.Rng.int r 3) 'x')
+          (value ())
+    | 8 ->
+        let len = if Randkit.Rng.bool r then n else Randkit.Rng.int r (n + 2) in
+        Printf.sprintf {|{"cmd":"counts","shard":"%s","counts":[%s]}|}
+          (shard ())
+          (String.concat ","
+             (List.init len (fun _ ->
+                  if Randkit.Rng.int r 32 = 0 then "-1"
+                  else string_of_int (Randkit.Rng.int r 3))))
+    | 9 -> config (Service.max_n + 1 + Randkit.Rng.int r 4)
+    | 10 -> config (if Randkit.Rng.bool r then n else 0)
+    | 11 | 12 -> {|{"cmd":"verdict"}|}
+    | 13 ->
+        pick
+          [|
+            {|{"cmd":"stats"}|}; {|{"cmd":"cache_stats"}|}; {|{"cmd":"reset"}|};
+          |]
+    | 14 -> {| {"cmd":"observe","shard":"s0","xs":[ 1 , 2 ]}|}
+    | 15 ->
+        pick [| "not json"; "{"; {|{"cmd":"nope"}|}; {|{"cmd":"observe"}|} |]
+    | _ -> observe [ value () ]
+  in
+  let head = List.init (20 + Randkit.Rng.int r 60) (fun _ -> line ()) in
+  (* One script in four names more shards than a config may hold. *)
+  let flood =
+    if Randkit.Rng.int r 4 = 0 then
+      List.init (Service.max_shards + 2) (fun i ->
+          Printf.sprintf {|{"cmd":"observe","shard":"m%d","xs":[0]}|} i)
+    else []
+  in
+  (* Half the scripts quit somewhere in the tail, with lines behind the
+     quit that must go unanswered. *)
+  let quit_at = if Randkit.Rng.bool r then Randkit.Rng.int r 10 else -1 in
+  let tail =
+    List.init (10 + Randkit.Rng.int r 20) (fun i ->
+        if i = quit_at then {|{"cmd":"quit"}|} else line ())
+  in
+  Array.of_list ((config n :: head) @ flood @ tail)
+
+(* Σ shard totals = the accumulator's total, within the shard cap. *)
+let totals_consistent svc =
+  let totals = Service.shard_totals svc in
+  List.length totals <= Service.max_shards
+  && List.fold_left (fun a (_, c) -> a + c) 0 totals
+     = Option.fold ~none:0 ~some:Suffstat.total (Service.merged svc)
+
+let serve_hostile r script =
+  let svc = Service.create () in
+  let batch = 1 + Randkit.Rng.int r 64 in
+  let idx = ref 0 and ok = ref true in
+  let read_line ~block =
+    if !idx >= Array.length script || ((not block) && Randkit.Rng.int r 8 = 0)
+    then None
+    else begin
+      let l = script.(!idx) in
+      incr idx;
+      Some l
+    end
+  in
+  let out = Buffer.create 4096 in
+  let write b =
+    Buffer.add_buffer out b;
+    ok := !ok && totals_consistent svc
+  in
+  let (_ : Service.serve_stats) = Service.serve svc ~batch ~read_line ~write in
+  (Buffer.contents out, !ok)
+
+let reactor_hostile r script =
+  let svc = Service.create () in
+  let reactor =
+    Netio.create_reactor ~batch:(1 + Randkit.Rng.int r 64) ~service:svc
+      ~listeners:[] ()
+  in
+  let sfd, cfd =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
+  Netio.add_connection reactor sfd;
+  Unix.set_nonblock cfd;
+  let payload =
+    String.concat "" (Array.to_list (Array.map (fun l -> l ^ "\n") script))
+  in
+  let buf = Buffer.create 4096 and tmp = Bytes.create 4096 in
+  let ok = ref true in
+  let step () =
+    Netio.step reactor ~timeout:0.0;
+    read_avail tmp buf cfd;
+    ok := !ok && totals_consistent svc
+  in
+  let sent = ref 0 and writing = ref true in
+  while !writing && !sent < String.length payload do
+    let chunk =
+      min (1 + Randkit.Rng.int r 300) (String.length payload - !sent)
+    in
+    (match Unix.write_substring cfd payload !sent chunk with
+    | k -> sent := !sent + k
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+        ()
+    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+        (* the reactor closed the connection after a quit *)
+        writing := false);
+    step ()
+  done;
+  (try Unix.shutdown cfd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+  let guard = ref 0 in
+  while Netio.active reactor > 0 && !guard < 10_000 do
+    Netio.step reactor ~timeout:0.01;
+    read_avail tmp buf cfd;
+    ok := !ok && totals_consistent svc;
+    incr guard
+  done;
+  read_avail tmp buf cfd;
+  Unix.close cfd;
+  (Buffer.contents buf, !ok && Netio.active reactor = 0)
+
+let prop_hostile name run =
+  QCheck.Test.make ~name ~count:30 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let r = Randkit.Rng.create ~seed in
+      let script = hostile_script r in
+      let expect, _ = Refkit.Strict_serve.transcript script in
+      let got, consistent = run r script in
+      consistent && String.equal expect got)
+
+let prop_hostile_serve =
+  prop_hostile "hostile scripts: stdio serve = strict serve" serve_hostile
+
+let prop_hostile_reactor =
+  prop_hostile "hostile scripts: socket reactor = strict serve" reactor_hostile
+
 let () =
   Alcotest.run "netio"
     [
@@ -731,5 +930,10 @@ let () =
             test_unix_listener_capacity;
           Alcotest.test_case "idle and slow-loris clients at max-conns"
             `Quick test_idle_and_slow_clients_at_capacity;
+        ] );
+      ( "boundary",
+        [
+          QCheck_alcotest.to_alcotest prop_hostile_serve;
+          QCheck_alcotest.to_alcotest prop_hostile_reactor;
         ] );
     ]

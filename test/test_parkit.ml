@@ -7,11 +7,6 @@ let test_create_invalid () =
     (try
        ignore (Parkit.Pool.create ~jobs:0 ());
        false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "grain <= 0 rejected" true
-    (try
-       ignore (Parkit.Pool.create ~grain:0 ~jobs:2 ());
-       false
      with Invalid_argument _ -> true)
 
 let test_default_grain () =
@@ -39,23 +34,23 @@ let test_map_matches_array_map () =
     [ 1; 2; 4 ]
 
 let test_grain_does_not_change_results () =
-  (* Grain 1 (index-at-a-time), a middling grain, and one larger than the
-     whole batch must all give Array.map. *)
-  let input = Array.init 53 (fun i -> i) in
+  (* At 4 jobs the batch size picks the chunk: 5 indices claim one at a
+     time, 53 three at a time, 1000 sixty-two at a time.  Every shape
+     must give Array.map. *)
   let f x = (3 * x) - 7 in
-  let expected = Array.map f input in
-  List.iter
-    (fun grain ->
-      Parkit.Pool.with_pool ~grain ~jobs:4 (fun pool ->
+  Parkit.Pool.with_pool ~jobs:4 (fun pool ->
+      List.iter
+        (fun total ->
+          let input = Array.init total (fun i -> i) in
           Alcotest.(check (array int))
-            (Printf.sprintf "grain=%d map" grain)
-            expected
+            (Printf.sprintf "total=%d map" total)
+            (Array.map f input)
             (Parkit.Pool.map pool f input);
           Alcotest.(check (array int))
-            (Printf.sprintf "grain=%d init" grain)
-            [| 0; 1; 4; 9; 16 |]
-            (Parkit.Pool.init pool 5 (fun i -> i * i))))
-    [ 1; 7; 1000 ]
+            (Printf.sprintf "total=%d init" total)
+            (Array.init total (fun i -> i * i))
+            (Parkit.Pool.init pool total (fun i -> i * i)))
+        [ 5; 53; 1000 ])
 
 let test_init_ordered () =
   Parkit.Pool.with_pool ~jobs:3 (fun pool ->
@@ -134,37 +129,39 @@ let test_exception_propagates () =
 
 let test_exception_propagates_chunked () =
   (* Exception handling must work whatever the chunk shape: the raising
-     index may sit at a chunk boundary or deep inside one. *)
-  List.iter
-    (fun grain ->
-      Parkit.Pool.with_pool ~grain ~jobs:3 (fun pool ->
+     index may sit at a chunk boundary or deep inside one.  At 3 jobs, 16
+     indices claim one at a time, 120 ten at a time (index 11 opens the
+     second chunk's second slot) and 1200 a hundred at a time. *)
+  Parkit.Pool.with_pool ~jobs:3 (fun pool ->
+      List.iter
+        (fun total ->
           Alcotest.(check bool)
-            (Printf.sprintf "raises at grain=%d" grain)
+            (Printf.sprintf "raises at total=%d" total)
             true
             (try
                ignore
-                 (Parkit.Pool.init pool 16 (fun i ->
+                 (Parkit.Pool.init pool total (fun i ->
                       if i = 11 then raise (Boom i) else i));
                false
              with Boom 11 -> true);
           Alcotest.(check (array int)) "pool still works" [| 0; 1; 2 |]
-            (Parkit.Pool.init pool 3 (fun i -> i))))
-    [ 1; 4; 100 ]
+            (Parkit.Pool.init pool 3 (fun i -> i)))
+        [ 16; 120; 1200 ])
 
 (* The disjoint-slot pattern histolint's race pass sanctions
    ([out.(i) <- ...] with the index naming the task's own parameter) is
    actually race-free under the pool's happens-before join: for
-   arbitrary sizes, job counts, and grains — including chunk boundaries
-   that split the index space adversarially — every slot ends up
+   arbitrary sizes and job counts — so chunk shapes from one index up,
+   with boundaries wherever the size puts them — every slot ends up
    written exactly once with the sequential value.  The read-
    modify-write against the -1 sentinel makes a lost write (slot never
    claimed) and a duplicated write (slot claimed by two tasks) produce
    distinct wrong values, so either failure falsifies the property. *)
 let qcheck_disjoint_slot_writes =
   QCheck.Test.make ~name:"pool-indexed slot writes are race-free" ~count:60
-    QCheck.(triple (int_range 0 500) (int_range 1 6) (int_range 1 64))
-    (fun (n, jobs, grain) ->
-      Parkit.Pool.with_pool ~grain ~jobs (fun pool ->
+    QCheck.(pair (int_range 0 500) (int_range 1 6))
+    (fun (n, jobs) ->
+      Parkit.Pool.with_pool ~jobs (fun pool ->
           let dst = Array.make (max n 1) (-1) in
           let src = Array.init n (fun i -> i) in
           Parkit.Pool.iter pool (fun i -> dst.(i) <- dst.(i) + (7 * i) + 1) src;

@@ -540,6 +540,20 @@ let parity_decide (trial : Harness.trial) =
   let counts = trial.Harness.oracle.Poissonize.exact 200 in
   if counts.(0) mod 2 = 0 then Verdict.Accept else Verdict.Reject
 
+(* [Harness.accept_rate] always runs on the default pool; this is its
+   fold over [run_trials] on an explicit one. *)
+let pooled_accept_rate ~pool ~seed ~trials ~pmf =
+  let verdicts =
+    Harness.run_trials ~pool ~rng:(Randkit.Rng.create ~seed) ~trials ~pmf
+      parity_decide
+  in
+  let accepts =
+    Array.fold_left
+      (fun acc v -> if v = Verdict.Accept then acc + 1 else acc)
+      0 verdicts
+  in
+  float_of_int accepts /. float_of_int trials
+
 let test_accept_rate_jobs_invariant () =
   let pmf = Families.zipf ~n:64 ~s:1.0 in
   let trials = 40 in
@@ -558,14 +572,10 @@ let test_accept_rate_jobs_invariant () =
   List.iter
     (fun jobs ->
       Parkit.Pool.with_pool ~jobs (fun pool ->
-          let rate =
-            Harness.accept_rate ~pool
-              ~rng:(Randkit.Rng.create ~seed:31337)
-              ~trials ~pmf parity_decide
-          in
           Alcotest.(check (float 0.))
             (Printf.sprintf "jobs=%d bit-identical" jobs)
-            reference rate))
+            reference
+            (pooled_accept_rate ~pool ~seed:31337 ~trials ~pmf)))
     [ 1; 4 ]
 
 let test_run_trials_jobs_invariant () =
@@ -599,30 +609,26 @@ let test_median_majority_jobs_invariant () =
   Parkit.Pool.with_pool ~jobs:4 (fun pool ->
       Alcotest.(check (float 0.)) "jobs=4 median identical" reference
         (Numkit.Summary.median (Parkit.Pool.init pool 31 f)));
+  let g i = if i mod 3 = 0 then Verdict.Reject else Verdict.Accept in
   Parkit.Pool.with_pool ~jobs:4 (fun pool ->
-      Alcotest.(check bool) "majority_vote identical" true
-        (Amplify.majority_vote ~trials:9 (fun i ->
-             if i mod 3 = 0 then Verdict.Reject else Verdict.Accept)
-        = Amplify.majority_vote ~pool ~trials:9 (fun i ->
-              if i mod 3 = 0 then Verdict.Reject else Verdict.Accept)))
+      let pooled = Parkit.Pool.init pool 9 g in
+      Alcotest.(check bool) "majority over jobs=4 verdicts identical" true
+        (Amplify.majority_vote ~trials:9 g
+        = Amplify.majority_vote ~trials:9 (fun i -> pooled.(i))))
 
 let test_chunked_scheduling_jobs_invariant () =
-  (* Chunk grain decides only which domain runs which indices; the frozen
-     accept-rate pin must hold for any grain at any job count. *)
+  (* The chunk size decides only which domain runs which indices; the
+     frozen accept-rate pin must hold for every chunk shape.  Over 40
+     trials, 2, 3 and 8 jobs claim 5, 3 and 1 trials per round-trip. *)
   let pmf = Families.zipf ~n:64 ~s:1.0 in
-  let trials = 40 in
   List.iter
-    (fun grain ->
-      Parkit.Pool.with_pool ~grain ~jobs:4 (fun pool ->
-          let rate =
-            Harness.accept_rate ~pool
-              ~rng:(Randkit.Rng.create ~seed:31337)
-              ~trials ~pmf parity_decide
-          in
+    (fun jobs ->
+      Parkit.Pool.with_pool ~jobs (fun pool ->
           Alcotest.(check (float 0.))
-            (Printf.sprintf "grain=%d reproduces pin" grain)
-            0.4 rate))
-    [ 1; 3; 1000 ]
+            (Printf.sprintf "jobs=%d reproduces pin" jobs)
+            0.4
+            (pooled_accept_rate ~pool ~seed:31337 ~trials:40 ~pmf)))
+    [ 2; 3; 8 ]
 
 (* --- Budget_oracle --- *)
 
