@@ -13,10 +13,12 @@
       replica of the per-cell-Kahan statistic (what the harness ran
       before workspaces) against the workspace oracle plus the buffered
       Chi2stat, same seeds.  Minor-collection and allocated-byte deltas
-      are read with Gc.quick_stat / Gc.allocated_bytes from this domain,
-      and the two arms must produce bit-identical Z sums.  This section
-      MUST run before the minor heap is enlarged below, otherwise the
-      collection counts it is trying to compare are flattened to zero.
+      are read with Gc.quick_stat, and the two arms must produce
+      bit-identical Z sums.  Both arms run on this domain under the
+      runtime's default 256k-word minor heap, restored afterwards: a
+      pool (--jobs 2 and up) has already enlarged this domain's nursery
+      to 64 MiB, which flattens the collection counts the section
+      compares to zero.
    3. trial throughput (trials/sec) of an E1-style Algorithm 1 workload
       at jobs in {1, 2, 4}, each job count checked to produce the same
       accept count as jobs = 1 (the pre-split-then-dispatch determinism
@@ -68,16 +70,29 @@ let pr1_chi2 ~counts ~m ~dstar ~part ~eps =
     part;
   Numkit.Kahan.sum_array per_cell
 
-(* GC deltas of [f ()], as seen from the calling domain. *)
+(* GC deltas of [f ()]: minor collections, and bytes allocated summed
+   over every domain, those [f] spawned and joined included.
+   Gc.quick_stat sums all domains (Gc.allocated_bytes counts only the
+   caller's, so it halved as jobs doubled), but it sees a live domain's
+   nursery only at a minor collection, so one is forced before each
+   reading and left out of the count. *)
 let gc_deltas f =
-  let minor0 = (Gc.quick_stat ()).Gc.minor_collections in
-  let alloc0 = Gc.allocated_bytes () in
+  let bytes s =
+    (s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words)
+    *. float_of_int (Sys.word_size / 8)
+  in
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
   let x = f () in
   let minor1 = (Gc.quick_stat ()).Gc.minor_collections in
-  let alloc1 = Gc.allocated_bytes () in
-  (x, minor1 - minor0, alloc1 -. alloc0)
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  (x, minor1 - s0.Gc.minor_collections, bytes s1 -. bytes s0)
 
 let mb bytes = bytes /. (1024. *. 1024.)
+
+(* The minor heap OCaml 5 gives a domain when OCAMLRUNPARAM sets none. *)
+let runtime_minor_heap_words = 256 * 1024
 
 let run (mode : Exp_common.mode) =
   Exp_common.section ~id:"E17 (parallel trial engine)"
@@ -125,8 +140,8 @@ let run (mode : Exp_common.mode) =
     Exp_common.row "WARNING: shared arm accepted %d but rebuild arm %d@."
       accepts_probe accepts_rebuild;
 
-  (* 2. GC pressure of the chi^2 hot path, before any minor-heap
-     enlargement (see header).  Same seed per arm, so the draw streams
+  (* 2. GC pressure of the chi^2 hot path, under the runtime's default
+     minor heap (see header).  Same seed per arm, so the draw streams
      and therefore the Z sums must match bit for bit. *)
   let gc_trials = if mode.Exp_common.quick then 30 else 100 in
   let gc_m = 4096. in
@@ -158,10 +173,13 @@ let run (mode : Exp_common.mode) =
     done;
     !z
   in
+  let pool_ctrl = Gc.get () in
+  Gc.set { pool_ctrl with Gc.minor_heap_size = runtime_minor_heap_words };
   Gc.full_major ();
   let z_pr1, minor_pr1, bytes_pr1 = gc_deltas pr1_arm in
   Gc.full_major ();
   let z_ws, minor_ws, bytes_ws = gc_deltas ws_arm in
+  Gc.set pool_ctrl;
   let per_trial x = float_of_int x /. float_of_int gc_trials in
   let minor_reduction =
     per_trial minor_pr1 /. Float.max (per_trial minor_ws) (1. /. float_of_int gc_trials)

@@ -155,7 +155,15 @@ let max_line_bytes_arg =
            a wire error instead of buffering them without bound; in \
            socket mode the offending connection is closed.")
 
+(* Shrink-only, so a smaller OCAMLRUNPARAM=s= wins; why the serve path
+   needs no more is on Netio.nursery_words. *)
+let shrink_nursery () =
+  let params = Gc.get () in
+  if params.Gc.minor_heap_size > Netio.nursery_words then
+    Gc.set { params with Gc.minor_heap_size = Netio.nursery_words }
+
 let run (_jobs : int) batch listen unix_path max_conns max_line_bytes =
+  shrink_nursery ();
   if batch < 1 then begin
     prerr_endline "error: --batch must be at least 1";
     2

@@ -22,9 +22,11 @@ let[@inline] [@histolint.hot] float t bound =
   if bound <= 0. then invalid_arg "Rng.float: bound must be positive";
   (* 53 uniform mantissa bits -> uniform in [0, 1).  [next_top53 t] is
      below 2^53, so [float_of_int] of it equals [Int64.to_float] of the
-     historical 64-bit draw's top bits — values bit-identical.  Inlined
-     so hot call sites (the alias draw loop) consume the result
-     unboxed. *)
+     historical 64-bit draw's top bits — values bit-identical.  The
+     [@inline] reaches other libraries' call sites (the alias draw loop)
+     only in dune's release profile: the default dev profile compiles
+     with -opaque, so there each call from another library returns a
+     boxed float, 2 minor words. *)
   float_of_int (Xoshiro.next_top53 t) *. (1. /. 9007199254740992.) *. bound
 
 let unit_open t =

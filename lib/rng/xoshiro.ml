@@ -6,7 +6,10 @@
    traffic once the sampling buffers were reused (Workspace).  With the
    flat state, [next] compiles to straight 64-bit loads/stores and
    allocates nothing beyond its boxed result, which inlining (see the
-   attribute) lets hot callers consume unboxed. *)
+   attribute) lets callers in this library consume unboxed.  Callers in
+   other libraries get that only in dune's release profile: the default
+   dev profile compiles with -opaque, which stops inlining across
+   libraries. *)
 
 type t = Bytes.t
 

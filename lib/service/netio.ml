@@ -194,6 +194,8 @@ module Reader = struct
           | `Would_block -> if block then next_line r ~block else Pending)
 end
 
+let nursery_words = 32768
+
 (* --- outbound byte queue -------------------------------------------- *)
 
 module Outbuf = struct

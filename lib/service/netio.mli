@@ -74,6 +74,19 @@ module Reader : sig
       blocking fd. *)
 end
 
+val nursery_words : int
+(** 32768 words (256 KiB): the minor heap [histotestd] serves with, in
+    stdio and socket mode alike.  Once a config is set, the serve path
+    allocates only short-lived transport words — about 44 per reactor
+    [select] round, 6 per {!Reader.next_span} line, and a string per
+    stdio line (about 30 words for a 16-value [observe]) — and almost
+    none of them survive a minor collection, so the
+    runtime's default 256k-word (2 MiB) nursery is resident memory the
+    daemon fills once and never needs.  The daemon only ever shrinks its
+    minor heap to this size (an [OCAMLRUNPARAM=s=] below it wins), the
+    mirror of [Parkit.Pool]'s enlarge-only policy for trial domains;
+    the library itself never changes a GC setting. *)
+
 (** Where to listen. *)
 type listen_addr =
   | Tcp of string * int  (** host ("" or "*" = all interfaces) and port *)

@@ -535,6 +535,90 @@ let test_backpressure_bounded_queue () =
   Alcotest.(check int) "closed after drain" 0 (Netio.active reactor);
   Unix.close cfd
 
+(* The premise of [Netio.nursery_words]: once configured and warm, the
+   reactor allocates only short-lived transport words per [select]
+   round and per line, and almost none of them survive a minor
+   collection, so the daemon's small nursery cannot turn into GC churn.
+   Run under that nursery (restored afterwards) on a socketpair, with
+   canonical 16-value observe lines over 16 shards; the client's reads
+   land in one reused buffer so the test keeps nothing alive either. *)
+let test_reactor_fits_nursery () =
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = Netio.nursery_words };
+  Fun.protect ~finally:(fun () -> Gc.set saved) @@ fun () ->
+  let svc = Service.create () in
+  configure svc;
+  let reactor = Netio.create_reactor ~service:svc ~listeners:[] () in
+  let sfd, cfd = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Netio.add_connection reactor sfd;
+  Unix.set_nonblock cfd;
+  let line i =
+    observe_line ~shard:(Printf.sprintf "s%d" (i mod 16))
+      (List.init 16 (fun j -> ((31 * i) + j) mod 512))
+    ^ "\n"
+  in
+  let one = line 0 and many = String.concat "" (List.init 64 line) in
+  let sink = Bytes.create 65536 in
+  let rec discard () =
+    match Unix.read cfd sink 0 (Bytes.length sink) with
+    | 0 -> ()
+    | _ -> discard ()
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+      ->
+        ()
+  in
+  let lines = ref 0 in
+  (* one reactor round over [payload]'s [k] lines; the words it
+     allocated *)
+  let round payload k =
+    ignore (Unix.write_substring cfd payload 0 (String.length payload) : int);
+    lines := !lines + k;
+    let w0 = Gc.minor_words () in
+    Netio.step reactor ~timeout:0.0;
+    let w1 = Gc.minor_words () in
+    discard ();
+    w1 -. w0
+  in
+  ignore (round many 64 : float);
+  let worst payload k =
+    let m = ref 0. in
+    for _ = 1 to 8 do
+      m := Float.max !m (round payload k)
+    done;
+    !m
+  in
+  let w_one = worst one 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "one-line round: %.0f minor words <= 64" w_one)
+    true (w_one <= 64.);
+  let w_many = worst many 64 in
+  Alcotest.(check bool)
+    (Printf.sprintf "64-line round: %.1f minor words per line <= 8"
+       (w_many /. 64.))
+    true
+    (w_many <= 8. *. 64.);
+  let rounds = 256 in
+  Gc.minor ();
+  let _, promoted0, _ = Gc.counters () in
+  for _ = 1 to rounds do
+    ignore (round many 64 : float)
+  done;
+  Gc.minor ();
+  let _, promoted1, _ = Gc.counters () in
+  let promoted = promoted1 -. promoted0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words promoted over %d lines <= 1 per 16" promoted
+       (64 * rounds))
+    true
+    (promoted <= float_of_int (64 * rounds / 16));
+  let served =
+    List.fold_left (fun acc (_, total) -> acc + total) 0
+      (Service.shard_totals svc)
+  in
+  Alcotest.(check int) "every line ingested" (16 * !lines) served;
+  Unix.close cfd
+
 let test_unix_listener_capacity () =
   let path =
     Filename.concat
@@ -926,6 +1010,8 @@ let () =
           Alcotest.test_case "overlong line" `Quick test_overlong_line_closes;
           Alcotest.test_case "backpressure" `Quick
             test_backpressure_bounded_queue;
+          Alcotest.test_case "allocation fits the daemon's nursery" `Quick
+            test_reactor_fits_nursery;
           Alcotest.test_case "max-conns admission" `Quick
             test_unix_listener_capacity;
           Alcotest.test_case "idle and slow-loris clients at max-conns"
