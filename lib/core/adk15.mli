@@ -34,6 +34,18 @@ val run :
     if the outcome outlives the trial; the verdict, [z] and threshold are
     plain values and always safe. *)
 
+val run_khist :
+  config:Config.t ->
+  cell_mask:bool array ->
+  ?ws:Workspace.t ->
+  Poissonize.oracle ->
+  dstar:Khist.t ->
+  eps:float ->
+  outcome
+(** {!run} against D̂ held as cell levels, over its own partition: the
+    same draw and bits as [run ~cell_mask ~part:(Khist.partition dstar)
+    ~dstar:(Khist.to_pmf dstar)], without the n-float expansion. *)
+
 val run_boosted :
   ?config:Config.t ->
   ?cell_mask:bool array ->

@@ -19,15 +19,23 @@ let run ?(config = Config.default) oracle ~b =
   let heavy_threshold = 0.75 /. fb in
   let target = 1. /. fb in
   let cut_points = ref [] and heavy_cells = ref [] in
-  let emit_break pos = if pos > 0 && pos < n then cut_points := pos :: !cut_points in
+  (* Breaks are emitted ascending and never twice, so [!cuts] is the index
+     of the cell that starts at the last break. *)
+  let cuts = ref 0 in
+  let emit_break pos =
+    if pos > 0 && pos < n then begin
+      cut_points := pos :: !cut_points;
+      incr cuts
+    end
+  in
   let acc = ref 0. in
   let start = ref 0 in
   for i = 0 to n - 1 do
     if freq i >= heavy_threshold then begin
       (* Close the running light interval, then isolate i as a singleton. *)
       if i > !start then emit_break i;
+      heavy_cells := !cuts :: !heavy_cells;
       emit_break (i + 1);
-      heavy_cells := i :: !heavy_cells;
       acc := 0.;
       start := i + 1
     end
@@ -43,10 +51,6 @@ let run ?(config = Config.default) oracle ~b =
     end
   done;
   let partition = Partition.of_breakpoints ~n (List.rev !cut_points) in
-  let heavy_set = List.fold_left (fun s i -> i :: s) [] !heavy_cells in
-  let heavy =
-    Array.init (Partition.cell_count partition) (fun j ->
-        let cell = Partition.cell partition j in
-        Interval.is_singleton cell && List.mem (Interval.lo cell) heavy_set)
-  in
+  let heavy = Array.make (Partition.cell_count partition) false in
+  List.iter (fun j -> heavy.(j) <- true) !heavy_cells;
   { partition; heavy; samples_used = m }

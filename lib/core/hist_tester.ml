@@ -1,8 +1,6 @@
-type stage = Partitioning | Learning | Sieving | Checking | Testing
+type stage = Sieving | Checking | Testing
 
 let stage_to_string = function
-  | Partitioning -> "partitioning"
-  | Learning -> "learning"
   | Sieving -> "sieving"
   | Checking -> "checking"
   | Testing -> "testing"
@@ -42,12 +40,11 @@ let run ?(config = Config.default) ?ws oracle ~k ~eps =
   let ap = Approx_part.run ~config oracle ~b in
   let part = ap.Approx_part.partition in
   let kk = Partition.cell_count part in
-  (* Step 4: chi^2 learner on the partition. *)
-  let learned = Learner.run ~config oracle ~part ~eps in
-  let dhat = learned.Learner.estimate in
-  let samples_so_far =
-    ap.Approx_part.samples_used + learned.Learner.samples_used
-  in
+  (* Step 4: chi^2 learner on the partition.  D-hat is constant on each
+     cell and G is a union of cells, so the later stages read D-hat as K
+     levels and G as the sieve's [kept] mask: never n points. *)
+  let dhat, learn_samples = Learner.fit ~config oracle ~part ~eps in
+  let samples_so_far = ap.Approx_part.samples_used + learn_samples in
   (* Steps 6-8: sieving.  Only cells that can hide a breakpoint strictly
      inside them (length >= 2) are removable; this is also what bounds the
      discarded mass by 2/b per cell in the soundness case. *)
@@ -55,7 +52,7 @@ let run ?(config = Config.default) ?ws oracle ~k ~eps =
     Array.init kk (fun j ->
         Interval.length (Partition.cell part j) >= 2)
   in
-  let sieve = Sieve.run ~config oracle ~dhat ~part ~eligible ~k ~eps in
+  let sieve = Sieve.run_khist ~config oracle ~dhat ~eligible ~k ~eps in
   let samples_so_far = samples_so_far + sieve.Sieve.samples_used in
   if Verdict.equal sieve.Sieve.verdict Verdict.Reject then
     {
@@ -68,9 +65,10 @@ let run ?(config = Config.default) ?ws oracle ~k ~eps =
       final = None;
     }
   else begin
-    (* Step 10: is D-hat close to *some* k-histogram on the kept domain? *)
-    let mask = Partition.restrict_mask part ~keep:sieve.Sieve.kept in
-    let check_distance = Closest.tv_to_hk ~mask dhat ~k in
+    (* Step 10: is D-hat close to *some* k-histogram on the kept domain?
+       Half the DP's l1 cost, as in [Closest.tv_to_hk]. *)
+    let cells = Closest.cells_of_khist dhat ~keep:sieve.Sieve.kept in
+    let check_distance = 0.5 *. fst (Closest.fit_cells cells ~k) in
     let check_tolerance = eps /. config.Config.check_eps_div in
     if check_distance > check_tolerance then
       {
@@ -87,7 +85,7 @@ let run ?(config = Config.default) ?ws oracle ~k ~eps =
          at eps' = 13 eps / 30. *)
       let eps' = eps *. config.Config.test_eps_frac in
       let final =
-        Adk15.run ~config ~cell_mask:sieve.Sieve.kept ~part ?ws oracle
+        Adk15.run_khist ~config ~cell_mask:sieve.Sieve.kept ?ws oracle
           ~dstar:dhat ~eps:eps'
       in
       {

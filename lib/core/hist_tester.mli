@@ -15,7 +15,9 @@
     O(ε) mass, so either the check fails (D̂ far from every k-histogram on
     the kept domain) or the final test sees dTV ≥ 13ε/30 and rejects. *)
 
-type stage = Partitioning | Learning | Sieving | Checking | Testing
+type stage = Sieving | Checking | Testing
+(** The stages that can decide a run: ApproxPart and the learner never
+    do. *)
 
 val stage_to_string : stage -> string
 

@@ -33,7 +33,9 @@ let run oracle ~k ~eps =
   let grid = Partition.of_breakpoints ~n (List.rev !breaks) in
   let cell_counts = Empirical.cell_counts grid counts in
   let empirical =
-    Empirical.add_one_histogram grid ~counts:cell_counts ~total:m
+    Khist.to_pmf
+      (Khist.make grid
+         (Empirical.add_one_levels grid ~counts:cell_counts ~total:m))
   in
   let hypothesis = Construct.greedy_merge empirical ~k in
   { hypothesis; samples_used = m; grid_cells = Partition.cell_count grid }

@@ -15,6 +15,15 @@ type result = {
   samples_used : int;
 }
 
+val fit :
+  config:Config.t ->
+  Poissonize.oracle ->
+  part:Partition.t ->
+  eps:float ->
+  Khist.t * int
+(** D̂ as K levels over [part], and the samples drawn: what Algorithm 1
+    keeps, K floats rather than n.  [eps] is the target χ/accuracy
+    parameter (the ε/60 of Algorithm 1, divided further per [config]). *)
+
 val run : ?config:Config.t -> Poissonize.oracle -> part:Partition.t -> eps:float -> result
-(** [eps] is the target χ/accuracy parameter (the ε/60 of Algorithm 1,
-    divided further per [config]). *)
+(** {!fit} followed by [Khist.to_pmf]: the same D̂, also as a dense pmf. *)

@@ -16,10 +16,11 @@ type result = {
   log : round_log list;
 }
 
-let run ?(config = Config.default) oracle ~dhat ~part ~eligible ~k ~eps =
+(* The rounds over [kk] cells; D̂'s representation only changes [stat],
+   which writes one repetition's per-cell statistic into [per_cell]. *)
+let rounds ~config oracle ~stat ~kk ~eligible ~k ~eps =
   if k < 1 then invalid_arg "Sieve.run: k must be at least 1";
   if eps <= 0. || eps > 1. then invalid_arg "Sieve.run: eps outside (0, 1]";
-  let kk = Partition.cell_count part in
   if Array.length eligible <> kk then
     invalid_arg "Sieve.run: eligibility mask length mismatch";
   let n = oracle.Poissonize.n in
@@ -37,7 +38,7 @@ let run ?(config = Config.default) oracle ~dhat ~part ~eligible ~k ~eps =
   let log = ref [] in
   (* Per-repetition statistic rows and the median scratch column are
      allocated once here and reused by every round: each row is handed to
-     [Chi2stat.compute] as its output buffer (which zeroes it), so the
+     [stat] as its output buffer (which zeroes it), so the
      O(rounds * reps) statistic evaluations — the sieve's entire sampling
      cost — allocate nothing per cell.  The counts the oracle returns are
      consumed within the repetition that drew them, so a workspace-backed
@@ -49,8 +50,8 @@ let run ?(config = Config.default) oracle ~dhat ~part ~eligible ~k ~eps =
     for r = 0 to reps - 1 do
       let counts = oracle.Poissonize.poissonized m in
       ignore
-        (Chi2stat.compute ~cell_mask:kept ~per_cell:per_rep.(r) ~counts ~m
-           ~dstar:dhat ~part ~eps:alpha ())
+        (stat ~cell_mask:kept ~per_cell:per_rep.(r) ~counts ~m ~eps:alpha
+          : Chi2stat.t)
     done;
     for j = 0 to kk - 1 do
       for r = 0 to reps - 1 do
@@ -149,3 +150,13 @@ let run ?(config = Config.default) oracle ~dhat ~part ~eligible ~k ~eps =
        contaminated). *)
     result_of Verdict.Accept rounds
   with Decided (verdict, rounds_used) -> result_of verdict rounds_used
+
+let run ?(config = Config.default) oracle ~dhat ~part ~eligible ~k ~eps =
+  rounds ~config oracle ~kk:(Partition.cell_count part) ~eligible ~k ~eps
+    ~stat:(fun ~cell_mask ~per_cell ~counts ~m ~eps ->
+      Chi2stat.compute ~cell_mask ~per_cell ~counts ~m ~dstar:dhat ~part ~eps ())
+
+let run_khist ~config oracle ~dhat ~eligible ~k ~eps =
+  rounds ~config oracle ~kk:(Khist.pieces dhat) ~eligible ~k ~eps
+    ~stat:(fun ~cell_mask ~per_cell ~counts ~m ~eps ->
+      Chi2stat.compute_khist ~cell_mask ~per_cell ~counts ~m ~dstar:dhat ~eps)

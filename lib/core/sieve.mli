@@ -51,3 +51,17 @@ val run :
   k:int ->
   eps:float ->
   result
+(** The sieve against a dense D̂ over [part]: a thin adapter over the
+    rounds {!run_khist} runs. *)
+
+val run_khist :
+  config:Config.t ->
+  Poissonize.oracle ->
+  dhat:Khist.t ->
+  eligible:bool array ->
+  k:int ->
+  eps:float ->
+  result
+(** The same rounds against D̂ held as cell levels (what Algorithm 1
+    runs), bit-identical to [run ~dhat:(Khist.to_pmf dhat)
+    ~part:(Khist.partition dhat)]. *)

@@ -14,22 +14,18 @@ let cell_counts part counts =
     part;
   out
 
-let add_one_histogram part ~counts ~total =
+let add_one_levels part ~counts ~total =
   (* The Laplace-style estimator of Lemma 3.5:
      D̂(j) = (m_I + 1)/(m + ℓ) · 1/|I| for j ∈ I, over ℓ cells. *)
   let ell = Partition.cell_count part in
-  let n = Partition.domain_size part in
   if Array.length counts <> ell then
-    invalid_arg "Empirical.add_one_histogram: need per-cell counts";
+    invalid_arg "Empirical.add_one_levels: need per-cell counts";
   let denom = float_of_int (total + ell) in
-  let p = Array.make n 0. in
-  Partition.iteri
-    (fun j cell ->
-      let level =
-        float_of_int (counts.(j) + 1)
-        /. denom
-        /. float_of_int (Interval.length cell)
-      in
-      Interval.iter (fun i -> p.(i) <- level) cell)
-    part;
-  Pmf.create p
+  let len j = float_of_int (Interval.length (Partition.cell part j)) in
+  let levels =
+    Array.init ell (fun j -> float_of_int (counts.(j) + 1) /. denom /. len j)
+  in
+  let mass = Numkit.Kahan.sum_f ell (fun j -> levels.(j) *. len j) in
+  if Float.abs (mass -. 1.) > 1e-9 then
+    invalid_arg "Empirical.add_one_levels: total mass is not 1";
+  levels

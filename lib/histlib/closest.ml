@@ -169,49 +169,68 @@ let fit_levels cells starts =
       let m = Numkit.Wmedian.median med in
       if Float.is_nan m then 0. else m)
 
-(* Compress a pmf (plus a point-level keep mask) into DP cells: maximal runs
-   of equal (value, kept) status, together with each cell's domain start.
-   Excluded runs of length >= 2 are split in two zero-weight cells so the DP
-   can place a piece boundary strictly inside them at no cost.  This is the
-   ONE run decomposition both [cells_of_pmf] and [witness] consume, so the
-   cell array and the extent array cannot drift apart. *)
+(* Compress [segs] nonempty constant segments covering [0..n-1] (segment s
+   starts at [start s], with value [value s] and keep status [kept s];
+   [same s]: is its value segment s-1's?) into DP cells: maximal runs of
+   equal (value, kept) status, together with each cell's domain start.
+   Excluded runs of length >= 2 are split in two zero-weight cells so the
+   DP can place a piece boundary strictly inside them at no cost.  This is
+   the ONE run decomposition [cells_of_pmf], [witness] (segments = points)
+   and [cells_of_khist] (segments = cells) consume, so the cell array and
+   the extent array cannot drift apart, and a histogram compresses to
+   exactly the cells of its expansion. *)
+let compress ~n ~segs ~start ~value ~same ~kept =
+  let cells = ref [] in
+  let starts = ref [] in
+  let run_seg = ref 0 in
+  let flush stop_seg =
+    let run_start = start !run_seg in
+    let len = (if stop_seg = segs then n else start stop_seg) - run_start in
+    let v = value !run_seg in
+    if kept !run_seg then begin
+      cells := { value = v; weight = float_of_int len } :: !cells;
+      starts := run_start :: !starts
+    end
+    else if len = 1 then begin
+      cells := { value = v; weight = 0. } :: !cells;
+      starts := run_start :: !starts
+    end
+    else begin
+      (* Two free half-cells allow an interior piece boundary. *)
+      cells :=
+        { value = v; weight = 0. } :: { value = v; weight = 0. } :: !cells;
+      starts := (run_start + (len / 2)) :: run_start :: !starts
+    end;
+    run_seg := stop_seg
+  in
+  for s = 1 to segs - 1 do
+    if (not (same s)) || kept s <> kept (s - 1) then flush s
+  done;
+  flush segs;
+  (Array.of_list (List.rev !cells), Array.of_list (List.rev !starts))
+
 let runs_of_pmf ?mask pmf =
   let n = Pmf.size pmf in
   let p = Pmf.unsafe_array pmf in
-  let kept i = match mask with None -> true | Some m -> m.(i) in
-  let cells = ref [] in
-  let starts = ref [] in
-  let run_start = ref 0 in
-  let flush stop =
-    if stop > !run_start then begin
-      let len = stop - !run_start in
-      let is_kept = kept !run_start in
-      let v = p.(!run_start) in
-      if is_kept then begin
-        cells := { value = v; weight = float_of_int len } :: !cells;
-        starts := !run_start :: !starts
-      end
-      else if len = 1 then begin
-        cells := { value = v; weight = 0. } :: !cells;
-        starts := !run_start :: !starts
-      end
-      else begin
-        (* Two free half-cells allow an interior piece boundary. *)
-        cells :=
-          { value = v; weight = 0. } :: { value = v; weight = 0. } :: !cells;
-        starts := (!run_start + (len / 2)) :: !run_start :: !starts
-      end;
-      run_start := stop
-    end
-  in
-  for i = 1 to n - 1 do
-    if (not (Float.equal p.(i) p.(i - 1))) || kept i <> kept (i - 1) then
-      flush i
-  done;
-  flush n;
-  (Array.of_list (List.rev !cells), Array.of_list (List.rev !starts))
+  let kept = match mask with None -> fun _ -> true | Some m -> Array.get m in
+  compress ~n ~segs:n ~start:Fun.id ~value:(Array.get p)
+    ~same:(fun i -> Float.equal p.(i) p.(i - 1))
+    ~kept
 
 let cells_of_pmf ?mask pmf = fst (runs_of_pmf ?mask pmf)
+
+let cells_of_khist h ~keep =
+  let part = Khist.partition h in
+  let cells = Partition.cell_count part in
+  if Array.length keep <> cells then
+    invalid_arg "Closest.cells_of_khist: keep mask length mismatch";
+  let lv = Khist.levels h in
+  fst
+    (compress ~n:(Partition.domain_size part) ~segs:cells
+       ~start:(fun j -> Interval.lo (Partition.cell part j))
+       ~value:(Array.get lv)
+       ~same:(fun j -> Float.equal lv.(j) lv.(j - 1))
+       ~kept:(Array.get keep))
 
 let l1_to_hk ?mask pmf ~k =
   let cells = cells_of_pmf ?mask pmf in

@@ -40,6 +40,12 @@ val fit_cells : cell array -> k:int -> float * int list
 val cells_of_pmf : ?mask:bool array -> Pmf.t -> cell array
 (** [fst (runs_of_pmf ?mask pmf)] — the cells alone. *)
 
+val cells_of_khist : Khist.t -> keep:bool array -> cell array
+(** The cells of a histogram restricted to the cells [keep] marks,
+    compressed one histogram cell at a time, in O(K) rather than O(n):
+    exactly [cells_of_pmf ~mask:(Partition.restrict_mask part ~keep)
+    (Khist.to_pmf h)], [part] the histogram's partition. *)
+
 val l1_to_hk : ?mask:bool array -> Pmf.t -> k:int -> float
 (** min over ≤k-piece functions h of Σ_{i kept} |D(i) − h(i)|. *)
 

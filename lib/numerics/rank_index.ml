@@ -156,59 +156,55 @@ let check_range t ~lo ~hi =
   if lo < 0 || hi > t.size || lo >= hi then
     invalid_arg "Rank_index: empty or out-of-range segment"
 
-(* The descents are hot (the D&C DP issues O(K log K) of them per
-   layer), so the loop invariants — half, W_tot, S_tot, the rank-value
-   table — are captured in the closure rather than threaded through the
-   recursion: without flambda every float argument of a call is boxed,
-   and five invariant floats per level is most of the minor-heap churn
-   of a query.  Only the two genuine accumulators travel as arguments. *)
-
-let seg_cost t ~lo ~hi =
+(* One descent serves both queries; the DP issues O(K log K) of them per
+   layer.  It is a loop over local refs, not a recursion: without flambda
+   every float argument of a call is boxed, while a float ref that never
+   escapes stays unboxed, so a query allocates only its boxed result.
+   [acc_w]/[acc_s] are the range weight and weight*value at ranks
+   strictly below the current subtree, so the closed form is available
+   at the leaf. *)
+let descend t ~lo ~hi ~median =
   check_range t ~lo ~hi;
   let w_tot = t.wpre.(hi) -. t.wpre.(lo) in
-  if not (w_tot > 0.) then 0.
+  if not (w_tot > 0.) then if median then nan else 0.
   else begin
     let s_tot = t.spre.(hi) -. t.spre.(lo) in
     let half = w_tot /. 2. in
-    let rv = t.rank_value in
-    (* [acc_w]/[acc_s]: range weight and weight*value at ranks strictly
-       below the current subtree, so the closed form is available at the
-       leaf. *)
-    let rec go node a b rlo acc_w acc_s =
-      match node with
+    let node = ref t.root and a = ref lo and b = ref hi and rlo = ref 0 in
+    let acc_w = ref 0. and acc_s = ref 0. in
+    let result = ref 0. and descending = ref true in
+    while !descending do
+      match !node with
       | Leaf { wpre; spre } ->
-          let m = rv.(rlo) in
-          let w_le = acc_w +. (wpre.(b) -. wpre.(a)) in
-          let s_le = acc_s +. (spre.(b) -. spre.(a)) in
+          let m = t.rank_value.(!rlo) in
+          let w_le = !acc_w +. (wpre.(!b) -. wpre.(!a)) in
+          let s_le = !acc_s +. (spre.(!b) -. spre.(!a)) in
           let c = (2. *. ((m *. w_le) -. s_le)) +. (s_tot -. (m *. w_tot)) in
           (* Clamp the rounding residue of an exact fit to a clean zero. *)
-          if c > 0. then c else 0.
+          result := if median then m else if c > 0. then c else 0.;
+          descending := false
       | Node { mid; cnt; wl; sl; left; right } ->
-          let wleft = wl.(b) -. wl.(a) in
-          if acc_w +. wleft >= half then go left cnt.(a) cnt.(b) rlo acc_w acc_s
-          else
-            go right (a - cnt.(a)) (b - cnt.(b)) mid (acc_w +. wleft)
-              (acc_s +. (sl.(b) -. sl.(a)))
-    in
-    go t.root lo hi 0 0. 0.
+          let a0 = !a and b0 = !b in
+          let wleft = wl.(b0) -. wl.(a0) in
+          if !acc_w +. wleft >= half then begin
+            node := left;
+            a := cnt.(a0);
+            b := cnt.(b0)
+          end
+          else begin
+            node := right;
+            a := a0 - cnt.(a0);
+            b := b0 - cnt.(b0);
+            rlo := mid;
+            acc_w := !acc_w +. wleft;
+            acc_s := !acc_s +. (sl.(b0) -. sl.(a0))
+          end
+    done;
+    !result
   end
 
-let seg_median t ~lo ~hi =
-  check_range t ~lo ~hi;
-  let w_tot = t.wpre.(hi) -. t.wpre.(lo) in
-  if not (w_tot > 0.) then nan
-  else begin
-    let half = w_tot /. 2. in
-    let rec go node a b rlo acc_w =
-      match node with
-      | Leaf _ -> t.rank_value.(rlo)
-      | Node { mid; cnt; wl; left; right; _ } ->
-          let wleft = wl.(b) -. wl.(a) in
-          if acc_w +. wleft >= half then go left cnt.(a) cnt.(b) rlo acc_w
-          else go right (a - cnt.(a)) (b - cnt.(b)) mid (acc_w +. wleft)
-    in
-    go t.root lo hi 0 0.
-  end
+let seg_cost t ~lo ~hi = descend t ~lo ~hi ~median:false
+let seg_median t ~lo ~hi = descend t ~lo ~hi ~median:true
 
 let seg_weight t ~lo ~hi =
   check_range t ~lo ~hi;

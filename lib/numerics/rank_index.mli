@@ -34,7 +34,7 @@ val seg_cost : t -> lo:int -> hi:int -> float
     positions indexed. *)
 
 val seg_median : t -> lo:int -> hi:int -> float
-[@@histolint.keep "[seg_cost] runs it; test_numkit pins it directly"]
+[@@histolint.keep "[seg_cost]'s descent computes it; test_numkit pins it directly"]
 (** The weighted lower median of the range's values ([nan] when the
     range carries no weight) — the value attaining {!seg_cost}. *)
 

@@ -32,5 +32,5 @@ val iteri : (int -> Interval.t -> unit) -> t -> unit
 
 val restrict_mask : t -> keep:bool array -> bool array
 (** Point-level membership mask of the kept cells; [keep] is indexed by
-    cell.  This is how the sieved domain [G] is passed to the restricted
-    testers. *)
+    cell.  The dense form of a sieved domain [G]; Algorithm 1 itself keeps
+    [G] as the cell mask. *)

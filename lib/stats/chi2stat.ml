@@ -2,8 +2,9 @@ type t = { z : float; per_cell : float array; m : float }
 
 let heavy_cutoff ~eps ~n = eps /. (50. *. float_of_int n)
 
-let compute ?cell_mask ?per_cell ~counts ~m ~dstar ~part ~eps () =
-  let n = Pmf.size dstar in
+(* Checks the shapes and hands out the zeroed per-cell output: the
+   caller's buffer, or a fresh one. *)
+let output ~cell_mask ~per_cell ~counts ~n part =
   if Array.length counts <> n then
     invalid_arg "Chi2stat.compute: counts length mismatch";
   if Partition.domain_size part <> n then
@@ -13,17 +14,19 @@ let compute ?cell_mask ?per_cell ~counts ~m ~dstar ~part ~eps () =
   | Some mask when Array.length mask <> kk ->
       invalid_arg "Chi2stat.compute: cell mask length mismatch"
   | _ -> ());
+  match per_cell with
+  | None -> Array.make kk 0.
+  | Some buf ->
+      if Array.length buf <> kk then
+        invalid_arg "Chi2stat.compute: per_cell length mismatch";
+      Array.fill buf 0 kk 0.;
+      buf
+
+let compute ?cell_mask ?per_cell ~counts ~m ~dstar ~part ~eps () =
+  let n = Pmf.size dstar in
+  let per_cell = output ~cell_mask ~per_cell ~counts ~n part in
   let cutoff = heavy_cutoff ~eps ~n in
   let ds = Pmf.unsafe_array dstar in
-  let per_cell =
-    match per_cell with
-    | None -> Array.make kk 0.
-    | Some buf ->
-        if Array.length buf <> kk then
-          invalid_arg "Chi2stat.compute: per_cell length mismatch";
-        Array.fill buf 0 kk 0.;
-        buf
-  in
   (* One Neumaier accumulator — a flat float pair, (sum, comp) — reused
      across cells, and one hoisted element visitor shared by every cell.
      The previous per-cell [Kahan.create] records and, worse, the boxed
@@ -65,6 +68,35 @@ let compute ?cell_mask ?per_cell ~counts ~m ~dstar ~part ~eps () =
     part;
   let z = Numkit.Kahan.sum_array per_cell in
   { z; per_cell; m }
+
+(* [compute]'s Neumaier steps in its element order, with what is constant
+   on a cell (the level, the A_eps test, m*level) hoisted out of it. *)
+let compute_khist ~cell_mask ~per_cell ~counts ~m ~dstar ~eps =
+  let part = Khist.partition dstar in
+  let n = Partition.domain_size part in
+  let per_cell =
+    output ~cell_mask:(Some cell_mask) ~per_cell:(Some per_cell) ~counts ~n part
+  in
+  let cutoff = heavy_cutoff ~eps ~n in
+  for j = 0 to Partition.cell_count part - 1 do
+    let level = Khist.level dstar j in
+    if cell_mask.(j) && level >= cutoff then begin
+      let expected = m *. level in
+      let cell = Partition.cell part j in
+      let sum = ref 0. and comp = ref 0. in
+      for i = Interval.lo cell to Interval.hi cell - 1 do
+        let ni = float_of_int (Array.unsafe_get counts i) in
+        let d = ni -. expected in
+        let x = ((d *. d) -. ni) /. expected in
+        let s = !sum +. x in
+        if Float.abs !sum >= Float.abs x then comp := !comp +. ((!sum -. s) +. x)
+        else comp := !comp +. ((x -. s) +. !sum);
+        sum := s
+      done;
+      per_cell.(j) <- !sum +. !comp
+    end
+  done;
+  { z = Numkit.Kahan.sum_array per_cell; per_cell; m }
 
 let accept_threshold ~m ~eps = m *. eps *. eps /. 10.
 

@@ -41,6 +41,20 @@ val compute :
     lifetime; reusing it invalidates earlier results that alias it.
     Arithmetic is bit-identical with and without the buffer. *)
 
+val compute_khist :
+  cell_mask:bool array ->
+  per_cell:float array ->
+  counts:int array ->
+  m:float ->
+  dstar:Khist.t ->
+  eps:float ->
+  t
+(** {!compute} against a hypothesis held as cell levels (Algorithm 1's
+    D̂), over its own partition: each level is read once, never expanded
+    into n floats.  Bit-identical to [compute ~dstar:(Khist.to_pmf
+    dstar) ~part:(Khist.partition dstar)]; [per_cell] is the output
+    buffer, as there. *)
+
 val accept_threshold : m:float -> eps:float -> float
 (** m·ε²/10 — the decision threshold sitting between the two expectation
     regimes. *)

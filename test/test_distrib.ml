@@ -389,12 +389,18 @@ let test_of_counts () =
 
 let test_add_one_histogram () =
   let part = Partition.of_breakpoints ~n:4 [ 2 ] in
-  let p = Empirical.add_one_histogram part ~counts:[| 3; 1 |] ~total:4 in
+  let p = Empirical.add_one_levels part ~counts:[| 3; 1 |] ~total:4 in
   (* (3+1)/(4+2)/2 = 1/3 per element on the first cell. *)
-  Alcotest.(check (float 1e-12)) "laplace level" (1. /. 3.) (Pmf.get p 0);
-  Alcotest.(check (float 1e-12)) "second cell" (1. /. 6.) (Pmf.get p 2);
+  Alcotest.(check (float 1e-12)) "laplace level" (1. /. 3.) p.(0);
+  Alcotest.(check (float 1e-12)) "second cell" (1. /. 6.) p.(1);
   Alcotest.(check bool) "strictly positive" true
-    (Array.for_all (fun x -> x > 0.) (Pmf.to_array p))
+    (Array.for_all (fun x -> x > 0.) p);
+  (* Counts that do not add up to [total] give levels of mass 14/6. *)
+  Alcotest.(check bool) "mass checked" true
+    (try
+       ignore (Empirical.add_one_levels part ~counts:[| 9; 1 |] ~total:4);
+       false
+     with Invalid_argument _ -> true)
 
 let prop_empirical_converges =
   QCheck.Test.make ~name:"empirical tv shrinks with more samples" ~count:20

@@ -50,7 +50,57 @@ let prop_fit_cells_matches_dense =
       let cd, sd = Refkit.Closest_dense.fit_cells cells ~k in
       Float.equal cf cd && List.equal Int.equal sf sd)
 
+(* The inputs Algorithm 1's checking step actually feeds the DP: a learned
+   hypothesis, noisy around a k-piece histogram and constant on each of
+   K partition cells, restricted by a sieve-style keep mask that drops
+   the cells holding the true breakpoints and a few others, sometimes
+   side by side.  The noise takes eight values per piece, so equal
+   adjacent levels (merged runs) occur too.  Such values are not
+   monotone, so this pins the certified-scan branch on its real
+   workload. *)
+let learned_case_of_seed seed =
+  let r = Randkit.Rng.create ~seed in
+  let k = 1 + Randkit.Rng.int r 6 in
+  let kk = k + Randkit.Rng.int r 80 in
+  (* Cells of 1 to 6 points: cell j ends at ends.(j). *)
+  let ends = Array.make kk 0 in
+  for j = 0 to kk - 1 do
+    ends.(j) <- (if j = 0 then 0 else ends.(j - 1)) + 1 + Randkit.Rng.int r 6
+  done;
+  let n = ends.(kk - 1) in
+  let part =
+    Partition.of_breakpoints ~n (Array.to_list (Array.sub ends 0 (kk - 1)))
+  in
+  (* Cell j lies in piece (j * k / kk); the first cell of each later
+     piece straddles the true breakpoint. *)
+  let piece j = j * k / kk in
+  let base = Array.init k (fun _ -> 1. +. float_of_int (Randkit.Rng.int r 9)) in
+  let levels =
+    Array.init kk (fun j ->
+        base.(piece j) *. (1. +. (float_of_int (Randkit.Rng.int r 8) /. 40.)))
+  in
+  let keep =
+    Array.init kk (fun j ->
+        let straddles = j > 0 && piece j <> piece (j - 1) in
+        not (straddles || Randkit.Rng.int r 10 = 0))
+  in
+  (Closest.cells_of_khist (Khist.make part levels) ~keep, k)
+
+let prop_learned_matches_dense =
+  QCheck.Test.make
+    ~name:"fit_cells = fit_cells_dense on learned, sieve-masked cells"
+    ~count:500
+    (QCheck.int_range 0 1_000_000)
+    (fun seed ->
+      let cells, k = learned_case_of_seed seed in
+      let cf, sf = Closest.fit_cells cells ~k in
+      let cd, sd = Refkit.Closest_dense.fit_cells cells ~k in
+      Float.equal cf cd && List.equal Int.equal sf sd)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "fuzz_closest"
-    [ ("differential", [ qc prop_fit_cells_matches_dense ]) ]
+    [
+      ( "differential",
+        [ qc prop_fit_cells_matches_dense; qc prop_learned_matches_dense ] );
+    ]

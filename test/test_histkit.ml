@@ -230,6 +230,67 @@ let prop_closest_dc_equals_dense =
       Float.equal cost_fast cost_dense
       && List.equal Int.equal starts_fast starts_dense)
 
+(* [cells_of_khist] walks histogram cells, [cells_of_pmf] walks points of
+   the expansion under the point mask; both must give the same cells.
+   n = 8, cells [0,2) [2,3) [3,4) [4,5) [5,8) with levels a a b c c and
+   keep T T F T F: the two kept a-cells merge into one run of weight 3,
+   the excluded b-point stays one free cell, the excluded c-run of
+   length 3 splits in two free halves. *)
+let same_cells a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (x : Closest.cell) (y : Closest.cell) ->
+         Int64.equal (Int64.bits_of_float x.value) (Int64.bits_of_float y.value)
+         && Int64.equal
+              (Int64.bits_of_float x.weight)
+              (Int64.bits_of_float y.weight))
+       a b
+
+let cells_of_expansion h ~keep =
+  Closest.cells_of_pmf
+    ~mask:(Partition.restrict_mask (Khist.partition h) ~keep)
+    (Khist.to_pmf h)
+
+let test_cells_of_khist_runs () =
+  let part = Partition.of_breakpoints ~n:8 [ 2; 3; 4; 5 ] in
+  let a = 1. /. 17. and b = 2. /. 17. and c = 3. /. 17. in
+  let h = Khist.make part [| a; a; b; c; c |] in
+  let keep = [| true; true; false; true; false |] in
+  let got = Closest.cells_of_khist h ~keep in
+  let want =
+    Closest.
+      [|
+        { value = a; weight = 3. };
+        { value = b; weight = 0. };
+        { value = c; weight = 1. };
+        { value = c; weight = 0. };
+        { value = c; weight = 0. };
+      |]
+  in
+  Alcotest.(check bool) "expected cells" true (same_cells got want);
+  Alcotest.(check bool) "equals the expansion's" true
+    (same_cells got (cells_of_expansion h ~keep))
+
+(* The same on random histograms: few distinct levels, so equal adjacent
+   levels are common, and a sieve-style keep mask with excluded runs of
+   one point and of several. *)
+let prop_cells_of_khist =
+  QCheck.Test.make ~name:"cells_of_khist = cells_of_pmf on the expansion"
+    ~count:500 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let r = Randkit.Rng.create ~seed in
+      let n = 1 + Randkit.Rng.int r 48 in
+      let breaks =
+        List.filter (fun _ -> Randkit.Rng.int r 2 = 0) (List.init (n - 1) succ)
+      in
+      let part = Partition.of_breakpoints ~n breaks in
+      let kk = Partition.cell_count part in
+      let w = Array.init kk (fun _ -> float_of_int (1 + Randkit.Rng.int r 3)) in
+      let len j = float_of_int (Interval.length (Partition.cell part j)) in
+      let mass = Numkit.Kahan.sum_f kk (fun j -> w.(j) *. len j) in
+      let h = Khist.make part (Array.map (fun x -> x /. mass) w) in
+      let keep = Array.init kk (fun _ -> Randkit.Rng.int r 3 > 0) in
+      same_cells (Closest.cells_of_khist h ~keep) (cells_of_expansion h ~keep))
+
 let test_closest_all_masked () =
   (* Fully masked domain: every cell has weight zero, any fit is free. *)
   let p = Families.zipf ~n:12 ~s:1. in
@@ -518,6 +579,8 @@ let () =
           qc prop_closest_matches_brute;
           qc prop_closest_fast_equals_dense;
           qc prop_closest_dc_equals_dense;
+          Alcotest.test_case "cells of khist" `Quick test_cells_of_khist_runs;
+          qc prop_cells_of_khist;
         ] );
       ( "haar",
         [

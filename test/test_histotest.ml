@@ -62,6 +62,36 @@ let test_approx_part_heavy_isolated () =
     (Interval.is_singleton (Partition.cell part j));
   Alcotest.(check bool) "flagged heavy" true res.H.Approx_part.heavy.(j)
 
+let test_approx_part_heavy_flags_spiky () =
+  (* 40 atoms of mass 1/80 among light elements: the heavy flags are
+     exactly the singleton cells whose element's empirical frequency
+     reaches 3/(4b), recomputed from a twin oracle's identical draw. *)
+  let n = 2048 and b = 128 in
+  let w = Array.make n (0.5 /. float_of_int (n - 40)) in
+  for a = 0 to 39 do
+    w.(7 + (a * 50)) <- 0.5 /. 40.
+  done;
+  let p = Pmf.of_weights w in
+  let res = H.Approx_part.run (oracle_of p) ~b in
+  let m = H.Config.part_samples H.Config.default ~b in
+  let counts = (oracle_of p).Poissonize.exact m in
+  let part = res.H.Approx_part.partition in
+  let flagged = ref 0 in
+  Partition.iteri
+    (fun j cell ->
+      let lo = Interval.lo cell in
+      let want =
+        Interval.is_singleton cell
+        && float_of_int counts.(lo) /. float_of_int m
+           >= 0.75 /. float_of_int b
+      in
+      if want then incr flagged;
+      Alcotest.(check bool)
+        (Printf.sprintf "cell %d" j)
+        want res.H.Approx_part.heavy.(j))
+    part;
+  Alcotest.(check bool) "atoms flagged" true (!flagged >= 40)
+
 let test_approx_part_weights_bounded () =
   let n = 512 in
   let p = Pmf.uniform n in
@@ -296,6 +326,116 @@ let test_algorithm1_report_fields () =
   Alcotest.(check bool) "samples counted" true (r.H.Hist_tester.samples_used > 0);
   Alcotest.(check bool) "cells recorded" true (r.H.Hist_tester.cells > 0);
   Alcotest.(check bool) "sieve present" true (r.H.Hist_tester.sieve <> None)
+
+(* Reports pinned bit for bit: verdict, deciding stage, samples, cells
+   and the bits of check_distance and of the final Z, on fixed seeds over
+   both oracles and all three deciding stages.  The values are those of
+   the dense composition (D-hat expanded into n floats, G into an n-point
+   mask), which the per-cell path must reproduce exactly. *)
+let report_digest (r : H.Hist_tester.report) =
+  let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  Printf.sprintf "%s@%s s=%d K=%d d=%s z=%s"
+    (Verdict.to_string r.H.Hist_tester.verdict)
+    (H.Hist_tester.stage_to_string r.H.Hist_tester.decided_at)
+    r.H.Hist_tester.samples_used r.H.Hist_tester.cells
+    (match r.H.Hist_tester.check_distance with None -> "-" | Some d -> bits d)
+    (match r.H.Hist_tester.final with
+    | None -> "-"
+    | Some f -> bits f.H.Adk15.statistic.Chi2stat.z)
+
+let test_algorithm1_pinned_reports () =
+  let n = 1024 and seed = 1 in
+  List.iter
+    (fun (spec, oracle, k, eps, want) ->
+      let d =
+        match Families.of_spec ~n ~rng:(Randkit.Rng.create ~seed:7) spec with
+        | Ok d -> d
+        | Error e -> failwith e
+      in
+      let r =
+        match oracle with
+        | `Stream -> H.Hist_tester.run (oracle_of ~seed d) ~k ~eps
+        | `Counts ->
+            let ws = Workspace.create () in
+            H.Hist_tester.run ~ws
+              (Poissonize.counts_of_tree_ws ws (Randkit.Rng.create ~seed)
+                 (Split_tree.of_pmf d))
+              ~k ~eps
+      in
+      Alcotest.(check string) (Printf.sprintf "%s k=%d" spec k) want
+        (report_digest r))
+    [
+      ( "staircase:4", `Stream, 4, 0.3,
+        "accept@testing s=4806823 K=502 d=3f7e243044ec55e0 z=40265226eadc4389" );
+      ( "staircase:4", `Counts, 4, 0.3,
+        "accept@testing s=4806823 K=502 d=3f80350acd5cac88 z=406f5800a855c2fa" );
+      ( "staircase:4", `Counts, 2, 0.5,
+        "reject@checking s=2298146 K=76 d=3fb4e502a022093f z=-" );
+      ("comb:8", `Stream, 2, 0.5, "reject@sieving s=1192709 K=75 d=- z=-");
+      ( "uniform", `Counts, 2, 0.5,
+        "accept@testing s=1234761 K=76 d=3f8426facd711420 z=c007e536c889bb3a" );
+      ( "zipf:1.0", `Stream, 4, 0.3,
+        "reject@checking s=3858013 K=241 d=3fc9758d6ffc45ce z=-" );
+      ( "spiked:3", `Counts, 2, 0.5,
+        "reject@checking s=1156997 K=44 d=3fd06c4603e58596 z=-" );
+      ( "khist:3", `Stream, 4, 0.3,
+        "accept@testing s=4608423 K=440 d=3f7bf8cad55c56d0 z=406343d66a943373" );
+    ]
+
+(* A trial holds K cells, not n points: at n = 2^16 (K ~ 626) a warm
+   trial on the workspace-backed counts oracle allocates no domain-sized
+   array.  Arrays that big bypass the minor heap, so they show as major
+   words not promoted from it; expanding D-hat alone would add n. *)
+let test_algorithm1_no_domain_arrays () =
+  let n = 1 lsl 16 in
+  let tree =
+    Split_tree.of_pmf
+      (Families.staircase ~n ~k:4 ~rng:(Randkit.Rng.create ~seed:1))
+  in
+  let ws = Workspace.create () in
+  let trial seed =
+    ignore
+      (H.Hist_tester.run ~ws
+         (Poissonize.counts_of_tree_ws ws (Randkit.Rng.create ~seed) tree)
+         ~k:4 ~eps:0.25
+        : H.Hist_tester.report)
+  in
+  trial 1;
+  let s0 = Gc.quick_stat () in
+  trial 2;
+  let s1 = Gc.quick_stat () in
+  let direct =
+    s1.Gc.major_words -. s0.Gc.major_words
+    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+  in
+  if direct >= float_of_int (n / 2) then
+    Alcotest.failf "a trial allocated %.0f words directly in the major heap"
+      direct
+
+(* The dense adapters Sieve.run and Adk15.run, given D-hat's expansion,
+   agree with the per-cell entry points Algorithm 1 runs, on twin
+   oracles. *)
+let test_dense_adapters_match_khist () =
+  let n = 2048 and k = 4 and eps = 0.3 in
+  let d = Families.staircase ~n ~k ~rng:(rng ()) in
+  List.iter
+    (fun seed ->
+      let o () = oracle_of ~seed d in
+      let b = H.Config.part_b H.Config.default ~k ~eps in
+      let part = (H.Approx_part.run (o ()) ~b).H.Approx_part.partition in
+      let learned = H.Learner.run (o ()) ~part ~eps in
+      let dense = learned.H.Learner.estimate in
+      let dhat = learned.H.Learner.histogram in
+      let eligible = Array.make (Partition.cell_count part) true in
+      let config = H.Config.default in
+      let s1 = H.Sieve.run (o ()) ~dhat:dense ~part ~eligible ~k ~eps in
+      let s2 = H.Sieve.run_khist ~config (o ()) ~dhat ~eligible ~k ~eps in
+      Alcotest.(check bool) "sieve results" true (s1 = s2);
+      let cell_mask = s1.H.Sieve.kept in
+      let a1 = H.Adk15.run ~cell_mask ~part (o ()) ~dstar:dense ~eps in
+      let a2 = H.Adk15.run_khist ~config ~cell_mask (o ()) ~dstar:dhat ~eps in
+      Alcotest.(check bool) "adk15 outcomes" true (a1 = a2))
+    [ 1; 2; 3 ]
 
 let test_algorithm1_invalid_args () =
   let o = oracle_of (Pmf.uniform 16) in
@@ -744,6 +884,8 @@ let () =
           Alcotest.test_case "weights bounded" `Quick
             test_approx_part_weights_bounded;
           Alcotest.test_case "invalid" `Quick test_approx_part_invalid;
+          Alcotest.test_case "heavy flags on spiky input" `Quick
+            test_approx_part_heavy_flags_spiky;
         ] );
       ( "learner",
         [
@@ -774,6 +916,12 @@ let () =
           Alcotest.test_case "soundness" `Slow test_algorithm1_soundness;
           Alcotest.test_case "uniform k=1" `Slow test_algorithm1_uniform_k1;
           Alcotest.test_case "report fields" `Quick test_algorithm1_report_fields;
+          Alcotest.test_case "pinned reports" `Quick
+            test_algorithm1_pinned_reports;
+          Alcotest.test_case "no domain-sized arrays" `Quick
+            test_algorithm1_no_domain_arrays;
+          Alcotest.test_case "dense adapters match per-cell path" `Quick
+            test_dense_adapters_match_khist;
           Alcotest.test_case "invalid args" `Quick test_algorithm1_invalid_args;
           Alcotest.test_case "plan" `Quick test_algorithm1_plan_positive;
           Alcotest.test_case "pp_report and boost" `Quick

@@ -337,6 +337,33 @@ let test_rank_index_guards () =
   Alcotest.(check bool) "out of range" true
     (rejects (fun () -> Numkit.Rank_index.seg_cost idx ~lo:0 ~hi:2))
 
+(* The descents run as loops over unboxed local refs: a query allocates
+   only its boxed float result (2 words).  The recursive descent they
+   replaced boxed its accumulators at every level, ~20 words a query on
+   a 650-cell index, the size of an Algorithm 1 checking DP. *)
+let test_rank_index_allocation () =
+  let k = 650 in
+  let values = Array.init k (fun i -> float_of_int ((i * 37) mod 101) /. 7.) in
+  let weights = Array.init k (fun i -> if i mod 5 = 0 then 0. else 1.) in
+  let idx = Numkit.Rank_index.create ~values ~weights in
+  let calls = 10_000 in
+  let per_call query =
+    let sink = ref 0. in
+    let w0 = Gc.minor_words () in
+    for c = 0 to calls - 1 do
+      let lo = c mod 300 in
+      sink := !sink +. query idx ~lo ~hi:(lo + 1 + (c mod 350))
+    done;
+    let w1 = Gc.minor_words () in
+    ignore (Sys.opaque_identity !sink);
+    (w1 -. w0) /. float_of_int calls
+  in
+  let cost = per_call Numkit.Rank_index.seg_cost in
+  let median = per_call Numkit.Rank_index.seg_median in
+  if cost > 2.01 || median > 2.01 then
+    Alcotest.failf "words per query: seg_cost %.2f, seg_median %.2f (want <= 2)"
+      cost median
+
 (* Exhaustive cross-check against the streaming Wmedian on every
    segment of a random instance.  Weights include exact zeros (the
    masked-cell case of the closest-H_k DP); duplicated values exercise
@@ -431,6 +458,8 @@ let () =
           Alcotest.test_case "simple" `Quick test_rank_index_simple;
           Alcotest.test_case "zero weight" `Quick test_rank_index_zero_weight;
           Alcotest.test_case "guards" `Quick test_rank_index_guards;
+          Alcotest.test_case "queries allocate only their result" `Quick
+            test_rank_index_allocation;
           qc prop_rank_index_matches_wmedian;
         ] );
     ]
