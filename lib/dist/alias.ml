@@ -51,9 +51,15 @@ let of_pmf pmf =
 
 let size t = Array.length t.prob
 
+(* The coin of a draw: [Rng.float rng 1.] compared with [prob.(i)], with
+   the float built here from its int mantissa [Rng.bits53], so no boxed
+   float comes back across the library boundary (dune's dev profile stops
+   [@inline] there).  The same value, so the same draws. *)
+let[@inline] coin rng = float_of_int (Randkit.Rng.bits53 rng) *. 0x1p-53
+
 let draw t rng =
   let i = Randkit.Rng.int rng (size t) in
-  if Randkit.Rng.float rng 1. < t.prob.(i) then i else t.alias.(i)
+  if coin rng < t.prob.(i) then i else t.alias.(i)
 
 (* The batch loops below are the innermost loop of every experiment:
    millions of draws per sweep point.  They hoist the table fields out of
@@ -69,7 +75,7 @@ let fill_many t rng out m =
   for j = 0 to m - 1 do
     let i = Randkit.Rng.int rng n in
     let x =
-      if Randkit.Rng.float rng 1. < Array.unsafe_get prob i then i
+      if coin rng < Array.unsafe_get prob i then i
       else Array.unsafe_get alias i
     in
     Array.unsafe_set out j x
@@ -93,7 +99,7 @@ let accumulate_counts t rng counts m =
   for _ = 1 to m do
     let i = Randkit.Rng.int rng n in
     let x =
-      if Randkit.Rng.float rng 1. < Array.unsafe_get prob i then i
+      if coin rng < Array.unsafe_get prob i then i
       else Array.unsafe_get alias i
     in
     Array.unsafe_set counts x (Array.unsafe_get counts x + 1)

@@ -137,7 +137,7 @@ let mutators =
     ("Randkit.Rng.float", 0);
     ("Randkit.Rng.bool", 0);
     ("Randkit.Rng.bits64", 0);
-    ("Randkit.Rng.unit_open", 0);
+    ("Randkit.Rng.bits53", 0);
     ("Randkit.Rng.split", 0);
     ("Randkit.Xoshiro.next", 0);
     ("Randkit.Xoshiro.next_top53", 0);

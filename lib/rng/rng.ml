@@ -18,24 +18,15 @@ let[@inline] [@histolint.hot] int t bound =
      inside Xoshiro so no boxed int64 crosses a function boundary. *)
   if bound = 1 then 0 else Xoshiro.next_below t bound
 
+(* Under dune's dev profile (-opaque) a [float] call from another module
+   returns a boxed float, 2 minor words; this int crosses unboxed. *)
+let[@inline] [@histolint.hot] bits53 t = Xoshiro.next_top53 t
+
 let[@inline] [@histolint.hot] float t bound =
   if bound <= 0. then invalid_arg "Rng.float: bound must be positive";
-  (* 53 uniform mantissa bits -> uniform in [0, 1).  [next_top53 t] is
-     below 2^53, so [float_of_int] of it equals [Int64.to_float] of the
-     historical 64-bit draw's top bits — values bit-identical.  The
-     [@inline] reaches other libraries' call sites (the alias draw loop)
-     only in dune's release profile: the default dev profile compiles
-     with -opaque, so there each call from another library returns a
-     boxed float, 2 minor words. *)
-  float_of_int (Xoshiro.next_top53 t) *. (1. /. 9007199254740992.) *. bound
-
-let unit_open t =
-  (* Uniform in (0, 1): resample the measure-zero endpoint, which some
-     samplers (log of it) cannot accept. *)
-  let rec draw () =
-    let u = float t 1. in
-    if u > 0. then u else draw ()
-  in
-  draw ()
+  (* 53 uniform mantissa bits -> uniform in [0, 1).  [bits53 t] is below
+     2^53, so [float_of_int] of it equals [Int64.to_float] of the
+     historical 64-bit draw's top bits — values bit-identical. *)
+  float_of_int (bits53 t) *. (1. /. 9007199254740992.) *. bound
 
 let bool t = Int64.logand (Xoshiro.next t) 1L = 1L

@@ -22,10 +22,13 @@ val int : t -> int -> int
 (** [int t bound] is uniform on [0, bound); rejection-sampled, no modulo
     bias. @raise Invalid_argument if [bound <= 0]. *)
 
+val bits53 : t -> int
+(** 53 uniform bits, the mantissa behind {!float}: [float t 1.] is
+    [float_of_int (bits53 t) *. 0x1p-53] bit for bit, from the same one
+    generator step.  An int crosses module boundaries unboxed, so hot
+    loops in other modules draw this and scale it themselves. *)
+
 val float : t -> float -> float
 (** Uniform on [0, bound) with full 53-bit resolution. *)
-
-val unit_open : t -> float
-(** Uniform on the open interval (0, 1). *)
 
 val bool : t -> bool

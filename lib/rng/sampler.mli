@@ -3,12 +3,19 @@
     The Poisson sampler is the backbone of the "Poissonization trick" the
     paper's upper bounds rely on (Section 2): instead of exactly [m] samples
     the testers draw [Poisson(m)] of them, making per-element counts
-    independent. *)
+    independent.
+
+    [geometric], [poisson] and the binomials are loops over unboxed
+    locals that draw {!Rng.bits53}: a geometric, Knuth-Poisson or
+    waiting-time draw allocates nothing, and a PTRS or BTRS draw only the
+    boxed [Numkit.Special.log_factorial] results on its rejection path
+    (under 3 words per BTRS draw on average).  [test_randkit] pins both
+    the draw streams and these costs. *)
 
 val gaussian : Rng.t -> mu:float -> sigma:float -> float
 
 val geometric : Rng.t -> p:float -> int
-[@@histolint.keep "[poisson] runs it; test_randkit pins it directly"]
+[@@histolint.keep "test_randkit pins it; [binomial]'s waiting-time branch draws its jumps the same way"]
 (** Number of failures before the first success (support 0, 1, 2, ...). *)
 
 val poisson : Rng.t -> mean:float -> int

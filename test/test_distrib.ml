@@ -93,6 +93,48 @@ let test_alias_draw_many () =
     (fun x -> Alcotest.(check bool) "in range" true (x >= 0 && x < 16))
     xs
 
+(* Alias draws pinned bit for bit, recorded when the coin was drawn
+   through [Rng.float rng 1.]: single draws, a batch and a count vector
+   from one generator, then its next raw word.  Every stream-oracle trial
+   and every served benchmark workload is built from these draws. *)
+let test_alias_draws_pinned () =
+  let t = Alias.of_pmf (Families.zipf ~n:1000 ~s:1.1) in
+  let r = Randkit.Rng.create ~seed:2024 in
+  let digest a =
+    let b = Buffer.create (8 * Array.length a) in
+    Array.iter (fun x -> Buffer.add_int64_le b (Int64.of_int x)) a;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  let single = Array.init 1000 (fun _ -> Alias.draw t r) in
+  Alcotest.(check string) "draw" "0e1031b9c12ac33e2d0d6ba51ddd397e"
+    (digest single);
+  Alcotest.(check string) "draw_many" "9636d683370482f44af0739126a6f8db"
+    (digest (Alias.draw_many t r 10_000));
+  Alcotest.(check string) "draw_counts" "3c80de189ade15f57c000671dda56e8d"
+    (digest (Alias.draw_counts t r 100_000));
+  Alcotest.(check int64) "generator after" (-1659713647142664368L)
+    (Randkit.Rng.bits64 r)
+
+(* The workspace draw loops allocate nothing per draw: the coin is an
+   int mantissa scaled in place.  [Rng.float rng 1.] called across the
+   library boundary returned a boxed float, 2 words a draw, under dune's
+   dev profile. *)
+let test_alias_draw_loops_allocate_nothing () =
+  let t = Alias.of_pmf (Families.zipf ~n:1000 ~s:1.1) in
+  let r = rng () in
+  let m = 100_000 in
+  let out = Array.make m 0 and counts = Array.make 1000 0 in
+  let w0 = Gc.minor_words () in
+  Alias.draw_many_into t r ~out m;
+  let w1 = Gc.minor_words () in
+  Alias.draw_counts_into t r ~counts m;
+  let w2 = Gc.minor_words () in
+  let per_draw w = w /. float_of_int m in
+  if per_draw (w1 -. w0) > 0.01 || per_draw (w2 -. w1) > 0.01 then
+    Alcotest.failf "words per draw: draw_many_into %.3f, draw_counts_into %.3f"
+      (per_draw (w1 -. w0))
+      (per_draw (w2 -. w1))
+
 (* The batched paths are the harness inner loop; they must be exactly
    "m successive draws" — same generator stream, same values — and agree
    with [draw] in distribution. *)
@@ -217,6 +259,39 @@ let test_split_tree_into_zeroes_buffer () =
   let counts = Array.make 4 99 in
   Split_tree.draw_counts_into t (rng ()) ~counts 5;
   Alcotest.(check (array int)) "stale entries cleared" [| 5; 0; 0; 0 |] counts
+
+(* The split probabilities live in a Bigarray, outside the OCaml heap:
+   building the tree at n = 2^16 adds a record and a custom block to the
+   major heap, not the 2^16-float array a [float array] table was. *)
+let test_split_tree_table_off_heap () =
+  let p = Families.staircase ~n:(1 lsl 16) ~k:4 ~rng:(rng ()) in
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  let t = Split_tree.of_pmf p in
+  let s1 = Gc.quick_stat () in
+  ignore (Sys.opaque_identity t);
+  let major = s1.Gc.major_words -. s0.Gc.major_words in
+  if major >= 1000. then
+    Alcotest.failf "of_pmf added %.0f major words (want < 1000)" major
+
+(* A counts-oracle draw at the alg1-trials scale (n = 2^16, m ~ 1.2e7):
+   the binomial draws at the internal nodes allocate only the boxed split
+   probability handed across the library boundary and a rejection path's
+   boxed [log_factorial] results.  Recursive-closure samplers drawing
+   boxed floats cost ~45 words a node. *)
+let test_split_tree_draw_allocation () =
+  let n = 1 lsl 16 in
+  let t = Split_tree.of_pmf (Families.staircase ~n ~k:4 ~rng:(rng ())) in
+  let r = rng () in
+  let counts = Array.make n 0 in
+  let m = 11_800_000 in
+  Split_tree.draw_counts_into t r ~counts m;
+  let w0 = Gc.minor_words () in
+  Split_tree.draw_counts_into t r ~counts m;
+  let w1 = Gc.minor_words () in
+  let per_node = (w1 -. w0) /. float_of_int (n - 1) in
+  if per_node > 8. then
+    Alcotest.failf "%.2f minor words per internal node (want <= 8)" per_node
 
 let test_split_tree_invalid () =
   let t = Split_tree.of_pmf (Pmf.uniform 4) in
@@ -766,6 +841,9 @@ let () =
           Alcotest.test_case "frequencies" `Quick test_alias_frequencies;
           Alcotest.test_case "point mass" `Quick test_alias_point_mass;
           Alcotest.test_case "draw_many" `Quick test_alias_draw_many;
+          Alcotest.test_case "draws pinned" `Quick test_alias_draws_pinned;
+          Alcotest.test_case "draw loops allocate nothing" `Quick
+            test_alias_draw_loops_allocate_nothing;
           Alcotest.test_case "draw_counts vs draw distribution" `Quick
             test_draw_counts_agrees_with_draw;
           qc prop_draw_counts_sums_to_m;
@@ -787,6 +865,10 @@ let () =
           Alcotest.test_case "into: zeroes buffer" `Quick
             test_split_tree_into_zeroes_buffer;
           Alcotest.test_case "invalid arguments" `Quick test_split_tree_invalid;
+          Alcotest.test_case "table off the heap" `Quick
+            test_split_tree_table_off_heap;
+          Alcotest.test_case "draws allocate a few words a node" `Quick
+            test_split_tree_draw_allocation;
           qc prop_split_tree_counts_sum;
         ] );
       ( "distance",

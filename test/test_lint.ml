@@ -8,7 +8,8 @@
    lib_prefixes reclassifies it as lib/ code, exactly as the driver's
    --lib-prefix flag does.  The v2 fixtures cover both interprocedural
    passes: a race reached only through a helper call resolved via the
-   summary table, and a hot-path allocation one call deep, also from
+   summary table, a generator draw ([Rng.bits53]) on a captured
+   generator, and a hot-path allocation one call deep, also from
    inside a [struct] submodule calling its enclosing module.  The
    dead-export fixtures pair a violating, a kept and a reasonless-keep
    export with exports reached only through [open], a module alias and
@@ -19,8 +20,8 @@ module Finding = Histolint_lib.Finding
 module Rules = Histolint_lib.Rules
 
 (* Tests run in _build/default/test; the fixture library's cmt files are
-   compiled into the .objs tree next to it.  Linking lint_fixtures into
-   this test binary is what guarantees they exist.  `dune exec` from the
+   compiled into the .objs tree next to it; the stanza's dependency on
+   the fixtures' @check alias guarantees they exist.  `dune exec` from the
    repo root uses a different cwd, so probe the candidates. *)
 let fixture_root =
   List.find Sys.file_exists
@@ -58,6 +59,7 @@ let expected_findings =
     ("test/lint_fixtures/bad_race_overlap.ml", 11, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_race_overlap.ml", 12, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_race_overlap.ml", 13, "par/shared-mutable-capture");
+    ("test/lint_fixtures/bad_race_rng.ml", 6, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_random.ml", 4, "det/stdlib-random");
     ("test/lint_fixtures/bad_wallclock.ml", 3, "det/wallclock");
     ("test/lint_fixtures/dead_export.mli", 5, "dead/unreferenced-export");
@@ -128,7 +130,7 @@ let test_one_violation_per_rule () =
 
 let test_severities () =
   let r = Lazy.force report in
-  Alcotest.(check int) "errors" 20 (Engine.errors r);
+  Alcotest.(check int) "errors" 21 (Engine.errors r);
   Alcotest.(check int) "warnings" 1 (Engine.warnings r)
 
 let test_rule_counts () =
@@ -144,7 +146,7 @@ let test_rule_counts () =
       ("float/poly-compare", 1);
       ("poly/compare-structural", 1);
       ("par/raw-domain", 1);
-      ("par/shared-mutable-capture", 6);
+      ("par/shared-mutable-capture", 7);
       ("hot/alloc", 4);
       ("dead/unreferenced-export", 2);
       ("lint/unknown-allow", 2);

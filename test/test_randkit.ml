@@ -81,11 +81,17 @@ let test_float_range () =
     Alcotest.(check bool) "in [0, 2.5)" true (x >= 0. && x < 2.5)
   done
 
-let test_unit_open_positive () =
-  let r = rng () in
+let test_bits53_is_float_mantissa () =
+  (* Two copies of one generator: the scaled mantissa is [float _ 1.] bit
+     for bit, step for step. *)
+  let a = rng () in
+  let b = Randkit.Rng.copy a in
   for _ = 1 to 10_000 do
-    let u = Randkit.Rng.unit_open r in
-    Alcotest.(check bool) "in (0, 1)" true (u > 0. && u < 1.)
+    let bits = Randkit.Rng.bits53 a in
+    Alcotest.(check bool) "below 2^53" true (bits >= 0 && bits < 1 lsl 53);
+    Alcotest.(check int64) "same float bits"
+      (Int64.bits_of_float (Randkit.Rng.float b 1.))
+      (Int64.bits_of_float (float_of_int bits *. 0x1p-53))
   done
 
 let test_bool_balanced () =
@@ -279,6 +285,104 @@ let test_binomial_btrs_pmf_agreement () =
         (Float.abs (f -. exp logp) < 0.006))
     [ 20; 25; 30; 35; 40 ]
 
+(* Sampler streams pinned bit for bit, recorded from the recursive-closure
+   samplers that drew through [Rng.float]/[Rng.unit_open]: 10^4 draws per
+   case from one seeded generator, plus the generator's next raw word, so
+   a sampler that consumes one step more or less moves its digest too.
+   Every counts-path trial is built from these draws. *)
+let sampler_stream_pins =
+  let module S = Randkit.Sampler in
+  [
+    ( "waiting n=50 p=0.1",
+      "fa11e60be83f9365edc44da86c77ac8e",
+      fun r _ -> S.binomial_waiting_time r ~n:50 ~p:0.1 );
+    ( "waiting n=50 p=0.9",
+      "25f4aae637029a381cf46300eef1da08",
+      fun r _ -> S.binomial_waiting_time r ~n:50 ~p:0.9 );
+    ( "waiting n=100000 p=0.00003",
+      "16d1cd7f0e4f3211474fc12712c79854",
+      fun r _ -> S.binomial_waiting_time r ~n:100_000 ~p:0.00003 );
+    ( "btrs n=200 p=0.3",
+      "8ddd93e5df6bad027b035298391d8f9e",
+      fun r _ -> S.binomial_btrs r ~n:200 ~p:0.3 );
+    ( "btrs n=200 p=0.7",
+      "e7f9ea7125c72aada2f06476523a266c",
+      fun r _ -> S.binomial_btrs r ~n:200 ~p:0.7 );
+    ( "btrs n=10000000 p=0.37",
+      "05f468bd8133ef160ea6259fb81d5bfb",
+      fun r _ -> S.binomial_btrs r ~n:10_000_000 ~p:0.37 );
+    (* n and p sweep both branches, both folds and the closed forms. *)
+    ( "binomial mixed",
+      "2fa46caccc5a051c45a39b9f1eb26a22",
+      fun r i ->
+        S.binomial r ~n:(i * 7919 mod 5000)
+          ~p:(float_of_int (i mod 97) /. 96.) );
+    ("poisson mean=0.3", "831d8072ec4090dc3c3491265c7bddf5",
+     fun r _ -> S.poisson r ~mean:0.3);
+    ("poisson mean=5", "d7089d7c8e07d96c8726e3f810e83044",
+     fun r _ -> S.poisson r ~mean:5.);
+    ("poisson mean=29.9", "e766660362d785a04c16d03a335d8f83",
+     fun r _ -> S.poisson r ~mean:29.9);
+    ("poisson mean=30", "ff19e60e8ffe4a277009396a4793e12e",
+     fun r _ -> S.poisson r ~mean:30.);
+    ("poisson mean=200", "ca8cf8ffc1f0b8b676172c6a270ed215",
+     fun r _ -> S.poisson r ~mean:200.);
+    ("poisson mean=1e6", "f0627069bf3aeb80c90305302c37a543",
+     fun r _ -> S.poisson r ~mean:1e6);
+    ("geometric p=0.25", "0b7cfddf5ba9192dae2856f937d445ac",
+     fun r _ -> S.geometric r ~p:0.25);
+    ("geometric p=0.001", "c14bb30057bce1138913f9df5caebb1c",
+     fun r _ -> S.geometric r ~p:0.001);
+    ("geometric p=1", "f5babf783ca8e0dca62fb65aea81d493",
+     fun r _ -> S.geometric r ~p:1.);
+  ]
+
+let test_sampler_streams_pinned () =
+  List.iter
+    (fun (name, want, draw) ->
+      let r = Randkit.Rng.create ~seed:2024 in
+      let b = Buffer.create (8 * 10_001) in
+      for i = 0 to 9_999 do
+        Buffer.add_int64_le b (Int64.of_int (draw r i))
+      done;
+      Buffer.add_int64_le b (Randkit.Rng.bits64 r);
+      Alcotest.(check string) name want
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    sampler_stream_pins
+
+(* The samplers are loops over local refs drawing int mantissas, and the
+   binomial cores fold p > 1/2 without boxing it: a call allocates only
+   the boxed [Special.log_factorial] results on a rejection path, under 3
+   words a BTRS draw.  Local [let rec loop ()] closures and boxed floats
+   returned across the module boundary cost 6 to 90 words a draw. *)
+let test_sampler_allocation () =
+  let module S = Randkit.Sampler in
+  let calls = 100_000 in
+  List.iter
+    (fun (name, draw) ->
+      let r = rng () in
+      let sink = ref 0 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to calls do
+        sink := !sink + draw r
+      done;
+      let w1 = Gc.minor_words () in
+      ignore (Sys.opaque_identity !sink);
+      let per_call = (w1 -. w0) /. float_of_int calls in
+      if per_call > 4. then
+        Alcotest.failf "%s: %.2f minor words per call (want <= 4)" name
+          per_call)
+    [
+      ("geometric", fun r -> S.geometric r ~p:0.01);
+      ("poisson small", fun r -> S.poisson r ~mean:20.);
+      ("poisson ptrs", fun r -> S.poisson r ~mean:500.);
+      ("waiting time", fun r -> S.binomial_waiting_time r ~n:100 ~p:0.05);
+      ("waiting time, folded", fun r -> S.binomial_waiting_time r ~n:100 ~p:0.95);
+      ("btrs", fun r -> S.binomial_btrs r ~n:1000 ~p:0.3);
+      ("btrs, folded", fun r -> S.binomial_btrs r ~n:1000 ~p:0.7);
+      ("binomial", fun r -> S.binomial r ~n:1000 ~p:0.2);
+    ]
+
 let test_geometric_mean () =
   let r = rng () in
   let p = 0.25 in
@@ -385,7 +489,8 @@ let () =
           Alcotest.test_case "int invalid" `Quick test_int_invalid;
           Alcotest.test_case "int uniformish" `Quick test_int_uniformish;
           Alcotest.test_case "float range" `Quick test_float_range;
-          Alcotest.test_case "unit_open" `Quick test_unit_open_positive;
+          Alcotest.test_case "bits53 is the float mantissa" `Quick
+            test_bits53_is_float_mantissa;
           Alcotest.test_case "bool balanced" `Quick test_bool_balanced;
         ] );
       ( "samplers",
@@ -409,6 +514,10 @@ let () =
           Alcotest.test_case "binomial btrs pmf agreement" `Quick
             test_binomial_btrs_pmf_agreement;
           Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
+          Alcotest.test_case "streams pinned" `Quick
+            test_sampler_streams_pinned;
+          Alcotest.test_case "draws allocate almost nothing" `Quick
+            test_sampler_allocation;
           Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
           Alcotest.test_case "permutation mixes" `Quick test_permutation_mixes;
           Alcotest.test_case "zipf weights" `Quick test_zipf_weights;
