@@ -36,7 +36,8 @@ let run_khist ~config ~cell_mask ?ws oracle ~dstar ~eps =
   let part = Khist.partition dstar in
   test_with ~config ?ws oracle ~n:(Partition.domain_size part) ~part ~eps
     (fun ~per_cell ~counts m ->
-      Chi2stat.compute_khist ~cell_mask ~per_cell ~counts ~m ~dstar ~eps)
+      Chi2stat.compute_khist ~cell_mask ~per_cell ~counts ~m ~dstar ~part ~eps
+        ())
 
 let run_boosted ?(config = Config.default) ?cell_mask ?part ?ws ~reps oracle
     ~dstar ~eps =

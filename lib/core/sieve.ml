@@ -157,6 +157,8 @@ let run ?(config = Config.default) oracle ~dhat ~part ~eligible ~k ~eps =
       Chi2stat.compute ~cell_mask ~per_cell ~counts ~m ~dstar:dhat ~part ~eps ())
 
 let run_khist ~config oracle ~dhat ~eligible ~k ~eps =
+  let part = Khist.partition dhat in
   rounds ~config oracle ~kk:(Khist.pieces dhat) ~eligible ~k ~eps
     ~stat:(fun ~cell_mask ~per_cell ~counts ~m ~eps ->
-      Chi2stat.compute_khist ~cell_mask ~per_cell ~counts ~m ~dstar:dhat ~eps)
+      Chi2stat.compute_khist ~cell_mask ~per_cell ~counts ~m ~dstar:dhat ~part
+        ~eps ())

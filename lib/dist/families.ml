@@ -1,20 +1,30 @@
-(* Every builder fills one fresh n-float array with unboxed loops and
-   hands it to [Pmf.create] or [Pmf.of_weights], which take ownership:
-   the pmf costs that array and no boxed float (DESIGN.md "Set-up").
-   Piecewise families fill a cell at a time with [Array.fill]. *)
+(* Every dense builder fills one fresh n-float array with unboxed loops
+   and hands it to [Pmf.create] or [Pmf.of_weights], which take
+   ownership: the pmf costs that array and no boxed float (DESIGN.md
+   "Set-up").  Piecewise families are built as their cells and levels,
+   and their pmf is that histogram's expansion. *)
+
+type hypothesis = Dense of Pmf.t | Pieces of Khist.t
 
 let fresh n = (Array.make n 0. [@histolint.alloc_ok "the pmf's one array"])
 
-(* Weight [levels.(j)] on every element of cell [j]. *)
-let[@histolint.hot] piecewise ~n part levels =
-  let w = fresh n in
+(* Weight [weights.(j)] on every element of cell [j], normalized as
+   [Pmf.of_weights] normalizes the expansion: the total is the Neumaier
+   sum of the n implicit weights in element order, taken a run at a
+   time, so each level is bitwise the [w.(i) /. total] it computes —
+   in O(n) time and without an n-array. *)
+let pieces part weights =
+  let acc = Numkit.Kahan.create () in
   for j = 0 to Partition.cell_count part - 1 do
-    let cell = Partition.cell part j in
-    Array.fill w (Interval.lo cell) (Interval.length cell) levels.(j)
+    Numkit.Kahan.add_run acc weights.(j)
+      (Interval.length (Partition.cell part j))
   done;
-  Pmf.of_weights w
+  let total = Numkit.Kahan.total acc in
+  Khist.make part (Array.map (fun w -> w /. total) weights)
 
-let uniform = Pmf.uniform
+let uniform_pieces n =
+  if n <= 0 then invalid_arg "Pmf.uniform: n must be positive";
+  Khist.make (Partition.trivial ~n) [| 1. /. float_of_int n |]
 
 let zipf ~n ~s = Pmf.of_weights (Randkit.Sampler.zipf_weights ~n ~s)
 
@@ -27,26 +37,27 @@ let[@histolint.hot] geometric_like ~n ~ratio =
   done;
   Pmf.of_weights w
 
-let staircase ~n ~k ~rng =
+let staircase_pieces ~n ~k ~rng =
   if k < 1 || k > n then invalid_arg "Families.staircase: need 1 <= k <= n";
   (* k equal-width steps with random positive levels: an exactly-k-piece
      histogram whenever adjacent levels differ, which holds almost surely. *)
   let part = Partition.equal_width ~n ~cells:k in
-  let levels = Array.init k (fun _ -> 0.1 +. Randkit.Rng.float rng 1.) in
-  piecewise ~n part levels
+  pieces part (Array.init k (fun _ -> 0.1 +. Randkit.Rng.float rng 1.))
 
-let random_khist ~n ~k ~rng =
+let staircase ~n ~k ~rng = Khist.to_pmf (staircase_pieces ~n ~k ~rng)
+
+let random_khist_pieces ~n ~k ~rng =
   if k < 1 || k > n then invalid_arg "Families.random_khist: need 1 <= k <= n";
   let breaks =
     Randkit.Sampler.sample_without_replacement rng ~n:(n - 1) ~k:(k - 1)
     |> List.map (fun b -> b + 1)
   in
   let part = Partition.of_breakpoints ~n breaks in
-  let levels =
-    Array.init (Partition.cell_count part) (fun _ ->
-        0.05 +. Randkit.Rng.float rng 1.)
-  in
-  piecewise ~n part levels
+  pieces part
+    (Array.init (Partition.cell_count part) (fun _ ->
+         0.05 +. Randkit.Rng.float rng 1.))
+
+let random_khist ~n ~k ~rng = Khist.to_pmf (random_khist_pieces ~n ~k ~rng)
 
 let paninski ~n ~eps ~c ~rng =
   if n mod 2 <> 0 then invalid_arg "Families.paninski: n must be even";
@@ -100,7 +111,7 @@ let spiked ~n ~spikes ~spike_mass ~rng =
     where;
   Pmf.of_weights w
 
-let comb ~n ~teeth =
+let comb_pieces ~n ~teeth =
   if teeth < 1 || 2 * teeth > n then
     invalid_arg "Families.comb: need 1 <= teeth <= n/2";
   (* Alternating high/low blocks: a (2*teeth)-histogram that is far from any
@@ -111,8 +122,9 @@ let comb ~n ~teeth =
     Partition.of_breakpoints ~n
       (List.init ((2 * teeth) - 1) (fun b -> (b + 1) * block))
   in
-  piecewise ~n part
-    (Array.init (2 * teeth) (fun b -> if b mod 2 = 0 then 3. else 1.))
+  pieces part (Array.init (2 * teeth) (fun b -> if b mod 2 = 0 then 3. else 1.))
+
+let comb ~n ~teeth = Khist.to_pmf (comb_pieces ~n ~teeth)
 
 let[@histolint.hot] discretized_gaussian ~n ~mu ~sigma =
   if sigma <= 0. then
@@ -137,23 +149,24 @@ let[@histolint.hot] monotone_decreasing ~n ~power =
   done;
   Pmf.of_weights w
 
-let of_spec ~n ~rng spec =
+let hypothesis_of_spec ~n ~rng spec =
   let num = float_of_string and int = int_of_string in
+  let dense pmf = Some (Dense pmf) and piecewise h = Some (Pieces h) in
   match
     match String.split_on_char ':' spec with
-    | [ "uniform" ] -> Some (uniform n)
-    | [ "staircase"; k ] -> Some (staircase ~n ~k:(int k) ~rng)
-    | [ "khist"; k ] -> Some (random_khist ~n ~k:(int k) ~rng)
-    | [ "zipf"; s ] -> Some (zipf ~n ~s:(num s))
-    | [ "geometric"; r ] -> Some (geometric_like ~n ~ratio:(num r))
-    | [ "comb"; teeth ] -> Some (comb ~n ~teeth:(int teeth))
-    | [ "bimodal" ] -> Some (bimodal ~n)
-    | [ "paninski"; eps ] -> Some (paninski ~n ~eps:(num eps) ~c:6. ~rng)
-    | [ "spiked"; s ] -> Some (spiked ~n ~spikes:(int s) ~spike_mass:0.5 ~rng)
-    | [ "monotone"; p ] -> Some (monotone_decreasing ~n ~power:(num p))
+    | [ "uniform" ] -> piecewise (uniform_pieces n)
+    | [ "staircase"; k ] -> piecewise (staircase_pieces ~n ~k:(int k) ~rng)
+    | [ "khist"; k ] -> piecewise (random_khist_pieces ~n ~k:(int k) ~rng)
+    | [ "zipf"; s ] -> dense (zipf ~n ~s:(num s))
+    | [ "geometric"; r ] -> dense (geometric_like ~n ~ratio:(num r))
+    | [ "comb"; teeth ] -> piecewise (comb_pieces ~n ~teeth:(int teeth))
+    | [ "bimodal" ] -> dense (bimodal ~n)
+    | [ "paninski"; eps ] -> dense (paninski ~n ~eps:(num eps) ~c:6. ~rng)
+    | [ "spiked"; s ] -> dense (spiked ~n ~spikes:(int s) ~spike_mass:0.5 ~rng)
+    | [ "monotone"; p ] -> dense (monotone_decreasing ~n ~power:(num p))
     | _ -> None
   with
-  | Some pmf -> Ok pmf
+  | Some h -> Ok h
   | None ->
       Error
         (Printf.sprintf
@@ -163,3 +176,8 @@ let of_spec ~n ~rng spec =
   | exception Failure _ ->
       Error (Printf.sprintf "bad numeric parameter in family %S" spec)
   | exception Invalid_argument msg -> Error msg
+
+let of_spec ~n ~rng spec =
+  Result.map
+    (function Dense pmf -> pmf | Pieces h -> Khist.to_pmf h)
+    (hypothesis_of_spec ~n ~rng spec)

@@ -30,10 +30,26 @@ val comb : n:int -> teeth:int -> Pmf.t
 
 val bimodal : n:int -> Pmf.t
 
-val of_spec : n:int -> rng:Randkit.Rng.t -> string -> (Pmf.t, string) result
+type hypothesis =
+  | Dense of Pmf.t  (** one float per element *)
+  | Pieces of Khist.t  (** cells and their normalized levels *)
+(** A hypothesis in the form its family is built in: a piecewise family
+    costs its pieces, not n floats. *)
+
+val hypothesis_of_spec :
+  n:int -> rng:Randkit.Rng.t -> string -> (hypothesis, string) result
 (** The family vocabulary the CLI and the daemon share: [uniform],
     [staircase:K], [khist:K], [zipf:S], [geometric:R], [comb:T],
     [bimodal], [paninski:EPS] ({!paninski} at c = 6), [spiked:S],
-    [monotone:P].  Randomized families draw from [rng].  An unknown name,
-    a malformed number or parameters the constructor refuses come back
-    as [Error], never as an exception. *)
+    [monotone:P].  The piecewise families ([uniform], [staircase:K],
+    [khist:K], [comb:T]) come back as [Pieces]: their cells and levels,
+    normalized in O(n) time with no n-array, each level bitwise the
+    entry {!Pmf.of_weights} gives its elements; the rest as [Dense].
+    Randomized families draw from [rng].  An unknown name, a malformed
+    number or parameters the constructor refuses come back as [Error],
+    never as an exception. *)
+
+val of_spec : n:int -> rng:Randkit.Rng.t -> string -> (Pmf.t, string) result
+(** {!hypothesis_of_spec} as a pmf: a [Pieces] hypothesis is expanded
+    ({!Khist.to_pmf}), one n-float array, bit for bit the pmf of the
+    family's builder. *)

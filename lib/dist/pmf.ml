@@ -32,6 +32,34 @@ let[@histolint.hot] of_weights w =
   done;
   w
 
+(* The expansion of a piecewise-constant pmf.  Its mass is checked over
+   the cells, O(K), as [create] checks it over the elements, so the
+   result costs its one array and one [Array.fill] per cell. *)
+let[@histolint.hot] of_pieces part levels =
+  if Array.length levels <> Partition.cell_count part then
+    invalid_arg "Pmf.of_pieces: one level per cell required";
+  check_weights "Pmf.of_pieces" levels;
+  let mass =
+    (Numkit.Kahan.create () [@histolint.alloc_ok "one accumulator per pmf"])
+  in
+  for j = 0 to Array.length levels - 1 do
+    let len = Interval.length (Partition.cell part j) in
+    Numkit.Kahan.add mass (levels.(j) *. float_of_int len)
+  done;
+  let total = Numkit.Kahan.total mass in
+  if Float.abs (total -. 1.) > tolerance then
+    invalid_arg
+      (Printf.sprintf "Pmf.of_pieces: total mass %.12g is not 1" total);
+  let p =
+    (Array.make (Partition.domain_size part) 0.
+     [@histolint.alloc_ok "the pmf's one array"])
+  in
+  for j = 0 to Array.length levels - 1 do
+    let cell = Partition.cell part j in
+    Array.fill p (Interval.lo cell) (Interval.length cell) levels.(j)
+  done;
+  p
+
 let size t = Array.length t
 let get t i = t.(i)
 let to_array t = Array.copy t

@@ -11,6 +11,19 @@ let add t x =
 
 let total t = t.sum +. t.comp
 
+(* [count] [add] steps on local float refs (see [sum_sub]): the sum of a
+   run of equal terms without the array that would hold them. *)
+let[@histolint.hot] add_run t x count =
+  let sum = ref t.sum and comp = ref t.comp in
+  for _ = 1 to count do
+    let s = !sum +. x in
+    if Float.abs !sum >= Float.abs x then comp := !comp +. ((!sum -. s) +. x)
+    else comp := !comp +. ((x -. s) +. !sum);
+    sum := s
+  done;
+  t.sum <- !sum;
+  t.comp <- !comp
+
 (* [add]'s step on local float refs, which the native compiler keeps
    unboxed: no accumulator record and no float boxed per element at a
    call boundary.  Same operations in the same order, so the result is

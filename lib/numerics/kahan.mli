@@ -17,6 +17,11 @@ val add : t -> float -> unit
 val total : t -> float
 (** Current compensated total. *)
 
+val add_run : t -> float -> int -> unit
+(** [add_run t x count] is [count] successive [add t x] calls, bit for
+    bit, in O(1) space: the total of a piecewise-constant sequence taken
+    a run at a time, without expanding it.  [count <= 0] adds nothing. *)
+
 val sum_array : float array -> float
 (** Compensated sum of an array.  Allocates nothing, and is bitwise the
     [add] fold over the array. *)

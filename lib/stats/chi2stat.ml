@@ -69,29 +69,43 @@ let compute ?cell_mask ?per_cell ~counts ~m ~dstar ~part ~eps () =
   let z = Numkit.Kahan.sum_array per_cell in
   { z; per_cell; m }
 
-(* [compute]'s Neumaier steps in its element order, with what is constant
-   on a cell (the level, the A_eps test, m*level) hoisted out of it. *)
-let compute_khist ~cell_mask ~per_cell ~counts ~m ~dstar ~eps =
-  let part = Khist.partition dstar in
-  let n = Partition.domain_size part in
-  let per_cell =
-    output ~cell_mask:(Some cell_mask) ~per_cell:(Some per_cell) ~counts ~n part
-  in
+(* [compute]'s Neumaier steps in its element order, over the common
+   refinement of [part] and the hypothesis's pieces: a run is the part of
+   a cell inside one piece, and what is constant on it (the level, the
+   A_eps test, m*level) is read and computed once per run. *)
+let compute_khist ?cell_mask ?per_cell ~counts ~m ~dstar ~part ~eps () =
+  let pieces = Khist.partition dstar in
+  let n = Partition.domain_size pieces in
+  let per_cell = output ~cell_mask ~per_cell ~counts ~n part in
   let cutoff = heavy_cutoff ~eps ~n in
+  let levels = Khist.unsafe_levels dstar in
+  let p = ref 0 (* the piece holding the next run's first element *) in
   for j = 0 to Partition.cell_count part - 1 do
-    let level = Khist.level dstar j in
-    if cell_mask.(j) && level >= cutoff then begin
-      let expected = m *. level in
+    let keep = match cell_mask with None -> true | Some mask -> mask.(j) in
+    if keep then begin
       let cell = Partition.cell part j in
+      let lo = ref (Interval.lo cell) and hi = Interval.hi cell in
       let sum = ref 0. and comp = ref 0. in
-      for i = Interval.lo cell to Interval.hi cell - 1 do
-        let ni = float_of_int (Array.unsafe_get counts i) in
-        let d = ni -. expected in
-        let x = ((d *. d) -. ni) /. expected in
-        let s = !sum +. x in
-        if Float.abs !sum >= Float.abs x then comp := !comp +. ((!sum -. s) +. x)
-        else comp := !comp +. ((x -. s) +. !sum);
-        sum := s
+      while !lo < hi do
+        while Interval.hi (Partition.cell pieces !p) <= !lo do
+          incr p
+        done;
+        let stop = Int.min hi (Interval.hi (Partition.cell pieces !p)) in
+        let level = Array.unsafe_get levels !p in
+        if level >= cutoff then begin
+          let expected = m *. level in
+          for i = !lo to stop - 1 do
+            let ni = float_of_int (Array.unsafe_get counts i) in
+            let d = ni -. expected in
+            let x = ((d *. d) -. ni) /. expected in
+            let s = !sum +. x in
+            if Float.abs !sum >= Float.abs x then
+              comp := !comp +. ((!sum -. s) +. x)
+            else comp := !comp +. ((x -. s) +. !sum);
+            sum := s
+          done
+        end;
+        lo := stop
       done;
       per_cell.(j) <- !sum +. !comp
     end

@@ -42,18 +42,26 @@ val compute :
     Arithmetic is bit-identical with and without the buffer. *)
 
 val compute_khist :
-  cell_mask:bool array ->
-  per_cell:float array ->
+  ?cell_mask:bool array ->
+  ?per_cell:float array ->
   counts:int array ->
   m:float ->
   dstar:Khist.t ->
+  part:Partition.t ->
   eps:float ->
+  unit ->
   t
-(** {!compute} against a hypothesis held as cell levels (Algorithm 1's
-    D̂), over its own partition: each level is read once, never expanded
-    into n floats.  Bit-identical to [compute ~dstar:(Khist.to_pmf
-    dstar) ~part:(Khist.partition dstar)]; [per_cell] is the output
-    buffer, as there. *)
+(** {!compute} against a hypothesis held as pieces — cells and their
+    levels — grouped by any partition [part] of the same domain: the
+    statistic walks the common refinement of the two, reading each
+    level once per run (a cell's stretch inside one piece), and never
+    expands the hypothesis into n floats.  Bit-identical to
+    [compute ?cell_mask ?per_cell ~dstar:(Khist.to_pmf dstar) ~part]:
+    the same terms in the same element order, per cell of [part].
+    Algorithm 1 groups its D̂ by D̂'s own cells
+    ([~part:(Khist.partition dstar)]); the service groups a piecewise
+    hypothesis by its equal-width diagnostic cells, which need not
+    align with the pieces. *)
 
 val accept_threshold : m:float -> eps:float -> float
 (** m·ε²/10 — the decision threshold sitting between the two expectation

@@ -129,9 +129,15 @@ let equal a b =
   fits a b.part && a.total = b.total
   && Array.for_all2 Int.equal a.counts b.counts
 
+(* A dense hypothesis is read element by element, pieces a run at a
+   time; both give the same bits for the same pmf. *)
 let statistic t ~dstar ~eps =
-  Chi2stat.compute ~counts:t.counts ~m:(float_of_int t.total) ~dstar
-    ~part:t.part ~eps ()
+  let m = float_of_int t.total in
+  match (dstar : Families.hypothesis) with
+  | Dense dstar ->
+      Chi2stat.compute ~counts:t.counts ~m ~dstar ~part:t.part ~eps ()
+  | Pieces dstar ->
+      Chi2stat.compute_khist ~counts:t.counts ~m ~dstar ~part:t.part ~eps ()
 
 let verdict t ~dstar ~eps =
   let stat = statistic t ~dstar ~eps in

@@ -88,13 +88,17 @@ val merge_into : into:t -> t -> unit
 val equal : t -> t -> bool
 (** Equality of the whole state: partition, total and exact counts. *)
 
-val statistic : t -> dstar:Pmf.t -> eps:float -> Chi2stat.t
+val statistic : t -> dstar:Families.hypothesis -> eps:float -> Chi2stat.t
 (** The ADK15 χ² statistic of the accumulated counts against hypothesis
     [dstar], recomputed from the (merged) state at [m] = the accumulated
     total — the plug-in Poisson mean for service streams whose budget
-    *is* the traffic. *)
+    *is* the traffic.  Per-cell sums are grouped by the state's
+    partition whatever the hypothesis's form: a [Dense] pmf goes
+    through {!Chi2stat.compute}, [Pieces] through
+    {!Chi2stat.compute_khist}, which reads one level per run and never
+    expands it.  The two forms of one pmf give the same bits. *)
 
-val verdict : t -> dstar:Pmf.t -> eps:float -> Verdict.t
+val verdict : t -> dstar:Families.hypothesis -> eps:float -> Verdict.t
 (** Accept iff the statistic is at or below
     [Chi2stat.accept_threshold ~m:total ~eps].  Deterministic given the counts:
     equal states yield equal verdicts, whatever sharding produced them. *)

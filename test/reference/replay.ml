@@ -34,7 +34,7 @@ let replay ?pool ~part ~dstar ~eps ~shards values =
   Suffstat.observe_all single values;
   let parts = shard_states ~pool ~part ~shards values in
   let z_and_verdict st =
-    let stat = Suffstat.statistic st ~dstar ~eps in
+    let stat = Suffstat.statistic st ~dstar:(Families.Dense dstar) ~eps in
     let threshold = Chi2stat.accept_threshold ~m:stat.Chi2stat.m ~eps in
     ( stat.Chi2stat.z,
       if stat.Chi2stat.z <= threshold then Verdict.Accept else Verdict.Reject )

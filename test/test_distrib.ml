@@ -33,6 +33,28 @@ let test_pmf_create_invalid () =
        false
      with Invalid_argument _ -> true)
 
+(* [of_pieces] fills a cell at a time and checks the mass over the
+   cells: the same pmf [create] builds from the expansion, and the same
+   refusals. *)
+let test_pmf_of_pieces () =
+  let part = Partition.of_breakpoints ~n:5 [ 2 ] in
+  Alcotest.(check (array (float 0.))) "filled per cell"
+    [| 0.125; 0.125; 0.25; 0.25; 0.25 |]
+    (Pmf.to_array (Pmf.of_pieces part [| 0.125; 0.25 |]));
+  List.iter
+    (fun (label, levels) ->
+      Alcotest.(check bool) (label ^ " rejected") true
+        (try
+           ignore (Pmf.of_pieces part levels : Pmf.t);
+           false
+         with Invalid_argument _ -> true))
+    [
+      ("bad total", [| 0.125; 0.3 |]);
+      ("negative", [| 0.75; -0.1666 |]);
+      ("nan", [| nan; 0.25 |]);
+      ("one level short", [| 0.2 |]);
+    ]
+
 let test_pmf_of_weights () =
   let p = Pmf.of_weights [| 1.; 3. |] in
   Alcotest.(check (float 1e-12)) "normalized" 0.25 (Pmf.get p 0);
@@ -805,6 +827,61 @@ let test_family_bits_pinned () =
       Alcotest.(check string) (Printf.sprintf "%s n=%d seed=%d" spec n seed) want r)
     family_pins got
 
+(* The piecewise families come back from the spec parser as their cells
+   and levels, and the expansion of those pieces is the pinned pmf, bit
+   for bit: the normalization over runs changes nothing. *)
+let piecewise_spec spec =
+  List.exists
+    (fun name -> String.starts_with ~prefix:name spec)
+    [ "uniform"; "staircase:"; "khist:"; "comb:" ]
+
+let test_pieces_expand_to_pins () =
+  let checked = ref 0 in
+  List.iter
+    (fun (n, seed, spec, want) ->
+      if piecewise_spec spec then begin
+        let label = Printf.sprintf "%s n=%d seed=%d" spec n seed in
+        let got =
+          match
+            Families.hypothesis_of_spec ~n ~rng:(Randkit.Rng.create ~seed) spec
+          with
+          | Ok (Families.Pieces h) ->
+              Alcotest.(check bool)
+                (label ^ ": no more pieces than its spec") true
+                (Khist.pieces h <= max 1 (2 * min 8 n));
+              float_bits_digest (Pmf.unsafe_array (Khist.to_pmf h))
+          | Ok (Families.Dense _) -> Alcotest.failf "%s: expanded" label
+          | Error e -> "error: " ^ e
+        in
+        incr checked;
+        Alcotest.(check string) label want got
+      end)
+    family_pins;
+  Alcotest.(check int) "4 families x 3 sizes x 3 seeds" 36 !checked
+
+(* The normalization's total is [Kahan.add_run] over the runs: bitwise
+   the compensated sum of the expansion, for runs of any length (empty
+   ones too) and levels of wildly different magnitudes. *)
+let prop_run_total_is_expansion_sum =
+  QCheck.Test.make ~name:"run total = Kahan.sum_array of the expansion (bits)"
+    ~count:300 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let r = Randkit.Rng.create ~seed in
+      let runs = 1 + Randkit.Rng.int r 12 in
+      let level _ =
+        Randkit.Rng.float r 1. *. (10. ** float_of_int (Randkit.Rng.int r 33 - 16))
+      in
+      let levels = Array.init runs level in
+      let lengths = Array.init runs (fun _ -> Randkit.Rng.int r 300) in
+      let acc = Numkit.Kahan.create () in
+      Array.iteri (fun j x -> Numkit.Kahan.add_run acc x lengths.(j)) levels;
+      let expansion =
+        Array.concat
+          (Array.to_list (Array.mapi (fun j x -> Array.make lengths.(j) x) levels))
+      in
+      Int64.equal
+        (Int64.bits_of_float (Numkit.Kahan.total acc))
+        (Int64.bits_of_float (Numkit.Kahan.sum_array expansion)))
+
 (* The constructors own their argument: the pmf is that array (no copy),
    and [of_weights] normalizes it in place.  A rejected array is left as
    it was. *)
@@ -829,6 +906,7 @@ let () =
           Alcotest.test_case "create valid" `Quick test_pmf_create_valid;
           Alcotest.test_case "create invalid" `Quick test_pmf_create_invalid;
           Alcotest.test_case "of_weights" `Quick test_pmf_of_weights;
+          Alcotest.test_case "of_pieces" `Quick test_pmf_of_pieces;
           Alcotest.test_case "mass and support" `Quick test_pmf_mass_and_support;
           Alcotest.test_case "cdf" `Quick test_pmf_cdf;
           Alcotest.test_case "uniform/point" `Quick test_pmf_uniform_point;
@@ -900,6 +978,9 @@ let () =
             test_geometric_and_monotone_shapes;
           Alcotest.test_case "bimodal" `Quick test_bimodal_modality;
           Alcotest.test_case "pmf bits pinned" `Quick test_family_bits_pinned;
+          Alcotest.test_case "pieces expand to the pinned bits" `Quick
+            test_pieces_expand_to_pins;
+          qc prop_run_total_is_expansion_sum;
         ] );
       ( "ops",
         [

@@ -418,48 +418,53 @@ let test_chi2_supplied_per_cell () =
        false
      with Invalid_argument _ -> true)
 
-(* [compute_khist] reads one level per cell where [compute] reads the
+(* [compute_khist] reads one level per run where [compute] reads the
    expansion element by element; both must produce the same bits.  The
    histograms repeat levels across adjacent cells, and one weight in four
-   is 1e-3, whose level falls below the A_eps cutoff at eps = 1. *)
+   is 1e-3, whose level falls below the A_eps cutoff at eps = 1.  The
+   statistic is grouped by the pieces' own partition (Algorithm 1's use)
+   or by an independent one (the service's): finer, coarser or neither. *)
 let prop_chi2_khist_equals_dense =
   QCheck.Test.make ~name:"compute_khist = compute on the expansion (bits)"
     ~count:300 (QCheck.int_range 0 1_000_000) (fun seed ->
       let r = Randkit.Rng.create ~seed in
       let n = 1 + Randkit.Rng.int r 64 in
-      let breaks =
-        List.filter (fun _ -> Randkit.Rng.int r 3 = 0) (List.init (n - 1) succ)
+      let random_partition () =
+        let keep = Randkit.Rng.int r 4 in
+        Partition.of_breakpoints ~n
+          (List.filter (fun _ -> Randkit.Rng.int r 4 < keep) (List.init (n - 1) succ))
       in
-      let part = Partition.of_breakpoints ~n breaks in
-      let kk = Partition.cell_count part in
+      let pieces = random_partition () in
+      let kk = Partition.cell_count pieces in
       let w =
         Array.init kk (fun _ -> [| 1e-3; 1.; 2.; 3. |].(Randkit.Rng.int r 4))
       in
-      let len j = float_of_int (Interval.length (Partition.cell part j)) in
+      let len j = float_of_int (Interval.length (Partition.cell pieces j)) in
       let mass = Numkit.Kahan.sum_f kk (fun j -> w.(j) *. len j) in
-      let h = Khist.make part (Array.map (fun x -> x /. mass) w) in
+      let h = Khist.make pieces (Array.map (fun x -> x /. mass) w) in
+      let part = if Randkit.Rng.bool r then pieces else random_partition () in
+      let cells = Partition.cell_count part in
       let counts = Array.init n (fun _ -> Randkit.Rng.int r 30) in
       let m = 10. +. Randkit.Rng.float r 2000. in
       let eps = [| 0.1; 0.5; 1. |].(Randkit.Rng.int r 3) in
       let cell_mask =
         if Randkit.Rng.bool r then None
-        else Some (Array.init kk (fun _ -> Randkit.Rng.int r 3 > 0))
+        else Some (Array.init cells (fun _ -> Randkit.Rng.int r 3 > 0))
       in
       let dense =
         Chi2stat.compute ?cell_mask ~counts ~m ~dstar:(Khist.to_pmf h) ~part
           ~eps ()
       in
-      let per_cell = Array.make kk nan in
-      let cells =
-        Chi2stat.compute_khist
-          ~cell_mask:(Option.value cell_mask ~default:(Array.make kk true))
-          ~per_cell ~counts ~m ~dstar:h ~eps
+      let per_cell = Array.make cells nan in
+      let runs =
+        Chi2stat.compute_khist ?cell_mask ~per_cell ~counts ~m ~dstar:h ~part
+          ~eps ()
       in
       let bits = Int64.bits_of_float in
-      Int64.equal (bits dense.Chi2stat.z) (bits cells.Chi2stat.z)
+      Int64.equal (bits dense.Chi2stat.z) (bits runs.Chi2stat.z)
       && Array.for_all2
            (fun a b -> Int64.equal (bits a) (bits b))
-           dense.Chi2stat.per_cell cells.Chi2stat.per_cell)
+           dense.Chi2stat.per_cell runs.Chi2stat.per_cell)
 
 (* --- Workspace-backed oracles --- *)
 
