@@ -23,6 +23,18 @@
    dense path's K x K matrix is 8*K^2 bytes (128 MB at K = 4096), the
    fast path stays O(K log K).
 
+   The "learned" rows time the DP on the cells Algorithm 1's checking
+   step actually fits: D-hat from ApproxPart and the learner on a
+   counts-oracle draw, masked by the sieve, through cells_of_khist — on
+   the yes staircase and the no comb of alg1-trials.  Learned values are
+   noisy, so these rows run the certified scan, which the zipf rows
+   never reach.  Each reports a warm fit (the second in one scratch, as
+   a trial's workspace runs it): the minor and major words it
+   allocated, and the best wall ms of 5 warm calls beside the best of 3
+   dense ones.  Quick mode: n = 2^16
+   at k = 4; --full adds n = 2^20 at k = 16 and 32 (K in the thousands,
+   where the dense reference's K x K matrix alone takes 50-330 MB).
+
    One machine-readable line per run is appended to BENCH_closest.json
    so the perf trajectory accumulates across commits. *)
 
@@ -102,6 +114,103 @@ let measure ~seed ~cells ~k =
     exact;
   }
 
+type learned_row = {
+  family : string;
+  n : int;
+  lk : int;
+  lcells : int;
+  warm_ms : float;
+  warm_minor : float;
+  warm_major : float;
+  ldense_ms : float;
+  lexact : bool;
+}
+
+(* Algorithm 1's steps 1-8 on one draw, as Hist_tester.run takes them. *)
+let learned_cells ~seed ~pmf ~k ~eps =
+  let module H = Histotest in
+  let config = H.Config.default in
+  let o =
+    Poissonize.counts_of_tree (Randkit.Rng.create ~seed) (Split_tree.of_pmf pmf)
+  in
+  let part =
+    (H.Approx_part.run ~config o ~b:(H.Config.part_b config ~k ~eps))
+      .H.Approx_part.partition
+  in
+  let dhat, _ = H.Learner.fit ~config o ~part ~eps in
+  let eligible =
+    Array.init (Partition.cell_count part) (fun j ->
+        Interval.length (Partition.cell part j) >= 2)
+  in
+  let sieve = H.Sieve.run_khist ~config o ~dhat ~eligible ~k ~eps in
+  Closest.cells_of_khist dhat ~keep:sieve.H.Sieve.kept
+
+(* The fastest of [reps] calls: one call of a few ms is at the mercy of
+   the host's scheduling. *)
+let best_of reps f =
+  let x, t = Exp_common.wall_time_of f in
+  let best = ref t in
+  for _ = 2 to reps do
+    best := Float.min !best (snd (Exp_common.wall_time_of f))
+  done;
+  (x, !best)
+
+let measure_learned ~seed ~family ~pmf ~n ~k ~eps =
+  let cs = learned_cells ~seed ~pmf ~k ~eps in
+  let scratch = Closest.scratch () in
+  ignore (Closest.fit_cells ~scratch cs ~k : float * int list);
+  let s0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
+  ignore (Closest.fit_cells ~scratch cs ~k : float * int list);
+  let warm_minor = Gc.minor_words () -. m0 in
+  let s1 = Gc.quick_stat () in
+  let (cost_fast, starts_fast), t_fast =
+    best_of 5 (fun () -> Closest.fit_cells ~scratch cs ~k)
+  in
+  let (cost_dense, starts_dense), t_dense =
+    best_of 3 (fun () -> Refkit.Closest_dense.fit_cells cs ~k)
+  in
+  {
+    family;
+    n;
+    lk = k;
+    lcells = Array.length cs;
+    warm_ms = t_fast *. 1e3;
+    warm_minor;
+    warm_major = s1.Gc.major_words -. s0.Gc.major_words;
+    ldense_ms = t_dense *. 1e3;
+    lexact =
+      Float.equal cost_fast cost_dense
+      && List.equal Int.equal starts_fast starts_dense;
+  }
+
+let learned_rows (mode : Exp_common.mode) =
+  let grid =
+    (1 lsl 16, 4, 0.25)
+    :: (if mode.Exp_common.quick then []
+        else [ (1 lsl 20, 16, 0.5); (1 lsl 20, 32, 0.5) ])
+  in
+  let seed = mode.Exp_common.seed in
+  Exp_common.row "@.Learned cells (Algorithm 1's checking input):@.";
+  Exp_common.row "%-9s | %7s | %3s | %6s | %9s | %8s | %8s | %9s | %5s@."
+    "family" "n" "k" "K" "warm (ms)" "minor w" "major w" "dense(ms)" "exact";
+  Exp_common.hline ();
+  List.concat_map
+    (fun (n, k, eps) ->
+      List.map
+        (fun (family, pmf) ->
+          let r = measure_learned ~seed ~family ~pmf ~n ~k ~eps in
+          Exp_common.row
+            "%-9s | %7d | %3d | %6d | %9.2f | %8.0f | %8.0f | %9.1f | %5b@."
+            r.family r.n r.lk r.lcells r.warm_ms r.warm_minor r.warm_major
+            r.ldense_ms r.lexact;
+          r)
+        [
+          ("staircase", Exp_common.yes_instance ~n ~k ~seed);
+          ("comb", Exp_common.no_instance ~n ~k);
+        ])
+    grid
+
 let run (mode : Exp_common.mode) =
   Exp_common.section ~id:"E18 (closest-H_k DP: dense vs divide & conquer)"
     ~claim:
@@ -138,12 +247,16 @@ let run (mode : Exp_common.mode) =
           ks)
       sizes
   in
-  let all_exact = List.for_all (fun r -> r.exact) rows in
+  let learned = learned_rows mode in
+  let all_exact =
+    List.for_all (fun r -> r.exact) rows
+    && List.for_all (fun r -> r.lexact) learned
+  in
   let json =
     Printf.sprintf
       "{\"bench\":\"e18_closest\",\"seed\":%d,\"quick\":%b,\
-       \"all_exact\":%b,\"rows\":[%s]}"
-      mode.Exp_common.seed mode.Exp_common.quick all_exact
+       \"nproc\":%d,\"all_exact\":%b,\"rows\":[%s],\"learned\":[%s]}"
+      mode.Exp_common.seed mode.Exp_common.quick (Exp_common.nproc ()) all_exact
       (String.concat ","
          (List.map
             (fun r ->
@@ -158,6 +271,17 @@ let run (mode : Exp_common.mode) =
                 (r.t_dense /. Float.max 1e-9 r.t_fast)
                 r.fast_mb r.dense_mb r.exact)
             rows))
+      (String.concat ","
+         (List.map
+            (fun r ->
+              Printf.sprintf
+                "{\"family\":\"%s\",\"n\":%d,\"k\":%d,\"cells\":%d,\
+                 \"warm_ms\":%.3f,\"warm_minor_words\":%.0f,\
+                 \"warm_major_words\":%.0f,\"dense_ms\":%.3f,\
+                 \"exact_match\":%b}"
+                r.family r.n r.lk r.lcells r.warm_ms r.warm_minor r.warm_major
+                r.ldense_ms r.lexact)
+            learned))
   in
   let oc =
     open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 bench_file

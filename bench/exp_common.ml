@@ -48,6 +48,21 @@ let wall_time_of f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
+(* The host's usable core count as `nproc` reports it (it honours the
+   process's CPU affinity), or the runtime's count when `nproc` cannot
+   run.  Bench rows record it so a timing says what hardware it had. *)
+let nproc () =
+  let fallback = Domain.recommended_domain_count () in
+  match Unix.open_process_in "nproc 2>/dev/null" with
+  | exception Unix.Unix_error _ -> fallback
+  | ic ->
+      let n =
+        try int_of_string_opt (String.trim (input_line ic))
+        with End_of_file -> None
+      in
+      ignore (Unix.close_process_in ic);
+      Option.value n ~default:fallback
+
 (* Canonical instance pairs used across experiments: a k-staircase with
    well-separated levels (in H_k) against a 4k-piece comb (far from H_k at
    the experiment's eps). *)

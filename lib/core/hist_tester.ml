@@ -68,7 +68,8 @@ let run ?(config = Config.default) ?ws oracle ~k ~eps =
     (* Step 10: is D-hat close to *some* k-histogram on the kept domain?
        Half the DP's l1 cost, as in [Closest.tv_to_hk]. *)
     let cells = Closest.cells_of_khist dhat ~keep:sieve.Sieve.kept in
-    let check_distance = 0.5 *. fst (Closest.fit_cells cells ~k) in
+    let scratch = Option.map Workspace.closest ws in
+    let check_distance = 0.5 *. fst (Closest.fit_cells ?scratch cells ~k) in
     let check_tolerance = eps /. config.Config.check_eps_div in
     if check_distance > check_tolerance then
       {

@@ -45,9 +45,11 @@ val run :
   report
 (** Full run with per-stage diagnostics.  [ws] — typically the trial's
     workspace when running under [Harness] — makes the final statistic
-    write into reusable buffers; the report's [final] per-cell array is
-    then a workspace view (see {!Adk15.run}).  Verdicts and scalar fields
-    are unaffected and the sampled streams are identical either way. *)
+    write into reusable buffers and the checking DP run in the
+    workspace's scratch ({!Workspace.closest}); the report's [final]
+    per-cell array is then a workspace view (see {!Adk15.run}).
+    Verdicts and scalar fields are unaffected and the sampled streams
+    are identical either way. *)
 
 val test :
   ?config:Config.t ->

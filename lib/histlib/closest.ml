@@ -10,17 +10,60 @@ type cell = { value : float; weight : float }
    exactly what the divide-and-conquer optimization replaces.  The fully
    independent cross-check is [brute_force_l1], which shares nothing but
    the cell decomposition. *)
-let oracle_of_cells cells =
-  Numkit.Rank_index.create
-    ~values:(Array.map (fun c -> c.value) cells)
-    ~weights:(Array.map (fun c -> c.weight) cells)
+
+module A = Bigarray.Array1
+
+type floats = (float, Bigarray.float64_elt, Bigarray.c_layout) A.t
+type ints = (int, Bigarray.int_elt, Bigarray.c_layout) A.t
+
+let floats n : floats = A.create Bigarray.float64 Bigarray.c_layout n
+let ints n : ints = A.create Bigarray.int Bigarray.c_layout n
+let no_floats = floats 0
+let no_ints = ints 0
+
+(* Everything one DP run writes, outside the GC heap and reused: the
+   staged cell values and weights the index is built from, the index
+   itself (whose slot carries each query's answer), the two DP rows, the
+   suffix minima of the certified scan, and the k x K choice matrix (row
+   j at offset j*K).  Rows and matrix grow to the largest K and k*K
+   seen. *)
+type scratch = {
+  index : Numkit.Rank_index.t;
+  mutable values : floats;
+  mutable weights : floats;
+  mutable dp_a : floats;
+  mutable dp_b : floats;
+  mutable smin : floats;
+  mutable choice : ints;
+}
+
+let scratch () =
+  {
+    index = Numkit.Rank_index.empty ();
+    values = no_floats;
+    weights = no_floats;
+    dp_a = no_floats;
+    dp_b = no_floats;
+    smin = no_floats;
+    choice = no_ints;
+  }
+
+let reserve s ~kk ~k =
+  if A.dim s.values < kk then begin
+    s.values <- floats kk;
+    s.weights <- floats kk;
+    s.dp_a <- floats kk;
+    s.dp_b <- floats kk;
+    s.smin <- floats (kk + 1)
+  end;
+  if A.dim s.choice < k * kk then s.choice <- ints (k * kk)
 
 (* Backwalk of a filled choice matrix: piece start indices, first = 0. *)
-let walk_starts choice ~k ~kk =
+let walk_starts (choice : ints) ~k ~kk =
   let rec walk j r acc =
     if j = 0 then 0 :: acc
     else
-      let l = choice.(j).(r) in
+      let l = A.get choice ((j * kk) + r) in
       walk (j - 1) (l - 1) (l :: acc)
   in
   walk (k - 1) (kk - 1) []
@@ -36,19 +79,44 @@ let validate_fit name cells ~k =
    them — so they do not affect the Monge property and are skipped. *)
 let monotone_values cells =
   let up = ref true and down = ref true in
-  let prev = ref nan in
-  Array.iter
-    (fun c ->
-      if c.weight > 0. then begin
-        if not (Float.is_nan !prev) then begin
-          let o = Float.compare c.value !prev in
-          if o < 0 then up := false;
-          if o > 0 then down := false
-        end;
-        prev := c.value
-      end)
-    cells;
+  let seen = ref false and prev = ref 0. in
+  for i = 0 to Array.length cells - 1 do
+    let c = cells.(i) in
+    if c.weight > 0. then begin
+      if !seen then begin
+        let o = Float.compare c.value !prev in
+        if o < 0 then up := false;
+        if o > 0 then down := false
+      end;
+      seen := true;
+      prev := c.value
+    end
+  done;
   !up || !down
+
+(* One layer of the monotone-argmin divide and conquer: rows [rlo, rhi],
+   argmin known to lie in [llo, lhi]; [row] is the layer's offset in the
+   choice matrix.  The segment cost of [l, mid] arrives in [slot.(0)]. *)
+let rec solve_dc idx (slot : float array) ~(prev : floats) ~(cur : floats)
+    ~(choice : ints) ~row rlo rhi llo lhi =
+  if rlo <= rhi then begin
+    let mid = rlo + ((rhi - rlo) / 2) in
+    let cap = if lhi < mid then lhi else mid in
+    let best = ref infinity in
+    let arg = ref llo in
+    for l = llo to cap do
+      Numkit.Rank_index.seg_cost_into idx ~lo:l ~hi:(mid + 1);
+      let c = A.unsafe_get prev (l - 1) +. Array.unsafe_get slot 0 in
+      if c < !best then begin
+        best := c;
+        arg := l
+      end
+    done;
+    A.unsafe_set cur mid !best;
+    A.unsafe_set choice (row + mid) !arg;
+    solve_dc idx slot ~prev ~cur ~choice ~row rlo (mid - 1) llo !arg;
+    solve_dc idx slot ~prev ~cur ~choice ~row (mid + 1) rhi !arg lhi
+  end
 
 (* Fast path.  Dispatches on the shape of the positive-weight value
    sequence:
@@ -77,59 +145,56 @@ let monotone_values cells =
      while examining, typically, far fewer candidates — and provably
      never more.
 
-   Either way: O(K log K + kK) memory, no K x K matrix.
+   Either way: O(K log K + kK) memory, no K x K matrix, all of it in the
+   scratch.  A layer's row j-1 is read only at indices >= j-1, which
+   layer j-1 wrote, so the two rows swap roles instead of being copied
+   or cleared.
 
    Tie-break: both strategies scan candidates in ascending l with a
    strict improvement test, so the leftmost argmin wins — the same rule
    as the ascending scan of the dense path, which keeps the two paths'
    breakpoints (and hence every dp value they produce) bit-identical.
    (The cutoff cannot drop a tie either: a candidate tying the final
-   best has dp_prev(l-1) <= best, hence suffix_min(l) <= best.) *)
-let fit_cells cells ~k =
-  let kk = Array.length cells in
-  let k = validate_fit "Closest.fit_cells" cells ~k in
-  let idx = oracle_of_cells cells in
-  let seg l r = Numkit.Rank_index.seg_cost idx ~lo:l ~hi:(r + 1) in
-  let dp_prev = Array.make kk infinity in
-  let dp_cur = Array.make kk infinity in
-  let choice = Array.make_matrix k kk 0 in
+   best has dp_prev(l-1) <= best, hence suffix_min(l) <= best.)
+
+   Returns the optimal cost; the breakpoints are left in the scratch's
+   choice matrix. *)
+let[@histolint.hot] run_dp s cells ~k ~kk =
+  (reserve s ~kk ~k
+   [@histolint.alloc_ok
+     "grows the rows on the first fit of a larger K or k*K; every later \
+      fit up to that size reuses them"]);
+  let values = s.values and weights = s.weights in
+  for i = 0 to kk - 1 do
+    let c = cells.(i) in
+    A.unsafe_set values i c.value;
+    A.unsafe_set weights i c.weight
+  done;
+  let idx = s.index in
+  Numkit.Rank_index.rebuild idx ~values ~weights ~len:kk;
+  let slot = Numkit.Rank_index.slot idx in
+  let choice = s.choice and smin = s.smin in
+  let prev = ref s.dp_a and cur = ref s.dp_b in
   for r = 0 to kk - 1 do
-    dp_prev.(r) <- seg 0 r
+    Numkit.Rank_index.seg_cost_into idx ~lo:0 ~hi:(r + 1);
+    A.unsafe_set !prev r (Array.unsafe_get slot 0)
   done;
   let monge = monotone_values cells in
-  (* smin.(l) = min over l' >= l of dp_prev.(l' - 1); rebuilt per layer
-     on the certified-scan path. *)
-  let smin = Array.make (kk + 1) infinity in
   for j = 1 to k - 1 do
-    Array.fill dp_cur 0 kk infinity;
-    let row = choice.(j) in
-    if monge then begin
-      (* Rows [rlo, rhi], argmin known to lie in [llo, lhi]. *)
-      let rec solve rlo rhi llo lhi =
-        if rlo <= rhi then begin
-          let mid = rlo + ((rhi - rlo) / 2) in
-          let cap = min lhi mid in
-          let best = ref infinity in
-          let arg = ref llo in
-          for l = llo to cap do
-            let c = dp_prev.(l - 1) +. seg l mid in
-            if c < !best then begin
-              best := c;
-              arg := l
-            end
-          done;
-          dp_cur.(mid) <- !best;
-          row.(mid) <- !arg;
-          solve rlo (mid - 1) llo !arg;
-          solve (mid + 1) rhi !arg lhi
-        end
-      in
-      solve j (kk - 1) j (kk - 1)
-    end
+    let dp_prev = !prev and dp_cur = !cur in
+    let row = j * kk in
+    if monge then
+      solve_dc idx slot ~prev:dp_prev ~cur:dp_cur ~choice ~row j (kk - 1) j
+        (kk - 1)
     else begin
-      smin.(kk) <- infinity;
+      (* smin.{l} = min over l' >= l of dp_prev.{l' - 1}.  The rows hold
+         no NaN, and a tie's sign of zero cannot change a [>] test, so
+         the plain comparison stands in for Float.min. *)
+      A.unsafe_set smin kk infinity;
       for l = kk - 1 downto j do
-        smin.(l) <- Float.min dp_prev.(l - 1) smin.(l + 1)
+        let a = A.unsafe_get dp_prev (l - 1) in
+        let b = A.unsafe_get smin (l + 1) in
+        A.unsafe_set smin l (if a < b then a else b)
       done;
       for r = j to kk - 1 do
         let best = ref infinity in
@@ -137,9 +202,10 @@ let fit_cells cells ~k =
         let l = ref j in
         let live = ref true in
         while !live && !l <= r do
-          if smin.(!l) > !best then live := false
+          if A.unsafe_get smin !l > !best then live := false
           else begin
-            let c = dp_prev.(!l - 1) +. seg !l r in
+            Numkit.Rank_index.seg_cost_into idx ~lo:!l ~hi:(r + 1);
+            let c = A.unsafe_get dp_prev (!l - 1) +. Array.unsafe_get slot 0 in
             if c < !best then begin
               best := c;
               arg := !l
@@ -147,13 +213,21 @@ let fit_cells cells ~k =
             incr l
           end
         done;
-        dp_cur.(r) <- !best;
-        row.(r) <- !arg
+        A.unsafe_set dp_cur r !best;
+        A.unsafe_set choice (row + r) !arg
       done
     end;
-    Array.blit dp_cur 0 dp_prev 0 kk
+    prev := dp_cur;
+    cur := dp_prev
   done;
-  (dp_prev.(kk - 1), walk_starts choice ~k ~kk)
+  A.get !prev (kk - 1)
+
+let fit_cells ?scratch:s cells ~k =
+  let kk = Array.length cells in
+  let k = validate_fit "Closest.fit_cells" cells ~k in
+  let s = match s with Some s -> s | None -> scratch () in
+  let cost = run_dp s cells ~k ~kk in
+  (cost, walk_starts s.choice ~k ~kk)
 
 let fit_levels cells starts =
   (* Re-derive the optimal level (weighted median) of each chosen piece. *)
@@ -224,7 +298,7 @@ let cells_of_khist h ~keep =
   let cells = Partition.cell_count part in
   if Array.length keep <> cells then
     invalid_arg "Closest.cells_of_khist: keep mask length mismatch";
-  let lv = Khist.levels h in
+  let lv = Khist.unsafe_levels h in
   fst
     (compress ~n:(Partition.domain_size part) ~segs:cells
        ~start:(fun j -> Interval.lo (Partition.cell part j))

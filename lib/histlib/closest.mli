@@ -30,12 +30,27 @@
 
 type cell = { value : float; weight : float }
 
-val fit_cells : cell array -> k:int -> float * int list
+type scratch
+(** Everything a DP run writes — the segment-cost index, the two DP rows,
+    the scan's suffix minima, the k×K choice matrix and the query result
+    slot — held in Bigarrays outside the GC heap and reused run after
+    run, grown only to the largest K and k·K seen.  Lending contract:
+    single owner; what a run leaves in it is valid until the next
+    {!fit_cells} on the same scratch, and it must never be used by code
+    running concurrently.  A trial's [Workspace] owns one. *)
+
+val scratch : unit -> scratch
+(** An empty scratch: it holds no tables until its first fit. *)
+
+val fit_cells : ?scratch:scratch -> cell array -> k:int -> float * int list
 (** Optimal ≤k-piece weighted-L1 segmentation of a cell sequence:
     (cost, piece start indices, first = 0).  Fast path: divide and
     conquer on value-monotone cells (O(k · K log K) oracle calls after
     an O(K log K) index build), certified pruned scan otherwise; no K×K
-    allocation either way.  Leftmost argmin on ties. *)
+    allocation either way.  Leftmost argmin on ties.  Runs in [scratch]
+    (a fresh one for the call when absent): on a scratch that has
+    already fitted as many cells at this [k], the run allocates nothing
+    but its answer. *)
 
 val cells_of_pmf : ?mask:bool array -> Pmf.t -> cell array
 (** [fst (runs_of_pmf ?mask pmf)] — the cells alone. *)

@@ -7,9 +7,11 @@ type t = {
   mutable counts : int array;
   mutable samples : int array;
   mutable per_cell : float array;
+  mutable closest : Closest.scratch option;
 }
 
-let create () = { counts = [||]; samples = [||]; per_cell = [||] }
+let create () =
+  { counts = [||]; samples = [||]; per_cell = [||]; closest = None }
 
 let[@histolint.hot] counts t n =
   if n < 0 then invalid_arg "Workspace.counts: negative length";
@@ -40,6 +42,21 @@ let[@histolint.hot] per_cell t k =
          "resize on first use of a new partition arity; every later \
           trial on that arity is a cache hit"]);
   t.per_cell
+
+let[@histolint.hot] closest t =
+  match t.closest with
+  | Some s -> s
+  | None ->
+      let s =
+        (Closest.scratch ()
+         [@histolint.alloc_ok
+           "created on the first checking DP; every later trial reuses it"])
+      in
+      t.closest <-
+        (Some s
+         [@histolint.alloc_ok
+           "created on the first checking DP; every later trial reuses it"]);
+      s
 
 (* One workspace per domain, created lazily.  Trials scheduled onto the
    same domain run strictly one after another, so they can all share it;

@@ -5,12 +5,14 @@
     accumulator — across domains this hammers OCaml 5's stop-the-world GC
     hard enough to make parallel trials *slower* than sequential ones.  A
     workspace holds those buffers once and lends them out call after call:
-    [Poissonize.of_alias_ws] oracles draw into [counts]/[samples], and
-    [Chi2stat.compute]/[Adk15.run] write into [per_cell].
+    [Poissonize.of_alias_ws] oracles draw into [counts]/[samples],
+    [Chi2stat.compute]/[Adk15.run] write into [per_cell], and Algorithm
+    1's checking DP runs in the [closest] scratch.
 
     Lending contract: a buffer returned by an accessor is valid until the
     *next* request for the same buffer kind on the same workspace (for an
-    oracle: until its next call).  Callers that retain results across calls
+    oracle: until its next call; for the DP scratch: until the next fit
+    that runs in it).  Callers that retain results across calls
     must [Array.copy] them.  A workspace is single-owner mutable state — it
     must never be shared by code running concurrently; the harness keeps
     one per domain ([domain_local]) so trials scheduled onto the same
@@ -33,6 +35,12 @@ val samples : t -> int -> int array
 val per_cell : t -> int -> float array
 (** [per_cell t k] is the reusable length-[k] float buffer for per-cell χ²
     statistics ([Chi2stat.compute] zeroes it). *)
+
+val closest : t -> Closest.scratch
+(** [closest t] is the reusable scratch of the checking DP
+    ({!Closest.fit_cells}), created on first use: [create] pays nothing
+    for it.  Its index, DP rows and choice matrix are valid until the
+    next fit on the same workspace. *)
 
 val domain_local : unit -> t
 (** The calling domain's workspace, created lazily on first use and shared

@@ -97,10 +97,32 @@ let prop_learned_matches_dense =
       let cd, sd = Refkit.Closest_dense.fit_cells cells ~k in
       Float.equal cf cd && List.equal Int.equal sf sd)
 
+(* One scratch carried across every case — K and k grow and shrink from
+   case to case, alternating between the two generators — answers what
+   the dense reference answers: a fit reads nothing an earlier, larger
+   fit left in the rows, the choice matrix or the index. *)
+let shared = Closest.scratch ()
+
+let prop_shared_scratch_matches_dense =
+  QCheck.Test.make ~name:"one scratch across cases = fit_cells_dense"
+    ~count:500
+    (QCheck.int_range 0 1_000_000)
+    (fun seed ->
+      let cells, k =
+        if seed land 1 = 0 then case_of_seed seed else learned_case_of_seed seed
+      in
+      let cf, sf = Closest.fit_cells ~scratch:shared cells ~k in
+      let cd, sd = Refkit.Closest_dense.fit_cells cells ~k in
+      Float.equal cf cd && List.equal Int.equal sf sd)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "fuzz_closest"
     [
       ( "differential",
-        [ qc prop_fit_cells_matches_dense; qc prop_learned_matches_dense ] );
+        [
+          qc prop_fit_cells_matches_dense;
+          qc prop_learned_matches_dense;
+          qc prop_shared_scratch_matches_dense;
+        ] );
     ]

@@ -230,6 +230,57 @@ let prop_closest_dc_equals_dense =
       Float.equal cost_fast cost_dense
       && List.equal Int.equal starts_fast starts_dense)
 
+(* The cells Algorithm 1's checking step fits at n = 2^16, k = 4: a
+   learned D-hat over an ApproxPart partition (K ~ 626), masked by the
+   sieve. *)
+let learned_cells () =
+  let module H = Histotest in
+  let n = 1 lsl 16 and k = 4 and eps = 0.25 in
+  let config = H.Config.default in
+  let d = Families.staircase ~n ~k ~rng:(Randkit.Rng.create ~seed:1) in
+  let o = Poissonize.counts_of_tree (Randkit.Rng.create ~seed:3)
+      (Split_tree.of_pmf d) in
+  let part =
+    (H.Approx_part.run ~config o ~b:(H.Config.part_b config ~k ~eps))
+      .H.Approx_part.partition
+  in
+  let dhat, _ = H.Learner.fit ~config o ~part ~eps in
+  let eligible =
+    Array.init (Partition.cell_count part) (fun j ->
+        Interval.length (Partition.cell part j) >= 2)
+  in
+  let sieve = H.Sieve.run_khist ~config o ~dhat ~eligible ~k ~eps in
+  Closest.cells_of_khist dhat ~keep:sieve.H.Sieve.kept
+
+(* A warm fit in a scratch allocates only its answer: the boxed cost, the
+   pair and the k-element start list (plus the backwalk's closure), the
+   same in the dev and release profiles.  Before the scratch, each call
+   built a pointer wavelet tree and boxed every query's result: ~1.07 M
+   minor and ~42 k major words on these cells. *)
+let test_closest_warm_fit_allocation () =
+  let cells = learned_cells () in
+  let k = 4 in
+  let kk = Array.length cells in
+  if kk < 500 then Alcotest.failf "only %d learned cells" kk;
+  let scratch = Closest.scratch () in
+  let want = Refkit.Closest_dense.fit_cells cells ~k in
+  let first = Closest.fit_cells ~scratch cells ~k in
+  let s0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
+  let warm = Closest.fit_cells ~scratch cells ~k in
+  let minor = Gc.minor_words () -. m0 in
+  let s1 = Gc.quick_stat () in
+  let major = s1.Gc.major_words -. s0.Gc.major_words in
+  let same (c1, s1) (c2, s2) =
+    Float.equal c1 c2 && List.equal Int.equal s1 s2
+  in
+  Alcotest.(check bool) "first fit = dense" true (same first want);
+  Alcotest.(check bool) "warm fit = dense" true (same warm want);
+  Alcotest.(check (float 0.)) "major words" 0. major;
+  if minor > float_of_int ((3 * k) + 16) then
+    Alcotest.failf "a warm fit allocated %.0f minor words (want <= %d)" minor
+      ((3 * k) + 16)
+
 (* [cells_of_khist] walks histogram cells, [cells_of_pmf] walks points of
    the expansion under the point mask; both must give the same cells.
    n = 8, cells [0,2) [2,3) [3,4) [4,5) [5,8) with levels a a b c c and
@@ -579,6 +630,8 @@ let () =
           qc prop_closest_matches_brute;
           qc prop_closest_fast_equals_dense;
           qc prop_closest_dc_equals_dense;
+          Alcotest.test_case "a warm fit allocates only its answer" `Quick
+            test_closest_warm_fit_allocation;
           Alcotest.test_case "cells of khist" `Quick test_cells_of_khist_runs;
           qc prop_cells_of_khist;
         ] );

@@ -337,10 +337,12 @@ let test_rank_index_guards () =
   Alcotest.(check bool) "out of range" true
     (rejects (fun () -> Numkit.Rank_index.seg_cost idx ~lo:0 ~hi:2))
 
-(* The descents run as loops over unboxed local refs: a query allocates
-   only its boxed float result (2 words).  The recursive descent they
-   replaced boxed its accumulators at every level, ~20 words a query on
-   a 650-cell index, the size of an Algorithm 1 checking DP. *)
+(* The descents run as loops over unboxed local refs and answer into the
+   index's slot: [seg_cost_into] allocates nothing, and the float-valued
+   wrappers only their boxed result (2 words).  The recursive descent
+   they replaced boxed its accumulators at every level, ~20 words a
+   query on a 650-cell index, the size of an Algorithm 1 checking DP.
+   A rebuild of a warm index allocates nothing either. *)
 let test_rank_index_allocation () =
   let k = 650 in
   let values = Array.init k (fun i -> float_of_int ((i * 37) mod 101) /. 7.) in
@@ -362,7 +364,150 @@ let test_rank_index_allocation () =
   let median = per_call Numkit.Rank_index.seg_median in
   if cost > 2.01 || median > 2.01 then
     Alcotest.failf "words per query: seg_cost %.2f, seg_median %.2f (want <= 2)"
-      cost median
+      cost median;
+  let slot = Numkit.Rank_index.slot idx in
+  let sink = ref 0. in
+  let w0 = Gc.minor_words () in
+  for c = 0 to calls - 1 do
+    let lo = c mod 300 in
+    Numkit.Rank_index.seg_cost_into idx ~lo ~hi:(lo + 1 + (c mod 350));
+    sink := !sink +. slot.(0)
+  done;
+  let into = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !sink);
+  let buf a = Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout a in
+  let values = buf values and weights = buf weights in
+  Numkit.Rank_index.rebuild idx ~values ~weights ~len:k;
+  let w0 = Gc.minor_words () in
+  Numkit.Rank_index.rebuild idx ~values ~weights ~len:(k - 17);
+  let rebuild = Gc.minor_words () -. w0 in
+  if into > 0. || rebuild > 0. then
+    Alcotest.failf "seg_cost_into: %.0f words over %d queries; warm rebuild: \
+                    %.0f words (want 0)" into calls rebuild
+
+(* Bits pinned across the rewrite of the index's layout.  A fixed battery
+   — ties, exact zero weights, repeated values, one-rank and two-value
+   instances, fractional weights whose sums round — at K from 1 to 700:
+   every range while K <= 64, 3000 seeded ranges beyond.  Each query's
+   seg_cost, seg_median and seg_weight bits go into one MD5 per K.  The
+   digests were recorded from the pointer wavelet tree the flat index
+   replaced, so the new layout rounds exactly as the old one did. *)
+let lcg s = ((s * 25214903917) + 11) land 0xFFFF_FFFF_FFFF
+
+let battery_instance ~kk ~shape ~seed =
+  let s = ref (lcg (seed + (kk * 7919) + (shape * 104729))) in
+  let next bound =
+    s := lcg !s;
+    (!s lsr 17) mod bound
+  in
+  let pool = [| 0.; 0.25; 0.5; 1.; 1.5; 3. |] in
+  let values = Array.make kk 0. and weights = Array.make kk 0. in
+  let run_value = ref 0. in
+  for i = 0 to kk - 1 do
+    match shape with
+    | 0 ->
+        values.(i) <- pool.(next 6);
+        weights.(i) <- (if next 4 = 0 then 0. else float_of_int (1 + next 4))
+    | 1 ->
+        values.(i) <- float_of_int (next 100_003) /. 65536.;
+        weights.(i) <- (if next 5 = 0 then 0. else float_of_int (1 + next 32))
+    | 2 ->
+        values.(i) <- 0.1875;
+        weights.(i) <- float_of_int (next 3)
+    | 3 ->
+        if i = 0 || next 4 = 0 then run_value := float_of_int (next 37) *. 0.1;
+        values.(i) <- !run_value;
+        weights.(i) <- 0.1 *. float_of_int (next 7)
+    | _ ->
+        values.(i) <- (if i land 1 = 0 then 2. else 5.);
+        weights.(i) <- 1.
+  done;
+  (values, weights, next)
+
+let battery_digest ~kk =
+  let buf = Buffer.create 4096 in
+  let add x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
+  for shape = 0 to 4 do
+    let values, weights, next = battery_instance ~kk ~shape ~seed:kk in
+    let idx = Numkit.Rank_index.create ~values ~weights in
+    let one lo hi =
+      add (Numkit.Rank_index.seg_cost idx ~lo ~hi);
+      add (Numkit.Rank_index.seg_median idx ~lo ~hi);
+      add (Numkit.Rank_index.seg_weight idx ~lo ~hi)
+    in
+    if kk <= 64 then
+      for lo = 0 to kk - 1 do
+        for hi = lo + 1 to kk do
+          one lo hi
+        done
+      done
+    else
+      for _ = 1 to 3000 do
+        let a = next kk and b = next kk in
+        if a <= b then one a (b + 1) else one b (a + 1)
+      done
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_rank_index_parent_bits () =
+  List.iter
+    (fun (kk, want) ->
+      Alcotest.(check string) (Printf.sprintf "K=%d" kk) want
+        (battery_digest ~kk))
+    [
+      (1, "9880adcd44c9249335491b75794ed9d0");
+      (2, "cf595931b356b9c9bbfdb75c4ae5ebef");
+      (3, "bf1f51b5543c9782ab538a5362ffe1ef");
+      (4, "f41b7a36d9e434d32f105327b79117e9");
+      (5, "75fe8fe9d8cb13eee6055c45326cfe60");
+      (7, "4320009bb17bbc412216327b49ca68a0");
+      (8, "76de0d63d0097be7af2b5ee5440f43e0");
+      (13, "e8412c1f5cb9fc73e4a9d7e21c6eed30");
+      (16, "7fd996717bcc12607e155ae2e112ed7a");
+      (31, "ce5c609ba971a4045235eed0547ffb6b");
+      (33, "c2ef8d07826e805f919e91472908024e");
+      (64, "2be3088c5f6110676a09223981ba1eaf");
+      (100, "62b47d9491fe7ecdc77166bb148b6d6e");
+      (257, "73778a2adf5ae763e04945d1e05556a6");
+      (512, "4bd70370b94ecec4fd8817d69f1ef2ac");
+      (700, "5ac3a550ca6cc4322e55cd4862bdcfd7");
+    ]
+
+(* One index rebuilt over a sequence of inputs that grow and shrink
+   answers every range with the bits of a fresh index over the same
+   input: a rebuild leaves nothing of an earlier, larger build behind. *)
+let prop_rank_index_rebuild_matches_fresh =
+  QCheck.Test.make ~name:"a rebuilt index answers like a fresh one" ~count:100
+    QCheck.(list_of_size (Gen.int_range 1 6) (pair (int_range 1 90) small_nat))
+    (fun plan ->
+      let reused = Numkit.Rank_index.empty () in
+      List.for_all
+        (fun (kk, seed) ->
+          let values, weights, _ =
+            battery_instance ~kk ~shape:(seed mod 5) ~seed
+          in
+          let fresh = Numkit.Rank_index.create ~values ~weights in
+          let buf a =
+            Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout a
+          in
+          (* Inputs longer than [len]: the tail must be ignored. *)
+          let pad a = Array.append a [| nan; -1. |] in
+          Numkit.Rank_index.rebuild reused ~values:(buf (pad values))
+            ~weights:(buf (pad weights)) ~len:kk;
+          let same = ref true in
+          let bits f idx ~lo ~hi = Int64.bits_of_float (f idx ~lo ~hi) in
+          for lo = 0 to kk - 1 do
+            for hi = lo + 1 to kk do
+              List.iter
+                (fun f ->
+                  let want = bits f fresh ~lo ~hi in
+                  if not (Int64.equal want (bits f reused ~lo ~hi)) then
+                    same := false)
+                Numkit.Rank_index.[ seg_cost; seg_median; seg_weight ]
+            done
+          done;
+          !same)
+        plan)
 
 (* Exhaustive cross-check against the streaming Wmedian on every
    segment of a random instance.  Weights include exact zeros (the
@@ -460,6 +605,9 @@ let () =
           Alcotest.test_case "guards" `Quick test_rank_index_guards;
           Alcotest.test_case "queries allocate only their result" `Quick
             test_rank_index_allocation;
+          Alcotest.test_case "bits recorded from the pointer tree" `Quick
+            test_rank_index_parent_bits;
           qc prop_rank_index_matches_wmedian;
+          qc prop_rank_index_rebuild_matches_fresh;
         ] );
     ]
