@@ -17,6 +17,7 @@ let run (mode : Exp_common.mode) =
   let eps_learn = eps /. config.Histotest.Config.learner_eps_div in
   let bound = eps_learn *. eps_learn in
   let rng = Randkit.Rng.create ~seed:mode.Exp_common.seed in
+  let ws = Workspace.create () in
   Exp_common.row "%12s | %12s | %12s | %10s | %12s@." "instance"
     "masked chi2" "(p90)" "within" "full chi2";
   Exp_common.hline ();
@@ -30,8 +31,8 @@ let run (mode : Exp_common.mode) =
       let within = ref 0 in
       for _ = 1 to runs do
         let oracle = Poissonize.of_pmf (Randkit.Rng.split rng) pmf in
-        let res = Histotest.Learner.run ~config oracle ~part ~eps in
-        let dhat = res.Histotest.Learner.estimate in
+        let learned, _ = Histotest.Learner.fit ~config ws oracle ~part ~eps in
+        let dhat = Khist.to_pmf learned in
         let c_masked = Distance.chi2_mask mask pmf ~against:dhat in
         let c_full = Distance.chi2 pmf ~against:dhat in
         if c_masked <= bound then incr within;

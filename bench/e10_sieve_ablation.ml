@@ -66,9 +66,10 @@ let run (mode : Exp_common.mode) =
         cell)
     planted;
   let d = Pmf.of_weights w in
-  let dhat = Ops.flatten d part in
+  let dhat = Khist.flatten_pmf d part in
   let eligible = Array.make cells true in
   let rng = Randkit.Rng.create ~seed:mode.Exp_common.seed in
+  let ws = Workspace.create () in
   Exp_common.row "(sieve budget at k=%d: %d cells; rounds: %d; %d planted)@.@."
     k
     (Histotest.Config.sieve_budget Histotest.Config.default ~k)
@@ -84,7 +85,7 @@ let run (mode : Exp_common.mode) =
       for _ = 1 to trials do
         let oracle = Poissonize.of_pmf (Randkit.Rng.split rng) d in
         let res =
-          Histotest.Sieve.run ~config oracle ~dhat ~part ~eligible ~k ~eps
+          Histotest.Sieve.run_khist ~config ws oracle ~dhat ~eligible ~k ~eps
         in
         if res.Histotest.Sieve.verdict = Verdict.Accept then begin
           incr completed;
@@ -97,8 +98,8 @@ let run (mode : Exp_common.mode) =
             res.Histotest.Sieve.kept;
           rounds := !rounds + res.Histotest.Sieve.rounds_used;
           let final =
-            Histotest.Adk15.run ~config ~cell_mask:res.Histotest.Sieve.kept
-              ~part oracle ~dstar:dhat
+            Histotest.Adk15.run_khist ~config
+              ~cell_mask:res.Histotest.Sieve.kept ~ws oracle ~dstar:dhat
               ~eps:(eps *. config.Histotest.Config.test_eps_frac)
           in
           if final.Histotest.Adk15.verdict = Verdict.Accept then incr accepted

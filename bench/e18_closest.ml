@@ -137,12 +137,13 @@ let learned_cells ~seed ~pmf ~k ~eps =
     (H.Approx_part.run ~config o ~b:(H.Config.part_b config ~k ~eps))
       .H.Approx_part.partition
   in
-  let dhat, _ = H.Learner.fit ~config o ~part ~eps in
+  let ws = Workspace.create () in
+  let dhat, _ = H.Learner.fit ~config ws o ~part ~eps in
   let eligible =
     Array.init (Partition.cell_count part) (fun j ->
         Interval.length (Partition.cell part j) >= 2)
   in
-  let sieve = H.Sieve.run_khist ~config o ~dhat ~eligible ~k ~eps in
+  let sieve = H.Sieve.run_khist ~config ws o ~dhat ~eligible ~k ~eps in
   Closest.cells_of_khist dhat ~keep:sieve.H.Sieve.kept
 
 (* The fastest of [reps] calls: one call of a few ms is at the mercy of

@@ -237,14 +237,15 @@ let run (mode : Exp_common.mode) =
   let json =
     Printf.sprintf
       "{\"bench\":\"e19_counts\",\"n\":%d,\"spikes\":%d,\"k_pieces\":%d,\
-       \"trials\":%d,\"seed\":%d,\"sparse\":[%s],\"dense\":[%s],\
+       \"trials\":%d,\"seed\":%d,\"nproc\":%d,\"sparse\":[%s],\"dense\":[%s],\
        \"counts_flat_ratio\":%.2f,\"speedup_at_max_m\":%.1f,\
        \"chi2\":{\"trials\":%d,\"stat\":%.2f,\"df\":%d,\"p_value\":%.6g,\
        \"pass\":%b},\
        \"verdicts\":[%s],\"equivalence_pass\":%b}"
       n spikes
       ((2 * spikes) + 1)
-      trials mode.Exp_common.seed (row_json sparse_rows) (row_json dense_rows)
+      trials mode.Exp_common.seed (Exp_common.nproc ()) (row_json sparse_rows)
+      (row_json dense_rows)
       flat_ratio top_speedup eq_trials !stat !df p_value chi2_pass
       (String.concat ","
          (List.map

@@ -241,13 +241,13 @@ let run (mode : Exp_common.mode) =
   let json =
     Printf.sprintf
       "{\"bench\":\"e20_merge\",\"n\":%d,\"k\":%d,\"eps\":%g,\"cells\":%d,\
-       \"samples\":%d,\"seed\":%d,\"jobs\":%d,\"replays\":[%s],\
+       \"samples\":%d,\"seed\":%d,\"jobs\":%d,\"nproc\":%d,\"replays\":[%s],\
        \"ingest\":{\"single_ms\":%.1f,\"sharded\":[%s]},\
        \"verdict_cost\":{\"n\":%d,\"reps\":%d,\"rows\":[%s],\"pass\":%b},\
        \"gk\":{\"eps\":%g,\"n\":%d,\"shards\":%d,\"invariant\":%b,\
        \"max_width\":%d,\"width_limit\":%d,\"pass\":%b},\
        \"merge_gate_pass\":%b}"
-      n k eps cells samples seed (Parkit.Pool.jobs pool)
+      n k eps cells samples seed (Parkit.Pool.jobs pool) (Exp_common.nproc ())
       (String.concat ","
          (List.map
             (fun (side, shards, r) ->

@@ -270,13 +270,14 @@ let run (mode : Exp_common.mode) =
   let json =
     Printf.sprintf
       "{\"bench\":\"e21_serve\",\"n\":%d,\"k\":%d,\"eps\":%g,\"shards\":%d,\
-       \"seed\":%d,\"rows\":[%s],\"min_single_core_speedup_batch64\":%.2f,\
+       \"seed\":%d,\"nproc\":%d,\"rows\":[%s],\
+       \"min_single_core_speedup_batch64\":%.2f,\
        \"fast_path_by_shape\":[%s],\
        \"cache\":{\"n\":%d,\"configs\":%d,\"working_set\":%d,\
        \"miss_ms_per_config\":%.3f,\"hit_ms_per_config\":%.4f,\
        \"hit_rate\":%.4f,\"evictions\":%d,\"speedup\":%.1f},\
        \"serve_gate_pass\":%b}"
-      n k eps shards seed
+      n k eps shards seed (Exp_common.nproc ())
       (String.concat ","
          (List.map
             (fun (side, shape, batch, rate, speedup, fp, identical) ->

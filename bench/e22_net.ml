@@ -352,11 +352,12 @@ let run (mode : Exp_common.mode) =
   let json =
     Printf.sprintf
       "{\"bench\":\"e22_net\",\"n\":%d,\"k\":%d,\"eps\":%g,\"seed\":%d,\
+       \"nproc\":%d,\
        \"lines\":%d,\"per_line\":%d,\"rows\":[%s],\
        \"stdio_values_per_s\":%.3e,\"socket_values_per_s\":%.3e,\
        \"single_client_overhead\":%.3f,\"overhead_pass\":%b,\
        \"net_gate_pass\":%b}"
-      n k eps seed lines per_line
+      n k eps seed (Exp_common.nproc ()) lines per_line
       (String.concat ","
          (List.map
             (fun (side, clients, batch, rate, identical) ->

@@ -15,4 +15,12 @@ type result = {
   samples_used : int;
 }
 
+val partition :
+  config:Config.t -> Workspace.t -> Poissonize.oracle -> b:int -> Partition.t * int
+(** The partition and the samples drawn, with the cut positions and the
+    per-cell heavy flags kept in the workspace ({!Workspace.cuts},
+    {!Workspace.heavy}): what Algorithm 1 runs.  A warm call allocates
+    the partition's cells and nothing per element. *)
+
 val run : ?config:Config.t -> Poissonize.oracle -> b:int -> result
+(** {!partition} in a fresh workspace, its heavy flags copied out. *)

@@ -35,24 +35,26 @@ let run ?(config = Config.default) ?ws oracle ~k ~eps =
   if k < 1 || k > n then invalid_arg "Hist_tester.run: need 1 <= k <= n";
   if eps <= 0. || eps > 1. then
     invalid_arg "Hist_tester.run: eps outside (0, 1]";
+  (* Every stage keeps its cell-sized arrays in the workspace; what the
+     report keeps (the sieve's [kept] mask) is the trial's own. *)
+  let ws = match ws with Some w -> w | None -> Workspace.create () in
   (* Step 1-3: adaptive partition. *)
   let b = Config.part_b config ~k ~eps in
-  let ap = Approx_part.run ~config oracle ~b in
-  let part = ap.Approx_part.partition in
+  let part, part_samples = Approx_part.partition ~config ws oracle ~b in
   let kk = Partition.cell_count part in
   (* Step 4: chi^2 learner on the partition.  D-hat is constant on each
      cell and G is a union of cells, so the later stages read D-hat as K
      levels and G as the sieve's [kept] mask: never n points. *)
-  let dhat, learn_samples = Learner.fit ~config oracle ~part ~eps in
-  let samples_so_far = ap.Approx_part.samples_used + learn_samples in
+  let dhat, learn_samples = Learner.fit ~config ws oracle ~part ~eps in
+  let samples_so_far = part_samples + learn_samples in
   (* Steps 6-8: sieving.  Only cells that can hide a breakpoint strictly
      inside them (length >= 2) are removable; this is also what bounds the
      discarded mass by 2/b per cell in the soundness case. *)
-  let eligible =
-    Array.init kk (fun j ->
-        Interval.length (Partition.cell part j) >= 2)
-  in
-  let sieve = Sieve.run_khist ~config oracle ~dhat ~eligible ~k ~eps in
+  let eligible = Workspace.eligible ws kk in
+  for j = 0 to kk - 1 do
+    eligible.(j) <- Interval.length (Partition.cell part j) >= 2
+  done;
+  let sieve = Sieve.run_khist ~config ws oracle ~dhat ~eligible ~k ~eps in
   let samples_so_far = samples_so_far + sieve.Sieve.samples_used in
   if Verdict.equal sieve.Sieve.verdict Verdict.Reject then
     {
@@ -67,9 +69,10 @@ let run ?(config = Config.default) ?ws oracle ~k ~eps =
   else begin
     (* Step 10: is D-hat close to *some* k-histogram on the kept domain?
        Half the DP's l1 cost, as in [Closest.tv_to_hk]. *)
-    let cells = Closest.cells_of_khist dhat ~keep:sieve.Sieve.kept in
-    let scratch = Option.map Workspace.closest ws in
-    let check_distance = 0.5 *. fst (Closest.fit_cells ?scratch cells ~k) in
+    let l1, _ =
+      Closest.fit_khist (Workspace.closest ws) dhat ~keep:sieve.Sieve.kept ~k
+    in
+    let check_distance = 0.5 *. l1 in
     let check_tolerance = eps /. config.Config.check_eps_div in
     if check_distance > check_tolerance then
       {
@@ -86,7 +89,7 @@ let run ?(config = Config.default) ?ws oracle ~k ~eps =
          at eps' = 13 eps / 30. *)
       let eps' = eps *. config.Config.test_eps_frac in
       let final =
-        Adk15.run_khist ~config ~cell_mask:sieve.Sieve.kept ?ws oracle
+        Adk15.run_khist ~config ~cell_mask:sieve.Sieve.kept ~ws oracle
           ~dstar:dhat ~eps:eps'
       in
       {

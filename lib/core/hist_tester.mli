@@ -43,13 +43,14 @@ val run :
   k:int ->
   eps:float ->
   report
-(** Full run with per-stage diagnostics.  [ws] — typically the trial's
-    workspace when running under [Harness] — makes the final statistic
-    write into reusable buffers and the checking DP run in the
-    workspace's scratch ({!Workspace.closest}); the report's [final]
-    per-cell array is then a workspace view (see {!Adk15.run}).
-    Verdicts and scalar fields are unaffected and the sampled streams
-    are identical either way. *)
+(** Full run with per-stage diagnostics.  Every stage keeps its
+    cell-sized arrays in [ws] — typically the trial's workspace when
+    running under [Harness]; a fresh one when absent — and the checking
+    DP runs in its scratch ({!Workspace.closest}), so a warm trial
+    allocates little beyond its report and its partition.  The report's
+    [final] per-cell array is a workspace view (see {!Adk15.run}), and
+    its sieve's [kept] mask is the report's own.  Verdicts, scalar fields
+    and the sampled streams are the same with or without [ws]. *)
 
 val test :
   ?config:Config.t ->

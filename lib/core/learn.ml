@@ -32,10 +32,8 @@ let run oracle ~k ~eps =
   done;
   let grid = Partition.of_breakpoints ~n (List.rev !breaks) in
   let cell_counts = Empirical.cell_counts grid counts in
-  let empirical =
-    Khist.to_pmf
-      (Khist.make grid
-         (Empirical.add_one_levels grid ~counts:cell_counts ~total:m))
-  in
+  let levels = Array.make (Partition.cell_count grid) 0. in
+  Empirical.add_one_levels grid ~counts:cell_counts ~total:m ~levels;
+  let empirical = Khist.to_pmf (Khist.lend grid levels) in
   let hypothesis = Construct.greedy_merge empirical ~k in
   { hypothesis; samples_used = m; grid_cells = Partition.cell_count grid }

@@ -17,13 +17,19 @@ type result = {
 
 val fit :
   config:Config.t ->
+  Workspace.t ->
   Poissonize.oracle ->
   part:Partition.t ->
   eps:float ->
   Khist.t * int
 (** D̂ as K levels over [part], and the samples drawn: what Algorithm 1
-    keeps, K floats rather than n.  [eps] is the target χ/accuracy
-    parameter (the ε/60 of Algorithm 1, divided further per [config]). *)
+    keeps, K floats rather than n.  The cell counts and the levels live in
+    the workspace ({!Workspace.cell_counts}, {!Workspace.levels}): the
+    histogram is lent, valid until the next [fit] on the same workspace.
+    [eps] is the target χ/accuracy parameter (the ε/60 of Algorithm 1,
+    divided further per [config]). *)
 
 val run : ?config:Config.t -> Poissonize.oracle -> part:Partition.t -> eps:float -> result
-(** {!fit} followed by [Khist.to_pmf]: the same D̂, also as a dense pmf. *)
+(** {!fit} in a fresh workspace, which nothing reuses, so its histogram
+    is the caller's; [estimate] is its [Khist.to_pmf]: the same D̂, also
+    as a dense pmf. *)

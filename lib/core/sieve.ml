@@ -17,12 +17,13 @@ type result = {
 }
 
 (* The rounds over [kk] cells; D̂'s representation only changes [stat],
-   which writes one repetition's per-cell statistic into [per_cell]. *)
-let rounds ~config oracle ~stat ~kk ~eligible ~k ~eps =
+   which writes one repetition's per-cell statistic into [per_cell].
+   Every cell-sized array but the returned [kept] mask lives in [ws]. *)
+let rounds ~config ws oracle ~stat ~kk ~eligible ~k ~eps =
   if k < 1 then invalid_arg "Sieve.run: k must be at least 1";
   if eps <= 0. || eps > 1. then invalid_arg "Sieve.run: eps outside (0, 1]";
-  if Array.length eligible <> kk then
-    invalid_arg "Sieve.run: eligibility mask length mismatch";
+  if Array.length eligible < kk then
+    invalid_arg "Sieve.run: eligibility mask shorter than the cells";
   let n = oracle.Poissonize.n in
   let alpha = Config.sieve_alpha config ~eps in
   let m = float_of_int (Config.test_samples config ~n ~eps:alpha) in
@@ -36,16 +37,15 @@ let rounds ~config oracle ~stat ~kk ~eligible ~k ~eps =
   let removed_count = ref 0 in
   let samples = ref 0 in
   let log = ref [] in
-  (* Per-repetition statistic rows and the median scratch column are
-     allocated once here and reused by every round: each row is handed to
-     [stat] as its output buffer (which zeroes it), so the
+  (* Per-repetition statistic rows and the medians, reused by every
+     round: each row is handed to [stat] as its output buffer (which
+     zeroes it; the medians then sort each column in place), so the
      O(rounds * reps) statistic evaluations — the sieve's entire sampling
      cost — allocate nothing per cell.  The counts the oracle returns are
      consumed within the repetition that drew them, so a workspace-backed
      oracle is safe here. *)
-  let per_rep = Array.init reps (fun _ -> Array.make kk 0.) in
-  let med_column = Array.make reps 0. in
-  let meds = Array.make kk 0. in
+  let per_rep = Workspace.rows ws ~rows:reps kk in
+  let meds = Workspace.medians ws kk in
   let cell_medians () =
     for r = 0 to reps - 1 do
       let counts = oracle.Poissonize.poissonized m in
@@ -53,15 +53,21 @@ let rounds ~config oracle ~stat ~kk ~eligible ~k ~eps =
         (stat ~cell_mask:kept ~per_cell:per_rep.(r) ~counts ~m ~eps:alpha
           : Chi2stat.t)
     done;
-    for j = 0 to kk - 1 do
-      for r = 0 to reps - 1 do
-        med_column.(r) <- per_rep.(r).(j)
-      done;
-      meds.(j) <- Numkit.Summary.median med_column
-    done
+    Numkit.Summary.column_medians per_rep ~rows:reps ~cols:kk ~out:meds
   in
-  let sum_kept meds =
-    Numkit.Kahan.sum_f kk (fun j -> if kept.(j) then meds.(j) else 0.)
+  (* Σ over kept cells of their medians, a Neumaier sum over every cell
+     (0 for a dropped one) on local refs. *)
+  let sum_kept () =
+    let sum = ref 0. and comp = ref 0. in
+    for j = 0 to kk - 1 do
+      let x = if kept.(j) then meds.(j) else 0. in
+      let s = !sum +. x in
+      if Float.abs !sum >= Float.abs x then
+        comp := !comp +. ((!sum -. s) +. x)
+      else comp := !comp +. ((x -. s) +. !sum);
+      sum := s
+    done;
+    !sum +. !comp
   in
   let exception Decided of Verdict.t * int in
   let result_of verdict rounds_used =
@@ -79,7 +85,7 @@ let rounds ~config oracle ~stat ~kk ~eligible ~k ~eps =
     for round = 1 to rounds do
       cell_medians ();
       samples := !samples + (reps * int_of_float m);
-      let z_before = sum_kept meds in
+      let z_before = sum_kept () in
       let removed_this_round = ref [] in
       let remove j =
         kept.(j) <- false;
@@ -102,7 +108,7 @@ let rounds ~config oracle ~stat ~kk ~eligible ~k ~eps =
           end
         done
       end;
-      let z_mid = sum_kept meds in
+      let z_mid = sum_kept () in
       if z_mid < stop then begin
         log :=
           {
@@ -115,26 +121,31 @@ let rounds ~config oracle ~stat ~kk ~eligible ~k ~eps =
           :: !log;
         raise (Decided (Verdict.Accept, round))
       end;
-      (* Stage 2: sort the removable cells by decreasing statistic and
-         discard the smallest prefix bringing the kept total under the
-         residual target — at most k cells per round ("l <= k'" in the
-         paper), which is what makes the O(log k) iteration necessary. *)
-      let order =
-        List.init kk (fun j -> j)
-        |> List.filter (fun j -> kept.(j) && eligible.(j))
-        |> List.sort (fun a b -> Float.compare meds.(b) meds.(a))
-      in
+      (* Stage 2: walk the removable cells by decreasing statistic (ties
+         by ascending index) and discard the smallest prefix bringing the
+         kept total under the residual target — at most k cells per round
+         ("l <= k'" in the paper), which is what makes the O(log k)
+         iteration necessary.  A prefix needs no sort: each step takes the
+         best cell still kept, at most k scans of the K cells. *)
       let residual = ref z_mid in
       let this_round = ref 0 in
-      List.iter
-        (fun j ->
-          if !residual > keep_target && meds.(j) > 0. && !this_round < k
-          then begin
-            remove j;
-            incr this_round;
-            residual := !residual -. meds.(j)
-          end)
-        order;
+      let walking = ref true in
+      while !walking && !residual > keep_target && !this_round < k do
+        let best = ref (-1) in
+        for j = 0 to kk - 1 do
+          if
+            kept.(j) && eligible.(j)
+            && (!best < 0 || Float.compare meds.(j) meds.(!best) > 0)
+          then best := j
+        done;
+        let j = !best in
+        if j < 0 || not (meds.(j) > 0.) then walking := false
+        else begin
+          remove j;
+          incr this_round;
+          residual := !residual -. meds.(j)
+        end
+      done;
       log :=
         {
           round;
@@ -152,13 +163,13 @@ let rounds ~config oracle ~stat ~kk ~eligible ~k ~eps =
   with Decided (verdict, rounds_used) -> result_of verdict rounds_used
 
 let run ?(config = Config.default) oracle ~dhat ~part ~eligible ~k ~eps =
-  rounds ~config oracle ~kk:(Partition.cell_count part) ~eligible ~k ~eps
-    ~stat:(fun ~cell_mask ~per_cell ~counts ~m ~eps ->
+  rounds ~config (Workspace.create ()) oracle ~kk:(Partition.cell_count part)
+    ~eligible ~k ~eps ~stat:(fun ~cell_mask ~per_cell ~counts ~m ~eps ->
       Chi2stat.compute ~cell_mask ~per_cell ~counts ~m ~dstar:dhat ~part ~eps ())
 
-let run_khist ~config oracle ~dhat ~eligible ~k ~eps =
+let run_khist ~config ws oracle ~dhat ~eligible ~k ~eps =
   let part = Khist.partition dhat in
-  rounds ~config oracle ~kk:(Khist.pieces dhat) ~eligible ~k ~eps
+  rounds ~config ws oracle ~kk:(Khist.pieces dhat) ~eligible ~k ~eps
     ~stat:(fun ~cell_mask ~per_cell ~counts ~m ~eps ->
       Chi2stat.compute_khist ~cell_mask ~per_cell ~counts ~m ~dstar:dhat ~part
         ~eps ())

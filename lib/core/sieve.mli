@@ -51,11 +51,12 @@ val run :
   k:int ->
   eps:float ->
   result
-(** The sieve against a dense D̂ over [part]: a thin adapter over the
-    rounds {!run_khist} runs. *)
+(** The sieve against a dense D̂ over [part]: the rounds {!run_khist}
+    runs, in a fresh workspace. *)
 
 val run_khist :
   config:Config.t ->
+  Workspace.t ->
   Poissonize.oracle ->
   dhat:Khist.t ->
   eligible:bool array ->
@@ -64,4 +65,8 @@ val run_khist :
   result
 (** The same rounds against D̂ held as cell levels (what Algorithm 1
     runs), bit-identical to [run ~dhat:(Khist.to_pmf dhat)
-    ~part:(Khist.partition dhat)]. *)
+    ~part:(Khist.partition dhat)].  The per-repetition rows and the
+    medians live in the workspace ({!Workspace.rows},
+    {!Workspace.medians}); [eligible] may be longer than the cell count
+    (a {!Workspace.eligible} buffer).  The result's [kept] mask is fresh
+    and the caller's. *)

@@ -1,23 +1,37 @@
 type t = { part : Partition.t; levels : float array }
 
+(* [levels] may be longer than the cell count (a workspace buffer lent by
+   [lend]); only its first [Partition.cell_count part] entries are read. *)
+let check name part levels =
+  let k = Partition.cell_count part in
+  if Array.length levels < k then
+    invalid_arg ("Khist." ^ name ^ ": one level per cell required");
+  for j = 0 to k - 1 do
+    let v = levels.(j) in
+    if not (Float.is_finite v) || v < 0. then
+      invalid_arg ("Khist." ^ name ^ ": levels must be finite and nonnegative")
+  done
+
 let make part levels =
   if Array.length levels <> Partition.cell_count part then
     invalid_arg "Khist.make: one level per cell required";
-  Array.iter
-    (fun v ->
-      if not (Float.is_finite v) || v < 0. then
-        invalid_arg "Khist.make: levels must be finite and nonnegative")
-    levels;
+  check "make" part levels;
   { part; levels = Array.copy levels }
 
+let lend part levels =
+  check "lend" part levels;
+  { part; levels }
+
 let partition t = t.part
-let levels t = Array.copy t.levels
 let pieces t = Partition.cell_count t.part
+let levels t = Array.sub t.levels 0 (pieces t)
 let level t j = t.levels.(j)
 
 let unsafe_levels t = t.levels
 
-let to_pmf t = Pmf.of_pieces t.part t.levels
+let to_pmf t =
+  Pmf.of_pieces t.part
+    (if Array.length t.levels = pieces t then t.levels else levels t)
 
 let breakpoints_of_pmf pmf =
   let p = Pmf.unsafe_array pmf in

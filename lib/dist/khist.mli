@@ -11,6 +11,14 @@ val make : Partition.t -> float array -> t
 (** One finite nonnegative level per cell; levels are per-element
     probabilities, so the represented mass is Σ level·|cell|. *)
 
+val lend : Partition.t -> float array -> t
+(** A histogram over [levels] itself, NOT copied: the hot-path form,
+    for a caller that keeps its levels in a reusable buffer (Algorithm
+    1's learner writes them into its workspace).  [levels] may be longer
+    than the cell count; only the first [Partition.cell_count part]
+    entries are levels.  The histogram is valid while the caller leaves
+    the buffer alone.  @raise Invalid_argument as {!make} does. *)
+
 val partition : t -> Partition.t
 val levels : t -> float array
 val pieces : t -> int
@@ -19,7 +27,8 @@ val level : t -> int -> float
 val unsafe_levels : t -> float array
 (** The levels themselves, NOT copied — read-only by convention, like
     {!Pmf.unsafe_array}: the statistic's loops read a level per run of
-    elements without a copy or a boxed float per read. *)
+    elements without a copy or a boxed float per read.  Longer than
+    {!pieces} when the histogram was {!lend}ed a longer buffer. *)
 
 val to_pmf : t -> Pmf.t
 (** The expansion, {!Pmf.of_pieces}: one n-float array filled a cell at

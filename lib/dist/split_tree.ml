@@ -82,8 +82,7 @@ let[@histolint.hot] rec fill t rng counts node count =
     if node >= t.width then counts.(node - t.width) <- count
     else begin
       let left = 2 * node in
-      let p_left = Bigarray.Array1.unsafe_get t.p_left node in
-      let c_left = Randkit.Sampler.binomial rng ~n:count ~p:p_left in
+      let c_left = Randkit.Sampler.binomial_at rng ~n:count t.p_left node in
       fill t rng counts left c_left;
       fill t rng counts (left + 1) (count - c_left)
     end

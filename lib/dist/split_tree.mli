@@ -44,8 +44,8 @@ val draw_counts : t -> Randkit.Rng.t -> int -> int array
 
 val draw_counts_into : t -> Randkit.Rng.t -> counts:int array -> int -> unit
 (** Zeroes [counts] and fills it with a multinomial([m], pmf) draw —
-    same stream as [draw_counts t rng m].  Allocates no array; each
-    binomial draw allocates a few words (the split probability boxed
-    for the call into [Randkit.Sampler], and boxed log-factorials on a
-    BTRS rejection path), ~5.5 words per internal node at n = 2^16.
+    same stream as [draw_counts t rng m].  Allocates nothing, in the dev
+    profile too: each node hands [Randkit.Sampler.binomial_at] the table
+    and its index rather than a boxed split probability, and a BTRS
+    rejection path reads its log-factorials through a slot.
     @raise Invalid_argument if [m < 0] or [Array.length counts <> size t]. *)

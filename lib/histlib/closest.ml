@@ -22,15 +22,16 @@ let no_floats = floats 0
 let no_ints = ints 0
 
 (* Everything one DP run writes, outside the GC heap and reused: the
-   staged cell values and weights the index is built from, the index
-   itself (whose slot carries each query's answer), the two DP rows, the
-   suffix minima of the certified scan, and the k x K choice matrix (row
-   j at offset j*K).  Rows and matrix grow to the largest K and k*K
-   seen. *)
+   staged cells (values, weights, and the domain position each starts
+   at) the index is built from, the index itself (whose slot carries each
+   query's answer), the two DP rows, the suffix minima of the certified
+   scan, and the k x K choice matrix (row j at offset j*K).  Each array
+   grows to the largest K and k*K seen. *)
 type scratch = {
   index : Numkit.Rank_index.t;
   mutable values : floats;
   mutable weights : floats;
+  mutable starts : ints;
   mutable dp_a : floats;
   mutable dp_b : floats;
   mutable smin : floats;
@@ -42,21 +43,47 @@ let scratch () =
     index = Numkit.Rank_index.empty ();
     values = no_floats;
     weights = no_floats;
+    starts = no_ints;
     dp_a = no_floats;
     dp_b = no_floats;
     smin = no_floats;
     choice = no_ints;
   }
 
+(* Room for [need] staged cells, keeping the first [keep]. *)
+let grow_staged s ~need ~keep =
+  let cap = Int.max need (2 * A.dim s.values) in
+  let values = floats cap and weights = floats cap and starts = ints cap in
+  A.blit (A.sub s.values 0 keep) (A.sub values 0 keep);
+  A.blit (A.sub s.weights 0 keep) (A.sub weights 0 keep);
+  A.blit (A.sub s.starts 0 keep) (A.sub starts 0 keep);
+  s.values <- values;
+  s.weights <- weights;
+  s.starts <- starts
+
+(* Stage cell [i]; inlined, so its floats arrive unboxed. *)
+let[@inline] stage s i ~value ~weight ~start =
+  if i >= A.dim s.values then
+    (grow_staged s ~need:(i + 1) ~keep:i
+     [@histolint.alloc_ok
+       "grows the staged cells past the largest input seen; every later \
+        compression up to that size reuses them"]);
+  A.unsafe_set s.values i value;
+  A.unsafe_set s.weights i weight;
+  A.unsafe_set s.starts i start
+
+(* The rows and the choice matrix grow to at least twice their old size,
+   so a trial ensemble whose K creeps up a cell at a time regrows them a
+   few times, not once per new largest K. *)
 let reserve s ~kk ~k =
-  if A.dim s.values < kk then begin
-    s.values <- floats kk;
-    s.weights <- floats kk;
-    s.dp_a <- floats kk;
-    s.dp_b <- floats kk;
-    s.smin <- floats (kk + 1)
+  if A.dim s.dp_a < kk then begin
+    let cap = Int.max kk (2 * A.dim s.dp_a) in
+    s.dp_a <- floats cap;
+    s.dp_b <- floats cap;
+    s.smin <- floats (cap + 1)
   end;
-  if A.dim s.choice < k * kk then s.choice <- ints (k * kk)
+  if A.dim s.choice < k * kk then
+    s.choice <- ints (Int.max (k * kk) (2 * A.dim s.choice))
 
 (* Backwalk of a filled choice matrix: piece start indices, first = 0. *)
 let walk_starts (choice : ints) ~k ~kk =
@@ -68,28 +95,28 @@ let walk_starts (choice : ints) ~k ~kk =
   in
   walk (k - 1) (kk - 1) []
 
-let validate_fit name cells ~k =
-  let kk = Array.length cells in
+let validate_fit name ~kk ~k =
   if kk = 0 then invalid_arg (name ^ ": no cells");
   if k <= 0 then invalid_arg (name ^ ": k must be positive");
   min k kk
 
-(* Is the positive-weight value sequence monotone (either direction)?
-   Zero-weight cells are cost-transparent — the segment cost ignores
-   them — so they do not affect the Monge property and are skipped. *)
-let monotone_values cells =
+(* Is the positive-weight value sequence of the [kk] staged cells
+   monotone (either direction)?  Zero-weight cells are cost-transparent —
+   the segment cost ignores them — so they do not affect the Monge
+   property and are skipped. *)
+let monotone_values s ~kk =
   let up = ref true and down = ref true in
   let seen = ref false and prev = ref 0. in
-  for i = 0 to Array.length cells - 1 do
-    let c = cells.(i) in
-    if c.weight > 0. then begin
+  for i = 0 to kk - 1 do
+    if A.unsafe_get s.weights i > 0. then begin
+      let v = A.unsafe_get s.values i in
       if !seen then begin
-        let o = Float.compare c.value !prev in
+        let o = Float.compare v !prev in
         if o < 0 then up := false;
         if o > 0 then down := false
       end;
       seen := true;
-      prev := c.value
+      prev := v
     end
   done;
   !up || !down
@@ -157,21 +184,15 @@ let rec solve_dc idx (slot : float array) ~(prev : floats) ~(cur : floats)
    (The cutoff cannot drop a tie either: a candidate tying the final
    best has dp_prev(l-1) <= best, hence suffix_min(l) <= best.)
 
-   Returns the optimal cost; the breakpoints are left in the scratch's
-   choice matrix. *)
-let[@histolint.hot] run_dp s cells ~k ~kk =
+   Runs over the [kk] cells staged in the scratch.  Returns the optimal
+   cost; the breakpoints are left in the scratch's choice matrix. *)
+let[@histolint.hot] run_dp s ~k ~kk =
   (reserve s ~kk ~k
    [@histolint.alloc_ok
      "grows the rows on the first fit of a larger K or k*K; every later \
       fit up to that size reuses them"]);
-  let values = s.values and weights = s.weights in
-  for i = 0 to kk - 1 do
-    let c = cells.(i) in
-    A.unsafe_set values i c.value;
-    A.unsafe_set weights i c.weight
-  done;
   let idx = s.index in
-  Numkit.Rank_index.rebuild idx ~values ~weights ~len:kk;
+  Numkit.Rank_index.rebuild idx ~values:s.values ~weights:s.weights ~len:kk;
   let slot = Numkit.Rank_index.slot idx in
   let choice = s.choice and smin = s.smin in
   let prev = ref s.dp_a and cur = ref s.dp_b in
@@ -179,7 +200,7 @@ let[@histolint.hot] run_dp s cells ~k ~kk =
     Numkit.Rank_index.seg_cost_into idx ~lo:0 ~hi:(r + 1);
     A.unsafe_set !prev r (Array.unsafe_get slot 0)
   done;
-  let monge = monotone_values cells in
+  let monge = monotone_values s ~kk in
   for j = 1 to k - 1 do
     let dp_prev = !prev and dp_cur = !cur in
     let row = j * kk in
@@ -222,111 +243,125 @@ let[@histolint.hot] run_dp s cells ~k ~kk =
   done;
   A.get !prev (kk - 1)
 
-let fit_cells ?scratch:s cells ~k =
-  let kk = Array.length cells in
-  let k = validate_fit "Closest.fit_cells" cells ~k in
-  let s = match s with Some s -> s | None -> scratch () in
-  let cost = run_dp s cells ~k ~kk in
+(* The fit of the [kk] cells staged in [s]: cost and piece starts. *)
+let solve name s ~kk ~k =
+  let k = validate_fit name ~kk ~k in
+  let cost = run_dp s ~k ~kk in
   (cost, walk_starts s.choice ~k ~kk)
 
-let fit_levels cells starts =
-  (* Re-derive the optimal level (weighted median) of each chosen piece. *)
+let fit_cells ?scratch:s cells ~k =
+  let s = match s with Some s -> s | None -> scratch () in
   let kk = Array.length cells in
+  for i = 0 to kk - 1 do
+    let c = cells.(i) in
+    stage s i ~value:c.value ~weight:c.weight ~start:i
+  done;
+  solve "Closest.fit_cells" s ~kk ~k
+
+(* The optimal level (weighted median) of each chosen piece of the [kk]
+   staged cells. *)
+let fit_levels s ~kk starts =
   let bounds = Array.of_list (starts @ [ kk ]) in
   Array.init
     (Array.length bounds - 1)
     (fun p ->
       let med = Numkit.Wmedian.create () in
       for c = bounds.(p) to bounds.(p + 1) - 1 do
-        Numkit.Wmedian.add med ~value:cells.(c).value ~weight:cells.(c).weight
+        Numkit.Wmedian.add med ~value:(A.get s.values c)
+          ~weight:(A.get s.weights c)
       done;
       let m = Numkit.Wmedian.median med in
       if Float.is_nan m then 0. else m)
 
 (* Compress [segs] nonempty constant segments covering [0..n-1] (segment s
-   starts at [start s], with value [value s] and keep status [kept s];
-   [same s]: is its value segment s-1's?) into DP cells: maximal runs of
-   equal (value, kept) status, together with each cell's domain start.
+   starts at [start s], with value [values.(s)] and keep status
+   [kept s]) into DP cells staged in [sc]: maximal runs of equal (value,
+   kept) status, each with its domain start.  Returns the cell count.
    Excluded runs of length >= 2 are split in two zero-weight cells so the
    DP can place a piece boundary strictly inside them at no cost.  This is
-   the ONE run decomposition [cells_of_pmf], [witness] (segments = points)
-   and [cells_of_khist] (segments = cells) consume, so the cell array and
-   the extent array cannot drift apart, and a histogram compresses to
+   the ONE run decomposition every entry point consumes (segments =
+   points for a pmf, cells for a histogram), so a histogram compresses to
    exactly the cells of its expansion. *)
-let compress ~n ~segs ~start ~value ~same ~kept =
-  let cells = ref [] in
-  let starts = ref [] in
+let compress sc ~n ~segs ~start ~(values : float array) ~kept =
+  let count = ref 0 in
   let run_seg = ref 0 in
   let flush stop_seg =
     let run_start = start !run_seg in
     let len = (if stop_seg = segs then n else start stop_seg) - run_start in
-    let v = value !run_seg in
+    let v = values.(!run_seg) in
     if kept !run_seg then begin
-      cells := { value = v; weight = float_of_int len } :: !cells;
-      starts := run_start :: !starts
+      stage sc !count ~value:v ~weight:(float_of_int len) ~start:run_start;
+      incr count
     end
     else if len = 1 then begin
-      cells := { value = v; weight = 0. } :: !cells;
-      starts := run_start :: !starts
+      stage sc !count ~value:v ~weight:0. ~start:run_start;
+      incr count
     end
     else begin
       (* Two free half-cells allow an interior piece boundary. *)
-      cells :=
-        { value = v; weight = 0. } :: { value = v; weight = 0. } :: !cells;
-      starts := (run_start + (len / 2)) :: run_start :: !starts
+      stage sc !count ~value:v ~weight:0. ~start:run_start;
+      stage sc (!count + 1) ~value:v ~weight:0. ~start:(run_start + (len / 2));
+      count := !count + 2
     end;
     run_seg := stop_seg
   in
   for s = 1 to segs - 1 do
-    if (not (same s)) || kept s <> kept (s - 1) then flush s
+    if (not (Float.equal values.(s) values.(s - 1))) || kept s <> kept (s - 1)
+    then flush s
   done;
   flush segs;
-  (Array.of_list (List.rev !cells), Array.of_list (List.rev !starts))
+  !count
 
-let runs_of_pmf ?mask pmf =
-  let n = Pmf.size pmf in
-  let p = Pmf.unsafe_array pmf in
+let compress_pmf sc ?mask pmf =
   let kept = match mask with None -> fun _ -> true | Some m -> Array.get m in
-  compress ~n ~segs:n ~start:Fun.id ~value:(Array.get p)
-    ~same:(fun i -> Float.equal p.(i) p.(i - 1))
-    ~kept
+  compress sc ~n:(Pmf.size pmf) ~segs:(Pmf.size pmf) ~start:Fun.id
+    ~values:(Pmf.unsafe_array pmf) ~kept
 
-let cells_of_pmf ?mask pmf = fst (runs_of_pmf ?mask pmf)
+let compress_khist sc h ~keep =
+  let part = Khist.partition h in
+  if Array.length keep <> Partition.cell_count part then
+    invalid_arg "Closest: keep mask length mismatch";
+  compress sc ~n:(Partition.domain_size part) ~segs:(Partition.cell_count part)
+    ~start:(fun j -> Interval.lo (Partition.cell part j))
+    ~values:(Khist.unsafe_levels h) ~kept:(Array.get keep)
+
+let staged_cells sc ~kk =
+  Array.init kk (fun i ->
+      { value = A.get sc.values i; weight = A.get sc.weights i })
+
+let cells_of_pmf ?mask pmf =
+  let sc = scratch () in
+  staged_cells sc ~kk:(compress_pmf sc ?mask pmf)
 
 let cells_of_khist h ~keep =
-  let part = Khist.partition h in
-  let cells = Partition.cell_count part in
-  if Array.length keep <> cells then
-    invalid_arg "Closest.cells_of_khist: keep mask length mismatch";
-  let lv = Khist.unsafe_levels h in
-  fst
-    (compress ~n:(Partition.domain_size part) ~segs:cells
-       ~start:(fun j -> Interval.lo (Partition.cell part j))
-       ~value:(Array.get lv)
-       ~same:(fun j -> Float.equal lv.(j) lv.(j - 1))
-       ~kept:(Array.get keep))
+  let sc = scratch () in
+  staged_cells sc ~kk:(compress_khist sc h ~keep)
+
+let fit_khist s h ~keep ~k =
+  solve "Closest.fit_khist" s ~kk:(compress_khist s h ~keep) ~k
 
 let l1_to_hk ?mask pmf ~k =
-  let cells = cells_of_pmf ?mask pmf in
-  let cost, _ = fit_cells cells ~k in
-  cost
+  let s = scratch () in
+  fst (solve "Closest.fit_cells" s ~kk:(compress_pmf s ?mask pmf) ~k)
 
 let tv_to_hk ?mask pmf ~k = 0.5 *. l1_to_hk ?mask pmf ~k
 
 let witness ?mask pmf ~k =
   let n = Pmf.size pmf in
-  let cells, cell_lo = runs_of_pmf ?mask pmf in
-  let cost, starts = fit_cells cells ~k in
-  let levels = fit_levels cells starts in
+  let s = scratch () in
+  let kk = compress_pmf s ?mask pmf in
+  let cost, starts = solve "Closest.fit_cells" s ~kk ~k in
+  let levels = fit_levels s ~kk starts in
+  let cell_lo c = A.get s.starts c in
   let breaks =
-    List.filter_map (fun s -> if s = 0 then None else Some cell_lo.(s)) starts
+    List.filter_map (fun c -> if c = 0 then None else Some (cell_lo c)) starts
     |> List.sort_uniq Int.compare
   in
   let part = Partition.of_breakpoints ~n breaks in
   (* One level per partition cell, from the DP pieces.  [bounds] is the
      strictly increasing list of piece start positions, so the piece of a
      domain position is a predecessor lookup: last bound <= x. *)
-  let bounds = Array.of_list (List.map (fun s -> cell_lo.(s)) starts) in
+  let bounds = Array.of_list (List.map cell_lo starts) in
   let piece_of_pos x = Numkit.Search.upper_bound_int bounds x - 1 in
   let lv =
     Array.init (Partition.cell_count part) (fun j ->

@@ -31,10 +31,12 @@
 type cell = { value : float; weight : float }
 
 type scratch
-(** Everything a DP run writes — the segment-cost index, the two DP rows,
-    the scan's suffix minima, the k×K choice matrix and the query result
-    slot — held in Bigarrays outside the GC heap and reused run after
-    run, grown only to the largest K and k·K seen.  Lending contract:
+(** Everything a DP run writes — its staged input cells, the
+    segment-cost index, the two DP rows, the scan's suffix minima, the
+    k×K choice matrix and the query result slot — held in Bigarrays
+    outside the GC heap and reused run after run, grown only past the
+    largest K and k·K seen, and then to at least twice their size.
+    Lending contract:
     single owner; what a run leaves in it is valid until the next
     {!fit_cells} on the same scratch, and it must never be used by code
     running concurrently.  A trial's [Workspace] owns one. *)
@@ -52,8 +54,16 @@ val fit_cells : ?scratch:scratch -> cell array -> k:int -> float * int list
     already fitted as many cells at this [k], the run allocates nothing
     but its answer. *)
 
+val fit_khist : scratch -> Khist.t -> keep:bool array -> k:int -> float * int list
+(** [fit_cells ~scratch (cells_of_khist h ~keep) ~k], bit for bit, with
+    the cells compressed straight into the scratch: what Algorithm 1's
+    checking step runs.  On a scratch that has already fitted as many
+    cells at this [k] it allocates only its answer. *)
+
 val cells_of_pmf : ?mask:bool array -> Pmf.t -> cell array
-(** [fst (runs_of_pmf ?mask pmf)] — the cells alone. *)
+(** The DP cells of a pmf: its maximal constant runs, each kept run
+    weighted by its length, each excluded run of length ≥ 2 split into
+    two zero-weight cells (so a piece may change value inside it). *)
 
 val cells_of_khist : Khist.t -> keep:bool array -> cell array
 (** The cells of a histogram restricted to the cells [keep] marks,

@@ -232,6 +232,27 @@ let check_ident ctx path (loc : Location.t) ty =
              id at)
     | Some At_benign | Some At_unknown | None -> ()
 
+(* A module-level binding of a [Lazy.t] value, in any structure of the
+   unit (a submodule's bindings are module-level too).  Judged by the
+   binding's type, so [lazy e] and [Lazy.from_fun f] are both caught. *)
+let check_toplevel_lazy ctx (vb : Typedtree.value_binding) =
+  match Types.get_desc vb.vb_expr.exp_type with
+  | Types.Tconstr (path, _, _)
+    when List.exists (String.equal (Path.name path))
+           [ "lazy_t"; "Lazy.t"; "Stdlib.Lazy.t"; "CamlinternalLazy.t" ] ->
+      let name =
+        match Typedtree.pat_bound_idents vb.vb_pat with
+        | id :: _ -> Ident.name id
+        | [] -> "_"
+      in
+      add_finding ctx Rules.Par_toplevel_lazy vb.vb_loc
+        (Printf.sprintf
+           "toplevel lazy `%s`: two domains forcing it at once make one \
+            raise CamlinternalLazy.Undefined; build it eagerly at module \
+            initialisation"
+           name)
+  | _ -> ()
+
 (* Validate the rule ids an [@histolint.allow] names: a typo would
    silently suppress nothing, or rot after a rename. *)
 let validate_allow_rules ctx (attr_loc : Location.t) rules =
@@ -311,6 +332,7 @@ let iterator ctx =
   in
   let structure_item sub (si : Typedtree.structure_item) =
     (match si.str_desc with
+    | Typedtree.Tstr_value (_, vbs) -> List.iter (check_toplevel_lazy ctx) vbs
     | Typedtree.Tstr_attribute attr ->
         (* Floating [@@@histolint.allow]: suppress to end of file. *)
         let range =

@@ -8,6 +8,7 @@ type t =
   | Poly_compare_structural
   | Par_raw_domain
   | Par_shared_mutable
+  | Par_toplevel_lazy
   | Hot_alloc
   | Dead_unreferenced_export
   | Lint_unknown_allow
@@ -23,6 +24,7 @@ let all =
     Poly_compare_structural;
     Par_raw_domain;
     Par_shared_mutable;
+    Par_toplevel_lazy;
     Hot_alloc;
     Dead_unreferenced_export;
     Lint_unknown_allow;
@@ -36,6 +38,7 @@ let name = function
   | Poly_compare_structural -> "poly/compare-structural"
   | Par_raw_domain -> "par/raw-domain"
   | Par_shared_mutable -> "par/shared-mutable-capture"
+  | Par_toplevel_lazy -> "par/toplevel-lazy"
   | Hot_alloc -> "hot/alloc"
   | Dead_unreferenced_export -> "dead/unreferenced-export"
   | Lint_unknown_allow -> "lint/unknown-allow"
@@ -45,7 +48,8 @@ let of_name s = List.find_opt (fun r -> String.equal (name r) s) all
 let severity = function
   | Poly_compare_structural -> Warn
   | Det_stdlib_random | Det_hashtbl_order | Det_wallclock | Float_poly_compare
-  | Par_raw_domain | Par_shared_mutable | Hot_alloc | Dead_unreferenced_export
+  | Par_raw_domain | Par_shared_mutable | Par_toplevel_lazy | Hot_alloc
+  | Dead_unreferenced_export
   | Lint_unknown_allow ->
       Error
 
@@ -77,6 +81,11 @@ let describe = function
       "a closure handed to Parkit.Pool.run/iter/map/init captures mutable \
        state shared with other domains; use pool-index-disjoint slots or an \
        audited [@histolint.disjoint \"reason\"]"
+  | Par_toplevel_lazy ->
+      "a module-level lazy value is forced by whichever domain reaches it \
+       first; two domains forcing it at once make one of them raise \
+       CamlinternalLazy.Undefined; build the value eagerly at module \
+       initialisation"
   | Hot_alloc ->
       "a function marked [@histolint.hot] (or one it calls) allocates; hot \
        paths must stay allocation-free, or audit the site with \
@@ -216,6 +225,7 @@ let applies rule scope =
   (* lib/parallel's own worker loop intentionally shares the task queue;
      the race rule polices pool *clients*. *)
   | Par_shared_mutable, (Lib | Bin) -> true
+  | Par_toplevel_lazy, (Lib | Lib_parallel) -> true
   | Hot_alloc, (Lib | Lib_parallel | Bin) -> true
   | Dead_unreferenced_export, (Lib | Lib_parallel) -> true
   (* Not in Test scope: the fixture tree deliberately contains bad

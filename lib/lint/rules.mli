@@ -48,6 +48,12 @@ type t =
           helpers the closure calls are resolved through the module
           summaries.  Audited escape hatch:
           [\[@histolint.disjoint "reason"\]]. *)
+  | Par_toplevel_lazy
+      (** A module-level value of type [Lazy.t] in [lib/]: any domain may
+          force it first, and a second domain forcing it while the first
+          still runs the suspension raises [CamlinternalLazy.Undefined].
+          Build it eagerly at module initialisation, which runs before
+          any domain is spawned. *)
   | Hot_alloc
       (** A function marked [\[@histolint.hot\]] — or a function it
           calls, transitively — allocates: closure/tuple/record/variant

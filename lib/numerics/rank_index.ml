@@ -33,7 +33,9 @@
    from one of two ping-pong buffers and partition them stably into the
    other, at the same offsets, so no node gets arrays of its own.  The
    buffers grow only when a build needs more room than any before it,
-   so a warm rebuild allocates nothing.
+   and then to at least twice their old size, so a warm rebuild
+   allocates nothing and an ensemble whose K creeps up a cell at a time
+   regrows its tables a few times, not once per new largest K.
 
    Median descent: with target = W/2 (W the range's total weight), go
    left iff the weight at ranks below the current subtree's midpoint
@@ -122,6 +124,7 @@ let ceil_log2 k =
    level down to its leaf, and each node's pools take one extra entry. *)
 let reserve t k =
   if k > t.cap then begin
+    let k = Int.max k (2 * t.cap) in
     let pool = (k * (ceil_log2 k + 1)) + (2 * k) in
     t.rank_value <- floats k;
     t.wpre <- floats (k + 1);

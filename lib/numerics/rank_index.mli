@@ -19,8 +19,9 @@
 
     The tables live in Bigarrays, outside the GC heap, and {!rebuild}
     refills them in place: they grow only when a build needs more room
-    than every earlier one, so rebuilding an index of the same or a
-    smaller size allocates nothing, and neither does {!seg_cost_into}.
+    than every earlier one, and then to at least twice their size, so
+    rebuilding an index of the same or a smaller size allocates nothing,
+    and neither does {!seg_cost_into}.
 
     Lending contract: an index is single-owner mutable state.  A query
     writes its answer into the index's {!slot}, which the next query

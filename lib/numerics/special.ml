@@ -10,33 +10,46 @@ let lanczos_coef =
      771.32342877765313; -176.61502916214059; 12.507343278686905;
      -0.13857109526572012; 9.9843695780195716e-6; 1.5056327351493116e-7 |]
 
+(* The Lanczos sum for x >= 0.5.  Inlined into both of its callers, so
+   [log_factorial_into] computes it on an unboxed float; the arithmetic is
+   the same expression either way, so the bits are too. *)
+let[@inline] lanczos x =
+  let x = x -. 1. in
+  let acc = ref lanczos_coef.(0) in
+  for i = 1 to Array.length lanczos_coef - 1 do
+    acc := !acc +. (lanczos_coef.(i) /. (x +. float_of_int i))
+  done;
+  let t = x +. lanczos_g +. 0.5 in
+  (0.5 *. log (2. *. pi)) +. ((x +. 0.5) *. log t) -. t +. log !acc
+
 let rec log_gamma x =
   if x < 0.5 then
     (* Reflection formula keeps the Lanczos series in its accurate range. *)
     log (pi /. sin (pi *. x)) -. log_gamma (1. -. x)
-  else
-    let x = x -. 1. in
-    let acc = ref lanczos_coef.(0) in
-    for i = 1 to Array.length lanczos_coef - 1 do
-      acc := !acc +. (lanczos_coef.(i) /. (x +. float_of_int i))
-    done;
-    let t = x +. lanczos_g +. 0.5 in
-    (0.5 *. log (2. *. pi)) +. ((x +. 0.5) *. log t) -. t +. log !acc
+  else lanczos x
 
-let log_factorial_cache_size = 1024
+(* Built eagerly at module initialisation, before any domain can be
+   spawned: a [lazy] table forced by two domains at once raises
+   [CamlinternalLazy.Undefined] in one of them. *)
+let log_factorial_table_size = 1024
 
-let log_factorial_cache =
-  lazy
-    (let a = Array.make log_factorial_cache_size 0. in
-     for i = 2 to log_factorial_cache_size - 1 do
-       a.(i) <- a.(i - 1) +. log (float_of_int i)
-     done;
-     a)
+let log_factorial_table =
+  let a = Array.make log_factorial_table_size 0. in
+  for i = 2 to log_factorial_table_size - 1 do
+    a.(i) <- a.(i - 1) +. log (float_of_int i)
+  done;
+  a
 
 let log_factorial n =
   if n < 0 then invalid_arg "Special.log_factorial: negative argument";
-  if n < log_factorial_cache_size then (Lazy.force log_factorial_cache).(n)
+  if n < log_factorial_table_size then log_factorial_table.(n)
   else log_gamma (float_of_int n +. 1.)
+
+let[@histolint.hot] log_factorial_into slot n =
+  if n < 0 then invalid_arg "Special.log_factorial_into: negative argument";
+  slot.(0) <-
+    (if n < log_factorial_table_size then log_factorial_table.(n)
+     else lanczos (float_of_int n +. 1.))
 
 let log_poisson_pmf ~mean k =
   if mean < 0. then invalid_arg "Special.log_poisson_pmf: negative mean";

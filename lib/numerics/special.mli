@@ -14,8 +14,17 @@ val log_gamma : float -> float
     formula. *)
 
 val log_factorial : int -> float
-(** [log n!]; table-driven for [n < 1024], [log_gamma] beyond.
+[@@histolint.keep "[log_factorial_into] with a plain float result; the sampler and special-function tests check laws with it"]
+(** [log n!]; read from a table built at module initialisation for
+    [n < 1024] (so any domain may call it first), [log_gamma] beyond.
     @raise Invalid_argument on negative input. *)
+
+val log_factorial_into : float array -> int -> unit
+(** [log_factorial_into slot n] sets [slot.(0)] to [log_factorial n], bit
+    for bit, allocating nothing: the answer does not cross the module
+    boundary as a boxed float, as a float result would in dune's dev
+    profile.  The samplers' rejection paths call it with a slot their
+    domain owns.  @raise Invalid_argument on negative input. *)
 
 val poisson_pmf : mean:float -> int -> float
 [@@histolint.keep "the Poisson law the sampler tests check against"]

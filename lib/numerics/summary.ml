@@ -49,3 +49,31 @@ let prefix_sums a =
     out.(i + 1) <- Kahan.total acc
   done;
   out
+
+(* Insertion sort, in place down each column: the columns are a handful
+   of repetitions, and a loop over float arrays boxes nothing, where
+   [Array.sort]'s comparison closure takes its floats boxed. *)
+let[@histolint.hot] column_medians rows ~rows:r ~cols ~out =
+  if r < 1 then invalid_arg "Summary.column_medians: no rows";
+  if Array.length rows < r || Array.length out < cols then
+    invalid_arg "Summary.column_medians: buffers too short";
+  for j = 0 to cols - 1 do
+    for i = 1 to r - 1 do
+      let x = rows.(i).(j) in
+      let p = ref i in
+      while !p > 0 && Float.compare rows.(!p - 1).(j) x > 0 do
+        rows.(!p).(j) <- rows.(!p - 1).(j);
+        decr p
+      done;
+      rows.(!p).(j) <- x
+    done;
+    (* [quantile]'s interpolation at q = 0.5, down the sorted column. *)
+    out.(j) <-
+      (if r = 1 then rows.(0).(j)
+       else
+         let h = 0.5 *. float_of_int (r - 1) in
+         let lo = int_of_float (floor h) in
+         let hi = min (lo + 1) (r - 1) in
+         let frac = h -. float_of_int lo in
+         rows.(lo).(j) +. (frac *. (rows.(hi).(j) -. rows.(lo).(j))))
+  done

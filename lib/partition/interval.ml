@@ -4,6 +4,7 @@ let make ~lo ~hi =
   if lo > hi then invalid_arg "Interval.make: lo > hi";
   { lo; hi }
 
+let empty = { lo = 0; hi = 0 }
 let lo t = t.lo
 let hi t = t.hi
 let length t = t.hi - t.lo

@@ -8,6 +8,10 @@ type t
 val make : lo:int -> hi:int -> t
 (** @raise Invalid_argument if [lo > hi]; [lo = hi] is the empty interval. *)
 
+val empty : t
+(** [\[0, 0)], a static constant: never on the minor heap, so an array
+    of cells can start out filled with it. *)
+
 val lo : t -> int
 val hi : t -> int
 val length : t -> int

@@ -1,5 +1,17 @@
 type t = { n : int; cells : Interval.t array }
 
+(* The [count] cells [bound i, bound (i + 1)).  The array starts out
+   filled with the static [Interval.empty]: [Array.init] would fill it
+   with its first, freshly allocated cell, and an array longer than 256
+   words filled with a young value makes the runtime run a minor
+   collection first, promoting everything young and live. *)
+let cells_of_bounds count bound =
+  let cells = Array.make count Interval.empty in
+  for i = 0 to count - 1 do
+    cells.(i) <- Interval.make ~lo:(bound i) ~hi:(bound (i + 1))
+  done;
+  cells
+
 let of_breakpoints ~n breaks =
   (* [breaks] are interior cut positions: cell boundaries besides 0 and n. *)
   let breaks = List.sort_uniq Int.compare breaks in
@@ -9,12 +21,18 @@ let of_breakpoints ~n breaks =
         invalid_arg "Partition.of_breakpoints: break outside (0, n)")
     breaks;
   let bounds = Array.of_list ((0 :: breaks) @ [ n ]) in
-  let cells =
-    Array.init
-      (Array.length bounds - 1)
-      (fun i -> Interval.make ~lo:bounds.(i) ~hi:bounds.(i + 1))
-  in
-  { n; cells }
+  { n; cells = cells_of_bounds (Array.length bounds - 1) (Array.get bounds) }
+
+let of_cuts ~n cuts ~len =
+  if len < 0 || len > Array.length cuts then
+    invalid_arg "Partition.of_cuts: len outside the array";
+  for i = 0 to len - 1 do
+    let lo = if i = 0 then 0 else cuts.(i - 1) in
+    if cuts.(i) <= lo || cuts.(i) >= n then
+      invalid_arg "Partition.of_cuts: cuts not strictly ascending in (0, n)"
+  done;
+  let bound i = if i = 0 then 0 else if i > len then n else cuts.(i - 1) in
+  { n; cells = cells_of_bounds (len + 1) bound }
 
 let trivial ~n = of_breakpoints ~n []
 
@@ -24,12 +42,7 @@ let equal_width ~n ~cells:count =
   (* The bounds i·n/count rise by at least 1 per step (count <= n), so
      they need no sort or dedup: O(cells) words, the cell records and
      their array. *)
-  {
-    n;
-    cells =
-      Array.init count (fun i ->
-          Interval.make ~lo:(i * n / count) ~hi:((i + 1) * n / count));
-  }
+  { n; cells = cells_of_bounds count (fun i -> i * n / count) }
 
 let domain_size t = t.n
 let cell_count t = Array.length t.cells

@@ -9,6 +9,12 @@ val of_breakpoints : n:int -> int list -> t
 (** Partition cut at the given interior positions (deduplicated, sorted).
     @raise Invalid_argument if a break lies outside (0, n). *)
 
+val of_cuts : n:int -> int array -> len:int -> t
+(** The partition cut at the first [len] entries of the array, which must
+    ascend strictly inside (0, n): {!of_breakpoints} without the list, the
+    sort and the dedup.  Allocates the cells alone.
+    @raise Invalid_argument otherwise. *)
+
 val trivial : n:int -> t
 (** The single-cell partition. *)
 

@@ -15,9 +15,19 @@ let gaussian rng ~mu ~sigma =
    scaled here: [uniform (Rng.bits53 rng)] is [Rng.float rng 1.] bit for
    bit, but no boxed float comes back across the module boundary.  The
    loops are over local refs, not local recursive closures, so a draw
-   allocates nothing beyond a [Special.log_factorial] result on a
-   rejection path. *)
+   allocates nothing. *)
 let[@inline] uniform bits = float_of_int bits *. 0x1p-53
+
+(* The rejection paths read log-factorials through a one-float slot
+   owned by the calling domain: a float returned by
+   [Special.log_factorial] would be boxed across the module boundary in
+   dune's dev profile.  [lf slot n] is that value, unboxed. *)
+let lf_slot : float array Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Array.make 1 0.)
+
+let[@inline] lf slot n =
+  Numkit.Special.log_factorial_into slot n;
+  Array.unsafe_get slot 0
 
 (* A mantissa for the open interval (0, 1) that [log] needs: resample the
    measure-zero endpoint 0. *)
@@ -70,7 +80,7 @@ let[@histolint.hot] poisson_ptrs rng mean =
         log (v *. inv_alpha /. ((a /. (us *. us)) +. b))
         <= (float_of_int !k *. log_mean)
            -. mean
-           -. Numkit.Special.log_factorial !k
+           -. lf (Domain.DLS.get lf_slot) !k
   done;
   !k
 
@@ -89,7 +99,7 @@ let poisson rng ~mean =
    time O(n * min(p, 1 - p)), which is fast in the small-np regime (bin
    probabilities, deep splitting-tree nodes).  Each jump is a
    [geometric] draw. *)
-let[@histolint.hot] binomial_waiting_core rng ~n ~p =
+let[@inline] [@histolint.hot] binomial_waiting_core rng ~n ~p =
   let flip = p > 0.5 in
   let p = if flip then 1. -. p else p in
   let log_q = log (1. -. p) in
@@ -105,7 +115,7 @@ let[@histolint.hot] binomial_waiting_core rng ~n ~p =
    dominating curve is not guaranteed to dominate).  Constants from "The
    generation of binomial random variates" (1993), the binomial sibling
    of the PTRS Poisson sampler above. *)
-let[@histolint.hot] binomial_btrs_core rng ~n ~p =
+let[@inline] [@histolint.hot] binomial_btrs_core rng ~n ~p =
   let flip = p > 0.5 in
   let p = if flip then 1. -. p else p in
   let fn = float_of_int n in
@@ -129,16 +139,13 @@ let[@histolint.hot] binomial_btrs_core rng ~n ~p =
     else
       (* Only this path reads [h]; it is pure, so computing it here, not
          once up front, moves no draw. *)
-      let h =
-        Numkit.Special.log_factorial mode
-        +. Numkit.Special.log_factorial (n - mode)
-      in
+      let slot = Domain.DLS.get lf_slot in
+      let h = lf slot mode +. lf slot (n - mode) in
+      let lf_k = lf slot !k in
+      let lf_rest = lf slot (n - !k) in
       accepted :=
         log (v *. alpha /. ((a /. (us *. us)) +. b))
-        <= h
-           -. Numkit.Special.log_factorial !k
-           -. Numkit.Special.log_factorial (n - !k)
-           +. (float_of_int (!k - mode) *. lpq)
+        <= h -. lf_k -. lf_rest +. (float_of_int (!k - mode) *. lpq)
   done;
   if flip then n - !k else !k
 
@@ -147,32 +154,43 @@ let[@histolint.hot] binomial_btrs_core rng ~n ~p =
    every host.  10 is BTRS's validity floor. *)
 let binomial_btrs_cutoff = 10.
 
-let[@histolint.hot] binomial_dispatch_core rng ~n ~p =
+let[@inline] [@histolint.hot] binomial_dispatch_core rng ~n ~p =
   let p_min = if p > 0.5 then 1. -. p else p in
   if float_of_int n *. p_min < binomial_btrs_cutoff then
     binomial_waiting_core rng ~n ~p
   else binomial_btrs_core rng ~n ~p
 
-(* Shared validation and closed-form extremes; [core] only ever sees
-   0 < p < 1 and n >= 1, and the extremes consume no randomness.  The
-   [not (p >= 0. && p <= 1.)] form also rejects NaN, which the naive
-   [p < 0. || p > 1.] test would let through. *)
-let binomial_checked name core rng ~n ~p =
+(* Shared validation and closed-form extremes: [-1] when a core must
+   draw, which then only ever sees 0 < p < 1 and n >= 1; the extremes
+   consume no randomness.  The [not (p >= 0. && p <= 1.)] form also
+   rejects NaN, which the naive [p < 0. || p > 1.] test would let
+   through.  Each entry point below calls its core directly, not through
+   a function argument, so an inlined core takes p unboxed. *)
+let[@inline] closed_form name ~n ~p =
   if n < 0 then invalid_arg (name ^ ": n must be nonnegative");
   if not (p >= 0. && p <= 1.) then invalid_arg (name ^ ": p outside [0, 1]");
-  if n = 0 || Float.equal p 0. then 0
-  else if Float.equal p 1. then n
-  else core rng ~n ~p
+  if n = 0 || Float.equal p 0. then 0 else if Float.equal p 1. then n else -1
 
+(* These three receive p boxed already, so they call the cores' own
+   compiled bodies instead of inlining a copy each. *)
 let binomial_waiting_time rng ~n ~p =
-  binomial_checked "Sampler.binomial_waiting_time" binomial_waiting_core rng
-    ~n ~p
+  let c = closed_form "Sampler.binomial_waiting_time" ~n ~p in
+  if c >= 0 then c else (binomial_waiting_core [@inlined never]) rng ~n ~p
 
 let binomial_btrs rng ~n ~p =
-  binomial_checked "Sampler.binomial_btrs" binomial_btrs_core rng ~n ~p
+  let c = closed_form "Sampler.binomial_btrs" ~n ~p in
+  if c >= 0 then c else (binomial_btrs_core [@inlined never]) rng ~n ~p
 
 let binomial rng ~n ~p =
-  binomial_checked "Sampler.binomial" binomial_dispatch_core rng ~n ~p
+  let c = closed_form "Sampler.binomial" ~n ~p in
+  if c >= 0 then c else (binomial_dispatch_core [@inlined never]) rng ~n ~p
+
+type probs = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let[@histolint.hot] binomial_at rng ~n (probs : probs) i =
+  let p = Bigarray.Array1.get probs i in
+  let c = closed_form "Sampler.binomial" ~n ~p in
+  if c >= 0 then c else binomial_dispatch_core rng ~n ~p
 
 let permutation rng n =
   let a = Array.init n (fun i -> i) in

@@ -6,11 +6,11 @@
     independent.
 
     [geometric], [poisson] and the binomials are loops over unboxed
-    locals that draw {!Rng.bits53}: a geometric, Knuth-Poisson or
-    waiting-time draw allocates nothing, and a PTRS or BTRS draw only the
-    boxed [Numkit.Special.log_factorial] results on its rejection path
-    (under 3 words per BTRS draw on average).  [test_randkit] pins both
-    the draw streams and these costs. *)
+    locals that draw {!Rng.bits53}, and a PTRS or BTRS rejection path
+    reads its log-factorials through a one-float slot its domain owns
+    ([Numkit.Special.log_factorial_into]), so no draw allocates, in
+    dune's dev profile too.  [test_randkit] pins both the draw streams
+    and these costs. *)
 
 val gaussian : Rng.t -> mu:float -> sigma:float -> float
 
@@ -23,6 +23,7 @@ val poisson : Rng.t -> mean:float -> int
     (O(1) expected) above. *)
 
 val binomial : Rng.t -> n:int -> p:float -> int
+[@@histolint.keep "[binomial_at] with p passed as a float; test_randkit pins its streams and law"]
 (** O(1) expected whatever [n] and [p] are: waiting-time below the pinned
     cutoff {!binomial_btrs_cutoff} on [n·min(p, 1-p)], Hörmann's BTRS
     transformed rejection at or above it.  The cutoff is a compile-time
@@ -31,6 +32,16 @@ val binomial : Rng.t -> n:int -> p:float -> int
     [n = 0] are closed forms that consume no randomness; this is what
     lets the splitting tree skip zero-mass subtrees for free.
     @raise Invalid_argument if [n < 0] or [p] is NaN or outside [0, 1]. *)
+
+type probs = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val binomial_at : Rng.t -> n:int -> probs -> int -> int
+(** [binomial_at rng ~n probs i] is [binomial rng ~n ~p:probs.{i}]: the
+    same draw from the same stream, with p read here, so it never crosses
+    a module boundary as a boxed float.  {!Distrib.Split_tree}'s fill
+    hands it its split-probability table and the node index; a draw
+    allocates nothing.  @raise Invalid_argument as [binomial] does, or if
+    [i] is out of bounds. *)
 
 val binomial_waiting_time : Rng.t -> n:int -> p:float -> int
 [@@histolint.keep "one branch of [binomial]; test_randkit pins its law"]

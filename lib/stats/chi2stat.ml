@@ -17,8 +17,8 @@ let output ~cell_mask ~per_cell ~counts ~n part =
   match per_cell with
   | None -> Array.make kk 0.
   | Some buf ->
-      if Array.length buf <> kk then
-        invalid_arg "Chi2stat.compute: per_cell length mismatch";
+      if Array.length buf < kk then
+        invalid_arg "Chi2stat.compute: per_cell shorter than the cell count";
       Array.fill buf 0 kk 0.;
       buf
 
@@ -66,7 +66,9 @@ let compute ?cell_mask ?per_cell ~counts ~m ~dstar ~part ~eps () =
         per_cell.(j) <- acc.(0) +. acc.(1)
       end)
     part;
-  let z = Numkit.Kahan.sum_array per_cell in
+  let z =
+    Numkit.Kahan.sum_sub per_cell ~pos:0 ~len:(Partition.cell_count part)
+  in
   { z; per_cell; m }
 
 (* [compute]'s Neumaier steps in its element order, over the common
@@ -110,7 +112,11 @@ let compute_khist ?cell_mask ?per_cell ~counts ~m ~dstar ~part ~eps () =
       per_cell.(j) <- !sum +. !comp
     end
   done;
-  { z = Numkit.Kahan.sum_array per_cell; per_cell; m }
+  {
+    z = Numkit.Kahan.sum_sub per_cell ~pos:0 ~len:(Partition.cell_count part);
+    per_cell;
+    m;
+  }
 
 let accept_threshold ~m ~eps = m *. eps *. eps /. 10.
 

@@ -14,7 +14,9 @@
 
 type t = {
   z : float;  (** total statistic over the (kept) domain *)
-  per_cell : float array;  (** Z_j per partition cell (0 on dropped cells) *)
+  per_cell : float array;
+      (** Z_j per partition cell (0 on dropped cells), in its first K
+          entries: a supplied buffer may be longer *)
   m : float;  (** the Poisson mean the counts were drawn with *)
 }
 
@@ -33,8 +35,9 @@ val compute :
   t
 (** Evaluate the statistic from Poissonized counts against the explicit
     hypothesis [dstar]; [cell_mask] restricts to the kept cells of the
-    sieved domain.  When [per_cell] is supplied (length = cell count) it
-    is zeroed, used as the output buffer, and returned inside [t] — the
+    sieved domain.  When [per_cell] is supplied (length at least the cell
+    count K) its first K entries are zeroed, used as the output, and the
+    buffer is returned inside [t] — the
     hot-path variant: combined with the single internal compensated
     accumulator (no per-cell [Kahan.create], no per-term boxing) the call
     allocates only the result record.  The caller owns the buffer's

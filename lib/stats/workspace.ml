@@ -1,17 +1,39 @@
-(* Reusable per-trial scratch buffers.  Buffers are cached by exact length:
-   the harness runs thousands of trials with the same domain size n and the
-   same partition arity, so after the first trial on a domain every request
-   is a cache hit and the hot path allocates nothing. *)
+(* Reusable per-trial scratch buffers.  The domain-sized buffers are
+   cached by exact length: the harness runs thousands of trials with the
+   same domain size n and sample budget, so after the first trial on a
+   domain every request is a cache hit.  The cell-sized ones are cached by
+   capacity instead: a trial's cell count K moves by a cell or two from
+   one trial to the next (625, 626, ...), and an exact-length cache would
+   reallocate on every such move. *)
 
 type t = {
   mutable counts : int array;
   mutable samples : int array;
   mutable per_cell : float array;
+  mutable cuts : int array;
+  mutable heavy : bool array;
+  mutable cell_counts : int array;
+  mutable levels : float array;
+  mutable eligible : bool array;
+  mutable medians : float array;
+  mutable rows : float array array;
   mutable closest : Closest.scratch option;
 }
 
 let create () =
-  { counts = [||]; samples = [||]; per_cell = [||]; closest = None }
+  {
+    counts = [||];
+    samples = [||];
+    per_cell = [||];
+    cuts = [||];
+    heavy = [||];
+    cell_counts = [||];
+    levels = [||];
+    eligible = [||];
+    medians = [||];
+    rows = [||];
+    closest = None;
+  }
 
 let[@histolint.hot] counts t n =
   if n < 0 then invalid_arg "Workspace.counts: negative length";
@@ -33,15 +55,65 @@ let[@histolint.hot] samples t m =
           on that budget is a cache hit"]);
   t.samples
 
-let[@histolint.hot] per_cell t k =
-  if k < 0 then invalid_arg "Workspace.per_cell: negative length";
-  if Array.length t.per_cell <> k then
-    t.per_cell <-
-      (Array.make k 0.
+(* A buffer of at least [k] entries: [buf] itself when it is long enough,
+   else one of [max k (2 * length)] entries that starts with [buf]'s
+   contents, so a buffer filled while it grows keeps what it holds. *)
+let[@histolint.hot] grow name buf k fill =
+  if k < 0 then invalid_arg ("Workspace." ^ name ^ ": negative length");
+  let cap = Array.length buf in
+  if cap >= k then buf
+  else begin
+    let b =
+      (Array.make (Int.max k (2 * cap)) fill
        [@histolint.alloc_ok
-         "resize on first use of a new partition arity; every later \
-          trial on that arity is a cache hit"]);
+         "grows past the largest cell count seen; every later trial up \
+          to that size reuses it"])
+    in
+    Array.blit buf 0 b 0 cap;
+    b
+  end
+
+let per_cell t k =
+  t.per_cell <- grow "per_cell" t.per_cell k 0.;
   t.per_cell
+
+let cuts t k =
+  t.cuts <- grow "cuts" t.cuts k 0;
+  t.cuts
+
+let heavy t k =
+  t.heavy <- grow "heavy" t.heavy k false;
+  t.heavy
+
+let cell_counts t k =
+  t.cell_counts <- grow "cell_counts" t.cell_counts k 0;
+  t.cell_counts
+
+let levels t k =
+  t.levels <- grow "levels" t.levels k 0.;
+  t.levels
+
+let eligible t k =
+  t.eligible <- grow "eligible" t.eligible k false;
+  t.eligible
+
+let medians t k =
+  t.medians <- grow "medians" t.medians k 0.;
+  t.medians
+
+let[@histolint.hot] rows t ~rows k =
+  if rows < 0 then invalid_arg "Workspace.rows: negative row count";
+  if Array.length t.rows < rows then
+    t.rows <-
+      (Array.init rows (fun r ->
+           if r < Array.length t.rows then t.rows.(r) else [||])
+       [@histolint.alloc_ok
+         "grows past the largest repetition count seen; every later \
+          trial up to that count reuses it"]);
+  for r = 0 to rows - 1 do
+    t.rows.(r) <- grow "rows" t.rows.(r) k 0.
+  done;
+  t.rows
 
 let[@histolint.hot] closest t =
   match t.closest with

@@ -6,8 +6,10 @@
     hard enough to make parallel trials *slower* than sequential ones.  A
     workspace holds those buffers once and lends them out call after call:
     [Poissonize.of_alias_ws] oracles draw into [counts]/[samples],
-    [Chi2stat.compute]/[Adk15.run] write into [per_cell], and Algorithm
-    1's checking DP runs in the [closest] scratch.
+    [Chi2stat.compute]/[Adk15.run] write into [per_cell], Algorithm 1's
+    stages keep their cell-sized arrays in the buffers below, and its
+    checking DP runs in the [closest] scratch: a warm trial allocates
+    only its report.
 
     Lending contract: a buffer returned by an accessor is valid until the
     *next* request for the same buffer kind on the same workspace (for an
@@ -21,20 +23,51 @@
 type t
 
 val create : unit -> t
-(** A fresh workspace with empty buffers; they are sized on first use and
-    resized whenever a request's length differs from the cached one. *)
+(** A fresh workspace with empty buffers, sized on first use. *)
 
 val counts : t -> int -> int array
 (** [counts t n] is the reusable length-[n] int buffer (contents are
     whatever the previous borrower left; [Alias.draw_counts_into] zeroes
-    it).  Reallocates only when [n] changes. *)
+    it).  Cached by exact length: reallocates whenever [n] changes. *)
 
 val samples : t -> int -> int array
 (** [samples t m] is the reusable length-[m] int buffer. *)
 
+(** {2 Cell-sized buffers}
+
+    Algorithm 1's stages work over the K cells of a trial's partition, and
+    K moves by a cell or two from trial to trial.  These buffers are
+    therefore cached by capacity: [f t k] returns a buffer of {i at least}
+    [k] entries (callers use the first [k]), reallocated only when [k]
+    exceeds every earlier request, and then to at least twice the old
+    length, keeping the old contents as its prefix.  Contents are
+    otherwise whatever the previous borrower left. *)
+
 val per_cell : t -> int -> float array
-(** [per_cell t k] is the reusable length-[k] float buffer for per-cell χ²
-    statistics ([Chi2stat.compute] zeroes it). *)
+(** Per-cell χ² statistics ([Chi2stat.compute] zeroes the first [k]). *)
+
+val cuts : t -> int -> int array
+(** The interior cut positions [Approx_part] emits. *)
+
+val heavy : t -> int -> bool array
+(** [Approx_part]'s per-cell heavy-singleton flags. *)
+
+val cell_counts : t -> int -> int array
+(** The learner's per-cell sample counts. *)
+
+val levels : t -> int -> float array
+(** The learned D̂'s cell levels, lent to the [Khist.t] the learner
+    returns: valid until the next learner fit on the same workspace. *)
+
+val eligible : t -> int -> bool array
+(** Which cells the sieve may remove. *)
+
+val medians : t -> int -> float array
+(** The sieve's per-cell medians of a round. *)
+
+val rows : t -> rows:int -> int -> float array array
+(** At least [rows] per-repetition rows of at least [k] floats each: the
+    sieve's per-cell statistics of one round. *)
 
 val closest : t -> Closest.scratch
 (** [closest t] is the reusable scratch of the checking DP

@@ -382,38 +382,57 @@ let test_algorithm1_pinned_reports () =
         "accept@testing s=4608423 K=440 d=3f7bf8cad55c56d0 z=406343d66a943373" );
     ]
 
-(* A trial holds K cells, not n points, and its checking DP runs in the
-   workspace: at n = 2^16 (K ~ 626) a warm trial on the workspace-backed
-   counts oracle puts 16.5-18.6 k words into the major heap, direct
-   allocations and promotions together, measured over 41 minor-heap
-   phases.  The bound leaves ~5 k words of margin.  A fresh pointer
-   wavelet tree per DP, kept live through the collections its own boxed
-   query results trigger, read 59.6-62 k; expanding D-hat would add n
-   direct words on top. *)
+(* A warm trial allocates little beyond its report: every stage keeps its
+   cell-sized arrays in the workspace, the counts oracle draws without
+   boxing, and the checking DP runs in the workspace's scratch.  At
+   n = 2^16 (K ~ 625) a warm trial puts 1252 words into the major heap
+   (the partition's cell array and the sieve's [kept] mask, direct, no
+   promotions) and ~2.2-2.5 k words into the minor heap, on a staircase
+   (accepted at testing) and on a comb (rejected at checking), in the dev
+   and release profiles alike.  Handing the split probability across the
+   library boundary boxed (2 words a node) reads ~782 k minor and ~3.4 k
+   major words a trial; before every stage kept its K-sized arrays in the
+   workspace, a trial read 2.38 M minor and ~17 k major words.  Two trials
+   warm the workspace up: its cell-sized buffers double whenever K passes
+   their capacity.  Major words come from [Gc.counters]: [Gc.quick_stat]
+   counts a direct major allocation only once a collection flushes it. *)
 let test_algorithm1_no_domain_arrays () =
   let n = 1 lsl 16 in
-  let tree =
+  let staircase =
     Split_tree.of_pmf
       (Families.staircase ~n ~k:4 ~rng:(Randkit.Rng.create ~seed:1))
   in
+  let comb = Split_tree.of_pmf (Families.comb ~n ~teeth:8) in
   let ws = Workspace.create () in
-  let trial seed =
-    ignore
-      (H.Hist_tester.run ~ws
-         (Poissonize.counts_of_tree_ws ws (Randkit.Rng.create ~seed) tree)
-         ~k:4 ~eps:0.25
-        : H.Hist_tester.report)
+  let trial tree seed =
+    H.Hist_tester.run ~ws
+      (Poissonize.counts_of_tree_ws ws (Randkit.Rng.create ~seed) tree)
+      ~k:4 ~eps:0.25
   in
-  trial 1;
-  let s0 = Gc.quick_stat () in
-  trial 2;
-  let s1 = Gc.quick_stat () in
-  let major = s1.Gc.major_words -. s0.Gc.major_words in
-  if major > 24_000. then
-    Alcotest.failf
-      "a warm trial put %.0f words into the major heap (direct + promoted; \
-       want <= 24000)"
-      major;
+  List.iter
+    (fun seed -> ignore (trial staircase seed : H.Hist_tester.report))
+    [ 1; 2 ];
+  List.iter
+    (fun (name, tree, seed, stage) ->
+      let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
+      let r = trial tree seed in
+      let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
+      Alcotest.(check string)
+        (name ^ " decided at")
+        stage
+        (H.Hist_tester.stage_to_string r.H.Hist_tester.decided_at);
+      let minor = minor1 -. minor0 and major = major1 -. major0 in
+      if major > 2_000. || minor > 16_000. then
+        Alcotest.failf
+          "a warm %s trial allocated %.0f minor and %.0f major words (direct \
+           + promoted; want <= 16000 and <= 2000)"
+          name minor major)
+    [
+      ("staircase", staircase, 3, "testing");
+      ("comb", comb, 4, "checking");
+      ("staircase", staircase, 5, "testing");
+      ("comb", comb, 6, "checking");
+    ];
   (* The trials ran their DP in the workspace's scratch, so a smaller fit
      there is warm: it allocates only its answer.  A scratch the trials
      never used would first allocate its tables (a few words of heap per
@@ -455,7 +474,10 @@ let test_dense_adapters_match_khist () =
       let eligible = Array.make (Partition.cell_count part) true in
       let config = H.Config.default in
       let s1 = H.Sieve.run (o ()) ~dhat:dense ~part ~eligible ~k ~eps in
-      let s2 = H.Sieve.run_khist ~config (o ()) ~dhat ~eligible ~k ~eps in
+      let s2 =
+        H.Sieve.run_khist ~config (Workspace.create ()) (o ()) ~dhat ~eligible
+          ~k ~eps
+      in
       Alcotest.(check bool) "sieve results" true (s1 = s2);
       let cell_mask = s1.H.Sieve.kept in
       let a1 = H.Adk15.run ~cell_mask ~part (o ()) ~dstar:dense ~eps in

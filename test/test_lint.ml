@@ -61,6 +61,9 @@ let expected_findings =
     ("test/lint_fixtures/bad_race_overlap.ml", 13, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_race_rng.ml", 6, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_random.ml", 4, "det/stdlib-random");
+    ("test/lint_fixtures/bad_toplevel_lazy.ml", 4, "par/toplevel-lazy");
+    ("test/lint_fixtures/bad_toplevel_lazy.ml", 5, "par/toplevel-lazy");
+    ("test/lint_fixtures/bad_toplevel_lazy.ml", 8, "par/toplevel-lazy");
     ("test/lint_fixtures/bad_wallclock.ml", 3, "det/wallclock");
     ("test/lint_fixtures/dead_export.mli", 5, "dead/unreferenced-export");
     ("test/lint_fixtures/dead_export.mli", 11, "dead/unreferenced-export");
@@ -130,7 +133,7 @@ let test_one_violation_per_rule () =
 
 let test_severities () =
   let r = Lazy.force report in
-  Alcotest.(check int) "errors" 21 (Engine.errors r);
+  Alcotest.(check int) "errors" 24 (Engine.errors r);
   Alcotest.(check int) "warnings" 1 (Engine.warnings r)
 
 let test_rule_counts () =
@@ -147,6 +150,7 @@ let test_rule_counts () =
       ("poly/compare-structural", 1);
       ("par/raw-domain", 1);
       ("par/shared-mutable-capture", 7);
+      ("par/toplevel-lazy", 3);
       ("hot/alloc", 4);
       ("dead/unreferenced-export", 2);
       ("lint/unknown-allow", 2);
