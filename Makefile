@@ -66,10 +66,12 @@ bench-smoke:
 bench-parallel:
 	dune exec bench/main.exe -- e17
 
-# The checking-DP benchmark alone: dense K^2 reference vs the
-# divide-and-conquer fast path, appending one machine-readable line
-# (build/query/DP split, speedups, exact_match per row) to
-# BENCH_closest.json.  Quick mode sweeps K <= 2048; --full goes to 8192.
+# The checking-DP benchmark alone: dense K^2 reference vs the fast
+# path (divide and conquer on zipf rows, the row scan on learned rows),
+# appending one machine-readable line (build/query/DP split, speedups,
+# exact_match per row) to BENCH_closest.json.  Quick mode sweeps zipf
+# K <= 2048 plus learned rows at k = 4 and 16; --full goes to K = 8192
+# and adds learned k = 32.
 bench-closest:
 	dune exec bench/main.exe -- e18
 

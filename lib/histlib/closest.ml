@@ -24,17 +24,15 @@ let no_ints = ints 0
 (* Everything one DP run writes, outside the GC heap and reused: the
    staged cells (values, weights, and the domain position each starts
    at) the index is built from, the index itself (whose slot carries each
-   query's answer), the two DP rows, the suffix minima of the certified
-   scan, and the k x K choice matrix (row j at offset j*K).  Each array
-   grows to the largest K and k*K seen. *)
+   query's answer), and the K x k layer values and choices (state (j, r)
+   at r*k + j in both).  Each array grows to the largest K and k*K
+   seen. *)
 type scratch = {
   index : Numkit.Rank_index.t;
   mutable values : floats;
   mutable weights : floats;
   mutable starts : ints;
-  mutable dp_a : floats;
-  mutable dp_b : floats;
-  mutable smin : floats;
+  mutable dp : floats;
   mutable choice : ints;
 }
 
@@ -44,9 +42,7 @@ let scratch () =
     values = no_floats;
     weights = no_floats;
     starts = no_ints;
-    dp_a = no_floats;
-    dp_b = no_floats;
-    smin = no_floats;
+    dp = no_floats;
     choice = no_ints;
   }
 
@@ -72,25 +68,22 @@ let[@inline] stage s i ~value ~weight ~start =
   A.unsafe_set s.weights i weight;
   A.unsafe_set s.starts i start
 
-(* The rows and the choice matrix grow to at least twice their old size,
-   so a trial ensemble whose K creeps up a cell at a time regrows them a
-   few times, not once per new largest K. *)
+(* The tables grow to at least twice their old size, so a trial ensemble
+   whose K creeps up a cell at a time regrows them a few times, not once
+   per new largest K. *)
 let reserve s ~kk ~k =
-  if A.dim s.dp_a < kk then begin
-    let cap = Int.max kk (2 * A.dim s.dp_a) in
-    s.dp_a <- floats cap;
-    s.dp_b <- floats cap;
-    s.smin <- floats (cap + 1)
-  end;
-  if A.dim s.choice < k * kk then
-    s.choice <- ints (Int.max (k * kk) (2 * A.dim s.choice))
+  if A.dim s.dp < k * kk then begin
+    let cap = Int.max (k * kk) (2 * A.dim s.dp) in
+    s.dp <- floats cap;
+    s.choice <- ints cap
+  end
 
 (* Backwalk of a filled choice matrix: piece start indices, first = 0. *)
 let walk_starts (choice : ints) ~k ~kk =
   let rec walk j r acc =
     if j = 0 then 0 :: acc
     else
-      let l = A.get choice ((j * kk) + r) in
+      let l = A.get choice ((r * k) + j) in
       walk (j - 1) (l - 1) (l :: acc)
   in
   walk (k - 1) (kk - 1) []
@@ -122,10 +115,11 @@ let monotone_values s ~kk =
   !up || !down
 
 (* One layer of the monotone-argmin divide and conquer: rows [rlo, rhi],
-   argmin known to lie in [llo, lhi]; [row] is the layer's offset in the
-   choice matrix.  The segment cost of [l, mid] arrives in [slot.(0)]. *)
-let rec solve_dc idx (slot : float array) ~(prev : floats) ~(cur : floats)
-    ~(choice : ints) ~row rlo rhi llo lhi =
+   argmin known to lie in [llo, lhi], in layer [j] of the dp table and
+   the choice matrix, reading layer j-1 in place.  The segment cost of
+   [l, mid] arrives in [slot.(0)]. *)
+let rec solve_dc idx (slot : float array) ~(dp : floats) ~(choice : ints)
+    ~k ~j rlo rhi llo lhi =
   if rlo <= rhi then begin
     let mid = rlo + ((rhi - rlo) / 2) in
     let cap = if lhi < mid then lhi else mid in
@@ -133,16 +127,18 @@ let rec solve_dc idx (slot : float array) ~(prev : floats) ~(cur : floats)
     let arg = ref llo in
     for l = llo to cap do
       Numkit.Rank_index.seg_cost_into idx ~lo:l ~hi:(mid + 1);
-      let c = A.unsafe_get prev (l - 1) +. Array.unsafe_get slot 0 in
+      let c =
+        A.unsafe_get dp (((l - 1) * k) + j - 1) +. Array.unsafe_get slot 0
+      in
       if c < !best then begin
         best := c;
         arg := l
       end
     done;
-    A.unsafe_set cur mid !best;
-    A.unsafe_set choice (row + mid) !arg;
-    solve_dc idx slot ~prev ~cur ~choice ~row rlo (mid - 1) llo !arg;
-    solve_dc idx slot ~prev ~cur ~choice ~row (mid + 1) rhi !arg lhi
+    A.unsafe_set dp ((mid * k) + j) !best;
+    A.unsafe_set choice ((mid * k) + j) !arg;
+    solve_dc idx slot ~dp ~choice ~k ~j rlo (mid - 1) llo !arg;
+    solve_dc idx slot ~dp ~choice ~k ~j (mid + 1) rhi !arg lhi
   end
 
 (* Fast path.  Dispatches on the shape of the positive-weight value
@@ -163,85 +159,66 @@ let rec solve_dc idx (slot : float array) ~(prev : floats) ~(cur : floats)
      [.27 .22 .11 .09 .24] with unit weights have leftmost argmins 3
      then 1 at the two largest r for k = 2 — so the D&C window
      restriction is unsound (see DESIGN.md for the quadrangle-inequality
-     violation).  Each row instead runs an ascending scan with a
-     certified cutoff: stop at the first l whose suffix-min of dp_prev
-     already exceeds the row's running best.  Every skipped candidate
-     satisfies dp_prev(l'-1) + seg >= suffix_min > best (seg >= 0 and
-     IEEE addition of non-negatives is monotone), i.e. is strictly
-     worse, so the scan result is bit-identical to the dense reference
-     while examining, typically, far fewer candidates — and provably
-     never more.
+     violation).  The rows run in ascending r instead, each scanning its
+     piece starts l = r, r-1, ..., 1 once: seg(l, r) is priced once and
+     relaxes every layer j <= l at row r, dp_j(r) <- dp_{j-1}(l-1) +
+     seg(l, r), from values earlier rows finished.  That is the dense
+     reference's arithmetic, operand for operand, with each segment
+     priced once instead of once per layer: K^2/2 oracle calls in all.
 
-   Either way: O(K log K + kK) memory, no K x K matrix, all of it in the
-   scratch.  A layer's row j-1 is read only at indices >= j-1, which
-   layer j-1 wrote, so the two rows swap roles instead of being copied
-   or cleared.
+   Either way: state (j, r) of the dp table and the choice matrix sits
+   at r*k + j, so the layers one priced segment relaxes are contiguous
+   (layer-major rows of K took 16-22 % more CPU time at k = 32);
+   O(K log K + kK) memory, no K x K matrix, all of it in the scratch.
+   Layer 0 is seg(0, r) in both paths; with one piece (k = 1) nothing
+   else is priced.
 
-   Tie-break: both strategies scan candidates in ascending l with a
-   strict improvement test, so the leftmost argmin wins — the same rule
-   as the ascending scan of the dense path, which keeps the two paths'
-   breakpoints (and hence every dp value they produce) bit-identical.
-   (The cutoff cannot drop a tie either: a candidate tying the final
-   best has dp_prev(l-1) <= best, hence suffix_min(l) <= best.)
+   Tie-break: the D&C scans candidates in ascending l with a strict
+   improvement test, the row scan in descending l with a [<=] test, so
+   in both the smallest l among equal candidates wins — the leftmost
+   rule of the dense reference's ascending strict scan, which keeps the
+   paths' breakpoints (and hence every dp value they produce)
+   bit-identical.
 
    Runs over the [kk] cells staged in the scratch.  Returns the optimal
    cost; the breakpoints are left in the scratch's choice matrix. *)
 let[@histolint.hot] run_dp s ~k ~kk =
   (reserve s ~kk ~k
    [@histolint.alloc_ok
-     "grows the rows on the first fit of a larger K or k*K; every later \
-      fit up to that size reuses them"]);
+     "grows the tables on the first fit of a larger k*K; every later fit \
+      up to that size reuses them"]);
   let idx = s.index in
   Numkit.Rank_index.rebuild idx ~values:s.values ~weights:s.weights ~len:kk;
   let slot = Numkit.Rank_index.slot idx in
-  let choice = s.choice and smin = s.smin in
-  let prev = ref s.dp_a and cur = ref s.dp_b in
+  let dp = s.dp and choice = s.choice in
   for r = 0 to kk - 1 do
     Numkit.Rank_index.seg_cost_into idx ~lo:0 ~hi:(r + 1);
-    A.unsafe_set !prev r (Array.unsafe_get slot 0)
+    A.unsafe_set dp (r * k) (Array.unsafe_get slot 0)
   done;
-  let monge = monotone_values s ~kk in
-  for j = 1 to k - 1 do
-    let dp_prev = !prev and dp_cur = !cur in
-    let row = j * kk in
-    if monge then
-      solve_dc idx slot ~prev:dp_prev ~cur:dp_cur ~choice ~row j (kk - 1) j
-        (kk - 1)
-    else begin
-      (* smin.{l} = min over l' >= l of dp_prev.{l' - 1}.  The rows hold
-         no NaN, and a tie's sign of zero cannot change a [>] test, so
-         the plain comparison stands in for Float.min. *)
-      A.unsafe_set smin kk infinity;
-      for l = kk - 1 downto j do
-        let a = A.unsafe_get dp_prev (l - 1) in
-        let b = A.unsafe_get smin (l + 1) in
-        A.unsafe_set smin l (if a < b then a else b)
+  if monotone_values s ~kk then
+    for j = 1 to k - 1 do
+      solve_dc idx slot ~dp ~choice ~k ~j j (kk - 1) j (kk - 1)
+    done
+  else if k > 1 then
+    for r = 1 to kk - 1 do
+      let top = if r < k - 1 then r else k - 1 in
+      for j = 1 to top do
+        A.unsafe_set dp ((r * k) + j) infinity
       done;
-      for r = j to kk - 1 do
-        let best = ref infinity in
-        let arg = ref j in
-        let l = ref j in
-        let live = ref true in
-        while !live && !l <= r do
-          if A.unsafe_get smin !l > !best then live := false
-          else begin
-            Numkit.Rank_index.seg_cost_into idx ~lo:!l ~hi:(r + 1);
-            let c = A.unsafe_get dp_prev (!l - 1) +. Array.unsafe_get slot 0 in
-            if c < !best then begin
-              best := c;
-              arg := !l
-            end;
-            incr l
+      for l = r downto 1 do
+        Numkit.Rank_index.seg_cost_into idx ~lo:l ~hi:(r + 1);
+        let cost = Array.unsafe_get slot 0 in
+        for j = 1 to if l < top then l else top do
+          let c = A.unsafe_get dp (((l - 1) * k) + j - 1) +. cost in
+          let at = (r * k) + j in
+          if c <= A.unsafe_get dp at then begin
+            A.unsafe_set dp at c;
+            A.unsafe_set choice at l
           end
-        done;
-        A.unsafe_set dp_cur r !best;
-        A.unsafe_set choice (row + r) !arg
+        done
       done
-    end;
-    prev := dp_cur;
-    cur := dp_prev
-  done;
-  A.get !prev (kk - 1)
+    done;
+  A.get dp (((kk - 1) * k) + k - 1)
 
 (* The fit of the [kk] cells staged in [s]: cost and piece starts. *)
 let solve name s ~kk ~k =

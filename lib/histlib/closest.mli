@@ -15,14 +15,15 @@
     cell sequences the cost is concave-Monge (the k-median-on-a-line
     case) and each layer runs as a divide and conquer (monotone argmin),
     O(K log K) oracle calls per layer; on arbitrary cells the cost is
-    NOT Monge (DESIGN.md records the counterexample), so each row runs
-    an ascending scan with a certified suffix-min cutoff instead — still
-    exact, typically far below the dense candidate count and provably
-    never above it.  Either way O(K log K + kK) memory, instead of the
-    classic Θ(K²k) time / Θ(K²) cost matrix — which the test-only
-    [Refkit.Closest_dense] keeps for cross-checking (see bench E18).
-    Ties between equal-cost piece starts are broken leftmost in all
-    paths, so their costs AND chosen breakpoints are bit-identical.
+    NOT Monge (DESIGN.md records the counterexample), so each row r
+    scans its piece starts l = r, r−1, … once and each priced segment
+    relaxes every layer — K²/2 oracle calls in all, whatever k.  Either
+    way O(K log K + kK) memory, instead of the classic Θ(K²k) time /
+    Θ(K²) cost matrix — which the test-only [Refkit.Closest_dense] keeps
+    for cross-checking (see bench E18).  Ties between equal-cost piece
+    starts are broken leftmost in all paths (the row scan's descending
+    [<=] test keeps the smallest l), so their costs AND chosen
+    breakpoints are bit-identical.
 
     Note the fit is over all piecewise-constant functions with at most k
     pieces (no sum-to-one constraint): on a restricted domain the excluded
@@ -32,10 +33,10 @@ type cell = { value : float; weight : float }
 
 type scratch
 (** Everything a DP run writes — its staged input cells, the
-    segment-cost index, the two DP rows, the scan's suffix minima, the
-    k×K choice matrix and the query result slot — held in Bigarrays
-    outside the GC heap and reused run after run, grown only past the
-    largest K and k·K seen, and then to at least twice their size.
+    segment-cost index, the k×K table of layer values, the k×K choice
+    matrix and the query result slot — held in Bigarrays outside the GC
+    heap and reused run after run, grown only past the largest K and k·K
+    seen, and then to at least twice their size.
     Lending contract:
     single owner; what a run leaves in it is valid until the next
     {!fit_cells} on the same scratch, and it must never be used by code
@@ -48,8 +49,8 @@ val fit_cells : ?scratch:scratch -> cell array -> k:int -> float * int list
 (** Optimal ≤k-piece weighted-L1 segmentation of a cell sequence:
     (cost, piece start indices, first = 0).  Fast path: divide and
     conquer on value-monotone cells (O(k · K log K) oracle calls after
-    an O(K log K) index build), certified pruned scan otherwise; no K×K
-    allocation either way.  Leftmost argmin on ties.  Runs in [scratch]
+    an O(K log K) index build), one row scan otherwise (K²/2 oracle
+    calls, K with one piece); no K×K allocation either way.  Leftmost argmin on ties.  Runs in [scratch]
     (a fresh one for the call when absent): on a scratch that has
     already fitted as many cells at this [k], the run allocates nothing
     but its answer. *)

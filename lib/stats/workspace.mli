@@ -72,7 +72,7 @@ val rows : t -> rows:int -> int -> float array array
 val closest : t -> Closest.scratch
 (** [closest t] is the reusable scratch of the checking DP
     ({!Closest.fit_cells}), created on first use: [create] pays nothing
-    for it.  Its index, DP rows and choice matrix are valid until the
+    for it.  Its index, dp table and choice matrix are valid until the
     next fit on the same workspace. *)
 
 val domain_local : unit -> t

@@ -56,8 +56,8 @@ let prop_fit_cells_matches_dense =
    the cells holding the true breakpoints and a few others, sometimes
    side by side.  The noise takes eight values per piece, so equal
    adjacent levels (merged runs) occur too.  Such values are not
-   monotone, so this pins the certified-scan branch on its real
-   workload. *)
+   monotone, so this pins the row scan (descending l, [<=] keeps the
+   smallest l) on its real workload. *)
 let learned_case_of_seed seed =
   let r = Randkit.Rng.create ~seed in
   let k = 1 + Randkit.Rng.int r 6 in

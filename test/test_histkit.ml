@@ -184,8 +184,8 @@ let prop_closest_matches_brute =
    dense K^2 reference return the same cost float for float AND the same
    piece starts (both break argmin ties leftmost).  Larger domains than
    the brute-force prop — the dense DP is quadratic, not exponential.
-   Random pmfs are value-non-monotone, so this pins the certified-scan
-   branch of fit_cells. *)
+   Random pmfs are value-non-monotone, so this pins the row-scan branch
+   of fit_cells. *)
 let prop_closest_fast_equals_dense =
   QCheck.Test.make ~name:"fast DP bitwise equals dense DP (scan path)"
     ~count:200
@@ -257,7 +257,11 @@ let learned_cells () =
    pair and the k-element start list (plus the backwalk's closure), the
    same in the dev and release profiles.  Before the scratch, each call
    built a pointer wavelet tree and boxed every query's result: ~1.07 M
-   minor and ~42 k major words on these cells. *)
+   minor and ~42 k major words on these cells.  Major words come from
+   [Gc.counters], which counts a direct major allocation at once
+   ([Gc.quick_stat] reads a fresh K-float row as 0 until a collection
+   flushes it); the minor heap is emptied first, so the fit's few minor
+   words cannot trigger a promotion. *)
 let test_closest_warm_fit_allocation () =
   let cells = learned_cells () in
   let k = 4 in
@@ -266,12 +270,13 @@ let test_closest_warm_fit_allocation () =
   let scratch = Closest.scratch () in
   let want = Refkit.Closest_dense.fit_cells cells ~k in
   let first = Closest.fit_cells ~scratch cells ~k in
-  let s0 = Gc.quick_stat () in
+  Gc.minor ();
+  let _, _, major0 = Gc.counters () in
   let m0 = Gc.minor_words () in
   let warm = Closest.fit_cells ~scratch cells ~k in
   let minor = Gc.minor_words () -. m0 in
-  let s1 = Gc.quick_stat () in
-  let major = s1.Gc.major_words -. s0.Gc.major_words in
+  let _, _, major1 = Gc.counters () in
+  let major = major1 -. major0 in
   let same (c1, s1) (c2, s2) =
     Float.equal c1 c2 && List.equal Int.equal s1 s2
   in

@@ -436,21 +436,18 @@ let test_algorithm1_no_domain_arrays () =
   (* The trials ran their DP in the workspace's scratch, so a smaller fit
      there is warm: it allocates only its answer.  A scratch the trials
      never used would first allocate its tables (a few words of heap per
-     off-heap Bigarray, ~17 of them), which the bound above cannot see. *)
+     off-heap Bigarray, 14 of them), which the bound above cannot see. *)
   let cells =
     Closest.cells_of_pmf
       (Families.staircase ~n:64 ~k:3 ~rng:(Randkit.Rng.create ~seed:2))
   in
   let scratch = Workspace.closest ws in
-  let s0 = Gc.quick_stat () in
+  let _, promoted0, major0 = Gc.counters () in
   let m0 = Gc.minor_words () in
   ignore (Closest.fit_cells ~scratch cells ~k:2 : float * int list);
   let minor = Gc.minor_words () -. m0 in
-  let s1 = Gc.quick_stat () in
-  let direct =
-    s1.Gc.major_words -. s0.Gc.major_words
-    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
-  in
+  let _, promoted1, major1 = Gc.counters () in
+  let direct = major1 -. major0 -. (promoted1 -. promoted0) in
   if minor +. direct > 22. then
     Alcotest.failf
       "a fit in the trials' scratch allocated %.0f words (want <= 22: the \
