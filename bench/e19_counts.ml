@@ -13,7 +13,10 @@
       bounded by O(n) binomials instead — still flat in m, but the
       crossover against the stream path sits around m ~ 10n, which is
       exactly why the sparse regime is the headline and the dense row is
-      reported honestly next to it.
+      reported honestly next to it.  Each row also records the split
+      tree's stored splits and KiB, and the run fails (exit 1) if a
+      piecewise tree stores more than B·log₂ width splits for B changes
+      of value.
    2. chi^2 path equivalence: both paths draw Poissonized count vectors
       of the same zipf pmf for T trials; per-cell totals are
       Poisson(T*mean*p_i) on each path, so conditioned on the pair sum
@@ -48,26 +51,63 @@ let per_trial_time ~trials draw =
   in
   t /. float_of_int trials
 
+(* The split tree's footprint on a piecewise pmf against its bound: a
+   tree stores a split only for the nodes straddling a change of value,
+   at most B·log₂ width for B changes (the padding boundary counts when
+   the last entry is nonzero). *)
+type tree_stats = { stored : int; kib : float; bound : int }
+
+let tree_stats pmf tree =
+  let n = Pmf.size pmf in
+  let changes = ref 0 in
+  for j = 1 to n - 1 do
+    if not (Float.equal (Pmf.get pmf (j - 1)) (Pmf.get pmf j)) then
+      incr changes
+  done;
+  let width = ref 1 and levels = ref 0 in
+  while !width < n do
+    width := 2 * !width;
+    incr levels
+  done;
+  if n < !width && not (Float.equal (Pmf.get pmf (n - 1)) 0.) then
+    incr changes;
+  {
+    stored = Split_tree.stored tree;
+    kib = float_of_int (Split_tree.bytes tree) /. 1024.;
+    bound = !changes * !levels;
+  }
+
+let print_tree_stats s =
+  Exp_common.row
+    "split tree: %d stored splits (bound B*log2(width) = %d), %.1f KiB -> \
+     %s@."
+    s.stored s.bound s.kib
+    (if s.stored <= s.bound then "PASS" else "FAIL")
+
 let timing_rows ~seed ~trials ~ms ~pmf =
   let alias = Alias.of_pmf pmf in
   let tree = Split_tree.of_pmf pmf in
-  List.map
-    (fun m ->
-      let fm = float_of_int m in
-      let stream_s =
-        let ws = Workspace.create () in
-        let o = Poissonize.of_alias_ws ws (Randkit.Rng.create ~seed) alias in
-        per_trial_time ~trials (fun () -> ignore (o.Poissonize.poissonized fm))
-      in
-      let counts_s =
-        let ws = Workspace.create () in
-        let o =
-          Poissonize.counts_of_tree_ws ws (Randkit.Rng.create ~seed) tree
+  let stats = tree_stats pmf tree in
+  ( stats,
+    List.map
+      (fun m ->
+        let fm = float_of_int m in
+        let time o =
+          per_trial_time ~trials (fun () ->
+              ignore (o.Poissonize.poissonized fm))
         in
-        per_trial_time ~trials (fun () -> ignore (o.Poissonize.poissonized fm))
-      in
-      (m, stream_s, counts_s, stream_s /. Float.max 1e-9 counts_s))
-    ms
+        let stream_s =
+          time
+            (Poissonize.of_alias_ws (Workspace.create ())
+               (Randkit.Rng.create ~seed) alias)
+        in
+        let counts_s =
+          time
+            (Poissonize.counts_of_tree_ws (Workspace.create ())
+               (Randkit.Rng.create ~seed) tree)
+        in
+        (m, stream_s, counts_s, stream_s /. Float.max 1e-9 counts_s))
+      ms )
 
 let run (mode : Exp_common.mode) =
   Exp_common.section ~id:"E19 (counts-path oracle: trials without samples)"
@@ -99,12 +139,13 @@ let run (mode : Exp_common.mode) =
   Exp_common.row "%10s | %12s | %12s | %8s@." "m" "stream ms" "counts ms"
     "speedup";
   Exp_common.hline ();
-  let sparse_rows = timing_rows ~seed ~trials ~ms ~pmf:sparse in
+  let sparse_tree, sparse_rows = timing_rows ~seed ~trials ~ms ~pmf:sparse in
   List.iter
     (fun (m, s, c, x) ->
       Exp_common.row "%10d | %12.3f | %12.3f | %7.1fx@." m (1e3 *. s)
         (1e3 *. c) x)
     sparse_rows;
+  print_tree_stats sparse_tree;
   let counts_times = List.map (fun (_, _, c, _) -> c) sparse_rows in
   let flat_ratio =
     List.fold_left Float.max neg_infinity counts_times
@@ -121,21 +162,29 @@ let run (mode : Exp_common.mode) =
       "WARNING: speedup %.1fx at m=%d below the 50x target on this host@."
       top_speedup
       (List.fold_left max 0 ms);
-  let dense_rows =
-    if quick then []
+  let dense_tree, dense_rows =
+    if quick then (None, [])
     else begin
       let dense = Exp_common.yes_instance ~n ~k:64 ~seed in
       Exp_common.row
         "@.dense full-support staircase (same n; counts path bounded by \
          O(n) binomials):@.";
-      let rows = timing_rows ~seed ~trials ~ms ~pmf:dense in
+      let stats, rows = timing_rows ~seed ~trials ~ms ~pmf:dense in
       List.iter
         (fun (m, s, c, x) ->
           Exp_common.row "%10d | %12.3f | %12.3f | %7.1fx@." m (1e3 *. s)
             (1e3 *. c) x)
         rows;
-      rows
+      print_tree_stats stats;
+      (Some stats, rows)
     end
+  in
+  (* Both timing pmfs are piecewise, so both trees are held to the
+     bound. *)
+  let tree_pass =
+    List.for_all
+      (fun s -> s.stored <= s.bound)
+      (sparse_tree :: Option.to_list dense_tree)
   in
 
   (* 2. chi^2 equivalence of per-cell count marginals. *)
@@ -225,13 +274,14 @@ let run (mode : Exp_common.mode) =
     Exp_common.row "WARNING: verdict distributions diverge between paths@.";
   let equivalence_pass = chi2_pass && verdict_pass in
 
-  let row_json rows =
+  let row_json tree rows =
     String.concat ","
       (List.map
          (fun (m, s, c, x) ->
            Printf.sprintf
-             "{\"m\":%d,\"stream_ms\":%.3f,\"counts_ms\":%.3f,\"speedup\":%.1f}"
-             m (1e3 *. s) (1e3 *. c) x)
+             "{\"m\":%d,\"stream_ms\":%.3f,\"counts_ms\":%.3f,\"speedup\":%.1f,\
+              \"tree_stored\":%d,\"tree_kib\":%.1f}"
+             m (1e3 *. s) (1e3 *. c) x tree.stored tree.kib)
          rows)
   in
   let json =
@@ -239,14 +289,17 @@ let run (mode : Exp_common.mode) =
       "{\"bench\":\"e19_counts\",\"n\":%d,\"spikes\":%d,\"k_pieces\":%d,\
        \"trials\":%d,\"seed\":%d,\"nproc\":%d,\"sparse\":[%s],\"dense\":[%s],\
        \"counts_flat_ratio\":%.2f,\"speedup_at_max_m\":%.1f,\
+       \"tree_bound\":%d,\"tree_pass\":%b,\
        \"chi2\":{\"trials\":%d,\"stat\":%.2f,\"df\":%d,\"p_value\":%.6g,\
        \"pass\":%b},\
        \"verdicts\":[%s],\"equivalence_pass\":%b}"
       n spikes
       ((2 * spikes) + 1)
-      trials mode.Exp_common.seed (Exp_common.nproc ()) (row_json sparse_rows)
-      (row_json dense_rows)
-      flat_ratio top_speedup eq_trials !stat !df p_value chi2_pass
+      trials mode.Exp_common.seed (Exp_common.nproc ())
+      (row_json sparse_tree sparse_rows)
+      (match dense_tree with Some t -> row_json t dense_rows | None -> "")
+      flat_ratio top_speedup sparse_tree.bound tree_pass eq_trials !stat !df
+      p_value chi2_pass
       (String.concat ","
          (List.map
             (fun (vn, vk, veps, side, rs, rc, z) ->
@@ -264,4 +317,6 @@ let run (mode : Exp_common.mode) =
   close_out oc;
   Exp_common.row "@.%s@." json;
   Exp_common.row "(appended to %s)@." bench_file;
-  if not equivalence_pass then exit 1
+  if not tree_pass then
+    Exp_common.row "FAIL: a piecewise tree stores more splits than its bound@.";
+  if not (equivalence_pass && tree_pass) then exit 1

@@ -39,7 +39,7 @@ val binomial_at : Rng.t -> n:int -> probs -> int -> int
 (** [binomial_at rng ~n probs i] is [binomial rng ~n ~p:probs.{i}]: the
     same draw from the same stream, with p read here, so it never crosses
     a module boundary as a boxed float.  {!Distrib.Split_tree}'s fill
-    hands it its split-probability table and the node index; a draw
+    hands it its split-probability table and the node's slot; a draw
     allocates nothing.  @raise Invalid_argument as [binomial] does, or if
     [i] is out of bounds. *)
 

@@ -282,19 +282,36 @@ let test_split_tree_into_zeroes_buffer () =
   Split_tree.draw_counts_into t (rng ()) ~counts 5;
   Alcotest.(check (array int)) "stale entries cleared" [| 5; 0; 0; 0 |] counts
 
-(* The split probabilities live in a Bigarray, outside the OCaml heap:
-   building the tree at n = 2^16 adds a record and a custom block to the
-   major heap, not the 2^16-float array a [float array] table was. *)
+(* The split table and its index live in Bigarrays, outside the OCaml
+   heap: building the tree adds a record and two custom blocks to the
+   major heap, not the 2^16-float array a [float array] table was, nor
+   the n/32-word array an on-heap index would be.  Major words come
+   from [Gc.counters], which counts a direct major allocation at once
+   ([Gc.quick_stat] reads a 2049-word array as 0 until a collection
+   flushes it); the minor heap is emptied first, so the build's few
+   minor words cannot trigger a promotion.  Checked at n = 2^16 and at
+   n = 2^20, where a table of a split per node was 8 MiB. *)
 let test_split_tree_table_off_heap () =
-  let p = Families.staircase ~n:(1 lsl 16) ~k:4 ~rng:(rng ()) in
-  Gc.minor ();
-  let s0 = Gc.quick_stat () in
-  let t = Split_tree.of_pmf p in
-  let s1 = Gc.quick_stat () in
-  ignore (Sys.opaque_identity t);
-  let major = s1.Gc.major_words -. s0.Gc.major_words in
-  if major >= 1000. then
-    Alcotest.failf "of_pmf added %.0f major words (want < 1000)" major
+  List.iter
+    (fun n ->
+      let p = Families.staircase ~n ~k:4 ~rng:(rng ()) in
+      Gc.minor ();
+      let _, _, major0 = Gc.counters () in
+      let t = Split_tree.of_pmf p in
+      let _, _, major1 = Gc.counters () in
+      ignore (Sys.opaque_identity t);
+      let major = major1 -. major0 in
+      if major >= 1000. then
+        Alcotest.failf "of_pmf at n = %d added %.0f major words (want < 1000)"
+          n major;
+      (* Off the heap, 4 pieces cost the index (an int per 32 nodes) and
+         at most 3·log₂ n splits besides the shared ½, not n floats. *)
+      let levels = Float.to_int (Float.log2 (float_of_int n)) in
+      let bound = 8 * ((n / 32) + 1 + (3 * levels)) in
+      if Split_tree.bytes t > bound then
+        Alcotest.failf "the tree at n = %d takes %d bytes (want <= %d)" n
+          (Split_tree.bytes t) bound)
+    [ 1 lsl 16; 1 lsl 20 ]
 
 (* A counts-oracle draw at n = 2^16, m = 4e7 allocates nothing: the
    sampler reads each split probability from the table itself
@@ -681,6 +698,91 @@ let prop_split_tree_counts_sum =
       && Array.for_all (fun c -> c >= 0) counts
       && Array.fold_left ( + ) 0 counts = m)
 
+(* Changes of value the compact tree must store splits for: adjacent
+   entries that differ, and the padding boundary when the last entry is
+   nonzero and n is not a power of two. *)
+let value_changes p =
+  let n = Pmf.size p in
+  let b = ref 0 in
+  for j = 1 to n - 1 do
+    if not (Float.equal (Pmf.get p (j - 1)) (Pmf.get p j)) then incr b
+  done;
+  let width = ref 1 and levels = ref 0 in
+  while !width < n do
+    width := 2 * !width;
+    incr levels
+  done;
+  if n < !width && not (Float.equal (Pmf.get p (n - 1)) 0.) then incr b;
+  (!b, !width, !levels)
+
+(* A random pmf for the dense-reference property: n a power of two or
+   not (n = 1 included), then either zipf or runs of one value each —
+   single points, zero runs, and equal neighbours that merge two runs —
+   with K anywhere from 1 to n. *)
+let piecewise_pmf seed =
+  let r = Randkit.Rng.create ~seed in
+  let n =
+    match Randkit.Rng.int r 4 with
+    | 0 -> 1 lsl Randkit.Rng.int r 13
+    | 1 -> 1
+    | _ -> 1 + Randkit.Rng.int r 3000
+  in
+  if Randkit.Rng.int r 5 = 0 then
+    Families.zipf ~n ~s:(0.5 +. Randkit.Rng.float r 1.)
+  else begin
+    let k = 1 + Randkit.Rng.int r n in
+    let w = Array.make n 0. in
+    let pos = ref 0 in
+    while !pos < n do
+      let len =
+        if Randkit.Rng.int r 4 = 0 then 1
+        else 1 + Randkit.Rng.int r (max 1 (2 * n / k))
+      in
+      let v =
+        match Randkit.Rng.int r 4 with
+        | 0 -> 0.
+        | 1 -> float_of_int (1 + Randkit.Rng.int r 3)
+        | _ -> Randkit.Rng.float r 10.
+      in
+      for i = !pos to min n (!pos + len) - 1 do
+        w.(i) <- v
+      done;
+      pos := !pos + len
+    done;
+    if Array.for_all (fun x -> Float.equal x 0.) w then
+      w.(Randkit.Rng.int r n) <- 1.;
+    Pmf.of_weights w
+  end
+
+let prop_split_tree_matches_dense =
+  QCheck.Test.make ~name:"split tree draws = dense reference, bit for bit"
+    ~count:300 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let p = piecewise_pmf seed in
+      let n = Pmf.size p in
+      let t = Split_tree.of_pmf p and d = Refkit.Split_tree_dense.of_pmf p in
+      let r1 = Randkit.Rng.create ~seed and r2 = Randkit.Rng.create ~seed in
+      let c1 = Array.make n 0 and c2 = Array.make n 0 in
+      let same =
+        List.for_all
+          (fun m ->
+            Split_tree.draw_counts_into t r1 ~counts:c1 m;
+            Refkit.Split_tree_dense.draw_counts_into d r2 ~counts:c2 m;
+            c1 = c2)
+          [ 0; 1; 17; 1000; 100_000; 10_000_000 ]
+      in
+      let b, width, levels = value_changes p in
+      let stored = Split_tree.stored t in
+      (* Stored whole only when more than half the nodes straddle a
+         change, which the bound caps at B·log₂ width. *)
+      let bounded =
+        stored <= b * levels
+        || (stored = width - 1 && width - 1 < 2 * b * levels)
+      in
+      if not bounded then
+        QCheck.Test.fail_reportf "n = %d: %d stored, B = %d, log2 width = %d" n
+          stored b levels;
+      same && Int64.equal (Randkit.Rng.bits64 r1) (Randkit.Rng.bits64 r2))
+
 (* --- construction pins --- *)
 
 (* Every family's pmf as float bits, pinned from the copying, boxing
@@ -950,6 +1052,7 @@ let () =
           Alcotest.test_case "a draw allocates nothing" `Quick
             test_split_tree_draw_allocation;
           qc prop_split_tree_counts_sum;
+          qc prop_split_tree_matches_dense;
         ] );
       ( "distance",
         [
