@@ -32,8 +32,9 @@
    noisy, so these rows run the row scan (each segment priced once,
    relaxing every layer), which the zipf rows never reach.  Each reports
    a warm fit (the second in one scratch, as a trial's workspace runs
-   it): the minor and major words it allocated (major from Gc.counters,
-   which sees a direct major allocation at once), and the best wall ms
+   it): the minor and direct major words it allocated (from Gc.counters,
+   which sees a direct major allocation at once; promoted words are not
+   the fit's), and the best wall ms
    of 5 warm calls beside the best of 3 dense ones.  Quick mode: n = 2^16
    at k = 4 and n = 2^20 at k = 16 (K ~ 2.5k: a many-layer exactness
    check); --full adds n = 2^20 at k = 32 (K ~ 6.3k, where the dense
@@ -172,12 +173,15 @@ let measure_learned ~seed ~family ~pmf ~n ~k ~eps =
   let cs = learned_cells ~seed ~pmf ~k ~eps in
   let scratch = Closest.scratch () in
   ignore (Closest.fit_cells ~scratch cs ~k : float * int list);
+  (* Direct major words: a major cycle that ends inside the window
+     empties the minor heap and promotes the live words of the fit and
+     of this measurement, which [Gc.counters] adds to its major words. *)
   Gc.minor ();
-  let _, _, major0 = Gc.counters () in
+  let _, promoted0, major0 = Gc.counters () in
   let m0 = Gc.minor_words () in
   ignore (Closest.fit_cells ~scratch cs ~k : float * int list);
   let warm_minor = Gc.minor_words () -. m0 in
-  let _, _, major1 = Gc.counters () in
+  let _, promoted1, major1 = Gc.counters () in
   let (cost_fast, starts_fast), t_fast =
     best_of 5 (fun () -> Closest.fit_cells ~scratch cs ~k)
   in
@@ -191,7 +195,7 @@ let measure_learned ~seed ~family ~pmf ~n ~k ~eps =
     lcells = Array.length cs;
     warm_ms = t_fast *. 1e3;
     warm_minor;
-    warm_major = major1 -. major0;
+    warm_major = major1 -. major0 -. (promoted1 -. promoted0);
     ldense_ms = t_dense *. 1e3;
     lexact =
       Float.equal cost_fast cost_dense

@@ -7,10 +7,11 @@
       request script — one accepting corpus, one rejecting — is served
       through the batched engine across a batch grid, and the full
       response transcript must be BYTE-IDENTICAL to the line-at-a-time
-      oracle Refkit.Strict_serve (Service.handle_line per line, printed
-      through the Jsonl tree; it shares no code with Scan, Batch or the
-      direct renderer).  Any divergence exits non-zero, like
-      E18/E19/E20.
+      oracle Refkit.Strict_serve (Service.handle_line per line, one
+      write per response; it shares the engine's one renderer per
+      response kind but not Scan's fast path or Batch's staging, so the
+      gate checks those, and test/golden pins the rendered bytes).  Any
+      divergence exits non-zero, like E18/E19/E20.
 
    2. Ingest throughput (values/s) across the same grid and two payload
       shapes — many small `observe` lines vs few large ones — plus the

@@ -137,31 +137,34 @@ let[@inline] mass t p c h =
     let v = if j < t.n then p.(j) else 0. in
     v *. float_of_int (1 lsl h)
 
+(* Leaf [j]'s mass: p(j), 0 in the padding. *)
+let[@inline] leaf p n j = if j < n then Array.unsafe_get p j else 0.
+
 (* Every node's split at its heap index, in three passes: bottom-up,
    [a.{i}] takes node [i]'s subtree mass (the children of nodes
    [half .. width-1] are leaves, read from [p], 0 past [n]); top-down,
    each mass is replaced by the node's split, a node before its
-   children, whose masses are still in place. *)
+   children, whose masses are still in place.  Indices stay inside
+   [1, width) and [p]'s are checked against [n], so the accesses are
+   unchecked. *)
 let dense_splits t p =
+  let module A = Bigarray.Array1 in
   let a = t.p_left and n = t.n and width = t.width in
   let half = width / 2 in
   for i = width - 1 downto max half 1 do
     let j = (2 * i) - width in
-    a.{i} <-
-      (if j < n then p.(j) else 0.) +. if j + 1 < n then p.(j + 1) else 0.
+    A.unsafe_set a i (leaf p n j +. leaf p n (j + 1))
   done;
   for i = half - 1 downto 1 do
-    a.{i} <- a.{2 * i} +. a.{(2 * i) + 1}
+    A.unsafe_set a i (A.unsafe_get a (2 * i) +. A.unsafe_get a ((2 * i) + 1))
   done;
-  for i = 1 to width - 1 do
-    let m = a.{i} in
-    let left =
-      if i < half then a.{2 * i}
-      else
-        let j = (2 * i) - width in
-        if j < n then p.(j) else 0.
-    in
-    a.{i} <- (if m > 0. then left /. m else 0.)
+  for i = 1 to half - 1 do
+    let m = A.unsafe_get a i in
+    A.unsafe_set a i (if m > 0. then A.unsafe_get a (2 * i) /. m else 0.)
+  done;
+  for i = max half 1 to width - 1 do
+    let m = A.unsafe_get a i in
+    A.unsafe_set a i (if m > 0. then leaf p n ((2 * i) - width) /. m else 0.)
   done
 
 (* The stored nodes' splits, level by level: bottom-up, each slot takes
@@ -182,6 +185,23 @@ let sparse_splits t p ~depth =
         t.p_left.{s} <- (if m > 0. then mass t p (2 * i) h /. m else 0.))
   done
 
+(* Marks every change of value at leaf [from] or after it, the padding
+   boundary at [n] included when p(n-1) ≠ 0; returns how many nodes it
+   marked. *)
+let mark_from index p ~n ~width from =
+  let stored = ref 0 in
+  for j = from to n - 1 do
+    if differ p.(j - 1) p.(j) then stored := !stored + mark index ~width j
+  done;
+  if n < width && differ p.(n - 1) 0. then
+    stored := !stored + mark index ~width n;
+  !stored
+
+(* How many changes of value the first pass over the pmf marks as it
+   counts them: a piecewise pmf is then read once, and a dense one marks
+   no more than these before its count shows it is stored whole. *)
+let eager = 256
+
 let of_pmf pmf =
   let n = Pmf.size pmf in
   let p = Pmf.unsafe_array pmf in
@@ -192,17 +212,22 @@ let of_pmf pmf =
   in
   Bigarray.Array1.fill index 0;
   (* Each change has its own lowest common ancestor, so a pmf with more
-     changes than half the internal nodes is stored whole: marking stops
-     there. *)
+     changes than half the internal nodes is stored whole.  The first
+     pass counts the changes up to that bound, marking the first [eager]
+     of them; only a pmf within the bound has the rest marked, from the
+     first change left unmarked ([resume]) on. *)
   let changes = ref 0 and stored = ref 0 in
-  let change j =
-    incr changes;
-    if 2 * !changes <= width - 1 then stored := !stored + mark index ~width j
-  in
-  for j = 1 to n - 1 do
-    if differ p.(j - 1) p.(j) then change j
+  let resume = ref n and j = ref 1 in
+  while !j < n && 2 * !changes <= width - 1 do
+    if differ (Array.unsafe_get p (!j - 1)) (Array.unsafe_get p !j) then begin
+      incr changes;
+      if !changes <= eager then stored := !stored + mark index ~width !j
+      else if !changes = eager + 1 then resume := !j
+    end;
+    incr j
   done;
-  if n < width && differ p.(n - 1) 0. then change n;
+  if 2 * !changes <= width - 1 then
+    stored := !stored + mark_from index p ~n ~width !resume;
   let dense = 2 * max !changes !stored > width - 1 in
   if not dense then begin
     let before = ref 0 in

@@ -229,109 +229,12 @@ let verdict_info t =
 
 (* --- one protocol step --- *)
 
-let handle_request t req =
-  match (req : Wire.request) with
-  | Wire.Config { n; family; eps; cells; seed } -> (
-      match configure t ~n ~family ~eps ~cells ~seed with
-      | Error msg -> (Wire.error msg, true)
-      | Ok config ->
-          ( Wire.ok
-              [
-                ("cmd", Jsonl.Str "config");
-                ("n", Jsonl.Num (float_of_int config.n));
-                ("family", Jsonl.Str config.family);
-                ("eps", Jsonl.Num config.eps);
-                ("cells", Jsonl.Num (float_of_int config.cells));
-                ("seed", Jsonl.Num (float_of_int config.seed));
-              ],
-            true ))
-  | Wire.Observe { shard; xs } -> (
-      match observe t ~shard xs with
-      | Error msg -> (Wire.error msg, true)
-      | Ok total ->
-          ( Wire.ok
-              [
-                ("cmd", Jsonl.Str "observe");
-                ("shard", Jsonl.Str shard);
-                ("added", Jsonl.Num (float_of_int (Array.length xs)));
-                ("shard_total", Jsonl.Num (float_of_int total));
-              ],
-            true ))
-  | Wire.Counts { shard; counts } -> (
-      let len = Array.length counts in
-      match ingest t shard Scan.Counts counts ~pos:0 ~len with
-      | exception Rejected msg -> (Wire.error msg, true)
-      | total ->
-          ( Wire.ok
-              [
-                ("cmd", Jsonl.Str "counts");
-                ("shard", Jsonl.Str shard);
-                ("shard_total", Jsonl.Num (float_of_int total));
-              ],
-            true ))
-  | Wire.Verdict -> (
-      match verdict_info t with
-      | Error msg -> (Wire.error msg, true)
-      | Ok info ->
-          ( Wire.ok
-              [
-                ("cmd", Jsonl.Str "verdict");
-                ("verdict", Jsonl.Str (Verdict.to_string info.verdict));
-                ("z", Jsonl.Num info.z);
-                ("threshold", Jsonl.Num info.threshold);
-                ("total", Jsonl.Num (float_of_int info.total));
-                ("shards", Jsonl.Num (float_of_int info.shard_count));
-              ],
-            true ))
-  | Wire.Stats ->
-      let shards =
-        List.map
-          (fun (name, total) ->
-            Jsonl.Obj
-              [
-                ("name", Jsonl.Str name);
-                ("total", Jsonl.Num (float_of_int total));
-              ])
-          (shard_totals t)
-      in
-      let total = Option.fold ~none:0 ~some:Suffstat.total (merged t) in
-      ( Wire.ok
-          [
-            ("cmd", Jsonl.Str "stats");
-            ("configured", Jsonl.Bool (Option.is_some t.config));
-            ("shards", Jsonl.List shards);
-            ("total", Jsonl.Num (float_of_int total));
-          ],
-        true )
-  | Wire.Cache_stats ->
-      let s = Structcache.stats t.cache in
-      ( Wire.ok
-          [
-            ("cmd", Jsonl.Str "cache_stats");
-            ("size", Jsonl.Num (float_of_int s.Structcache.size));
-            ("capacity", Jsonl.Num (float_of_int s.Structcache.capacity));
-            ("hits", Jsonl.Num (float_of_int s.Structcache.hits));
-            ("misses", Jsonl.Num (float_of_int s.Structcache.misses));
-            ("evictions", Jsonl.Num (float_of_int s.Structcache.evictions));
-          ],
-        true )
-  | Wire.Reset ->
-      reset t;
-      (Wire.ok [ ("cmd", Jsonl.Str "reset") ], true)
-  | Wire.Quit -> (Wire.ok [ ("cmd", Jsonl.Str "quit") ], false)
-
-let handle_line t line =
-  match Wire.request_of_line line with
-  | Error msg -> (Wire.error msg, true)
-  | Ok req -> handle_request t req
-
-(* --- batched, pipelined serve engine --- *)
-
-(* The ingest responses and errors are written to the output buffer
-   directly — no Jsonl tree — with bytes identical to
-   [Jsonl.to_string (Wire.ok [...])] (pinned by a unit test).  Integers
-   here are exact in double, so decimal digits match the printer's
-   "%.0f". *)
+(* Every response has one renderer.  Ingest responses and errors, the
+   traffic, are written to the output buffer directly — no Jsonl tree —
+   in the bytes [Jsonl.add_to_buffer] prints for their tree (pinned by
+   test_service and the golden transcript).  Integers here are exact in
+   double, so decimal digits match the printer's "%.0f".  The six rare
+   commands print their [Wire.ok] tree. *)
 
 (* Digits straight into the buffer: [string_of_int] goes through the
    generic %d formatter plus an allocation, and the hot responses carry
@@ -367,24 +270,92 @@ let[@histolint.hot] add_error buf msg =
   Jsonl.add_escaped buf msg;
   Buffer.add_char buf '}'
 
-let rendered add =
+let rendered_error msg =
   let buf = Buffer.create 64 in
-  add buf;
+  add_error buf msg;
   Buffer.contents buf
-
-let rendered_observe_ok ~shard ~added ~shard_total:total =
-  rendered (fun b -> add_ingest_ok b Scan.Observe ~shard ~added ~total)
-
-let rendered_counts_ok ~shard ~shard_total:total =
-  rendered (fun b -> add_ingest_ok b Scan.Counts ~shard ~added:0 ~total)
-
-let rendered_error msg = rendered (fun b -> add_error b msg)
 
 (* One ingest request, its response rendered into [out]. *)
 let[@histolint.hot] exec_ingest t out kind shard xs ~pos ~len =
   match ingest t shard kind xs ~pos ~len with
   | total -> add_ingest_ok out kind ~shard ~added:len ~total
   | exception Rejected msg -> add_error out msg
+
+let num i = Jsonl.Num (float_of_int i)
+
+(* The protocol step behind [handle_line] and every strict slot of a
+   batch: the response to a parsed request, or to its parse error,
+   appended to [out]; false after a quit. *)
+let respond t out parsed =
+  let ok fields = Jsonl.add_to_buffer out (Wire.ok fields) in
+  (match (parsed : (Wire.request, string) result) with
+  | Error msg -> add_error out msg
+  | Ok (Wire.Observe { shard; xs }) ->
+      exec_ingest t out Scan.Observe shard xs ~pos:0 ~len:(Array.length xs)
+  | Ok (Wire.Counts { shard; counts }) ->
+      exec_ingest t out Scan.Counts shard counts ~pos:0
+        ~len:(Array.length counts)
+  | Ok (Wire.Config { n; family; eps; cells; seed }) -> (
+      match configure t ~n ~family ~eps ~cells ~seed with
+      | Error msg -> add_error out msg
+      | Ok config ->
+          ok
+            [
+              ("cmd", Jsonl.Str "config");
+              ("n", num config.n);
+              ("family", Jsonl.Str config.family);
+              ("eps", Jsonl.Num config.eps);
+              ("cells", num config.cells);
+              ("seed", num config.seed);
+            ])
+  | Ok Wire.Verdict -> (
+      match verdict_info t with
+      | Error msg -> add_error out msg
+      | Ok info ->
+          ok
+            [
+              ("cmd", Jsonl.Str "verdict");
+              ("verdict", Jsonl.Str (Verdict.to_string info.verdict));
+              ("z", Jsonl.Num info.z);
+              ("threshold", Jsonl.Num info.threshold);
+              ("total", num info.total);
+              ("shards", num info.shard_count);
+            ])
+  | Ok Wire.Stats ->
+      let shards =
+        List.map
+          (fun (name, total) ->
+            Jsonl.Obj [ ("name", Jsonl.Str name); ("total", num total) ])
+          (shard_totals t)
+      in
+      let total = Option.fold ~none:0 ~some:Suffstat.total (merged t) in
+      ok
+        [
+          ("cmd", Jsonl.Str "stats");
+          ("configured", Jsonl.Bool (Option.is_some t.config));
+          ("shards", Jsonl.List shards);
+          ("total", num total);
+        ]
+  | Ok Wire.Cache_stats ->
+      let s = Structcache.stats t.cache in
+      ok
+        [
+          ("cmd", Jsonl.Str "cache_stats");
+          ("size", num s.Structcache.size);
+          ("capacity", num s.Structcache.capacity);
+          ("hits", num s.Structcache.hits);
+          ("misses", num s.Structcache.misses);
+          ("evictions", num s.Structcache.evictions);
+        ]
+  | Ok Wire.Reset ->
+      reset t;
+      ok [ ("cmd", Jsonl.Str "reset") ]
+  | Ok Wire.Quit -> ok [ ("cmd", Jsonl.Str "quit") ]);
+  match parsed with Ok Wire.Quit -> false | Ok _ | Error _ -> true
+
+let handle_line t out line = respond t out (Wire.request_of_line line)
+
+(* --- batched, pipelined serve engine --- *)
 
 type serve_stats = {
   requests : int;
@@ -520,21 +491,11 @@ module Batch = struct
     e.k <- 0;
     Scan.clear e.arena
 
-  (* A strict slot's response into [out]; false after a quit. *)
-  let exec_strict t out = function
-    | Error msg ->
-        add_error out msg;
-        true
-    | Ok req ->
-        let json, continue = handle_request t req in
-        Jsonl.add_to_buffer out json;
-        continue
-
-  (* Execute the staged slots in request order through the same [ingest]
-     and [handle_request] a line-at-a-time loop would call, rendering
-     each response as it goes, so the transcript is that loop's.  Slots
-     after a quit are dropped unanswered, exactly as sequential serve
-     never reads them. *)
+  (* Execute the staged slots in request order through the same
+     [exec_ingest] and [respond] a line-at-a-time loop would call,
+     rendering each response as it goes, so the transcript is that
+     loop's.  Slots after a quit are dropped unanswered, exactly as
+     sequential serve never reads them. *)
   let[@histolint.hot] execute e ~out =
     if e.k = 0 then true
     else begin
@@ -548,11 +509,11 @@ module Batch = struct
             ~len:e.lens.(k)
         else
           go :=
-            (exec_strict
+            (respond
                t out e.strict.(k)
              [@histolint.alloc_ok
-               "strict slots: off the fast path, their requests and \
-                responses are Jsonl trees"]);
+               "strict slots: off the fast path, their requests are \
+                Jsonl trees"]);
         Buffer.add_char out '\n';
         incr i
       done;

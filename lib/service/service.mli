@@ -111,10 +111,13 @@ val verdict_info : t -> (verdict_info, string) result
 (** Merge and test: the χ² statistic of the merged counts against the
     configured hypothesis at the plug-in mean [m = total]. *)
 
-val handle_request : t -> Wire.request -> Jsonl.t * bool
-[@@histolint.keep "[handle_line] runs it; test_service pins it directly"]
-val handle_line : t -> string -> Jsonl.t * bool
-(** One protocol step; the boolean is false after a [quit] request. *)
+val handle_line : t -> Buffer.t -> string -> bool
+(** One protocol step: parse the line with the strict parser, run the
+    request and append its response, without a newline, to the buffer.
+    False after a [quit] request.  Every response kind has one renderer,
+    shared with {!Batch.execute}: ingest responses and errors are
+    written straight into the buffer, the other commands print their
+    [Wire.ok] tree. *)
 
 type serve_stats = {
   requests : int;  (** answered requests (quit drops the batch's tail) *)
@@ -205,10 +208,10 @@ val serve :
 
     Execution preserves the sequential semantics exactly: the batch's
     requests run one by one in request order on the calling domain,
-    through the same ingest function and protocol step a line-at-a-time
-    loop uses, so the response transcript is byte-identical at any
-    [batch], and to {!handle_line} applied line by line — the contract
-    E21 gates.  Requests after a [quit] in the
+    each through the protocol step {!handle_line} takes (a fast-path
+    line skips only the strict parse), so the response transcript is
+    byte-identical at any [batch], and to {!handle_line} applied line by
+    line — the contract E21 gates.  Requests after a [quit] in the
     same batch are dropped unanswered, exactly as a sequential loop
     would never have read them.  [pool] is accepted for compatibility
     and ignored: ingest is a few integer adds per value into one
@@ -216,11 +219,6 @@ val serve :
     the hosts it was tried on (EXPERIMENTS.md, E21).
     @raise Invalid_argument if [batch < 1]. *)
 
-val rendered_observe_ok : shard:string -> added:int -> shard_total:int -> string
-[@@histolint.keep "the fast path's bytes, pinned by test_service"]
-val rendered_counts_ok : shard:string -> shard_total:int -> string
-[@@histolint.keep "the fast path's bytes, pinned by test_service"]
 val rendered_error : string -> string
-(** The direct renderings the batch path writes for the hot responses —
-    exposed so tests can pin them byte-for-byte against
-    [Jsonl.to_string (Wire.ok [...])] / [Wire.error]. *)
+(** The wire error response for a message, as {!handle_line} writes it:
+    [{"ok":false,"error":msg}]. *)

@@ -1,5 +1,5 @@
-(* Request decoding and response building for the histotestd line
-   protocol: one JSON object per line in, one per line out. *)
+(* Request decoding and the success-response tree for the histotestd
+   line protocol: one JSON object per line in, one per line out. *)
 
 type request =
   | Config of {
@@ -69,4 +69,3 @@ let request_of_line line =
   | Ok json -> request_of_json json
 
 let ok fields = Jsonl.Obj (("ok", Jsonl.Bool true) :: fields)
-let error msg = Jsonl.Obj [ ("ok", Jsonl.Bool false); ("error", Jsonl.Str msg) ]

@@ -38,6 +38,3 @@ val request_of_line : string -> (request, string) result
 
 val ok : (string * Jsonl.t) list -> Jsonl.t
 (** [{"ok":true, ...fields}]. *)
-
-val error : string -> Jsonl.t
-(** [{"ok":false,"error":msg}]. *)

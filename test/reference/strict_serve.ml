@@ -1,11 +1,14 @@
 let serve t ~read_line ~write =
+  let response = Buffer.create 256 in
   let rec loop answered =
     match read_line () with
     | None -> answered
     | Some line when String.equal (String.trim line) "" -> loop answered
     | Some line ->
-        let response, continue = Service.handle_line t line in
-        write (Jsonl.to_string response ^ "\n");
+        Buffer.clear response;
+        let continue = Service.handle_line t response line in
+        Buffer.add_char response '\n';
+        write (Buffer.contents response);
         if continue then loop (answered + 1) else answered + 1
   in
   loop 0

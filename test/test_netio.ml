@@ -460,7 +460,7 @@ let test_overlong_line_closes () =
   Alcotest.(check int) "overlong line closes" 0 (Netio.active reactor);
   read_avail tmp buf cfd;
   let expect =
-    Service.rendered_observe_ok ~shard:"ok" ~added:1 ~shard_total:1
+    {|{"ok":true,"cmd":"observe","shard":"ok","added":1,"shard_total":1}|}
     ^ "\n" ^ Netio.overlong_error 64 ^ "\n"
   in
   Alcotest.(check string)

@@ -411,9 +411,35 @@ let test_jsonl_numbers () =
 
 (* --- service protocol --- *)
 
+(* One protocol step: the printed response, its tree and whether to go
+   on. *)
 let response t line =
-  let resp, continue = Service.handle_line t line in
-  (Jsonl.to_string resp, resp, continue)
+  let out = Buffer.create 256 in
+  let continue = Service.handle_line t out line in
+  let printed = Buffer.contents out in
+  (printed, Result.get_ok (Jsonl.parse printed), continue)
+
+(* The responses' trees, built here from the wire spec: the engine
+   renders them without one. *)
+let error_tree msg =
+  Jsonl.Obj [ ("ok", Jsonl.Bool false); ("error", Jsonl.Str msg) ]
+
+let observe_tree ~shard ~added ~shard_total =
+  Wire.ok
+    [
+      ("cmd", Jsonl.Str "observe");
+      ("shard", Jsonl.Str shard);
+      ("added", Jsonl.Num (float_of_int added));
+      ("shard_total", Jsonl.Num (float_of_int shard_total));
+    ]
+
+let counts_tree ~shard ~shard_total =
+  Wire.ok
+    [
+      ("cmd", Jsonl.Str "counts");
+      ("shard", Jsonl.Str shard);
+      ("shard_total", Jsonl.Num (float_of_int shard_total));
+    ]
 
 let is_ok resp = Jsonl.member "ok" resp = Some (Jsonl.Bool true)
 
@@ -529,7 +555,7 @@ let test_service_merged_in_place () =
   Alcotest.(check int) "picks up new ingest" 400 (Suffstat.total m1);
   Alcotest.(check bool) "still the whole stream" true
     (merged () == m1 && Suffstat.equal m1 whole);
-  ignore (Service.handle_line t {|{"cmd":"reset"}|});
+  ignore (response t {|{"cmd":"reset"}|});
   Alcotest.(check bool) "reset: no shards, no state" true
     (Option.is_none (Service.merged t) && Service.shards t = []);
   (match Service.observe t ~shard:"solo" [| 1; 2; 3 |] with
@@ -658,7 +684,7 @@ let test_shard_names_capped () =
     (Option.map Suffstat.counts (Service.merged t) = counts);
   Alcotest.(check string)
     "known name still ingests"
-    (Service.rendered_observe_ok ~shard:"s0" ~added:1 ~shard_total:2)
+    (Jsonl.to_string (observe_tree ~shard:"s0" ~added:1 ~shard_total:2))
     (run {|{"cmd":"observe","shard":"s0","xs":[5]}|})
 
 (* Hostile config: an n past [Service.max_n] is refused with a wire
@@ -701,7 +727,7 @@ let test_config_n_capped () =
     (Service.merged t == acc
     && Option.map Suffstat.counts (Service.merged t) = counts_before);
   Alcotest.(check string) "previous config still serves"
-    (Service.rendered_observe_ok ~shard:"a" ~added:1 ~shard_total:4)
+    (Jsonl.to_string (observe_tree ~shard:"a" ~added:1 ~shard_total:4))
     (run {|{"cmd":"observe","shard":"a","xs":[63]}|})
 
 (* --- replay: the determinism contract, fed by harness streams --- *)
@@ -1067,33 +1093,70 @@ let test_serve_blank_and_quit () =
        false
      with Invalid_argument _ -> true)
 
+(* One renderer per response kind: in one batch, a canonical ingest
+   line (the Scan fast path) and its non-canonical twin (the strict
+   parser) give byte-equal responses, and both equal the tree built
+   here from the wire spec — string escaping and integer formatting
+   included. *)
 let test_rendered_responses () =
-  (* The direct renderings the batch path writes must be byte-equal to
-     the Jsonl tree the strict path would print — including string
-     escaping and integer formatting. *)
-  let shard = "s \"quoted\"\tend" in
-  Alcotest.(check string) "observe ok"
-    (Jsonl.to_string
-       (Wire.ok
-          [
-            ("cmd", Jsonl.Str "observe");
-            ("shard", Jsonl.Str shard);
-            ("added", Jsonl.Num 3.);
-            ("shard_total", Jsonl.Num 1_234_567.);
-          ]))
-    (Service.rendered_observe_ok ~shard ~added:3 ~shard_total:1_234_567);
-  Alcotest.(check string) "counts ok"
-    (Jsonl.to_string
-       (Wire.ok
-          [
-            ("cmd", Jsonl.Str "counts");
-            ("shard", Jsonl.Str shard);
-            ("shard_total", Jsonl.Num 0.);
-          ]))
-    (Service.rendered_counts_ok ~shard ~shard_total:0);
-  Alcotest.(check string) "error"
-    (Jsonl.to_string (Wire.error "bad \\ news"))
-    (Service.rendered_error "bad \\ news")
+  let counts sep =
+    String.concat sep
+      (List.init 64 (fun i ->
+           if i = 0 then "1234560" else if i < 8 then "1" else "0"))
+  in
+  let twins =
+    [
+      ( "observe",
+        {|{"cmd":"observe","shard":"s0","xs":[1,2,63]}|},
+        {|{"shard": "s0", "xs": [1, 2, 63], "cmd": "observe"}|},
+        observe_tree ~shard:"s0" ~added:3 ~shard_total:3 );
+      ( "counts",
+        {|{"cmd":"counts","shard":"s0","counts":[|} ^ counts "," ^ "]}",
+        {|{"counts": [|} ^ counts ", " ^ {|], "cmd": "counts", "shard": "s0"}|},
+        counts_tree ~shard:"s0" ~shard_total:1_234_567 );
+      ( "ingest error",
+        {|{"cmd":"observe","shard":"s1","xs":[5,64]}|},
+        {|{"cmd": "observe", "shard": "s1", "xs": [5, 64]}|},
+        error_tree "Suffstat.observe: outside domain" );
+    ]
+  in
+  (* Scan declines escapes, so these take the strict parser alone. *)
+  let strict_only =
+    [
+      ( {|{"cmd":"observe","shard":"s \"quoted\"\tend","xs":[0]}|},
+        observe_tree ~shard:"s \"quoted\"\tend" ~added:1 ~shard_total:1 );
+      ( {|{"cmd":"observe","shard":"s0","xs":[1.5]}|},
+        error_tree {|bad value for field "xs"|} );
+    ]
+  in
+  (* A reset after each line, so each twin meets the same state. *)
+  let reset = {|{"cmd":"reset"}|} in
+  let script =
+    {|{"cmd":"config","n":64,"family":"uniform","eps":0.25,"seed":1}|}
+    :: List.concat_map
+         (fun (_, fast, twin, _) -> [ fast; reset; twin; reset ])
+         twins
+    @ List.map fst strict_only
+  in
+  let out, stats = serve_in_memory ~batch:64 (Array.of_list script) in
+  Alcotest.(check int) "one batch" 1 stats.Service.batches;
+  Alcotest.(check int)
+    "canonical lines on the fast path" (List.length twins)
+    stats.Service.fast_hits;
+  let responses = Array.of_list (String.split_on_char '\n' out) in
+  List.iteri
+    (fun i (label, _, _, tree) ->
+      let fast = responses.(1 + (4 * i)) and twin = responses.(3 + (4 * i)) in
+      Alcotest.(check string) (label ^ ": twins byte-equal") fast twin;
+      Alcotest.(check string)
+        (label ^ ": the tree's bytes")
+        (Jsonl.to_string tree) fast)
+    twins;
+  List.iteri
+    (fun i (line, tree) ->
+      Alcotest.(check string) line (Jsonl.to_string tree)
+        responses.(1 + (4 * List.length twins) + i))
+    strict_only
 
 (* The allocation gate: once ids are interned, shards registered and
    the accumulator built, staging and executing a 64-line batch of
@@ -1105,9 +1168,9 @@ let test_batch_allocates_nothing () =
   let gate label line =
     let t = Service.create () in
     ignore
-      (Service.handle_line t
+      (response t
          {|{"cmd":"config","n":64,"family":"uniform","eps":0.25,"seed":1}|}
-        : Jsonl.t * bool);
+        : string * Jsonl.t * bool);
     let ex = Service.Batch.create ~batch:64 t in
     let lines = List.init 64 line in
     let raw = String.concat "\n" lines in
@@ -1530,8 +1593,8 @@ let test_counts_total_bound () =
       Alcotest.(check string) (label ^ ": stats unchanged") r.(2) r.(4);
       Alcotest.(check string)
         (label ^ ": under the bound accepted")
-        (Service.rendered_counts_ok ~shard:"a"
-           ~shard_total:((9 * big) + 2))
+        (Jsonl.to_string
+           (counts_tree ~shard:"a" ~shard_total:((9 * big) + 2)))
         r.(5);
       Alcotest.(check string) (label ^ ": past 2^53 refused") refused r.(7);
       Alcotest.(check string) (label ^ ": stats unchanged again") r.(6) r.(8);
@@ -1601,7 +1664,7 @@ let test_storage_outlives_config () =
   Alcotest.(check bool) "accumulator carried over" true (acc () == first);
   Alcotest.(check int) "old counts gone" 0 (Suffstat.counts first).(1);
   Alcotest.(check int) "holds only the new config" 1 (Suffstat.total first);
-  ignore (Service.handle_line t {|{"cmd":"reset"}|});
+  ignore (response t {|{"cmd":"reset"}|});
   Alcotest.(check int) "reset clears in place" 0 (Suffstat.total first);
   let _, resp, _ = response t {|{"cmd":"verdict"}|} in
   Alcotest.(check bool) "no data after reset" false (is_ok resp);
@@ -1654,7 +1717,7 @@ module Ref_engine = struct
     List.map (fun (name, st) -> (name, Suffstat.total st)) t.shards
 
   let num i = Jsonl.Num (float_of_int i)
-  let not_configured = Wire.error "not configured (send a config request first)"
+  let not_configured = error_tree "not configured (send a config request first)"
 
   let ingest t shard add ok =
     match t.config with
@@ -1669,7 +1732,7 @@ module Ref_engine = struct
         let response, failed =
           match add st with
           | () -> (Wire.ok (ok (Suffstat.total st)), false)
-          | exception Invalid_argument msg -> (Wire.error msg, true)
+          | exception Invalid_argument msg -> (error_tree msg, true)
         in
         (* A new name is kept only if the request succeeded or added a
            value: a rejected request leaves no empty shard behind. *)
@@ -1680,9 +1743,9 @@ module Ref_engine = struct
   let verdict t =
     match (t.config, merged t) with
     | None, _ -> not_configured
-    | Some _, None -> Wire.error "no observations yet"
+    | Some _, None -> error_tree "no observations yet"
     | Some _, Some st when Suffstat.total st = 0 ->
-        Wire.error "no observations yet"
+        error_tree "no observations yet"
     | Some { Service.dstar; eps; _ }, Some st ->
         let stat = Suffstat.statistic st ~dstar ~eps in
         let threshold = Chi2stat.accept_threshold ~m:stat.Chi2stat.m ~eps in
@@ -1704,7 +1767,7 @@ module Ref_engine = struct
     match req with
     | Wire.Config { n; family; eps; cells; seed } -> (
         match Service.configure t.svc ~n ~family ~eps ~cells ~seed with
-        | Error msg -> Wire.error msg
+        | Error msg -> error_tree msg
         | Ok c ->
             t.config <- Some c;
             t.shards <- [];
@@ -1755,7 +1818,18 @@ module Ref_engine = struct
     | Wire.Reset ->
         t.shards <- [];
         Wire.ok [ ("cmd", Jsonl.Str "reset") ]
-    | Wire.Cache_stats | Wire.Quit -> fst (Service.handle_request t.svc req)
+    | Wire.Cache_stats ->
+        let s = Service.cache_stats t.svc in
+        Wire.ok
+          [
+            ("cmd", Jsonl.Str "cache_stats");
+            ("size", num s.Structcache.size);
+            ("capacity", num s.Structcache.capacity);
+            ("hits", num s.Structcache.hits);
+            ("misses", num s.Structcache.misses);
+            ("evictions", num s.Structcache.evictions);
+          ]
+    | Wire.Quit -> Wire.ok [ ("cmd", Jsonl.Str "quit") ]
 
   (* One request line: [None] for a blank line, else the response and
      whether to go on. *)
@@ -1763,7 +1837,7 @@ module Ref_engine = struct
     if String.trim l = "" then None
     else
       match Wire.request_of_line l with
-      | Error msg -> Some (Wire.error msg, true)
+      | Error msg -> Some (error_tree msg, true)
       | Ok req -> Some (handle t req, req <> Wire.Quit)
 end
 
