@@ -1,19 +1,21 @@
 (* E22 — socket transport: the reactor serves many clients without
-   giving up the stdio loop's bytes or its speed.
+   giving up the engine's bytes or the stdio mode's speed.
 
    Two gates (wired into CI as `make bench-net`):
 
    1. Transcript identity: across a (clients, batch) grid, on an
       accepting and a rejecting corpus, every client's response stream
       over a real loopback TCP connection must be BYTE-IDENTICAL to
-      [Service.serve] (the stdio loop) on that client's request stream.
+      [Service.serve] (the in-process engine) on that client's request
+      stream.
       Any divergence exits non-zero, like E18..E21.
 
    2. Single-client overhead: socket serve at (clients=1, batch=64)
       must ingest within 1.3x of stdio serve — the daemon's
-      stdin/stdout mode over real pipes, transport costs included — on
-      the same script.  The reactor's select/read/flush round must not
-      tax the single-client path that PR 8 optimized.
+      stdin/stdout mode as it runs, the reactor over a pipe pair
+      ([Netio.add_pipe]), transport costs included — on the same
+      script.  Accepting, non-blocking socket I/O and the loopback
+      stack must not tax the single-client path.
 
    Also recorded (not gated): aggregate throughput as the client count
    grows.  The engine is shared and single-threaded, so this measures
@@ -22,9 +24,9 @@
 
    Clients are separate domains ([Domain.spawn], never fork — the
    harness may hold live pool domains), each driving a non-blocking
-   connect/write/shutdown/read-to-EOF loop; the server runs serve_net
-   on the bench's own domain with [accept_limit] telling it when the
-   cell is over.  One machine-readable line per run is appended to
+   connect/write/shutdown/read-to-EOF loop; the server steps the
+   reactor on the bench's own domain until every client it expects has
+   been admitted and has closed.  One machine-readable line per run is appended to
    BENCH_net.json. *)
 
 let bench_file = "BENCH_net.json"
@@ -58,7 +60,7 @@ let client_script ~pmf ~seed ~client ~lines ~per_line =
       Buffer.add_string buf "]}";
       Buffer.contents buf)
 
-(* What the stdio loop answers on this stream — the byte oracle. *)
+(* What [Service.serve] answers on this stream — the byte oracle. *)
 let reference_transcript ~seed script =
   let svc = Service.create () in
   configure ~seed svc;
@@ -142,22 +144,25 @@ let run_cell ~seed ~batch ~payloads () =
     Array.map (fun payload -> Domain.spawn (client_worker ~port ~payload))
       payloads
   in
+  let clients = Array.length payloads in
   let stats, wall =
     Exp_common.wall_time_of (fun () ->
-        Netio.serve_net service ~batch
-          ~accept_limit:(Array.length payloads) ~poll_interval:0.05
-          ~listeners:[ lfd ] ())
+        let t = Netio.create_reactor ~batch ~service ~listeners:[ lfd ] () in
+        while Netio.accepted t < clients || Netio.active t > 0 do
+          Netio.step t ~timeout:0.05
+        done;
+        Netio.stats t)
   in
   let transcripts = Array.map Domain.join doms in
   Unix.close lfd;
   (transcripts, stats, wall)
 
 (* Stdio serve with its real transport costs: the daemon's stdin/stdout
-   mode verbatim — requests arrive through a pipe and are read through
-   Netio.Reader, responses leave through a pipe, exactly as
-   bin/histotestd wires it.  A feeder domain plays the upstream producer
-   and a drainer domain the consumer.  This is the overhead bar's
-   denominator: the socket path is allowed 1.3x of THIS, not of an
+   mode as it runs — the reactor over a pipe pair, requests arriving
+   through one pipe and responses leaving through the other, exactly as
+   bin/histotestd adopts them.  A feeder domain plays the upstream
+   producer and a drainer domain the consumer.  This is the overhead
+   bar's denominator: the socket path is allowed 1.3x of THIS, not of an
    in-memory replay that pays no input syscalls and no line splitting. *)
 let stdio_round ~seed ~batch ~payload ~reference () =
   let in_r, in_w = Unix.pipe ~cloexec:true () in
@@ -192,23 +197,16 @@ let stdio_round ~seed ~batch ~payload ~reference () =
   in
   let service = Service.create () in
   configure ~seed service;
-  let reader = Netio.Reader.create in_r in
-  let read_line ~block =
-    match Netio.Reader.next_line reader ~block with
-    | Netio.Reader.Line l -> Some l
-    | Netio.Reader.Pending | Netio.Reader.Eof | Netio.Reader.Too_long -> None
-  in
-  let oc = Unix.out_channel_of_descr out_w in
-  let write buf =
-    Buffer.output_buffer oc buf;
-    flush oc
-  in
   let stats, wall =
     Exp_common.wall_time_of (fun () ->
-        Service.serve service ~batch ~read_line ~write)
+        let t = Netio.create_reactor ~batch ~service ~listeners:[] () in
+        (* the reactor closes both ends when the stream ends *)
+        Netio.add_pipe t ~input:in_r ~output:out_w;
+        while Netio.active t > 0 do
+          Netio.step t ~timeout:0.05
+        done;
+        Netio.stats t)
   in
-  close_out oc;
-  Unix.close in_r;
   Domain.join feeder;
   let transcript = Domain.join drainer in
   if not (String.equal transcript reference) then
@@ -337,7 +335,9 @@ let run (mode : Exp_common.mode) =
       stdio_round ~seed ~batch:64 ~payload:gate_payload
         ~reference:gate_reference ()
     in
-    let rate = float_of_int stdio_stats.Service.values /. stdio_wall in
+    let rate =
+      float_of_int stdio_stats.Netio.engine.Service.values /. stdio_wall
+    in
     if rate > !best_stdio then best_stdio := rate
   done;
   let stdio_rate = !best_stdio in

@@ -62,11 +62,18 @@ let () =
     Option.value ~default:1
       (int_opt "--seed" ~valid:(fun _ -> true) ~expected:"an integer")
   in
-  (match
-     int_opt "--jobs" ~valid:(fun j -> j > 0) ~expected:"a positive integer"
-   with
-  | Some jobs -> Parkit.Pool.set_default ~jobs
-  | None -> ());
+  (* Without --jobs the default pool is left to the first experiment that
+     asks for it: creating it here would run every experiment, the
+     single-domain ones too, beside idle worker domains. *)
+  let jobs =
+    match
+      int_opt "--jobs" ~valid:(fun j -> j > 0) ~expected:"a positive integer"
+    with
+    | Some jobs ->
+        Parkit.Pool.set_default ~jobs;
+        jobs
+    | None -> Parkit.Pool.default_jobs ()
+  in
   let oracle =
     match opt_value "--oracle" with
     | None -> Harness.Stream
@@ -103,8 +110,7 @@ let () =
   Format.printf
     "histotest experiment harness (%s mode, seed %d, jobs %d, oracle %s)@."
     (if full then "full" else "quick")
-    seed
-    (Parkit.Pool.jobs (Parkit.Pool.get_default ()))
+    seed jobs
     (Harness.oracle_kind_to_string oracle);
   let t0 = Sys.time () in
   List.iter (fun (_, f) -> f mode) to_run;

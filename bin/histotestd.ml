@@ -11,53 +11,25 @@
      {"cmd":"observe","shard":"edge-eu","xs":[17,803,2044]}
      {"cmd":"verdict"}
 
-   The serve loop is batched and pipelined: it blocks for one request,
-   drains up to --batch more that are already available, decodes
-   observe/counts lines through the zero-allocation wire fast path
-   (Service.Scan), applies them in request order on one domain, and
-   answers with one buffered write per batch.  Responses are
-   byte-identical to line-at-a-time serve at any --batch — the contract
-   the E21 bench gates.
+   Socket mode (--listen addr:port and/or --unix path): up to
+   --max-conns concurrent clients instead of stdin/stdout; shard state
+   is shared across clients.
 
-   Socket mode (--listen addr:port and/or --unix path): the same engine
-   behind the Netio reactor — one select loop, up to --max-conns
-   concurrent clients, per-connection batched executors, bounded
-   outbound queues with backpressure.  Per-connection response streams
-   are byte-identical to stdio serve on the same request stream (the
-   contract the E22 bench gates); shard state is shared across clients. *)
+   Either way one loop serves: the Netio reactor, with stdin/stdout
+   adopted as one more connection.  Each connection drains up to
+   --batch requests already buffered, decodes observe/counts lines
+   through the zero-allocation wire fast path (Service.Scan), applies
+   them in request order on one domain, and answers with one write per
+   batch; socket outputs are queued with backpressure.  Every
+   connection's response stream is byte-identical to line-at-a-time
+   serve on its request stream, at any --batch (the contracts E21 and
+   E22 gate).  Stdio mode ends when its connection closes: at EOF, on
+   quit, after an over-long line (answered with a wire error, exit 1)
+   or when stdout goes away (exit 1). *)
 
-(* stdin/stdout, one client: the batched loop, reading through the
-   line-length-bounded Netio.Reader.  An over-long line
-   answers with the same wire error the reactor sends, then exits 1 —
-   it cannot be parsed without unbounded buffering. *)
-let serve ~batch ~max_line_bytes =
-  let service = Service.create () in
-  let reader = Netio.Reader.create ~max_line_bytes Unix.stdin in
-  let overflow = ref false in
-  let read_line ~block =
-    match Netio.Reader.next_line reader ~block with
-    | Netio.Reader.Line l -> Some l
-    | Netio.Reader.Pending | Netio.Reader.Eof -> None
-    | Netio.Reader.Too_long ->
-        overflow := true;
-        None
-  in
-  let write buf =
-    Buffer.output_buffer stdout buf;
-    flush stdout
-  in
-  let _stats : Service.serve_stats =
-    Service.serve service ~batch ~read_line ~write
-  in
-  if !overflow then begin
-    print_string (Netio.overlong_error max_line_bytes);
-    print_newline ();
-    flush stdout;
-    1
-  end
-  else 0
-
-let serve_net ~batch ~listen ~unix_path ~max_conns ~max_line_bytes =
+(* The listeners for --listen/--unix, announced on stderr once bound
+   (perf/ waits for that line before it connects). *)
+let bind_listeners ~listen ~unix_path =
   let addrs =
     (match listen with
     | None -> []
@@ -67,20 +39,12 @@ let serve_net ~batch ~listen ~unix_path ~max_conns ~max_line_bytes =
         | Error msg -> failwith msg))
     @ match unix_path with None -> [] | Some p -> [ Netio.Unix_path p ]
   in
-  match
-    List.map
-      (fun addr ->
-        let fd = Netio.listener addr in
-        (addr, fd))
-      addrs
-  with
-  | exception Failure msg ->
-      prerr_endline ("error: " ^ msg);
-      2
+  match List.map (fun addr -> (addr, Netio.listener addr)) addrs with
+  | exception Failure msg -> Error msg
   | exception Unix.Unix_error (err, fn, arg) ->
-      Format.eprintf "error: cannot listen (%s %s: %s)@." fn arg
-        (Unix.error_message err);
-      2
+      Error
+        (Printf.sprintf "cannot listen (%s %s: %s)" fn arg
+           (Unix.error_message err))
   | bound ->
       List.iter
         (fun (addr, fd) ->
@@ -92,12 +56,26 @@ let serve_net ~batch ~listen ~unix_path ~max_conns ~max_line_bytes =
           in
           Format.eprintf "histotestd: listening on %s@." shown)
         bound;
-      let service = Service.create () in
-      let _stats : Netio.stats =
-        Netio.serve_net service ~batch ~max_conns ~max_line_bytes
-          ~listeners:(List.map snd bound) ()
-      in
+      Ok (List.map snd bound)
+
+let serve ~batch ~max_conns ~max_line_bytes listeners =
+  let t =
+    Netio.create_reactor ~batch ~max_conns ~max_line_bytes
+      ~service:(Service.create ()) ~listeners ()
+  in
+  match listeners with
+  | _ :: _ ->
+      while true do
+        Netio.step t ~timeout:0.5
+      done;
       0
+  | [] ->
+      Netio.add_pipe t ~input:Unix.stdin ~output:Unix.stdout;
+      while Netio.active t > 0 do
+        Netio.step t ~timeout:0.5
+      done;
+      let st = Netio.stats t in
+      if st.Netio.overlong + st.Netio.write_drops > 0 then 1 else 0
 
 open Cmdliner
 
@@ -176,9 +154,12 @@ let run (_jobs : int) batch listen unix_path max_conns max_line_bytes =
     prerr_endline "error: --max-conns must be at least 1";
     2
   end
-  else if Option.is_some listen || Option.is_some unix_path then
-    serve_net ~batch ~listen ~unix_path ~max_conns ~max_line_bytes
-  else serve ~batch ~max_line_bytes
+  else
+    match bind_listeners ~listen ~unix_path with
+    | Error msg ->
+        prerr_endline ("error: " ^ msg);
+        2
+    | Ok listeners -> serve ~batch ~max_conns ~max_line_bytes listeners
 
 let cmd =
   let doc =

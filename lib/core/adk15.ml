@@ -38,20 +38,3 @@ let run_khist ~config ~cell_mask ?ws oracle ~dstar ~eps =
     (fun ~per_cell ~counts m ->
       Chi2stat.compute_khist ~cell_mask ~per_cell ~counts ~m ~dstar ~part ~eps
         ())
-
-let run_boosted ?(config = Config.default) ?cell_mask ?part ?ws ~reps oracle
-    ~dstar ~eps =
-  if reps < 1 then invalid_arg "Adk15.run_boosted: reps < 1";
-  let outcomes =
-    Array.init reps (fun _ ->
-        run ~config ?cell_mask ?part ?ws oracle ~dstar ~eps)
-  in
-  let zs = Array.map (fun o -> o.statistic.Chi2stat.z) outcomes in
-  let median_z = Numkit.Summary.median zs in
-  let first = outcomes.(0) in
-  let verdict =
-    if median_z <= first.threshold then Verdict.Accept else Verdict.Reject
-  in
-  let samples = Array.fold_left (fun a o -> a + o.samples_used) 0 outcomes in
-  ( { first with verdict; samples_used = samples },
-    Array.map (fun o -> o.statistic) outcomes )

@@ -45,21 +45,3 @@ val run_khist :
 (** {!run} against D̂ held as cell levels, over its own partition: the
     same draw and bits as [run ~cell_mask ~part:(Khist.partition dstar)
     ~dstar:(Khist.to_pmf dstar)], without the n-float expansion. *)
-
-val run_boosted :
-  ?config:Config.t ->
-  ?cell_mask:bool array ->
-  ?part:Partition.t ->
-  ?ws:Workspace.t ->
-  reps:int ->
-  Poissonize.oracle ->
-  dstar:Pmf.t ->
-  eps:float ->
-  outcome * Chi2stat.t array
-[@@histolint.keep "reproduction artifact: §3.2.1 median amplification"]
-(** Median-of-[reps] amplification of the statistic (§3.2.1's "repeating
-    the test and taking the median value"); also returns the per-repetition
-    statistics so callers can take per-cell medians.  With [ws] every
-    returned statistic shares the one workspace buffer (only the last
-    repetition's per-cell values survive; the medianed [z] values are
-    unaffected) — omit [ws] when the per-cell breakdown matters. *)

@@ -38,8 +38,6 @@ let quantile a q =
     let frac = h -. float_of_int lo in
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
 
-let median a = quantile a 0.5
-
 let prefix_sums a =
   let n = Array.length a in
   let out = Array.make (n + 1) 0. in

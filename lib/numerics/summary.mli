@@ -23,16 +23,14 @@ val quantile : float array -> float -> float
 (** Type-7 (linear interpolation) sample quantile.
     @raise Invalid_argument on empty input or q outside [0, 1]. *)
 
-val median : float array -> float
-
 val column_medians :
   float array array -> rows:int -> cols:int -> out:float array -> unit
-(** [column_medians a ~rows ~cols ~out] sets [out.(j)] to the {!median}
+(** [column_medians a ~rows ~cols ~out] sets [out.(j)] to the median
     of [a.(0).(j) .. a.(rows-1).(j)] for every [j < cols], sorting each
     column in place down the rows, allocating nothing.  The value is
-    {!median}'s, bit for bit, except for the sign of a zero median when
-    both zeros are in the column (Float.compare ties them, and the two
-    sorts may order them differently).  @raise Invalid_argument when
+    [quantile _ 0.5]'s, bit for bit, except for the sign of a zero
+    median when both zeros are in the column (Float.compare ties them,
+    and the two sorts may order them differently).  @raise Invalid_argument when
     [rows < 1] or a buffer is too short. *)
 
 val prefix_sums : float array -> float array

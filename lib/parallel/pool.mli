@@ -49,7 +49,6 @@ val sequential : t
 (** The shared 1-job pool: a plain loop, always safe. *)
 
 val default_jobs : unit -> int
-[@@histolint.keep "[get_default] runs it; test_parkit pins it directly"]
 (** [Domain.recommended_domain_count ()]. *)
 
 val get_default : unit -> t

@@ -1,32 +1,33 @@
-(* Event-driven socket transport for histotestd.
+(* Event-driven transport for histotestd.
 
-   PR 8 made the engine fast behind stdin/stdout — one client per
-   process.  This module is the missing comms layer: a single-threaded
-   reactor over [Unix.select] on listening TCP / Unix-domain sockets,
-   with per-connection state machines feeding the one shared
-   deterministic engine.
+   A single-threaded reactor over [Unix.select] on listening TCP /
+   Unix-domain sockets and on the daemon's own stdin/stdout, with
+   per-connection state machines feeding the one shared deterministic
+   engine.  Stdio is one more connection: [add_pipe] adopts a read fd
+   and a write fd, so the daemon has one serve loop in every mode.
 
    Shape of the loop (see DESIGN.md "A reactor for many clients"):
 
-   - [Reader]: the buffered line reader formerly inlined in
-     bin/histotestd.ml, extracted and hardened — non-blocking refills, a
-     scan watermark so a slow-trickling client costs O(bytes) rather
-     than O(bytes^2) in newline rescans, and a hard line-length bound
-     ([max_line_bytes]) so an unterminated line gets a wire error and a
-     close instead of an OOM.
+   - [Reader]: the buffered line reader — refills only when select says
+     the fd is readable, a scan watermark so a slow-trickling client
+     costs O(bytes) rather than O(bytes^2) in newline rescans, and a
+     hard line-length bound ([max_line_bytes]) so an unterminated line
+     gets a wire error and a close instead of an OOM.
    - [Outbuf]: a per-connection outbound byte queue with an explicit
-     head, written only when the socket is writable.  Slow clients never
-     stall the reactor: writes are non-blocking, and once a connection's
-     queue passes [max_pending_bytes] the reactor simply stops reading
-     from it (backpressure) until the client drains.
-   - Each connection owns a pooled {!Service.Batch} executor — the same
+     head, written only when the output is writable.  Slow clients never
+     stall the reactor: socket writes are non-blocking, and once a
+     connection's queue passes [max_pending_bytes] the reactor simply
+     stops reading from it (backpressure) until the client drains.
+     Pipes keep the mode they were handed (stdin/stdout are shared with
+     the parent's pipeline), so their writes block.
+   - Each connection owns a pooled {!Service.Batch} executor — the
      Scan fast path, allocation-free ingest, and direct response
-     rendering the stdio loop uses — so per-connection response streams
-     are byte-identical to stdio serve on the same request stream (the
-     contract E22 gates).
+     rendering — so every connection's response stream is byte-identical
+     to [Service.serve] on the same request stream (the contract E22
+     gates).
    - The engine ([Service.t]) is shared: shards accumulate across
      clients, per-connection request order is preserved, and because
-     verdicts are functions of exact merged counts (PR 7), any
+     verdicts are functions of exact merged counts, any
      interleaving of clients that preserves per-connection order yields
      the same final state as a single process replaying the merged
      arrival order.
@@ -40,8 +41,6 @@
 (* --- buffered line reader ------------------------------------------- *)
 
 module Reader = struct
-  type result = Line of string | Pending | Eof | Too_long
-
   type t = {
     mutable fd : Unix.file_descr;
     mutable buf : Bytes.t;
@@ -77,8 +76,6 @@ module Reader = struct
     r.eof <- false;
     r.overflow <- false
 
-  let buffered r = r.len - r.pos
-
   let make_room r =
     if r.pos > 0 then begin
       Bytes.blit r.buf r.pos r.buf 0 (r.len - r.pos);
@@ -87,7 +84,7 @@ module Reader = struct
       r.pos <- 0
     end;
     if r.len = Bytes.length r.buf then begin
-      (* a line longer than the buffer: grow (bounded — [next] flags the
+      (* a line longer than the buffer: grow (bounded — [next_span] flags the
          line Too_long once it passes max_line_bytes, so the buffer never
          doubles past ~2x the bound) *)
       let nb = Bytes.create (2 * Bytes.length r.buf) in
@@ -95,7 +92,8 @@ module Reader = struct
       r.buf <- nb
     end
 
-  (* One read(2); never blocks on a non-blocking fd. *)
+  (* One read(2); the reactor calls it only once select reports the fd
+     readable, so it does not block on a blocking one either. *)
   let refill r =
     if r.eof then `Eof
     else begin
@@ -164,34 +162,6 @@ module Reader = struct
     end
 
   let contents r = r.buf
-
-  (* Pop one complete buffered line; never touches the fd. *)
-  let next r =
-    match next_span r with
-    | `Span (pos, len) -> Line (Bytes.sub_string r.buf pos len)
-    | `Pending -> Pending
-    | `Eof -> Eof
-    | `Too_long -> Too_long
-
-  (* The stdio convenience the daemon's serve loop uses: [~block:false]
-     checks availability with a 0-timeout select, exactly as the old
-     inline Reader did; [~block:true] lets read(2) block. *)
-  let rec next_line r ~block =
-    match next r with
-    | (Line _ | Eof | Too_long) as x -> x
-    | Pending ->
-        let ready =
-          block
-          ||
-          match Unix.select [ r.fd ] [] [] 0.0 with
-          | [], _, _ -> false
-          | _ -> true
-        in
-        if not ready then Pending
-        else (
-          match refill r with
-          | `Data _ | `Eof -> next_line r ~block
-          | `Would_block -> if block then next_line r ~block else Pending)
 end
 
 let nursery_words = 32768
@@ -326,7 +296,8 @@ let bound_port fd =
 (* --- the reactor ---------------------------------------------------- *)
 
 type conn = {
-  mutable fd : Unix.file_descr;
+  mutable input : Unix.file_descr;
+  mutable output : Unix.file_descr; (* [input] again on a socket *)
   reader : Reader.t;
   exec : Service.Batch.exec;
   out : Outbuf.t;
@@ -435,22 +406,24 @@ let stats t =
         t.retired t.conns;
   }
 
-let add_connection t fd =
-  Unix.set_nonblock fd;
+(* [input] and [output] keep their mode: the caller sets it. *)
+let add_pipe t ~input ~output =
   let conn =
     match t.free with
     | c :: rest ->
         t.free <- rest;
-        c.fd <- fd;
-        Reader.reset c.reader fd;
+        c.input <- input;
+        c.output <- output;
+        Reader.reset c.reader input;
         Outbuf.clear c.out;
         c.draining <- false;
         c.dead <- false;
         c
     | [] ->
         {
-          fd;
-          reader = Reader.create ~max_line_bytes:t.max_line_bytes fd;
+          input;
+          output;
+          reader = Reader.create ~max_line_bytes:t.max_line_bytes input;
           exec = Service.Batch.create ~batch:t.batch t.service;
           out = Outbuf.create 65536;
           draining = false;
@@ -460,10 +433,16 @@ let add_connection t fd =
   t.conns <- t.conns @ [ conn ];
   t.accepted <- t.accepted + 1
 
+let add_connection t fd =
+  Unix.set_nonblock fd;
+  add_pipe t ~input:fd ~output:fd
+
 let close_conn t conn =
   if not conn.dead then begin
     conn.dead <- true;
-    (try Unix.close conn.fd with Unix.Unix_error _ -> ());
+    (try Unix.close conn.input with Unix.Unix_error _ -> ());
+    if conn.output != conn.input then (
+      try Unix.close conn.output with Unix.Unix_error _ -> ());
     t.conns <- List.filter (fun c -> c != conn) t.conns;
     t.closed <- t.closed + 1;
     t.retired <- stats_add t.retired (Service.Batch.stats conn.exec);
@@ -527,7 +506,7 @@ let drain t conn =
 
 let flush_conn t conn =
   if not conn.dead then begin
-    (match Outbuf.flush conn.out conn.fd with
+    (match Outbuf.flush conn.out conn.output with
     | `Ok -> ()
     | `Closed ->
         t.write_drops <- t.write_drops + 1;
@@ -560,13 +539,15 @@ let step t ~timeout =
           if
             (not c.dead) && (not c.draining)
             && Outbuf.length c.out < t.max_pending_bytes
-          then Some c.fd
+          then Some c.input
           else None)
         snapshot
   in
   let wfds =
     List.filter_map
-      (fun c -> if (not c.dead) && Outbuf.length c.out > 0 then Some c.fd else None)
+      (fun c ->
+        if (not c.dead) && Outbuf.length c.out > 0 then Some c.output
+        else None)
       snapshot
   in
   match Unix.select rfds wfds [] timeout with
@@ -575,7 +556,7 @@ let step t ~timeout =
       (* 1. writes first: free outbound space before generating more *)
       List.iter
         (fun c ->
-          if (not c.dead) && List.mem c.fd writable then flush_conn t c)
+          if (not c.dead) && List.mem c.output writable then flush_conn t c)
         snapshot;
       (* 2. accept new connections *)
       List.iter
@@ -584,7 +565,7 @@ let step t ~timeout =
       (* 3. one read per readable connection *)
       List.iter
         (fun c ->
-          if (not c.dead) && (not c.draining) && List.mem c.fd readable then
+          if (not c.dead) && (not c.draining) && List.mem c.input readable then
             ignore (Reader.refill c.reader))
         snapshot;
       (* 4. execute buffered lines everywhere, then flush opportunistically
@@ -601,20 +582,3 @@ let step t ~timeout =
             flush_conn t c
           end)
         t.conns
-
-let serve_net ?batch ?max_conns ?max_line_bytes ?max_pending_bytes
-    ?accept_limit ?(poll_interval = 0.5) service ~listeners () =
-  let t =
-    create_reactor ?batch ?max_conns ?max_line_bytes ?max_pending_bytes
-      ~service ~listeners ()
-  in
-  let idle () = match t.conns with [] -> true | _ :: _ -> false in
-  let finished () =
-    match accept_limit with
-    | Some limit -> t.accepted >= limit && idle ()
-    | None -> false
-  in
-  while not (finished ()) do
-    step t ~timeout:poll_interval
-  done;
-  stats t

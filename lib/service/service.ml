@@ -391,8 +391,8 @@ let[@histolint.hot] is_blank_sub line pos len =
    is negligible anyway. *)
 let arena_budget = 1 lsl 14
 
-(* The batch executor behind [serve], exposed so transport front-ends
-   (the stdio loop below, the Netio reactor) share one engine: parse
+(* The batch executor behind [serve], exposed so the Netio reactor (the
+   daemon's one serve loop) shares the engine [serve] runs: parse
    lines into slots as they arrive, then execute-and-render the batch in
    one step.  One executor per request stream — it owns the arena the
    fast path decodes into and the slot/response buffers, all reused

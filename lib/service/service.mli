@@ -129,9 +129,9 @@ type serve_stats = {
 
 module Batch : sig
   type exec
-  (** A batch executor: the engine behind {!serve}, exposed so transport
-      front-ends (the stdio loop, the {!Netio} reactor) can feed it lines
-      from their own event sources.  One executor per request stream; it
+  (** A batch executor: the engine behind {!serve}, exposed so the
+      {!Netio} reactor, the daemon's serve loop, can feed it lines from
+      its own event sources.  One executor per request stream; it
       owns the fast-path arena and the slot/response buffers, all reused
       across batches. *)
 
@@ -196,7 +196,10 @@ val serve :
   read_line:(block:bool -> string option) ->
   write:(Buffer.t -> unit) ->
   serve_stats
-(** The batched, pipelined serve loop, abstracted over transport.
+(** The batched, pipelined serve loop, abstracted over transport: the
+    in-process engine tests and benches compare the daemon against
+    (the daemon itself runs the {!Netio} reactor over the same
+    {!Batch} executor).
 
     Per iteration: block for one request line, drain up to [batch - 1]
     more that are available without blocking ([read_line ~block:false]

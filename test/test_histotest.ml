@@ -202,17 +202,6 @@ let test_adk15_masked_ignores_bad_region () =
   Alcotest.(check bool) "unmasked rejects" true
     (out.H.Adk15.verdict = Verdict.Reject)
 
-let test_adk15_boosted () =
-  let n = 256 in
-  let p = Pmf.uniform n in
-  let out, stats =
-    H.Adk15.run_boosted ~reps:5 (oracle_of p) ~dstar:p ~eps:0.25
-  in
-  Alcotest.(check int) "five statistics" 5 (Array.length stats);
-  Alcotest.(check bool) "accepts" true (out.H.Adk15.verdict = Verdict.Accept);
-  Alcotest.(check bool) "samples accumulated" true
-    (out.H.Adk15.samples_used >= 5 * H.Adk15.budget ~n ~eps:0.25 ())
-
 (* --- Sieve --- *)
 
 let planted_instance n =
@@ -944,7 +933,6 @@ let () =
           Alcotest.test_case "accepts identity" `Quick test_adk15_accepts_identity;
           Alcotest.test_case "rejects far" `Quick test_adk15_rejects_far;
           Alcotest.test_case "masked" `Quick test_adk15_masked_ignores_bad_region;
-          Alcotest.test_case "boosted" `Quick test_adk15_boosted;
         ] );
       ( "sieve",
         [

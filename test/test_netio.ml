@@ -3,25 +3,26 @@
    and interleaves [Netio.step] with adversarially chunked client I/O
    from the same thread, so schedules are reproducible; expectations are
    never hand-written transcripts but the output of [Service.serve] (the
-   stdio loop) on the same request stream — the byte-identity contract
-   E22 gates at scale. *)
+   in-process engine) on the same request stream — the byte-identity
+   contract E22 gates at scale. *)
 
-let result_pp fmt = function
-  | Netio.Reader.Line l -> Format.fprintf fmt "Line %S" l
-  | Netio.Reader.Pending -> Format.fprintf fmt "Pending"
-  | Netio.Reader.Eof -> Format.fprintf fmt "Eof"
-  | Netio.Reader.Too_long -> Format.fprintf fmt "Too_long"
+(* The tests' view of [Reader.next_span]: the line as a string. *)
+type line = Line of string | Pending | Eof | Too_long
 
-let result_eq a b =
-  match (a, b) with
-  | Netio.Reader.Line x, Netio.Reader.Line y -> String.equal x y
-  | Netio.Reader.Pending, Netio.Reader.Pending
-  | Netio.Reader.Eof, Netio.Reader.Eof
-  | Netio.Reader.Too_long, Netio.Reader.Too_long ->
-      true
-  | _ -> false
+let next r =
+  match Netio.Reader.next_span r with
+  | `Span (pos, len) -> Line (Bytes.sub_string (Netio.Reader.contents r) pos len)
+  | `Pending -> Pending
+  | `Eof -> Eof
+  | `Too_long -> Too_long
 
-let result_t = Alcotest.testable result_pp result_eq
+let line_pp fmt = function
+  | Line l -> Format.fprintf fmt "Line %S" l
+  | Pending -> Format.fprintf fmt "Pending"
+  | Eof -> Format.fprintf fmt "Eof"
+  | Too_long -> Format.fprintf fmt "Too_long"
+
+let result_t = Alcotest.testable line_pp ( = )
 
 let nb_socketpair () =
   let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -53,30 +54,26 @@ let pump r =
 let test_reader_partial_lines () =
   let rd, wr = nb_socketpair () in
   let r = Netio.Reader.create rd in
-  Alcotest.check result_t "empty buffer" Netio.Reader.Pending
-    (Netio.Reader.next r);
+  Alcotest.check result_t "empty buffer" Pending (next r);
   write_all wr "hel";
   refill_data r ~expect:3;
-  Alcotest.check result_t "no newline yet" Netio.Reader.Pending
-    (Netio.Reader.next r);
+  Alcotest.check result_t "no newline yet" Pending (next r);
   write_all wr "lo\nwor";
   refill_data r ~expect:6;
-  Alcotest.check result_t "first line" (Netio.Reader.Line "hello")
-    (Netio.Reader.next r);
-  Alcotest.check result_t "second still partial" Netio.Reader.Pending
-    (Netio.Reader.next r);
+  Alcotest.check result_t "first line" (Line "hello") (next r);
+  Alcotest.check result_t "second still partial" Pending (next r);
   (match Netio.Reader.refill r with
   | `Would_block -> ()
   | `Data _ | `Eof -> Alcotest.fail "expected Would_block on drained socket");
   write_all wr "ld\n";
   refill_data r ~expect:3;
   Alcotest.check result_t "completed across three reads"
-    (Netio.Reader.Line "world") (Netio.Reader.next r);
+    (Line "world") (next r);
   Unix.close wr;
   (match Netio.Reader.refill r with
   | `Eof -> ()
   | `Data _ | `Would_block -> Alcotest.fail "expected Eof");
-  Alcotest.check result_t "eof" Netio.Reader.Eof (Netio.Reader.next r);
+  Alcotest.check result_t "eof" Eof (next r);
   Unix.close rd
 
 let test_reader_multi_lines_and_eof_midline () =
@@ -84,21 +81,18 @@ let test_reader_multi_lines_and_eof_midline () =
   let r = Netio.Reader.create rd in
   write_all wr "a\nbb\nccc\nd";
   refill_data r ~expect:10;
-  Alcotest.check result_t "1/3" (Netio.Reader.Line "a") (Netio.Reader.next r);
-  Alcotest.check result_t "2/3" (Netio.Reader.Line "bb") (Netio.Reader.next r);
-  Alcotest.check result_t "3/3" (Netio.Reader.Line "ccc") (Netio.Reader.next r);
-  Alcotest.check result_t "tail incomplete" Netio.Reader.Pending
-    (Netio.Reader.next r);
-  Alcotest.(check int) "tail buffered" 1 (Netio.Reader.buffered r);
+  Alcotest.check result_t "1/3" (Line "a") (next r);
+  Alcotest.check result_t "2/3" (Line "bb") (next r);
+  Alcotest.check result_t "3/3" (Line "ccc") (next r);
+  Alcotest.check result_t "tail incomplete" Pending (next r);
   Unix.close wr;
   (match Netio.Reader.refill r with
   | `Eof -> ()
   | `Data _ | `Would_block -> Alcotest.fail "expected Eof");
   Alcotest.check result_t "unterminated final line, like input_line"
-    (Netio.Reader.Line "d") (Netio.Reader.next r);
-  Alcotest.check result_t "then eof" Netio.Reader.Eof (Netio.Reader.next r);
-  Alcotest.check result_t "eof is sticky" Netio.Reader.Eof
-    (Netio.Reader.next r);
+    (Line "d") (next r);
+  Alcotest.check result_t "then eof" Eof (next r);
+  Alcotest.check result_t "eof is sticky" Eof (next r);
   Unix.close rd
 
 (* The buffer starts at 64 KiB.  A 60 000-byte line ends just before
@@ -114,8 +108,8 @@ let test_reader_buffer_growth () =
   let stream = first ^ "\n" ^ second ^ "\nafter\n" in
   let got = ref [] in
   let rec pop () =
-    match Netio.Reader.next r with
-    | Netio.Reader.Line l ->
+    match next r with
+    | Line l ->
         got := l :: !got;
         pop ()
     | _ -> ()
@@ -136,8 +130,7 @@ let test_reader_buffer_growth () =
   Alcotest.(check bool) "lines intact across refills, compaction and growth"
     true
     (List.rev !got = [ first; second; "after" ]);
-  Alcotest.check result_t "dry" Netio.Reader.Pending (Netio.Reader.next r);
-  Alcotest.(check int) "nothing buffered" 0 (Netio.Reader.buffered r);
+  Alcotest.check result_t "dry" Pending (next r);
   Unix.close wr;
   Unix.close rd
 
@@ -147,10 +140,8 @@ let test_reader_too_long () =
   let r = Netio.Reader.create ~max_line_bytes:8 rd in
   write_all wr "123456789\nok\n";
   pump r;
-  Alcotest.check result_t "9 bytes > 8" Netio.Reader.Too_long
-    (Netio.Reader.next r);
-  Alcotest.check result_t "poisoned for good" Netio.Reader.Too_long
-    (Netio.Reader.next r);
+  Alcotest.check result_t "9 bytes > 8" Too_long (next r);
+  Alcotest.check result_t "poisoned for good" Too_long (next r);
   Unix.close wr;
   Unix.close rd;
   (* exactly the bound passes *)
@@ -159,7 +150,7 @@ let test_reader_too_long () =
   write_all wr "12345678\n";
   pump r;
   Alcotest.check result_t "exactly max_line_bytes is fine"
-    (Netio.Reader.Line "12345678") (Netio.Reader.next r);
+    (Line "12345678") (next r);
   Unix.close wr;
   Unix.close rd;
   (* an unterminated line overflows without ever seeing a newline *)
@@ -167,26 +158,9 @@ let test_reader_too_long () =
   let r = Netio.Reader.create ~max_line_bytes:8 rd in
   write_all wr "0123456789";
   pump r;
-  Alcotest.check result_t "unterminated overflow" Netio.Reader.Too_long
-    (Netio.Reader.next r);
+  Alcotest.check result_t "unterminated overflow" Too_long (next r);
   Unix.close wr;
   Unix.close rd
-
-let test_reader_blocking_pipe () =
-  let prd, pwr = Unix.pipe ~cloexec:true () in
-  let r = Netio.Reader.create prd in
-  write_all pwr "hello\nwo";
-  Alcotest.check result_t "blocking read" (Netio.Reader.Line "hello")
-    (Netio.Reader.next_line r ~block:true);
-  Alcotest.check result_t "partial tail, nothing ready" Netio.Reader.Pending
-    (Netio.Reader.next_line r ~block:false);
-  write_all pwr "rld\n";
-  Alcotest.check result_t "non-blocking pickup" (Netio.Reader.Line "world")
-    (Netio.Reader.next_line r ~block:false);
-  Unix.close pwr;
-  Alcotest.check result_t "eof" Netio.Reader.Eof
-    (Netio.Reader.next_line r ~block:true);
-  Unix.close prd
 
 (* --- listen addresses ------------------------------------------------ *)
 
@@ -229,7 +203,7 @@ let configure svc =
   | Ok _ -> ()
   | Error e -> Alcotest.fail e
 
-(* The expectation oracle: what stdio serve answers on this request
+(* The expectation oracle: what [Service.serve] answers on this request
    stream (any batch — E21 pins batch-independence). *)
 let reference_transcript ?(batch = 8) script =
   let svc = Service.create () in
@@ -355,7 +329,7 @@ let test_multi_client_determinism () =
   done;
   Alcotest.(check int) "all connections closed" 0 (Netio.active reactor);
   drain_all ();
-  (* per-client byte identity against the stdio loop *)
+  (* per-client byte identity against [Service.serve] *)
   Array.iteri
     (fun i script ->
       let expect, _ = reference_transcript ~batch:9 script in
@@ -432,6 +406,50 @@ let test_quit_mid_batch () =
     "shard after quit never created" true
     (Option.is_none (find_shard shared "tail"));
   Unix.close cfd
+
+(* Stdio as a connection: a pipe pair left blocking, as the daemon's
+   inherited stdin/stdout are.  The reactor reads only once select says
+   there is something to read, so a step on an idle pipe returns.  The
+   script quits with a line behind it: the transcript is the
+   reference's, and closing the connection closes both fds — the
+   consumer reads EOF and the producer gets EPIPE. *)
+let test_pipe_pair () =
+  let shared = Service.create () in
+  configure shared;
+  let reactor =
+    Netio.create_reactor ~batch:4 ~service:shared ~listeners:[] ()
+  in
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  Netio.add_pipe reactor ~input:in_r ~output:out_w;
+  Netio.step reactor ~timeout:0.0;
+  Alcotest.(check int) "an idle pipe stays open" 1 (Netio.active reactor);
+  let script =
+    List.init 10 (fun i -> observe_line ~shard:"p" [ i; i + 1 ])
+    @ [ {|{"cmd":"quit"}|}; observe_line ~shard:"after" [ 1 ] ]
+  in
+  write_all in_w (String.concat "" (List.map (fun l -> l ^ "\n") script));
+  let guard = ref 0 in
+  while Netio.active reactor > 0 && !guard < 1000 do
+    Netio.step reactor ~timeout:0.01;
+    incr guard
+  done;
+  Alcotest.(check int) "quit closes the pipe pair" 0 (Netio.active reactor);
+  Unix.set_nonblock out_r;
+  let buf = Buffer.create 1024 and tmp = Bytes.create 4096 in
+  read_avail tmp buf out_r;
+  let expect, _ = reference_transcript ~batch:4 script in
+  Alcotest.(check string) "responses stop at quit" expect (Buffer.contents buf);
+  Alcotest.(check int) "output closed: the consumer reads EOF" 0
+    (Unix.read out_r tmp 0 1);
+  (match Unix.write_substring in_w "x\n" 0 2 with
+  | _ -> Alcotest.fail "input still open after the connection closed"
+  | exception Unix.Unix_error (Unix.EPIPE, _, _) -> ());
+  Alcotest.(check bool)
+    "line after quit never parsed" true
+    (Option.is_none (find_shard shared "after"));
+  Unix.close in_w;
+  Unix.close out_r
 
 let test_overlong_line_closes () =
   let shared = Service.create () in
@@ -816,12 +834,12 @@ let test_idle_and_slow_clients_at_capacity () =
 
 (* --- daemon boundary: hostile scripts ---------------------------------
 
-   Random, mostly malformed request streams through the two transports
-   the daemon runs: [Service.serve] at a random batch size (with
-   non-blocking reads that cut batches short at random), and a reactor
-   fed through a socketpair in random write chunks.  Each must answer
-   byte for byte what the line-at-a-time oracle answers, let no
-   exception out, and keep Σ shard totals equal to the accumulator's
+   Random, mostly malformed request streams through the in-process
+   engine, [Service.serve] at a random batch size (with non-blocking
+   reads that cut batches short at random), and through the reactor the
+   daemon runs, fed through a socketpair in random write chunks.  Each
+   must answer byte for byte what the line-at-a-time oracle answers,
+   let no exception out, and keep Σ shard totals equal to the accumulator's
    total (with no more than [max_shards] names) after every batch.
    Every case derives from one drawn seed. *)
 
@@ -997,8 +1015,6 @@ let () =
             test_reader_multi_lines_and_eof_midline;
           Alcotest.test_case "buffer growth" `Quick test_reader_buffer_growth;
           Alcotest.test_case "line length bound" `Quick test_reader_too_long;
-          Alcotest.test_case "blocking stdio mode" `Quick
-            test_reader_blocking_pipe;
         ] );
       ( "addr",
         [ Alcotest.test_case "addr_of_string" `Quick test_addr_of_string ] );
@@ -1007,6 +1023,7 @@ let () =
           Alcotest.test_case "multi-client determinism" `Quick
             test_multi_client_determinism;
           Alcotest.test_case "quit mid-batch" `Quick test_quit_mid_batch;
+          Alcotest.test_case "pipe pair" `Quick test_pipe_pair;
           Alcotest.test_case "overlong line" `Quick test_overlong_line_closes;
           Alcotest.test_case "backpressure" `Quick
             test_backpressure_bounded_queue;

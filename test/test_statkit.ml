@@ -653,10 +653,10 @@ let test_median_majority_jobs_invariant () =
   (* A pure per-index estimator may use a pool; neither the median of its
      values nor the vote over its verdicts may depend on the job count. *)
   let f i = sin (float_of_int (7 * i) +. 0.5) in
-  let reference = Numkit.Summary.median (Array.init 31 f) in
+  let reference = Numkit.Summary.quantile (Array.init 31 f) 0.5 in
   Parkit.Pool.with_pool ~jobs:4 (fun pool ->
       Alcotest.(check (float 0.)) "jobs=4 median identical" reference
-        (Numkit.Summary.median (Parkit.Pool.init pool 31 f)));
+        (Numkit.Summary.quantile (Parkit.Pool.init pool 31 f) 0.5));
   let g i = if i mod 3 = 0 then Verdict.Reject else Verdict.Accept in
   Parkit.Pool.with_pool ~jobs:4 (fun pool ->
       let pooled = Parkit.Pool.init pool 9 g in
