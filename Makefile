@@ -15,15 +15,19 @@ test:
 # whose sum is what a simplicity change must shrink.  Also the size of
 # the dead-export audit trail: the [@@histolint.keep "reason"] attributes
 # on lib/ interface values (lines that open with the attribute, so the
-# lint's own docs that mention it are not counted); and the knob count:
-# the optional labels ([?name:]) in lib/ interfaces.
+# lint's own docs that mention it are not counted); the knob count:
+# the optional labels ([?name:]) in lib/ interfaces; and the raw GC
+# reads: lines in test/*.ml and bench/*.ml that call a GC counter
+# themselves instead of going through Refkit.Alloc.measure.
 sloc:
 	@lb=$$(cat $$(find lib bin \( -name '*.ml' -o -name '*.mli' \)) | wc -l); \
 	rk=$$(cat $$(find test/reference \( -name '*.ml' -o -name '*.mli' \)) | wc -l); \
 	keep=$$(cat $$(find lib -name '*.mli') | grep -c '^[[:space:]]*\[@@histolint\.keep'); \
 	opts=$$(cat $$(find lib -name '*.mli') | grep -o '?[a-z_0-9]*:' | wc -l); \
+	gc=$$(cat test/*.ml bench/*.ml | grep -cE 'Gc\.(counters|quick_stat|minor_words|allocated_bytes) \(\)'); \
 	echo "lib+bin $$lb"; echo "test/reference $$rk"; echo "total $$((lb + rk))"; \
-	echo "lib keep audits $$keep"; echo "lib optional args $$opts"
+	echo "lib keep audits $$keep"; echo "lib optional args $$opts"; \
+	echo "raw gc reads $$gc"
 
 # Static invariants: histolint scans the compiled typedtrees
 # (_build/default/**/*.cmt) for determinism and float-discipline

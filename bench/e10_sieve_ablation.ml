@@ -115,9 +115,9 @@ let run (mode : Exp_common.mode) =
         !accepted !completed)
     (variants k);
   Exp_common.row
-    "@.Expected shape: 'default' and 'no-stage1' complete, remove all 14@.";
+    "@.Expected shape: 'default' and 'no-stage1' complete, remove 12-13 of@.";
   Exp_common.row
-    "planted cells over ~4 rounds, and the final test accepts.@.";
+    "the 14 planted cells over ~4 rounds, and the final test accepts.@.";
   Exp_common.row
     "'single-round' completes but leaves ~7 contaminated cells, so the@.";
   Exp_common.row

@@ -75,7 +75,8 @@ let pr1_chi2 ~counts ~m ~dstar ~part ~eps =
    Gc.quick_stat sums all domains (Gc.allocated_bytes counts only the
    caller's, so it halved as jobs doubled), but it sees a live domain's
    nursery only at a minor collection, so one is forced before each
-   reading and left out of the count. *)
+   reading and left out of the count.  Refkit.Alloc.measure, which reads
+   only the calling domain, cannot take this reading. *)
 let gc_deltas f =
   let bytes s =
     (s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words)

@@ -21,9 +21,9 @@
    Every row cross-checks the two paths: exact_match is true iff the
    costs are equal float for float AND the chosen piece starts are
    identical (the leftmost-argmin tie-break contract).  Allocation
-   totals (Gc.allocated_bytes deltas) expose the memory story: the
-   dense path's K x K matrix is 8*K^2 bytes (128 MB at K = 4096), the
-   fast path stays O(K log K).
+   totals (minor plus direct major words, Refkit.Alloc) expose the
+   memory story: the dense path's K x K matrix is 8*K^2 bytes (128 MB
+   at K = 4096), the fast path stays O(K log K).
 
    The "learned" rows time the DP on the cells Algorithm 1's checking
    step actually fits: D-hat from ApproxPart and the learner on a
@@ -32,13 +32,11 @@
    noisy, so these rows run the row scan (each segment priced once,
    relaxing every layer), which the zipf rows never reach.  Each reports
    a warm fit (the second in one scratch, as a trial's workspace runs
-   it): the minor and direct major words it allocated (from Gc.counters,
-   which sees a direct major allocation at once; promoted words are not
-   the fit's), and the best wall ms
-   of 5 warm calls beside the best of 3 dense ones.  Quick mode: n = 2^16
-   at k = 4 and n = 2^20 at k = 16 (K ~ 2.5k: a many-layer exactness
-   check); --full adds n = 2^20 at k = 32 (K ~ 6.3k, where the dense
-   reference's K x K matrix alone takes ~330 MB).
+   it): the minor and direct major words it allocated, and the best
+   wall ms of 5 warm calls beside the best of 3 dense ones.  Quick mode:
+   n = 2^16 at k = 4 and n = 2^20 at k = 16 (K ~ 2.5k: a many-layer
+   exactness check); --full adds n = 2^20 at k = 32 (K ~ 6.3k, where
+   the dense reference's K x K matrix alone takes ~330 MB).
 
    One machine-readable line per run is appended to BENCH_closest.json
    so the perf trajectory accumulates across commits. *)
@@ -101,9 +99,10 @@ let measure ~seed ~cells ~k =
   ignore (Sys.opaque_identity sink);
   let query_ns = t_query /. float_of_int nq *. 1e9 in
   let alloc_timed f =
-    let a0 = Gc.allocated_bytes () in
-    let x, t = Exp_common.wall_time_of f in
-    (x, t, mb (Gc.allocated_bytes () -. a0))
+    let (x, t), { Refkit.Alloc.minor; direct_major; _ } =
+      Refkit.Alloc.measure (fun () -> Exp_common.wall_time_of f)
+    in
+    (x, t, mb ((minor +. direct_major) *. float_of_int (Sys.word_size / 8)))
   in
   let (cost_fast, starts_fast), t_fast, fast_mb =
     alloc_timed (fun () -> Closest.fit_cells cs ~k)
@@ -173,15 +172,9 @@ let measure_learned ~seed ~family ~pmf ~n ~k ~eps =
   let cs = learned_cells ~seed ~pmf ~k ~eps in
   let scratch = Closest.scratch () in
   ignore (Closest.fit_cells ~scratch cs ~k : float * int list);
-  (* Direct major words: a major cycle that ends inside the window
-     empties the minor heap and promotes the live words of the fit and
-     of this measurement, which [Gc.counters] adds to its major words. *)
-  Gc.minor ();
-  let _, promoted0, major0 = Gc.counters () in
-  let m0 = Gc.minor_words () in
-  ignore (Closest.fit_cells ~scratch cs ~k : float * int list);
-  let warm_minor = Gc.minor_words () -. m0 in
-  let _, promoted1, major1 = Gc.counters () in
+  let _, warm =
+    Refkit.Alloc.measure (fun () -> Closest.fit_cells ~scratch cs ~k)
+  in
   let (cost_fast, starts_fast), t_fast =
     best_of 5 (fun () -> Closest.fit_cells ~scratch cs ~k)
   in
@@ -194,8 +187,8 @@ let measure_learned ~seed ~family ~pmf ~n ~k ~eps =
     lk = k;
     lcells = Array.length cs;
     warm_ms = t_fast *. 1e3;
-    warm_minor;
-    warm_major = major1 -. major0 -. (promoted1 -. promoted0);
+    warm_minor = warm.Refkit.Alloc.minor;
+    warm_major = warm.Refkit.Alloc.direct_major;
     ldense_ms = t_dense *. 1e3;
     lexact =
       Float.equal cost_fast cost_dense

@@ -131,16 +131,12 @@ let run (mode : Exp_common.mode) =
   in
 
   (* 3. Verdict cost vs shard count.  Each shard holds 1024 values; the
-     merge still walks all n counts of every shard.  The words of one
-     O(n) allocation (n = 2^16) dwarf the slack, which only absorbs
-     minor-heap promotions. *)
+     merge still walks all n counts of every shard.  The direct major
+     words of one O(n) allocation (n = 2^16) per verdict dwarf the
+     slack. *)
   let verdict_n = 1 lsl 16 in
   let verdict_reps = if quick then 20 else 100 in
   let verdict_slack = 1024. in
-  let major_words () =
-    let _, _, major = Gc.counters () in
-    major
-  in
   Exp_common.row "@.verdict cost, n=%d, %d verdicts per row:@." verdict_n
     verdict_reps;
   Exp_common.row "%6s | %12s | %16s@." "shards" "ms/verdict"
@@ -169,15 +165,15 @@ let run (mode : Exp_common.mode) =
           | Error msg -> failwith msg
         in
         verdict ();
-        let maj0 = major_words () in
-        let (), t =
-          Exp_common.wall_time_of (fun () ->
-              for _ = 1 to verdict_reps do
-                verdict ()
-              done)
+        let ((), t), { Refkit.Alloc.direct_major; _ } =
+          Refkit.Alloc.measure (fun () ->
+              Exp_common.wall_time_of (fun () ->
+                  for _ = 1 to verdict_reps do
+                    verdict ()
+                  done))
         in
         let reps = float_of_int verdict_reps in
-        let words = (major_words () -. maj0) /. reps in
+        let words = direct_major /. reps in
         let ms = 1e3 *. t /. reps in
         Exp_common.row "%6d | %12.3f | %16.1f@." shards ms words;
         (shards, ms, words))
@@ -191,7 +187,7 @@ let run (mode : Exp_common.mode) =
           verdict_rows
     | [] -> false
   in
-  Exp_common.row "verdict gate (major words flat in shards, slack %.0f): %s@."
+  Exp_common.row "verdict gate (direct major flat in shards, slack %.0f): %s@."
     verdict_slack
     (if verdict_pass then "PASS" else "FAIL");
 

@@ -146,16 +146,14 @@ let test_alias_draw_loops_allocate_nothing () =
   let r = rng () in
   let m = 100_000 in
   let out = Array.make m 0 and counts = Array.make 1000 0 in
-  let w0 = Gc.minor_words () in
-  Alias.draw_many_into t r ~out m;
-  let w1 = Gc.minor_words () in
-  Alias.draw_counts_into t r ~counts m;
-  let w2 = Gc.minor_words () in
-  let per_draw w = w /. float_of_int m in
-  if per_draw (w1 -. w0) > 0.01 || per_draw (w2 -. w1) > 0.01 then
+  let per_draw f =
+    (snd (Refkit.Alloc.measure f)).Refkit.Alloc.minor /. float_of_int m
+  in
+  let many = per_draw (fun () -> Alias.draw_many_into t r ~out m) in
+  let counted = per_draw (fun () -> Alias.draw_counts_into t r ~counts m) in
+  if many > 0.01 || counted > 0.01 then
     Alcotest.failf "words per draw: draw_many_into %.3f, draw_counts_into %.3f"
-      (per_draw (w1 -. w0))
-      (per_draw (w2 -. w1))
+      many counted
 
 (* The batched paths are the harness inner loop; they must be exactly
    "m successive draws" — same generator stream, same values — and agree
@@ -285,25 +283,20 @@ let test_split_tree_into_zeroes_buffer () =
 (* The split table and its index live in Bigarrays, outside the OCaml
    heap: building the tree adds a record and two custom blocks to the
    major heap, not the 2^16-float array a [float array] table was, nor
-   the n/32-word array an on-heap index would be.  Major words come
-   from [Gc.counters], which counts a direct major allocation at once
-   ([Gc.quick_stat] reads a 2049-word array as 0 until a collection
-   flushes it); the minor heap is emptied first, so the build's few
-   minor words cannot trigger a promotion.  Checked at n = 2^16 and at
-   n = 2^20, where a table of a split per node was 8 MiB. *)
+   the n/32-word array an on-heap index would be (2049 direct major
+   words at n = 2^16).  Checked at n = 2^16 and at n = 2^20, where a
+   table of a split per node was 8 MiB. *)
 let test_split_tree_table_off_heap () =
   List.iter
     (fun n ->
       let p = Families.staircase ~n ~k:4 ~rng:(rng ()) in
-      Gc.minor ();
-      let _, _, major0 = Gc.counters () in
-      let t = Split_tree.of_pmf p in
-      let _, _, major1 = Gc.counters () in
-      ignore (Sys.opaque_identity t);
-      let major = major1 -. major0 in
-      if major >= 1000. then
-        Alcotest.failf "of_pmf at n = %d added %.0f major words (want < 1000)"
-          n major;
+      let t, { Refkit.Alloc.direct_major; _ } =
+        Refkit.Alloc.measure (fun () -> Split_tree.of_pmf p)
+      in
+      if direct_major >= 1000. then
+        Alcotest.failf
+          "of_pmf at n = %d added %.0f direct major words (want < 1000)" n
+          direct_major;
       (* Off the heap, 4 pieces cost the index (an int per 32 nodes) and
          at most 3·log₂ n splits besides the shared ½, not n floats. *)
       let levels = Float.to_int (Float.log2 (float_of_int n)) in
@@ -327,11 +320,11 @@ let test_split_tree_draw_allocation () =
   let counts = Array.make n 0 in
   let m = 40_000_000 in
   Split_tree.draw_counts_into t r ~counts m;
-  let w0 = Gc.minor_words () in
-  Split_tree.draw_counts_into t r ~counts m;
-  let w1 = Gc.minor_words () in
-  if w1 -. w0 > 0. then
-    Alcotest.failf "a draw allocated %.0f minor words (want 0)" (w1 -. w0)
+  let (), { Refkit.Alloc.minor; _ } =
+    Refkit.Alloc.measure (fun () -> Split_tree.draw_counts_into t r ~counts m)
+  in
+  if minor > 0. then
+    Alcotest.failf "a draw allocated %.0f minor words (want 0)" minor
 
 let test_split_tree_invalid () =
   let t = Split_tree.of_pmf (Pmf.uniform 4) in

@@ -257,14 +257,8 @@ let learned_cells () =
    pair and the k-element start list (plus the backwalk's closure), the
    same in the dev and release profiles.  Before the scratch, each call
    built a pointer wavelet tree and boxed every query's result: ~1.07 M
-   minor and ~42 k major words on these cells.  Major words come from
-   [Gc.counters], which counts a direct major allocation at once
-   ([Gc.quick_stat] reads a fresh K-float row as 0 until a collection
-   flushes it).  They are the direct ones, major less promoted: the
-   minor heap is emptied first, so the fit's few minor words cannot
-   fill it, but a major cycle that ends inside the fit empties it too
-   and promotes whatever young words are live, and [Gc.counters] adds
-   those to its major words. *)
+   minor and ~42 k major words on these cells; a fresh K-float row
+   reads as K + 1 direct major words. *)
 let test_closest_warm_fit_allocation () =
   let cells = learned_cells () in
   let k = 4 in
@@ -273,19 +267,15 @@ let test_closest_warm_fit_allocation () =
   let scratch = Closest.scratch () in
   let want = Refkit.Closest_dense.fit_cells cells ~k in
   let first = Closest.fit_cells ~scratch cells ~k in
-  Gc.minor ();
-  let _, promoted0, major0 = Gc.counters () in
-  let m0 = Gc.minor_words () in
-  let warm = Closest.fit_cells ~scratch cells ~k in
-  let minor = Gc.minor_words () -. m0 in
-  let _, promoted1, major1 = Gc.counters () in
-  let major = major1 -. major0 -. (promoted1 -. promoted0) in
+  let warm, { Refkit.Alloc.minor; direct_major; _ } =
+    Refkit.Alloc.measure (fun () -> Closest.fit_cells ~scratch cells ~k)
+  in
   let same (c1, s1) (c2, s2) =
     Float.equal c1 c2 && List.equal Int.equal s1 s2
   in
   Alcotest.(check bool) "first fit = dense" true (same first want);
   Alcotest.(check bool) "warm fit = dense" true (same warm want);
-  Alcotest.(check (float 0.)) "major words" 0. major;
+  Alcotest.(check (float 0.)) "direct major words" 0. direct_major;
   if minor > float_of_int ((3 * k) + 16) then
     Alcotest.failf "a warm fit allocated %.0f minor words (want <= %d)" minor
       ((3 * k) + 16)

@@ -383,8 +383,7 @@ let test_algorithm1_pinned_reports () =
    major words a trial; before every stage kept its K-sized arrays in the
    workspace, a trial read 2.38 M minor and ~17 k major words.  Two trials
    warm the workspace up: its cell-sized buffers double whenever K passes
-   their capacity.  Major words come from [Gc.counters]: [Gc.quick_stat]
-   counts a direct major allocation only once a collection flushes it. *)
+   their capacity. *)
 let test_algorithm1_no_domain_arrays () =
   let n = 1 lsl 16 in
   let staircase =
@@ -403,19 +402,18 @@ let test_algorithm1_no_domain_arrays () =
     [ 1; 2 ];
   List.iter
     (fun (name, tree, seed, stage) ->
-      let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
-      let r = trial tree seed in
-      let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
+      let r, { Refkit.Alloc.minor; direct_major; _ } =
+        Refkit.Alloc.measure (fun () -> trial tree seed)
+      in
       Alcotest.(check string)
         (name ^ " decided at")
         stage
         (H.Hist_tester.stage_to_string r.H.Hist_tester.decided_at);
-      let minor = minor1 -. minor0 and major = major1 -. major0 in
-      if major > 2_000. || minor > 16_000. then
+      if direct_major > 2_000. || minor > 16_000. then
         Alcotest.failf
-          "a warm %s trial allocated %.0f minor and %.0f major words (direct \
-           + promoted; want <= 16000 and <= 2000)"
-          name minor major)
+          "a warm %s trial allocated %.0f minor and %.0f direct major words \
+           (want <= 16000 and <= 2000)"
+          name minor direct_major)
     [
       ("staircase", staircase, 3, "testing");
       ("comb", comb, 4, "checking");
@@ -431,17 +429,14 @@ let test_algorithm1_no_domain_arrays () =
       (Families.staircase ~n:64 ~k:3 ~rng:(Randkit.Rng.create ~seed:2))
   in
   let scratch = Workspace.closest ws in
-  let _, promoted0, major0 = Gc.counters () in
-  let m0 = Gc.minor_words () in
-  ignore (Closest.fit_cells ~scratch cells ~k:2 : float * int list);
-  let minor = Gc.minor_words () -. m0 in
-  let _, promoted1, major1 = Gc.counters () in
-  let direct = major1 -. major0 -. (promoted1 -. promoted0) in
-  if minor +. direct > 22. then
+  let _, { Refkit.Alloc.minor; direct_major; _ } =
+    Refkit.Alloc.measure (fun () -> Closest.fit_cells ~scratch cells ~k:2)
+  in
+  if minor +. direct_major > 22. then
     Alcotest.failf
       "a fit in the trials' scratch allocated %.0f words (want <= 22: the \
        trials did not run their DP there)"
-      (minor +. direct)
+      (minor +. direct_major)
 
 (* The dense adapters Sieve.run and Adk15.run, given D-hat's expansion,
    agree with the per-cell entry points Algorithm 1 runs, on twin

@@ -349,16 +349,15 @@ let test_rank_index_allocation () =
   let weights = Array.init k (fun i -> if i mod 5 = 0 then 0. else 1.) in
   let idx = Numkit.Rank_index.create ~values ~weights in
   let calls = 10_000 in
+  let sink = [| 0. |] in
+  let words f = (snd (Refkit.Alloc.measure f)).Refkit.Alloc.minor in
   let per_call query =
-    let sink = ref 0. in
-    let w0 = Gc.minor_words () in
-    for c = 0 to calls - 1 do
-      let lo = c mod 300 in
-      sink := !sink +. query idx ~lo ~hi:(lo + 1 + (c mod 350))
-    done;
-    let w1 = Gc.minor_words () in
-    ignore (Sys.opaque_identity !sink);
-    (w1 -. w0) /. float_of_int calls
+    words (fun () ->
+        for c = 0 to calls - 1 do
+          let lo = c mod 300 in
+          sink.(0) <- sink.(0) +. query idx ~lo ~hi:(lo + 1 + (c mod 350))
+        done)
+    /. float_of_int calls
   in
   let cost = per_call Numkit.Rank_index.seg_cost in
   let median = per_call Numkit.Rank_index.seg_median in
@@ -366,21 +365,21 @@ let test_rank_index_allocation () =
     Alcotest.failf "words per query: seg_cost %.2f, seg_median %.2f (want <= 2)"
       cost median;
   let slot = Numkit.Rank_index.slot idx in
-  let sink = ref 0. in
-  let w0 = Gc.minor_words () in
-  for c = 0 to calls - 1 do
-    let lo = c mod 300 in
-    Numkit.Rank_index.seg_cost_into idx ~lo ~hi:(lo + 1 + (c mod 350));
-    sink := !sink +. slot.(0)
-  done;
-  let into = Gc.minor_words () -. w0 in
-  ignore (Sys.opaque_identity !sink);
+  let into =
+    words (fun () ->
+        for c = 0 to calls - 1 do
+          let lo = c mod 300 in
+          Numkit.Rank_index.seg_cost_into idx ~lo ~hi:(lo + 1 + (c mod 350));
+          sink.(0) <- sink.(0) +. slot.(0)
+        done)
+  in
   let buf a = Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout a in
   let values = buf values and weights = buf weights in
   Numkit.Rank_index.rebuild idx ~values ~weights ~len:k;
-  let w0 = Gc.minor_words () in
-  Numkit.Rank_index.rebuild idx ~values ~weights ~len:(k - 17);
-  let rebuild = Gc.minor_words () -. w0 in
+  let rebuild =
+    words (fun () ->
+        Numkit.Rank_index.rebuild idx ~values ~weights ~len:(k - 17))
+  in
   if into > 0. || rebuild > 0. then
     Alcotest.failf "seg_cost_into: %.0f words over %d queries; warm rebuild: \
                     %.0f words (want 0)" into calls rebuild

@@ -362,14 +362,14 @@ let test_sampler_allocation () =
   List.iter
     (fun (name, draw) ->
       let r = rng () in
-      let sink = ref 0 in
-      let w0 = Gc.minor_words () in
-      for _ = 1 to calls do
-        sink := !sink + draw r
-      done;
-      let w1 = Gc.minor_words () in
-      ignore (Sys.opaque_identity !sink);
-      let per_call = (w1 -. w0) /. float_of_int calls in
+      let sink, { Refkit.Alloc.minor; _ } =
+        Refkit.Alloc.measure (fun () ->
+            let sink = ref 0 in
+            for _ = 1 to calls do sink := !sink + draw r done;
+            !sink)
+      in
+      ignore (Sys.opaque_identity sink);
+      let per_call = minor /. float_of_int calls in
       if per_call > 0.01 then
         Alcotest.failf "%s: %.4f minor words per call (want <= 0.01)" name
           per_call)

@@ -1189,14 +1189,12 @@ let test_batch_allocates_nothing () =
     in
     ignore (batch () : bool);
     ignore (batch () : bool);
-    let w0 = Gc.minor_words () in
-    let go = batch () in
-    let w1 = Gc.minor_words () in
+    let go, { Refkit.Alloc.minor; _ } = Refkit.Alloc.measure batch in
     Alcotest.(check bool) (label ^ ": served") true go;
     Alcotest.(check int)
       (label ^ ": every line fast")
       (3 * 64) (Service.Batch.stats ex).Service.fast_hits;
-    Alcotest.(check (float 0.)) (label ^ ": minor words") 0. (w1 -. w0)
+    Alcotest.(check (float 0.)) (label ^ ": minor words") 0. minor
   in
   let ints k f = String.concat "," (List.init k (fun j -> string_of_int (f j))) in
   gate "observe" (fun i ->
@@ -1215,28 +1213,24 @@ let test_batch_allocates_nothing () =
    [Array.init] over floats, a closure per element) costs 2n minor
    words; a copying constructor, a second n-array of major words; an
    expanded piecewise family, one n-array.  Each family is measured on
-   a fresh service, so the config is a miss; the minor heap is emptied
-   first, so no promotion lands in the major count. *)
+   a fresh service, so the config is a miss. *)
 let test_configure_miss_allocates_one_array () =
   let n = 1 lsl 16 and cells = 64 in
   List.iter
     (fun (family, major_bound, what) ->
       let t = Service.create () in
-      Gc.minor ();
-      (* [Gc.counters]'s minor count misses the live minor arena *)
-      let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
-      let r =
-        Service.configure t ~n ~family ~eps:0.25 ~cells:(Some cells) ~seed:3
+      let r, { Refkit.Alloc.minor; direct_major = major; _ } =
+        Refkit.Alloc.measure (fun () ->
+            Service.configure t ~n ~family ~eps:0.25 ~cells:(Some cells)
+              ~seed:3)
       in
-      let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
       Alcotest.(check bool) (family ^ ": configured") true (Result.is_ok r);
-      let minor = minor1 -. minor0 and major = major1 -. major0 in
       Alcotest.(check bool)
         (Printf.sprintf "%s: %.0f minor words <= 64 per cell" family minor)
         true
         (minor <= float_of_int (64 * cells));
       Alcotest.(check bool)
-        (Printf.sprintf "%s: %.0f major words <= %s" family major what)
+        (Printf.sprintf "%s: %.0f direct major words <= %s" family major what)
         true
         (major <= float_of_int major_bound))
     [
@@ -1272,14 +1266,12 @@ let test_pieces_verdict_allocates_per_cell () =
   in
   ignore (verdict () : float);
   ignore (verdict () : float);
-  let w0 = Gc.minor_words () in
-  let z = verdict () in
-  let w1 = Gc.minor_words () in
+  let z, { Refkit.Alloc.minor; _ } = Refkit.Alloc.measure verdict in
   Alcotest.(check bool) "a statistic" true (Float.is_finite z);
   Alcotest.(check bool)
-    (Printf.sprintf "%.0f minor words <= 2 * cells + 64" (w1 -. w0))
+    (Printf.sprintf "%.0f minor words <= 2 * cells + 64" minor)
     true
-    (w1 -. w0 <= float_of_int ((2 * cells) + 64))
+    (minor <= float_of_int ((2 * cells) + 64))
 
 (* Shard interning against the line-at-a-time oracle: more distinct ids
    than the intern table holds (so it is emptied and refilled), ids that
