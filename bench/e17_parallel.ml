@@ -15,17 +15,12 @@
       Chi2stat, same seeds.  Minor-collection and allocated-byte deltas
       are read with Gc.quick_stat, and the two arms must produce
       bit-identical Z sums.  Both arms run on this domain under the
-      runtime's default 256k-word minor heap, restored afterwards: a
-      pool (--jobs 2 and up) has already enlarged this domain's nursery
-      to 64 MiB, which flattens the collection counts the section
-      compares to zero.
+      minor heap the runtime gave it; no pool changes it.
    3. trial throughput (trials/sec) of an E1-style Algorithm 1 workload
       at jobs in {1, 2, 4}, each job count checked to produce the same
       accept count as jobs = 1 (the pre-split-then-dispatch determinism
-      contract), with per-job GC deltas recorded.  Before the sweep the
-      orchestrating domain's minor heap is enlarged to the pool policy
-      so the jobs = 1 baseline is not penalised relative to the pooled
-      runs (Pool.create applies the same setting when jobs > 1).
+      contract), with per-job GC deltas recorded.  Every job count runs
+      under the runtime's own minor heap on every domain.
 
    Speedup on this machine is bounded by Domain.recommended_domain_count;
    job counts beyond it are tagged "oversubscribed" in the JSON and can
@@ -92,9 +87,6 @@ let gc_deltas f =
 
 let mb bytes = bytes /. (1024. *. 1024.)
 
-(* The minor heap OCaml 5 gives a domain when OCAMLRUNPARAM sets none. *)
-let runtime_minor_heap_words = 256 * 1024
-
 let run (mode : Exp_common.mode) =
   Exp_common.section ~id:"E17 (parallel trial engine)"
     ~claim:
@@ -141,9 +133,8 @@ let run (mode : Exp_common.mode) =
     Exp_common.row "WARNING: shared arm accepted %d but rebuild arm %d@."
       accepts_probe accepts_rebuild;
 
-  (* 2. GC pressure of the chi^2 hot path, under the runtime's default
-     minor heap (see header).  Same seed per arm, so the draw streams
-     and therefore the Z sums must match bit for bit. *)
+  (* 2. GC pressure of the chi^2 hot path.  Same seed per arm, so the
+     draw streams and therefore the Z sums must match bit for bit. *)
   let gc_trials = if mode.Exp_common.quick then 30 else 100 in
   let gc_m = 4096. in
   let alias = Alias.of_pmf pmf in
@@ -174,13 +165,10 @@ let run (mode : Exp_common.mode) =
     done;
     !z
   in
-  let pool_ctrl = Gc.get () in
-  Gc.set { pool_ctrl with Gc.minor_heap_size = runtime_minor_heap_words };
   Gc.full_major ();
   let z_pr1, minor_pr1, bytes_pr1 = gc_deltas pr1_arm in
   Gc.full_major ();
   let z_ws, minor_ws, bytes_ws = gc_deltas ws_arm in
-  Gc.set pool_ctrl;
   let per_trial x = float_of_int x /. float_of_int gc_trials in
   let minor_reduction =
     per_trial minor_pr1 /. Float.max (per_trial minor_ws) (1. /. float_of_int gc_trials)
@@ -202,13 +190,7 @@ let run (mode : Exp_common.mode) =
     Exp_common.row "WARNING: workspace arm Z %.17g <> allocating arm Z %.17g@."
       z_ws z_pr1;
 
-  (* 3. Throughput of a real tester workload across job counts.  Mirror
-     the pool's minor-heap policy on this domain first so jobs = 1 runs
-     under the same GC regime as the pooled arms. *)
-  let ctrl = Gc.get () in
-  if ctrl.Gc.minor_heap_size < Parkit.Pool.default_minor_heap_words then
-    Gc.set
-      { ctrl with Gc.minor_heap_size = Parkit.Pool.default_minor_heap_words };
+  (* 3. Throughput of a real tester workload across job counts. *)
   let trials = if mode.Exp_common.quick then 12 else 48 in
   let config = Exp_common.scaled_config 0.1 in
   let decide (trial : Harness.trial) =

@@ -241,6 +241,7 @@ let run (mode : Exp_common.mode) =
     "side" "stream" "counts" "z";
   Exp_common.hline ();
   let verdict_rows =
+    Parkit.Pool.with_pool ~jobs:mode.Exp_common.jobs @@ fun pool ->
     List.concat_map
       (fun (vn, vk, veps) ->
         let yes = Exp_common.yes_instance ~n:vn ~k:vk ~seed in
@@ -248,7 +249,7 @@ let run (mode : Exp_common.mode) =
         List.map
           (fun (side, pmf) ->
             let rate kind =
-              Harness.accept_rate ~oracle:kind
+              Harness.accept_rate ~pool ~oracle:kind
                 ~rng:(Randkit.Rng.create ~seed)
                 ~trials:v_trials ~pmf
                 (fun trial ->

@@ -70,13 +70,12 @@ let run (mode : Exp_common.mode) =
   let shard_counts = if quick then [ 1; 2; 4; 8 ] else [ 1; 2; 4; 8; 16; 32 ] in
   let cells = min n 64 in
   let part = Partition.equal_width ~n ~cells in
-  let pool = Parkit.Pool.get_default () in
   let yes = Exp_common.yes_instance ~n ~k ~seed in
   let no = Exp_common.no_instance ~n ~k in
   Exp_common.row
     "corpus: %d iid draws per side, n=%d, k=%d, eps=%g, %d cells, pool \
      jobs=%d@."
-    samples n k eps cells (Parkit.Pool.jobs pool);
+    samples n k eps cells mode.Exp_common.jobs;
   Exp_common.row "%5s | %6s | %9s | %22s | %22s | %9s@." "side" "shards"
     "verdict" "z (single)" "z (fold/tree)" "identical";
   Exp_common.hline ();
@@ -84,6 +83,7 @@ let run (mode : Exp_common.mode) =
      the hypothesis itself (accept), the no side draws from the far
      instance but is tested against the yes hypothesis (reject). *)
   let replay_rows =
+    Parkit.Pool.with_pool ~jobs:mode.Exp_common.jobs @@ fun pool ->
     List.concat_map
       (fun (side, pmf, corpus_seed) ->
         let values = draw_corpus ~pmf ~samples ~seed:corpus_seed in
@@ -121,6 +121,7 @@ let run (mode : Exp_common.mode) =
   Exp_common.row "%6s | %12s | %8s@." "shards" "sharded ms" "speedup";
   Exp_common.hline ();
   let timing_rows =
+    Parkit.Pool.with_pool ~jobs:mode.Exp_common.jobs @@ fun pool ->
     List.map
       (fun shards ->
         let _, t = sharded_time ~pool ~part ~shards timing_values in
@@ -243,7 +244,7 @@ let run (mode : Exp_common.mode) =
        \"gk\":{\"eps\":%g,\"n\":%d,\"shards\":%d,\"invariant\":%b,\
        \"max_width\":%d,\"width_limit\":%d,\"pass\":%b},\
        \"merge_gate_pass\":%b}"
-      n k eps cells samples seed (Parkit.Pool.jobs pool) (Exp_common.nproc ())
+      n k eps cells samples seed mode.Exp_common.jobs (Exp_common.nproc ())
       (String.concat ","
          (List.map
             (fun (side, shards, r) ->

@@ -4,9 +4,14 @@
    the workload, and the measured rows.  EXPERIMENTS.md records one
    reference run of each. *)
 
-type mode = { quick : bool; seed : int; oracle : Harness.oracle_kind }
-
-let default_mode = { quick = true; seed = 1; oracle = Harness.Stream }
+(* [jobs] sizes the pool each trial sweep opens; an experiment that runs
+   no trials never starts a second domain. *)
+type mode = {
+  quick : bool;
+  seed : int;
+  oracle : Harness.oracle_kind;
+  jobs : int;
+}
 
 let section ~id ~claim =
   Format.printf "@.=== %s ===@." id;
@@ -17,14 +22,15 @@ let row fmt = Format.printf fmt
 let hline () =
   Format.printf "%s@." (String.make 72 '-')
 
-(* Trials run on the Parkit default pool (--jobs).  The
-   harness pre-splits the generators and shares one sampling structure
-   (alias table or split tree, per --oracle), so the measured rates are
+(* One pool per sweep, [mode.jobs] domains (--jobs).  The harness
+   pre-splits the generators and shares one sampling structure (alias
+   table or split tree, per --oracle), so the measured rates are
    bit-identical at any job count within an oracle kind. *)
 let accept_rate ~mode ~trials ~pmf run =
   let rng = Randkit.Rng.create ~seed:mode.seed in
-  Harness.accept_rate ~oracle:mode.oracle ~rng ~trials ~pmf (fun trial ->
-      run trial.Harness.oracle)
+  Parkit.Pool.with_pool ~jobs:mode.jobs (fun pool ->
+      Harness.accept_rate ~pool ~oracle:mode.oracle ~rng ~trials ~pmf
+        (fun trial -> run trial.Harness.oracle))
 
 (* Error on a completeness/soundness pair: (rejection rate on yes,
    acceptance rate on no). *)

@@ -62,16 +62,13 @@ let () =
     Option.value ~default:1
       (int_opt "--seed" ~valid:(fun _ -> true) ~expected:"an integer")
   in
-  (* Without --jobs the default pool is left to the first experiment that
-     asks for it: creating it here would run every experiment, the
-     single-domain ones too, beside idle worker domains. *)
+  (* Each trial sweep opens its own pool of this size, so experiments
+     that run no trials never start a second domain. *)
   let jobs =
     match
       int_opt "--jobs" ~valid:(fun j -> j > 0) ~expected:"a positive integer"
     with
-    | Some jobs ->
-        Parkit.Pool.set_default ~jobs;
-        jobs
+    | Some jobs -> jobs
     | None -> Parkit.Pool.default_jobs ()
   in
   let oracle =
@@ -93,7 +90,7 @@ let () =
     in
     strip args
   in
-  let mode = { Exp_common.quick = not full; seed; oracle } in
+  let mode = { Exp_common.quick = not full; seed; oracle; jobs } in
   let to_run =
     match selected with
     | [] -> experiments

@@ -53,7 +53,12 @@ let jobs_arg =
           "Domains for the trial loop (results are bit-identical at any \
            value). 0 means all recommended cores.")
 
-let apply_jobs jobs = if jobs > 0 then Parkit.Pool.set_default ~jobs
+(* The pool a command's trial loop runs on: [--jobs], or every
+   recommended core for 0. *)
+let with_jobs jobs f =
+  Parkit.Pool.with_pool
+    ~jobs:(if jobs > 0 then jobs else Parkit.Pool.default_jobs ())
+    f
 
 let oracle_arg =
   Arg.(
@@ -97,16 +102,13 @@ let with_family spec n seed f =
 (* --- test command --- *)
 
 let run_test family n k eps seed trials paper tester_name jobs oracle =
-  apply_jobs jobs;
   with_family family n seed (fun pmf rng ->
       let config = config_of_paper paper in
       let tester =
-        match tester_name with
-        | "algorithm1" -> Some (Histotest.Tester.algorithm1 ~config ())
-        | "ilr12" -> Some Histotest.Tester.ilr12
-        | "cdgr16" -> Some (Histotest.Tester.cdgr16 ~config ())
-        | "uniformity" -> Some (Histotest.Tester.uniformity ~config ())
-        | _ -> None
+        List.find_opt
+          (fun t -> String.equal t.Histotest.Tester.name tester_name)
+          (Histotest.Tester.all ~config ()
+          @ [ Histotest.Tester.uniformity ~config () ])
       in
       match tester with
       | None ->
@@ -119,12 +121,13 @@ let run_test family n k eps seed trials paper tester_name jobs oracle =
             (Closest.tv_to_hk pmf ~k);
           Format.printf "planned budget   = %d samples@."
             (t.Histotest.Tester.budget ~n ~k ~eps);
-          (* Trials run on the parkit default pool (--jobs); the harness
-             pre-splits generators, so output is identical at any job
-             count. *)
+          (* The harness pre-splits generators, so output is identical
+             at any job count. *)
           let verdicts =
-            Harness.run_trials ~oracle ~rng ~trials ~pmf (fun trial ->
-                t.Histotest.Tester.run trial.Harness.oracle ~k ~eps)
+            with_jobs jobs (fun pool ->
+                Harness.run_trials ~pool ~oracle ~rng ~trials ~pmf
+                  (fun trial ->
+                    t.Histotest.Tester.run trial.Harness.oracle ~k ~eps))
           in
           let accepts = ref 0 in
           Array.iteri
@@ -218,7 +221,6 @@ let demo_lb_cmd =
 (* --- closeness command --- *)
 
 let run_closeness fam1 fam2 n eps seed trials jobs =
-  apply_jobs jobs;
   with_family fam1 n seed (fun p1 rng ->
       match Families.of_spec ~n ~rng fam2 with
       | Error msg ->
@@ -238,12 +240,12 @@ let run_closeness fam1 fam2 n eps seed trials jobs =
             pairs.(i) <- (r1, r2)
           done;
           let outs =
-            Parkit.Pool.map
-              (Parkit.Pool.get_default ())
-              (fun (r1, r2) ->
-                Histotest.Closeness.run (Poissonize.of_alias r1 a1)
-                  (Poissonize.of_alias r2 a2) ~eps)
-              pairs
+            with_jobs jobs (fun pool ->
+                Parkit.Pool.map pool
+                  (fun (r1, r2) ->
+                    Histotest.Closeness.run (Poissonize.of_alias r1 a1)
+                      (Poissonize.of_alias r2 a2) ~eps)
+                  pairs)
           in
           let accepts = ref 0 in
           Array.iteri
@@ -328,7 +330,6 @@ let read_dataset path =
   List.rev !values
 
 let run_test_file path domain k eps seed trials jobs oracle =
-  apply_jobs jobs;
   match read_dataset path with
   | exception Sys_error msg ->
       prerr_endline ("error: " ^ msg);
@@ -373,8 +374,10 @@ let run_test_file path domain k eps seed trials jobs oracle =
             "(accept iff it is well below your eps = %g).@." eps
         end;
         let reports =
-          Harness.run_trials ~oracle ~rng ~trials ~pmf:population (fun trial ->
-              Histotest.Hist_tester.run trial.Harness.oracle ~k ~eps)
+          with_jobs jobs (fun pool ->
+              Harness.run_trials ~pool ~oracle ~rng ~trials ~pmf:population
+                (fun trial ->
+                  Histotest.Hist_tester.run trial.Harness.oracle ~k ~eps))
         in
         let accepts = ref 0 in
         Array.iteri

@@ -9,16 +9,9 @@ type t = {
   run : Poissonize.oracle -> k:int -> eps:float -> Verdict.t;
 }
 
-val algorithm1 : ?config:Config.t -> unit -> t
-(** This paper (Theorem 3.1). *)
-
-val ilr12 : t
-(** Reads no {!Config} constant, so it has no profile argument. *)
-
-val cdgr16 : ?config:Config.t -> unit -> t
-
 val uniformity : ?config:Config.t -> unit -> t
 (** Collision uniformity tester (ignores k; the k = 1 specialist). *)
 
 val all : ?config:Config.t -> unit -> t list
-(** The three k-histogram testers. *)
+(** The three k-histogram testers: ["algorithm1"] (this paper, Theorem
+    3.1), ["ilr12"] (reads no {!Config} constant) and ["cdgr16"]. *)

@@ -235,19 +235,18 @@ let fit_cells ?scratch:s cells ~k =
   done;
   solve "Closest.fit_cells" s ~kk ~k
 
-(* The optimal level (weighted median) of each chosen piece of the [kk]
-   staged cells. *)
+(* The optimal level (weighted lower median) of each chosen piece of the
+   [kk] staged cells, read off the index the DP just built over them; a
+   weightless piece gets level 0. *)
 let fit_levels s ~kk starts =
   let bounds = Array.of_list (starts @ [ kk ]) in
   Array.init
     (Array.length bounds - 1)
     (fun p ->
-      let med = Numkit.Wmedian.create () in
-      for c = bounds.(p) to bounds.(p + 1) - 1 do
-        Numkit.Wmedian.add med ~value:(A.get s.values c)
-          ~weight:(A.get s.weights c)
-      done;
-      let m = Numkit.Wmedian.median med in
+      let m =
+        Numkit.Rank_index.seg_median s.index ~lo:bounds.(p)
+          ~hi:bounds.(p + 1)
+      in
       if Float.is_nan m then 0. else m)
 
 (* Compress [segs] nonempty constant segments covering [0..n-1] (segment s

@@ -34,8 +34,6 @@ type verdict = {
 
 let pool_entrypoints =
   [
-    "Parkit.Pool.run";
-    "Parkit.Pool.iter";
     "Parkit.Pool.map";
     "Parkit.Pool.init";
     "Domain.spawn";

@@ -1,7 +1,7 @@
 (** The domain-safety pass ([par/shared-mutable-capture]).
 
-    Analyzes every function-typed argument of a [Parkit.Pool.run/iter/
-    map/init] (or [Domain.spawn]) application: mutable locations the
+    Analyzes every function-typed argument of a [Parkit.Pool.map/init]
+    (or [Domain.spawn]) application: mutable locations the
     task closure reaches that are not private to the task — captured
     refs/arrays/Bytes/Buffer/Hashtbl, mutable record fields,
     module-level state, including through helper calls resolved via

@@ -78,7 +78,7 @@ let describe = function
       "Domain.spawn outside lib/parallel bypasses Parkit.Pool and its \
        pre-split RNG discipline"
   | Par_shared_mutable ->
-      "a closure handed to Parkit.Pool.run/iter/map/init captures mutable \
+      "a closure handed to Parkit.Pool.map/init captures mutable \
        state shared with other domains; use pool-index-disjoint slots or an \
        audited [@histolint.disjoint \"reason\"]"
   | Par_toplevel_lazy ->
@@ -101,7 +101,7 @@ let describe = function
 let explain = function
   | Par_shared_mutable ->
       "par/shared-mutable-capture — interprocedural domain-safety lint.\n\n\
-       Every closure passed to Parkit.Pool.run/iter/map/init (or \
+       Every closure passed to Parkit.Pool.map/init (or \
        Domain.spawn) may execute on another domain concurrently with its \
        siblings.  The lint computes a capture summary for the closure: every \
        mutable location it can reach (refs, arrays, Bytes, Buffer, Hashtbl, \
@@ -124,7 +124,7 @@ let explain = function
        audit trail (JSON `audit` array).\n\n\
        Example finding:\n\
        \  let hits = ref 0 in\n\
-       \  Parkit.Pool.iter pool (fun x -> if p x then incr hits) data\n\
+       \  Parkit.Pool.map pool (fun x -> if p x then incr hits) data\n\
        \  ^ `hits` is captured by every task; increments race.\n\n\
        Fix: return per-task results via Pool.map, or write to \
        results.(slot) where `slot` derives from the task argument."

@@ -41,7 +41,7 @@ type t =
           through [Parkit.Pool] so the pre-split-RNG discipline
           holds. *)
   | Par_shared_mutable
-      (** A closure passed to [Parkit.Pool.run/iter/map/init] (or
+      (** A closure passed to [Parkit.Pool.map/init] (or
           [Domain.spawn]) captures a mutable location reachable from a
           sibling task on another domain, and accesses it other than
           through the index-disjoint slot pattern.  Interprocedural:

@@ -68,7 +68,6 @@ val seg_cost : t -> lo:int -> hi:int -> float
 (** {!seg_cost_into}, answered as a (boxed) float. *)
 
 val seg_median : t -> lo:int -> hi:int -> float
-[@@histolint.keep "[seg_cost]'s descent computes it; test_numkit pins it directly"]
 (** The weighted lower median of the range's values ([nan] when the
     range carries no weight) — the value attaining {!seg_cost}.  A rank
     holding both [-0.] and [0.] reports one of the two. *)

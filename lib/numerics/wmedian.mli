@@ -15,6 +15,7 @@ val add : t -> value:float -> weight:float -> unit
     weight. *)
 
 val median : t -> float
+[@@histolint.keep "[cost] is attained at it; test_numkit pins it and test_fuzz_closest checks Closest.witness's levels against it"]
 (** A weighted median of the values added so far; [nan] when empty. *)
 
 val cost : t -> float

@@ -24,21 +24,6 @@ type state = {
 
 type t = { jobs : int; state : state option }
 
-let jobs t = t.jobs
-
-(* Mirrors the OCAMLRUNPARAM=s=8192k mitigation that DESIGN.md used to
-   recommend: OCaml 5's minor collections are stop-the-world across every
-   domain, so an allocating batch on a small default minor heap turns the
-   GC into a barrier that serializes the pool.  Workers (and the
-   submitting domain) enlarge their own minor heap at startup instead of
-   relying on an environment variable. *)
-let default_minor_heap_words = 8192 * 1024
-
-let enlarge_minor_heap () =
-  let params = Gc.get () in
-  if params.Gc.minor_heap_size < default_minor_heap_words then
-    Gc.set { params with Gc.minor_heap_size = default_minor_heap_words }
-
 let default_grain ~jobs ~total =
   if jobs <= 1 then max 1 total else max 1 (total / (4 * jobs))
 
@@ -80,7 +65,6 @@ let drain st =
   loop ()
 
 let worker st () =
-  enlarge_minor_heap ();
   Domain.DLS.set in_task true;
   let seen = ref 0 in
   Mutex.lock st.mutex;
@@ -95,14 +79,10 @@ let worker st () =
 
 let nop_body _ = ()
 
-let create ~jobs () =
-  if jobs <= 0 then invalid_arg "Pool.create: jobs must be positive";
+let create ~jobs =
+  if jobs <= 0 then invalid_arg "Pool.with_pool: jobs must be positive";
   if jobs = 1 then { jobs = 1; state = None }
   else begin
-    (* The submitting domain participates in every batch, so it needs the
-       enlarged minor heap as much as the workers do — one domain filling
-       a small nursery stalls all of them. *)
-    enlarge_minor_heap ();
     let st =
       {
         mutex = Mutex.create ();
@@ -132,17 +112,13 @@ let shutdown t =
   | None -> ()
   | Some st ->
       Mutex.lock st.mutex;
-      if st.shutdown then Mutex.unlock st.mutex
-      else begin
-        st.shutdown <- true;
-        Condition.broadcast st.work_available;
-        Mutex.unlock st.mutex;
-        List.iter Domain.join st.domains;
-        st.domains <- []
-      end
+      st.shutdown <- true;
+      Condition.broadcast st.work_available;
+      Mutex.unlock st.mutex;
+      List.iter Domain.join st.domains
 
 (* Run one batch.  The submitting domain participates in the claim loop,
-   so a [create ~jobs] pool applies [jobs] domains to the batch.  If the
+   so a [with_pool ~jobs] pool applies [jobs] domains to the batch.  If the
    pool is already mid-batch (a submission from another domain), degrade
    to a sequential loop rather than interleave two batches. *)
 let run st ~total ~chunk body =
@@ -194,52 +170,8 @@ let init t n f =
   if n < 0 then invalid_arg "Pool.init: negative length";
   map t f (Array.init n Fun.id)
 
-let iter t f arr =
-  let n = Array.length arr in
-  match t.state with
-  | None -> Array.iter f arr
-  | Some _ when n <= 1 || Domain.DLS.get in_task -> Array.iter f arr
-  | Some st ->
-      run st ~total:n ~chunk:(default_grain ~jobs:t.jobs ~total:n) (fun i ->
-          f arr.(i))
-
 let default_jobs () = Domain.recommended_domain_count ()
 
-(* Process-wide default pool: lazily created, replaceable by --jobs, and
-   shut down at exit so worker domains are joined cleanly. *)
-let default_lock = Mutex.create ()
-let default_pool = ref None
-let at_exit_registered = ref false
-
-let unsynchronized_set ~jobs =
-  (match !default_pool with Some p -> shutdown p | None -> ());
-  let p = create ~jobs () in
-  default_pool := Some p;
-  if not !at_exit_registered then begin
-    at_exit_registered := true;
-    at_exit (fun () ->
-        match !default_pool with Some p -> shutdown p | None -> ())
-  end;
-  p
-
-let get_default () =
-  Mutex.lock default_lock;
-  let p =
-    match !default_pool with
-    | Some p -> p
-    | None -> unsynchronized_set ~jobs:(default_jobs ())
-  in
-  Mutex.unlock default_lock;
-  p
-
-let set_default ~jobs =
-  Mutex.lock default_lock;
-  (match unsynchronized_set ~jobs with
-  | _ -> Mutex.unlock default_lock
-  | exception e ->
-      Mutex.unlock default_lock;
-      raise e)
-
 let with_pool ~jobs f =
-  let pool = create ~jobs () in
+  let pool = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)

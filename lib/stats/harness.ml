@@ -24,10 +24,7 @@ let split_rngs ~rng ~trials =
   done;
   rngs
 
-let run_trials ?pool ?(oracle = Stream) ~rng ~trials ~pmf f =
-  let pool =
-    match pool with Some p -> p | None -> Parkit.Pool.get_default ()
-  in
+let run_trials ~pool ?(oracle = Stream) ~rng ~trials ~pmf f =
   (* The O(n) sampling structure — alias table on the stream path, split
      tree on the counts path — depends only on the PMF: build it once and
      share it read-only across all trials (and domains).  Each trial's
@@ -55,8 +52,8 @@ let run_trials ?pool ?(oracle = Stream) ~rng ~trials ~pmf f =
       f { rng = child; oracle = make_oracle ws child; ws })
     rngs
 
-let accept_rate ?oracle ~rng ~trials ~pmf decide =
-  let verdicts = run_trials ?oracle ~rng ~trials ~pmf decide in
+let accept_rate ~pool ?oracle ~rng ~trials ~pmf decide =
+  let verdicts = run_trials ~pool ?oracle ~rng ~trials ~pmf decide in
   let accepts =
     Array.fold_left
       (fun acc v -> if Verdict.equal v Verdict.Accept then acc + 1 else acc)

@@ -4,11 +4,12 @@
 
 let last pool xs =
   let acc = ref 0 in
-  (Parkit.Pool.iter
+  (Parkit.Pool.map
      pool
      (fun x -> acc := x)
      xs
    [@histolint.disjoint
      "fixture: deliberately audited shared write so the golden test \
-      sees a suppressed site and its audit entry"]);
+      sees a suppressed site and its audit entry"])
+  |> ignore;
   !acc

@@ -5,7 +5,7 @@
 
 let count pool xs =
   let hits = ref 0 in
-  Parkit.Pool.iter pool (fun _x -> Race_helper.bump hits) xs;
+  Parkit.Pool.map pool (fun _x -> Race_helper.bump hits) xs |> ignore;
   !hits
 
-let log_all pool xs = Parkit.Pool.iter pool (fun _x -> Race_helper.record ()) xs
+let log_all pool xs = Parkit.Pool.map pool (fun _x -> Race_helper.record ()) xs

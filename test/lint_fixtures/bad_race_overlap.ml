@@ -6,9 +6,10 @@
 
 let scatter pool (out : int array) (xs : int array) =
   let next = ref 0 in
-  Parkit.Pool.iter pool
+  Parkit.Pool.map pool
     (fun x ->
       let j = !next in
       incr next;
       out.(j) <- x)
     xs
+  |> ignore

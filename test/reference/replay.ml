@@ -24,12 +24,9 @@ type replay_report = {
   identical : bool;
 }
 
-let replay ?pool ~part ~dstar ~eps ~shards values =
+let replay ~pool ~part ~dstar ~eps ~shards values =
   if shards < 1 then invalid_arg "Replay.replay: shards < 1";
   if Array.length values = 0 then invalid_arg "Replay.replay: empty corpus";
-  let pool =
-    match pool with Some p -> p | None -> Parkit.Pool.get_default ()
-  in
   let single = Suffstat.create ~part in
   Suffstat.observe_all single values;
   let parts = shard_states ~pool ~part ~shards values in

@@ -36,7 +36,7 @@ type replay_report = {
 }
 
 val replay :
-  ?pool:Parkit.Pool.t ->
+  pool:Parkit.Pool.t ->
   part:Partition.t ->
   dstar:Pmf.t ->
   eps:float ->
@@ -44,6 +44,5 @@ val replay :
   int array ->
   replay_report
 (** Single-process ingest against {!shard_states} merged by both
-    {!Suff_fold} topologies.  [pool] defaults to
-    {!Parkit.Pool.get_default}.
+    {!Suff_fold} topologies, the shards built on [pool].
     @raise Invalid_argument on an empty corpus or [shards < 1]. *)

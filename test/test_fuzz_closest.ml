@@ -115,6 +115,58 @@ let prop_shared_scratch_matches_dense =
       let cd, sd = Refkit.Closest_dense.fit_cells cells ~k in
       Float.equal cf cd && List.equal Int.equal sf sd)
 
+(* [Closest.witness] reads each piece's level off the rank index the DP
+   built; it must be the weighted median a fresh [Wmedian] computes over
+   the piece's points (kept points weigh 1, masked ones nothing), bit for
+   bit, with a weightless piece at level 0.  Values come from a small
+   palette with a 2^[-12, 12) spread, so equal runs merge into one cell
+   and several pieces share a median; about half the cases carry a keep
+   mask, some of which drop whole pieces. *)
+let witness_case_of_seed seed =
+  let r = Randkit.Rng.create ~seed in
+  let n = 2 + Randkit.Rng.int r 60 in
+  let k = 1 + Randkit.Rng.int r 6 in
+  let palette =
+    Array.init
+      (1 + Randkit.Rng.int r 5)
+      (fun _ ->
+        let e = Randkit.Rng.int r 24 - 12 in
+        (1. +. Randkit.Rng.float r 1.0) *. (2. ** float_of_int e))
+  in
+  let pmf =
+    Pmf.of_weights
+      (Array.init n (fun _ ->
+           palette.(Randkit.Rng.int r (Array.length palette))))
+  in
+  let mask =
+    if Randkit.Rng.bool r then None
+    else Some (Array.init n (fun _ -> Randkit.Rng.int r 4 <> 0))
+  in
+  (pmf, mask, k)
+
+let prop_witness_levels_are_wmedians =
+  QCheck.Test.make ~name:"witness levels = per-piece Wmedian (masked or not)"
+    ~count:1000
+    (QCheck.int_range 0 1_000_000)
+    (fun seed ->
+      let pmf, mask, k = witness_case_of_seed seed in
+      let _, h = Closest.witness ?mask pmf ~k in
+      let part = Khist.partition h in
+      let kept i = match mask with None -> true | Some m -> m.(i) in
+      let ok = ref true in
+      for j = 0 to Partition.cell_count part - 1 do
+        let med = Numkit.Wmedian.create () in
+        Interval.iter
+          (fun i ->
+            Numkit.Wmedian.add med ~value:(Pmf.get pmf i)
+              ~weight:(if kept i then 1. else 0.))
+          (Partition.cell part j);
+        let m = Numkit.Wmedian.median med in
+        let expected = if Float.is_nan m then 0. else m in
+        if not (Float.equal expected (Khist.level h j)) then ok := false
+      done;
+      !ok)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "fuzz_closest"
@@ -124,5 +176,6 @@ let () =
           qc prop_fit_cells_matches_dense;
           qc prop_learned_matches_dense;
           qc prop_shared_scratch_matches_dense;
+          qc prop_witness_levels_are_wmedians;
         ] );
     ]

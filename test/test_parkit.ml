@@ -5,9 +5,21 @@
 let test_create_invalid () =
   Alcotest.(check bool) "jobs <= 0 rejected" true
     (try
-       ignore (Parkit.Pool.create ~jobs:0 ());
-       false
+       Parkit.Pool.with_pool ~jobs:0 (fun _ -> false)
      with Invalid_argument _ -> true)
+
+let test_no_gc_policy () =
+  (* The pool changes no GC setting: a batch on two domains leaves the
+     caller's minor heap as it found it.  Start from the runtime's
+     default size so an enlarging pool could not hide behind an earlier
+     test's setting. *)
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 256 * 1024 };
+  Fun.protect ~finally:(fun () -> Gc.set saved) @@ fun () ->
+  Parkit.Pool.with_pool ~jobs:2 (fun pool ->
+      ignore (Parkit.Pool.init pool 64 (fun i -> Array.make 16 i)));
+  Alcotest.(check int) "minor heap words unchanged" (256 * 1024)
+    (Gc.get ()).Gc.minor_heap_size
 
 let test_default_grain () =
   (* ~4 claim rounds per domain, never below 1. *)
@@ -65,8 +77,8 @@ let test_empty_and_singleton () =
       Alcotest.(check (array int)) "singleton" [| 7 |]
         (Parkit.Pool.init pool 1 (fun _ -> 7)))
 
-let test_iter_effects_visible () =
-  (* iter's join is a barrier: every effect of f is visible after it
+let test_map_effects_visible () =
+  (* map's join is a barrier: every effect of f is visible after it
      returns, and disjoint-index writes from parallel tasks all land. *)
   List.iter
     (fun jobs ->
@@ -74,27 +86,22 @@ let test_iter_effects_visible () =
           let n = 1_000 in
           let src = Array.init n (fun i -> i) in
           let dst = Array.make n 0 in
-          Parkit.Pool.iter pool (fun i -> dst.(i) <- (2 * i) + 1) src;
+          Parkit.Pool.map pool (fun i -> dst.(i) <- (2 * i) + 1) src |> ignore;
           Alcotest.(check (array int))
             (Printf.sprintf "jobs=%d all writes visible" jobs)
             (Array.init n (fun i -> (2 * i) + 1))
             dst);
       Parkit.Pool.with_pool ~jobs (fun pool ->
           let hit = ref false in
-          Parkit.Pool.iter pool (fun _ -> hit := true) [||];
+          Parkit.Pool.map pool (fun _ -> hit := true) [||] |> ignore;
           Alcotest.(check bool)
             (Printf.sprintf "jobs=%d empty array" jobs)
             false !hit))
     [ 1; 2; 4 ]
 
 let test_sequential_pool () =
-  Alcotest.(check int) "jobs" 1 (Parkit.Pool.jobs Parkit.Pool.sequential);
   Alcotest.(check (array int)) "plain loop" [| 0; 1; 4 |]
-    (Parkit.Pool.init Parkit.Pool.sequential 3 (fun i -> i * i));
-  (* Shutting down the sequential pool is a no-op. *)
-  Parkit.Pool.shutdown Parkit.Pool.sequential;
-  Alcotest.(check (array int)) "usable after shutdown" [| 1 |]
-    (Parkit.Pool.init Parkit.Pool.sequential 1 (fun _ -> 1))
+    (Parkit.Pool.init Parkit.Pool.sequential 3 (fun i -> i * i))
 
 let test_nested_map_no_deadlock () =
   Parkit.Pool.with_pool ~jobs:2 (fun pool ->
@@ -164,7 +171,8 @@ let qcheck_disjoint_slot_writes =
       Parkit.Pool.with_pool ~jobs (fun pool ->
           let dst = Array.make (max n 1) (-1) in
           let src = Array.init n (fun i -> i) in
-          Parkit.Pool.iter pool (fun i -> dst.(i) <- dst.(i) + (7 * i) + 1) src;
+          Parkit.Pool.map pool (fun i -> dst.(i) <- dst.(i) + (7 * i) + 1) src
+          |> ignore;
           let ok = ref true in
           for i = 0 to n - 1 do
             if dst.(i) <> 7 * i then ok := false
@@ -174,20 +182,13 @@ let qcheck_disjoint_slot_writes =
 let test_default_jobs_positive () =
   Alcotest.(check bool) "at least one" true (Parkit.Pool.default_jobs () >= 1)
 
-let test_set_default () =
-  Parkit.Pool.set_default ~jobs:2;
-  let p = Parkit.Pool.get_default () in
-  Alcotest.(check int) "default honors set_default" 2 (Parkit.Pool.jobs p);
-  Alcotest.(check (array int)) "default pool runs" [| 0; 2; 4 |]
-    (Parkit.Pool.init p 3 (fun i -> 2 * i));
-  Parkit.Pool.set_default ~jobs:1
-
 let () =
   Alcotest.run "parkit"
     [
       ( "pool",
         [
           Alcotest.test_case "create invalid" `Quick test_create_invalid;
+          Alcotest.test_case "no GC policy" `Quick test_no_gc_policy;
           Alcotest.test_case "default_grain" `Quick test_default_grain;
           Alcotest.test_case "map = Array.map" `Quick
             test_map_matches_array_map;
@@ -196,8 +197,8 @@ let () =
           Alcotest.test_case "init ordered" `Quick test_init_ordered;
           Alcotest.test_case "empty and singleton" `Quick
             test_empty_and_singleton;
-          Alcotest.test_case "iter effects visible" `Quick
-            test_iter_effects_visible;
+          Alcotest.test_case "map effects visible" `Quick
+            test_map_effects_visible;
           Alcotest.test_case "sequential pool" `Quick test_sequential_pool;
           Alcotest.test_case "nested map" `Quick test_nested_map_no_deadlock;
           Alcotest.test_case "exception propagates" `Quick
@@ -206,6 +207,5 @@ let () =
             test_exception_propagates_chunked;
           QCheck_alcotest.to_alcotest qcheck_disjoint_slot_writes;
           Alcotest.test_case "default jobs" `Quick test_default_jobs_positive;
-          Alcotest.test_case "set_default" `Quick test_set_default;
         ] );
     ]

@@ -739,9 +739,10 @@ let test_replay_identical () =
   let r = Randkit.Rng.create ~seed:7 in
   let alias = Alias.of_pmf dstar in
   let values = Array.init 30_000 (fun _ -> Alias.draw alias r) in
+  Parkit.Pool.with_pool ~jobs:2 @@ fun pool ->
   List.iter
     (fun shards ->
-      let rep = Refkit.Replay.replay ~part ~dstar ~eps ~shards values in
+      let rep = Refkit.Replay.replay ~pool ~part ~dstar ~eps ~shards values in
       Alcotest.(check bool)
         (Printf.sprintf "%d shards identical" shards)
         true rep.Refkit.Replay.identical;
@@ -762,7 +763,8 @@ let test_replay_matches_harness_trials () =
   let part = part_of ~n ~cells:32 in
   let m = 6_000. in
   let agreements =
-    Harness.run_trials ~oracle:Harness.Stream
+    Parkit.Pool.with_pool ~jobs:2 @@ fun pool ->
+    Harness.run_trials ~pool ~oracle:Harness.Stream
       ~rng:(Randkit.Rng.create ~seed:13)
       ~trials:10 ~pmf:dstar
       (fun trial ->
@@ -776,7 +778,7 @@ let test_replay_matches_harness_trials () =
         let direct = Suffstat.create ~part in
         add_counts direct counts;
         let expected = Suffstat.verdict direct ~dstar:(Families.Dense dstar) ~eps in
-        let rep = Refkit.Replay.replay ~part ~dstar ~eps ~shards:4 stream in
+        let rep = Refkit.Replay.replay ~pool ~part ~dstar ~eps ~shards:4 stream in
         rep.Refkit.Replay.identical
         && Verdict.equal rep.Refkit.Replay.single_verdict expected
         && Verdict.equal rep.Refkit.Replay.fold_verdict expected
@@ -788,6 +790,7 @@ let test_replay_matches_harness_trials () =
 let test_replay_rejects_bad_args () =
   let part = part_of ~n:16 ~cells:4 in
   let dstar = Pmf.uniform 16 in
+  let pool = Parkit.Pool.sequential in
   List.iter
     (fun (name, f) ->
       Alcotest.(check bool) name true
@@ -797,9 +800,9 @@ let test_replay_rejects_bad_args () =
          with Invalid_argument _ -> true))
     [
       ( "empty corpus",
-        fun () -> Refkit.Replay.replay ~part ~dstar ~eps:0.25 ~shards:2 [||] );
+        fun () -> Refkit.Replay.replay ~pool ~part ~dstar ~eps:0.25 ~shards:2 [||] );
       ( "zero shards",
-        fun () -> Refkit.Replay.replay ~part ~dstar ~eps:0.25 ~shards:0 [| 1 |] );
+        fun () -> Refkit.Replay.replay ~pool ~part ~dstar ~eps:0.25 ~shards:0 [| 1 |] );
     ]
 
 let test_family_of_spec () =

@@ -279,10 +279,11 @@ let test_counts_vs_stream_verdicts () =
      rates over independent trial ensembles within two-proportion noise.
      Small grid so the whole check stays test-suite-sized. *)
   let trials = 200 in
+  Parkit.Pool.with_pool ~jobs:2 @@ fun pool ->
   List.iter
     (fun (n, k, eps, pmf) ->
       let rate kind =
-        Harness.accept_rate ~oracle:kind
+        Harness.accept_rate ~pool ~oracle:kind
           ~rng:(Randkit.Rng.create ~seed:31337)
           ~trials ~pmf
           (fun trial ->
@@ -552,17 +553,18 @@ let test_boosted_amplifies () =
 let test_accept_rate_deterministic () =
   let r = rng () in
   let rate =
-    Harness.accept_rate ~rng:r ~trials:50 ~pmf:(Pmf.uniform 8) (fun _ ->
-        Verdict.Accept)
+    Harness.accept_rate ~pool:Parkit.Pool.sequential ~rng:r ~trials:50
+      ~pmf:(Pmf.uniform 8) (fun _ -> Verdict.Accept)
   in
   Alcotest.(check (float 0.)) "always accepts" 1. rate
 
 let test_harness_trials_draw_samples () =
-  (* Trials may run on several domains of the default pool: each returns
-     its own size rather than pushing onto a shared list. *)
+  (* Trials may run on several domains of the pool: each returns its own
+     size rather than pushing onto a shared list. *)
   let r = rng () in
   let sizes =
-    Harness.run_trials ~rng:r ~trials:5 ~pmf:(Pmf.uniform 8) (fun trial ->
+    Parkit.Pool.with_pool ~jobs:2 @@ fun pool ->
+    Harness.run_trials ~pool ~rng:r ~trials:5 ~pmf:(Pmf.uniform 8) (fun trial ->
         let counts = trial.Harness.oracle.Poissonize.exact 100 in
         Array.fold_left ( + ) 0 counts)
   in
@@ -588,19 +590,9 @@ let parity_decide (trial : Harness.trial) =
   let counts = trial.Harness.oracle.Poissonize.exact 200 in
   if counts.(0) mod 2 = 0 then Verdict.Accept else Verdict.Reject
 
-(* [Harness.accept_rate] always runs on the default pool; this is its
-   fold over [run_trials] on an explicit one. *)
 let pooled_accept_rate ~pool ~seed ~trials ~pmf =
-  let verdicts =
-    Harness.run_trials ~pool ~rng:(Randkit.Rng.create ~seed) ~trials ~pmf
-      parity_decide
-  in
-  let accepts =
-    Array.fold_left
-      (fun acc v -> if v = Verdict.Accept then acc + 1 else acc)
-      0 verdicts
-  in
-  float_of_int accepts /. float_of_int trials
+  Harness.accept_rate ~pool ~rng:(Randkit.Rng.create ~seed) ~trials ~pmf
+    parity_decide
 
 let test_accept_rate_jobs_invariant () =
   let pmf = Families.zipf ~n:64 ~s:1.0 in
