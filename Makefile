@@ -18,7 +18,10 @@ test:
 # lint's own docs that mention it are not counted); the knob count:
 # the optional labels ([?name:]) in lib/ interfaces; and the raw GC
 # reads: lines in test/*.ml and bench/*.ml that call a GC counter
-# themselves instead of going through Refkit.Alloc.measure.
+# themselves instead of going through Refkit.Alloc.measure.  Last, the
+# daemon's link footprint: the compilation units in the built
+# histotestd.exe (its code_begin symbols, counted with nm), or n/a when
+# it is not built.
 sloc:
 	@lb=$$(cat $$(find lib bin \( -name '*.ml' -o -name '*.mli' \)) | wc -l); \
 	rk=$$(cat $$(find test/reference \( -name '*.ml' -o -name '*.mli' \)) | wc -l); \
@@ -27,7 +30,10 @@ sloc:
 	gc=$$(cat test/*.ml bench/*.ml | grep -cE 'Gc\.(counters|quick_stat|minor_words|allocated_bytes) \(\)'); \
 	echo "lib+bin $$lb"; echo "test/reference $$rk"; echo "total $$((lb + rk))"; \
 	echo "lib keep audits $$keep"; echo "lib optional args $$opts"; \
-	echo "raw gc reads $$gc"
+	echo "raw gc reads $$gc"; \
+	d=_build/default/bin/histotestd.exe; \
+	if [ -f $$d ]; then echo "daemon units $$(nm $$d | grep -c 'code_begin$$')"; \
+	else echo "daemon units n/a"; fi
 
 # Static invariants: histolint scans the compiled typedtrees
 # (_build/default/**/*.cmt) for determinism and float-discipline

@@ -25,7 +25,14 @@
    serve on its request stream, at any --batch (the contracts E21 and
    E22 gate).  Stdio mode ends when its connection closes: at EOF, on
    quit, after an over-long line (answered with a wire error, exit 1)
-   or when stdout goes away (exit 1). *)
+   or when stdout goes away (exit 1).
+
+   The command line is parsed with Stdlib.Arg (--help lists the flags,
+   --flag=value works too); a malformed one, or a value out of range,
+   exits 2 with a message on stderr before anything is served.  Not
+   Cmdliner, which bin/main.exe uses: for six flags parsed once, that
+   library cost this process about 0.6 MiB, a tenth of its resident set,
+   and 10-20 % of its start-up (DESIGN.md "Daemon start-up footprint"). *)
 
 (* The listeners for --listen/--unix, announced on stderr once bound
    (perf/ waits for that line before it connects). *)
@@ -54,7 +61,7 @@ let bind_listeners ~listen ~unix_path =
                 Netio.pp_addr (Netio.Tcp (host, Netio.bound_port fd))
             | a -> Netio.pp_addr a
           in
-          Format.eprintf "histotestd: listening on %s@." shown)
+          prerr_endline ("histotestd: listening on " ^ shown))
         bound;
       Ok (List.map snd bound)
 
@@ -77,62 +84,6 @@ let serve ~batch ~max_conns ~max_line_bytes listeners =
       let st = Netio.stats t in
       if st.Netio.overlong + st.Netio.write_drops > 0 then 1 else 0
 
-open Cmdliner
-
-let jobs_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "jobs" ] ~docv:"JOBS"
-        ~doc:
-          "Accepted for compatibility and ignored: the daemon serves on \
-           one domain.")
-
-let batch_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "batch" ] ~docv:"B"
-        ~doc:
-          "Execute up to $(docv) already-available requests \
-           per batch with one output flush (1 = line-at-a-time). \
-           Responses are byte-identical at any value.")
-
-let listen_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "listen" ] ~docv:"ADDR:PORT"
-        ~doc:
-          "Serve over TCP: accept concurrent clients on $(docv) (empty \
-           host or * = all interfaces, port 0 = ephemeral) instead of \
-           stdin/stdout.  Combinable with $(b,--unix).")
-
-let unix_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "unix" ] ~docv:"PATH"
-        ~doc:
-          "Serve over a Unix-domain socket bound at $(docv) (a stale \
-           socket file is replaced).  Combinable with $(b,--listen).")
-
-let max_conns_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "max-conns" ] ~docv:"N"
-        ~doc:
-          "Socket mode: maximum concurrent connections; past it, new \
-           clients wait in the kernel backlog until a slot frees.")
-
-let max_line_bytes_arg =
-  Arg.(
-    value
-    & opt int Netio.Reader.default_max_line_bytes
-    & info [ "max-line-bytes" ] ~docv:"BYTES"
-        ~doc:
-          "Reject request lines longer than $(docv) (default 1 MiB) with \
-           a wire error instead of buffering them without bound; in \
-           socket mode the offending connection is closed.")
-
 (* Shrink-only, so a smaller OCAMLRUNPARAM=s= wins; why the serve path
    needs no more is on Netio.nursery_words. *)
 let shrink_nursery () =
@@ -140,37 +91,80 @@ let shrink_nursery () =
   if params.Gc.minor_heap_size > Netio.nursery_words then
     Gc.set { params with Gc.minor_heap_size = Netio.nursery_words }
 
-let run (_jobs : int) batch listen unix_path max_conns max_line_bytes =
+let usage =
+  "histotestd [OPTION]...\n\n\
+   histogram-testing service: accumulate sharded observation counts, serve \
+   incremental verdicts over line-oriented JSON -- on stdin/stdout, TCP, or \
+   a Unix-domain socket.  A malformed command line or a value out of range \
+   exits 2.\n\nOptions:"
+
+let main () =
   shrink_nursery ();
-  if batch < 1 then begin
+  let batch = ref 64
+  and listen = ref None
+  and unix_path = ref None
+  and max_conns = ref 64
+  and max_line_bytes = ref Netio.Reader.default_max_line_bytes in
+  let specs =
+    Arg.align
+      [
+        ( "--jobs",
+          Arg.Int ignore,
+          "JOBS Accepted for compatibility and ignored: the daemon serves on \
+           one domain." );
+        ( "--batch",
+          Arg.Set_int batch,
+          "B Execute up to B already-available requests per batch with one \
+           output flush (1 = line-at-a-time; default 64).  Responses are \
+           byte-identical at any value." );
+        ( "--listen",
+          Arg.String (fun s -> listen := Some s),
+          "ADDR:PORT Serve over TCP: accept concurrent clients on ADDR:PORT \
+           (empty host or * = all interfaces, port 0 = ephemeral) instead of \
+           stdin/stdout.  Combinable with --unix." );
+        ( "--unix",
+          Arg.String (fun s -> unix_path := Some s),
+          "PATH Serve over a Unix-domain socket bound at PATH (a stale socket \
+           file is replaced).  Combinable with --listen." );
+        ( "--max-conns",
+          Arg.Set_int max_conns,
+          "N Socket mode: maximum concurrent connections (default 64); past \
+           it, new clients wait in the kernel backlog until a slot frees." );
+        ( "--max-line-bytes",
+          Arg.Set_int max_line_bytes,
+          "BYTES Reject request lines longer than BYTES (default 1 MiB) with a \
+           wire error instead of buffering them without bound; in socket mode \
+           the offending connection is closed." );
+        ( "--version",
+          Arg.Unit
+            (fun () ->
+              print_endline "1.0.0";
+              exit 0),
+          " Print the version and exit." );
+      ]
+  in
+  Arg.parse specs
+    (fun a -> raise (Arg.Bad ("unexpected argument '" ^ a ^ "'")))
+    usage;
+  if !batch < 1 then begin
     prerr_endline "error: --batch must be at least 1";
     2
   end
-  else if max_line_bytes < 1 then begin
+  else if !max_line_bytes < 1 then begin
     prerr_endline "error: --max-line-bytes must be at least 1";
     2
   end
-  else if max_conns < 1 then begin
+  else if !max_conns < 1 then begin
     prerr_endline "error: --max-conns must be at least 1";
     2
   end
   else
-    match bind_listeners ~listen ~unix_path with
+    match bind_listeners ~listen:!listen ~unix_path:!unix_path with
     | Error msg ->
         prerr_endline ("error: " ^ msg);
         2
-    | Ok listeners -> serve ~batch ~max_conns ~max_line_bytes listeners
+    | Ok listeners ->
+        serve ~batch:!batch ~max_conns:!max_conns
+          ~max_line_bytes:!max_line_bytes listeners
 
-let cmd =
-  let doc =
-    "histogram-testing service: accumulate sharded observation counts, \
-     serve incremental verdicts over line-oriented JSON — on \
-     stdin/stdout, TCP, or a Unix-domain socket"
-  in
-  Cmd.v
-    (Cmd.info "histotestd" ~version:"1.0.0" ~doc)
-    Term.(
-      const run $ jobs_arg $ batch_arg $ listen_arg $ unix_arg $ max_conns_arg
-      $ max_line_bytes_arg)
-
-let () = exit (Cmd.eval' cmd)
+let () = exit (main ())

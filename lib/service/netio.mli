@@ -65,9 +65,9 @@ val nursery_words : int
     own — and almost none of them survive a minor collection, so the
     runtime's default 256k-word (2 MiB) nursery is resident memory the
     daemon fills once and never needs.  The daemon only ever shrinks its
-    minor heap to this size (an [OCAMLRUNPARAM=s=] below it wins), the
-    mirror of [Parkit.Pool]'s enlarge-only policy for trial domains;
-    the library itself never changes a GC setting. *)
+    minor heap to this size (an [OCAMLRUNPARAM=s=] below it wins); that
+    shrink is the project's only GC setting, and the library itself
+    never changes one. *)
 
 (** Where to listen. *)
 type listen_addr =

@@ -195,6 +195,54 @@ let test_bad_flags () =
         (contains r.err "xception"))
     [ "--batch"; "--max-conns"; "--max-line-bytes" ]
 
+(* The command line (Stdlib.Arg): help and version on stdout with exit 0,
+   a malformed command line exits 2 before serving, and the flag forms
+   perf/ (--jobs 1) and the README (--batch=16) use serve as no flags. *)
+let test_help () =
+  let r = run [ "--help" ] "" in
+  check_exit "--help" 0 r;
+  List.iter
+    (fun flag ->
+      Alcotest.(check bool) ("--help lists " ^ flag) true
+        (contains r.out ("  " ^ flag ^ " ")))
+    [
+      "--jobs"; "--batch"; "--listen"; "--unix"; "--max-conns";
+      "--max-line-bytes"; "--version";
+    ]
+
+let test_version () =
+  let r = run [ "--version" ] "" in
+  check_exit "--version" 0 r;
+  Alcotest.(check string) "--version: the version" "1.0.0\n" r.out
+
+let test_malformed_command_line () =
+  List.iter
+    (fun args ->
+      let label = String.concat " " args in
+      let r = run args (lines [ config ]) in
+      check_exit label 2 r;
+      Alcotest.(check string) (label ^ ": nothing on stdout") "" r.out;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: no exception (%S)" label r.err)
+        false
+        (contains r.err "xception"))
+    [ [ "--bogus" ]; [ "--batch"; "x" ] ]
+
+let test_flag_forms () =
+  let script = [ config; observe "a" [ 1; 2; 3 ]; {|{"cmd":"verdict"}|} ] in
+  let input = lines script in
+  let plain = run [] input in
+  check_exit "no flags" 0 plain;
+  Alcotest.(check string) "no flags: the oracle's transcript" (oracle script)
+    plain.out;
+  List.iter
+    (fun args ->
+      let label = String.concat " " args in
+      let r = run args input in
+      check_exit label 0 r;
+      Alcotest.(check string) (label ^ ": as with no flags") plain.out r.out)
+    [ [ "--jobs"; "1" ]; [ "--batch=16" ] ]
+
 let () =
   Alcotest.run ~argv:[| Sys.argv.(0) |] "histotestd"
     [
@@ -210,5 +258,11 @@ let () =
             test_stdout_closed;
           Alcotest.test_case "zero flag values: exit 2, one line" `Quick
             test_bad_flags;
+          Alcotest.test_case "--help: exit 0, every flag" `Quick test_help;
+          Alcotest.test_case "--version prints 1.0.0" `Quick test_version;
+          Alcotest.test_case "malformed command line: exit 2" `Quick
+            test_malformed_command_line;
+          Alcotest.test_case "--jobs 1 and --batch=16 serve as no flags"
+            `Quick test_flag_forms;
         ] );
     ]
