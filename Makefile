@@ -66,7 +66,8 @@ lint-fixtures:
 	@echo "regenerated test/lint_fixtures/GOLDEN.txt"
 
 # One quick experiment per family (E1 accuracy sweep, E10 ablation, E17
-# parallel engine, E21 serve-path transcript gate): CI-style verification
+# parallel engine, E20 merge topology, E21 serve-path transcript gate):
+# CI-style verification
 # that harness changes did not regress behaviour, without a full sweep.
 bench-smoke:
 	dune build @bench-smoke

@@ -1,7 +1,7 @@
 (* E20 — merge topology: testing as aggregation of mergeable sufficient
    statistics.
 
-   Three measurements:
+   Five measurements:
 
    1. The determinism gate (the headline, wired into CI as
       `make bench-merge`): replay a fixed corpus — one yes-instance, one
@@ -31,6 +31,9 @@
       must still bracket true ranks with width <= 2*eps*N.  This flavor
       is ε-bounded, never bit-exact — reported honestly next to the
       exact gate.
+
+   5. Set-up cost, recorded: the median config miss on a fresh service
+      for staircase:8, khist:8 and comb:8 at n = 2^16 and n = 2^22.
 
    One machine-readable line per run is appended to BENCH_merge.json. *)
 
@@ -234,6 +237,47 @@ let run (mode : Exp_common.mode) =
     width_limit
     (if gk_pass then "PASS" else "FAIL");
 
+  (* 5. Set-up cost: the median config miss on a fresh service for three
+     piecewise families, at n = 2^16 and at the largest n a config may
+     ask for.  Recorded, not gated.  A piecewise build costs its pieces,
+     O(K log n), so the n = 2^22 reading should stay within a few times
+     the n = 2^16 one. *)
+  let setup_reps = if quick then 15 else 101 in
+  Exp_common.row "@.config miss on a fresh service, median of %d:@."
+    setup_reps;
+  Exp_common.row "%12s | %8s | %10s@." "family" "n" "miss us";
+  Exp_common.hline ();
+  let setup_rows =
+    List.concat_map
+      (fun family ->
+        List.map
+          (fun n ->
+            let times =
+              Array.init setup_reps (fun _ ->
+                  let svc = Service.create () in
+                  let r, t =
+                    Exp_common.wall_time_of (fun () ->
+                        Service.configure svc ~n ~family ~eps ~cells:None ~seed)
+                  in
+                  (match r with Ok _ -> () | Error msg -> failwith msg);
+                  t)
+            in
+            Array.sort Float.compare times;
+            let us = 1e6 *. times.(setup_reps / 2) in
+            Exp_common.row "%12s | %8d | %10.1f@." family n us;
+            (family, n, us))
+          [ 1 lsl 16; Service.max_n ])
+      [ "staircase:8"; "khist:8"; "comb:8" ]
+  in
+  let setup_us family n =
+    List.fold_left
+      (fun acc (f, m, us) -> if f = family && m = n then us else acc)
+      nan setup_rows
+  in
+  Exp_common.row "staircase:8 miss, n=%d over n=%d: %.1fx@." Service.max_n
+    (1 lsl 16)
+    (setup_us "staircase:8" Service.max_n /. setup_us "staircase:8" (1 lsl 16));
+
   let all_pass = gate_pass && verdict_pass && gk_pass in
   let json =
     Printf.sprintf
@@ -243,6 +287,7 @@ let run (mode : Exp_common.mode) =
        \"verdict_cost\":{\"n\":%d,\"reps\":%d,\"rows\":[%s],\"pass\":%b},\
        \"gk\":{\"eps\":%g,\"n\":%d,\"shards\":%d,\"invariant\":%b,\
        \"max_width\":%d,\"width_limit\":%d,\"pass\":%b},\
+       \"setup\":{\"reps\":%d,\"rows\":[%s]},\
        \"merge_gate_pass\":%b}"
       n k eps cells samples seed mode.Exp_common.jobs (Exp_common.nproc ())
       (String.concat ","
@@ -272,7 +317,14 @@ let run (mode : Exp_common.mode) =
                 ms words)
             verdict_rows))
       verdict_pass gk_eps gk_n gk_shards (Gk.invariant_ok merged) !max_width
-      width_limit gk_pass all_pass
+      width_limit gk_pass setup_reps
+      (String.concat ","
+         (List.map
+            (fun (family, n, us) ->
+              Printf.sprintf "{\"family\":\"%s\",\"n\":%d,\"miss_us\":%.1f}"
+                family n us)
+            setup_rows))
+      all_pass
   in
   let oc =
     open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 bench_file

@@ -115,8 +115,8 @@ let main () =
         ( "--batch",
           Arg.Set_int batch,
           "B Execute up to B already-available requests per batch with one \
-           output flush (1 = line-at-a-time; default 64).  Responses are \
-           byte-identical at any value." );
+           output flush (1 = line-at-a-time; default 64; at most 4096).  \
+           Responses are byte-identical at any value." );
         ( "--listen",
           Arg.String (fun s -> listen := Some s),
           "ADDR:PORT Serve over TCP: accept concurrent clients on ADDR:PORT \
@@ -148,6 +148,10 @@ let main () =
     usage;
   if !batch < 1 then begin
     prerr_endline "error: --batch must be at least 1";
+    2
+  end
+  else if !batch > Service.Batch.max_batch then begin
+    Printf.eprintf "error: --batch must be at most %d\n" Service.Batch.max_batch;
     2
   end
   else if !max_line_bytes < 1 then begin

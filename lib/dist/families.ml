@@ -12,7 +12,8 @@ let fresh n = (Array.make n 0. [@histolint.alloc_ok "the pmf's one array"])
    [Pmf.of_weights] normalizes the expansion: the total is the Neumaier
    sum of the n implicit weights in element order, taken a run at a
    time, so each level is bitwise the [w.(i) /. total] it computes —
-   in O(n) time and without an n-array. *)
+   without an n-array, and in O(K log n) time for K cells, since
+   [Kahan.add_run] takes a run's steps a binade at a time. *)
 let pieces part weights =
   let acc = Numkit.Kahan.create () in
   for j = 0 to Partition.cell_count part - 1 do

@@ -33,8 +33,10 @@ let[@histolint.hot] of_weights w =
   w
 
 (* The expansion of a piecewise-constant pmf.  Its mass is checked over
-   the cells, O(K), as [create] checks it over the elements, so the
-   result costs its one array and one [Array.fill] per cell. *)
+   the cells, O(K), as [create] checks it over the elements.  The cells
+   of a partition cover [0, n), so one [Array.fill] per cell writes
+   every entry of an uninitialized array once: the result costs its one
+   array and a single pass over it. *)
 let[@histolint.hot] of_pieces part levels =
   if Array.length levels <> Partition.cell_count part then
     invalid_arg "Pmf.of_pieces: one level per cell required";
@@ -51,7 +53,7 @@ let[@histolint.hot] of_pieces part levels =
     invalid_arg
       (Printf.sprintf "Pmf.of_pieces: total mass %.12g is not 1" total);
   let p =
-    (Array.make (Partition.domain_size part) 0.
+    (Array.create_float (Partition.domain_size part)
      [@histolint.alloc_ok "the pmf's one array"])
   in
   for j = 0 to Array.length levels - 1 do

@@ -28,11 +28,11 @@ val of_weights : float array -> t
 
 val of_pieces : Partition.t -> float array -> t
 (** [of_pieces part levels]: the pmf equal to [levels.(j)] on every
-    element of cell [j] of [part] — one fresh n-float array, filled a
-    cell at a time, so entry i is bitwise its cell's level.  The levels
-    are validated as {!create} validates entries, and the mass
-    Σ level·|cell| is checked over the K cells rather than the n
-    elements.  @raise Invalid_argument unless there is one finite,
+    element of cell [j] of [part] — one fresh n-float array, each entry
+    written once, a cell at a time, so entry i is bitwise its cell's
+    level.  The levels are validated as {!create} validates entries,
+    and the mass Σ level·|cell| is checked over the K cells rather than
+    the n elements.  @raise Invalid_argument unless there is one finite,
     nonnegative level per cell and the mass is 1 within 1e-9. *)
 
 val size : t -> int

@@ -19,8 +19,22 @@ val total : t -> float
 
 val add_run : t -> float -> int -> unit
 (** [add_run t x count] is [count] successive [add t x] calls, bit for
-    bit, in O(1) space: the total of a piecewise-constant sequence taken
-    a run at a time, without expanding it.  [count <= 0] adds nothing. *)
+    bit, in O(1) space and O(binades crossed) time, about log₂ [count]
+    for a sum that does not cancel: the total of a piecewise-constant
+    sequence taken a run at a time, without expanding it.  Steps that
+    stay inside one binade of the sum are taken a binade at a time;
+    zero, subnormal and non-finite sums, sign changes and binade
+    crossings take ordinary steps.  Allocates nothing.  [count <= 0]
+    adds nothing. *)
+
+val of_parts : sum:float -> comp:float -> t
+[@@histolint.keep "test_numkit starts add_run from any state"]
+(** An accumulator whose running sum and compensation are [sum] and
+    [comp] ({!total} is [sum +. comp]). *)
+
+val parts : t -> float * float
+[@@histolint.keep "test_numkit reads add_run's state bit for bit"]
+(** The running sum and the compensation, as {!of_parts} takes them. *)
 
 val sum_array : float array -> float
 (** Compensated sum of an array.  Allocates nothing, and is bitwise the

@@ -362,6 +362,8 @@ let create_reactor ?(batch = 64) ?(max_conns = 64)
     ?(max_line_bytes = Reader.default_max_line_bytes)
     ?(max_pending_bytes = 1 lsl 23) ~service ~listeners () =
   if batch < 1 then invalid_arg "Netio.create_reactor: batch < 1";
+  if batch > Service.Batch.max_batch then
+    invalid_arg "Netio.create_reactor: batch > Service.Batch.max_batch";
   if max_conns < 1 then invalid_arg "Netio.create_reactor: max_conns < 1";
   if max_line_bytes < 1 then
     invalid_arg "Netio.create_reactor: max_line_bytes < 1";

@@ -123,7 +123,8 @@ val create_reactor :
     [max_pending_bytes] (default 8 MiB) is the backpressure threshold on
     a connection's outbound queue.  SIGPIPE is set to ignore (a dying
     client must surface as EPIPE, not kill the daemon).
-    @raise Invalid_argument on non-positive parameters. *)
+    @raise Invalid_argument on non-positive parameters, and on a
+    [batch] above {!Service.Batch.max_batch}. *)
 
 val add_connection : t -> Unix.file_descr -> unit
 [@@histolint.keep "the accept path runs it; test_netio hands it socketpair ends"]

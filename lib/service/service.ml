@@ -422,9 +422,16 @@ module Batch = struct
 
   let unused = Error ""
 
+  (* An executor preallocates five [batch]-sized arrays, so an unbounded
+     batch is an unbounded allocation.  4096 is 16x the largest batch
+     E21 measures (256). *)
+  let max_batch = 4096
+
   (* [pool] is accepted and ignored: ingest runs on the caller's domain. *)
   let create ?pool:(_ : Parkit.Pool.t option) ?(batch = 1) service =
     if batch < 1 then invalid_arg "Service.Batch.create: batch < 1";
+    if batch > max_batch then
+      invalid_arg "Service.Batch.create: batch > Batch.max_batch";
     {
       service;
       batch;

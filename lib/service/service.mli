@@ -135,10 +135,15 @@ module Batch : sig
       owns the fast-path arena and the slot/response buffers, all reused
       across batches. *)
 
+  val max_batch : int
+  (** 4096: the largest [batch] an executor takes.  An executor
+      preallocates its slots, so the bound caps what one executor
+      holds. *)
+
   val create : ?pool:Parkit.Pool.t -> ?batch:int -> t -> exec
   (** Same parameters and defaults as {!serve} ([batch] defaults to 1;
       [pool] is ignored, as there).
-      @raise Invalid_argument if [batch < 1]. *)
+      @raise Invalid_argument if [batch < 1] or [batch > max_batch]. *)
 
   val count : exec -> int
   (** Requests staged in the current (unexecuted) batch. *)
@@ -220,7 +225,8 @@ val serve :
     and ignored: ingest is a few integer adds per value into one
     accumulator, and shard-parallel ingest never measured faster on
     the hosts it was tried on (EXPERIMENTS.md, E21).
-    @raise Invalid_argument if [batch < 1]. *)
+    @raise Invalid_argument if [batch < 1] or
+    [batch > Batch.max_batch]. *)
 
 val rendered_error : string -> string
 (** The wire error response for a message, as {!handle_line} writes it:

@@ -180,9 +180,9 @@ let test_stdout_closed () =
 
 let test_bad_flags () =
   List.iter
-    (fun flag ->
-      let r = run [ flag; "0" ] (lines [ config ]) in
-      let label = flag ^ " 0" in
+    (fun (flag, value) ->
+      let r = run [ flag; value ] (lines [ config ]) in
+      let label = flag ^ " " ^ value in
       check_exit label 2 r;
       Alcotest.(check string) (label ^ ": nothing on stdout") "" r.out;
       Alcotest.(check bool)
@@ -193,7 +193,12 @@ let test_bad_flags () =
       Alcotest.(check bool)
         (label ^ ": no exception") false
         (contains r.err "xception"))
-    [ "--batch"; "--max-conns"; "--max-line-bytes" ]
+    [
+      ("--batch", "0");
+      ("--batch", string_of_int (Service.Batch.max_batch + 1));
+      ("--max-conns", "0");
+      ("--max-line-bytes", "0");
+    ]
 
 (* The command line (Stdlib.Arg): help and version on stdout with exit 0,
    a malformed command line exits 2 before serving, and the flag forms
@@ -256,7 +261,7 @@ let () =
             test_unterminated_last_line;
           Alcotest.test_case "stdout closed early: ends non-zero" `Quick
             test_stdout_closed;
-          Alcotest.test_case "zero flag values: exit 2, one line" `Quick
+          Alcotest.test_case "out-of-range flag values: exit 2, one line" `Quick
             test_bad_flags;
           Alcotest.test_case "--help: exit 0, every flag" `Quick test_help;
           Alcotest.test_case "--version prints 1.0.0" `Quick test_version;

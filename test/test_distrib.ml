@@ -958,17 +958,33 @@ let test_pieces_expand_to_pins () =
 
 (* The normalization's total is [Kahan.add_run] over the runs: bitwise
    the compensated sum of the expansion, for runs of any length (empty
-   ones too) and levels of wildly different magnitudes. *)
+   ones too, and one in eight up to 2^17, which cross binades) and
+   levels of wildly different magnitudes, integers (comb's 3 and 1 give
+   a correction of exactly 0) and levels whose last significand bit is
+   set (they fall halfway between two multiples of a larger sum's
+   grid). *)
 let prop_run_total_is_expansion_sum =
   QCheck.Test.make ~name:"run total = Kahan.sum_array of the expansion (bits)"
     ~count:300 (QCheck.int_range 0 1_000_000) (fun seed ->
       let r = Randkit.Rng.create ~seed in
       let runs = 1 + Randkit.Rng.int r 12 in
       let level _ =
-        Randkit.Rng.float r 1. *. (10. ** float_of_int (Randkit.Rng.int r 33 - 16))
+        match Randkit.Rng.int r 4 with
+        | 0 -> float_of_int (1 + Randkit.Rng.int r 8)
+        | 1 ->
+            Int64.float_of_bits
+              (Int64.logor 1L
+                 (Int64.bits_of_float (0.05 +. Randkit.Rng.float r 1.)))
+        | _ ->
+            Randkit.Rng.float r 1.
+            *. (10. ** float_of_int (Randkit.Rng.int r 33 - 16))
       in
       let levels = Array.init runs level in
-      let lengths = Array.init runs (fun _ -> Randkit.Rng.int r 300) in
+      let lengths =
+        Array.init runs (fun _ ->
+            if Randkit.Rng.int r 8 = 0 then Randkit.Rng.int r ((1 lsl 17) + 1)
+            else Randkit.Rng.int r 300)
+      in
       let acc = Numkit.Kahan.create () in
       Array.iteri (fun j x -> Numkit.Kahan.add_run acc x lengths.(j)) levels;
       let expansion =
@@ -978,6 +994,47 @@ let prop_run_total_is_expansion_sum =
       Int64.equal
         (Int64.bits_of_float (Numkit.Kahan.total acc))
         (Int64.bits_of_float (Numkit.Kahan.sum_array expansion)))
+
+(* The four piecewise families at n = 2^22, the largest n a config may
+   ask for: every level is bitwise [w /. Kahan.sum_array] of the
+   expanded weights, as [Pmf.of_weights] would normalize them.  The
+   weights are the ones each family draws, in its order. *)
+let test_pieces_levels_at_max_n () =
+  let n = 1 lsl 22 in
+  let check spec weights =
+    let rng = Randkit.Rng.create ~seed:5 in
+    match Families.hypothesis_of_spec ~n ~rng spec with
+    | Ok (Families.Pieces h) ->
+        let part = Khist.partition h in
+        let weights = weights (Randkit.Rng.create ~seed:5) part in
+        let expansion = Array.create_float n in
+        Partition.iteri
+          (fun j cell ->
+            Array.fill expansion (Interval.lo cell) (Interval.length cell)
+              weights.(j))
+          part;
+        let total = Numkit.Kahan.sum_array expansion in
+        Array.iteri
+          (fun j w ->
+            Alcotest.(check int64)
+              (Printf.sprintf "%s level %d" spec j)
+              (Int64.bits_of_float (w /. total))
+              (Int64.bits_of_float (Khist.level h j)))
+          weights
+    | Ok (Families.Dense _) -> Alcotest.failf "%s: expanded" spec
+    | Error e -> Alcotest.failf "%s: %s" spec e
+  in
+  check "uniform" (fun _ _ -> [| 1. |]);
+  check "staircase:8" (fun rng _ ->
+      Array.init 8 (fun _ -> 0.1 +. Randkit.Rng.float rng 1.));
+  check "khist:8" (fun rng part ->
+      ignore
+        (Randkit.Sampler.sample_without_replacement rng ~n:(n - 1) ~k:7
+          : int list);
+      Array.init (Partition.cell_count part) (fun _ ->
+          0.05 +. Randkit.Rng.float rng 1.));
+  check "comb:8" (fun _ _ ->
+      Array.init 16 (fun b -> if b mod 2 = 0 then 3. else 1.))
 
 (* The constructors own their argument: the pmf is that array (no copy),
    and [of_weights] normalizes it in place.  A rejected array is left as
@@ -1079,6 +1136,8 @@ let () =
           Alcotest.test_case "pieces expand to the pinned bits" `Quick
             test_pieces_expand_to_pins;
           qc prop_run_total_is_expansion_sum;
+          Alcotest.test_case "levels at n = 2^22 = w / sum of the expansion"
+            `Quick test_pieces_levels_at_max_n;
         ] );
       ( "ops",
         [

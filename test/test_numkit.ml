@@ -70,6 +70,129 @@ let test_kahan_sum_sub_bounds () =
         (fun () -> ignore (Numkit.Kahan.sum_sub a ~pos ~len : float)))
     [ (-1, 1); (0, 4); (2, 2); (4, 0); (1, -1) ]
 
+(* [Kahan.add_run] takes whole binades at a time; it must leave the
+   accumulator exactly where [count] [add] calls leave it
+   ([Refkit.Kahan_naive]).  The cases start from any (sum, comp) and
+   draw increments that keep the sum inside a binade for a long stretch
+   (so the jumps and their span bound run), integers, ties (an odd
+   multiple of half the sum's grid, so the first step's parity differs
+   from the rest), ±0, subnormals, huge values, infinities, NaN and
+   increments that flip the sum's sign.  Counts are mostly up to 2^12,
+   one in twenty up to 2^17 and one in a thousand up to 2^22; the
+   naive loop bounds the test's time.  Equal means equal bits, except
+   that any two NaNs are equal: the sign and payload of a NaN sum follow
+   which operand the code generator puts first ([t.comp +. err] loads
+   [t.comp] from memory and adds it second), which IEEE 754 leaves
+   open. *)
+let add_run_case st =
+  let int n = Random.State.int st n and unit () = Random.State.float st 1. in
+  let signed v = if Random.State.bool st then v else -.v in
+  let special () =
+    match int 9 with
+    | 0 -> 0.
+    | 1 -> -0.
+    | 2 -> signed (Float.ldexp (float_of_int (1 + int 1_000_000)) (-1074))
+    | 3 -> signed (Float.ldexp (1. +. unit ()) (1000 + int 24))
+    | 4 -> infinity
+    | 5 -> neg_infinity
+    | 6 -> nan
+    | 7 -> signed max_float
+    | _ -> signed Float.min_float
+  in
+  let sum =
+    match int 10 with
+    | 0 -> special ()
+    | 1 -> signed (float_of_int (int 1_000_000))
+    | 2 ->
+        (* just below a power of two *)
+        signed
+          (Float.ldexp
+             (1. -. (float_of_int (int 64) *. epsilon_float /. 2.))
+             (int 40 - 20))
+    | 3 ->
+        (* just above one, often an odd multiple of its grid *)
+        signed
+          (Float.ldexp (1. +. (float_of_int (int 64) *. epsilon_float)) (int 40 - 20))
+    | _ -> signed (Float.ldexp (1. +. unit ()) (int 120 - 60))
+  in
+  let binade =
+    if Float.is_finite sum && sum <> 0. then snd (Float.frexp sum) - 1
+    else int 40 - 20
+  in
+  let x =
+    match int 10 with
+    | 0 -> special ()
+    | 1 -> signed (float_of_int (1 + int 4))
+    | 2 | 3 ->
+        (* a tie on the grid of the sum's binade or one of the next three *)
+        signed
+          (Float.ldexp
+             (float_of_int ((2 * int (1 lsl 20)) + 1))
+             (binade + int 4 - 53 - int 21))
+    | 4 -> -2. *. sum
+    | 5 -> -.sum
+    | _ -> signed (Float.ldexp (1. +. unit ()) (binade - int 60))
+  in
+  let comp =
+    match int 5 with
+    | 0 -> 0.
+    | 1 -> special ()
+    | 2 -> sum *. Float.ldexp (unit ()) (-53)
+    | _ -> signed (Float.ldexp (1. +. unit ()) (int 120 - 60))
+  in
+  let count =
+    match int 1000 with
+    | 0 -> int ((1 lsl 22) + 1)
+    | k when k < 50 -> int (1 lsl 17)
+    | k when k < 60 -> int 5 - 2
+    | _ -> int 4097
+  in
+  (sum, comp, x, count)
+
+let prop_add_run_is_the_naive_loop =
+  let run add_run (sum, comp, x, count) =
+    let t = Numkit.Kahan.of_parts ~sum ~comp in
+    add_run t x count;
+    Numkit.Kahan.parts t
+  in
+  let same a b =
+    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+    || (Float.is_nan a && Float.is_nan b)
+  in
+  QCheck.Test.make ~name:"add_run = the naive loop (sum and comp bits)"
+    ~count:100_000
+    (QCheck.make
+       ~print:(fun (sum, comp, x, count) ->
+         Printf.sprintf "sum %h comp %h x %h count %d" sum comp x count)
+       add_run_case)
+    (fun case ->
+      let fs, fc = run Numkit.Kahan.add_run case in
+      let ns, nc = run Refkit.Kahan_naive.add_run case in
+      same fs ns && same fc nc)
+
+(* A run costs its binades, on local floats: nothing boxed, whatever its
+   length, in the dev profile (no cross-module inlining) and in release. *)
+let test_add_run_allocates_nothing () =
+  let t = Numkit.Kahan.create () in
+  List.iter
+    (fun (x, count) ->
+      let (), { Refkit.Alloc.minor; direct_major; _ } =
+        Refkit.Alloc.measure (fun () -> Numkit.Kahan.add_run t x count)
+      in
+      let label = Printf.sprintf "x = %h, %d steps" x count in
+      Alcotest.(check (float 0.)) (label ^ ": minor words") 0. minor;
+      Alcotest.(check (float 0.)) (label ^ ": direct major words") 0.
+        direct_major)
+    [
+      (0.1, 1 lsl 22);
+      (0.7 /. 3., 1 lsl 22);
+      (3., 1 lsl 20);
+      (Float.ldexp 3. (-60), 1 lsl 22);
+      (-1e-7, 1 lsl 22);
+      (0., 1 lsl 22);
+      (nan, 1000);
+    ]
+
 (* --- Special --- *)
 
 let test_log_gamma_half () =
@@ -556,6 +679,9 @@ let () =
           Alcotest.test_case "sum_array" `Quick test_kahan_sum_array;
           Alcotest.test_case "sum_sub bounds" `Quick test_kahan_sum_sub_bounds;
           qc prop_kahan_loop_bitwise;
+          qc prop_add_run_is_the_naive_loop;
+          Alcotest.test_case "add_run allocates nothing" `Quick
+            test_add_run_allocates_nothing;
         ] );
       ( "special",
         [

@@ -1090,11 +1090,16 @@ let test_serve_blank_and_quit () =
   Alcotest.(check int) "same request count" ref_requests
     stats.Service.requests;
   Alcotest.(check bool) "fast path was used" true (stats.Service.fast_hits > 0);
-  Alcotest.(check bool) "batch < 1 rejected" true
-    (try
-       ignore (serve_in_memory ~batch:0 script);
-       false
-     with Invalid_argument _ -> true)
+  List.iter
+    (fun batch ->
+      Alcotest.(check bool)
+        (Printf.sprintf "batch %d rejected" batch)
+        true
+        (try
+           ignore (serve_in_memory ~batch script);
+           false
+         with Invalid_argument _ -> true))
+    [ 0; Service.Batch.max_batch + 1 ]
 
 (* One renderer per response kind: in one batch, a canonical ingest
    line (the Scan fast path) and its non-canonical twin (the strict
