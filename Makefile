@@ -37,14 +37,15 @@ sloc:
 
 # Static invariants: histolint scans the compiled typedtrees
 # (_build/default/**/*.cmt) for determinism and float-discipline
-# violations plus the v2 interprocedural passes — domain-safety of
-# closures handed to Parkit.Pool, and [@histolint.hot] allocation
-# discipline, and dead/unreferenced-export: every val a lib/ .mli
-# exports is referenced by another production unit or carries an audited
-# [@@histolint.keep "reason"] (see DESIGN.md "Static invariants").  Per-unit function
-# summaries are computed in memory on every run.
-# Non-zero exit on any unsuppressed error-severity finding or unknown
-# rule id in a suppression.
+# violations plus the v2 interprocedural passes: one walk summarizes
+# every function's effects in memory, and two checks read the
+# summaries — domain-safety of closures handed to Parkit.Pool, and
+# [@histolint.hot] allocation discipline; and dead/unreferenced-export:
+# every val a lib/ .mli exports is referenced by another production
+# unit or carries an audited [@@histolint.keep "reason"] (see DESIGN.md
+# "Static invariants").  Non-zero exit on any unsuppressed
+# error-severity finding, unknown rule id in a suppression, or a scan
+# that found no .cmt.
 lint:
 	dune build @lint
 

@@ -4,7 +4,8 @@
    PATHs are .cmt files or directories searched recursively (default:
    _build/default, falling back to the current directory).  Exits 1 when
    any unsuppressed error-severity finding remains; --strict promotes
-   warnings to failures too. *)
+   warnings to failures too.  Exits 2 on a usage error, a path that
+   does not exist, or a scan that found no .cmt file. *)
 
 let usage =
   "histolint [--json] [--strict] [--lib-prefix P] [--only RULE] [--rules] \
@@ -75,10 +76,18 @@ let () =
         else [ "." ]
     | ps -> ps
   in
+  (* A mistyped path must not pass as a clean scan. *)
+  let refuse fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt in
+  List.iter
+    (fun p ->
+      if not (Sys.file_exists p) then refuse "histolint: no such path `%s`" p)
+    paths;
   let config =
     { Histolint_lib.Engine.lib_prefixes = List.rev !lib_prefixes }
   in
   let report = Histolint_lib.Engine.scan_paths config paths in
+  if report.Histolint_lib.Engine.units = 0 then
+    refuse "histolint: no .cmt file under %s" (String.concat ", " paths);
   let report =
     match !only with
     | [] -> report

@@ -9,17 +9,33 @@
 
 open Cmdliner
 
+(* [conv] restricted to the values [ok] admits: anything else is a
+   command-line error (exit 124) naming the range, never an uncaught
+   exception further in. *)
+let checked conv ok ~range =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" range s))
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive = checked Arg.int (fun k -> k >= 1) ~range:"a positive integer"
+
 let n_arg =
   Arg.(value & opt int 4096 & info [ "n"; "domain" ] ~docv:"N" ~doc:"Domain size.")
 
 let k_arg =
-  Arg.(value & opt int 4 & info [ "k"; "pieces" ] ~docv:"K" ~doc:"Histogram pieces.")
+  Arg.(
+    value & opt positive 4
+    & info [ "k"; "pieces" ] ~docv:"K" ~doc:"Histogram pieces (at least 1).")
 
 let eps_arg =
   Arg.(
     value
-    & opt float 0.25
-    & info [ "eps" ] ~docv:"EPS" ~doc:"Distance parameter.")
+    & opt (checked float (fun e -> e > 0. && e <= 1.) ~range:"a number in (0, 1]")
+        0.25
+    & info [ "eps" ] ~docv:"EPS" ~doc:"Distance parameter, in (0, 1].")
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
@@ -38,16 +54,9 @@ let trials_arg =
     value & opt int 1 & info [ "trials" ] ~docv:"T" ~doc:"Independent trials.")
 
 let jobs_arg =
-  let non_negative =
-    let parse s =
-      match int_of_string_opt s with
-      | Some j when j >= 0 -> Ok j
-      | _ -> Error (`Msg ("expected a non-negative integer, got " ^ s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(
-    value & opt non_negative 0
+    value
+    & opt (checked int (fun j -> j >= 0) ~range:"a non-negative integer") 0
     & info [ "jobs" ] ~docv:"JOBS"
         ~doc:
           "Domains for the trial loop (results are bit-identical at any \
@@ -169,7 +178,8 @@ let run_select family n eps seed k_max paper =
 
 let k_max_arg =
   Arg.(
-    value & opt int 256 & info [ "k-max" ] ~docv:"KMAX" ~doc:"Search limit.")
+    value & opt positive 256
+    & info [ "k-max" ] ~docv:"KMAX" ~doc:"Search limit (at least 1).")
 
 let select_cmd =
   let doc = "Find the smallest k accepted by the tester (doubling search)." in
@@ -329,6 +339,10 @@ let read_dataset path =
       raise e);
   List.rev !values
 
+(* The dataset's domain is held as dense arrays (counts, the pmf, the
+   sampler's tables), so it is bounded: 2^24 values. *)
+let max_file_domain = 1 lsl 24
+
 let run_test_file path domain k eps seed trials jobs oracle =
   match read_dataset path with
   | exception Sys_error msg ->
@@ -343,7 +357,12 @@ let run_test_file path domain k eps seed trials jobs oracle =
   | values ->
       let max_v = List.fold_left max 0 values in
       let n = if domain > 0 then domain else max_v + 1 in
-      if List.exists (fun v -> v < 0 || v >= n) values then begin
+      if n > max_file_domain then begin
+        Printf.eprintf "error: domain %d is above the bound %d (2^24)\n" n
+          max_file_domain;
+        1
+      end
+      else if List.exists (fun v -> v < 0 || v >= n) values then begin
         prerr_endline "error: dataset values outside [0, domain)";
         1
       end
@@ -404,7 +423,7 @@ let domain_opt_arg =
   Arg.(
     value & opt int 0
     & info [ "n"; "domain" ] ~docv:"N"
-        ~doc:"Domain size (default: max value + 1).")
+        ~doc:"Domain size (default: max value + 1; at most 2^24).")
 
 let test_file_cmd =
   let doc =

@@ -1,12 +1,13 @@
 (* The histolint engine, v2: a two-pass scan over the compiled
    typedtrees.
 
-   Pass A summarizes every compilation unit (Summary.of_structure) in
-   memory and builds the cross-module table.  Pass B walks each
-   typedtree once more, running the v1 per-expression rules, the
-   interprocedural race pass at every pool call site (race.ml), and —
-   from the summaries — the hot-path allocation pass (alloc.ml), all
-   feeding the same suppression machinery and audit trail. *)
+   Pass A summarizes every compilation unit (Summary.of_structure, the
+   one effect walker) in memory and builds the cross-module table.
+   Pass B walks each typedtree once more for the v1 per-expression
+   rules and the suppression attributes, then runs the two summary
+   checks — the race pass (race.ml) and the hot-path allocation pass
+   (alloc.ml) — all feeding the same suppression machinery and audit
+   trail. *)
 
 type config = { lib_prefixes : string list }
 
@@ -14,15 +15,17 @@ type report = {
   findings : Finding.t list;
   suppressed : Finding.t list;
   audit : Finding.audit list;
+  units : int;
 }
 
-let empty_report = { findings = []; suppressed = []; audit = [] }
+let empty_report = { findings = []; suppressed = []; audit = []; units = 0 }
 
 let merge a b =
   {
     findings = a.findings @ b.findings;
     suppressed = a.suppressed @ b.suppressed;
     audit = a.audit @ b.audit;
+    units = a.units + b.units;
   }
 
 let count sev r =
@@ -153,36 +156,26 @@ let allow_matches allow ~file ~cnum ~rule_name =
 type ctx = {
   scope : Rules.scope;
   fallback_file : string;
-  modname : string;
   table : Summary.table;
-  toplevel : (string, unit) Hashtbl.t;
-  mutable local_fns : (Ident.t * Typedtree.expression) list;
   mutable raw : (Finding.t * int) list;  (* finding, char offset *)
   mutable pre_suppressed : Finding.t list;  (* suppressed by [@disjoint] *)
   mutable allows : allow list;
   mutable audits : Finding.audit list;
 }
 
-let mk_finding ctx rule (loc : Location.t) message =
-  if Rules.applies rule ctx.scope then
-    let file =
-      if String.equal loc.loc_start.pos_fname "" then ctx.fallback_file
-      else normalize_source loc.loc_start.pos_fname
-    in
-    Some
-      {
-        Finding.file;
-        line = loc.loc_start.pos_lnum;
-        col = loc.loc_start.pos_cnum - loc.loc_start.pos_bol;
-        rule;
-        message;
-      }
-  else None
+(* A finding at [s], with the char offset allows are matched against. *)
+let finding_at (s : Summary.sloc) rule message =
+  ( { Finding.file = s.s_file; line = s.s_line; col = s.s_col; rule; message },
+    s.s_cnum )
 
-let add_finding ctx rule (loc : Location.t) message =
-  match mk_finding ctx rule loc message with
-  | Some finding -> ctx.raw <- (finding, loc.loc_start.pos_cnum) :: ctx.raw
-  | None -> ()
+let add_finding_at ctx rule s message =
+  if Rules.applies rule ctx.scope then
+    ctx.raw <- finding_at s rule message :: ctx.raw
+
+let add_finding ctx rule loc message =
+  add_finding_at ctx rule
+    (Summary.sloc_of ~fallback:ctx.fallback_file loc)
+    message
 
 let audited_scope ctx =
   match ctx.scope with
@@ -273,24 +266,23 @@ let collect_allows ctx ~(range : Location.t) attrs =
       ctx.allows <- allow :: ctx.allows)
     (allows_of_attributes ~range attrs)
 
+(* --- the summary checks: race pass, alloc pass + markers ----------------- *)
+
 let handle_race_verdict ctx (v : Race.verdict) =
   let findings =
-    List.filter_map
+    List.map
       (fun (s : Race.site) ->
-        match mk_finding ctx Rules.Par_shared_mutable s.rf_loc s.rf_msg with
-        | Some f -> Some (f, s.rf_loc.Location.loc_start.pos_cnum)
-        | None -> None)
+        finding_at s.rf_loc Rules.Par_shared_mutable s.rf_msg)
       v.sites
   in
   match v.disjoint with
   | None -> List.iter (fun fc -> ctx.raw <- fc :: ctx.raw) findings
-  | Some (dloc, reason) -> (
+  | Some (d, reason) -> (
       add_audit ctx
         {
-          Finding.au_file = normalize_source dloc.Location.loc_start.pos_fname;
-          au_line = dloc.Location.loc_start.pos_lnum;
-          au_col =
-            dloc.Location.loc_start.pos_cnum - dloc.Location.loc_start.pos_bol;
+          Finding.au_file = d.Summary.s_file;
+          au_line = d.Summary.s_line;
+          au_col = d.Summary.s_col;
           au_kind = "disjoint";
           au_rules = [ Rules.name Rules.Par_shared_mutable ];
           au_reason = reason;
@@ -300,7 +292,7 @@ let handle_race_verdict ctx (v : Race.verdict) =
       | Some _ -> ctx.pre_suppressed <- List.map fst findings @ ctx.pre_suppressed
       | None ->
           (* reason missing: the suppression is void and itself a finding *)
-          add_finding ctx Rules.Lint_unknown_allow dloc
+          add_finding_at ctx Rules.Lint_unknown_allow d
             "[@histolint.disjoint] is missing its mandatory reason string";
           List.iter (fun fc -> ctx.raw <- fc :: ctx.raw) findings)
 
@@ -311,23 +303,11 @@ let iterator ctx =
     (match e.exp_desc with
     | Typedtree.Texp_ident (path, lid, _) ->
         check_ident ctx path lid.loc e.exp_type
-    | Typedtree.Texp_apply _ -> (
-        if Rules.applies Rules.Par_shared_mutable ctx.scope then
-          match
-            Race.check_apply ~table:ctx.table ~modname:ctx.modname
-              ~toplevel:ctx.toplevel ~local_fns:ctx.local_fns e
-          with
-          | None -> ()
-          | Some v -> handle_race_verdict ctx v)
     | _ -> ());
     default.expr sub e
   in
   let value_binding sub (vb : Typedtree.value_binding) =
     collect_allows ctx ~range:vb.vb_loc vb.vb_attributes;
-    (match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
-    | Typedtree.Tpat_var (id, _), Typedtree.Texp_function _ ->
-        ctx.local_fns <- (id, vb.vb_expr) :: ctx.local_fns
-    | _ -> ());
     default.value_binding sub vb
   in
   let structure_item sub (si : Typedtree.structure_item) =
@@ -345,22 +325,15 @@ let iterator ctx =
   in
   { default with expr; value_binding; structure_item }
 
-(* --- alloc pass + markers ----------------------------------------------- *)
+let run_race_pass ctx msum =
+  if Rules.applies Rules.Par_shared_mutable ctx.scope then
+    List.iter (handle_race_verdict ctx) (Race.check_module ~table:ctx.table msum)
 
 let run_alloc_pass ctx (msum : Summary.module_summary) =
   if Rules.applies Rules.Hot_alloc ctx.scope then begin
     List.iter
       (fun (s : Alloc.site) ->
-        let finding =
-          {
-            Finding.file = s.af_loc.Summary.s_file;
-            line = s.af_loc.Summary.s_line;
-            col = s.af_loc.Summary.s_col;
-            rule = Rules.Hot_alloc;
-            message = s.af_msg;
-          }
-        in
-        ctx.raw <- (finding, s.af_loc.Summary.s_cnum) :: ctx.raw)
+        ctx.raw <- finding_at s.af_loc Rules.Hot_alloc s.af_msg :: ctx.raw)
       (Alloc.check_module ~table:ctx.table msum);
     List.iter
       (fun (mk : Summary.marker) ->
@@ -375,26 +348,7 @@ let run_alloc_pass ctx (msum : Summary.module_summary) =
             au_used = mk.mk_hits > 0;
           };
         if Option.is_none mk.mk_reason then
-          let loc =
-            {
-              Location.loc_start =
-                {
-                  Lexing.pos_fname = mk.mk_loc.Summary.s_file;
-                  pos_lnum = mk.mk_loc.Summary.s_line;
-                  pos_bol = 0;
-                  pos_cnum = mk.mk_loc.Summary.s_col;
-                };
-              loc_end =
-                {
-                  Lexing.pos_fname = mk.mk_loc.Summary.s_file;
-                  pos_lnum = mk.mk_loc.Summary.s_line;
-                  pos_bol = 0;
-                  pos_cnum = mk.mk_loc.Summary.s_col;
-                };
-              loc_ghost = false;
-            }
-          in
-          add_finding ctx Rules.Lint_unknown_allow loc
+          add_finding_at ctx Rules.Lint_unknown_allow mk.mk_loc
             "[@histolint.alloc_ok] is missing its mandatory reason string")
       msum.m_markers
   end
@@ -438,32 +392,13 @@ let summarize u =
   Summary.of_structure ~modname:u.u_modname ~source:u.u_source ?intf:u.u_intf
     u.u_structure
 
-let toplevel_stamps (str : Typedtree.structure) =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (si : Typedtree.structure_item) ->
-      match si.str_desc with
-      | Typedtree.Tstr_value (_, vbs) ->
-          List.iter
-            (fun (vb : Typedtree.value_binding) ->
-              List.iter
-                (fun id -> Hashtbl.replace tbl (Ident.unique_name id) ())
-                (Typedtree.pat_bound_idents vb.vb_pat))
-            vbs
-      | _ -> ())
-    str.str_items;
-  tbl
-
 let scan_unit config table u msum =
   let scope = Rules.scope_of_path ~lib_prefixes:config.lib_prefixes u.u_source in
   let ctx =
     {
       scope;
       fallback_file = u.u_source;
-      modname = Summary.canonical u.u_modname;
       table;
-      toplevel = toplevel_stamps u.u_structure;
-      local_fns = [];
       raw = [];
       pre_suppressed = [];
       allows = [];
@@ -472,6 +407,7 @@ let scan_unit config table u msum =
   in
   let it = iterator ctx in
   it.structure it u.u_structure;
+  run_race_pass ctx msum;
   run_alloc_pass ctx msum;
   let live, suppressed =
     List.partition
@@ -509,6 +445,7 @@ let scan_unit config table u msum =
     findings = List.map fst live;
     suppressed = List.map fst suppressed @ ctx.pre_suppressed;
     audit = allow_audits @ ctx.audits;
+    units = 1;
   }
 
 (* --- dead exports: a whole-program pass over the summaries --------------- *)
@@ -589,11 +526,11 @@ let dead_exports config (summaries : Summary.module_summary list) =
         if Option.is_some reason then
           { empty_report with suppressed = dead; audit = [ audit ] }
         else
-          { findings =
+          { empty_report with
+            findings =
               finding Rules.Lint_unknown_allow
                 "[@@histolint.keep] is missing its mandatory reason string"
               :: dead;
-            suppressed = [];
             audit = [ audit ] }
   in
   List.fold_left
@@ -619,6 +556,7 @@ let rec collect_cmts acc path =
 
 let finalize report =
   {
+    report with
     findings = List.sort_uniq Finding.compare report.findings;
     suppressed = List.sort_uniq Finding.compare report.suppressed;
     audit = List.sort_uniq Finding.audit_compare report.audit;

@@ -1,12 +1,13 @@
 (** The histolint engine, v2: loads compiled typedtrees ([.cmt]
     files, via [compiler-libs.common]) and lints them in two passes.
 
-    Pass A computes a per-function summary of every compilation unit
-    ({!Summary}) in memory, on every run, and builds the cross-module
-    table.  Pass B walks each typedtree running the v1
-    per-expression rules, the interprocedural domain-safety pass
-    ({!Race}) at every [Parkit.Pool] call site, and the hot-path
-    allocation pass ({!Alloc}) over the summaries.  Once every unit is
+    Pass A runs the one effect walker ({!Summary}) over every
+    compilation unit, in memory, on every run, and builds the
+    cross-module table.  Pass B walks each typedtree for the v1
+    per-expression rules and the suppression attributes only, then
+    runs two checks over the unit's summary: the interprocedural
+    domain-safety pass ({!Race}) at every [Parkit.Pool] call site and
+    the hot-path allocation pass ({!Alloc}).  Once every unit is
     summarized, the dead-export pass checks each [lib/] interface's
     values against the references of the other production units.
 
@@ -32,6 +33,7 @@ type report = {
   findings : Finding.t list;  (** live findings, sorted *)
   suppressed : Finding.t list;  (** suppressed by an allow attribute, sorted *)
   audit : Finding.audit list;  (** every suppression site, sorted *)
+  units : int;  (** compilation units scanned *)
 }
 
 val errors : report -> int
@@ -44,4 +46,6 @@ val rule_counts : report -> (string * int) list
 val scan_paths : config -> string list -> report
 (** Recursively collect [.cmt] files under each path (directories are
     walked in sorted order, so reports are deterministic), summarize
-    them all, and lint them against the combined table. *)
+    them all, and lint them against the combined table.  A path that
+    does not exist contributes nothing: [units] counts what was
+    found. *)

@@ -1,34 +1,26 @@
-(** The domain-safety pass ([par/shared-mutable-capture]).
+(** The domain-safety pass ([par/shared-mutable-capture]): a check over
+    the {!Summary} records, as {!Alloc} is for [hot/alloc].
 
-    Analyzes every function-typed argument of a [Parkit.Pool.map/init]
-    (or [Domain.spawn]) application: mutable locations the
-    task closure reaches that are not private to the task — captured
+    Every task of a [Parkit.Pool.map/init] (or [Domain.spawn]) call —
+    a closure, or a local function passed by name — is checked for the
+    mutable locations it reaches that are not private to it: captured
     refs/arrays/Bytes/Buffer/Hashtbl, mutable record fields,
-    module-level state, including through helper calls resolved via
-    the {!Summary} table — are reported, unless accessed through the
-    index-disjoint slot pattern ([arr.(i) <- v] with [i] mentioning a
-    closure parameter). *)
+    module-level state, including through local helpers it calls and
+    through module-level callees resolved via the summary table.  An
+    indexed store whose index mentions the task's own parameter
+    ([arr.(i) <- v]) is the sanctioned disjoint-slot pattern and is not
+    reported.  A module-level function passed as the task is checked
+    for the module-level state it reaches. *)
 
-type site = { rf_loc : Location.t; rf_msg : string }
+type site = { rf_loc : Summary.sloc; rf_msg : string }
 
 type verdict = {
   sites : site list;  (** hazards found at this pool call, in source order *)
-  disjoint : (Location.t * string option) option;
+  disjoint : (Summary.sloc * string option) option;
       (** a [\@histolint.disjoint] on the application: its location
           and reason ([None] = reason missing, which the engine turns
           into a [lint/unknown-allow] finding) *)
 }
 
-val check_apply :
-  table:Summary.table ->
-  modname:string ->
-  toplevel:(string, unit) Hashtbl.t ->
-  local_fns:(Ident.t * Typedtree.expression) list ->
-  Typedtree.expression ->
-  verdict option
-(** [None] when the expression is not a pool-entrypoint application.
-    [toplevel] holds the ident stamps of the module's own top-level
-    bindings (so a bare [Pident] can be told apart from a captured
-    local); [local_fns] maps [let]-bound function idents seen so far
-    to their defining expressions, letting the pass walk a task body
-    passed by name. *)
+val check_module : table:Summary.table -> Summary.module_summary -> verdict list
+(** One verdict per pool call of the unit. *)

@@ -1,11 +1,12 @@
 (* Per-function summaries over the typedtree: what a function
-   allocates, whom it calls (and which of its parameters it forwards),
-   which of its parameters it mutates, and which module-level mutable
-   locations it touches.  The race pass (race.ml) and the hot-path
-   allocation pass (alloc.ml) both query these bottom-up, which is
-   what makes histolint v2 interprocedural: a helper that leaks a
-   captured ref, or allocates, two calls away from the flagged site is
-   still seen.
+   allocates, whom it calls (and the root of every argument it passes),
+   what it mutates or dereferences (and whether each root is its own
+   parameter, a local, a capture or module-level state), and which pool
+   calls it makes.  This is histolint's one effect walker: the race pass
+   (race.ml) and the hot-path allocation pass (alloc.ml) both read its
+   records bottom-up, which is what makes histolint v2
+   interprocedural: a helper that leaks a captured ref, or allocates,
+   two calls away from the flagged site is still seen.
 
    Summaries are computed in memory on every run. *)
 
@@ -311,32 +312,48 @@ type alloc_site = {
   a_cold : string option;  (** Some reason: under [\@histolint.alloc_ok] *)
 }
 
-type call_site = {
-  c_callee : string;  (** canonical *)
-  c_loc : sloc;
-  c_cold : string option;
-  c_param_args : (int * int) list;
-      (** (callee nolabel arg position, caller param index) for
-          arguments that are exactly one of the caller's parameters *)
+type root =
+  | R_param of int
+  | R_local
+  | R_captured of Ident.t
+  | R_global of string
+  | R_opaque
+
+type effect_op = Mutate of string | Write_field of string | Deref of string
+
+type access = {
+  x_op : effect_op;
+  x_root : root;
+  x_loc : sloc;
+  x_slot : Ident.t list;
 }
 
-type access_kind = Read | Write
+type arg = { ar_root : root; ar_exact : bool; ar_loc : sloc }
 
-type global_access = {
-  g_path : string;  (** canonical *)
-  g_kind : access_kind;
-  g_loc : sloc;
-  g_desc : string;
+type call_site = {
+  c_callee : string;
+  c_local : bool;
+  c_loc : sloc;
+  c_cold : string option;
+  c_args : arg list;
 }
 
 type func_summary = {
   f_name : string;  (** canonical, module-qualified *)
   f_loc : sloc;
   f_hot : bool;
+  f_params : Ident.t list;
   f_allocs : alloc_site list;
   f_calls : call_site list;
-  f_mutates : int list;  (** nolabel parameter indices *)
-  f_globals : global_access list;
+  f_access : access list;
+}
+
+type task = T_frame of func_summary | T_named of string * sloc
+
+type pool_site = {
+  p_loc : sloc;
+  p_disjoint : string option option;
+  p_tasks : task list;
 }
 
 type marker = {
@@ -356,6 +373,8 @@ type module_summary = {
   m_source : string;  (** normalized source path *)
   m_funcs : func_summary list;
   m_markers : marker list;
+  m_pools : pool_site list;
+  m_locals : (string, func_summary) Hashtbl.t;
   m_refs : string list;  (** canonical value paths the unit mentions *)
   m_whole : string list;  (** canonical module paths it uses whole *)
   m_exports : export list;  (** the [val]s of its .mli *)
@@ -413,18 +432,25 @@ let head_ident (f : Typedtree.expression) =
 let is_arrow ty =
   match Types.get_desc ty with Types.Tarrow _ -> true | _ -> false
 
-(* Does [e] mention any of [idents]?  Used for the disjoint-slot
-   exemption: `arr.(i) <- v` is slot-private when the index expression
-   involves a closure parameter. *)
-let mentions_ident idents (e : Typedtree.expression) =
-  let found = ref false in
+(* The applications whose function arguments run as concurrent tasks. *)
+let is_pool_apply f =
+  match head_ident f with
+  | Some p ->
+      List.mem (canonical_of_path p)
+        [ "Parkit.Pool.map"; "Parkit.Pool.init"; "Domain.spawn" ]
+  | None -> false
+
+(* The local names [e] mentions.  An indexed store keeps those of its
+   index: `arr.(i) <- v` is slot-private to the task whose parameter
+   [i] is. *)
+let idents_in (e : Typedtree.expression) =
+  let found = ref [] in
   let default = Tast_iterator.default_iterator in
   let expr sub (e : Typedtree.expression) =
     (match e.exp_desc with
-    | Typedtree.Texp_ident (Path.Pident id, _, _) ->
-        if List.exists (Ident.same id) idents then found := true
+    | Typedtree.Texp_ident (Path.Pident id, _, _) -> found := id :: !found
     | _ -> ());
-    if not !found then default.expr sub e
+    default.expr sub e
   in
   let it = { default with expr } in
   it.expr it e;
@@ -432,85 +458,158 @@ let mentions_ident idents (e : Typedtree.expression) =
 
 (* --- the summary walk --------------------------------------------------- *)
 
+(* One function being walked: a top-level binding, a [let]-bound local
+   function, or a closure handed to a pool.  Records are kept newest
+   first. *)
+type frame = {
+  fr_depth : int;  (** how many frames enclose it *)
+  fr_params : (Ident.t * int) list;  (** param ident -> nolabel index *)
+  mutable fr_allocs : alloc_site list;
+  mutable fr_calls : call_site list;
+  mutable fr_access : access list;
+}
+
+let new_frame depth params =
+  { fr_depth = depth; fr_params = params; fr_allocs = []; fr_calls = [];
+    fr_access = [] }
+
 type walk_state = {
   ws_fallback : string;
-  ws_bound : (string, unit) Hashtbl.t;  (** Ident stamps bound in scope *)
-  ws_params : (Ident.t * int) list;  (** param ident -> nolabel index *)
+  ws_bound : (string, int) Hashtbl.t;
+      (** Ident stamps bound in the binding -> depth of the frame binding
+          them *)
   ws_modname : string;  (** the enclosing (sub)module's path *)
   ws_scope : (string, string) Hashtbl.t;
       (** module-level Ident stamps -> qualified names: a submodule's
           bare reference to an outer value resolves to the outer path *)
-  mutable ws_allocs : alloc_site list;
-  mutable ws_calls : call_site list;
-  mutable ws_mutates : int list;
-  mutable ws_globals : global_access list;
+  ws_locals : (string, func_summary) Hashtbl.t;
+      (** the unit's local functions, by Ident stamp *)
+  mutable ws_frame : frame;  (** the innermost frame *)
+  mutable ws_pools : pool_site list;
   mutable ws_cold : marker list;  (** innermost alloc_ok region first *)
   mutable ws_markers : marker list;
   mutable ws_skip_head : Typedtree.expression option;
 }
 
-let bind st id = Hashtbl.replace st.ws_bound (Ident.unique_name id) ()
-let is_bound st id = Hashtbl.mem st.ws_bound (Ident.unique_name id)
+let bind st id =
+  Hashtbl.replace st.ws_bound (Ident.unique_name id) st.ws_frame.fr_depth
 
 let qualify st id =
   match Hashtbl.find_opt st.ws_scope (Ident.unique_name id) with
   | Some q -> q
   | None -> st.ws_modname ^ "." ^ Ident.name id
 
-let param_index st id =
-  List.find_map
-    (fun (p, i) -> if Ident.same p id then Some i else None)
-    st.ws_params
+(* How frame [fr] sees a name: its own parameter or local, a capture
+   from an enclosing frame, or module-level. *)
+let classify_ident st fr id =
+  match Hashtbl.find_opt st.ws_bound (Ident.unique_name id) with
+  | Some d when d >= fr.fr_depth -> (
+      match
+        List.find_map
+          (fun (p, i) -> if Ident.same p id then Some i else None)
+          fr.fr_params
+      with
+      | Some i -> R_param i
+      | None -> R_local)
+  | Some _ -> R_captured id
+  | None -> R_global (qualify st id)
 
-(* Classify the root of a mutated/dereferenced expression. *)
-type root_class =
-  | R_param of int
-  | R_local
-  | R_global of string  (** canonical path of a module-level location *)
-  | R_opaque  (** no identifiable root (fresh value, complex expr) *)
+let classify_path st (p : Path.t) =
+  match p with
+  | Path.Pident id -> classify_ident st st.ws_frame id
+  | p -> R_global (canonical_of_path p)
 
 let classify_root st (e : Typedtree.expression) =
-  match root_of e with
-  | None -> R_opaque
-  | Some (Path.Pident id) -> (
-      match param_index st id with
-      | Some i -> R_param i
-      | None ->
-          if is_bound st id then R_local
-          else R_global (qualify st id))
-  | Some p -> R_global (canonical_of_path p)
+  match root_of e with None -> R_opaque | Some p -> classify_path st p
 
-let cold_reason st =
+let peek_cold st =
   match st.ws_cold with
   | [] -> None
-  | mk :: _ ->
-      mk.mk_hits <- mk.mk_hits + 1;
-      (match mk.mk_reason with Some r -> Some r | None -> Some "(unaudited)")
+  | mk :: _ -> Some (Option.value mk.mk_reason ~default:"(unaudited)")
+
+(* As [peek_cold], counting the site against the innermost marker. *)
+let cold_reason st =
+  (match st.ws_cold with mk :: _ -> mk.mk_hits <- mk.mk_hits + 1 | [] -> ());
+  peek_cold st
+
+let sloc st loc = sloc_of ~fallback:st.ws_fallback loc
 
 let add_alloc st kind loc =
-  st.ws_allocs <-
-    { a_kind = kind; a_loc = sloc_of ~fallback:st.ws_fallback loc;
-      a_cold = cold_reason st }
-    :: st.ws_allocs
+  let fr = st.ws_frame in
+  fr.fr_allocs <-
+    { a_kind = kind; a_loc = sloc st loc; a_cold = cold_reason st }
+    :: fr.fr_allocs
 
-let add_global st ~kind ~desc path loc =
-  st.ws_globals <-
-    { g_path = path; g_kind = kind;
-      g_loc = sloc_of ~fallback:st.ws_fallback loc; g_desc = desc }
-    :: st.ws_globals
+let add_access st ?(slot = []) op loc target =
+  let fr = st.ws_frame in
+  fr.fr_access <-
+    { x_op = op; x_root = classify_root st target; x_loc = sloc st loc;
+      x_slot = slot }
+    :: fr.fr_access
 
-let add_mutates st i =
-  if not (List.mem i st.ws_mutates) then st.ws_mutates <- i :: st.ws_mutates
+let add_call st ~local ~cold ~args callee loc =
+  let fr = st.ws_frame in
+  fr.fr_calls <-
+    { c_callee = callee; c_local = local; c_loc = sloc st loc; c_cold = cold;
+      c_args = args }
+    :: fr.fr_calls
 
-let record_mutation st ~desc loc target =
-  match classify_root st target with
-  | R_param i -> add_mutates st i
-  | R_local | R_opaque -> ()
-  | R_global p -> add_global st ~kind:Write ~desc p loc
+let arg_of st (a : Typedtree.expression) =
+  {
+    ar_root = classify_root st a;
+    ar_exact =
+      (match a.exp_desc with Typedtree.Texp_ident _ -> true | _ -> false);
+    ar_loc = sloc st a.exp_loc;
+  }
 
-(* Peel the curried [Texp_function] chain of a top-level binding:
-   returns the parameter->nolabel-index map, the set of all binder
-   idents introduced by the chain, and the bodies to walk. *)
+(* A finished frame's records join its parent's, seen from the parent:
+   the child's parameters and locals are the parent's locals, and a
+   capture may be one of the parent's own names.  Calls to a function
+   the parent binds are dropped (the parent walks its body itself). *)
+let merge st parent fr =
+  let lift = function
+    | R_param _ | R_local -> R_local
+    | R_captured id -> classify_ident st parent id
+    | r -> r
+  in
+  let parent_binds c =
+    c.c_local
+    &&
+    match Hashtbl.find_opt st.ws_bound c.c_callee with
+    | Some d -> d >= parent.fr_depth
+    | None -> false
+  in
+  parent.fr_allocs <- fr.fr_allocs @ parent.fr_allocs;
+  parent.fr_access <-
+    List.map (fun x -> { x with x_root = lift x.x_root }) fr.fr_access
+    @ parent.fr_access;
+  parent.fr_calls <-
+    List.filter_map
+      (fun c ->
+        if parent_binds c then None
+        else
+          Some
+            { c with
+              c_args =
+                List.map (fun a -> { a with ar_root = lift a.ar_root }) c.c_args
+            })
+      fr.fr_calls
+    @ parent.fr_calls
+
+let summary_of ~name ~loc ~hot fr =
+  {
+    f_name = name;
+    f_loc = loc;
+    f_hot = hot;
+    f_params = List.map fst fr.fr_params;
+    f_allocs = List.rev fr.fr_allocs;
+    f_calls = List.rev fr.fr_calls;
+    f_access = List.rev fr.fr_access;
+  }
+
+(* Peel the curried [Texp_function] chain of a binding: returns the
+   parameter->nolabel-index map, the set of all binder idents
+   introduced by the chain, and the bodies to walk. *)
 let peel_function (e : Typedtree.expression) =
   let rec go nolabel_idx params binders (e : Typedtree.expression) =
     match e.exp_desc with
@@ -580,10 +679,54 @@ let walk_iterator st =
     | _ -> ());
     default.pat sub p
   in
+  (* Walk function expression [e] as a frame of its own, then fold its
+     records into the enclosing frame. *)
+  let in_frame sub ~name (e : Typedtree.expression) =
+    let params, binders, _ = peel_function e in
+    let parent = st.ws_frame in
+    let fr = new_frame (parent.fr_depth + 1) params in
+    st.ws_frame <- fr;
+    List.iter (bind st) binders;
+    sub.Tast_iterator.expr sub e;
+    st.ws_frame <- parent;
+    merge st parent fr;
+    summary_of ~name ~loc:(sloc st e.exp_loc) ~hot:false fr
+  in
+  (* A pool application: every [fun] argument is a task frame; a
+     function passed by name is a local function's frame or a
+     module-level function. *)
+  let walk_pool sub (e : Typedtree.expression) f args =
+    sub.Tast_iterator.expr sub f;
+    let task (label, a) =
+      match (label, a) with
+      | _, None -> None
+      | Asttypes.Nolabel, Some ({ Typedtree.exp_desc = Texp_function _; _ } as a)
+        ->
+          Some (T_frame (in_frame sub ~name:"fun" a))
+      | label, Some (a : Typedtree.expression) -> (
+          sub.expr sub a;
+          match (label, a.exp_desc) with
+          | Asttypes.Nolabel, Typedtree.Texp_ident (p, _, _) -> (
+              match (classify_path st p, p) with
+              | R_global name, _ when is_arrow a.exp_type ->
+                  Some (T_named (name, sloc st a.exp_loc))
+              | (R_param _ | R_local | R_captured _), Path.Pident id ->
+                  Hashtbl.find_opt st.ws_locals (Ident.unique_name id)
+                  |> Option.map (fun f -> T_frame f)
+              | _ -> None)
+          | _ -> None)
+    in
+    let tasks = List.filter_map task args in
+    st.ws_pools <-
+      { p_loc = sloc st e.exp_loc;
+        p_disjoint = reason_attr "histolint.disjoint" e.exp_attributes;
+        p_tasks = tasks }
+      :: st.ws_pools
+  in
   let handle_apply (e : Typedtree.expression) f args =
     match head_ident f with
     | None -> ()
-    | Some p ->
+    | Some p -> (
         st.ws_skip_head <- Some f;
         let name = canonical_of_path p in
         let nargs = nolabel_args args in
@@ -592,64 +735,37 @@ let walk_iterator st =
         | Some pos -> (
             match List.nth_opt nargs pos with
             | Some target ->
-                record_mutation st ~desc:(Printf.sprintf "`%s`" name) e.exp_loc
-                  target
+                let slot =
+                  match (is_indexed_store name, nargs) with
+                  | true, _ :: idx :: _ -> idents_in idx
+                  | _ -> []
+                in
+                add_access st ~slot (Mutate name) e.exp_loc target
             | None -> ())
         | None -> ());
         (if is_deref name then
            match nargs with
-           | target :: _ -> (
-               match classify_root st target with
-               | R_global g ->
-                   add_global st ~kind:Read
-                     ~desc:(Printf.sprintf "`%s`" name) g e.exp_loc
-               | _ -> ())
+           | target :: _ -> add_access st (Deref name) e.exp_loc target
            | [] -> ());
         (* the call itself *)
-        let callee_local =
-          match p with
-          | Path.Pident id -> is_bound st id
-          | _ -> false
-        in
-        if not callee_local then begin
-          let cold =
-            match st.ws_cold with
-            | [] -> None
-            | mk :: _ ->
-                mk.mk_hits <- mk.mk_hits + 1;
-                Some (Option.value mk.mk_reason ~default:"(unaudited)")
-          in
-          let qualified =
-            match p with
-            | Path.Pident id -> qualify st id
-            | _ -> name
-          in
-          let param_args =
-            List.concat
-              (List.mapi
-                 (fun pos (a : Typedtree.expression) ->
-                   match a.exp_desc with
-                   | Typedtree.Texp_ident (Path.Pident id, _, _) -> (
-                       match param_index st id with
-                       | Some i -> [ (pos, i) ]
-                       | None -> [])
-                   | _ -> [])
-                 nargs)
-          in
-          st.ws_calls <-
-            { c_callee = qualified;
-              c_loc = sloc_of ~fallback:st.ws_fallback e.exp_loc;
-              c_cold = cold; c_param_args = param_args }
-            :: st.ws_calls;
-          (* partial application builds a closure *)
-          if is_arrow e.exp_type && not (is_raise name) then
-            add_alloc st A_partial e.exp_loc
-          else if is_known_allocator name then
-            add_alloc st (A_known name) e.exp_loc
-        end
-        else if is_arrow e.exp_type then
-          (* partial application of a local function *)
-          add_alloc st A_partial e.exp_loc
+        match classify_path st p with
+        | R_global qualified ->
+            add_call st ~local:false ~cold:(cold_reason st)
+              ~args:(List.map (arg_of st) nargs) qualified e.exp_loc;
+            (* partial application builds a closure *)
+            if is_arrow e.exp_type && not (is_raise name) then
+              add_alloc st A_partial e.exp_loc
+            else if is_known_allocator name then
+              add_alloc st (A_known name) e.exp_loc
+        | callee ->
+            (match callee with
+            | R_captured id ->
+                add_call st ~local:true ~cold:(peek_cold st)
+                  ~args:(List.map (arg_of st) nargs) (Ident.unique_name id)
+                  e.exp_loc
+            | _ -> ());
+            (* partial application of a local function *)
+            if is_arrow e.exp_type then add_alloc st A_partial e.exp_loc)
   in
   let expr sub (e : Typedtree.expression) =
     let is_raise_subtree =
@@ -668,8 +784,7 @@ let walk_iterator st =
         | None -> false
         | Some reason ->
             let mk =
-              { mk_loc = sloc_of ~fallback:st.ws_fallback e.exp_loc;
-                mk_reason = reason; mk_hits = 0 }
+              { mk_loc = sloc st e.exp_loc; mk_reason = reason; mk_hits = 0 }
             in
             st.ws_markers <- mk :: st.ws_markers;
             st.ws_cold <- mk :: st.ws_cold;
@@ -683,32 +798,26 @@ let walk_iterator st =
             | _ -> false
           in
           if skip then st.ws_skip_head <- None
-          else
-            (* a module-level function referenced in argument/value
-               position: account for its effects as a zero-arg call
-               (e.g. `List.iter bump xs` must see bump's effects) *)
-            match p with
-            | Path.Pident id when is_bound st id -> ()
-            | _ when not (is_arrow e.exp_type) -> ()
-            | _ ->
-                let qualified =
-                  match p with
-                  | Path.Pident id -> qualify st id
-                  | _ -> canonical_of_path p
-                in
-                if not (is_raise qualified || is_getter qualified) then
-                  st.ws_calls <-
-                    { c_callee = qualified;
-                      c_loc = sloc_of ~fallback:st.ws_fallback e.exp_loc;
-                      c_cold =
-                        (match st.ws_cold with
-                        | [] -> None
-                        | mk :: _ ->
-                            Some (Option.value mk.mk_reason
-                                    ~default:"(unaudited)"));
-                      c_param_args = [] }
-                    :: st.ws_calls)
+          else if is_arrow e.exp_type then
+            (* a function referenced in argument/value position: account
+               for its effects as a zero-arg call (e.g. `List.iter bump
+               xs` must see bump's effects) *)
+            match classify_path st p with
+            | R_global q ->
+                if not (is_raise q || is_getter q) then
+                  add_call st ~local:false ~cold:(peek_cold st) ~args:[] q
+                    e.exp_loc
+            | R_captured id ->
+                add_call st ~local:true ~cold:(peek_cold st) ~args:[]
+                  (Ident.unique_name id) e.exp_loc
+            | R_param _ | R_local | R_opaque -> ())
       | Typedtree.Texp_apply (f, args) -> handle_apply e f args
+      | Typedtree.Texp_let (Asttypes.Recursive, vbs, _) ->
+          (* every name of a recursive group is in scope in each body *)
+          List.iter
+            (fun (vb : Typedtree.value_binding) ->
+              List.iter (bind st) (Typedtree.pat_bound_idents vb.vb_pat))
+            vbs
       | Typedtree.Texp_function _ -> add_alloc st A_closure e.exp_loc
       | Typedtree.Texp_tuple _ -> add_alloc st A_tuple e.exp_loc
       | Typedtree.Texp_record _ -> add_alloc st A_record e.exp_loc
@@ -726,55 +835,52 @@ let walk_iterator st =
       | Typedtree.Texp_lazy _ -> add_alloc st A_lazy e.exp_loc
       | Typedtree.Texp_letop _ -> add_alloc st A_closure e.exp_loc
       | Typedtree.Texp_setfield (target, _, ld, _) ->
-          record_mutation st
-            ~desc:(Printf.sprintf "mutable field `%s` write" ld.lbl_name)
-            e.exp_loc target
+          add_access st (Write_field ld.lbl_name) e.exp_loc target
       | _ -> ());
-      default.expr sub e;
+      (match e.exp_desc with
+      | Typedtree.Texp_apply (f, args) when is_pool_apply f ->
+          walk_pool sub e f args
+      | _ -> default.expr sub e);
       if pushed then st.ws_cold <- List.tl st.ws_cold
     end
   in
-  { default with expr; pat }
+  (* A [let]-bound local function is a frame of its own, kept by stamp
+     for the tasks that call it or are it. *)
+  let value_binding sub (vb : Typedtree.value_binding) =
+    match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
+    | Typedtree.Tpat_var (id, _), Typedtree.Texp_function _ ->
+        sub.Tast_iterator.pat sub vb.vb_pat;
+        Hashtbl.replace st.ws_locals (Ident.unique_name id)
+          (in_frame sub ~name:(Ident.name id) vb.vb_expr)
+    | _ -> default.value_binding sub vb
+  in
+  { default with expr; pat; value_binding }
 
-let summarize_binding ~modname ~scope ~source (vb : Typedtree.value_binding) =
-  match vb.vb_pat.pat_desc with
-  | Typedtree.Tpat_var (id, _) ->
-      Hashtbl.replace scope (Ident.unique_name id)
-        (modname ^ "." ^ Ident.name id);
-      let params, binders, bodies = peel_function vb.vb_expr in
-      let st =
-        {
-          ws_fallback = source;
-          ws_bound = Hashtbl.create 64;
-          ws_params = params;
-          ws_modname = modname;
-          ws_scope = scope;
-          ws_allocs = [];
-          ws_calls = [];
-          ws_mutates = [];
-          ws_globals = [];
-          ws_cold = [];
-          ws_markers = [];
-          ws_skip_head = None;
-        }
-      in
-      bind st id;
-      List.iter (bind st) binders;
-      let it = walk_iterator st in
-      List.iter (fun body -> it.expr it body) bodies;
-      let f =
-        {
-          f_name = modname ^ "." ^ Ident.name id;
-          f_loc = sloc_of ~fallback:source vb.vb_loc;
-          f_hot = has_attr "histolint.hot" vb.vb_attributes;
-          f_allocs = List.rev st.ws_allocs;
-          f_calls = List.rev st.ws_calls;
-          f_mutates = List.sort Int.compare st.ws_mutates;
-          f_globals = List.rev st.ws_globals;
-        }
-      in
-      Some (f, List.rev st.ws_markers)
-  | _ -> None
+(* Walk one module-level binding (or evaluated expression).  A named
+   binding yields its function summary and alloc_ok markers; every
+   binding yields its pool sites. *)
+let summarize_binding ~modname ~scope ~locals ~source ?self
+    (e : Typedtree.expression) =
+  let params, binders, bodies = peel_function e in
+  let st =
+    {
+      ws_fallback = source;
+      ws_bound = Hashtbl.create 64;
+      ws_modname = modname;
+      ws_scope = scope;
+      ws_locals = locals;
+      ws_frame = new_frame 0 params;
+      ws_pools = [];
+      ws_cold = [];
+      ws_markers = [];
+      ws_skip_head = None;
+    }
+  in
+  Option.iter (bind st) self;
+  List.iter (bind st) binders;
+  let it = walk_iterator st in
+  List.iter (fun body -> it.expr it body) bodies;
+  (st.ws_frame, List.rev st.ws_markers, List.rev st.ws_pools)
 
 (* --- references and exports (dead/unreferenced-export) ------------------ *)
 
@@ -869,29 +975,64 @@ let exports ~modname ~source (sg : Typedtree.signature) =
 
 let of_structure ~modname ~source ?intf (str : Typedtree.structure) =
   let modname = canonical modname in
-  let scope = Hashtbl.create 64 in
-  let funcs = ref [] in
-  let markers = ref [] in
+  let scope = Hashtbl.create 64 and locals = Hashtbl.create 16 in
+  let funcs = ref [] and markers = ref [] and pools = ref [] in
+  let walk ~prefix ?self e =
+    let fr, mks, ps =
+      summarize_binding ~modname:prefix ~scope ~locals ~source ?self e
+    in
+    pools := List.rev_append ps !pools;
+    (fr, mks)
+  in
+  (* Any other module expression (a functor body, a constrained or
+     included [struct]) contributes its pool sites only. *)
+  let pools_in prefix (si : Typedtree.structure_item) =
+    let default = Tast_iterator.default_iterator in
+    let structure_item sub (si : Typedtree.structure_item) =
+      match si.str_desc with
+      | Typedtree.Tstr_value (_, vbs) ->
+          List.iter
+            (fun (vb : Typedtree.value_binding) ->
+              ignore (walk ~prefix vb.vb_expr))
+            vbs
+      | Typedtree.Tstr_eval (e, _) -> ignore (walk ~prefix e)
+      | _ -> default.structure_item sub si
+    in
+    let it = { default with structure_item } in
+    default.structure_item it si
+  in
   (* Submodules defined by a plain [struct] are summarized too, their
-     functions named by the full path ([Service.Batch.push_sub]). *)
+     functions named by the full path ([Service.Batch.push_sub]).  A
+     binding that names no function ([let () = ...]) still has its pool
+     sites. *)
   let rec items prefix (str : Typedtree.structure) =
     List.iter
       (fun (si : Typedtree.structure_item) ->
         match si.str_desc with
         | Typedtree.Tstr_value (_, vbs) ->
             List.iter
-              (fun vb ->
-                match summarize_binding ~modname:prefix ~scope ~source vb with
-                | Some (f, mks) ->
-                    funcs := f :: !funcs;
+              (fun (vb : Typedtree.value_binding) ->
+                match vb.vb_pat.pat_desc with
+                | Typedtree.Tpat_var (id, _) ->
+                    let name = prefix ^ "." ^ Ident.name id in
+                    Hashtbl.replace scope (Ident.unique_name id) name;
+                    let fr, mks = walk ~prefix ~self:id vb.vb_expr in
+                    funcs :=
+                      summary_of ~name ~loc:(sloc_of ~fallback:source vb.vb_loc)
+                        ~hot:(has_attr "histolint.hot" vb.vb_attributes)
+                        fr
+                      :: !funcs;
                     markers := List.rev_append mks !markers
-                | None -> ())
+                | _ -> ignore (walk ~prefix vb.vb_expr))
               vbs
-        | Typedtree.Tstr_module { mb_id = Some id; mb_expr; _ } -> (
-            match mb_expr.mod_desc with
-            | Tmod_structure sub -> items (prefix ^ "." ^ Ident.name id) sub
-            | _ -> ())
-        | _ -> ())
+        | Typedtree.Tstr_eval (e, _) -> ignore (walk ~prefix e)
+        | Typedtree.Tstr_module
+            { mb_id = Some id; mb_expr = { mod_desc = Tmod_structure sub; _ }; _ }
+          ->
+            items (prefix ^ "." ^ Ident.name id) sub
+        | Typedtree.Tstr_module { mb_id = Some id; _ } ->
+            pools_in (prefix ^ "." ^ Ident.name id) si
+        | _ -> pools_in prefix si)
       str.str_items
   in
   items modname str;
@@ -901,6 +1042,8 @@ let of_structure ~modname ~source ?intf (str : Typedtree.structure) =
     m_source = source;
     m_funcs = List.rev !funcs;
     m_markers = List.rev !markers;
+    m_pools = List.rev !pools;
+    m_locals = locals;
     m_refs = refs;
     m_whole = whole;
     m_exports =
@@ -908,6 +1051,7 @@ let of_structure ~modname ~source ?intf (str : Typedtree.structure) =
       | None -> []
       | Some sg -> exports ~modname ~source sg);
   }
+
 
 (* --- the summary table -------------------------------------------------- *)
 
@@ -977,13 +1121,15 @@ let reaches_globals table name =
       match find table name with
       | None -> []
       | Some f ->
-          f.f_globals
+          List.filter
+            (fun x -> match x.x_root with R_global _ -> true | _ -> false)
+            f.f_access
           @ List.concat_map (fun c -> go (name :: seen) c.c_callee) f.f_calls
   in
   go [] name
 
 (* Transitive: which nolabel parameter indices of [name] end up
-   mutated (directly, or by being forwarded to a mutating callee)? *)
+   mutated (directly, or by being passed as is to a mutating callee)? *)
 let mutates_params table name =
   let rec go seen name =
     if List.exists (String.equal name) seen then []
@@ -991,19 +1137,35 @@ let mutates_params table name =
       match find table name with
       | None -> []
       | Some f ->
+          let direct =
+            List.filter_map
+              (fun x ->
+                match (x.x_op, x.x_root) with
+                | (Mutate _ | Write_field _), R_param i -> Some i
+                | _ -> None)
+              f.f_access
+          in
           let via_calls =
             List.concat_map
               (fun c ->
-                match c.c_param_args with
-                | [] -> []
-                | pas ->
-                    let mm = go (name :: seen) c.c_callee in
-                    List.filter_map
-                      (fun (pos, idx) ->
-                        if List.mem pos mm then Some idx else None)
-                      pas)
+                let forwarded =
+                  List.concat
+                    (List.mapi
+                       (fun pos a ->
+                         match a with
+                         | { ar_exact = true; ar_root = R_param i; _ } ->
+                             [ (pos, i) ]
+                         | _ -> [])
+                       c.c_args)
+                in
+                if List.is_empty forwarded then []
+                else
+                  let mm = go (name :: seen) c.c_callee in
+                  List.filter_map
+                    (fun (pos, i) -> if List.mem pos mm then Some i else None)
+                    forwarded)
               f.f_calls
           in
-          List.sort_uniq Int.compare (f.f_mutates @ via_calls)
+          List.sort_uniq Int.compare (direct @ via_calls)
   in
   go [] name

@@ -1,16 +1,21 @@
-(** Per-function summaries over the typedtree, plus the cross-module
-    table the interprocedural passes query, plus each unit's references
-    and interface values for the dead-export pass.
+(** histolint's one effect walker: per-function summaries over the
+    typedtree, the cross-module table the interprocedural passes query,
+    and each unit's references and interface values for the dead-export
+    pass.
 
-    For every top-level [let] in a compilation unit the summary
-    records: the allocating constructs in its body, the calls it makes
-    (with a map of which caller parameters are forwarded to which
-    callee argument positions), which of its own parameters it
-    mutates, and which module-level mutable locations it reads
-    ([!]-deref) or writes.  Nested closures' effects are attributed to
-    the enclosing function — a closure built and run inside a hot
-    function allocates and mutates on that function's behalf.
-    Summaries are computed in memory on every run. *)
+    For every module-level [let] in a compilation unit (plain [struct]
+    submodules included) the summary records the allocating constructs
+    in its body, the calls it makes (with the root of every argument),
+    and every mutation and [!]-style read, each with its root: the
+    function's own parameter, a local, a capture from an enclosing
+    function, or module-level state.  [let]-bound local functions and
+    the closures handed to a pool are summarized the same way, as
+    frames of their own whose records also count for the enclosing
+    function: a closure built and run inside a hot function allocates
+    and mutates on that function's behalf.  Each pool call is recorded
+    with its tasks.  The hot-path pass ({!Alloc}) and the domain-safety
+    pass ({!Race}) are checks over these records; neither walks the
+    typedtree.  Summaries are computed in memory on every run. *)
 
 (* -- shared helpers (also used by the engine and the passes) -- *)
 
@@ -23,54 +28,17 @@ val canonical : string -> string
     ["Parkit__Pool"] becomes ["Parkit.Pool"]; a leading ["Stdlib."] is
     dropped. *)
 
-val canonical_of_path : Path.t -> string
-
 val payload_strings : Parsetree.payload -> string list
 (** The string literals in an attribute payload. *)
 
-val reason_attr :
-  string -> Parsetree.attributes -> string option option
-(** [Some (Some r)] when the named attribute is present with a
-    nonempty reason string, [Some None] when present without one,
-    [None] when absent. *)
-
-val mutator_position : string -> int option
-(** For a canonical callee name: the position (among [Nolabel] args)
-    of the argument whose referent the call mutates, if the callee is
-    a known mutator.  RNG draws count — racing draws from a shared rng
-    destroy the pre-split stream discipline. *)
-
-val is_deref : string -> bool
-val is_indexed_store : string -> bool
 val is_known_allocator : string -> bool
-val is_raise : string -> bool
-
-val root_of : Typedtree.expression -> Path.t option
-(** The base location of an access path: [root_of (a.(i))] and
-    [root_of r.contents] are [a] and [r]. *)
-
-val nolabel_args :
-  (Asttypes.arg_label * Typedtree.expression option) list ->
-  Typedtree.expression list
-
-val head_ident : Typedtree.expression -> Path.t option
-val is_arrow : Types.type_expr -> bool
-
-val mentions_ident : Ident.t list -> Typedtree.expression -> bool
-(** Does the expression reference any of the idents?  Drives the
-    disjoint-slot exemption. *)
-
-val peel_function :
-  Typedtree.expression ->
-  (Ident.t * int) list * Ident.t list * Typedtree.expression list
-(** Peel the curried [Texp_function] chain of a binding: the
-    parameter-ident to [Nolabel]-index map, every binder the chain
-    introduces, and the body expressions to walk (several for a
-    multi-case [function], guards included). *)
 
 (* -- the data model -- *)
 
 type sloc = { s_file : string; s_line : int; s_col : int; s_cnum : int }
+
+val sloc_of : fallback:string -> Location.t -> sloc
+(** [fallback] names the file when the location carries none. *)
 
 type alloc_kind =
   | A_closure
@@ -90,30 +58,71 @@ type alloc_site = {
   a_cold : string option;
 }
 
-type call_site = {
-  c_callee : string;
-  c_loc : sloc;
-  c_cold : string option;
-  c_param_args : (int * int) list;
+(** How a function sees the root of an access path ([root (a.(i))] and
+    [root r.contents] are those of [a] and [r]) or of an argument. *)
+type root =
+  | R_param of int  (** its own [Nolabel] parameter, by index *)
+  | R_local  (** bound inside it *)
+  | R_captured of Ident.t  (** bound in an enclosing function *)
+  | R_global of string  (** module-level: canonical, submodule-qualified *)
+  | R_opaque  (** no identifiable root (a fresh value) *)
+
+type effect_op =
+  | Mutate of string
+      (** a call to a known mutator, canonical name; RNG draws count —
+          racing draws from a shared rng destroy the pre-split stream
+          discipline *)
+  | Write_field of string  (** a mutable field write, by label *)
+  | Deref of string  (** a [!]-style read of a mutable cell *)
+
+type access = {
+  x_op : effect_op;
+  x_root : root;
+  x_loc : sloc;
+  x_slot : Ident.t list;
+      (** the disjoint-slot flag of an indexed store ([arr.(i) <- v]):
+          the names its index mentions.  The store is slot-private to a
+          task when one of them is the task's parameter. *)
 }
 
-type access_kind = Read | Write
+type arg = {
+  ar_root : root;
+  ar_exact : bool;  (** the argument is a bare name, its own root *)
+  ar_loc : sloc;
+}
 
-type global_access = {
-  g_path : string;
-  g_kind : access_kind;
-  g_loc : sloc;
-  g_desc : string;
+type call_site = {
+  c_callee : string;
+      (** canonical; for a local function, its ident's unique name *)
+  c_local : bool;
+      (** the callee is bound in an enclosing function: look it up in
+          [m_locals] *)
+  c_loc : sloc;
+  c_cold : string option;
+  c_args : arg list;  (** the [Nolabel] arguments, in order *)
 }
 
 type func_summary = {
   f_name : string;
   f_loc : sloc;
   f_hot : bool;
+  f_params : Ident.t list;  (** the [Nolabel] parameters *)
   f_allocs : alloc_site list;
-  f_calls : call_site list;
-  f_mutates : int list;
-  f_globals : global_access list;
+  f_calls : call_site list;  (** a module-level function's are never local *)
+  f_access : access list;
+}
+
+(** A function argument of a pool call: a closure literal or a local
+    function passed by name, summarized as a frame, or a module-level
+    function passed by name (with the argument's location). *)
+type task = T_frame of func_summary | T_named of string * sloc
+
+type pool_site = {
+  p_loc : sloc;  (** the [Parkit.Pool.map/init] or [Domain.spawn] application *)
+  p_disjoint : string option option;
+      (** its [\@histolint.disjoint "reason"]: [Some (Some r)], or
+          [Some None] when the reason is missing *)
+  p_tasks : task list;
 }
 
 type marker = {
@@ -126,7 +135,7 @@ type export = {
   e_name : string;  (** canonical, module-qualified *)
   e_loc : sloc;  (** the [val] in the .mli *)
   e_keep : string option option;
-      (** [[@@histolint.keep "reason"]], read as {!reason_attr} *)
+      (** [[@@histolint.keep "reason"]], read as [p_disjoint] is *)
 }
 
 type module_summary = {
@@ -134,6 +143,9 @@ type module_summary = {
   m_source : string;
   m_funcs : func_summary list;
   m_markers : marker list;
+  m_pools : pool_site list;  (** every pool call of the unit, in order *)
+  m_locals : (string, func_summary) Hashtbl.t;
+      (** the unit's [let]-bound local functions, by ident unique name *)
   m_refs : string list;
       (** every qualified value path the unit mentions, canonical, with
           local module aliases resolved; [open]ed names arrive fully
@@ -163,10 +175,10 @@ val allocates : table -> string -> string option
 (** Transitive: a witness chain if calling [name] can allocate outside
     audited regions; [None] if provably clean or unknown. *)
 
-val reaches_globals : table -> string -> global_access list
-(** Transitive module-global reads/writes reachable by calling
-    [name]. *)
+val reaches_globals : table -> string -> access list
+(** Transitive: the accesses to module-level state ([R_global] roots)
+    reachable by calling [name]. *)
 
 val mutates_params : table -> string -> int list
 (** Transitive: the [Nolabel] parameter indices of [name] that end up
-    mutated. *)
+    mutated, directly or passed as is to a callee that mutates them. *)

@@ -1,12 +1,17 @@
 #!/bin/sh
-# Malformed --jobs/--seed values must end both CLIs with a usage error
-# and a one-line message, never an uncaught exception.
+# Malformed or out-of-range arguments must end the CLIs with a usage
+# error and a one-line message, never an uncaught exception; histolint
+# must not pass a scan that found nothing to check.
 #
-# Usage: sh cli_errors.sh path/to/bin/main.exe path/to/bench/main.exe
+# Usage: sh cli_errors.sh path/to/bin/main.exe path/to/bench/main.exe \
+#          path/to/bin/histolint.exe
 
 main=$1
 bench=$2
+histolint=$3
 fail=0
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 # expect STATUS CMD...: CMD exits with STATUS and prints no exception.
 expect() {
@@ -38,5 +43,26 @@ expect 2 "$bench" --oracle bad e1
 expect 124 "$main" test --jobs=-3
 expect 124 "$main" test --jobs x
 expect 0 "$main" test --jobs=0 --domain 64 -k 1 --trials 1 --oracle counts
+
+# Ranges the libraries would otherwise reject with an exception: at
+# least one piece, eps in (0, 1], a search limit of at least 1.
+expect 124 "$main" test --pieces 0
+expect 124 "$main" dist --pieces 0
+expect 124 "$main" demo-lb --pieces 0
+expect 124 "$main" test --eps 0
+expect 124 "$main" test --eps 1.5
+expect 124 "$main" closeness --eps 0
+expect 124 "$main" closeness --eps 1.5
+expect 124 "$main" select --k-max 0
+printf '1\n2\n3\n' > "$tmp/small.txt"
+expect 124 "$main" test-file --file "$tmp/small.txt" --pieces 0
+
+# A test-file domain above 2^24 is refused before any array is built.
+printf '1\n100000000000000\n' > "$tmp/big.txt"
+expect 1 "$main" test-file --file "$tmp/big.txt"
+
+# histolint: a path that does not exist, or holds no .cmt, is an error.
+expect 2 "$histolint" "$tmp/nonexistent"
+expect 2 "$histolint" "$tmp"
 
 exit $fail

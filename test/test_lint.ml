@@ -9,7 +9,10 @@
    --lib-prefix flag does.  The v2 fixtures cover both interprocedural
    passes: a race reached only through a helper call resolved via the
    summary table, a generator draw ([Rng.bits53]) on a captured
-   generator, and a hot-path allocation one call deep, also from
+   generator, the task paths of bad_race_paths.ml (a local function
+   passed by name, a local helper, a module-level function as the task,
+   a captured record's mutable field, a submodule's own ref named as
+   module-level), and a hot-path allocation one call deep, also from
    inside a [struct] submodule calling its enclosing module.  The
    dead-export fixtures pair a violating, a kept and a reasonless-keep
    export with exports reached only through [open], a module alias and
@@ -59,6 +62,11 @@ let expected_findings =
     ("test/lint_fixtures/bad_race_overlap.ml", 11, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_race_overlap.ml", 12, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_race_overlap.ml", 13, "par/shared-mutable-capture");
+    ("test/lint_fixtures/bad_race_paths.ml", 10, "par/shared-mutable-capture");
+    ("test/lint_fixtures/bad_race_paths.ml", 16, "par/shared-mutable-capture");
+    ("test/lint_fixtures/bad_race_paths.ml", 20, "par/shared-mutable-capture");
+    ("test/lint_fixtures/bad_race_paths.ml", 26, "par/shared-mutable-capture");
+    ("test/lint_fixtures/bad_race_paths.ml", 32, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_race_rng.ml", 6, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_random.ml", 4, "det/stdlib-random");
     ("test/lint_fixtures/bad_toplevel_lazy.ml", 4, "par/toplevel-lazy");
@@ -133,7 +141,7 @@ let test_one_violation_per_rule () =
 
 let test_severities () =
   let r = Lazy.force report in
-  Alcotest.(check int) "errors" 24 (Engine.errors r);
+  Alcotest.(check int) "errors" 29 (Engine.errors r);
   Alcotest.(check int) "warnings" 1 (Engine.warnings r)
 
 let test_rule_counts () =
@@ -149,7 +157,7 @@ let test_rule_counts () =
       ("float/poly-compare", 1);
       ("poly/compare-structural", 1);
       ("par/raw-domain", 1);
-      ("par/shared-mutable-capture", 7);
+      ("par/shared-mutable-capture", 12);
       ("par/toplevel-lazy", 3);
       ("hot/alloc", 4);
       ("dead/unreferenced-export", 2);
