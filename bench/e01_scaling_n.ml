@@ -16,13 +16,12 @@ let run (mode : Exp_common.mode) =
     ~claim:
       "Algorithm 1 succeeds at its c*sqrt(n)/eps^2-scaled budget and fails \
        at a constant fraction of it, uniformly in n.";
-  (* The counts-path oracle makes per-trial cost independent of the sample
-     budget, so --oracle counts --full can afford paper-scale domains. *)
+  (* The trial oracle draws count vectors from a split tree, so per-trial
+     cost is independent of the sample budget and --full can afford
+     paper-scale domains. *)
   let ns =
     if mode.Exp_common.quick then [ 1024; 4096; 16384 ]
-    else if mode.Exp_common.oracle = Harness.Counts then
-      [ 4096; 16384; 65536; 262144; 1048576; 4194304 ]
-    else [ 1024; 2048; 4096; 8192; 16384; 32768; 65536 ]
+    else [ 4096; 16384; 65536; 262144; 1048576; 4194304 ]
   in
   let mults = if mode.Exp_common.quick then [ 0.04; 0.15; 1.0 ]
               else [ 0.1; 0.25; 0.5; 1.0; 2.0 ] in

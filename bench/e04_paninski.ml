@@ -11,14 +11,10 @@ let run (mode : Exp_common.mode) =
     ~claim:
       "Below ~sqrt(n)/eps^2 samples the Q_eps family cannot be told from \
        uniform; above it, it can.";
-  (* Full mode on the counts path pushes n to 2^20: the Paninski instance
-     only gets harder with n, and trial cost no longer scales with the
-     sqrt(n)/eps^2 budget. *)
-  let n =
-    if mode.Exp_common.quick then 4096
-    else if mode.Exp_common.oracle = Harness.Counts then 1048576
-    else 65536
-  in
+  (* Full mode pushes n to 2^20: the Paninski instance only gets harder
+     with n, and the split-tree trial oracle's cost does not scale with
+     the sqrt(n)/eps^2 budget. *)
+  let n = if mode.Exp_common.quick then 4096 else 1048576 in
   let eps = 0.1 in
   let trials = if mode.Exp_common.quick then 20 else 60 in
   let rng = Randkit.Rng.create ~seed:mode.Exp_common.seed in

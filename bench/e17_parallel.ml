@@ -1,32 +1,37 @@
 (* E17 — harness engineering, not a paper claim: trial throughput and
    allocation behaviour of the parkit-powered experiment loop.
 
-   Three measurements at n = 2^16:
+   Three measurements at n = 2^16, all on the harness's one trial
+   oracle (count vectors drawn from a split tree):
 
-   1. alias sharing — the sequential win from building the O(n) Vose
-      table once per PMF (Poissonize.of_alias) instead of once per trial
-      (Poissonize.of_pmf inside the loop).  Measured on a probe-style
-      workload (a few hundred draws per trial, the regime of a
+   1. tree sharing — the sequential win from building the O(n) split
+      tree once per PMF (Harness.run_trials) instead of once per trial
+      (Split_tree.of_pmf inside the loop).  Measured on a probe-style
+      workload (a few hundred samples per trial, the regime of a
       sample-complexity sweep's small budgets) where the per-trial
-      rebuild used to dominate; reported even on one core.
-   2. GC pressure of the chi^2 hot path — the allocating oracle plus a
-      replica of the per-cell-Kahan statistic (what the harness ran
-      before workspaces) against the workspace oracle plus the buffered
-      Chi2stat, same seeds.  Minor-collection and allocated-byte deltas
-      are read with Gc.quick_stat, and the two arms must produce
-      bit-identical Z sums.  Both arms run on this domain under the
-      minor heap the runtime gave it; no pool changes it.
+      rebuild dominates; reported even on one core.  Both arms draw the
+      same counts, so their accept counts must match.
+   2. GC pressure of the chi^2 hot path — the allocating oracle
+      (Poissonize.counts_of_tree) plus a replica of the per-cell-Kahan
+      statistic (what the harness ran before workspaces) against the
+      workspace oracle (counts_of_tree_ws) plus the buffered Chi2stat,
+      same seeds.  Minor-collection and allocated-byte deltas are read
+      with Gc.quick_stat, and the two arms must produce bit-identical Z
+      sums.  Both arms run on this domain under the minor heap the
+      runtime gave it; no pool changes it.
    3. trial throughput (trials/sec) of an E1-style Algorithm 1 workload
       at jobs in {1, 2, 4}, each job count checked to produce the same
       accept count as jobs = 1 (the pre-split-then-dispatch determinism
       contract), with per-job GC deltas recorded.  Every job count runs
       under the runtime's own minor heap on every domain.
 
-   Speedup on this machine is bounded by Domain.recommended_domain_count;
-   job counts beyond it are tagged "oversubscribed" in the JSON and can
-   only lose time to stop-the-world coordination.  One machine-readable
-   line per run is appended to BENCH_parallel.json so the perf
-   trajectory accumulates across commits. *)
+   The three checks make "deterministic"; the run exits 1 when it is
+   false.  Speedup on this machine is bounded by
+   Domain.recommended_domain_count; job counts beyond it are tagged
+   "oversubscribed" in the JSON and can only lose time to stop-the-world
+   coordination.  One machine-readable line per run is appended to
+   BENCH_parallel.json so the perf trajectory accumulates across
+   commits. *)
 
 let n = 65536
 let k = 4
@@ -90,17 +95,16 @@ let mb bytes = bytes /. (1024. *. 1024.)
 let run (mode : Exp_common.mode) =
   Exp_common.section ~id:"E17 (parallel trial engine)"
     ~claim:
-      "Shared alias tables remove the per-trial O(n) setup, workspaces \
+      "A shared split tree removes the per-trial O(n) setup, workspaces \
        remove the per-trial allocation churn, and parkit spreads trials \
        across domains with bit-identical results.";
   let pmf = Exp_common.yes_instance ~n ~k ~seed:mode.Exp_common.seed in
   let cores = Domain.recommended_domain_count () in
   Exp_common.row "recommended domains on this host: %d@.@." cores;
 
-  (* 1. Alias sharing, sequentially, on a light probe workload: accept
+  (* 1. Tree sharing, sequentially, on a light probe workload: accept
      iff a handful of samples lands an even count on element 0.  The
-     rebuild arm reproduces the old harness inner loop: split, build the
-     O(n) table, draw. *)
+     rebuild arm splits, builds the O(n) tree and draws, per trial. *)
   let probe_trials = if mode.Exp_common.quick then 50 else 400 in
   let probe_m = 512 in
   let probe oracle =
@@ -111,7 +115,8 @@ let run (mode : Exp_common.mode) =
     let rng = Randkit.Rng.create ~seed:mode.Exp_common.seed in
     let accepts = ref 0 in
     for _ = 1 to probe_trials do
-      let oracle = Poissonize.of_pmf (Randkit.Rng.split rng) pmf in
+      let tree = Split_tree.of_pmf pmf in
+      let oracle = Poissonize.counts_of_tree (Randkit.Rng.split rng) tree in
       if probe oracle = Verdict.Accept then incr accepts
     done;
     !accepts
@@ -124,11 +129,11 @@ let run (mode : Exp_common.mode) =
   in
   let accepts_rebuild, t_rebuild = Exp_common.wall_time_of rebuild_arm in
   let accepts_probe, t_shared = Exp_common.wall_time_of shared_probe_arm in
-  let alias_speedup = t_rebuild /. Float.max 1e-9 t_shared in
+  let tree_speedup = t_rebuild /. Float.max 1e-9 t_shared in
   Exp_common.row
-    "alias table, %d probe trials (m=%d, n=%d):@." probe_trials probe_m n;
-  Exp_common.row "  rebuild per trial %.3f s | shared table %.3f s | %.1fx@."
-    t_rebuild t_shared alias_speedup;
+    "split tree, %d probe trials (m=%d, n=%d):@." probe_trials probe_m n;
+  Exp_common.row "  rebuild per trial %.3f s | shared tree %.3f s | %.1fx@."
+    t_rebuild t_shared tree_speedup;
   if accepts_rebuild <> accepts_probe then
     Exp_common.row "WARNING: shared arm accepted %d but rebuild arm %d@."
       accepts_probe accepts_rebuild;
@@ -137,14 +142,14 @@ let run (mode : Exp_common.mode) =
      draw streams and therefore the Z sums must match bit for bit. *)
   let gc_trials = if mode.Exp_common.quick then 30 else 100 in
   let gc_m = 4096. in
-  let alias = Alias.of_pmf pmf in
+  let tree = Split_tree.of_pmf pmf in
   let part = Partition.equal_width ~n ~cells:64 in
   let dstar = pmf in
   let pr1_arm () =
     let rng = Randkit.Rng.create ~seed:mode.Exp_common.seed in
     let z = ref 0. in
     for _ = 1 to gc_trials do
-      let oracle = Poissonize.of_alias (Randkit.Rng.split rng) alias in
+      let oracle = Poissonize.counts_of_tree (Randkit.Rng.split rng) tree in
       let counts = oracle.Poissonize.poissonized gc_m in
       z := !z +. pr1_chi2 ~counts ~m:gc_m ~dstar ~part ~eps
     done;
@@ -156,7 +161,9 @@ let run (mode : Exp_common.mode) =
     let per_cell = Workspace.per_cell ws (Partition.cell_count part) in
     let z = ref 0. in
     for _ = 1 to gc_trials do
-      let oracle = Poissonize.of_alias_ws ws (Randkit.Rng.split rng) alias in
+      let oracle =
+        Poissonize.counts_of_tree_ws ws (Randkit.Rng.split rng) tree
+      in
       let counts = oracle.Poissonize.poissonized gc_m in
       let stat =
         Chi2stat.compute ~per_cell ~counts ~m:gc_m ~dstar ~part ~eps ()
@@ -239,55 +246,17 @@ let run (mode : Exp_common.mode) =
     && accepts_rebuild = accepts_probe && z_match
   in
 
-  (* 4. Same workload on the counts-path oracle: one split tree built and
-     shared read-only across domains, per-domain workspaces as before.
-     Accept counts differ from section 3 (different generator consumption)
-     but must again agree across job counts within the counts path. *)
-  let counts_arm pool () =
-    let rng = Randkit.Rng.create ~seed:mode.Exp_common.seed in
-    accepts_of
-      (Harness.run_trials ~pool ~oracle:Harness.Counts ~rng ~trials ~pmf
-         decide)
-  in
-  Exp_common.row "@.same %d trials on the counts-path oracle:@." trials;
-  Exp_common.row "%5s | %10s | %12s | %10s@." "jobs" "time (s)" "trials/sec"
-    "accepts";
-  Exp_common.hline ();
-  let counts_rows =
-    List.map
-      (fun jobs ->
-        let accepts, t =
-          Parkit.Pool.with_pool ~jobs (fun pool ->
-              Exp_common.wall_time_of (counts_arm pool))
-        in
-        let rate = float_of_int trials /. Float.max 1e-9 t in
-        Exp_common.row "%5d | %10.3f | %12.1f | %7d/%d@." jobs t rate accepts
-          trials;
-        (jobs, t, rate, accepts))
-      [ 1; 2; 4 ]
-  in
-  let counts_base_accepts, counts_base_rate =
-    match counts_rows with
-    | (_, _, r, a) :: _ -> (a, r)
-    | [] -> (0, nan)
-  in
-  let counts_deterministic =
-    List.for_all (fun (_, _, _, a) -> a = counts_base_accepts) counts_rows
-  in
-  if not counts_deterministic then
-    Exp_common.row "WARNING: counts-path accepts differ across job counts!@.";
   let json =
     Printf.sprintf
       "{\"bench\":\"e17_parallel\",\"n\":%d,\"k\":%d,\"eps\":%g,\"trials\":%d,\
        \"seed\":%d,\"cores_recommended\":%d,\
-       \"alias_shared_speedup\":%.2f,\
+       \"tree_shared_speedup\":%.2f,\
        \"gc\":{\"trials\":%d,\"m\":%g,\"minor_per_trial_alloc\":%.2f,\
        \"minor_per_trial_ws\":%.2f,\"minor_gc_reduction\":%.1f,\
        \"mb_per_trial_alloc\":%.2f,\"mb_per_trial_ws\":%.2f,\
        \"alloc_reduction\":%.1f,\"z_match\":%b},\
-       \"deterministic\":%b,\"jobs\":[%s],\
-       \"counts_deterministic\":%b,\"counts_jobs\":[%s]}"
-      n k eps trials mode.Exp_common.seed cores alias_speedup gc_trials gc_m
+       \"deterministic\":%b,\"jobs\":[%s]}"
+      n k eps trials mode.Exp_common.seed cores tree_speedup gc_trials gc_m
       (per_trial minor_pr1) (per_trial minor_ws) minor_reduction
       (mb bytes_pr1 /. float_of_int gc_trials)
       (mb bytes_ws /. float_of_int gc_trials)
@@ -302,17 +271,6 @@ let run (mode : Exp_common.mode) =
                 jobs t rate (rate /. base_rate) dminor (mb dbytes)
                 (jobs > cores))
             job_rows))
-      counts_deterministic
-      (String.concat ","
-         (List.map
-            (fun (jobs, t, rate, _) ->
-              Printf.sprintf
-                "{\"jobs\":%d,\"seconds\":%.4f,\"trials_per_sec\":%.2f,\
-                 \"speedup\":%.3f,\"oversubscribed\":%b}"
-                jobs t rate
-                (rate /. counts_base_rate)
-                (jobs > cores))
-            counts_rows))
   in
   let oc =
     open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 bench_file
@@ -320,4 +278,8 @@ let run (mode : Exp_common.mode) =
   output_string oc (json ^ "\n");
   close_out oc;
   Exp_common.row "@.%s@." json;
-  Exp_common.row "(appended to %s)@." bench_file
+  Exp_common.row "(appended to %s)@." bench_file;
+  if not deterministic then begin
+    Exp_common.row "FAIL: a determinism check differs (see the warnings)@.";
+    exit 1
+  end

@@ -1,6 +1,7 @@
 (* E19 — harness engineering, not a paper claim: the counts-path oracle
-   (Poissonize.counts_of_tree over Distrib.Split_tree) against the alias
-   stream path.
+   (Poissonize.counts_of_tree over Distrib.Split_tree), which every
+   Harness trial draws from, against the alias stream path that
+   Refkit.Stream_trials keeps as its reference.
 
    Three measurements:
 
@@ -26,7 +27,8 @@
       exactness gate) if its p-value via gamma_p drops below 1e-9.
    3. verdict-distribution equivalence: Algorithm 1 accept rates over
       trial ensembles on yes/no instances across an (n, k, eps) grid,
-      stream vs counts; the two-proportion z-score must stay below 5.
+      Refkit.Stream_trials vs Harness; the two-proportion z-score must
+      stay below 5.
       The two paths consume generators differently, so this is the same
       pin discipline as Refkit.Closest_dense: distributional, never
       bit-exact.
@@ -98,7 +100,7 @@ let timing_rows ~seed ~trials ~ms ~pmf =
         in
         let stream_s =
           time
-            (Poissonize.of_alias_ws (Workspace.create ())
+            (Refkit.Stream_trials.of_alias_ws (Workspace.create ())
                (Randkit.Rng.create ~seed) alias)
         in
         let counts_s =
@@ -207,7 +209,9 @@ let run (mode : Exp_common.mode) =
   let alias = Alias.of_pmf eq_pmf and tree = Split_tree.of_pmf eq_pmf in
   (* Distinct seeds: the ensembles must be independent for the two-sample
      statistic to be chi^2 under the null. *)
-  let a = totals seed (fun ws r -> Poissonize.of_alias_ws ws r alias) in
+  let a =
+    totals seed (fun ws r -> Refkit.Stream_trials.of_alias_ws ws r alias)
+  in
   let b =
     totals (seed + 1) (fun ws r -> Poissonize.counts_of_tree_ws ws r tree)
   in
@@ -248,15 +252,14 @@ let run (mode : Exp_common.mode) =
         let no = Exp_common.no_instance ~n:vn ~k:vk in
         List.map
           (fun (side, pmf) ->
-            let rate kind =
-              Harness.accept_rate ~pool ~oracle:kind
-                ~rng:(Randkit.Rng.create ~seed)
-                ~trials:v_trials ~pmf
-                (fun trial ->
+            let rate accept_rate =
+              accept_rate ~pool ~rng:(Randkit.Rng.create ~seed)
+                ~trials:v_trials ~pmf (fun trial ->
                   Histotest.Hist_tester.test ~config ~ws:trial.Harness.ws
                     trial.Harness.oracle ~k:vk ~eps:veps)
             in
-            let rs = rate Harness.Stream and rc = rate Harness.Counts in
+            let rs = rate Refkit.Stream_trials.accept_rate
+            and rc = rate Harness.accept_rate in
             let pooled = (rs +. rc) /. 2. in
             let se =
               sqrt (pooled *. (1. -. pooled) *. 2. /. float_of_int v_trials)

@@ -6,12 +6,7 @@
 
 (* [jobs] sizes the pool each trial sweep opens; an experiment that runs
    no trials never starts a second domain. *)
-type mode = {
-  quick : bool;
-  seed : int;
-  oracle : Harness.oracle_kind;
-  jobs : int;
-}
+type mode = { quick : bool; seed : int; jobs : int }
 
 let section ~id ~claim =
   Format.printf "@.=== %s ===@." id;
@@ -23,14 +18,13 @@ let hline () =
   Format.printf "%s@." (String.make 72 '-')
 
 (* One pool per sweep, [mode.jobs] domains (--jobs).  The harness
-   pre-splits the generators and shares one sampling structure (alias
-   table or split tree, per --oracle), so the measured rates are
-   bit-identical at any job count within an oracle kind. *)
+   pre-splits the generators and shares one split tree, so the measured
+   rates are bit-identical at any job count. *)
 let accept_rate ~mode ~trials ~pmf run =
   let rng = Randkit.Rng.create ~seed:mode.seed in
   Parkit.Pool.with_pool ~jobs:mode.jobs (fun pool ->
-      Harness.accept_rate ~pool ~oracle:mode.oracle ~rng ~trials ~pmf
-        (fun trial -> run trial.Harness.oracle))
+      Harness.accept_rate ~pool ~rng ~trials ~pmf (fun trial ->
+          run trial.Harness.oracle))
 
 (* Error on a completeness/soundness pair: (rejection rate on yes,
    acceptance rate on no). *)

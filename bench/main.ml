@@ -6,8 +6,9 @@
      dune exec bench/main.exe -- --full       # full-size sweeps
      dune exec bench/main.exe -- --seed 7 e10 # different seed
      dune exec bench/main.exe -- --jobs 4 e1  # trial loops on 4 domains
-     dune exec bench/main.exe -- --oracle counts e1
-                                              # count-vector oracle path *)
+
+   An unknown option or experiment name, or a malformed value, is a usage
+   error (exit 2) before any experiment runs. *)
 
 let experiments =
   [
@@ -36,79 +37,39 @@ let experiments =
   ]
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let full = List.mem "--full" args in
-  let opt_value name =
-    let rec find = function
-      | x :: v :: _ when x = name -> Some v
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  (* A malformed value is a usage error (exit 2), like an unknown
-     --oracle, not an uncaught exception. *)
-  let int_opt name ~valid ~expected =
-    match opt_value name with
-    | None -> None
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some i when valid i -> Some i
-        | _ ->
-            Format.eprintf "bad %s %S (%s)@." name v expected;
-            exit 2)
-  in
-  let seed =
-    Option.value ~default:1
-      (int_opt "--seed" ~valid:(fun _ -> true) ~expected:"an integer")
-  in
+  let full = ref false and seed = ref 1 in
   (* Each trial sweep opens its own pool of this size, so experiments
      that run no trials never start a second domain. *)
-  let jobs =
-    match
-      int_opt "--jobs" ~valid:(fun j -> j > 0) ~expected:"a positive integer"
-    with
-    | Some jobs -> jobs
-    | None -> Parkit.Pool.default_jobs ()
+  let jobs = ref (Parkit.Pool.default_jobs ()) in
+  let selected = ref [] in
+  let positive_jobs j =
+    if j > 0 then jobs := j
+    else raise (Arg.Bad (Printf.sprintf "bad --jobs %d (a positive integer)" j))
   in
-  let oracle =
-    match opt_value "--oracle" with
-    | None -> Harness.Stream
-    | Some v -> (
-        match Harness.oracle_kind_of_string v with
-        | Some kind -> kind
-        | None ->
-            Format.eprintf "unknown oracle %S (stream or counts)@." v;
-            exit 2)
+  let select name =
+    match List.assoc_opt (String.lowercase_ascii name) experiments with
+    | Some f -> selected := (name, f) :: !selected
+    | None ->
+        raise
+          (Arg.Bad (Printf.sprintf "unknown experiment %S (known: e1..e22)" name))
   in
-  let selected =
-    let rec strip = function
-      | ("--seed" | "--jobs" | "--oracle") :: _ :: rest -> strip rest
-      | "--full" :: rest -> strip rest
-      | a :: rest -> a :: strip rest
-      | [] -> []
-    in
-    strip args
-  in
-  let mode = { Exp_common.quick = not full; seed; oracle; jobs } in
+  Arg.parse
+    (Arg.align
+       [
+         ("--full", Arg.Set full, " Full-size sweeps");
+         ("--seed", Arg.Set_int seed, "N Base seed (default 1)");
+         ( "--jobs",
+           Arg.Int positive_jobs,
+           "N Domains per trial sweep (default: the recommended count)" );
+       ])
+    select "main.exe [--full] [--seed N] [--jobs N] [EXPERIMENT...]";
+  let mode = { Exp_common.quick = not !full; seed = !seed; jobs = !jobs } in
   let to_run =
-    match selected with
-    | [] -> experiments
-    | names ->
-        List.filter_map
-          (fun name ->
-            match List.assoc_opt (String.lowercase_ascii name) experiments with
-            | Some f -> Some (name, f)
-            | None ->
-                Format.eprintf "unknown experiment %S (known: e1..e22)@." name;
-                None)
-          names
+    match !selected with [] -> experiments | names -> List.rev names
   in
-  Format.printf
-    "histotest experiment harness (%s mode, seed %d, jobs %d, oracle %s)@."
-    (if full then "full" else "quick")
-    seed jobs
-    (Harness.oracle_kind_to_string oracle);
+  Format.printf "histotest experiment harness (%s mode, seed %d, jobs %d)@."
+    (if !full then "full" else "quick")
+    !seed !jobs;
   let t0 = Sys.time () in
   List.iter (fun (_, f) -> f mode) to_run;
   Format.printf "@.total time: %.1f s@." (Sys.time () -. t0)

@@ -51,7 +51,8 @@ let family_arg =
 
 let trials_arg =
   Arg.(
-    value & opt int 1 & info [ "trials" ] ~docv:"T" ~doc:"Independent trials.")
+    value & opt positive 1
+    & info [ "trials" ] ~docv:"T" ~doc:"Independent trials (at least 1).")
 
 let jobs_arg =
   Arg.(
@@ -68,18 +69,6 @@ let with_jobs jobs f =
   Parkit.Pool.with_pool
     ~jobs:(if jobs > 0 then jobs else Parkit.Pool.default_jobs ())
     f
-
-let oracle_arg =
-  Arg.(
-    value
-    & opt (enum [ ("stream", Harness.Stream); ("counts", Harness.Counts) ])
-        Harness.Stream
-    & info [ "oracle" ] ~docv:"ORACLE"
-        ~doc:
-          "Per-trial sample oracle: $(b,stream) (alias-table draws, the \
-           bit-exact reference) or $(b,counts) (split-tree count vectors, \
-           per-trial cost independent of the sample budget; same law, \
-           different generator stream).")
 
 let paper_arg =
   Arg.(
@@ -110,43 +99,54 @@ let with_family spec n seed f =
 
 (* --- test command --- *)
 
-let run_test family n k eps seed trials paper tester_name jobs oracle =
-  with_family family n seed (fun pmf rng ->
-      let config = config_of_paper paper in
-      let tester =
-        List.find_opt
-          (fun t -> String.equal t.Histotest.Tester.name tester_name)
-          (Histotest.Tester.all ~config ()
-          @ [ Histotest.Tester.uniformity ~config () ])
-      in
-      match tester with
-      | None ->
-          prerr_endline ("error: unknown tester " ^ tester_name);
-          1
-      | Some t ->
-          Format.printf "family=%s n=%d k=%d eps=%g tester=%s@." family n k eps
-            t.Histotest.Tester.name;
-          Format.printf "exact tv(D, H_k) = %.4f@."
-            (Closest.tv_to_hk pmf ~k);
-          Format.printf "planned budget   = %d samples@."
-            (t.Histotest.Tester.budget ~n ~k ~eps);
-          (* The harness pre-splits generators, so output is identical
-             at any job count. *)
-          let verdicts =
-            with_jobs jobs (fun pool ->
-                Harness.run_trials ~pool ~oracle ~rng ~trials ~pmf
-                  (fun trial ->
-                    t.Histotest.Tester.run trial.Harness.oracle ~k ~eps))
-          in
-          let accepts = ref 0 in
-          Array.iteri
-            (fun i v ->
-              if Verdict.equal v Verdict.Accept then incr accepts;
-              Format.printf "trial %d: %a@." (i + 1) Verdict.pp v)
-            verdicts;
-          if trials > 1 then
-            Format.printf "accepted %d/%d@." !accepts trials;
-          0)
+(* A k-histogram over [n] elements has at most [n] pieces; the testers
+   and the DP reject a larger [k] with an exception, so it is refused
+   here with one line, once both numbers are known. *)
+let pieces_fit ~k ~n =
+  if k <= n then true
+  else begin
+    Printf.eprintf "error: --pieces %d is above the domain size %d\n" k n;
+    false
+  end
+
+let run_test family n k eps seed trials paper tester_name jobs =
+  if not (pieces_fit ~k ~n) then 1
+  else
+    with_family family n seed (fun pmf rng ->
+        let config = config_of_paper paper in
+        let tester =
+          List.find_opt
+            (fun t -> String.equal t.Histotest.Tester.name tester_name)
+            (Histotest.Tester.all ~config ()
+            @ [ Histotest.Tester.uniformity ~config () ])
+        in
+        match tester with
+        | None ->
+            prerr_endline ("error: unknown tester " ^ tester_name);
+            1
+        | Some t ->
+            Format.printf "family=%s n=%d k=%d eps=%g tester=%s@." family n k
+              eps t.Histotest.Tester.name;
+            Format.printf "exact tv(D, H_k) = %.4f@."
+              (Closest.tv_to_hk pmf ~k);
+            Format.printf "planned budget   = %d samples@."
+              (t.Histotest.Tester.budget ~n ~k ~eps);
+            (* The harness pre-splits generators, so output is identical
+               at any job count. *)
+            let verdicts =
+              with_jobs jobs (fun pool ->
+                  Harness.run_trials ~pool ~rng ~trials ~pmf (fun trial ->
+                      t.Histotest.Tester.run trial.Harness.oracle ~k ~eps))
+            in
+            let accepts = ref 0 in
+            Array.iteri
+              (fun i v ->
+                if Verdict.equal v Verdict.Accept then incr accepts;
+                Format.printf "trial %d: %a@." (i + 1) Verdict.pp v)
+              verdicts;
+            if trials > 1 then
+              Format.printf "accepted %d/%d@." !accepts trials;
+            0)
 
 let test_cmd =
   let doc = "Run a histogram tester against a synthetic distribution." in
@@ -154,7 +154,7 @@ let test_cmd =
     (Cmd.info "test" ~doc)
     Term.(
       const run_test $ family_arg $ n_arg $ k_arg $ eps_arg $ seed_arg
-      $ trials_arg $ paper_arg $ tester_arg $ jobs_arg $ oracle_arg)
+      $ trials_arg $ paper_arg $ tester_arg $ jobs_arg)
 
 (* --- select command --- *)
 
@@ -240,8 +240,8 @@ let run_closeness fam1 fam2 n eps seed trials jobs =
           Format.printf "tv(%s, %s) = %.4f (ground truth)@." fam1 fam2
             (Distance.tv p1 p2);
           (* Two oracles per trial: split both generators sequentially
-             before dispatch and share one alias table per side, exactly
-             like the one-sample harness. *)
+             before dispatch and share one alias table per side, as the
+             one-sample harness shares its split tree. *)
           let a1 = Alias.of_pmf p1 and a2 = Alias.of_pmf p2 in
           let pairs = Array.make trials (rng, rng) in
           for i = 0 to trials - 1 do
@@ -311,8 +311,8 @@ let run_estimate family n seed samples =
 
 let samples_arg =
   Arg.(
-    value & opt int 10_000
-    & info [ "samples" ] ~docv:"M" ~doc:"Sample budget.")
+    value & opt positive 10_000
+    & info [ "samples" ] ~docv:"M" ~doc:"Sample budget (at least 1).")
 
 let estimate_cmd =
   let doc =
@@ -343,7 +343,7 @@ let read_dataset path =
    sampler's tables), so it is bounded: 2^24 values. *)
 let max_file_domain = 1 lsl 24
 
-let run_test_file path domain k eps seed trials jobs oracle =
+let run_test_file path domain k eps seed trials jobs =
   match read_dataset path with
   | exception Sys_error msg ->
       prerr_endline ("error: " ^ msg);
@@ -366,6 +366,7 @@ let run_test_file path domain k eps seed trials jobs oracle =
         prerr_endline "error: dataset values outside [0, domain)";
         1
       end
+      else if not (pieces_fit ~k ~n) then 1
       else begin
         (* The paper's framing: the dataset IS the population; testers get
            iid samples from its record distribution. *)
@@ -394,7 +395,7 @@ let run_test_file path domain k eps seed trials jobs oracle =
         end;
         let reports =
           with_jobs jobs (fun pool ->
-              Harness.run_trials ~pool ~oracle ~rng ~trials ~pmf:population
+              Harness.run_trials ~pool ~rng ~trials ~pmf:population
                 (fun trial ->
                   Histotest.Hist_tester.run trial.Harness.oracle ~k ~eps))
         in
@@ -433,7 +434,7 @@ let test_file_cmd =
     (Cmd.info "test-file" ~doc)
     Term.(
       const run_test_file $ file_arg $ domain_opt_arg $ k_arg $ eps_arg
-      $ seed_arg $ trials_arg $ jobs_arg $ oracle_arg)
+      $ seed_arg $ trials_arg $ jobs_arg)
 
 let main_cmd =
   let doc = "testing histogram distributions (PODS reproduction)" in

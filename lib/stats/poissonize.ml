@@ -19,31 +19,6 @@ let of_alias rng alias =
     stream = (fun m -> Alias.draw_many alias rng m);
   }
 
-(* Workspace-backed oracle: same draw stream as [of_alias] on the same
-   generator (the [_into] variants consume identical randomness), but the
-   returned arrays are views into [ws]'s buffers, overwritten by the
-   oracle's next call.  All in-tree consumers (testers, baselines, the
-   learner and the sieve) read the counts before drawing again, so they
-   work with either oracle flavour unchanged. *)
-let of_alias_ws ws rng alias =
-  let n = Alias.size alias in
-  let counts_for m =
-    let counts = Workspace.counts ws n in
-    Alias.draw_counts_into alias rng ~counts m;
-    counts
-  in
-  {
-    n;
-    exact = counts_for;
-    poissonized =
-      (fun mean -> counts_for (Randkit.Sampler.poisson rng ~mean));
-    stream =
-      (fun m ->
-        let out = Workspace.samples ws m in
-        Alias.draw_many_into alias rng ~out m;
-        out);
-  }
-
 (* Counts-path oracles: count vectors generated directly by binomial
    splitting over a Split_tree — O(K log(n/K)) per call instead of Θ(m),
    independent of the sample budget.  Same multinomial/Poissonized law as

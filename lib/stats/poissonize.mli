@@ -17,7 +17,7 @@ type oracle = {
 
 val of_pmf : Randkit.Rng.t -> Pmf.t -> oracle
 (** Builds a fresh O(n) alias table; prefer [of_alias] when many oracles
-    are made over the same PMF (one per trial in the harness). *)
+    are made over the same PMF. *)
 
 val of_alias : Randkit.Rng.t -> Alias.t -> oracle
 (** An oracle over a pre-built alias table.  The table is immutable and
@@ -25,17 +25,6 @@ val of_alias : Randkit.Rng.t -> Alias.t -> oracle
     only [rng] is mutated by draws, so each concurrent oracle needs its
     own generator.  Every call allocates a fresh result array that the
     caller may keep forever. *)
-
-val of_alias_ws : Workspace.t -> Randkit.Rng.t -> Alias.t -> oracle
-(** Like [of_alias], with the **exact same draw stream** for the same
-    generator, but allocation-free in the steady state: returned arrays
-    are views into [ws]'s reusable buffers, valid only until the oracle's
-    next call — [Array.copy] to retain.  Consequences: (1) the workspace
-    must not be shared with concurrently running code (the harness keeps
-    one per domain); (2) two oracles over the same workspace must not be
-    used side by side (e.g. [Closeness.run] needs its two oracles'
-    counts simultaneously — give them distinct workspaces or use
-    [of_alias]). *)
 
 val counts_of_tree : Randkit.Rng.t -> Split_tree.t -> oracle
 (** The counts path: occurrence vectors generated directly by recursive
@@ -52,10 +41,15 @@ val counts_of_tree : Randkit.Rng.t -> Split_tree.t -> oracle
     this path are expected to touch only [exact]/[poissonized]. *)
 
 val counts_of_tree_ws : Workspace.t -> Randkit.Rng.t -> Split_tree.t -> oracle
-(** Like [counts_of_tree] with the exact same draw stream for the same
-    generator, but allocation-free in the steady state: returned arrays
-    are views into [ws]'s buffers, overwritten by the oracle's next call
-    — the same lending contract (and the same caveats) as
-    [of_alias_ws]. *)
+(** Like [counts_of_tree], with the **exact same draw stream** for the
+    same generator, but allocation-free in the steady state: returned
+    arrays are views into [ws]'s reusable buffers, valid only until the
+    oracle's next call — [Array.copy] to retain.  Consequences: (1) the
+    workspace must not be shared with concurrently running code (the
+    harness keeps one per domain); (2) two oracles over the same
+    workspace must not be used side by side (e.g. [Closeness.run] needs
+    its two oracles' counts simultaneously — give them distinct
+    workspaces or use an allocating oracle).  This is the oracle every
+    {!Harness} trial gets. *)
 
 val of_pmf_seeded : seed:int -> Pmf.t -> oracle

@@ -5,7 +5,7 @@
     accumulator — across domains this hammers OCaml 5's stop-the-world GC
     hard enough to make parallel trials *slower* than sequential ones.  A
     workspace holds those buffers once and lends them out call after call:
-    [Poissonize.of_alias_ws] oracles draw into [counts]/[samples],
+    [Poissonize.counts_of_tree_ws] oracles draw into [counts]/[samples],
     [Chi2stat.compute]/[Adk15.run] write into [per_cell], Algorithm 1's
     stages keep their cell-sized arrays in the buffers below, and its
     checking DP runs in the [closest] scratch: a warm trial allocates
@@ -27,8 +27,8 @@ val create : unit -> t
 
 val counts : t -> int -> int array
 (** [counts t n] is the reusable length-[n] int buffer (contents are
-    whatever the previous borrower left; [Alias.draw_counts_into] zeroes
-    it).  Cached by exact length: reallocates whenever [n] changes. *)
+    whatever the previous borrower left; [Split_tree.draw_counts_into]
+    zeroes it).  Cached by exact length: reallocates whenever [n] changes. *)
 
 val samples : t -> int -> int array
 (** [samples t m] is the reusable length-[m] int buffer. *)

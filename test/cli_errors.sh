@@ -31,18 +31,22 @@ expect() {
   esac
 }
 
-# bench/main.exe: usage errors exit 2, as an unknown --oracle does.
+# bench/main.exe: usage errors exit 2 before any experiment runs: a bad
+# value, an unknown experiment, an unknown option such as --oracle.
 expect 2 "$bench" --jobs 0 e1
 expect 2 "$bench" --jobs -1 e1
 expect 2 "$bench" --jobs x e1
 expect 2 "$bench" --seed x e1
 expect 2 "$bench" --oracle bad e1
+expect 2 "$bench" nosuch
+expect 2 "$bench" --oracle counts e1
 
 # bin/main.exe: cmdliner's command-line error status is 124; 0 still
 # means all recommended cores.
 expect 124 "$main" test --jobs=-3
 expect 124 "$main" test --jobs x
-expect 0 "$main" test --jobs=0 --domain 64 -k 1 --trials 1 --oracle counts
+expect 0 "$main" test --jobs=0 --domain 64 -k 1 --trials 1
+expect 124 "$main" test --domain 64 -k 1 --trials 1 --oracle counts
 
 # Ranges the libraries would otherwise reject with an exception: at
 # least one piece, eps in (0, 1], a search limit of at least 1.
@@ -54,8 +58,20 @@ expect 124 "$main" test --eps 1.5
 expect 124 "$main" closeness --eps 0
 expect 124 "$main" closeness --eps 1.5
 expect 124 "$main" select --k-max 0
+
+# At least one trial and one sample; at most as many pieces as the
+# domain has elements (a one-line error once both are known).
+expect 124 "$main" test --trials=-1 --domain 64 -k 1
+expect 124 "$main" test --trials 0 --domain 64 -k 1
+expect 124 "$main" closeness --trials=-1
+expect 124 "$main" closeness --trials 0
+expect 124 "$main" estimate --samples=-1
+expect 124 "$main" estimate --samples 0
+expect 1 "$main" test --family uniform --domain 64 -k 100 --trials 1
 printf '1\n2\n3\n' > "$tmp/small.txt"
 expect 124 "$main" test-file --file "$tmp/small.txt" --pieces 0
+expect 124 "$main" test-file --file "$tmp/small.txt" --trials 0
+expect 1 "$main" test-file --file "$tmp/small.txt" --pieces 5
 
 # A test-file domain above 2^24 is refused before any array is built.
 printf '1\n100000000000000\n' > "$tmp/big.txt"

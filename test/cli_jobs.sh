@@ -34,8 +34,7 @@ same() {
   fi
 }
 
-same test test --family staircase:4 --domain 4096 --trials 6 --oracle counts
-same test-stream test --family staircase:4 --domain 4096 --trials 6
+same test test --family staircase:4 --domain 4096 --trials 6
 same closeness closeness --trials 4
 same test-file test-file --file "$tmp/dataset.txt" --trials 4
 

@@ -755,7 +755,7 @@ let test_replay_identical () =
 
 let test_replay_matches_harness_trials () =
   (* Pin the service path to the harness path: for each harness trial
-     (the Stream oracle's Poissonized counts), the sharded replay verdict
+     (its oracle's Poissonized counts), the sharded replay verdict
      must equal the verdict computed directly from that trial's counts —
      the service is a resharding of the harness, not a second opinion. *)
   let n = 256 and eps = 0.25 in
@@ -764,7 +764,7 @@ let test_replay_matches_harness_trials () =
   let m = 6_000. in
   let agreements =
     Parkit.Pool.with_pool ~jobs:2 @@ fun pool ->
-    Harness.run_trials ~pool ~oracle:Harness.Stream
+    Harness.run_trials ~pool
       ~rng:(Randkit.Rng.create ~seed:13)
       ~trials:10 ~pmf:dstar
       (fun trial ->

@@ -172,8 +172,10 @@ let oracle_constructors pmf =
   [
     ("of_pmf", fun () -> Poissonize.of_pmf (rng ()) pmf);
     ("of_alias", fun () -> Poissonize.of_alias (rng ()) alias);
-    ( "of_alias_ws",
-      fun () -> Poissonize.of_alias_ws (Workspace.create ()) (rng ()) alias );
+    ( "Stream_trials.of_alias_ws",
+      fun () ->
+        Refkit.Stream_trials.of_alias_ws (Workspace.create ()) (rng ()) alias
+    );
     ("counts_of_tree", fun () -> Poissonize.counts_of_tree (rng ()) tree);
     ( "counts_of_tree_ws",
       fun () -> Poissonize.counts_of_tree_ws (Workspace.create ()) (rng ()) tree
@@ -275,22 +277,22 @@ let test_counts_vs_stream_chi2_marginals () =
     true (p_value > 1e-9)
 
 let test_counts_vs_stream_verdicts () =
-  (* Verdict distributions of Algorithm 1 must agree across paths: accept
-     rates over independent trial ensembles within two-proportion noise.
-     Small grid so the whole check stays test-suite-sized. *)
+  (* Verdict distributions of Algorithm 1 must agree across paths: the
+     harness's accept rates against the alias-stream reference's, over
+     trial ensembles, within two-proportion noise.  Small grid so the
+     whole check stays test-suite-sized. *)
   let trials = 200 in
   Parkit.Pool.with_pool ~jobs:2 @@ fun pool ->
   List.iter
     (fun (n, k, eps, pmf) ->
-      let rate kind =
-        Harness.accept_rate ~pool ~oracle:kind
-          ~rng:(Randkit.Rng.create ~seed:31337)
-          ~trials ~pmf
+      let rate accept_rate =
+        accept_rate ~pool ~rng:(Randkit.Rng.create ~seed:31337) ~trials ~pmf
           (fun trial ->
             Histotest.Hist_tester.test ~ws:trial.Harness.ws
               trial.Harness.oracle ~k ~eps)
       in
-      let rs = rate Harness.Stream and rc = rate Harness.Counts in
+      let rs = rate Refkit.Stream_trials.accept_rate
+      and rc = rate Harness.accept_rate in
       let pooled = (rs +. rc) /. 2. in
       let se = sqrt (pooled *. (1. -. pooled) *. 2. /. float_of_int trials) in
       let z = if se > 0. then Float.abs (rs -. rc) /. se else 0. in
@@ -478,7 +480,7 @@ let test_ws_oracle_matches_allocating () =
   let r2 = rng () in
   let a = Poissonize.of_alias r1 alias in
   let ws = Workspace.create () in
-  let w = Poissonize.of_alias_ws ws r2 alias in
+  let w = Refkit.Stream_trials.of_alias_ws ws r2 alias in
   Alcotest.(check bool) "exact identical" true
     (a.Poissonize.exact 300 = Array.copy (w.Poissonize.exact 300));
   Alcotest.(check bool) "poissonized identical" true
@@ -491,7 +493,7 @@ let test_ws_oracle_matches_allocating () =
 let test_ws_oracle_reuses_buffers () =
   let pmf = Pmf.uniform 32 in
   let ws = Workspace.create () in
-  let o = Poissonize.of_alias_ws ws (rng ()) (Alias.of_pmf pmf) in
+  let o = Refkit.Stream_trials.of_alias_ws ws (rng ()) (Alias.of_pmf pmf) in
   let c1 = o.Poissonize.exact 100 in
   let c2 = o.Poissonize.exact 100 in
   Alcotest.(check bool) "same physical counts buffer" true (c1 == c2);
@@ -574,12 +576,22 @@ let test_harness_trials_draw_samples () =
 (* --- parallel determinism ---
 
    The harness contract: for a fixed seed the results are bit-identical
-   at any job count, and identical to the original (pre-parkit)
-   sequential loop, which split the generator and rebuilt the alias
-   table inside the per-trial loop.  [reference_trials] reproduces that
-   original loop verbatim. *)
+   at any job count, and identical to a sequential loop that splits the
+   generator per trial and draws from one split tree with an allocating
+   counts oracle.  [reference_trials] is that loop; [stream_loop] is the
+   original (pre-parkit) loop of the alias-stream path, which rebuilt the
+   alias table inside the per-trial loop, and the reference
+   [Refkit.Stream_trials] must still reproduce it. *)
 
 let reference_trials ~seed ~trials ~pmf f =
+  let rng = Randkit.Rng.create ~seed in
+  let tree = Split_tree.of_pmf pmf in
+  Array.init trials (fun _ ->
+      let child = Randkit.Rng.split rng in
+      let oracle = Poissonize.counts_of_tree child tree in
+      f { Harness.rng = child; oracle; ws = Workspace.create () })
+
+let stream_loop ~seed ~trials ~pmf f =
   let rng = Randkit.Rng.create ~seed in
   Array.init trials (fun _ ->
       let child = Randkit.Rng.split rng in
@@ -594,6 +606,10 @@ let pooled_accept_rate ~pool ~seed ~trials ~pmf =
   Harness.accept_rate ~pool ~rng:(Randkit.Rng.create ~seed) ~trials ~pmf
     parity_decide
 
+let stream_accept_rate ~pool ~seed ~trials ~pmf =
+  Refkit.Stream_trials.accept_rate ~pool ~rng:(Randkit.Rng.create ~seed)
+    ~trials ~pmf parity_decide
+
 let test_accept_rate_jobs_invariant () =
   let pmf = Families.zipf ~n:64 ~s:1.0 in
   let trials = 40 in
@@ -606,9 +622,14 @@ let test_accept_rate_jobs_invariant () =
     in
     float_of_int accepts /. float_of_int trials
   in
-  (* Value observed on the pre-parkit sequential harness: frozen so a
-     stream or split change cannot slip through unnoticed. *)
-  Alcotest.(check (float 0.)) "pre-change value" 0.4 reference;
+  (* Value observed on the pre-parkit sequential harness, which drew
+     alias streams: frozen so a stream or split change in the reference
+     path cannot slip through unnoticed. *)
+  Alcotest.(check (float 0.)) "pre-change value" 0.4
+    (stream_accept_rate ~pool:Parkit.Pool.sequential ~seed:31337 ~trials ~pmf);
+  (* The split-tree loop's value, frozen when it became the harness's
+     one trial oracle. *)
+  Alcotest.(check (float 0.)) "counts-path value" 0.375 reference;
   List.iter
     (fun jobs ->
       Parkit.Pool.with_pool ~jobs (fun pool ->
@@ -620,26 +641,33 @@ let test_accept_rate_jobs_invariant () =
 
 let test_run_trials_jobs_invariant () =
   (* Element-wise equality of the full per-trial output, not just an
-     aggregate: each trial's counts vector must match the reference.  The
-     copy is required: the harness oracle is workspace-backed, so the
-     array it returns is overwritten by the next trial on the domain. *)
+     aggregate: each trial's counts vector must match the reference loop
+     — the split-tree loop for the harness, the pre-parkit loop for the
+     alias-stream reference over it.  The copy is required: the trial
+     oracles are workspace-backed, so the array one returns is
+     overwritten by the next trial on the domain. *)
   let pmf = Families.staircase ~n:256 ~k:4 ~rng:(rng ()) in
   let collect (trial : Harness.trial) =
     Array.copy (trial.Harness.oracle.Poissonize.exact 500)
   in
-  let reference = reference_trials ~seed:7 ~trials:12 ~pmf collect in
   List.iter
-    (fun jobs ->
-      Parkit.Pool.with_pool ~jobs (fun pool ->
-          let got =
-            Harness.run_trials ~pool
-              ~rng:(Randkit.Rng.create ~seed:7)
-              ~trials:12 ~pmf collect
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "jobs=%d trial streams identical" jobs)
-            true (got = reference)))
-    [ 1; 4 ]
+    (fun (name, run_trials, loop) ->
+      let reference = loop ~seed:7 ~trials:12 ~pmf collect in
+      List.iter
+        (fun jobs ->
+          Parkit.Pool.with_pool ~jobs (fun pool ->
+              let got =
+                run_trials ~pool ~rng:(Randkit.Rng.create ~seed:7) ~trials:12
+                  ~pmf collect
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s jobs=%d trial streams identical" name jobs)
+                true (got = reference)))
+        [ 1; 4 ])
+    [
+      ("harness", Harness.run_trials, reference_trials);
+      ("stream reference", Refkit.Stream_trials.run_trials, stream_loop);
+    ]
 
 let test_median_majority_jobs_invariant () =
   (* A pure per-index estimator may use a pool; neither the median of its
@@ -658,16 +686,21 @@ let test_median_majority_jobs_invariant () =
 
 let test_chunked_scheduling_jobs_invariant () =
   (* The chunk size decides only which domain runs which indices; the
-     frozen accept-rate pin must hold for every chunk shape.  Over 40
-     trials, 2, 3 and 8 jobs claim 5, 3 and 1 trials per round-trip. *)
+     frozen accept-rate pins must hold for every chunk shape, on the
+     harness and on the stream reference over it.  Over 40 trials, 2, 3
+     and 8 jobs claim 5, 3 and 1 trials per round-trip. *)
   let pmf = Families.zipf ~n:64 ~s:1.0 in
   List.iter
     (fun jobs ->
       Parkit.Pool.with_pool ~jobs (fun pool ->
           Alcotest.(check (float 0.))
             (Printf.sprintf "jobs=%d reproduces pin" jobs)
+            0.375
+            (pooled_accept_rate ~pool ~seed:31337 ~trials:40 ~pmf);
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "jobs=%d stream reproduces pin" jobs)
             0.4
-            (pooled_accept_rate ~pool ~seed:31337 ~trials:40 ~pmf)))
+            (stream_accept_rate ~pool ~seed:31337 ~trials:40 ~pmf)))
     [ 2; 3; 8 ]
 
 (* --- Budget_oracle --- *)
