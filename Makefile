@@ -67,7 +67,8 @@ lint-fixtures:
 	@echo "regenerated test/lint_fixtures/GOLDEN.txt"
 
 # One quick experiment per family (E1 accuracy sweep, E10 ablation, E17
-# parallel engine, E20 merge topology, E21 serve-path transcript gate):
+# parallel engine, E20 merge topology, E21 serve-path transcript gate),
+# plus E5, E8, E11, E15 and E16, one per shape of trial loop:
 # CI-style verification
 # that harness changes did not regress behaviour, without a full sweep.
 bench-smoke:

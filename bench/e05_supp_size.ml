@@ -70,16 +70,17 @@ let run (mode : Exp_common.mode) =
         let s = float_of_int support in
         s *. (1. -. ((1. -. (1. /. s)) ** float_of_int m'))
       in
-      let decide m' (trial : Harness.trial) =
-        let seen = Hashtbl.create 64 in
-        Array.iter
-          (fun x -> Hashtbl.replace seen x ())
-          (trial.Harness.oracle.Poissonize.stream m');
+      (* The distinct values among m' samples are the nonzero cells of
+         their count vector. *)
+      let decide m' (oracle : Poissonize.oracle) =
+        let distinct =
+          Exp_common.count (fun c -> c > 0) (oracle.Poissonize.exact m')
+        in
         let s_small = (2 * m / 3) + 1 and s_large = 7 * m / 8 in
         let threshold =
           0.5 *. (expected_distinct s_small m' +. expected_distinct s_large m')
         in
-        if float_of_int (Hashtbl.length seen) <= threshold then Verdict.Accept
+        if float_of_int distinct <= threshold then Verdict.Accept
         else Verdict.Reject
       in
       let rng = Randkit.Rng.create ~seed:(mode.Exp_common.seed + k) in
@@ -88,17 +89,19 @@ let run (mode : Exp_common.mode) =
         (fun gamma ->
           let m' = max 2 (int_of_float (gamma *. float_of_int m)) in
           (* The hard input is a distribution over instances: a fresh
-             random permutation (and side) per trial. *)
+             random permutation (and side), so a fresh split tree, per
+             trial. *)
           let errs side expected =
             let wrong = ref 0 in
             for _ = 1 to trials do
               let pmf, _ =
                 Histotest.Lowerbound.supp_size_instance ~side ~m ~n ~rng
               in
-              let oracle = Poissonize.of_pmf (Randkit.Rng.split rng) pmf in
-              let ws = Workspace.domain_local () in
-              if decide m' { Harness.rng; oracle; ws } <> expected then
-                incr wrong
+              let oracle =
+                Poissonize.counts_of_tree (Randkit.Rng.split rng)
+                  (Split_tree.of_pmf pmf)
+              in
+              if decide m' oracle <> expected then incr wrong
             done;
             float_of_int !wrong /. float_of_int trials
           in

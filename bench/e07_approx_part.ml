@@ -31,43 +31,41 @@ let run (mode : Exp_common.mode) =
       let heavy_truth =
         List.filter (fun i -> Pmf.get pmf i >= 1. /. fb) (Pmf.support pmf)
       in
-      let ok_i = ref 0 in
-      let light_counts = ref [] and band_fracs = ref [] and cells = ref [] in
-      for _ = 1 to runs do
-        let oracle = Poissonize.of_pmf (Randkit.Rng.split rng) pmf in
-        let res = Histotest.Approx_part.run oracle ~b in
-        let part = res.Histotest.Approx_part.partition in
-        (* (i) every truly heavy element is a singleton cell. *)
-        let all_isolated =
-          List.for_all
-            (fun i ->
-              Interval.is_singleton
-                (Partition.cell part (Partition.find part i)))
-            heavy_truth
-        in
-        if all_isolated then incr ok_i;
-        (* (ii)+(iii) cell-mass accounting. *)
-        let light = ref 0 and in_band = ref 0 and total = ref 0 in
-        Partition.iteri
-          (fun _ cell ->
-            incr total;
-            let mass = Pmf.mass_on pmf cell in
-            if Interval.is_singleton cell && mass >= 1. /. fb then ()
-            else if mass < 0.5 /. fb then incr light
-            else if mass <= 2. /. fb then incr in_band)
-          part;
-        light_counts := float_of_int !light :: !light_counts;
-        band_fracs :=
-          (float_of_int !in_band /. float_of_int !total) :: !band_fracs;
-        cells := float_of_int !total :: !cells
-      done;
-      let mean l = Numkit.Summary.mean_of (Array.of_list l) in
+      (* Per run: are the heavy elements isolated, and how many cells are
+         light, in the band, and in all. *)
+      let outs =
+        Exp_common.run_trials ~mode ~rng ~trials:runs ~pmf (fun trial ->
+            let res = Histotest.Approx_part.run trial.Harness.oracle ~b in
+            let part = res.Histotest.Approx_part.partition in
+            (* (i) every truly heavy element is a singleton cell. *)
+            let all_isolated =
+              List.for_all
+                (fun i ->
+                  Interval.is_singleton
+                    (Partition.cell part (Partition.find part i)))
+                heavy_truth
+            in
+            (* (ii)+(iii) cell-mass accounting. *)
+            let light = ref 0 and in_band = ref 0 in
+            Partition.iteri
+              (fun _ cell ->
+                let mass = Pmf.mass_on pmf cell in
+                if Interval.is_singleton cell && mass >= 1. /. fb then ()
+                else if mass < 0.5 /. fb then incr light
+                else if mass <= 2. /. fb then incr in_band)
+              part;
+            (all_isolated, !light, !in_band, Partition.cell_count part))
+      in
+      let isolated = Exp_common.count (fun (ok, _, _, _) -> ok) outs in
+      let mean f = Numkit.Summary.mean_of (Array.map f outs) in
       Exp_common.row
         "b=%4d: heavy isolated %d/%d runs; light cells %.1f avg; %.0f%% of \
          cells in [1/2b, 2/b]; K avg %.0f (2b+2 = %d)@."
-        b !ok_i runs (mean !light_counts)
-        (100. *. mean !band_fracs)
-        (mean !cells)
+        b isolated runs
+        (mean (fun (_, light, _, _) -> float_of_int light))
+        (100. *. mean (fun (_, _, in_band, total) ->
+                     float_of_int in_band /. float_of_int total))
+        (mean (fun (_, _, _, total) -> float_of_int total))
         ((2 * b) + 2))
     [ 40; 80; 160 ];
   Exp_common.row

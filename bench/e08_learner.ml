@@ -17,7 +17,6 @@ let run (mode : Exp_common.mode) =
   let eps_learn = eps /. config.Histotest.Config.learner_eps_div in
   let bound = eps_learn *. eps_learn in
   let rng = Randkit.Rng.create ~seed:mode.Exp_common.seed in
-  let ws = Workspace.create () in
   Exp_common.row "%12s | %12s | %12s | %10s | %12s@." "instance"
     "masked chi2" "(p90)" "within" "full chi2";
   Exp_common.hline ();
@@ -27,24 +26,24 @@ let run (mode : Exp_common.mode) =
       let breakpoints = Khist.breakpoint_cells pmf part in
       let keep = Array.map not breakpoints in
       let mask = Partition.restrict_mask part ~keep in
-      let masked = ref [] and full = ref [] in
-      let within = ref 0 in
-      for _ = 1 to runs do
-        let oracle = Poissonize.of_pmf (Randkit.Rng.split rng) pmf in
-        let learned, _ = Histotest.Learner.fit ~config ws oracle ~part ~eps in
-        let dhat = Khist.to_pmf learned in
-        let c_masked = Distance.chi2_mask mask pmf ~against:dhat in
-        let c_full = Distance.chi2 pmf ~against:dhat in
-        if c_masked <= bound then incr within;
-        masked := c_masked :: !masked;
-        full := c_full :: !full
-      done;
-      let arr = Array.of_list !masked in
+      (* Per run: the masked and the full divergence of the fit. *)
+      let fits =
+        Exp_common.run_trials ~mode ~rng ~trials:runs ~pmf (fun trial ->
+            let learned, _ =
+              Histotest.Learner.fit ~config trial.Harness.ws
+                trial.Harness.oracle ~part ~eps
+            in
+            let dhat = Khist.to_pmf learned in
+            ( Distance.chi2_mask mask pmf ~against:dhat,
+              Distance.chi2 pmf ~against:dhat ))
+      in
+      let masked = Array.map fst fits in
+      let within = Exp_common.count (fun c -> c <= bound) masked in
       Exp_common.row "%12s | %12.2e | %12.2e | %7d/%d | %12.2e@." name
-        (Numkit.Summary.mean_of arr)
-        (Numkit.Summary.quantile arr 0.9)
-        !within runs
-        (Numkit.Summary.mean_of (Array.of_list !full)))
+        (Numkit.Summary.mean_of masked)
+        (Numkit.Summary.quantile masked 0.9)
+        within runs
+        (Numkit.Summary.mean_of (Array.map snd fits)))
     [
       ("stair-2", Families.staircase ~n ~k:2 ~rng);
       ("stair-8", Families.staircase ~n ~k:8 ~rng);

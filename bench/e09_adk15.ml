@@ -38,7 +38,9 @@ let run (mode : Exp_common.mode) =
   in
   List.iter
     (fun (name, d, dstar) ->
-      let oracle = Poissonize.of_pmf (Randkit.Rng.split rng) d in
+      let oracle =
+        Poissonize.counts_of_tree (Randkit.Rng.split rng) (Split_tree.of_pmf d)
+      in
       let zs =
         Array.init draws (fun _ ->
             let counts = oracle.Poissonize.poissonized m in

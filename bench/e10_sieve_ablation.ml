@@ -69,7 +69,6 @@ let run (mode : Exp_common.mode) =
   let dhat = Khist.flatten_pmf d part in
   let eligible = Array.make cells true in
   let rng = Randkit.Rng.create ~seed:mode.Exp_common.seed in
-  let ws = Workspace.create () in
   Exp_common.row "(sieve budget at k=%d: %d cells; rounds: %d; %d planted)@.@."
     k
     (Histotest.Config.sieve_budget Histotest.Config.default ~k)
@@ -80,39 +79,47 @@ let run (mode : Exp_common.mode) =
   Exp_common.hline ();
   List.iter
     (fun (name, config) ->
-      let completed = ref 0 and hit = ref 0 and spurious = ref 0 in
-      let rounds = ref 0 and accepted = ref 0 in
-      for _ = 1 to trials do
-        let oracle = Poissonize.of_pmf (Randkit.Rng.split rng) d in
-        let res =
-          Histotest.Sieve.run_khist ~config ws oracle ~dhat ~eligible ~k ~eps
-        in
-        if res.Histotest.Sieve.verdict = Verdict.Accept then begin
-          incr completed;
-          List.iter
-            (fun j -> if not res.Histotest.Sieve.kept.(j) then incr hit)
-            planted;
-          Array.iteri
-            (fun j kept ->
-              if (not kept) && not (List.mem j planted) then incr spurious)
-            res.Histotest.Sieve.kept;
-          rounds := !rounds + res.Histotest.Sieve.rounds_used;
-          let final =
-            Histotest.Adk15.run_khist ~config
-              ~cell_mask:res.Histotest.Sieve.kept ~ws oracle ~dstar:dhat
-              ~eps:(eps *. config.Histotest.Config.test_eps_frac)
-          in
-          if final.Histotest.Adk15.verdict = Verdict.Accept then incr accepted
-        end
-      done;
-      let denom = max 1 !completed in
+      (* A completed sieve's planted and spurious removals, its rounds,
+         and whether the final test accepts. *)
+      let outs =
+        Exp_common.run_trials ~mode ~rng ~trials ~pmf:d (fun trial ->
+            let ws = trial.Harness.ws and oracle = trial.Harness.oracle in
+            let res =
+              Histotest.Sieve.run_khist ~config ws oracle ~dhat ~eligible ~k
+                ~eps
+            in
+            if res.Histotest.Sieve.verdict <> Verdict.Accept then None
+            else
+              let kept = res.Histotest.Sieve.kept in
+              let removed = Exp_common.count not kept in
+              let hit =
+                List.length (List.filter (fun j -> not kept.(j)) planted)
+              in
+              let final =
+                Histotest.Adk15.run_khist ~config ~cell_mask:kept ~ws oracle
+                  ~dstar:dhat
+                  ~eps:(eps *. config.Histotest.Config.test_eps_frac)
+              in
+              Some
+                ( hit,
+                  removed - hit,
+                  res.Histotest.Sieve.rounds_used,
+                  final.Histotest.Adk15.verdict = Verdict.Accept ))
+      in
+      let sieved = List.filter_map Fun.id (Array.to_list outs) in
+      let completed = List.length sieved in
+      let avg f =
+        float_of_int (List.fold_left (fun acc o -> acc + f o) 0 sieved)
+        /. float_of_int (max 1 completed)
+      in
+      let accepted = List.length (List.filter (fun (_, _, _, a) -> a) sieved) in
       Exp_common.row "%13s | %6d/%-2d | %6.1f/%d | %9.1f | %7.1f | %7d/%-2d@."
-        name !completed trials
-        (float_of_int !hit /. float_of_int denom)
+        name completed trials
+        (avg (fun (hit, _, _, _) -> hit))
         (List.length planted)
-        (float_of_int !spurious /. float_of_int denom)
-        (float_of_int !rounds /. float_of_int denom)
-        !accepted !completed)
+        (avg (fun (_, spurious, _, _) -> spurious))
+        (avg (fun (_, _, rounds, _) -> rounds))
+        accepted completed)
     (variants k);
   Exp_common.row
     "@.Expected shape: 'default' and 'no-stage1' complete, remove 12-13 of@.";

@@ -28,12 +28,13 @@ let run (mode : Exp_common.mode) =
       in
       let d_prev = Closest.tv_to_hk d ~k:(k_star - 1) in
       let d_half = Closest.tv_to_hk d ~k:(max 1 (k_star / 2)) in
+      let tree = Split_tree.of_pmf d in
       for r = 1 to runs do
         let rng = Randkit.Rng.create ~seed:(mode.Exp_common.seed + (100 * r)) in
         let result =
           Histotest.Model_select.run
             ~make_oracle:(fun () ->
-              Poissonize.of_pmf (Randkit.Rng.split rng) d)
+              Poissonize.counts_of_tree (Randkit.Rng.split rng) tree)
             ~k_max:128 ~eps ()
         in
         let k_hat =

@@ -17,6 +17,7 @@ let run (mode : Exp_common.mode) =
   let rng = Randkit.Rng.create ~seed:mode.Exp_common.seed in
   let base = Families.zipf ~n ~s:1. in
   let far = Families.comb ~n ~teeth:32 in
+  let base_tree = Split_tree.of_pmf base and far_tree = Split_tree.of_pmf far in
   Exp_common.row "pairs: (zipf, zipf) same; (uniform, comb32) tv = %.3f@.@."
     (Distance.tv (Pmf.uniform n) far);
   Exp_common.row "%10s | %10s | %10s | %10s@." "mult" "samples/ea"
@@ -27,30 +28,32 @@ let run (mode : Exp_common.mode) =
       let config =
         Histotest.Config.scale_budget Histotest.Config.default mult
       in
-      let wrong_same = ref 0 and wrong_far = ref 0 in
-      for _ = 1 to trials do
-        let o1 = Poissonize.of_pmf (Randkit.Rng.split rng) base in
-        let o2 = Poissonize.of_pmf (Randkit.Rng.split rng) base in
-        if
-          (Histotest.Closeness.run ~config o1 o2 ~eps).Histotest.Closeness
-            .verdict
-          <> Verdict.Accept
-        then incr wrong_same;
-        let o3 = Poissonize.of_pmf (Randkit.Rng.split rng) (Pmf.uniform n) in
-        let o4 = Poissonize.of_pmf (Randkit.Rng.split rng) far in
-        if
-          (Histotest.Closeness.run ~config o3 o4 ~eps).Histotest.Closeness
-            .verdict
-          <> Verdict.Reject
-        then incr wrong_far
-      done;
+      (* The error rate against [want]: the harness's trials draw from
+         [p1], each trial's second oracle from [tree2] with a generator
+         split off the trial's own, as in `histotest closeness`. *)
+      let error p1 tree2 want =
+        let wrong =
+          Exp_common.run_trials ~mode ~rng ~trials ~pmf:p1 (fun t ->
+              let o2 =
+                Poissonize.counts_of_tree (Randkit.Rng.split t.Harness.rng)
+                  tree2
+              in
+              (Histotest.Closeness.run ~config t.Harness.oracle o2 ~eps)
+                .Histotest.Closeness.verdict
+              <> want)
+        in
+        float_of_int (Exp_common.count Fun.id wrong) /. float_of_int trials
+      in
+      let err_same = error base base_tree Verdict.Accept in
+      let err_far = error (Pmf.uniform n) far_tree Verdict.Reject in
       Exp_common.row "%10.3f | %10d | %10.2f | %10.2f@." mult
         (Histotest.Closeness.budget ~config ~n ~eps ())
-        (float_of_int !wrong_same /. float_of_int trials)
-        (float_of_int !wrong_far /. float_of_int trials))
+        err_same err_far)
     [ 0.01; 0.05; 0.2; 1.0 ];
   Exp_common.row
-    "@.Expected shape: far-side error ~1 at starved budgets (the pair is@.";
+    "@.Expected shape: err(same) is the null statistic's tail above the@.";
   Exp_common.row
-    "invisible), both errors <= 1/3 at x1 — the same transition anatomy@.";
-  Exp_common.row "as the one-sample tests it inspired.@."
+    "threshold m eps^2/10, large while Z's spread (~sqrt(2 x occupied@.";
+  Exp_common.row
+    "cells)) exceeds it and ~0 by x1; err(far) falls first — the same@.";
+  Exp_common.row "transition anatomy as the one-sample tests it inspired.@."

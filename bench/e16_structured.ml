@@ -27,25 +27,21 @@ let run (mode : Exp_common.mode) =
         Pmf.of_weights
           (Array.init n (fun i -> if i / (n / k) mod 2 = 0 then 5. else 1.))
       in
-      let wrong_same = ref 0 and wrong_far = ref 0 in
-      let cells = ref 0 and budget = ref 0 in
-      for _ = 1 to trials do
-        let o1 = Poissonize.of_pmf (Randkit.Rng.split rng) dstar in
-        let out1 = Histotest.Structured_identity.run o1 ~dstar ~k ~eps in
-        cells := out1.Histotest.Structured_identity.reduced_cells;
-        budget := out1.Histotest.Structured_identity.samples_used;
-        if out1.Histotest.Structured_identity.verdict <> Verdict.Accept then
-          incr wrong_same;
-        let o2 = Poissonize.of_pmf (Randkit.Rng.split rng) far in
-        let out2 = Histotest.Structured_identity.run o2 ~dstar ~k ~eps in
-        if out2.Histotest.Structured_identity.verdict <> Verdict.Reject then
-          incr wrong_far
-      done;
-      Exp_common.row "%9d | %12d | %12d | %9.2f | %9.2f | %7d@." n !budget
+      let err_same, err_far =
+        Exp_common.error_pair ~mode ~trials ~yes:dstar ~no:far (fun o ->
+            (Histotest.Structured_identity.run o ~dstar ~k ~eps)
+              .Histotest.Structured_identity.verdict)
+      in
+      (* What [run] reads off D* alone: the collapsed domain, tested at
+         eps/2. *)
+      let cells =
+        Partition.cell_count
+          (Histotest.Structured_identity.reduction_partition ~dstar ~k ~eps)
+      in
+      Exp_common.row "%9d | %12d | %12d | %9.2f | %9.2f | %7d@." n
+        (Histotest.Structured_identity.budget ~cells ~eps:(eps /. 2.) ())
         (Histotest.Adk15.budget ~n ~eps ())
-        (float_of_int !wrong_same /. float_of_int trials)
-        (float_of_int !wrong_far /. float_of_int trials)
-        !cells)
+        err_same err_far cells)
     ns;
   Exp_common.row
     "@.Expected shape: the structured budget is flat in n (the collapsed@.";

@@ -18,8 +18,12 @@ let hline () =
   Format.printf "%s@." (String.make 72 '-')
 
 (* One pool per sweep, [mode.jobs] domains (--jobs).  The harness
-   pre-splits the generators and shares one split tree, so the measured
-   rates are bit-identical at any job count. *)
+   pre-splits the generators off [rng] and shares one split tree, so the
+   results are bit-identical at any job count. *)
+let run_trials ~mode ~rng ~trials ~pmf f =
+  Parkit.Pool.with_pool ~jobs:mode.jobs (fun pool ->
+      Harness.run_trials ~pool ~rng ~trials ~pmf f)
+
 let accept_rate ~mode ~trials ~pmf run =
   let rng = Randkit.Rng.create ~seed:mode.seed in
   Parkit.Pool.with_pool ~jobs:mode.jobs (fun pool ->
@@ -32,6 +36,9 @@ let error_pair ~mode ~trials ~yes ~no run =
   let a_yes = accept_rate ~mode ~trials ~pmf:yes run in
   let a_no = accept_rate ~mode ~trials ~pmf:no run in
   (1. -. a_yes, a_no)
+
+(* How many elements of [a] satisfy [p]. *)
+let count p a = Array.fold_left (fun acc x -> if p x then acc + 1 else acc) 0 a
 
 let scaled_config factor =
   Histotest.Config.scale_budget Histotest.Config.default factor

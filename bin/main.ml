@@ -49,10 +49,14 @@ let family_arg =
           "Distribution under test: uniform, staircase:K, khist:K, zipf:S, \
            geometric:R, comb:T, bimodal, paninski:EPS, spiked:S, monotone:P.")
 
+(* The harness sizes per-trial arrays by the count, so it is bounded
+   before any is made. *)
 let trials_arg =
+  let ok t = t >= 1 && t <= 1_000_000 in
   Arg.(
-    value & opt positive 1
-    & info [ "trials" ] ~docv:"T" ~doc:"Independent trials (at least 1).")
+    value
+    & opt (checked int ok ~range:"an integer in [1, 10^6]") 1
+    & info [ "trials" ] ~docv:"T" ~doc:"Independent trials, from 1 to 10^6.")
 
 let jobs_arg =
   Arg.(
@@ -97,6 +101,20 @@ let with_family spec n seed f =
       1
   | Ok pmf -> f pmf rng
 
+(* Prints each trial's outcome with [print], then, over several
+   trials, how many accepted; the command's exit status. *)
+let report_trials verdict print outs =
+  Array.iteri (fun i out -> print (i + 1) out) outs;
+  let trials = Array.length outs in
+  let accepts =
+    Array.fold_left
+      (fun acc out ->
+        if Verdict.equal (verdict out) Verdict.Accept then acc + 1 else acc)
+      0 outs
+  in
+  if trials > 1 then Format.printf "accepted %d/%d@." accepts trials;
+  0
+
 (* --- test command --- *)
 
 (* A k-histogram over [n] elements has at most [n] pieces; the testers
@@ -138,15 +156,9 @@ let run_test family n k eps seed trials paper tester_name jobs =
                   Harness.run_trials ~pool ~rng ~trials ~pmf (fun trial ->
                       t.Histotest.Tester.run trial.Harness.oracle ~k ~eps))
             in
-            let accepts = ref 0 in
-            Array.iteri
-              (fun i v ->
-                if Verdict.equal v Verdict.Accept then incr accepts;
-                Format.printf "trial %d: %a@." (i + 1) Verdict.pp v)
-              verdicts;
-            if trials > 1 then
-              Format.printf "accepted %d/%d@." !accepts trials;
-            0)
+            report_trials Fun.id
+              (fun i v -> Format.printf "trial %d: %a@." i Verdict.pp v)
+              verdicts)
 
 let test_cmd =
   let doc = "Run a histogram tester against a synthetic distribution." in
@@ -161,9 +173,11 @@ let test_cmd =
 let run_select family n eps seed k_max paper =
   with_family family n seed (fun pmf rng ->
       let config = config_of_paper paper in
+      let tree = Split_tree.of_pmf pmf in
       let result =
         Histotest.Model_select.run ~config
-          ~make_oracle:(fun () -> Poissonize.of_pmf (Randkit.Rng.split rng) pmf)
+          ~make_oracle:(fun () ->
+            Poissonize.counts_of_tree (Randkit.Rng.split rng) tree)
           ~k_max ~eps ()
       in
       List.iter
@@ -208,19 +222,26 @@ let dist_cmd =
 
 (* --- demo-lb command --- *)
 
+(* The instance embeds a support of up to m elements, so the domain
+   must hold m of them. *)
 let run_demo_lb n k seed =
-  let rng = Randkit.Rng.create ~seed in
-  let (small, s_small), (large, s_large), m =
-    Histotest.Lowerbound.supp_size_pair ~k ~n ~rng
-  in
-  Format.printf "support-size reduction at k=%d: m=%d@." k m;
-  Format.printf "small side: support %d, pieces %d, tv to H_k %.4f@." s_small
-    (Khist.pieces_of_pmf small)
-    (Closest.tv_to_hk small ~k);
-  Format.printf "large side: support %d, cover %d, tv to H_k %.4f@." s_large
-    (Histotest.Lowerbound.cover_of_support large)
-    (Closest.tv_to_hk large ~k);
-  0
+  let m = Histotest.Lowerbound.supp_size_m ~k in
+  if n < m then (
+    Printf.eprintf "error: --domain %d is below the instance size m = %d\n" n m;
+    1)
+  else
+    let rng = Randkit.Rng.create ~seed in
+    let (small, s_small), (large, s_large), m =
+      Histotest.Lowerbound.supp_size_pair ~k ~n ~rng
+    in
+    Format.printf "support-size reduction at k=%d: m=%d@." k m;
+    Format.printf "small side: support %d, pieces %d, tv to H_k %.4f@." s_small
+      (Khist.pieces_of_pmf small)
+      (Closest.tv_to_hk small ~k);
+    Format.printf "large side: support %d, cover %d, tv to H_k %.4f@." s_large
+      (Histotest.Lowerbound.cover_of_support large)
+      (Closest.tv_to_hk large ~k);
+    0
 
 let demo_lb_cmd =
   let doc = "Materialize a support-size lower-bound instance pair." in
@@ -239,37 +260,30 @@ let run_closeness fam1 fam2 n eps seed trials jobs =
       | Ok p2 ->
           Format.printf "tv(%s, %s) = %.4f (ground truth)@." fam1 fam2
             (Distance.tv p1 p2);
-          (* Two oracles per trial: split both generators sequentially
-             before dispatch and share one alias table per side, as the
-             one-sample harness shares its split tree. *)
-          let a1 = Alias.of_pmf p1 and a2 = Alias.of_pmf p2 in
-          let pairs = Array.make trials (rng, rng) in
-          for i = 0 to trials - 1 do
-            let r1 = Randkit.Rng.split rng in
-            let r2 = Randkit.Rng.split rng in
-            pairs.(i) <- (r1, r2)
-          done;
+          (* The harness's trials draw from [p1]; each trial's second
+             oracle draws from one shared split tree of [p2] with a
+             generator split off the trial's own.  Consecutive trial
+             generators overlap (see Rng.split), and drawing both samples
+             from the trial's generator made whole trials repeat. *)
+          let tree2 = Split_tree.of_pmf p2 in
           let outs =
             with_jobs jobs (fun pool ->
-                Parkit.Pool.map pool
-                  (fun (r1, r2) ->
-                    Histotest.Closeness.run (Poissonize.of_alias r1 a1)
-                      (Poissonize.of_alias r2 a2) ~eps)
-                  pairs)
+                Harness.run_trials ~pool ~rng ~trials ~pmf:p1 (fun t ->
+                    let o2 =
+                      Poissonize.counts_of_tree
+                        (Randkit.Rng.split t.Harness.rng) tree2
+                    in
+                    Histotest.Closeness.run t.Harness.oracle o2 ~eps))
           in
-          let accepts = ref 0 in
-          Array.iteri
+          report_trials
+            (fun out -> out.Histotest.Closeness.verdict)
             (fun i out ->
-              if Verdict.equal out.Histotest.Closeness.verdict Verdict.Accept
-              then incr accepts;
-              Format.printf "trial %d: %a (Z = %.1f vs %.1f, %d samples)@."
-                (i + 1) Verdict.pp out.Histotest.Closeness.verdict
+              Format.printf "trial %d: %a (Z = %.1f vs %.1f, %d samples)@." i
+                Verdict.pp out.Histotest.Closeness.verdict
                 out.Histotest.Closeness.statistic
                 out.Histotest.Closeness.threshold
                 out.Histotest.Closeness.samples_used)
-            outs;
-          if trials > 1 then Format.printf "accepted %d/%d@." !accepts trials;
-          0)
+            outs)
 
 let family2_arg =
   Arg.(
@@ -290,7 +304,7 @@ let closeness_cmd =
 
 let run_estimate family n seed samples =
   with_family family n seed (fun pmf rng ->
-      let oracle = Poissonize.of_pmf rng pmf in
+      let oracle = Poissonize.counts_of_tree rng (Split_tree.of_pmf pmf) in
       let counts = oracle.Poissonize.exact samples in
       let f = Fingerprint.of_counts counts in
       Format.printf "samples            = %d@." (Fingerprint.samples f);
@@ -399,19 +413,11 @@ let run_test_file path domain k eps seed trials jobs =
                 (fun trial ->
                   Histotest.Hist_tester.run trial.Harness.oracle ~k ~eps))
         in
-        let accepts = ref 0 in
-        Array.iteri
-          (fun i report ->
-            if
-              Verdict.equal report.Histotest.Hist_tester.verdict
-                Verdict.Accept
-            then
-              incr accepts;
-            Format.printf "trial %d:@.%a@." (i + 1)
-              Histotest.Hist_tester.pp_report report)
-          reports;
-        if trials > 1 then Format.printf "accepted %d/%d@." !accepts trials;
-        0
+        report_trials
+          (fun r -> r.Histotest.Hist_tester.verdict)
+          (fun i r ->
+            Format.printf "trial %d:@.%a@." i Histotest.Hist_tester.pp_report r)
+          reports
       end
 
 let file_arg =

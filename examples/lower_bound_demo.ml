@@ -25,8 +25,8 @@ let () =
     (Closest.tv_to_hk q ~k:16);
 
   (* Collision statistics at a starved budget vs the full budget. *)
-  let collisions pmf m seed =
-    let o = Poissonize.of_pmf_seeded ~seed pmf in
+  let collisions tree m seed =
+    let o = Poissonize.counts_of_tree (Randkit.Rng.create ~seed) tree in
     Histotest.Uniformity.collision_count (o.Poissonize.exact m)
   in
   let full = Histotest.Uniformity.budget ~n ~eps () in
@@ -34,9 +34,10 @@ let () =
   List.iter
     (fun (label, m) ->
       let stats pmf =
+        let tree = Split_tree.of_pmf pmf in
         let s = Numkit.Summary.create () in
         for seed = 0 to 19 do
-          Numkit.Summary.add s (float_of_int (collisions pmf m seed))
+          Numkit.Summary.add s (float_of_int (collisions tree m seed))
         done;
         s
       in

@@ -16,11 +16,15 @@ let () =
   Format.printf "Hidden distribution: %d pieces (the analyst doesn't know).@."
     (Khist.pieces_of_pmf hidden);
 
-  (* Doubling search over amplified tester calls. *)
+  (* Doubling search over amplified tester calls.  Every probe gets fresh
+     sample access: its own generator over one split tree of the hidden
+     distribution. *)
+  let tree = Split_tree.of_pmf hidden in
+  let sample_access () =
+    Poissonize.counts_of_tree (Randkit.Rng.split rng) tree
+  in
   let result =
-    Histotest.Model_select.run
-      ~make_oracle:(fun () -> Poissonize.of_pmf (Randkit.Rng.split rng) hidden)
-      ~k_max:256 ~eps ()
+    Histotest.Model_select.run ~make_oracle:sample_access ~k_max:256 ~eps ()
   in
   List.iter
     (fun (k, v) -> Format.printf "  probe k = %-4d -> %a@." k Verdict.pp v)
@@ -34,9 +38,7 @@ let () =
       (* Now learn the histogram at the selected complexity — from samples,
          like the tester — and check the result genuinely approximates. *)
       let learned =
-        Histotest.Learn.run
-          (Poissonize.of_pmf (Randkit.Rng.split rng) hidden)
-          ~k:k_hat ~eps
+        Histotest.Learn.run (sample_access ()) ~k:k_hat ~eps
       in
       Format.printf
         "Learned %d-histogram (from %d samples) approximates within %.4f TV.@."

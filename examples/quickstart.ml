@@ -25,8 +25,11 @@ let () =
   Format.printf "  bimodal:   %.4f@.@." (Closest.tv_to_hk smooth ~k);
 
   let test name pmf =
-    (* All a tester gets is an oracle producing samples. *)
-    let oracle = Poissonize.of_pmf (Randkit.Rng.split rng) pmf in
+    (* All a tester gets is an oracle producing sample counts; it draws
+       them from a split tree built once over the hidden pmf. *)
+    let oracle =
+      Poissonize.counts_of_tree (Randkit.Rng.split rng) (Split_tree.of_pmf pmf)
+    in
     let report = Histotest.Hist_tester.run oracle ~k ~eps in
     Format.printf
       "%-10s -> %a  (decided at %s, %d samples, %d partition cells)@." name

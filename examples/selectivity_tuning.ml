@@ -30,12 +30,13 @@ let () =
     @ Workload.uniform_ranges ~n ~count:200 ~rng
   in
 
+  let tree = Split_tree.of_pmf attribute in
   Format.printf
     "k-buckets | tester verdict | mean abs err | max abs err@.";
   Format.printf "----------+----------------+--------------+------------@.";
   List.iter
     (fun k ->
-      let oracle = Poissonize.of_pmf (Randkit.Rng.split rng) attribute in
+      let oracle = Poissonize.counts_of_tree (Randkit.Rng.split rng) tree in
       let verdict = Histotest.Hist_tester.test oracle ~k ~eps in
       let summary = Construct.v_optimal attribute ~k in
       let report = Selectivity.evaluate attribute summary queries in

@@ -31,7 +31,9 @@ let () =
     let summary = Stream_hist.current_histogram sh in
     let sketch_cells = Stream_hist.sketch_size sh in
     let summary_err = Distance.tv (Khist.to_pmf summary) pmf in
-    let oracle = Poissonize.of_pmf (Randkit.Rng.split rng) pmf in
+    let oracle =
+      Poissonize.counts_of_tree (Randkit.Rng.split rng) (Split_tree.of_pmf pmf)
+    in
     let verdict = Histotest.Hist_tester.test oracle ~k:buckets ~eps in
     Format.printf
       "%-18s stream=%7d  sketch=%4d tuples  summary tv=%.3f  tester(H_%d): %a@."

@@ -25,12 +25,10 @@ type outcome = {
 }
 
 val reduction_partition : dstar:Pmf.t -> k:int -> eps:float -> Partition.t
-[@@histolint.keep "[run] runs it; test_histotest pins it directly"]
 (** The D*-adapted collapse: pieces of D* refined to cells of mass
     ≤ ε/(8k). *)
 
 val budget : ?config:Config.t -> cells:int -> eps:float -> unit -> int
-[@@histolint.keep "[run] runs it; test_histotest pins it directly"]
 
 val run :
   ?config:Config.t ->

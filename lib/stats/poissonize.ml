@@ -5,30 +5,10 @@ type oracle = {
   stream : int -> int array;
 }
 
-let of_alias rng alias =
-  let n = Alias.size alias in
-  {
-    n;
-    exact = (fun m -> Alias.draw_counts alias rng m);
-    poissonized =
-      (fun mean ->
-        (* Draw m' ~ Poisson(mean), then m' iid samples: per-element counts
-           are then independent Poisson(mean * D(i)) — the paper's trick. *)
-        let m' = Randkit.Sampler.poisson rng ~mean in
-        Alias.draw_counts alias rng m');
-    stream = (fun m -> Alias.draw_many alias rng m);
-  }
-
-(* Counts-path oracles: count vectors generated directly by binomial
-   splitting over a Split_tree — O(K log(n/K)) per call instead of Θ(m),
-   independent of the sample budget.  Same multinomial/Poissonized law as
-   the alias oracles but NOT the same generator stream (equivalence is
-   pinned distributionally; see test_statkit's path-equivalence suite).
-   [stream] stays honest: conditioned on its counts, an iid sample
+(* [stream] stays honest: conditioned on its counts, an iid sample
    sequence is an exchangeable uniform permutation of the multiset, so
    expanding the count vector and shuffling reproduces the exact joint
-   law of m iid draws — at Θ(n + m) cost, which is fine because no tester
-   uses [stream] on this path (they exist to look only at counts). *)
+   law of m iid draws. *)
 
 let expand_counts counts out =
   let j = ref 0 in
@@ -86,6 +66,3 @@ let counts_of_tree_ws ws rng tree =
         Randkit.Sampler.shuffle_in_place rng out;
         out);
   }
-
-let of_pmf rng pmf = of_alias rng (Alias.of_pmf pmf)
-let of_pmf_seeded ~seed pmf = of_pmf (Randkit.Rng.create ~seed) pmf

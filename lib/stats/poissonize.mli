@@ -15,30 +15,19 @@ type oracle = {
   stream : int -> int array;  (** [stream m]: the m samples themselves *)
 }
 
-val of_pmf : Randkit.Rng.t -> Pmf.t -> oracle
-(** Builds a fresh O(n) alias table; prefer [of_alias] when many oracles
-    are made over the same PMF. *)
-
-val of_alias : Randkit.Rng.t -> Alias.t -> oracle
-(** An oracle over a pre-built alias table.  The table is immutable and
-    may be shared by any number of oracles across trials and domains;
-    only [rng] is mutated by draws, so each concurrent oracle needs its
-    own generator.  Every call allocates a fresh result array that the
-    caller may keep forever. *)
-
 val counts_of_tree : Randkit.Rng.t -> Split_tree.t -> oracle
-(** The counts path: occurrence vectors generated directly by recursive
-    binomial splitting over a shared {!Split_tree} — O(s·log(n/s)) per
-    call for [s] occupied elements, independent of the sample budget,
-    against the alias path's Θ(m).  Same sharing contract as [of_alias]
-    (immutable tree, one generator per concurrent oracle) and the same
-    multinomial/Poissonized law, but NOT the same draw stream: agreement
-    with the stream path is pinned distributionally (per-cell count
-    marginals, verdict distributions over trial ensembles), never
-    bit-exactly.  [stream] remains lawful — the counts are expanded and
-    uniformly shuffled, which is exactly the conditional law of an iid
-    sample sequence given its counts — but costs Θ(n + m); testers on
-    this path are expected to touch only [exact]/[poissonized]. *)
+(** Occurrence vectors generated directly by recursive binomial
+    splitting over a shared {!Split_tree} — O(s·log(n/s)) per call for
+    [s] occupied elements, independent of the sample budget.  The tree is
+    immutable: build it once per PMF and hand each consumer
+    [counts_of_tree (Randkit.Rng.split rng) tree] (draws mutate only the
+    generator).  Every call allocates a fresh result array.  The
+    test-only alias stream ([Refkit.Stream_trials.of_alias], Θ(m) per
+    call) samples the same law with a different draw stream, so the two
+    are compared distributionally, never bit-exactly.  [stream m] expands
+    and shuffles the counts of [exact m] drawn from the same generator
+    state (the conditional law of an iid sequence given its counts), at
+    Θ(n + m); testers touch only [exact]/[poissonized]. *)
 
 val counts_of_tree_ws : Workspace.t -> Randkit.Rng.t -> Split_tree.t -> oracle
 (** Like [counts_of_tree], with the **exact same draw stream** for the
@@ -51,5 +40,3 @@ val counts_of_tree_ws : Workspace.t -> Randkit.Rng.t -> Split_tree.t -> oracle
     its two oracles' counts simultaneously — give them distinct
     workspaces or use an allocating oracle).  This is the oracle every
     {!Harness} trial gets. *)
-
-val of_pmf_seeded : seed:int -> Pmf.t -> oracle

@@ -67,6 +67,18 @@ expect 124 "$main" closeness --trials=-1
 expect 124 "$main" closeness --trials 0
 expect 124 "$main" estimate --samples=-1
 expect 124 "$main" estimate --samples 0
+
+# At most 10^6 trials: the harness sizes per-trial arrays by the count.
+# 10^6 itself parses (the pieces check then refuses the run at once).
+expect 1 "$main" test --trials 1000000 --domain 64 -k 100
+expect 124 "$main" test --trials 1000001 --domain 64 -k 1
+expect 124 "$main" test --trials 99999999999999 --domain 64 -k 1
+expect 124 "$main" closeness --trials 1000001
+expect 124 "$main" test-file --file /dev/null --trials 1000001
+
+# demo-lb's instance needs a domain of at least m = 3(k-3)/4 elements.
+expect 1 "$main" demo-lb --pieces 5000 --domain 64
+expect 1 "$main" demo-lb --domain 0
 expect 1 "$main" test --family uniform --domain 64 -k 100 --trials 1
 printf '1\n2\n3\n' > "$tmp/small.txt"
 expect 124 "$main" test-file --file "$tmp/small.txt" --pieces 0

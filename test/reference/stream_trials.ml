@@ -1,3 +1,17 @@
+let of_alias rng alias =
+  let n = Alias.size alias in
+  {
+    Poissonize.n;
+    exact = (fun m -> Alias.draw_counts alias rng m);
+    poissonized =
+      (fun mean ->
+        (* Draw m' ~ Poisson(mean), then m' iid samples: per-element counts
+           are then independent Poisson(mean * D(i)) — the paper's trick. *)
+        let m' = Randkit.Sampler.poisson rng ~mean in
+        Alias.draw_counts alias rng m');
+    stream = (fun m -> Alias.draw_many alias rng m);
+  }
+
 let of_alias_ws ws rng alias =
   let n = Alias.size alias in
   let counts_for m =

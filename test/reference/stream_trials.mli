@@ -6,9 +6,13 @@
     harness's pre-split generator, so it draws what the harness drew
     when this path was its default.  Cross-checking only. *)
 
+val of_alias : Randkit.Rng.t -> Alias.t -> Poissonize.oracle
+(** An oracle drawing m samples one at a time from a shared alias table,
+    Θ(m) per call; every call allocates a fresh result array. *)
+
 val of_alias_ws : Workspace.t -> Randkit.Rng.t -> Alias.t -> Poissonize.oracle
-(** [Poissonize.of_alias]'s draw stream, allocation-free: arrays it
-    returns are views into [ws], overwritten by the oracle's next call. *)
+(** [of_alias]'s draw stream, allocation-free: arrays it returns are
+    views into [ws], overwritten by the oracle's next call. *)
 
 val run_trials :
   pool:Parkit.Pool.t ->

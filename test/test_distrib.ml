@@ -517,7 +517,7 @@ let prop_empirical_converges =
     (fun n ->
       let r = rng () in
       let p = Families.zipf ~n ~s:1. in
-      let o = Poissonize.of_pmf r p in
+      let o = Refkit.Stream_trials.of_alias r (Alias.of_pmf p) in
       let small = Empirical.of_counts (o.Poissonize.exact 100) in
       let large = Empirical.of_counts (o.Poissonize.exact 100_000) in
       Distance.tv large p <= Distance.tv small p +. 0.05)

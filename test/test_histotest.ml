@@ -1,7 +1,8 @@
 module H = Histotest
 
 let rng () = Randkit.Rng.create ~seed:99
-let oracle_of ?(seed = 11) pmf = Poissonize.of_pmf_seeded ~seed pmf
+let oracle_of ?(seed = 11) pmf =
+  Refkit.Stream_trials.of_alias (Randkit.Rng.create ~seed) (Alias.of_pmf pmf)
 
 (* --- Config --- *)
 
@@ -589,7 +590,9 @@ let test_model_select_finds_k () =
   Alcotest.(check bool) "far from H_3" true (Closest.tv_to_hk d ~k:3 > 0.15);
   let result =
     H.Model_select.run
-      ~make_oracle:(fun () -> Poissonize.of_pmf (Randkit.Rng.split (rng ())) d)
+      ~make_oracle:(fun () ->
+        Refkit.Stream_trials.of_alias (Randkit.Rng.split (rng ()))
+          (Alias.of_pmf d))
       ~k_max:64 ~eps:0.15 ()
   in
   match result.H.Model_select.k_hat with

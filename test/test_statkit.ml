@@ -1,15 +1,18 @@
 let rng () = Randkit.Rng.create ~seed:31337
 
+(* The alias-stream oracle over a fresh table of [pmf]. *)
+let alias_oracle rng pmf = Refkit.Stream_trials.of_alias rng (Alias.of_pmf pmf)
+
 (* --- Poissonize --- *)
 
 let test_exact_counts_sum () =
-  let o = Poissonize.of_pmf (rng ()) (Families.zipf ~n:32 ~s:1.) in
+  let o = alias_oracle (rng ()) (Families.zipf ~n:32 ~s:1.) in
   let counts = o.Poissonize.exact 5000 in
   Alcotest.(check int) "sum is m" 5000 (Array.fold_left ( + ) 0 counts);
   Alcotest.(check int) "domain" 32 o.Poissonize.n
 
 let test_poissonized_total_fluctuates () =
-  let o = Poissonize.of_pmf (rng ()) (Pmf.uniform 16) in
+  let o = alias_oracle (rng ()) (Pmf.uniform 16) in
   let totals =
     Array.init 200 (fun _ ->
         float_of_int (Array.fold_left ( + ) 0 (o.Poissonize.poissonized 1000.)))
@@ -23,7 +26,7 @@ let test_poissonized_total_fluctuates () =
 
 let test_poissonized_per_bin_moments () =
   let p = Pmf.create [| 0.75; 0.25 |] in
-  let o = Poissonize.of_pmf (rng ()) p in
+  let o = alias_oracle (rng ()) p in
   let draws = Array.init 2000 (fun _ -> o.Poissonize.poissonized 100.) in
   let bin0 = Array.map (fun c -> float_of_int c.(0)) draws in
   let s = Numkit.Summary.of_array bin0 in
@@ -33,7 +36,7 @@ let test_poissonized_per_bin_moments () =
     (Float.abs (Numkit.Summary.variance s -. 75.) < 12.)
 
 let test_stream () =
-  let o = Poissonize.of_pmf (rng ()) (Pmf.uniform 8) in
+  let o = alias_oracle (rng ()) (Pmf.uniform 8) in
   let xs = o.Poissonize.stream 100 in
   Alcotest.(check int) "length" 100 (Array.length xs);
   Array.iter
@@ -84,7 +87,24 @@ let test_counts_oracle_stream_lawful () =
     (fun x -> counts.(x) <- counts.(x) + 1)
     (o.Poissonize.stream 100_000);
   Alcotest.(check bool) "empirically close" true
-    (Distance.tv (Empirical.of_counts counts) p < 0.02)
+    (Distance.tv (Empirical.of_counts counts) p < 0.02);
+  (* [stream m] shuffles the expansion of [exact m]'s counts, so on a copy
+     of the same generator its distinct values are exactly the nonzero
+     cells of [exact m] — the statistic E5 decides on. *)
+  let r = rng () in
+  List.iter
+    (fun m ->
+      let r' = Randkit.Rng.copy r in
+      let counts = (Poissonize.counts_of_tree r tree).Poissonize.exact m in
+      let seen = Array.make 16 false in
+      Array.iter
+        (fun x -> seen.(x) <- true)
+        ((Poissonize.counts_of_tree r' tree).Poissonize.stream m);
+      Alcotest.(check (array bool))
+        (Printf.sprintf "m=%d: distinct of stream = nonzero of exact" m)
+        (Array.map (fun c -> c > 0) counts)
+        seen)
+    [ 0; 1; 7; 40; 5000 ]
 
 let test_counts_ws_matches_allocating () =
   (* [counts_of_tree_ws] must consume the generator exactly like
@@ -170,8 +190,8 @@ let oracle_constructors pmf =
   let alias = Alias.of_pmf pmf in
   let tree = Split_tree.of_pmf pmf in
   [
-    ("of_pmf", fun () -> Poissonize.of_pmf (rng ()) pmf);
-    ("of_alias", fun () -> Poissonize.of_alias (rng ()) alias);
+    ( "Stream_trials.of_alias",
+      fun () -> Refkit.Stream_trials.of_alias (rng ()) alias );
     ( "Stream_trials.of_alias_ws",
       fun () ->
         Refkit.Stream_trials.of_alias_ws (Workspace.create ()) (rng ()) alias
@@ -253,7 +273,7 @@ let test_counts_vs_stream_chi2_marginals () =
     done;
     acc
   in
-  let a = totals (Poissonize.of_alias (rng ()) (Alias.of_pmf pmf)) in
+  let a = totals (alias_oracle (rng ()) pmf) in
   let b =
     totals
       (Poissonize.counts_of_tree
@@ -333,7 +353,7 @@ let test_chi2_statistic_unbiased () =
   let d = Families.zipf ~n ~s:0.8 in
   let dstar = Pmf.uniform n in
   let part = Partition.equal_width ~n ~cells:4 in
-  let o = Poissonize.of_pmf (rng ()) d in
+  let o = alias_oracle (rng ()) d in
   let m = 20000. in
   let trials = 300 in
   let zs =
@@ -350,7 +370,7 @@ let test_chi2_statistic_unbiased () =
 
 let test_chi2_per_cell_sums () =
   let n = 32 in
-  let o = Poissonize.of_pmf (rng ()) (Families.zipf ~n ~s:1.) in
+  let o = alias_oracle (rng ()) (Families.zipf ~n ~s:1.) in
   let part = Partition.equal_width ~n ~cells:5 in
   let counts = o.Poissonize.poissonized 5000. in
   let stat =
@@ -361,7 +381,7 @@ let test_chi2_per_cell_sums () =
 
 let test_chi2_cell_mask () =
   let n = 16 in
-  let o = Poissonize.of_pmf (rng ()) (Pmf.uniform n) in
+  let o = alias_oracle (rng ()) (Pmf.uniform n) in
   let part = Partition.equal_width ~n ~cells:4 in
   let counts = o.Poissonize.poissonized 2000. in
   let mask = [| true; false; true; false |] in
@@ -399,7 +419,7 @@ let test_chi2_supplied_per_cell () =
      same per-cell values — while the returned statistic physically reuses
      the supplied buffer. *)
   let n = 48 in
-  let o = Poissonize.of_pmf (rng ()) (Families.zipf ~n ~s:1.) in
+  let o = alias_oracle (rng ()) (Families.zipf ~n ~s:1.) in
   let part = Partition.equal_width ~n ~cells:6 in
   let counts = o.Poissonize.poissonized 4000. in
   let dstar = Pmf.uniform n in
@@ -478,7 +498,7 @@ let test_ws_oracle_matches_allocating () =
   let alias = Alias.of_pmf pmf in
   let r1 = rng () in
   let r2 = rng () in
-  let a = Poissonize.of_alias r1 alias in
+  let a = Refkit.Stream_trials.of_alias r1 alias in
   let ws = Workspace.create () in
   let w = Refkit.Stream_trials.of_alias_ws ws r2 alias in
   Alcotest.(check bool) "exact identical" true
@@ -595,7 +615,7 @@ let stream_loop ~seed ~trials ~pmf f =
   let rng = Randkit.Rng.create ~seed in
   Array.init trials (fun _ ->
       let child = Randkit.Rng.split rng in
-      let oracle = Poissonize.of_pmf child pmf in
+      let oracle = alias_oracle child pmf in
       f { Harness.rng = child; oracle; ws = Workspace.create () })
 
 let parity_decide (trial : Harness.trial) =
@@ -706,7 +726,7 @@ let test_chunked_scheduling_jobs_invariant () =
 (* --- Budget_oracle --- *)
 
 let test_budget_metering () =
-  let inner = Poissonize.of_pmf (rng ()) (Pmf.uniform 8) in
+  let inner = alias_oracle (rng ()) (Pmf.uniform 8) in
   let meter = Refkit.Budget_oracle.wrap inner in
   let o = Refkit.Budget_oracle.oracle meter in
   ignore (o.Poissonize.exact 100);
@@ -718,7 +738,7 @@ let test_budget_metering () =
     (150 + realized) (Refkit.Budget_oracle.drawn meter)
 
 let test_budget_cap () =
-  let inner = Poissonize.of_pmf (rng ()) (Pmf.uniform 8) in
+  let inner = alias_oracle (rng ()) (Pmf.uniform 8) in
   let meter = Refkit.Budget_oracle.wrap ~cap:100 inner in
   let o = Refkit.Budget_oracle.oracle meter in
   ignore (o.Poissonize.exact 100);
@@ -733,7 +753,7 @@ let test_tester_respects_plan () =
      worst-case budget (with slack for Poisson fluctuation). *)
   let n = 512 and k = 2 and eps = 0.3 in
   let plan = Histotest.Hist_tester.plan ~n ~k ~eps () in
-  let inner = Poissonize.of_pmf (rng ()) (Families.staircase ~n ~k ~rng:(rng ())) in
+  let inner = alias_oracle (rng ()) (Families.staircase ~n ~k ~rng:(rng ())) in
   let meter = Refkit.Budget_oracle.wrap inner in
   let report = Histotest.Hist_tester.run (Refkit.Budget_oracle.oracle meter) ~k ~eps in
   Alcotest.(check bool) "reported samples match meter" true
@@ -758,7 +778,7 @@ let test_fingerprint_l2 () =
   (* Empirical ||D||_2^2 estimate on a known distribution. *)
   let p = Pmf.create [| 0.5; 0.25; 0.25 |] in
   let truth = 0.25 +. 0.0625 +. 0.0625 in
-  let o = Poissonize.of_pmf (rng ()) p in
+  let o = alias_oracle (rng ()) p in
   let est =
     Numkit.Summary.mean_of
       (Array.init 50 (fun _ ->
