@@ -36,16 +36,17 @@ sloc:
 	else echo "daemon units n/a"; fi
 
 # Static invariants: histolint scans the compiled typedtrees
-# (_build/default/**/*.cmt) for determinism and float-discipline
-# violations plus the v2 interprocedural passes: one walk summarizes
-# every function's effects in memory, and two checks read the
-# summaries — domain-safety of closures handed to Parkit.Pool, and
-# [@histolint.hot] allocation discipline; and dead/unreferenced-export:
-# every val a lib/ .mli exports is referenced by another production
-# unit or carries an audited [@@histolint.keep "reason"] (see DESIGN.md
-# "Static invariants").  Non-zero exit on any unsuppressed
-# error-severity finding, unknown rule id in a suppression, or a scan
-# that found no .cmt.
+# (_build/default/**/*.cmt): one walk per unit records, in memory,
+# every function's effects, every identifier use (through module
+# aliases), every suppression and reference, and every rule is a check
+# over those records — the determinism and float-discipline rules,
+# domain-safety of closures handed to Parkit.Pool, [@histolint.hot]
+# allocation discipline, and dead/unreferenced-export: every val a lib/
+# .mli exports is referenced by another production unit or carries an
+# audited [@@histolint.keep "reason"] (see DESIGN.md "Static
+# invariants").  Non-zero exit on any unsuppressed error-severity
+# finding, a suppression that names an unknown rule id, lacks its
+# reason or suppresses nothing, or a scan that found no .cmt.
 lint:
 	dune build @lint
 
@@ -56,7 +57,7 @@ lint:
 # gate.
 lint-json:
 	dune build @default @check
-	-dune exec bin/histolint.exe -- --json --lib-prefix test/reference/ _build/default > _build/histolint.json
+	-dune exec bin/histolint.exe -- --json _build/default > _build/histolint.json
 	@echo "wrote _build/histolint.json"
 
 # Regenerate the lint golden file after changing fixtures or finding

@@ -26,7 +26,7 @@ let run (mode : Exp_common.mode) =
     let pmf = Pmf.of_weights w in
     let mask = Array.init n (fun _ -> Randkit.Rng.float rng 1. < 0.8) in
     let dp = Closest.l1_to_hk ~mask pmf ~k in
-    let brute = Closest.brute_force_l1 ~mask pmf ~k in
+    let brute = Refkit.Closest_brute.l1 ~mask pmf ~k in
     if Float.abs (dp -. brute) > 1e-9 then incr mismatches
   done;
   Exp_common.row "(a) exactness: %d mismatches in %d random instances@."

@@ -30,7 +30,8 @@ let run (mode : Exp_common.mode) =
       in
       (* The error rate against [want]: the harness's trials draw from
          [p1], each trial's second oracle from [tree2] with a generator
-         split off the trial's own, as in `histotest closeness`. *)
+         split off the trial's own (a separate stream, see Rng.split), as
+         in `histotest closeness`. *)
       let error p1 tree2 want =
         let wrong =
           Exp_common.run_trials ~mode ~rng ~trials ~pmf:p1 (fun t ->

@@ -1,36 +1,22 @@
 (* histolint — static analysis over the compiled typedtrees.
 
-   Usage:  histolint [options] [PATH...]
+   Usage:  histolint [--json] [--rules] [--explain RULE] [PATH...]
    PATHs are .cmt files or directories searched recursively (default:
    _build/default, falling back to the current directory).  Exits 1 when
-   any unsuppressed error-severity finding remains; --strict promotes
-   warnings to failures too.  Exits 2 on a usage error, a path that
-   does not exist, or a scan that found no .cmt file. *)
+   any unsuppressed error-severity finding remains, and 2 on a usage
+   error, a path that does not exist, or a scan that found no .cmt
+   file. *)
 
-let usage =
-  "histolint [--json] [--strict] [--lib-prefix P] [--only RULE] [--rules] \
-   [--explain RULE] [PATH...]"
+let usage = "histolint [--json] [--rules] [--explain RULE] [PATH...]"
 
 let () =
   let json = ref false in
-  let strict = ref false in
   let show_rules = ref false in
   let explain = ref None in
-  let only = ref [] in
-  let lib_prefixes = ref [] in
   let paths = ref [] in
   let spec =
     [
       ("--json", Arg.Set json, " emit the report as one JSON object");
-      ( "--strict",
-        Arg.Set strict,
-        " exit non-zero on warnings as well as errors" );
-      ( "--lib-prefix",
-        Arg.String (fun p -> lib_prefixes := p :: !lib_prefixes),
-        "P treat source paths under prefix P as lib/ code (repeatable)" );
-      ( "--only",
-        Arg.String (fun r -> only := r :: !only),
-        "RULE report only this rule id (repeatable)" );
       ("--rules", Arg.Set show_rules, " list the rule set and exit");
       ( "--explain",
         Arg.String (fun r -> explain := Some r),
@@ -59,16 +45,6 @@ let () =
       Histolint_lib.Rules.all;
     exit 0
   end;
-  List.iter
-    (fun r ->
-      if Option.is_none (Histolint_lib.Rules.of_name r) then begin
-        Printf.eprintf
-          "histolint: --only: unknown rule `%s` (histolint --rules lists \
-           them)\n"
-          r;
-        exit 2
-      end)
-    !only;
   let paths =
     match List.rev !paths with
     | [] ->
@@ -82,28 +58,9 @@ let () =
     (fun p ->
       if not (Sys.file_exists p) then refuse "histolint: no such path `%s`" p)
     paths;
-  let config =
-    { Histolint_lib.Engine.lib_prefixes = List.rev !lib_prefixes }
-  in
-  let report = Histolint_lib.Engine.scan_paths config paths in
+  let report = Histolint_lib.Engine.scan_paths ~lib_prefixes:[] paths in
   if report.Histolint_lib.Engine.units = 0 then
     refuse "histolint: no .cmt file under %s" (String.concat ", " paths);
-  let report =
-    match !only with
-    | [] -> report
-    | rules ->
-        let keep (f : Histolint_lib.Finding.t) =
-          List.exists
-            (String.equal (Histolint_lib.Rules.name f.Histolint_lib.Finding.rule))
-            rules
-        in
-        {
-          report with
-          Histolint_lib.Engine.findings =
-            List.filter keep report.Histolint_lib.Engine.findings;
-          suppressed = List.filter keep report.Histolint_lib.Engine.suppressed;
-        }
-  in
   let errors = Histolint_lib.Engine.errors report in
   let warnings = Histolint_lib.Engine.warnings report in
   let rule_counts = Histolint_lib.Engine.rule_counts report in
@@ -157,4 +114,4 @@ let () =
       (List.length report.Histolint_lib.Engine.audit)
       (if List.length report.Histolint_lib.Engine.audit = 1 then "" else "s")
   end;
-  if errors > 0 || (!strict && warnings > 0) then exit 1
+  if errors > 0 then exit 1

@@ -262,9 +262,9 @@ let run_closeness fam1 fam2 n eps seed trials jobs =
             (Distance.tv p1 p2);
           (* The harness's trials draw from [p1]; each trial's second
              oracle draws from one shared split tree of [p2] with a
-             generator split off the trial's own.  Consecutive trial
-             generators overlap (see Rng.split), and drawing both samples
-             from the trial's generator made whole trials repeat. *)
+             generator split off the trial's own, so the two samples
+             read separate streams (Rng.split seeds the child from the
+             parent's next output). *)
           let tree2 = Split_tree.of_pmf p2 in
           let outs =
             with_jobs jobs (fun pool ->

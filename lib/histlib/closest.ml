@@ -8,8 +8,8 @@ type cell = { value : float; weight : float }
    layer values are comparable float for float: it differs only in its
    search strategy (exhaustive scan + Theta(K^2) cost matrix), which is
    exactly what the divide-and-conquer optimization replaces.  The fully
-   independent cross-check is [brute_force_l1], which shares nothing but
-   the cell decomposition. *)
+   independent cross-check is Refkit.Closest_brute, which shares nothing
+   with this module. *)
 
 module A = Bigarray.Array1
 
@@ -344,35 +344,3 @@ let witness ?mask pmf ~k =
         levels.(piece_of_pos (Interval.lo (Partition.cell part j))))
   in
   (cost, Khist.make part lv)
-
-let brute_force_l1 ?mask pmf ~k =
-  (* Exhaustive search over all breakpoint placements; exponential, only for
-     cross-checking the DP on tiny domains in the test suite. *)
-  let n = Pmf.size pmf in
-  if n > 16 then invalid_arg "Closest.brute_force_l1: domain too large";
-  let p = Pmf.unsafe_array pmf in
-  let kept i = match mask with None -> true | Some m -> m.(i) in
-  let best = ref infinity in
-  (* Choose up to k-1 breakpoints among positions 1..n-1. *)
-  let rec go pos pieces_left breaks =
-    if pos > n - 1 || pieces_left = 0 then eval (List.rev breaks)
-    else begin
-      go (pos + 1) pieces_left breaks;
-      go (pos + 1) (pieces_left - 1) (pos :: breaks)
-    end
-  and eval breaks =
-    let bounds = Array.of_list ((0 :: breaks) @ [ n ]) in
-    let total = ref 0. in
-    for b = 0 to Array.length bounds - 2 do
-      let lo = bounds.(b) and hi = bounds.(b + 1) in
-      let med = Numkit.Wmedian.create () in
-      for i = lo to hi - 1 do
-        Numkit.Wmedian.add med ~value:p.(i)
-          ~weight:(if kept i then 1. else 0.)
-      done;
-      total := !total +. Numkit.Wmedian.cost med
-    done;
-    if !total < !best then best := !total
-  in
-  go 1 (k - 1) [];
-  !best

@@ -80,9 +80,3 @@ val tv_to_hk : ?mask:bool array -> Pmf.t -> k:int -> float
 
 val witness : ?mask:bool array -> Pmf.t -> k:int -> float * Khist.t
 (** The cost together with an optimal ≤k-piece fit. *)
-
-val brute_force_l1 : ?mask:bool array -> Pmf.t -> k:int -> float
-(** Exhaustive reference implementation, domains of size ≤ 16 only; used by
-    the test suite to certify the DP (and, unlike [Refkit.Closest_dense], it
-    shares no oracle with the fast path). @raise Invalid_argument
-    beyond. *)

@@ -1,15 +1,13 @@
-(* The histolint engine, v2: a two-pass scan over the compiled
-   typedtrees.
+(* The histolint engine: one walk per unit, then checks over its records.
 
-   Pass A summarizes every compilation unit (Summary.of_structure, the
-   one effect walker) in memory and builds the cross-module table.
-   Pass B walks each typedtree once more for the v1 per-expression
-   rules and the suppression attributes, then runs the two summary
-   checks — the race pass (race.ml) and the hot-path allocation pass
-   (alloc.ml) — all feeding the same suppression machinery and audit
-   trail. *)
-
-type config = { lib_prefixes : string list }
+   Each compilation unit's typedtree is walked once (Summary.of_structure)
+   into records: effect frames, pool sites, alloc_ok markers, identifier
+   uses, allow ranges, module-level lazies, references.  Every rule is a
+   check over those records — the per-identifier rules and the
+   toplevel-lazy rule here, the race pass (race.ml) and the hot-path
+   allocation pass (alloc.ml) against the cross-module table, and the
+   dead-export pass over every unit's references — all feeding the same
+   suppression machinery and audit trail. *)
 
 type report = {
   findings : Finding.t list;
@@ -50,9 +48,6 @@ let rule_counts r =
       if n > 0 then Some (Rules.name rule, n) else None)
     Rules.all
 
-let normalize_source = Summary.normalize_source
-let normalize_ident = Summary.canonical
-
 let unordered_hashtbl_ops =
   [
     "Hashtbl.iter";
@@ -65,101 +60,13 @@ let unordered_hashtbl_ops =
 let wallclock_ops = [ "Sys.time"; "Unix.gettimeofday"; "Unix.time" ]
 let poly_compare_ops = [ "compare"; "="; "<>"; "min"; "max" ]
 
-(* --- type classification for poly-compare rules ------------------------ *)
-
-type arg_class =
-  | At_float of string  (* float, or a float container *)
-  | At_structural of string  (* non-immediate: tuples, records, ... *)
-  | At_benign  (* int/bool/char/unit, strings, boxed ints *)
-  | At_unknown  (* still polymorphic at the use site *)
-
-let rec classify_type ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, args, _) ->
-      if Path.same p Predef.path_float then At_float "float"
-      else if Path.same p Predef.path_floatarray then At_float "floatarray"
-      else if Path.same p Predef.path_int || Path.same p Predef.path_bool
-              || Path.same p Predef.path_char || Path.same p Predef.path_unit
-              || Path.same p Predef.path_string
-              || Path.same p Predef.path_bytes
-              || Path.same p Predef.path_int32
-              || Path.same p Predef.path_int64
-              || Path.same p Predef.path_nativeint
-      then At_benign
-      else if Path.same p Predef.path_array || Path.same p Predef.path_list
-              || Path.same p Predef.path_option
-      then (
-        let container = normalize_ident (Path.name p) in
-        match args with
-        | [ elt ] -> (
-            match classify_type elt with
-            | At_float elt_name ->
-                At_float (Printf.sprintf "%s %s" elt_name container)
-            | _ -> At_structural container)
-        | _ -> At_structural container)
-      else At_structural (normalize_ident (Path.name p))
-  | Types.Ttuple _ -> At_structural "tuple"
-  | Types.Tarrow _ -> At_structural "function"
-  | Types.Tvar _ | Types.Tunivar _ -> At_unknown
-  | _ -> At_unknown
-
-let first_arg_type ty =
-  match Types.get_desc ty with
-  | Types.Tarrow (_, a, _, _) -> Some a
-  | _ -> None
-
-(* --- suppression ([@histolint.allow "rule"]) --------------------------- *)
-
-type allow = {
-  allow_rules : string list;
-  allow_file : string;
-  allow_from : int;  (* char offsets; [allow_to = max_int] for floating *)
-  allow_to : int;
-  allow_line : int;
-  allow_col : int;
-}
-
-let payload_strings = Summary.payload_strings
-
-let allows_of_attributes ~(range : Location.t) attrs =
-  List.filter_map
-    (fun (attr : Parsetree.attribute) ->
-      if String.equal attr.attr_name.txt "histolint.allow" then
-        match payload_strings attr.attr_payload with
-        | [] -> None
-        | rules ->
-            Some
-              ( {
-                  allow_rules = rules;
-                  allow_file = normalize_source range.loc_start.pos_fname;
-                  allow_from = range.loc_start.pos_cnum;
-                  allow_to = range.loc_end.pos_cnum;
-                  allow_line = attr.attr_loc.loc_start.pos_lnum;
-                  allow_col =
-                    attr.attr_loc.loc_start.pos_cnum
-                    - attr.attr_loc.loc_start.pos_bol;
-                },
-                attr.attr_loc )
-      else None)
-    attrs
-
-let allow_matches allow ~file ~cnum ~rule_name =
-  String.equal allow.allow_file file
-  && cnum >= allow.allow_from
-  && cnum <= allow.allow_to
-  && List.exists
-       (fun r -> String.equal r rule_name || String.equal r "*")
-       allow.allow_rules
-
-(* --- the walk ----------------------------------------------------------- *)
+(* --- the checks over one unit's records ---------------------------------- *)
 
 type ctx = {
   scope : Rules.scope;
-  fallback_file : string;
   table : Summary.table;
   mutable raw : (Finding.t * int) list;  (* finding, char offset *)
   mutable pre_suppressed : Finding.t list;  (* suppressed by [@disjoint] *)
-  mutable allows : allow list;
   mutable audits : Finding.audit list;
 }
 
@@ -168,105 +75,85 @@ let finding_at (s : Summary.sloc) rule message =
   ( { Finding.file = s.s_file; line = s.s_line; col = s.s_col; rule; message },
     s.s_cnum )
 
-let add_finding_at ctx rule s message =
+let add_finding ctx rule s message =
   if Rules.applies rule ctx.scope then
     ctx.raw <- finding_at s rule message :: ctx.raw
-
-let add_finding ctx rule loc message =
-  add_finding_at ctx rule
-    (Summary.sloc_of ~fallback:ctx.fallback_file loc)
-    message
 
 let audited_scope ctx =
   match ctx.scope with
   | Rules.Lib | Rules.Lib_parallel | Rules.Bin -> true
   | Rules.Test | Rules.Bench | Rules.Other -> false
 
-let add_audit ctx entry =
-  if audited_scope ctx then ctx.audits <- entry :: ctx.audits
+let add_audit ctx (s : Summary.sloc) kind rules reason used =
+  if audited_scope ctx then
+    ctx.audits <-
+      { Finding.au_file = s.s_file; au_line = s.s_line; au_col = s.s_col;
+        au_kind = kind; au_rules = rules; au_reason = reason; au_used = used }
+      :: ctx.audits
 
-let check_ident ctx path (loc : Location.t) ty =
-  let id = normalize_ident (Path.name path) in
-  let starts_with prefix =
-    String.length id >= String.length prefix
-    && String.equal (String.sub id 0 (String.length prefix)) prefix
-  in
-  if starts_with "Random." then
-    add_finding ctx Rules.Det_stdlib_random loc
+let check_use ctx (u : Summary.use) =
+  let id = u.u_name and add rule = add_finding ctx rule u.u_loc in
+  if String.starts_with ~prefix:"Random." id then
+    add Rules.Det_stdlib_random
       (Printf.sprintf
          "`%s`: randomness must flow through Randkit (lib/rng) so trial \
           streams stay seedable and splittable"
          id)
   else if List.exists (String.equal id) unordered_hashtbl_ops then
-    add_finding ctx Rules.Det_hashtbl_order loc
+    add Rules.Det_hashtbl_order
       (Printf.sprintf
          "`%s` iterates in hash-bucket order; sort the keys or use an array"
          id)
   else if List.exists (String.equal id) wallclock_ops then
-    add_finding ctx Rules.Det_wallclock loc
+    add Rules.Det_wallclock
       (Printf.sprintf "`%s` reads the wall clock; timing belongs in bench/" id)
   else if String.equal id "Domain.spawn" then
-    add_finding ctx Rules.Par_raw_domain loc
+    add Rules.Par_raw_domain
       "`Domain.spawn` outside lib/parallel bypasses Parkit.Pool and its \
        pre-split RNG discipline"
   else if List.exists (String.equal id) poly_compare_ops then
-    match Option.map classify_type (first_arg_type ty) with
-    | Some (At_float at) ->
-        add_finding ctx Rules.Float_poly_compare loc
+    match u.u_arg with
+    | Summary.At_float at ->
+        add Rules.Float_poly_compare
           (Printf.sprintf
              "polymorphic `%s` instantiated at %s: NaN-hostile and boxes on \
               hot paths; use the Float module's monomorphic equivalent"
              id at)
-    | Some (At_structural at) ->
-        add_finding ctx Rules.Poly_compare_structural loc
+    | Summary.At_structural at ->
+        add Rules.Poly_compare_structural
           (Printf.sprintf
              "polymorphic `%s` instantiated at a non-immediate type (%s); \
               prefer a monomorphic compare"
              id at)
-    | Some At_benign | Some At_unknown | None -> ()
+    | Summary.At_benign | Summary.At_unknown -> ()
 
-(* A module-level binding of a [Lazy.t] value, in any structure of the
-   unit (a submodule's bindings are module-level too).  Judged by the
-   binding's type, so [lazy e] and [Lazy.from_fun f] are both caught. *)
-let check_toplevel_lazy ctx (vb : Typedtree.value_binding) =
-  match Types.get_desc vb.vb_expr.exp_type with
-  | Types.Tconstr (path, _, _)
-    when List.exists (String.equal (Path.name path))
-           [ "lazy_t"; "Lazy.t"; "Stdlib.Lazy.t"; "CamlinternalLazy.t" ] ->
-      let name =
-        match Typedtree.pat_bound_idents vb.vb_pat with
-        | id :: _ -> Ident.name id
-        | [] -> "_"
-      in
-      add_finding ctx Rules.Par_toplevel_lazy vb.vb_loc
-        (Printf.sprintf
-           "toplevel lazy `%s`: two domains forcing it at once make one \
-            raise CamlinternalLazy.Undefined; build it eagerly at module \
-            initialisation"
-           name)
-  | _ -> ()
+let check_lazy ctx (name, loc) =
+  add_finding ctx Rules.Par_toplevel_lazy loc
+    (Printf.sprintf
+       "toplevel lazy `%s`: two domains forcing it at once make one raise \
+        CamlinternalLazy.Undefined; build it eagerly at module \
+        initialisation"
+       name)
 
-(* Validate the rule ids an [@histolint.allow] names: a typo would
-   silently suppress nothing, or rot after a rename. *)
-let validate_allow_rules ctx (attr_loc : Location.t) rules =
+let unknown_rule r =
+  (not (String.equal r "*")) && Option.is_none (Rules.of_name r)
+
+(* A rule id an allow names must exist: a typo would silently suppress
+   nothing, or rot after a rename. *)
+let validate_allow ctx (a : Summary.allow) =
   List.iter
     (fun r ->
-      if (not (String.equal r "*")) && Option.is_none (Rules.of_name r) then
-        add_finding ctx Rules.Lint_unknown_allow attr_loc
+      if unknown_rule r then
+        add_finding ctx Rules.Lint_unknown_allow a.al_loc
           (Printf.sprintf
              "[@histolint.allow] names unknown rule id `%s` (see histolint \
               --rules)"
              r))
-    rules
+    a.al_rules
 
-let collect_allows ctx ~(range : Location.t) attrs =
-  List.iter
-    (fun (allow, attr_loc) ->
-      validate_allow_rules ctx attr_loc allow.allow_rules;
-      ctx.allows <- allow :: ctx.allows)
-    (allows_of_attributes ~range attrs)
-
-(* --- the summary checks: race pass, alloc pass + markers ----------------- *)
+let missing_reason ctx loc attr =
+  add_finding ctx Rules.Lint_unknown_allow loc
+    (Printf.sprintf "[%s] is missing its mandatory reason string" attr)
 
 let handle_race_verdict ctx (v : Race.verdict) =
   let findings =
@@ -276,54 +163,16 @@ let handle_race_verdict ctx (v : Race.verdict) =
       v.sites
   in
   match v.disjoint with
-  | None -> List.iter (fun fc -> ctx.raw <- fc :: ctx.raw) findings
+  | None -> ctx.raw <- List.rev_append findings ctx.raw
   | Some (d, reason) -> (
-      add_audit ctx
-        {
-          Finding.au_file = d.Summary.s_file;
-          au_line = d.Summary.s_line;
-          au_col = d.Summary.s_col;
-          au_kind = "disjoint";
-          au_rules = [ Rules.name Rules.Par_shared_mutable ];
-          au_reason = reason;
-          au_used = not (List.is_empty findings);
-        };
+      add_audit ctx d "disjoint" [ Rules.name Rules.Par_shared_mutable ] reason
+        (not (List.is_empty findings));
       match reason with
       | Some _ -> ctx.pre_suppressed <- List.map fst findings @ ctx.pre_suppressed
       | None ->
           (* reason missing: the suppression is void and itself a finding *)
-          add_finding_at ctx Rules.Lint_unknown_allow d
-            "[@histolint.disjoint] is missing its mandatory reason string";
-          List.iter (fun fc -> ctx.raw <- fc :: ctx.raw) findings)
-
-let iterator ctx =
-  let default = Tast_iterator.default_iterator in
-  let expr sub (e : Typedtree.expression) =
-    collect_allows ctx ~range:e.exp_loc e.exp_attributes;
-    (match e.exp_desc with
-    | Typedtree.Texp_ident (path, lid, _) ->
-        check_ident ctx path lid.loc e.exp_type
-    | _ -> ());
-    default.expr sub e
-  in
-  let value_binding sub (vb : Typedtree.value_binding) =
-    collect_allows ctx ~range:vb.vb_loc vb.vb_attributes;
-    default.value_binding sub vb
-  in
-  let structure_item sub (si : Typedtree.structure_item) =
-    (match si.str_desc with
-    | Typedtree.Tstr_value (_, vbs) -> List.iter (check_toplevel_lazy ctx) vbs
-    | Typedtree.Tstr_attribute attr ->
-        (* Floating [@@@histolint.allow]: suppress to end of file. *)
-        let range =
-          { si.str_loc with
-            loc_end = { si.str_loc.loc_end with pos_cnum = max_int } }
-        in
-        collect_allows ctx ~range [ attr ]
-    | _ -> ());
-    default.structure_item sub si
-  in
-  { default with expr; value_binding; structure_item }
+          missing_reason ctx d "@histolint.disjoint";
+          ctx.raw <- List.rev_append findings ctx.raw)
 
 let run_race_pass ctx msum =
   if Rules.applies Rules.Par_shared_mutable ctx.scope then
@@ -337,116 +186,74 @@ let run_alloc_pass ctx (msum : Summary.module_summary) =
       (Alloc.check_module ~table:ctx.table msum);
     List.iter
       (fun (mk : Summary.marker) ->
-        add_audit ctx
-          {
-            Finding.au_file = mk.mk_loc.Summary.s_file;
-            au_line = mk.mk_loc.Summary.s_line;
-            au_col = mk.mk_loc.Summary.s_col;
-            au_kind = "alloc_ok";
-            au_rules = [ Rules.name Rules.Hot_alloc ];
-            au_reason = mk.mk_reason;
-            au_used = mk.mk_hits > 0;
-          };
+        add_audit ctx mk.mk_loc "alloc_ok" [ Rules.name Rules.Hot_alloc ]
+          mk.mk_reason (mk.mk_hits > 0);
         if Option.is_none mk.mk_reason then
-          add_finding_at ctx Rules.Lint_unknown_allow mk.mk_loc
-            "[@histolint.alloc_ok] is missing its mandatory reason string")
+          missing_reason ctx mk.mk_loc "@histolint.alloc_ok")
       msum.m_markers
   end
 
-(* --- cmt loading -------------------------------------------------------- *)
+let covers (a : Summary.allow) (finding, cnum) =
+  String.equal a.al_loc.s_file finding.Finding.file
+  && cnum >= a.al_from && cnum <= a.al_to
+  && List.exists
+       (fun r ->
+         String.equal r (Rules.name finding.Finding.rule) || String.equal r "*")
+       a.al_rules
 
-type unit_info = {
-  u_modname : string;
-  u_source : string;
-  u_structure : Typedtree.structure;
-  u_intf : Typedtree.signature option;  (* from the sibling .cmti *)
-}
-
-let load_unit path =
-  match (try Some (Cmt_format.read_cmt path) with _ -> None) with
-  | None ->
-      Printf.eprintf "histolint: warning: cannot read %s\n%!" path;
-      None
-  | Some cmt -> (
-      match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
-      | Cmt_format.Implementation structure, Some source ->
-          let cmti = Filename.remove_extension path ^ ".cmti" in
-          let intf =
-            match
-              (try Some (Cmt_format.read_cmt cmti) with _ -> None)
-            with
-            | Some { Cmt_format.cmt_annots = Cmt_format.Interface sg; _ } ->
-                Some sg
-            | _ -> None
-          in
-          Some
-            {
-              u_modname = cmt.Cmt_format.cmt_modname;
-              u_source = normalize_source source;
-              u_structure = structure;
-              u_intf = intf;
-            }
-      | _ -> None)
-
-let summarize u =
-  Summary.of_structure ~modname:u.u_modname ~source:u.u_source ?intf:u.u_intf
-    u.u_structure
-
-let scan_unit config table u msum =
-  let scope = Rules.scope_of_path ~lib_prefixes:config.lib_prefixes u.u_source in
+let scan_unit ~lib_prefixes table (ms : Summary.module_summary) =
   let ctx =
     {
-      scope;
-      fallback_file = u.u_source;
+      scope = Rules.scope_of_path ~lib_prefixes ms.m_source;
       table;
       raw = [];
       pre_suppressed = [];
-      allows = [];
       audits = [];
     }
   in
-  let it = iterator ctx in
-  it.structure it u.u_structure;
-  run_race_pass ctx msum;
-  run_alloc_pass ctx msum;
-  let live, suppressed =
+  List.iter (check_use ctx) ms.m_uses;
+  List.iter (check_lazy ctx) ms.m_lazies;
+  List.iter (validate_allow ctx) ms.m_allows;
+  run_race_pass ctx ms;
+  run_alloc_pass ctx ms;
+  let suppressed, live =
     List.partition
-      (fun (finding, cnum) ->
-        not
-          (List.exists
-             (fun allow ->
-               allow_matches allow ~file:finding.Finding.file ~cnum
-                 ~rule_name:(Rules.name finding.Finding.rule))
-             ctx.allows))
+      (fun fc -> List.exists (fun a -> covers a fc) ms.m_allows)
       ctx.raw
   in
-  let allow_audits =
-    if audited_scope ctx then
-      List.map
-        (fun allow ->
-          {
-            Finding.au_file = allow.allow_file;
-            au_line = allow.allow_line;
-            au_col = allow.allow_col;
-            au_kind = "allow";
-            au_rules = allow.allow_rules;
-            au_reason = None;
-            au_used =
-              List.exists
-                (fun (finding, cnum) ->
-                  allow_matches allow ~file:finding.Finding.file ~cnum
-                    ~rule_name:(Rules.name finding.Finding.rule))
-                suppressed;
-          })
-        ctx.allows
-    else []
-  in
+  List.iter
+    (fun (a : Summary.allow) ->
+      add_audit ctx a.al_loc "allow" a.al_rules None
+        (List.exists (covers a) suppressed))
+    ms.m_allows;
   {
     findings = List.map fst live;
     suppressed = List.map fst suppressed @ ctx.pre_suppressed;
-    audit = allow_audits @ ctx.audits;
+    audit = ctx.audits;
     units = 1;
   }
+
+(* A suppression that covers nothing is itself a finding, unless it is
+   one already (an unknown rule id, a missing reason).  Audits exist only
+   where lint/unknown-allow applies. *)
+let unused_suppressions audits =
+  List.filter_map
+    (fun (a : Finding.audit) ->
+      let void =
+        match a.au_kind with
+        | "allow" -> List.exists unknown_rule a.au_rules
+        | _ -> Option.is_none a.au_reason
+      in
+      if a.au_used || void then None
+      else
+        Some
+          { Finding.file = a.au_file; line = a.au_line; col = a.au_col;
+            rule = Rules.Lint_unknown_allow;
+            message =
+              Printf.sprintf "[%shistolint.%s] suppresses nothing; delete it"
+                (if String.equal a.au_kind "keep" then "@@" else "@")
+                a.au_kind })
+    audits
 
 (* --- dead exports: a whole-program pass over the summaries --------------- *)
 
@@ -480,13 +287,16 @@ let dead_message name =
    uses a module enclosing it whole.  A reasoned keep moves its finding to
    [suppressed]; a reasonless one suppresses nothing and is itself a
    finding.  Every keep is audited. *)
-let dead_exports config (summaries : Summary.module_summary list) =
+let dead_exports ~lib_prefixes (summaries : Summary.module_summary list) =
   let refs = Hashtbl.create 4096 and whole = Hashtbl.create 64 in
   List.iter
     (fun (ms : Summary.module_summary) ->
-      if Rules.is_production ~lib_prefixes:config.lib_prefixes ms.m_source
-      then begin
-        List.iter (fun r -> Hashtbl.add refs r ms.m_name) ms.m_refs;
+      if Rules.is_production ~lib_prefixes ms.m_source then begin
+        List.filter_map
+          (fun (u : Summary.use) -> if u.u_local then None else Some u.u_name)
+          ms.m_uses
+        |> List.sort_uniq String.compare
+        |> List.iter (fun r -> Hashtbl.add refs r ms.m_name);
         List.iter (fun m -> Hashtbl.add whole m ms.m_name) ms.m_whole
       end)
     summaries;
@@ -500,7 +310,7 @@ let dead_exports config (summaries : Summary.module_summary list) =
   in
   let subject (ms : Summary.module_summary) =
     Rules.applies Rules.Dead_unreferenced_export
-      (Rules.scope_of_path ~lib_prefixes:config.lib_prefixes ms.m_source)
+      (Rules.scope_of_path ~lib_prefixes ms.m_source)
     && not (String.starts_with ~prefix:Rules.reference_prefix ms.m_source)
   in
   let check ms (e : Summary.export) =
@@ -540,7 +350,31 @@ let dead_exports config (summaries : Summary.module_summary list) =
       else acc)
     empty_report summaries
 
-(* --- recursive scan ----------------------------------------------------- *)
+(* --- loading and the scan ------------------------------------------------ *)
+
+(* Summarize one [.cmt] with its sibling [.cmti]; the typedtree is
+   dropped once walked. *)
+let load_unit path =
+  match (try Some (Cmt_format.read_cmt path) with _ -> None) with
+  | None ->
+      Printf.eprintf "histolint: warning: cannot read %s\n%!" path;
+      None
+  | Some cmt -> (
+      match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
+      | Cmt_format.Implementation structure, Some source ->
+          let cmti = Filename.remove_extension path ^ ".cmti" in
+          let intf =
+            match
+              (try Some (Cmt_format.read_cmt cmti) with _ -> None)
+            with
+            | Some { Cmt_format.cmt_annots = Cmt_format.Interface sg; _ } ->
+                Some sg
+            | _ -> None
+          in
+          Some
+            (Summary.of_structure ~modname:cmt.Cmt_format.cmt_modname
+               ~source:(Summary.normalize_source source) ?intf structure)
+      | _ -> None)
 
 let rec collect_cmts acc path =
   if Sys.file_exists path then
@@ -554,25 +388,28 @@ let rec collect_cmts acc path =
     else acc
   else acc
 
-let finalize report =
-  {
-    report with
-    findings = List.sort_uniq Finding.compare report.findings;
-    suppressed = List.sort_uniq Finding.compare report.suppressed;
-    audit = List.sort_uniq Finding.audit_compare report.audit;
-  }
+(* Sorted, one entry per key ([Finding.compare] ignores the message):
+   the first the checks produced, whatever else the scan holds. *)
+let sort_unique cmp l =
+  List.fold_left
+    (fun acc x -> match acc with y :: _ when cmp x y = 0 -> acc | _ -> x :: acc)
+    [] (List.stable_sort cmp l)
+  |> List.rev
 
-let scan_units config units =
-  let summaries = List.map (fun u -> (u, summarize u)) units in
-  let table = Summary.build_table (List.map snd summaries) in
-  finalize
-    (merge
-       (List.fold_left
-          (fun acc (u, msum) -> merge acc (scan_unit config table u msum))
-          empty_report summaries)
-       (dead_exports config (List.map snd summaries)))
-
-let scan_paths config paths =
+let scan_paths ~lib_prefixes paths =
   let cmts = List.fold_left collect_cmts [] paths |> List.sort String.compare in
-  scan_units config (List.filter_map load_unit cmts)
-
+  let summaries = List.filter_map load_unit cmts in
+  let table = Summary.build_table summaries in
+  let r =
+    List.fold_left
+      (fun acc ms -> merge acc (scan_unit ~lib_prefixes table ms))
+      (dead_exports ~lib_prefixes summaries)
+      summaries
+  in
+  {
+    r with
+    findings =
+      sort_unique Finding.compare (unused_suppressions r.audit @ r.findings);
+    suppressed = sort_unique Finding.compare r.suppressed;
+    audit = sort_unique Finding.audit_compare r.audit;
+  }

@@ -51,7 +51,7 @@ type audit = {
   au_file : string;
   au_line : int;
   au_col : int;
-  au_kind : string;  (** "allow" | "disjoint" | "alloc_ok" *)
+  au_kind : string;  (** "allow" | "disjoint" | "alloc_ok" | "keep" *)
   au_rules : string list;
   au_reason : string option;
   au_used : bool;

@@ -3,7 +3,8 @@
     rule name) so reports and golden tests are stable.
 
     [audit] records one suppression site — an [\[@histolint.allow\]],
-    [\[@histolint.disjoint\]], or [\[@histolint.alloc_ok\]] — with its
+    [\[@histolint.disjoint\]], [\[@histolint.alloc_ok\]] or
+    [\[@@histolint.keep\]] — with its
     reason (when the attribute kind carries one) and whether it
     actually covered anything, so lint posture can be diffed across
     PRs from the JSON artifact. *)
@@ -30,7 +31,7 @@ type audit = {
   au_file : string;
   au_line : int;
   au_col : int;
-  au_kind : string;  (** "allow" | "disjoint" | "alloc_ok" *)
+  au_kind : string;  (** "allow" | "disjoint" | "alloc_ok" | "keep" *)
   au_rules : string list;  (** the rule ids the site can suppress *)
   au_reason : string option;  (** mandatory for disjoint/alloc_ok *)
   au_used : bool;  (** did it cover at least one site? *)

@@ -95,8 +95,8 @@ let describe = function
        (test/*.ml does not count); delete it, drop it from the .mli, move it \
        to refkit, or audit it with [@@histolint.keep \"reason\"]"
   | Lint_unknown_allow ->
-      "a suppression attribute names an unknown rule id or is missing its \
-       audit reason; suppressions must be checkable"
+      "a suppression attribute names an unknown rule id, is missing its \
+       audit reason, or suppresses nothing; suppressions must be checkable"
 
 let explain = function
   | Par_shared_mutable ->
@@ -178,8 +178,10 @@ let explain = function
        (see --rules); [@histolint.disjoint], [@histolint.alloc_ok] and \
        [@@histolint.keep] must carry a non-empty reason string.  A typo'd \
        rule id would otherwise silently suppress nothing (or worse, rot \
-       after a rename); a missing reason defeats the audit trail.  The \
-       engine exits non-zero on both."
+       after a rename); a missing reason defeats the audit trail.  A \
+       suppression that covers nothing (its audit entry reads unused) is \
+       a finding too: it is stale, and would hide the next violation that \
+       lands under it.  The engine exits non-zero on all three."
   | r ->
       (* v1 rules: the one-line description plus the suppression recipe. *)
       Printf.sprintf
@@ -191,21 +193,23 @@ let has_prefix ~prefix s =
   String.length s >= String.length prefix
   && String.equal (String.sub s 0 (String.length prefix)) prefix
 
+let reference_prefix = "test/reference/"
+
 let scope_of_path ~lib_prefixes path =
   let path =
     if has_prefix ~prefix:"./" path then
       String.sub path 2 (String.length path - 2)
     else path
   in
-  if List.exists (fun p -> has_prefix ~prefix:p path) lib_prefixes then Lib
+  if List.exists (fun p -> has_prefix ~prefix:p path)
+       (reference_prefix :: lib_prefixes)
+  then Lib
   else if has_prefix ~prefix:"lib/parallel/" path then Lib_parallel
   else if has_prefix ~prefix:"lib/" path then Lib
   else if has_prefix ~prefix:"bin/" path then Bin
   else if has_prefix ~prefix:"test/" path then Test
   else if has_prefix ~prefix:"bench/" path then Bench
   else Other
-
-let reference_prefix = "test/reference/"
 
 let is_production ~lib_prefixes path =
   List.exists

@@ -69,9 +69,9 @@ type t =
           [\[@@histolint.keep "reason"\]] on the [val]. *)
   | Lint_unknown_allow
       (** A [\[@histolint.allow\]] names a rule id the engine does not
-          know, or a [\[@histolint.disjoint\]], [\[@histolint.alloc_ok\]]
+          know, a [\[@histolint.disjoint\]], [\[@histolint.alloc_ok\]]
           or [\[@@histolint.keep\]] is missing its mandatory reason
-          string. *)
+          string, or any of the four suppresses nothing. *)
 
 (** Where a compilation unit lives, derived from its source path. *)
 type scope = Lib | Lib_parallel | Bin | Test | Bench | Other
@@ -93,16 +93,18 @@ val explain : t -> string
 (** Multi-paragraph rationale with examples and the suppression recipe,
     shown by [histolint --explain RULE]. *)
 
+val reference_prefix : string
+(** ["test/reference/"]: the test-only reference library (refkit).  The
+    library rules cover it (its pool closures stay under the
+    domain-safety check), but it is never a dead-export subject. *)
+
 val scope_of_path : lib_prefixes:string list -> string -> scope
 (** Classify a (normalized, repo-relative) source path.  Paths under
-    any of [lib_prefixes] are classified [Lib] even when they live
-    elsewhere — the linter's own test fixtures use this. *)
+    {!reference_prefix} or any of [lib_prefixes] are classified [Lib]
+    even though they live elsewhere — the linter's own test fixtures
+    use [lib_prefixes]. *)
 
 val applies : t -> scope -> bool
-
-val reference_prefix : string
-(** ["test/reference/"]: the test-only reference library, which the
-    library rules cover but which is never a dead-export subject. *)
 
 val is_production : lib_prefixes:string list -> string -> bool
 (** Does a unit at this source path ship (or gate what ships)?  [lib/],

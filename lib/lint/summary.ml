@@ -1,10 +1,12 @@
-(* Per-function summaries over the typedtree: what a function
-   allocates, whom it calls (and the root of every argument it passes),
-   what it mutates or dereferences (and whether each root is its own
-   parameter, a local, a capture or module-level state), and which pool
-   calls it makes.  This is histolint's one effect walker: the race pass
-   (race.ml) and the hot-path allocation pass (alloc.ml) both read its
-   records bottom-up, which is what makes histolint v2
+(* histolint's one typedtree walk.  Per function: what it allocates,
+   whom it calls (and the root of every argument it passes), what it
+   mutates or dereferences (and whether each root is its own parameter,
+   a local, a capture or module-level state), and which pool calls it
+   makes.  Per unit, in the same walk: every identifier use, allow
+   range, module-level lazy and whole-module use, with names resolved
+   through module aliases by one resolver.  The race pass (race.ml), the
+   hot-path allocation pass (alloc.ml) and every rule of the engine read
+   these records; the effect records are what makes histolint
    interprocedural: a helper that leaks a captured ref, or allocates,
    two calls away from the flagged site is still seen.
 
@@ -143,7 +145,6 @@ let mutators =
     ("Randkit.Xoshiro.next", 0);
     ("Randkit.Xoshiro.next_top53", 0);
     ("Randkit.Xoshiro.next_below", 0);
-    ("Randkit.Xoshiro.jump", 0);
   ]
 
 let mutator_position name =
@@ -368,6 +369,21 @@ type export = {
   e_keep : string option option;  (** as {!reason_attr} *)
 }
 
+type arg_class =
+  | At_float of string
+  | At_structural of string
+  | At_benign
+  | At_unknown
+
+type use = { u_name : string; u_local : bool; u_loc : sloc; u_arg : arg_class }
+
+type allow = {
+  al_rules : string list;
+  al_loc : sloc;  (** the attribute *)
+  al_from : int;  (** char offsets covered; [max_int] ends a floating one *)
+  al_to : int;
+}
+
 type module_summary = {
   m_name : string;  (** canonical module name *)
   m_source : string;  (** normalized source path *)
@@ -375,7 +391,9 @@ type module_summary = {
   m_markers : marker list;
   m_pools : pool_site list;
   m_locals : (string, func_summary) Hashtbl.t;
-  m_refs : string list;  (** canonical value paths the unit mentions *)
+  m_uses : use list;
+  m_allows : allow list;
+  m_lazies : (string * sloc) list;
   m_whole : string list;  (** canonical module paths it uses whole *)
   m_exports : export list;  (** the [val]s of its .mli *)
 }
@@ -401,20 +419,43 @@ let reason_attr name attrs =
       | s :: _ when String.length (String.trim s) > 0 -> Some (Some s)
       | _ -> Some None)
 
+(* --- type classification (for the poly-compare rules) --------------------- *)
+
+let rec classify_type ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, args, _) ->
+      if Path.same p Predef.path_float then At_float "float"
+      else if Path.same p Predef.path_floatarray then At_float "floatarray"
+      else if Path.same p Predef.path_int || Path.same p Predef.path_bool
+              || Path.same p Predef.path_char || Path.same p Predef.path_unit
+              || Path.same p Predef.path_string
+              || Path.same p Predef.path_bytes
+              || Path.same p Predef.path_int32
+              || Path.same p Predef.path_int64
+              || Path.same p Predef.path_nativeint
+      then At_benign
+      else if Path.same p Predef.path_array || Path.same p Predef.path_list
+              || Path.same p Predef.path_option
+      then (
+        let container = canonical (Path.name p) in
+        match args with
+        | [ elt ] -> (
+            match classify_type elt with
+            | At_float elt_name ->
+                At_float (Printf.sprintf "%s %s" elt_name container)
+            | _ -> At_structural container)
+        | _ -> At_structural container)
+      else At_structural (canonical (Path.name p))
+  | Types.Ttuple _ -> At_structural "tuple"
+  | Types.Tarrow _ -> At_structural "function"
+  | _ -> At_unknown
+
+let first_arg_class ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (_, a, _, _) -> classify_type a
+  | _ -> At_unknown
+
 (* --- expression shape helpers ------------------------------------------- *)
-
-let canonical_of_path p = canonical (Path.name p)
-
-let rec root_of (e : Typedtree.expression) : Path.t option =
-  match e.exp_desc with
-  | Typedtree.Texp_ident (p, _, _) -> Some p
-  | Typedtree.Texp_field (e, _, _) -> root_of e
-  | Typedtree.Texp_apply (f, (_, Some a0) :: _) -> (
-      match f.exp_desc with
-      | Typedtree.Texp_ident (p, _, _) when is_getter (canonical_of_path p) ->
-          root_of a0
-      | _ -> None)
-  | _ -> None
 
 let nolabel_args args =
   List.filter_map
@@ -432,14 +473,6 @@ let head_ident (f : Typedtree.expression) =
 let is_arrow ty =
   match Types.get_desc ty with Types.Tarrow _ -> true | _ -> false
 
-(* The applications whose function arguments run as concurrent tasks. *)
-let is_pool_apply f =
-  match head_ident f with
-  | Some p ->
-      List.mem (canonical_of_path p)
-        [ "Parkit.Pool.map"; "Parkit.Pool.init"; "Domain.spawn" ]
-  | None -> false
-
 (* The local names [e] mentions.  An indexed store keeps those of its
    index: `arr.(i) <- v` is slot-private to the task whose parameter
    [i] is. *)
@@ -456,7 +489,7 @@ let idents_in (e : Typedtree.expression) =
   it.expr it e;
   !found
 
-(* --- the summary walk --------------------------------------------------- *)
+(* --- the walk ------------------------------------------------------------ *)
 
 (* One function being walked: a top-level binding, a [let]-bound local
    function, or a closure handed to a pool.  Records are kept newest
@@ -473,23 +506,99 @@ let new_frame depth params =
   { fr_depth = depth; fr_params = params; fr_allocs = []; fr_calls = [];
     fr_access = [] }
 
+(* The state of the one walk over a unit; the unit's records are kept
+   newest first. *)
 type walk_state = {
   ws_fallback : string;
   ws_bound : (string, int) Hashtbl.t;
-      (** Ident stamps bound in the binding -> depth of the frame binding
-          them *)
-  ws_modname : string;  (** the enclosing (sub)module's path *)
+      (** Ident stamps bound in the current module-level binding -> depth
+          of the frame binding them *)
   ws_scope : (string, string) Hashtbl.t;
       (** module-level Ident stamps -> qualified names: a submodule's
           bare reference to an outer value resolves to the outer path *)
   ws_locals : (string, func_summary) Hashtbl.t;
       (** the unit's local functions, by Ident stamp *)
+  ws_aliases : (string, Path.t) Hashtbl.t;
+      (** module aliases ([module H = Hashtbl], [let module]), by Ident
+          stamp, to their resolved target *)
+  mutable ws_modname : string;  (** the enclosing (sub)module's path *)
+  mutable ws_named : bool;
+      (** only plain [struct]s enclose the item: its [let]s are named
+          functions of the table *)
+  mutable ws_toplevel : bool;  (** outside every module-level binding *)
+  mutable ws_quiet : bool;
+      (** effects go unrecorded: outside a binding, or inside an error
+          path ([raise], [assert]), which may allocate and tears the task
+          down *)
+  mutable ws_chain : Typedtree.expression list;
+      (** the parameter layers of the current module-level binding *)
   mutable ws_frame : frame;  (** the innermost frame *)
-  mutable ws_pools : pool_site list;
   mutable ws_cold : marker list;  (** innermost alloc_ok region first *)
-  mutable ws_markers : marker list;
   mutable ws_skip_head : Typedtree.expression option;
+  mutable ws_funcs : func_summary list;
+  mutable ws_markers : marker list;
+  mutable ws_pools : pool_site list;
+  mutable ws_uses : use list;
+  mutable ws_allows : allow list;
+  mutable ws_lazies : (string * sloc) list;
+  mutable ws_whole : string list;
 }
+
+(* The one resolver: a path through a module alias becomes the path
+   through its target. *)
+let rec resolve st (p : Path.t) =
+  match p with
+  | Path.Pident id ->
+      Option.value ~default:p
+        (Hashtbl.find_opt st.ws_aliases (Ident.unique_name id))
+  | Path.Pdot (q, s) -> Path.Pdot (resolve st q, s)
+  | p -> p
+
+let name_of st p = canonical (Path.name (resolve st p))
+
+(* A name the unit binds itself, rather than a reference. *)
+let is_own st p =
+  match resolve st p with
+  | Path.Pident id -> not (Ident.persistent id)
+  | _ -> false
+
+(* Record [id] as an alias when [me] names a module. *)
+let rec alias st id (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Typedtree.Tmod_ident (p, _) ->
+      Hashtbl.replace st.ws_aliases (Ident.unique_name id) (resolve st p);
+      true
+  | Typedtree.Tmod_constraint (me, _, Typedtree.Tmodtype_implicit, _) ->
+      alias st id me
+  | _ -> false
+
+let rec root_of st (e : Typedtree.expression) : Path.t option =
+  match e.exp_desc with
+  | Typedtree.Texp_ident (p, _, _) -> Some p
+  | Typedtree.Texp_field (e, _, _) -> root_of st e
+  | Typedtree.Texp_apply (f, (_, Some a0) :: _) -> (
+      match f.exp_desc with
+      | Typedtree.Texp_ident (p, _, _) when is_getter (name_of st p) ->
+          root_of st a0
+      | _ -> None)
+  | _ -> None
+
+(* The applications whose function arguments run as concurrent tasks. *)
+let is_pool_apply st f =
+  match head_ident f with
+  | Some p ->
+      List.mem (name_of st p)
+        [ "Parkit.Pool.map"; "Parkit.Pool.init"; "Domain.spawn" ]
+  | None -> false
+
+let is_raise_subtree st (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Typedtree.Texp_apply (f, _) -> (
+      match head_ident f with
+      | Some p -> is_raise (name_of st p)
+      | None -> false)
+  | Typedtree.Texp_assert _ -> true
+  | _ -> false
 
 let bind st id =
   Hashtbl.replace st.ws_bound (Ident.unique_name id) st.ws_frame.fr_depth
@@ -517,10 +626,10 @@ let classify_ident st fr id =
 let classify_path st (p : Path.t) =
   match p with
   | Path.Pident id -> classify_ident st st.ws_frame id
-  | p -> R_global (canonical_of_path p)
+  | p -> R_global (name_of st p)
 
 let classify_root st (e : Typedtree.expression) =
-  match root_of e with None -> R_opaque | Some p -> classify_path st p
+  match root_of st e with None -> R_opaque | Some p -> classify_path st p
 
 let peek_cold st =
   match st.ws_cold with
@@ -561,6 +670,43 @@ let arg_of st (a : Typedtree.expression) =
       (match a.exp_desc with Typedtree.Texp_ident _ -> true | _ -> false);
     ar_loc = sloc st a.exp_loc;
   }
+
+(* The [[@histolint.allow "rule" ...]]s among [attrs], covering [range]
+   (to the end of the file when [to_end]). *)
+let add_allows st ?(to_end = false) ~(range : Location.t) attrs =
+  List.iter
+    (fun (attr : Parsetree.attribute) ->
+      match payload_strings attr.attr_payload with
+      | _ :: _ as rules when String.equal attr.attr_name.txt "histolint.allow"
+        ->
+          st.ws_allows <-
+            { al_rules = rules; al_loc = sloc st attr.attr_loc;
+              al_from = range.loc_start.pos_cnum;
+              al_to = (if to_end then max_int else range.loc_end.pos_cnum) }
+            :: st.ws_allows
+      | _ -> ())
+    attrs
+
+let add_use st (p : Path.t) (lid : Longident.t Location.loc) ty =
+  st.ws_uses <-
+    { u_name = name_of st p; u_local = is_own st p; u_loc = sloc st lid.loc;
+      u_arg = first_arg_class ty }
+    :: st.ws_uses
+
+(* A module-level binding of a [Lazy.t] value, judged by its type, so
+   [lazy e] and [Lazy.from_fun f] are both caught. *)
+let add_lazy st (vb : Typedtree.value_binding) =
+  match Types.get_desc vb.vb_expr.exp_type with
+  | Types.Tconstr (path, _, _)
+    when List.exists (String.equal (Path.name path))
+           [ "lazy_t"; "Lazy.t"; "Stdlib.Lazy.t"; "CamlinternalLazy.t" ] ->
+      let name =
+        match Typedtree.pat_bound_idents vb.vb_pat with
+        | id :: _ -> Ident.name id
+        | [] -> "_"
+      in
+      st.ws_lazies <- (name, sloc st vb.vb_loc) :: st.ws_lazies
+  | _ -> ()
 
 (* A finished frame's records join its parent's, seen from the parent:
    the child's parameters and locals are the parent's locals, and a
@@ -609,11 +755,12 @@ let summary_of ~name ~loc ~hot fr =
 
 (* Peel the curried [Texp_function] chain of a binding: returns the
    parameter->nolabel-index map, the set of all binder idents
-   introduced by the chain, and the bodies to walk. *)
+   introduced by the chain, and the chain's [fun] nodes (parameter
+   layers, not closures the body builds). *)
 let peel_function (e : Typedtree.expression) =
-  let rec go nolabel_idx params binders (e : Typedtree.expression) =
+  let rec go nolabel_idx params binders chain (e : Typedtree.expression) =
     match e.exp_desc with
-    | Typedtree.Texp_function { arg_label; param; cases; _ } ->
+    | Typedtree.Texp_function { arg_label; param; cases; _ } -> (
         let case_idents =
           List.concat_map
             (fun (c : Typedtree.value Typedtree.case) ->
@@ -631,17 +778,10 @@ let peel_function (e : Typedtree.expression) =
         in
         let nolabel_idx = if is_nolabel then nolabel_idx + 1 else nolabel_idx in
         let binders = binders @ level_idents in
-        (match cases with
+        match cases with
         | [ { c_lhs = _; c_guard = None; c_rhs } ] ->
-            go nolabel_idx params binders c_rhs
-        | cases ->
-            ( params,
-              binders,
-              List.concat_map
-                (fun (c : Typedtree.value Typedtree.case) ->
-                  (match c.c_guard with Some g -> [ g ] | None -> [])
-                  @ [ c.c_rhs ])
-                cases ))
+            go nolabel_idx params binders (e :: chain) c_rhs
+        | _ -> (params, binders, e :: chain))
     | Typedtree.Texp_let
         ( Asttypes.Nonrecursive,
           vbs,
@@ -659,14 +799,10 @@ let peel_function (e : Typedtree.expression) =
                 Typedtree.pat_bound_idents vb.vb_pat)
               vbs
         in
-        let params, binders, bodies = go nolabel_idx params binders body in
-        ( params,
-          binders,
-          List.map (fun (vb : Typedtree.value_binding) -> vb.vb_expr) vbs
-          @ bodies )
-    | _ -> (params, binders, [ e ])
+        go nolabel_idx params binders chain body
+    | _ -> (params, binders, chain)
   in
-  go 0 [] [] e
+  go 0 [] [] [] e
 
 let walk_iterator st =
   let default = Tast_iterator.default_iterator in
@@ -728,7 +864,7 @@ let walk_iterator st =
     | None -> ()
     | Some p -> (
         st.ws_skip_head <- Some f;
-        let name = canonical_of_path p in
+        let name = name_of st p in
         let nargs = nolabel_args args in
         (* mutation effects *)
         (match mutator_position name with
@@ -767,184 +903,192 @@ let walk_iterator st =
             (* partial application of a local function *)
             if is_arrow e.exp_type then add_alloc st A_partial e.exp_loc)
   in
-  let expr sub (e : Typedtree.expression) =
-    let is_raise_subtree =
-      match e.exp_desc with
-      | Typedtree.Texp_apply (f, _) -> (
-          match head_ident f with
-          | Some p -> is_raise (canonical_of_path p)
-          | None -> false)
-      | Typedtree.Texp_assert _ -> true
-      | _ -> false
-    in
-    if is_raise_subtree then ()
-    else begin
-      let pushed =
-        match reason_attr "histolint.alloc_ok" e.exp_attributes with
-        | None -> false
-        | Some reason ->
-            let mk =
-              { mk_loc = sloc st e.exp_loc; mk_reason = reason; mk_hits = 0 }
-            in
-            st.ws_markers <- mk :: st.ws_markers;
-            st.ws_cold <- mk :: st.ws_cold;
-            true
-      in
-      (match e.exp_desc with
-      | Typedtree.Texp_ident (p, _, _) -> (
-          let skip =
-            match st.ws_skip_head with
-            | Some h when h == e -> true
-            | _ -> false
+  (* The effects of [e] itself, then its subexpressions. *)
+  let effects sub (e : Typedtree.expression) =
+    let pushed =
+      match reason_attr "histolint.alloc_ok" e.exp_attributes with
+      | None -> false
+      | Some reason ->
+          let mk =
+            { mk_loc = sloc st e.exp_loc; mk_reason = reason; mk_hits = 0 }
           in
-          if skip then st.ws_skip_head <- None
-          else if is_arrow e.exp_type then
-            (* a function referenced in argument/value position: account
-               for its effects as a zero-arg call (e.g. `List.iter bump
-               xs` must see bump's effects) *)
-            match classify_path st p with
-            | R_global q ->
-                if not (is_raise q || is_getter q) then
-                  add_call st ~local:false ~cold:(peek_cold st) ~args:[] q
-                    e.exp_loc
-            | R_captured id ->
-                add_call st ~local:true ~cold:(peek_cold st) ~args:[]
-                  (Ident.unique_name id) e.exp_loc
-            | R_param _ | R_local | R_opaque -> ())
-      | Typedtree.Texp_apply (f, args) -> handle_apply e f args
-      | Typedtree.Texp_let (Asttypes.Recursive, vbs, _) ->
-          (* every name of a recursive group is in scope in each body *)
-          List.iter
-            (fun (vb : Typedtree.value_binding) ->
-              List.iter (bind st) (Typedtree.pat_bound_idents vb.vb_pat))
-            vbs
-      | Typedtree.Texp_function _ -> add_alloc st A_closure e.exp_loc
-      | Typedtree.Texp_tuple _ -> add_alloc st A_tuple e.exp_loc
-      | Typedtree.Texp_record _ -> add_alloc st A_record e.exp_loc
-      | Typedtree.Texp_construct (lid, _, args) ->
-          if not (List.is_empty args) then
-            add_alloc st
-              (A_variant (String.concat "." (Longident.flatten lid.txt)))
-              e.exp_loc
-      | Typedtree.Texp_variant (label, arg) ->
-          if Option.is_some arg then
-            add_alloc st (A_variant ("`" ^ label)) e.exp_loc
-      | Typedtree.Texp_array elts ->
-          if not (List.is_empty elts) then
-            add_alloc st A_array_literal e.exp_loc
-      | Typedtree.Texp_lazy _ -> add_alloc st A_lazy e.exp_loc
-      | Typedtree.Texp_letop _ -> add_alloc st A_closure e.exp_loc
-      | Typedtree.Texp_setfield (target, _, ld, _) ->
-          add_access st (Write_field ld.lbl_name) e.exp_loc target
-      | _ -> ());
-      (match e.exp_desc with
-      | Typedtree.Texp_apply (f, args) when is_pool_apply f ->
-          walk_pool sub e f args
-      | _ -> default.expr sub e);
-      if pushed then st.ws_cold <- List.tl st.ws_cold
-    end
+          st.ws_markers <- mk :: st.ws_markers;
+          st.ws_cold <- mk :: st.ws_cold;
+          true
+    in
+    (match e.exp_desc with
+    | Typedtree.Texp_ident (p, _, _) -> (
+        let skip =
+          match st.ws_skip_head with
+          | Some h when h == e -> true
+          | _ -> false
+        in
+        if skip then st.ws_skip_head <- None
+        else if is_arrow e.exp_type then
+          (* a function referenced in argument/value position: account
+             for its effects as a zero-arg call (e.g. `List.iter bump
+             xs` must see bump's effects) *)
+          match classify_path st p with
+          | R_global q ->
+              if not (is_raise q || is_getter q) then
+                add_call st ~local:false ~cold:(peek_cold st) ~args:[] q
+                  e.exp_loc
+          | R_captured id ->
+              add_call st ~local:true ~cold:(peek_cold st) ~args:[]
+                (Ident.unique_name id) e.exp_loc
+          | R_param _ | R_local | R_opaque -> ())
+    | Typedtree.Texp_apply (f, args) -> handle_apply e f args
+    | Typedtree.Texp_let (Asttypes.Recursive, vbs, _) ->
+        (* every name of a recursive group is in scope in each body *)
+        List.iter
+          (fun (vb : Typedtree.value_binding) ->
+            List.iter (bind st) (Typedtree.pat_bound_idents vb.vb_pat))
+          vbs
+    | Typedtree.Texp_function _ ->
+        if not (List.memq e st.ws_chain) then add_alloc st A_closure e.exp_loc
+    | Typedtree.Texp_tuple _ -> add_alloc st A_tuple e.exp_loc
+    | Typedtree.Texp_record _ -> add_alloc st A_record e.exp_loc
+    | Typedtree.Texp_construct (lid, _, args) ->
+        if not (List.is_empty args) then
+          add_alloc st
+            (A_variant (String.concat "." (Longident.flatten lid.txt)))
+            e.exp_loc
+    | Typedtree.Texp_variant (label, arg) ->
+        if Option.is_some arg then
+          add_alloc st (A_variant ("`" ^ label)) e.exp_loc
+    | Typedtree.Texp_array elts ->
+        if not (List.is_empty elts) then add_alloc st A_array_literal e.exp_loc
+    | Typedtree.Texp_lazy _ -> add_alloc st A_lazy e.exp_loc
+    | Typedtree.Texp_letop _ -> add_alloc st A_closure e.exp_loc
+    | Typedtree.Texp_setfield (target, _, ld, _) ->
+        add_access st (Write_field ld.lbl_name) e.exp_loc target
+    | _ -> ());
+    (match e.exp_desc with
+    | Typedtree.Texp_apply (f, args) when is_pool_apply st f ->
+        walk_pool sub e f args
+    | _ -> default.expr sub e);
+    if pushed then st.ws_cold <- List.tl st.ws_cold
+  in
+  (* Every expression records its allows and, as an identifier, its use;
+     effects only inside a binding and outside error paths. *)
+  let expr sub (e : Typedtree.expression) =
+    add_allows st ~range:e.exp_loc e.exp_attributes;
+    (match e.exp_desc with
+    | Typedtree.Texp_ident (p, lid, _) -> add_use st p lid e.exp_type
+    | _ -> ());
+    match e.exp_desc with
+    | Typedtree.Texp_letmodule (Some id, _, _, me, body) when alias st id me ->
+        sub.Tast_iterator.expr sub body
+    | _ when st.ws_quiet -> default.expr sub e
+    | _ when is_raise_subtree st e ->
+        st.ws_quiet <- true;
+        default.expr sub e;
+        st.ws_quiet <- false
+    | _ -> effects sub e
   in
   (* A [let]-bound local function is a frame of its own, kept by stamp
      for the tasks that call it or are it. *)
   let value_binding sub (vb : Typedtree.value_binding) =
+    add_allows st ~range:vb.vb_loc vb.vb_attributes;
     match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
-    | Typedtree.Tpat_var (id, _), Typedtree.Texp_function _ ->
+    | Typedtree.Tpat_var (id, _), Typedtree.Texp_function _
+      when not st.ws_quiet ->
         sub.Tast_iterator.pat sub vb.vb_pat;
         Hashtbl.replace st.ws_locals (Ident.unique_name id)
           (in_frame sub ~name:(Ident.name id) vb.vb_expr)
     | _ -> default.value_binding sub vb
   in
-  { default with expr; pat; value_binding }
-
-(* Walk one module-level binding (or evaluated expression).  A named
-   binding yields its function summary and alloc_ok markers; every
-   binding yields its pool sites. *)
-let summarize_binding ~modname ~scope ~locals ~source ?self
-    (e : Typedtree.expression) =
-  let params, binders, bodies = peel_function e in
-  let st =
-    {
-      ws_fallback = source;
-      ws_bound = Hashtbl.create 64;
-      ws_modname = modname;
-      ws_scope = scope;
-      ws_locals = locals;
-      ws_frame = new_frame 0 params;
-      ws_pools = [];
-      ws_cold = [];
-      ws_markers = [];
-      ws_skip_head = None;
-    }
+  (* One module-level binding (or evaluated expression): the frame at
+     depth 0, its parameter layers peeled. *)
+  let binding sub ?self (e : Typedtree.expression) =
+    let params, binders, chain = peel_function e in
+    Hashtbl.reset st.ws_bound;
+    st.ws_frame <- new_frame 0 params;
+    st.ws_chain <- chain;
+    st.ws_toplevel <- false;
+    st.ws_quiet <- false;
+    Option.iter (bind st) self;
+    List.iter (bind st) binders;
+    sub.Tast_iterator.expr sub e;
+    st.ws_toplevel <- true;
+    st.ws_quiet <- true;
+    st.ws_frame
   in
-  Option.iter (bind st) self;
-  List.iter (bind st) binders;
-  let it = walk_iterator st in
-  List.iter (fun body -> it.expr it body) bodies;
-  (st.ws_frame, List.rev st.ws_markers, List.rev st.ws_pools)
-
-(* --- references and exports (dead/unreferenced-export) ------------------ *)
-
-(* Every qualified path the unit mentions: values through [Texp_ident],
-   with local module aliases resolved to their target, and modules used
-   whole — functor arguments, packed first-class modules, signature
-   coercions, [include].  [open] needs no entry: the typer already
-   resolves an opened name to its full path.  Unqualified names other
-   than compilation units are the unit's own and are not recorded. *)
-let references (str : Typedtree.structure) =
-  let aliases = Hashtbl.create 8 in
-  let values = ref [] and whole = ref [] in
-  let rec resolve (p : Path.t) =
-    match p with
-    | Path.Pident id -> (
-        match Hashtbl.find_opt aliases (Ident.unique_name id) with
-        | Some target -> target
-        | None -> p)
-    | Path.Pdot (q, s) -> Path.Pdot (resolve q, s)
-    | p -> p
+  (* Module-level [let]s of plain [struct]s are the table's functions,
+     named by their full path ([Service.Batch.push_sub]); any other
+     binding ([let () = ...], a functor body's) contributes its pool
+     sites and markers only. *)
+  let module_value sub (vb : Typedtree.value_binding) =
+    add_allows st ~range:vb.vb_loc vb.vb_attributes;
+    match vb.vb_pat.pat_desc with
+    | Typedtree.Tpat_var (id, _) when st.ws_named ->
+        let name = st.ws_modname ^ "." ^ Ident.name id in
+        Hashtbl.replace st.ws_scope (Ident.unique_name id) name;
+        let fr = binding sub ~self:id vb.vb_expr in
+        st.ws_funcs <-
+          summary_of ~name ~loc:(sloc st vb.vb_loc)
+            ~hot:(has_attr "histolint.hot" vb.vb_attributes)
+            fr
+          :: st.ws_funcs
+    | _ -> ignore (binding sub vb.vb_expr)
   in
-  let note acc p =
-    match resolve p with
-    | Path.Pident id when not (Ident.persistent id) -> ()
-    | p -> acc := canonical_of_path p :: !acc
-  in
-  let rec alias id (me : Typedtree.module_expr) =
-    match me.mod_desc with
-    | Typedtree.Tmod_ident (p, _) ->
-        Hashtbl.replace aliases (Ident.unique_name id) (resolve p);
-        true
-    | Typedtree.Tmod_constraint (me, _, Typedtree.Tmodtype_implicit, _) ->
-        alias id me
-    | _ -> false
-  in
-  let default = Tast_iterator.default_iterator in
-  let module_expr sub (me : Typedtree.module_expr) =
-    (match me.mod_desc with
-    | Typedtree.Tmod_ident (p, _) -> note whole p
+  let structure_item sub (si : Typedtree.structure_item) =
+    (match si.str_desc with
+    | Typedtree.Tstr_value (_, vbs) -> List.iter (add_lazy st) vbs
+    | Typedtree.Tstr_attribute attr ->
+        (* Floating [@@@histolint.allow]: suppress to end of file. *)
+        add_allows st ~to_end:true ~range:si.str_loc [ attr ]
     | _ -> ());
-    default.module_expr sub me
+    match si.str_desc with
+    | Typedtree.Tstr_value (_, vbs) when st.ws_toplevel ->
+        List.iter (module_value sub) vbs
+    | Typedtree.Tstr_eval (e, _) when st.ws_toplevel -> ignore (binding sub e)
+    | Typedtree.Tstr_value _ | Typedtree.Tstr_eval _ | Typedtree.Tstr_module _
+      ->
+        default.structure_item sub si
+    | _ ->
+        let named = st.ws_named in
+        st.ws_named <- false;
+        default.structure_item sub si;
+        st.ws_named <- named
   in
   let module_binding sub (mb : Typedtree.module_binding) =
     match mb.mb_id with
-    | Some id when alias id mb.mb_expr -> ()
-    | _ -> default.module_binding sub mb
+    | Some id when alias st id mb.mb_expr -> ()
+    | _ ->
+        let modname = st.ws_modname and named = st.ws_named in
+        (match (mb.mb_id, mb.mb_expr.mod_desc) with
+        | Some id, Typedtree.Tmod_structure _ ->
+            st.ws_modname <- modname ^ "." ^ Ident.name id
+        | Some id, _ ->
+            st.ws_modname <- modname ^ "." ^ Ident.name id;
+            st.ws_named <- false
+        | None, _ -> st.ws_named <- false);
+        default.module_binding sub mb;
+        st.ws_modname <- modname;
+        st.ws_named <- named
   in
+  (* A module used whole: a functor argument, a packed first-class
+     module, a signature coercion, an [include]. *)
+  let module_expr sub (me : Typedtree.module_expr) =
+    (match me.mod_desc with
+    | Typedtree.Tmod_ident (p, _) when not (is_own st p) ->
+        st.ws_whole <- name_of st p :: st.ws_whole
+    | _ -> ());
+    default.module_expr sub me
+  in
+  (* [open] needs no record: the typer already resolves an opened name
+     to its full path. *)
   let open_declaration sub (od : Typedtree.open_declaration) =
     match od.open_expr.mod_desc with
     | Typedtree.Tmod_ident _ -> ()
     | _ -> default.open_declaration sub od
   in
-  let expr sub (e : Typedtree.expression) =
-    match e.exp_desc with
-    | Typedtree.Texp_letmodule (Some id, _, _, me, body) when alias id me ->
-        sub.Tast_iterator.expr sub body
-    | Typedtree.Texp_ident (p, _, _) -> note values p
-    | _ -> default.expr sub e
-  in
-  let it =
-    { default with expr; module_expr; module_binding; open_declaration }
-  in
-  it.structure it str;
-  (List.sort_uniq String.compare !values, List.sort_uniq String.compare !whole)
+  { default with
+    expr; pat; value_binding; structure_item; module_binding; module_expr;
+    open_declaration }
+
+(* --- exports (dead/unreferenced-export) --------------------------------- *)
 
 (* The [val]s an interface exports, nested signatures included; module
    types and functors declare no values of their own. *)
@@ -975,83 +1119,48 @@ let exports ~modname ~source (sg : Typedtree.signature) =
 
 let of_structure ~modname ~source ?intf (str : Typedtree.structure) =
   let modname = canonical modname in
-  let scope = Hashtbl.create 64 and locals = Hashtbl.create 16 in
-  let funcs = ref [] and markers = ref [] and pools = ref [] in
-  let walk ~prefix ?self e =
-    let fr, mks, ps =
-      summarize_binding ~modname:prefix ~scope ~locals ~source ?self e
-    in
-    pools := List.rev_append ps !pools;
-    (fr, mks)
+  let st =
+    {
+      ws_fallback = source;
+      ws_bound = Hashtbl.create 64;
+      ws_scope = Hashtbl.create 64;
+      ws_locals = Hashtbl.create 16;
+      ws_aliases = Hashtbl.create 8;
+      ws_modname = modname;
+      ws_named = true;
+      ws_toplevel = true;
+      ws_quiet = true;
+      ws_chain = [];
+      ws_frame = new_frame 0 [];
+      ws_cold = [];
+      ws_skip_head = None;
+      ws_funcs = [];
+      ws_markers = [];
+      ws_pools = [];
+      ws_uses = [];
+      ws_allows = [];
+      ws_lazies = [];
+      ws_whole = [];
+    }
   in
-  (* Any other module expression (a functor body, a constrained or
-     included [struct]) contributes its pool sites only. *)
-  let pools_in prefix (si : Typedtree.structure_item) =
-    let default = Tast_iterator.default_iterator in
-    let structure_item sub (si : Typedtree.structure_item) =
-      match si.str_desc with
-      | Typedtree.Tstr_value (_, vbs) ->
-          List.iter
-            (fun (vb : Typedtree.value_binding) ->
-              ignore (walk ~prefix vb.vb_expr))
-            vbs
-      | Typedtree.Tstr_eval (e, _) -> ignore (walk ~prefix e)
-      | _ -> default.structure_item sub si
-    in
-    let it = { default with structure_item } in
-    default.structure_item it si
-  in
-  (* Submodules defined by a plain [struct] are summarized too, their
-     functions named by the full path ([Service.Batch.push_sub]).  A
-     binding that names no function ([let () = ...]) still has its pool
-     sites. *)
-  let rec items prefix (str : Typedtree.structure) =
-    List.iter
-      (fun (si : Typedtree.structure_item) ->
-        match si.str_desc with
-        | Typedtree.Tstr_value (_, vbs) ->
-            List.iter
-              (fun (vb : Typedtree.value_binding) ->
-                match vb.vb_pat.pat_desc with
-                | Typedtree.Tpat_var (id, _) ->
-                    let name = prefix ^ "." ^ Ident.name id in
-                    Hashtbl.replace scope (Ident.unique_name id) name;
-                    let fr, mks = walk ~prefix ~self:id vb.vb_expr in
-                    funcs :=
-                      summary_of ~name ~loc:(sloc_of ~fallback:source vb.vb_loc)
-                        ~hot:(has_attr "histolint.hot" vb.vb_attributes)
-                        fr
-                      :: !funcs;
-                    markers := List.rev_append mks !markers
-                | _ -> ignore (walk ~prefix vb.vb_expr))
-              vbs
-        | Typedtree.Tstr_eval (e, _) -> ignore (walk ~prefix e)
-        | Typedtree.Tstr_module
-            { mb_id = Some id; mb_expr = { mod_desc = Tmod_structure sub; _ }; _ }
-          ->
-            items (prefix ^ "." ^ Ident.name id) sub
-        | Typedtree.Tstr_module { mb_id = Some id; _ } ->
-            pools_in (prefix ^ "." ^ Ident.name id) si
-        | _ -> pools_in prefix si)
-      str.str_items
-  in
-  items modname str;
-  let refs, whole = references str in
+  let it = walk_iterator st in
+  it.structure it str;
   {
     m_name = modname;
     m_source = source;
-    m_funcs = List.rev !funcs;
-    m_markers = List.rev !markers;
-    m_pools = List.rev !pools;
-    m_locals = locals;
-    m_refs = refs;
-    m_whole = whole;
+    m_funcs = List.rev st.ws_funcs;
+    m_markers = List.rev st.ws_markers;
+    m_pools = List.rev st.ws_pools;
+    m_locals = st.ws_locals;
+    m_uses = List.rev st.ws_uses;
+    m_allows = List.rev st.ws_allows;
+    m_lazies = List.rev st.ws_lazies;
+    m_whole = List.sort_uniq String.compare st.ws_whole;
     m_exports =
       (match intf with
       | None -> []
       | Some sg -> exports ~modname ~source sg);
   }
-
 
 (* --- the summary table -------------------------------------------------- *)
 

@@ -1,7 +1,5 @@
-(** histolint's one effect walker: per-function summaries over the
-    typedtree, the cross-module table the interprocedural passes query,
-    and each unit's references and interface values for the dead-export
-    pass.
+(** histolint's one typedtree walk: each compilation unit is traversed
+    once, and every check reads the records that walk leaves.
 
     For every module-level [let] in a compilation unit (plain [struct]
     submodules included) the summary records the allocating constructs
@@ -13,9 +11,20 @@
     frames of their own whose records also count for the enclosing
     function: a closure built and run inside a hot function allocates
     and mutates on that function's behalf.  Each pool call is recorded
-    with its tasks.  The hot-path pass ({!Alloc}) and the domain-safety
-    pass ({!Race}) are checks over these records; neither walks the
-    typedtree.  Summaries are computed in memory on every run. *)
+    with its tasks, each [alloc_ok] region as a marker.  Error paths
+    ([raise], [invalid_arg], [assert], ...) record no effects.
+
+    The same walk records, everywhere in the unit, error paths
+    included: every identifier use, every [[@histolint.allow]] range
+    (floating ones included), every module-level [Lazy.t] binding, and
+    the modules the unit uses whole.  Names are resolved through module
+    aliases ([module H = Hashtbl], [let module R = Random in ...]) by
+    one resolver, so an alias hides no call from any check.
+
+    The hot-path pass ({!Alloc}), the domain-safety pass ({!Race}), the
+    engine's per-identifier rules and the dead-export pass are checks
+    over these records; none walks the typedtree.  Summaries are
+    computed in memory on every run. *)
 
 (* -- shared helpers (also used by the engine and the passes) -- *)
 
@@ -23,22 +32,11 @@ val normalize_source : string -> string
 (** Strip [./] and a leading [_build/<context>/] so scope
     classification sees repo-relative paths. *)
 
-val canonical : string -> string
-(** Canonical dotted spelling of a resolved path: dune's flat mangling
-    ["Parkit__Pool"] becomes ["Parkit.Pool"]; a leading ["Stdlib."] is
-    dropped. *)
-
-val payload_strings : Parsetree.payload -> string list
-(** The string literals in an attribute payload. *)
-
 val is_known_allocator : string -> bool
 
 (* -- the data model -- *)
 
 type sloc = { s_file : string; s_line : int; s_col : int; s_cnum : int }
-
-val sloc_of : fallback:string -> Location.t -> sloc
-(** [fallback] names the file when the location carries none. *)
 
 type alloc_kind =
   | A_closure
@@ -138,6 +136,32 @@ type export = {
       (** [[@@histolint.keep "reason"]], read as [p_disjoint] is *)
 }
 
+(** The class of a type, for the polymorphic-comparison rules. *)
+type arg_class =
+  | At_float of string  (** float, or a float container, by name *)
+  | At_structural of string  (** non-immediate: tuples, records, ... *)
+  | At_benign  (** int/bool/char/unit, strings, boxed ints *)
+  | At_unknown  (** not a function, or still polymorphic at the use *)
+
+type use = {
+  u_name : string;
+      (** canonical, through module aliases; [open]ed names arrive fully
+          qualified from the typer *)
+  u_local : bool;  (** a name the unit binds itself, not a reference *)
+  u_loc : sloc;
+  u_arg : arg_class;  (** the class of its first argument's type *)
+}
+
+type allow = {
+  al_rules : string list;  (** the rule ids it names *)
+  al_loc : sloc;  (** the attribute *)
+  al_from : int;
+  al_to : int;
+      (** the char offsets of the node it covers; [max_int] for a
+          floating [[@@@histolint.allow]], which covers the rest of the
+          file *)
+}
+
 type module_summary = {
   m_name : string;
   m_source : string;
@@ -146,10 +170,11 @@ type module_summary = {
   m_pools : pool_site list;  (** every pool call of the unit, in order *)
   m_locals : (string, func_summary) Hashtbl.t;
       (** the unit's [let]-bound local functions, by ident unique name *)
-  m_refs : string list;
-      (** every qualified value path the unit mentions, canonical, with
-          local module aliases resolved; [open]ed names arrive fully
-          qualified from the typer *)
+  m_uses : use list;  (** every identifier use, in order *)
+  m_allows : allow list;
+  m_lazies : (string * sloc) list;
+      (** module-level bindings of a [Lazy.t] value, in any structure of
+          the unit: name and binding *)
   m_whole : string list;
       (** modules the unit uses whole: functor arguments, packed
           first-class modules, signature coercions, [include] *)

@@ -3,12 +3,12 @@ type t = Xoshiro.t
 let create ~seed = Xoshiro.of_seed (Int64.of_int seed)
 let copy = Xoshiro.copy
 
-let split t =
-  let child = Xoshiro.copy t in
-  Xoshiro.jump child;
-  (* Also step the parent so repeated splits give distinct children. *)
-  ignore (Xoshiro.next t);
-  child
+(* The child's state is SplitMix64's expansion of the parent's next
+   output, so the parent steps once per split and no two children share
+   a stream at any offset.  (A copy jumped 2^128 steps would not do:
+   jumping commutes with stepping, so consecutive children would read
+   one stream a draw apart.) *)
+let split t = Xoshiro.of_seed (Xoshiro.next t)
 
 let bits64 = Xoshiro.next
 

@@ -11,9 +11,10 @@ val copy : t -> t
 (** Snapshot; the copy and the original evolve independently. *)
 
 val split : t -> t
-(** A child generator 2^128 draws ahead — statistically independent streams
-    for sub-experiments.  Advances the parent by one draw so successive
-    splits differ. *)
+(** A child generator seeded by the parent's next output (expanded
+    through SplitMix64): a fresh stream for a sub-experiment or trial.
+    Advances the parent by one draw, so successive children are seeded
+    by distinct outputs and share no stream at any offset. *)
 
 val bits64 : t -> int64
 [@@histolint.keep "the raw draw the stream-determinism tests pin"]

@@ -109,30 +109,3 @@ let[@histolint.hot] rec next_below t bound =
   else Int64.to_int (Int64.rem r b)
 
 let copy t = Bytes.copy t
-
-(* The xoshiro256 jump polynomial: advances the state by 2^128 steps, giving
-   independent non-overlapping subsequences for parallel experiments. *)
-let jump_table =
-  [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL;
-     0x39ABDC4529B1661CL |]
-
-let jump t =
-  (* The accumulator is a second flat state, not int64 refs: a ref store
-     boxes its int64 on every assignment, and [split] calls this once
-     per harness trial.  Discarding steps via [next_top53] (native-int
-     result) rather than [next] avoids a boxed result per step; the
-     state walk is identical. *)
-  let acc = Bytes.make 32 '\000' in
-  Array.iter
-    (fun word ->
-      for b = 0 to 63 do
-        if Int64.logand word (Int64.shift_left 1L b) <> 0L then begin
-          set64 acc 0 (Int64.logxor (get64 acc 0) (get64 t 0));
-          set64 acc 8 (Int64.logxor (get64 acc 8) (get64 t 8));
-          set64 acc 16 (Int64.logxor (get64 acc 16) (get64 t 16));
-          set64 acc 24 (Int64.logxor (get64 acc 24) (get64 t 24))
-        end;
-        ignore (next_top53 t)
-      done)
-    jump_table;
-  Bytes.blit acc 0 t 0 32

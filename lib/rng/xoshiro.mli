@@ -1,6 +1,5 @@
 (** Xoshiro256** — the workhorse generator.  Fast (a handful of 64-bit ops
-    per draw), passes BigCrush, and supports [jump] for carving independent
-    streams out of one seed. *)
+    per draw) and passes BigCrush. *)
 
 type t
 
@@ -24,6 +23,3 @@ val next_below : t -> int -> int
 
 val copy : t -> t
 (** Independent copy of the current state (the two evolve separately). *)
-
-val jump : t -> unit
-(** Advance by 2^128 steps in O(256) draws; use to derive parallel streams. *)

@@ -41,7 +41,6 @@ val family_of_spec : n:int -> seed:int -> string -> (Pmf.t, string) result
     expanded to a pmf. *)
 
 val max_n : int
-[@@histolint.keep "wire limit; test_service reads it, not a copy"]
 (** The largest domain [configure] accepts, 2^22: every config's count
     vector holds n words (a dense hypothesis n floats more; a piecewise
     one only its pieces; the partition up to n cells), so the bound is

@@ -1,9 +1,11 @@
 (** Experiment harness: repeated independent tester trials against known
     ground truth.
 
-    Each trial gets a split-off generator and a fresh oracle, so trials are
-    statistically independent yet the whole experiment is reproducible from
-    one seed.  Trials run on the [Parkit] pool the caller passes as
+    Each trial gets a generator split off the caller's
+    ([Randkit.Rng.split] seeds it from the parent's next output, so no two
+    trials read one stream at any offset) and a fresh oracle, so trials
+    are statistically independent yet the whole experiment is
+    reproducible from one seed.  Trials run on the [Parkit] pool the caller passes as
     [~pool] (the CLI and bench runner open one sized by [--jobs]).  The
     generators are split sequentially *before* dispatch and the O(n) split
     tree is built once per PMF and shared read-only, so results are

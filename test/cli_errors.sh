@@ -89,8 +89,14 @@ expect 1 "$main" test-file --file "$tmp/small.txt" --pieces 5
 printf '1\n100000000000000\n' > "$tmp/big.txt"
 expect 1 "$main" test-file --file "$tmp/big.txt"
 
-# histolint: a path that does not exist, or holds no .cmt, is an error.
+# histolint: a path that does not exist, or holds no .cmt, is an error;
+# so is a flag it does not have (only --json, --rules and --explain
+# remain) and an unknown rule to explain.
 expect 2 "$histolint" "$tmp/nonexistent"
 expect 2 "$histolint" "$tmp"
+expect 2 "$histolint" --strict "$tmp"
+expect 2 "$histolint" --only x "$tmp"
+expect 2 "$histolint" --lib-prefix x "$tmp"
+expect 2 "$histolint" --explain nosuch/rule
 
 exit $fail

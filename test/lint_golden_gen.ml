@@ -16,8 +16,9 @@ let fixture_root =
     ]
 
 let () =
-  let config = { Engine.lib_prefixes = [ "test/lint_fixtures/" ] } in
-  let r = Engine.scan_paths config [ fixture_root ] in
+  let r =
+    Engine.scan_paths ~lib_prefixes:[ "test/lint_fixtures/" ] [ fixture_root ]
+  in
   List.iter (fun f -> print_endline (Finding.to_human f)) r.Engine.findings;
   List.iter
     (fun f -> print_endline (Finding.to_human f ^ " (suppressed)"))

@@ -177,7 +177,7 @@ let prop_closest_matches_brute =
       let got = Closest.l1_to_hk ~mask pmf ~k in
       (* Brute force shares no code with the DP (Wmedian heaps vs the
          rank-index oracle), so agreement is to rounding, not bitwise. *)
-      let want = Closest.brute_force_l1 ~mask pmf ~k in
+      let want = Refkit.Closest_brute.l1 ~mask pmf ~k in
       Float.abs (got -. want) < 1e-12)
 
 (* The contract of Refkit.Closest_dense: on every input the fast path and the
@@ -416,7 +416,7 @@ let test_closest_free_region_boundary () =
 let test_brute_force_guard () =
   Alcotest.(check bool) "large domain rejected" true
     (try
-       ignore (Closest.brute_force_l1 (Pmf.uniform 32) ~k:2);
+       ignore (Refkit.Closest_brute.l1 (Pmf.uniform 32) ~k:2);
        false
      with Invalid_argument _ -> true)
 

@@ -5,18 +5,24 @@
    [@histolint.disjoint], [@histolint.alloc_ok], [@@histolint.keep]).
 
    The fixture tree lives under test/, where most rules are scoped off;
-   lib_prefixes reclassifies it as lib/ code, exactly as the driver's
-   --lib-prefix flag does.  The v2 fixtures cover both interprocedural
-   passes: a race reached only through a helper call resolved via the
-   summary table, a generator draw ([Rng.bits53]) on a captured
-   generator, the task paths of bad_race_paths.ml (a local function
-   passed by name, a local helper, a module-level function as the task,
-   a captured record's mutable field, a submodule's own ref named as
-   module-level), and a hot-path allocation one call deep, also from
-   inside a [struct] submodule calling its enclosing module.  The
-   dead-export fixtures pair a violating, a kept and a reasonless-keep
-   export with exports reached only through [open], a module alias and
-   a functor argument (dead_user.ml), which must not be findings. *)
+   the engine's [lib_prefixes] seam reclassifies it as lib/ code.  The
+   fixtures cover both interprocedural passes: a race reached only
+   through a helper call resolved via the summary table, a generator
+   draw ([Rng.bits53]) on a captured generator, the task paths of
+   bad_race_paths.ml (a local function passed by name, a local helper, a
+   module-level function as the task, a captured record's mutable field,
+   a submodule's own ref named as module-level), and a hot-path
+   allocation one call deep, also from inside a [struct] submodule
+   calling its enclosing module.  The bad_alias_*.ml fixtures reach a
+   rule only through a module alias ([module H = Hashtbl],
+   [let module R = Random], [module S = Stdlib], [module P =
+   Parkit.Pool]); bad_raise_arg.ml puts a rule site inside an
+   [invalid_arg] argument, which hot/alloc exempts.  The dead-export
+   fixtures pair a violating, a kept and a reasonless-keep export with
+   exports reached only through [open], a module alias and a functor
+   argument (dead_user.ml), which must not be findings; a suppression of
+   any form that covers nothing (unused_suppressions.ml,
+   unused_keep.mli) is a finding. *)
 
 module Engine = Histolint_lib.Engine
 module Finding = Histolint_lib.Finding
@@ -34,9 +40,9 @@ let fixture_root =
       "test/lint_fixtures";
     ]
 
-let config = { Engine.lib_prefixes = [ "test/lint_fixtures/" ] }
-
-let report = lazy (Engine.scan_paths config [ fixture_root ])
+let report =
+  lazy
+    (Engine.scan_paths ~lib_prefixes:[ "test/lint_fixtures/" ] [ fixture_root ])
 
 let triple f = (f.Finding.file, f.Finding.line, Rules.name f.Finding.rule)
 
@@ -44,6 +50,10 @@ let triple f = (f.Finding.file, f.Finding.line, Rules.name f.Finding.rule)
    good_race / good_hot fixtures must contribute nothing. *)
 let expected_findings =
   [
+    ("test/lint_fixtures/bad_alias_compare.ml", 6, "float/poly-compare");
+    ("test/lint_fixtures/bad_alias_hashtbl.ml", 6, "det/hashtbl-order");
+    ("test/lint_fixtures/bad_alias_pool.ml", 9, "par/shared-mutable-capture");
+    ("test/lint_fixtures/bad_alias_random.ml", 6, "det/stdlib-random");
     ("test/lint_fixtures/bad_allow.ml", 5, "det/stdlib-random");
     ("test/lint_fixtures/bad_allow.ml", 5, "lint/unknown-allow");
     ("test/lint_fixtures/bad_domain.ml", 4, "par/raw-domain");
@@ -68,6 +78,7 @@ let expected_findings =
     ("test/lint_fixtures/bad_race_paths.ml", 26, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_race_paths.ml", 32, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_race_rng.ml", 6, "par/shared-mutable-capture");
+    ("test/lint_fixtures/bad_raise_arg.ml", 8, "det/stdlib-random");
     ("test/lint_fixtures/bad_random.ml", 4, "det/stdlib-random");
     ("test/lint_fixtures/bad_toplevel_lazy.ml", 4, "par/toplevel-lazy");
     ("test/lint_fixtures/bad_toplevel_lazy.ml", 5, "par/toplevel-lazy");
@@ -76,6 +87,10 @@ let expected_findings =
     ("test/lint_fixtures/dead_export.mli", 5, "dead/unreferenced-export");
     ("test/lint_fixtures/dead_export.mli", 11, "dead/unreferenced-export");
     ("test/lint_fixtures/dead_export.mli", 11, "lint/unknown-allow");
+    ("test/lint_fixtures/unused_keep.mli", 4, "lint/unknown-allow");
+    ("test/lint_fixtures/unused_suppressions.ml", 6, "lint/unknown-allow");
+    ("test/lint_fixtures/unused_suppressions.ml", 9, "lint/unknown-allow");
+    ("test/lint_fixtures/unused_suppressions.ml", 13, "lint/unknown-allow");
   ]
 
 let expected_suppressed =
@@ -105,8 +120,10 @@ let test_suppressed_counted () =
 let test_audit_trail () =
   (* One entry per suppression site, used-flag included: the unknown
      rule id in bad_allow.ml is present but unused (its finding stayed
-     live), and every other site covered something.  The reasonless keep
-     is listed too, and its export's finding stays live. *)
+     live), the four well-formed sites of unused_suppressions.ml and
+     unused_keep.mli cover nothing (each is a finding), and every other
+     site covered something.  The reasonless keep is listed too, and its
+     export's finding stays live. *)
   let r = Lazy.force report in
   let quad (a : Finding.audit) =
     Printf.sprintf "%s:%d %s used=%b" a.Finding.au_file a.Finding.au_line
@@ -121,6 +138,10 @@ let test_audit_trail () =
       "test/lint_fixtures/bad_allow.ml:5 allow used=false";
       "test/lint_fixtures/dead_export.mli:8 keep used=true";
       "test/lint_fixtures/dead_export.mli:11 keep used=true";
+      "test/lint_fixtures/unused_keep.mli:4 keep used=false";
+      "test/lint_fixtures/unused_suppressions.ml:6 allow used=false";
+      "test/lint_fixtures/unused_suppressions.ml:9 disjoint used=false";
+      "test/lint_fixtures/unused_suppressions.ml:13 alloc_ok used=false";
     ]
     (List.map quad r.Engine.audit)
 
@@ -141,7 +162,7 @@ let test_one_violation_per_rule () =
 
 let test_severities () =
   let r = Lazy.force report in
-  Alcotest.(check int) "errors" 29 (Engine.errors r);
+  Alcotest.(check int) "errors" 38 (Engine.errors r);
   Alcotest.(check int) "warnings" 1 (Engine.warnings r)
 
 let test_rule_counts () =
@@ -151,26 +172,26 @@ let test_rule_counts () =
   Alcotest.(check (list (pair string int)))
     "rule counts"
     [
-      ("det/stdlib-random", 2);
-      ("det/hashtbl-order", 1);
+      ("det/stdlib-random", 4);
+      ("det/hashtbl-order", 2);
       ("det/wallclock", 1);
-      ("float/poly-compare", 1);
+      ("float/poly-compare", 2);
       ("poly/compare-structural", 1);
       ("par/raw-domain", 1);
-      ("par/shared-mutable-capture", 12);
+      ("par/shared-mutable-capture", 13);
       ("par/toplevel-lazy", 3);
       ("hot/alloc", 4);
       ("dead/unreferenced-export", 2);
-      ("lint/unknown-allow", 2);
+      ("lint/unknown-allow", 6);
     ]
     (Engine.rule_counts r)
 
 let test_scoping_off_in_test_tree () =
-  (* Without the lib-prefix override the fixtures sit under test/, where
+  (* Without the lib_prefixes override the fixtures sit under test/, where
      only the everywhere-rules could bite — and none are configured to:
      the same tree must come back clean.  This is what keeps `make lint`
      green on the full repo while the fixtures stay red here. *)
-  let r = Engine.scan_paths { Engine.lib_prefixes = [] } [ fixture_root ] in
+  let r = Engine.scan_paths ~lib_prefixes:[] [ fixture_root ] in
   Alcotest.(check int) "no findings" 0 (List.length r.Engine.findings);
   Alcotest.(check int) "no suppressed" 0 (List.length r.Engine.suppressed);
   Alcotest.(check int) "no audit entries" 0 (List.length r.Engine.audit)
