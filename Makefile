@@ -20,8 +20,9 @@ test:
 # reads: lines in test/*.ml and bench/*.ml that call a GC counter
 # themselves instead of going through Refkit.Alloc.measure.  Last, the
 # daemon's link footprint: the compilation units in the built
-# histotestd.exe (its code_begin symbols, counted with nm), or n/a when
-# it is not built.
+# histotestd.exe (its code_begin symbols, counted with nm) and the shared
+# objects it needs (NEEDED entries, read with readelf -d; 0 for the
+# static image on Linux), or n/a when it is not built.
 sloc:
 	@lb=$$(cat $$(find lib bin \( -name '*.ml' -o -name '*.mli' \)) | wc -l); \
 	rk=$$(cat $$(find test/reference \( -name '*.ml' -o -name '*.mli' \)) | wc -l); \
@@ -33,7 +34,8 @@ sloc:
 	echo "raw gc reads $$gc"; \
 	d=_build/default/bin/histotestd.exe; \
 	if [ -f $$d ]; then echo "daemon units $$(nm $$d | grep -c 'code_begin$$')"; \
-	else echo "daemon units n/a"; fi
+	echo "daemon shared objects $$(readelf -d $$d | grep -c '(NEEDED)')"; \
+	else echo "daemon units n/a"; echo "daemon shared objects n/a"; fi
 
 # Static invariants: histolint scans the compiled typedtrees
 # (_build/default/**/*.cmt): one walk per unit records, in memory,

@@ -22,8 +22,18 @@ let checked conv ok ~range =
 
 let positive = checked Arg.int (fun k -> k >= 1) ~range:"a positive integer"
 
+(* Every command holds its domain as dense arrays (the pmf, counts, the
+   sampler's tables), so it is bounded: 2^24 values.  A synthetic
+   domain above it is a command-line error; a small or negative one is
+   the family's to refuse (exit 1). *)
+let max_domain = 1 lsl 24
+
 let n_arg =
-  Arg.(value & opt int 4096 & info [ "n"; "domain" ] ~docv:"N" ~doc:"Domain size.")
+  Arg.(
+    value
+    & opt (checked int (fun n -> n <= max_domain) ~range:"at most 2^24")
+        4096
+    & info [ "n"; "domain" ] ~docv:"N" ~doc:"Domain size, at most 2^24.")
 
 let k_arg =
   Arg.(
@@ -353,10 +363,6 @@ let read_dataset path =
       raise e);
   List.rev !values
 
-(* The dataset's domain is held as dense arrays (counts, the pmf, the
-   sampler's tables), so it is bounded: 2^24 values. *)
-let max_file_domain = 1 lsl 24
-
 let run_test_file path domain k eps seed trials jobs =
   match read_dataset path with
   | exception Sys_error msg ->
@@ -371,9 +377,10 @@ let run_test_file path domain k eps seed trials jobs =
   | values ->
       let max_v = List.fold_left max 0 values in
       let n = if domain > 0 then domain else max_v + 1 in
-      if n > max_file_domain then begin
+      (* the same bound as [n_arg]'s, met only once the data are read *)
+      if n > max_domain then begin
         Printf.eprintf "error: domain %d is above the bound %d (2^24)\n" n
-          max_file_domain;
+          max_domain;
         1
       end
       else if List.exists (fun v -> v < 0 || v >= n) values then begin

@@ -388,12 +388,15 @@ let rec collect_cmts acc path =
     else acc
   else acc
 
-(* Sorted, one entry per key ([Finding.compare] ignores the message):
-   the first the checks produced, whatever else the scan holds. *)
-let sort_unique cmp l =
+(* Audits sorted, one per site and kind ([Finding.audit_compare] reads
+   no other field): the first the checks produced. *)
+let sort_audits l =
   List.fold_left
-    (fun acc x -> match acc with y :: _ when cmp x y = 0 -> acc | _ -> x :: acc)
-    [] (List.stable_sort cmp l)
+    (fun acc x ->
+      match acc with
+      | y :: _ when Finding.audit_compare x y = 0 -> acc
+      | _ -> x :: acc)
+    [] (List.stable_sort Finding.audit_compare l)
   |> List.rev
 
 let scan_paths ~lib_prefixes paths =
@@ -409,7 +412,7 @@ let scan_paths ~lib_prefixes paths =
   {
     r with
     findings =
-      sort_unique Finding.compare (unused_suppressions r.audit @ r.findings);
-    suppressed = sort_unique Finding.compare r.suppressed;
-    audit = sort_unique Finding.audit_compare r.audit;
+      List.sort_uniq Finding.compare (unused_suppressions r.audit @ r.findings);
+    suppressed = List.sort_uniq Finding.compare r.suppressed;
+    audit = sort_audits r.audit;
   }

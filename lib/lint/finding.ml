@@ -15,7 +15,9 @@ let compare a b =
     else
       let c = Int.compare a.col b.col in
       if c <> 0 then c
-      else String.compare (Rules.name a.rule) (Rules.name b.rule)
+      else
+        let c = String.compare (Rules.name a.rule) (Rules.name b.rule) in
+        if c <> 0 then c else String.compare a.message b.message
 
 let to_human t =
   Printf.sprintf "%s:%d:%d: %s [%s] %s" t.file t.line t.col

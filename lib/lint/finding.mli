@@ -18,6 +18,9 @@ type t = {
 }
 
 val compare : t -> t -> int
+(** By file, line, column, rule, then message: two hazards of one rule at
+    one site are two findings. *)
+
 val to_human : t -> string
 (** [file:line:col: severity [rule] message] — one line. *)
 

@@ -76,6 +76,14 @@ expect 124 "$main" test --trials 99999999999999 --domain 64 -k 1
 expect 124 "$main" closeness --trials 1000001
 expect 124 "$main" test-file --file /dev/null --trials 1000001
 
+# A synthetic domain is at most 2^24 values: anything above is refused
+# before an array is sized by it.  Only values past the bound here, so a
+# broken check cannot allocate a domain-sized array.
+for cmd in test dist closeness estimate select demo-lb; do
+  expect 124 "$main" $cmd --domain 16777217
+  expect 124 "$main" $cmd --domain 99999999999999
+done
+
 # demo-lb's instance needs a domain of at least m = 3(k-3)/4 elements.
 expect 1 "$main" demo-lb --pieces 5000 --domain 64
 expect 1 "$main" demo-lb --domain 0

@@ -1,16 +1,18 @@
-(* histotestd's stdio mode at the process boundary: the built daemon,
-   spawned on three pipes, fed a script and read to EOF.  What it must
-   answer comes from the line-at-a-time oracle ([Refkit.Strict_serve])
-   and from [Netio.overlong_error]; how it must end is its exit status.
+(* histotestd at the process boundary: the built daemon, spawned on
+   three pipes, fed a script and read to EOF (or, with --listen, asked
+   over TCP).  What it must answer comes from the line-at-a-time oracle
+   ([Refkit.Strict_serve]) and from [Netio.overlong_error]; how it must
+   end is its exit status; how it is linked is read from its ELF headers.
 
-   Usage: test_daemon.exe path/to/histotestd.exe *)
+   Usage: test_daemon.exe path/to/histotestd.exe SYSTEM
+   (SYSTEM is ocamlfind's [ocaml-config] system, e.g. linux) *)
 
-let daemon =
-  if Array.length Sys.argv < 2 then begin
-    prerr_endline "usage: test_daemon PATH_TO_HISTOTESTD";
+let daemon, system =
+  if Array.length Sys.argv < 3 then begin
+    prerr_endline "usage: test_daemon PATH_TO_HISTOTESTD SYSTEM";
     exit 2
   end
-  else Sys.argv.(1)
+  else (Sys.argv.(1), Sys.argv.(2))
 
 (* Each run is given this long before the daemon is killed and the case
    fails, so a daemon that stops making progress cannot hang the suite. *)
@@ -248,6 +250,113 @@ let test_flag_forms () =
       Alcotest.(check string) (label ^ ": as with no flags") plain.out r.out)
     [ [ "--jobs"; "1" ]; [ "--batch=16" ] ]
 
+(* The first line [fd] yields within [deadline_s], without its newline;
+   [None] at EOF or past the deadline. *)
+let first_line fd =
+  let line = Buffer.create 128 and byte = Bytes.create 1 in
+  let start = Unix.gettimeofday () in
+  let rec go () =
+    if Unix.gettimeofday () -. start > deadline_s then None
+    else
+      match Unix.select [ fd ] [] [] 1.0 with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+      | [], _, _ -> go ()
+      | _ -> (
+          match Unix.read fd byte 0 1 with
+          | 0 -> None
+          | _ when Bytes.get byte 0 = '\n' -> Some (Buffer.contents line)
+          | _ ->
+              Buffer.add_bytes line byte;
+              go ())
+  in
+  go ()
+
+(* A TCP listener on a host name goes through the resolver, which a
+   static glibc links in (nss files and dns are part of libc): the daemon
+   announces the name and the port it bound, and answers there. *)
+let test_listen_localhost () =
+  let pid, in_w, out_r, err_r = spawn [ "--listen"; "localhost:0" ] in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      List.iter Unix.close [ in_w; out_r; err_r ])
+    (fun () ->
+      let prefix = "histotestd: listening on localhost:" in
+      let port =
+        match first_line err_r with
+        | Some l when String.starts_with ~prefix l ->
+            let p = String.length prefix in
+            int_of_string (String.sub l p (String.length l - p))
+        | Some l -> Alcotest.failf "unexpected announcement %S" l
+        | None -> Alcotest.fail "no announcement on stderr"
+      in
+      let host = (Unix.gethostbyname "localhost").Unix.h_addr_list.(0) in
+      let sock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close sock)
+        (fun () ->
+          Unix.connect sock (Unix.ADDR_INET (host, port));
+          let req = config ^ "\n" in
+          ignore (Unix.write_substring sock req 0 (String.length req));
+          Alcotest.(check (option string))
+            "config answered over TCP"
+            (Some (String.trim (oracle [ config ])))
+            (first_line sock)))
+
+let test_listen_unresolvable () =
+  let r = run [ "--listen"; "nosuch.invalid:0" ] "" in
+  check_exit "nosuch.invalid" 2 r;
+  Alcotest.(check string) "nosuch.invalid: nothing on stdout" "" r.out;
+  Alcotest.(check string) "nosuch.invalid: one line on stderr"
+    "error: cannot resolve host \"nosuch.invalid\"\n" r.err
+
+(* --- the link ------------------------------------------------------- *)
+
+(* What exec would ask of a dynamic loader for the ELF64 image at
+   [path] (OCaml 5 has only 64-bit native code): whether it names one (a
+   PT_INTERP program header) and how many shared objects its dynamic
+   section needs (DT_NEEDED entries).  Either byte order. *)
+let loader_needs path =
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  if String.length s < 64 || not (String.starts_with ~prefix:"\x7fELF\002" s)
+  then Alcotest.failf "%s: not an ELF64 image" path;
+  let le = s.[5] = '\001' in
+  let u16 o =
+    if le then String.get_uint16_le s o else String.get_uint16_be s o
+  in
+  let u64 o =
+    Int64.to_int
+      (if le then String.get_int64_le s o else String.get_int64_be s o)
+  in
+  let u32 o =
+    Int32.to_int
+      (if le then String.get_int32_le s o else String.get_int32_be s o)
+    land 0xffff_ffff
+  in
+  let phoff = u64 0x20 and phentsize = u16 0x36 and phnum = u16 0x38 in
+  let interp = ref false and needed = ref 0 in
+  for i = 0 to phnum - 1 do
+    let ph = phoff + (i * phentsize) in
+    match u32 ph with
+    | 3 (* PT_INTERP *) -> interp := true
+    | 2 (* PT_DYNAMIC *) ->
+        let off = u64 (ph + 0x08) and size = u64 (ph + 0x20) in
+        for j = 0 to (size / 16) - 1 do
+          if u64 (off + (j * 16)) = 1 (* DT_NEEDED *) then incr needed
+        done
+    | _ -> ()
+  done;
+  (!interp, !needed)
+
+(* On Linux the daemon is linked as one static image (bin/dune). *)
+let test_static_image () =
+  if String.equal system "linux" then begin
+    let interp, needed = loader_needs daemon in
+    Alcotest.(check bool) "no PT_INTERP (no dynamic loader)" false interp;
+    Alcotest.(check int) "no DT_NEEDED (no shared objects)" 0 needed
+  end
+
 let () =
   Alcotest.run ~argv:[| Sys.argv.(0) |] "histotestd"
     [
@@ -269,5 +378,17 @@ let () =
             test_malformed_command_line;
           Alcotest.test_case "--jobs 1 and --batch=16 serve as no flags"
             `Quick test_flag_forms;
+        ] );
+      ( "listen",
+        [
+          Alcotest.test_case "--listen localhost:0 announces and answers"
+            `Quick test_listen_localhost;
+          Alcotest.test_case "--listen nosuch.invalid:0: exit 2, one line"
+            `Quick test_listen_unresolvable;
+        ] );
+      ( "link",
+        [
+          Alcotest.test_case "static on linux: no PT_INTERP, no DT_NEEDED"
+            `Quick test_static_image;
         ] );
     ]

@@ -46,8 +46,8 @@ let report =
 
 let triple f = (f.Finding.file, f.Finding.line, Rules.name f.Finding.rule)
 
-(* Sorted by (file, line, col, rule), as the engine emits them.  The
-   good_race / good_hot fixtures must contribute nothing. *)
+(* Sorted by (file, line, col, rule, message), as the engine emits
+   them.  The good_race / good_hot fixtures must contribute nothing. *)
 let expected_findings =
   [
     ("test/lint_fixtures/bad_alias_compare.ml", 6, "float/poly-compare");
@@ -66,6 +66,10 @@ let expected_findings =
     ("test/lint_fixtures/bad_poly_compare.ml", 4, "poly/compare-structural");
     ("test/lint_fixtures/bad_race.ml", 8, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_race_interproc.ml", 8, "par/shared-mutable-capture");
+    (* [record] both reads and writes [tally]: two findings at one site *)
+    ( "test/lint_fixtures/bad_race_interproc.ml",
+      11,
+      "par/shared-mutable-capture" );
     ( "test/lint_fixtures/bad_race_interproc.ml",
       11,
       "par/shared-mutable-capture" );
@@ -74,6 +78,7 @@ let expected_findings =
     ("test/lint_fixtures/bad_race_overlap.ml", 13, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_race_paths.ml", 10, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_race_paths.ml", 16, "par/shared-mutable-capture");
+    ("test/lint_fixtures/bad_race_paths.ml", 20, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_race_paths.ml", 20, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_race_paths.ml", 26, "par/shared-mutable-capture");
     ("test/lint_fixtures/bad_race_paths.ml", 32, "par/shared-mutable-capture");
@@ -162,7 +167,7 @@ let test_one_violation_per_rule () =
 
 let test_severities () =
   let r = Lazy.force report in
-  Alcotest.(check int) "errors" 38 (Engine.errors r);
+  Alcotest.(check int) "errors" 40 (Engine.errors r);
   Alcotest.(check int) "warnings" 1 (Engine.warnings r)
 
 let test_rule_counts () =
@@ -178,7 +183,7 @@ let test_rule_counts () =
       ("float/poly-compare", 2);
       ("poly/compare-structural", 1);
       ("par/raw-domain", 1);
-      ("par/shared-mutable-capture", 13);
+      ("par/shared-mutable-capture", 15);
       ("par/toplevel-lazy", 3);
       ("hot/alloc", 4);
       ("dead/unreferenced-export", 2);
