@@ -43,8 +43,12 @@ let () =
   let jobs = ref (Parkit.Pool.default_jobs ()) in
   let selected = ref [] in
   let positive_jobs j =
-    if j > 0 then jobs := j
-    else raise (Arg.Bad (Printf.sprintf "bad --jobs %d (a positive integer)" j))
+    if j > 0 && j <= Parkit.Pool.max_jobs then jobs := j
+    else
+      raise
+        (Arg.Bad
+           (Printf.sprintf "bad --jobs %d (an integer in [1, %d])" j
+              Parkit.Pool.max_jobs))
   in
   let select name =
     match List.assoc_opt (String.lowercase_ascii name) experiments with

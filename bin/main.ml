@@ -68,14 +68,23 @@ let trials_arg =
     & opt (checked int ok ~range:"an integer in [1, 10^6]") 1
     & info [ "trials" ] ~docv:"T" ~doc:"Independent trials, from 1 to 10^6.")
 
+(* The runtime starts at most [Parkit.Pool.max_jobs] domains, so a
+   larger count is refused before any starts. *)
 let jobs_arg =
+  let max = Parkit.Pool.max_jobs in
   Arg.(
     value
-    & opt (checked int (fun j -> j >= 0) ~range:"a non-negative integer") 0
+    & opt
+        (checked int
+           (fun j -> j >= 0 && j <= max)
+           ~range:(Printf.sprintf "an integer in [0, %d]" max))
+        0
     & info [ "jobs" ] ~docv:"JOBS"
         ~doc:
-          "Domains for the trial loop (results are bit-identical at any \
-           value). 0 means all recommended cores.")
+          (Printf.sprintf
+             "Domains for the trial loop, at most %d (results are \
+              bit-identical at any value). 0 means all recommended cores."
+             max))
 
 (* The pool a command's trial loop runs on: [--jobs], or every
    recommended core for 0. *)

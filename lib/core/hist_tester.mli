@@ -47,10 +47,13 @@ val run :
     cell-sized arrays in [ws] — typically the trial's workspace when
     running under [Harness]; a fresh one when absent — and the checking
     DP runs in its scratch ({!Workspace.closest}), so a warm trial
-    allocates little beyond its report and its partition.  The report's
-    [final] per-cell array is a workspace view (see {!Adk15.run}), and
-    its sieve's [kept] mask is the report's own.  Verdicts, scalar fields
-    and the sampled streams are the same with or without [ws]. *)
+    allocates little beyond its report and its partition.  The
+    partition's cells are one int array put straight into the major
+    heap; it holds no pointer, so of the trial's young words only the
+    report's survive the next minor collection.  The report's [final]
+    per-cell array is a workspace view (see {!Adk15.run}), and its
+    sieve's [kept] mask is the report's own.  Verdicts, scalar fields and
+    the sampled streams are the same with or without [ws]. *)
 
 val test :
   ?config:Config.t ->

@@ -79,8 +79,21 @@ let worker st () =
 
 let nop_body _ = ()
 
+(* The runtime's hard limit on domains alive at once, the submitting
+   domain included: [Max_domains] in caml/domain.h. *)
+let max_jobs = if Sys.word_size = 64 then 128 else 16
+
+let stop st =
+  Mutex.lock st.mutex;
+  st.shutdown <- true;
+  Condition.broadcast st.work_available;
+  Mutex.unlock st.mutex;
+  List.iter Domain.join st.domains
+
 let create ~jobs =
   if jobs <= 0 then invalid_arg "Pool.with_pool: jobs must be positive";
+  if jobs > max_jobs then
+    invalid_arg "Pool.with_pool: jobs above the runtime's domain limit";
   if jobs = 1 then { jobs = 1; state = None }
   else begin
     let st =
@@ -100,22 +113,23 @@ let create ~jobs =
         domains = [];
       }
     in
-    st.domains <-
-      List.init (jobs - 1) (fun _ -> Domain.spawn (worker st));
+    (* A spawn fails when domains outside this pool leave too few under
+       the limit; the workers already started are then stopped and
+       joined before the failure goes on. *)
+    for _ = 1 to jobs - 1 do
+      match Domain.spawn (worker st) with
+      | d -> st.domains <- d :: st.domains
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          stop st;
+          Printexc.raise_with_backtrace e bt
+    done;
     { jobs; state = Some st }
   end
 
 let sequential = { jobs = 1; state = None }
 
-let shutdown t =
-  match t.state with
-  | None -> ()
-  | Some st ->
-      Mutex.lock st.mutex;
-      st.shutdown <- true;
-      Condition.broadcast st.work_available;
-      Mutex.unlock st.mutex;
-      List.iter Domain.join st.domains
+let shutdown t = Option.iter stop t.state
 
 (* Run one batch.  The submitting domain participates in the claim loop,
    so a [with_pool ~jobs] pool applies [jobs] domains to the batch.  If the

@@ -22,8 +22,15 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] on a pool of [jobs] domains ([jobs - 1]
     spawned workers plus the submitting domain) and joins the workers when
     [f] returns or raises.  A 1-job pool spawns nothing.  The pool must
-    not escape [f].
-    @raise Invalid_argument if [jobs <= 0]. *)
+    not escape [f].  If a spawn fails, the workers already started are
+    joined before the exception is raised.
+    @raise Invalid_argument if [jobs <= 0] or [jobs > max_jobs], before
+    any domain starts. *)
+
+val max_jobs : int
+(** The runtime's limit on domains alive at once (128 on 64-bit
+    systems), the submitting domain included: the largest [jobs] a pool
+    accepts. *)
 
 val sequential : t
 (** The shared 1-job pool: a plain loop, always safe, never opened or

@@ -1,16 +1,10 @@
 type t = { n : int; cells : Interval.t array }
 
-(* The [count] cells [bound i, bound (i + 1)).  The array starts out
-   filled with the static [Interval.empty]: [Array.init] would fill it
-   with its first, freshly allocated cell, and an array longer than 256
-   words filled with a young value makes the runtime run a minor
-   collection first, promoting everything young and live. *)
+(* The [count] cells [bound i, bound (i + 1)).  Cells are immediates,
+   so the array is an int array: no store into it is a pointer the GC
+   must remember, and a dead partition leaves nothing to promote. *)
 let cells_of_bounds count bound =
-  let cells = Array.make count Interval.empty in
-  for i = 0 to count - 1 do
-    cells.(i) <- Interval.make ~lo:(bound i) ~hi:(bound (i + 1))
-  done;
-  cells
+  Array.init count (fun i -> Interval.make ~lo:(bound i) ~hi:(bound (i + 1)))
 
 let of_breakpoints ~n breaks =
   (* [breaks] are interior cut positions: cell boundaries besides 0 and n. *)
@@ -40,8 +34,7 @@ let equal_width ~n ~cells:count =
   if count <= 0 || count > n then
     invalid_arg "Partition.equal_width: need 0 < cells <= n";
   (* The bounds i·n/count rise by at least 1 per step (count <= n), so
-     they need no sort or dedup: O(cells) words, the cell records and
-     their array. *)
+     they need no sort or dedup: O(cells) words, the cell array. *)
   { n; cells = cells_of_bounds count (fun i -> i * n / count) }
 
 let domain_size t = t.n

@@ -36,15 +36,20 @@ expect() {
 expect 2 "$bench" --jobs 0 e1
 expect 2 "$bench" --jobs -1 e1
 expect 2 "$bench" --jobs x e1
+expect 2 "$bench" --jobs 129 e1
+expect 2 "$bench" --jobs 99999999999999 e1
 expect 2 "$bench" --seed x e1
 expect 2 "$bench" --oracle bad e1
 expect 2 "$bench" nosuch
 expect 2 "$bench" --oracle counts e1
 
 # bin/main.exe: cmdliner's command-line error status is 124; 0 still
-# means all recommended cores.
+# means all recommended cores.  Both CLIs refuse more jobs than the
+# runtime has domains (128) before any domain starts.
 expect 124 "$main" test --jobs=-3
 expect 124 "$main" test --jobs x
+expect 124 "$main" test --jobs 129
+expect 124 "$main" test --jobs 99999999999999
 expect 0 "$main" test --jobs=0 --domain 64 -k 1 --trials 1
 expect 124 "$main" test --domain 64 -k 1 --trials 1 --oracle counts
 

@@ -12,7 +12,13 @@ let test_interval_basics () =
 
 let test_interval_make_invalid () =
   Alcotest.check_raises "lo > hi" (Invalid_argument "Interval.make: lo > hi")
-    (fun () -> ignore (iv 5 2))
+    (fun () -> ignore (iv 5 2));
+  List.iter
+    (fun (lo, hi) ->
+      Alcotest.check_raises "outside [0, 2^31)"
+        (Invalid_argument "Interval.make: bounds outside [0, 2^31)")
+        (fun () -> ignore (iv lo hi)))
+    [ (-1, 0); (0, 1 lsl 31); (1 lsl 31, 1 lsl 31) ]
 
 let bounds i = (Interval.lo i, Interval.hi i)
 
@@ -26,6 +32,72 @@ let test_interval_iteration () =
   let seen = ref [] in
   Interval.iter (fun i -> seen := i :: !seen) (iv 0 3);
   Alcotest.(check (list int)) "iter" [ 2; 1; 0 ] !seen
+
+(* --- Interval contract over the whole range 0 <= lo <= hi < 2^31 --- *)
+
+let max_bound = (1 lsl 31) - 1
+
+(* A bound in [0, 2^31): the edges and their neighbours often, small
+   values (so that two random intervals overlap), and any value. *)
+let bound_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ 0; 1; max_bound - 1; max_bound ]);
+        (2, int_range 0 64);
+        (2, int_range 0 max_bound);
+      ])
+
+let bounds_arb =
+  QCheck.make ~print:QCheck.Print.(pair int int)
+    QCheck.Gen.(map (fun (a, b) -> (min a b, max a b)) (pair bound_gen bound_gen))
+
+let prop_interval_roundtrip =
+  QCheck.Test.make ~name:"lo, hi, length, is_singleton round-trip" ~count:2000
+    bounds_arb (fun (lo, hi) ->
+      let i = iv lo hi in
+      Interval.lo i = lo
+      && Interval.hi i = hi
+      && Interval.length i = hi - lo
+      && Interval.is_singleton i = (hi - lo = 1))
+
+let prop_interval_iter =
+  QCheck.Test.make ~name:"iter visits lo .. hi-1 in order" ~count:500
+    QCheck.(pair (make ~print:Print.int bound_gen) (int_range 0 64))
+    (fun (lo, len) ->
+      let lo = min lo (max_bound - len) in
+      let seen = ref [] in
+      Interval.iter (fun x -> seen := x :: !seen) (iv lo (lo + len));
+      List.rev !seen = List.init len (fun j -> lo + j))
+
+let prop_interval_order =
+  QCheck.Test.make ~name:"compare and = are those of (lo, hi)" ~count:2000
+    (QCheck.pair bounds_arb bounds_arb)
+    (fun (((alo, ahi) as a), ((blo, bhi) as b)) ->
+      let ia = iv alo ahi and ib = iv blo bhi in
+      compare ia ib = compare a b && ia = ib = (alo = blo && ahi = bhi))
+
+let prop_interval_intersect =
+  QCheck.Test.make ~name:"intersect = the record's intersect" ~count:2000
+    (QCheck.pair bounds_arb bounds_arb)
+    (fun ((alo, ahi), (blo, bhi)) ->
+      let lo = max alo blo and hi = min ahi bhi in
+      let want = if lo >= hi then None else Some (lo, hi) in
+      Option.map bounds (Interval.intersect (iv alo ahi) (iv blo bhi)) = want)
+
+let prop_interval_make_refuses =
+  QCheck.Test.make ~name:"make refuses lo > hi, lo < 0, hi >= 2^31"
+    ~count:2000
+    QCheck.(triple (int_range 0 2) int int)
+    (fun (case, a, b) ->
+      let lo, hi =
+        match case with
+        | 0 -> (max a b, min a b)  (* lo > hi, unless a = b *)
+        | 1 -> (-1 - (a land max_int), b)  (* lo < 0 *)
+        | _ -> (a land max_bound, (1 lsl 31) + (b land (max_int lsr 1)))
+      in
+      lo = hi
+      || match iv lo hi with _ -> false | exception Invalid_argument _ -> true)
 
 (* --- Partition --- *)
 
@@ -42,7 +114,14 @@ let test_partition_validation () =
     (fun () -> ignore (Partition.of_breakpoints ~n:10 [ 10 ]));
   Alcotest.check_raises "break at 0"
     (Invalid_argument "Partition.of_breakpoints: break outside (0, n)")
-    (fun () -> ignore (Partition.of_breakpoints ~n:10 [ 0 ]))
+    (fun () -> ignore (Partition.of_breakpoints ~n:10 [ 0 ]));
+  (match Partition.of_breakpoints ~n:(1 lsl 31) [] with
+  | _ -> Alcotest.fail "a domain of 2^31 points was accepted"
+  | exception Invalid_argument _ -> ());
+  let p = Partition.of_breakpoints ~n:max_bound [ 1 lsl 30 ] in
+  Alcotest.(check (pair int int)) "last cell of the largest domain"
+    (1 lsl 30, max_bound)
+    (bounds (Partition.cell p 1))
 
 let test_partition_trivial_singletons () =
   Alcotest.(check int) "trivial" 1 (Partition.cell_count (Partition.trivial ~n:7));
@@ -129,6 +208,11 @@ let () =
           Alcotest.test_case "make invalid" `Quick test_interval_make_invalid;
           Alcotest.test_case "relations" `Quick test_interval_relations;
           Alcotest.test_case "iteration" `Quick test_interval_iteration;
+          qc prop_interval_roundtrip;
+          qc prop_interval_iter;
+          qc prop_interval_order;
+          qc prop_interval_intersect;
+          qc prop_interval_make_refuses;
         ] );
       ( "partition",
         [

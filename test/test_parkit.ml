@@ -8,6 +8,19 @@ let test_create_invalid () =
        Parkit.Pool.with_pool ~jobs:0 (fun _ -> false)
      with Invalid_argument _ -> true)
 
+(* More jobs than the runtime has domains is refused before any domain
+   starts: the body never runs, and a pool opened next still works. *)
+let test_create_above_limit () =
+  List.iter
+    (fun jobs ->
+      match Parkit.Pool.with_pool ~jobs (fun _ -> Alcotest.fail "body ran") with
+      | () -> Alcotest.failf "jobs = %d accepted" jobs
+      | exception Invalid_argument _ -> ())
+    [ Parkit.Pool.max_jobs + 1; 99999999999999; max_int ];
+  Alcotest.(check (array int)) "a pool opened next" [| 0; 1; 2 |]
+    (Parkit.Pool.with_pool ~jobs:2 (fun pool ->
+         Parkit.Pool.init pool 3 Fun.id))
+
 let test_no_gc_policy () =
   (* The pool changes no GC setting: a batch on two domains leaves the
      caller's minor heap as it found it.  Start from the runtime's
@@ -188,6 +201,8 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "create invalid" `Quick test_create_invalid;
+          Alcotest.test_case "jobs above the domain limit" `Quick
+            test_create_above_limit;
           Alcotest.test_case "no GC policy" `Quick test_no_gc_policy;
           Alcotest.test_case "default_grain" `Quick test_default_grain;
           Alcotest.test_case "map = Array.map" `Quick
