@@ -12,7 +12,9 @@ test:
 
 # Line counts the net-lines gates read: production OCaml (lib/ + bin/,
 # .ml and .mli) and the test-only reference library (test/reference/),
-# whose sum is what a simplicity change must shrink.  Also the size of
+# whose sum is what a simplicity change must shrink; beside them, the
+# bench programs (bench/*.ml) and the test suites (test/*.ml), so a
+# deletion there shows in the same log.  Also the size of
 # the dead-export audit trail: the [@@histolint.keep "reason"] attributes
 # on lib/ interface values (lines that open with the attribute, so the
 # lint's own docs that mention it are not counted); the knob count:
@@ -26,10 +28,12 @@ test:
 sloc:
 	@lb=$$(cat $$(find lib bin \( -name '*.ml' -o -name '*.mli' \)) | wc -l); \
 	rk=$$(cat $$(find test/reference \( -name '*.ml' -o -name '*.mli' \)) | wc -l); \
+	bn=$$(cat bench/*.ml | wc -l); ts=$$(cat test/*.ml | wc -l); \
 	keep=$$(cat $$(find lib -name '*.mli') | grep -c '^[[:space:]]*\[@@histolint\.keep'); \
 	opts=$$(cat $$(find lib -name '*.mli') | grep -o '?[a-z_0-9]*:' | wc -l); \
 	gc=$$(cat test/*.ml bench/*.ml | grep -cE 'Gc\.(counters|quick_stat|minor_words|allocated_bytes) \(\)'); \
 	echo "lib+bin $$lb"; echo "test/reference $$rk"; echo "total $$((lb + rk))"; \
+	echo "bench $$bn"; echo "test $$ts"; \
 	echo "lib keep audits $$keep"; echo "lib optional args $$opts"; \
 	echo "raw gc reads $$gc"; \
 	d=_build/default/bin/histotestd.exe; \
@@ -108,22 +112,24 @@ bench-counts:
 bench-merge:
 	dune exec bench/main.exe -- e20
 
-# The serve-path gate (E21 quick mode): the batched, pipelined engine
-# (wire fast path + one flush per batch, on one domain) must produce
-# response transcripts BYTE-IDENTICAL to the line-at-a-time oracle
-# (Refkit.Strict_serve) at every batch size, on both an accepting and a
-# rejecting corpus.  Non-zero exit on any divergence; also records
-# ingest throughput, the speedup over the oracle at batch >= 64, and
+# The serve-path gate (E21 quick mode): the daemon's stdio mode as it
+# runs -- the Netio reactor over a pipe pair (wire fast path + one flush
+# per batch, on one domain) -- must produce response transcripts
+# BYTE-IDENTICAL to the line-at-a-time oracle (Refkit.Strict_serve) at
+# every batch size, on both an accepting and a rejecting corpus.
+# Non-zero exit on any divergence; also records ingest throughput, the
+# speedup over the oracle served on the same pipes at batch >= 64, and
 # structure-cache hit rates to BENCH_serve.json.
 bench-serve:
 	dune exec bench/main.exe -- e21
 
 # The socket-transport gate (E22 quick mode): every client's response
 # stream over loopback TCP through the Netio reactor must be
-# BYTE-IDENTICAL to stdio serve on that client's request stream, at
-# every (clients, batch) grid point, on both an accepting and a
-# rejecting corpus; and single-client socket throughput must be within
-# 1.3x of stdio serve over real pipes.  Non-zero exit on either gate;
+# BYTE-IDENTICAL to the line-at-a-time oracle (Refkit.Strict_serve) on
+# that client's request stream, at every (clients, batch) grid point, on
+# both an accepting and a rejecting corpus; and single-client socket
+# throughput must be within 1.3x of stdio serve (the reactor over real
+# pipes).  Non-zero exit on either gate;
 # appends one machine-readable line to BENCH_net.json.
 bench-net:
 	dune exec bench/main.exe -- e22

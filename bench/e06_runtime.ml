@@ -2,7 +2,9 @@
    sqrt(n)*poly(log k, 1/eps) + poly(k, 1/eps).
 
    Bechamel wall-time benches of the cost centers:
-   - the ADK15 testing stage (the sqrt(n)-driven part);
+   - the ADK15 testing stage (the sqrt(n)-driven part), as Algorithm 1
+     runs it: Adk15.run_khist against the hypothesis held as cell levels,
+     every cell kept;
    - the closest-H_k checking DP (the poly(k)-driven part, in K);
    - the full Algorithm 1 pipeline at a small n.
    Plus a direct wall-clock table of the full tester across n, whose
@@ -18,10 +20,14 @@ let adk15_test n =
   let oracle =
     Poissonize.counts_of_tree (Randkit.Rng.create ~seed:5) (Split_tree.of_pmf p)
   in
+  let dstar = Khist.of_pmf p in
+  let cell_mask = Array.make (Khist.pieces dstar) true in
   Test.make
     ~name:(Printf.sprintf "adk15 n=%d" n)
     (Staged.stage (fun () ->
-         ignore (Histotest.Adk15.run oracle ~dstar:p ~eps)))
+         ignore
+           (Histotest.Adk15.run_khist ~config:Histotest.Config.default
+              ~cell_mask oracle ~dstar ~eps)))
 
 let check_dp cells =
   let n = 4 * cells in

@@ -36,7 +36,6 @@
 let n = 65536
 let k = 4
 let eps = 0.25
-let bench_file = "BENCH_parallel.json"
 
 let accepts_of verdicts =
   Array.fold_left
@@ -272,13 +271,7 @@ let run (mode : Exp_common.mode) =
                 (jobs > cores))
             job_rows))
   in
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 bench_file
-  in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Exp_common.row "@.%s@." json;
-  Exp_common.row "(appended to %s)@." bench_file;
+  Exp_common.append_json "BENCH_parallel.json" json;
   if not deterministic then begin
     Exp_common.row "FAIL: a determinism check differs (see the warnings)@.";
     exit 1

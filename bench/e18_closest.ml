@@ -41,8 +41,6 @@
    One machine-readable line per run is appended to BENCH_closest.json
    so the perf trajectory accumulates across commits. *)
 
-let bench_file = "BENCH_closest.json"
-
 type row = {
   cells : int;
   k : int;
@@ -299,13 +297,7 @@ let run (mode : Exp_common.mode) =
                 r.ldense_ms r.lexact)
             learned))
   in
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 bench_file
-  in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Exp_common.row "@.%s@." json;
-  Exp_common.row "(appended to %s)@." bench_file;
+  Exp_common.append_json "BENCH_closest.json" json;
   Exp_common.row
     "@.Expected shape: dense grows ~K^2 in time and exactly K^2 in@.";
   Exp_common.row

@@ -35,8 +35,6 @@
 
    One machine-readable line per run is appended to BENCH_counts.json. *)
 
-let bench_file = "BENCH_counts.json"
-
 (* Mean per-trial seconds of [draw ()] over [trials] runs.  One warmup
    draw grows the workspace buffers outside the clock, and a full major
    collection fences off GC debt left by the previous arm (the stream
@@ -314,13 +312,7 @@ let run (mode : Exp_common.mode) =
             verdict_rows))
       equivalence_pass
   in
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 bench_file
-  in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Exp_common.row "@.%s@." json;
-  Exp_common.row "(appended to %s)@." bench_file;
+  Exp_common.append_json "BENCH_counts.json" json;
   if not tree_pass then
     Exp_common.row "FAIL: a piecewise tree stores more splits than its bound@.";
   if not (equivalence_pass && tree_pass) then exit 1

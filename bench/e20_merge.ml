@@ -37,8 +37,6 @@
 
    One machine-readable line per run is appended to BENCH_merge.json. *)
 
-let bench_file = "BENCH_merge.json"
-
 let draw_corpus ~pmf ~samples ~seed =
   let rng = Randkit.Rng.create ~seed in
   let alias = Alias.of_pmf pmf in
@@ -326,11 +324,5 @@ let run (mode : Exp_common.mode) =
             setup_rows))
       all_pass
   in
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 bench_file
-  in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Exp_common.row "@.%s@." json;
-  Exp_common.row "(appended to %s)@." bench_file;
+  Exp_common.append_json "BENCH_merge.json" json;
   if not all_pass then exit 1

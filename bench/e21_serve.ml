@@ -1,25 +1,32 @@
-(* E21 — serve path: batched, pipelined ingest at line rate.
+(* E21 — serve path: batched ingest at line rate, on the loop the
+   daemon runs.
 
-   PR 7 made the daemon correct (E20 gates merge-topology bit-identity);
-   this bench makes it fast and keeps it honest.  Three measurements:
+   Every run here is served the way histotestd's stdio mode meets its
+   input: requests written into one pipe, responses read out of another
+   (Exp_common.over_pipes).  Three measurements:
 
    1. The transcript gate (wired into CI as `make bench-serve`): a fixed
       request script — one accepting corpus, one rejecting — is served
-      through the batched engine across a batch grid, and the full
-      response transcript must be BYTE-IDENTICAL to the line-at-a-time
-      oracle Refkit.Strict_serve (Service.handle_line per line, one
-      write per response; it shares the engine's one renderer per
-      response kind but not Scan's fast path or Batch's staging, so the
-      gate checks those, and test/golden pins the rendered bytes).  Any
-      divergence exits non-zero, like E18/E19/E20.
+      by the Netio reactor over the pipe pair (Netio.add_pipe, the
+      daemon's stdin/stdout connection) across a batch grid, and the
+      full response transcript must be BYTE-IDENTICAL to the
+      line-at-a-time oracle Refkit.Strict_serve (Service.handle_line
+      per line, one write per response; it shares the engine's one
+      renderer per response kind but not the Reader's spans, Scan's
+      fast path or Batch's staging, so the gate checks those, and
+      test/golden pins the rendered bytes).  Any divergence exits
+      non-zero, like E18/E19/E20.
 
    2. Ingest throughput (values/s) across the same grid and two payload
       shapes — many small `observe` lines vs few large ones — plus the
-      fast-path hit rate as provenance.  The acceptance bar: fast path +
-      batched output must clear >= 5x over the line-at-a-time oracle at
-      batch >= 64.  Serving runs on one domain; the shard-parallel
-      ingest an earlier engine offered never measured faster
-      (EXPERIMENTS.md, E21) and was removed.
+      fast-path hit rate as provenance.  The oracle serves the same
+      pipes, reading its input buffered and writing one response per
+      write(2), so both sides of the speedup pay input reads and the
+      output pattern they would have as a daemon.  The bar, recorded
+      and not gated: >= 5x over the oracle at batch >= 64.  Serving
+      runs on one domain; the shard-parallel ingest an earlier engine
+      offered never measured faster (EXPERIMENTS.md, E21) and was
+      removed.
 
    3. The structure cache: a reconfigure-heavy script cycling a working
       set of hypotheses is served twice over — all-miss (distinct
@@ -28,93 +35,24 @@
 
    One machine-readable line per run is appended to BENCH_serve.json. *)
 
-let bench_file = "BENCH_serve.json"
-
-(* Serve a script held in memory with [serve] on a fresh service, best
-   wall time of [repeats] runs: every line is "already available", so
-   batches fill to --batch, which is exactly the saturated-ingest regime
-   the daemon sees under load.
-
-   Every write also goes through one real [Unix.write] into a pipe
-   drained by a `cat > /dev/null` child, so the measurement pays the
-   daemon's actual I/O pattern — the daemon writes responses into a pipe
-   to its client: one pipe write per response for the line-at-a-time
-   oracle, one per batch for the engine.  An in-process-only transcript
-   would hide exactly the buffered-I/O saving the acceptance bar is
-   about. *)
-let run_script ?(repeats = 1) serve lines =
-  let r, w = Unix.pipe () in
-  (* the drainer must not inherit [w], or it never sees EOF *)
-  Unix.set_close_on_exec w;
-  let devnull_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let cat = Unix.create_process "cat" [| "cat" |] r devnull_out Unix.stderr in
-  Unix.close r;
-  Unix.close devnull_out;
-  let run () =
-    let t = Service.create () in
-    let idx = ref 0 in
-    let next () =
-      if !idx < Array.length lines then begin
-        let l = lines.(!idx) in
-        incr idx;
-        Some l
-      end
-      else None
-    in
-    let transcript = Buffer.create (1 lsl 20) in
-    let write s =
-      Buffer.add_string transcript s;
-      ignore (Unix.write_substring w s 0 (String.length s))
-    in
-    let result, wall =
-      Exp_common.wall_time_of (fun () -> serve t ~next ~write)
-    in
-    (Buffer.contents transcript, result, wall, t)
-  in
-  let best = ref (run ()) in
-  for _ = 2 to repeats do
-    let (_, _, wall, _) as r = run () in
-    let _, _, best_wall, _ = !best in
-    if wall < best_wall then best := r
-  done;
-  Unix.close w;
-  ignore (Unix.waitpid [] cat);
-  !best
-
-let oracle t ~next ~write = Refkit.Strict_serve.serve t ~read_line:next ~write
-
-let batched batch t ~next ~write =
-  Service.serve t ~batch
-    ~read_line:(fun ~block:_ -> next ())
-    ~write:(fun buf -> write (Buffer.contents buf))
-
 let config_line ~n ~family ~eps ~seed =
   Printf.sprintf {|{"cmd":"config","n":%d,"family":"%s","eps":%g,"seed":%d}|} n
     family eps seed
 
-(* Round-robin observe script over [shards] shard names: [lines] lines of
-   [per_line] values drawn iid from [pmf]. *)
-let observe_script ~n ~family ~eps ~seed ~pmf ~corpus_seed ~shards ~lines
-    ~per_line =
-  let rng = Randkit.Rng.create ~seed:corpus_seed in
-  let alias = Alias.of_pmf pmf in
-  let buf = Buffer.create (lines * per_line * 4) in
-  let out = Array.make (lines + 2) "" in
-  out.(0) <- config_line ~n ~family ~eps ~seed;
-  for i = 1 to lines do
-    Buffer.clear buf;
-    Buffer.add_string buf
-      (Printf.sprintf {|{"cmd":"observe","shard":"s%d","xs":[|}
-         ((i - 1) mod shards));
-    for j = 0 to per_line - 1 do
-      if j > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int (Alias.draw alias rng))
-    done;
-    Buffer.add_string buf "]}";
-    out.(i) <- Buffer.contents buf
-  done;
-  out.(lines + 1) <- {|{"cmd":"verdict"}|};
-  out
+(* The oracle as a line-at-a-time server, for [Exp_common.over_pipes]. *)
+let strict_serve input output =
+  let ic = Unix.in_channel_of_descr input in
+  let write s =
+    ignore (Unix.write_substring output s 0 (String.length s) : int)
+  in
+  let answered =
+    Refkit.Strict_serve.serve (Service.create ())
+      ~read_line:(fun () -> In_channel.input_line ic)
+      ~write
+  in
+  close_in ic;
+  Unix.close output;
+  answered
 
 let hit_rate stats =
   let total =
@@ -127,9 +65,10 @@ let run (mode : Exp_common.mode) =
   Exp_common.section
     ~id:"E21 (serve path: batched ingest, byte-identical)"
     ~claim:
-      "The batched serve engine — wire fast path, one flush per batch — \
-       produces a response transcript byte-identical to the \
-       line-at-a-time oracle, while ingesting >= 5x faster at batch >= 64.";
+      "The daemon's serve loop — the reactor over a pipe pair, wire fast \
+       path, one flush per batch — produces a response transcript \
+       byte-identical to the line-at-a-time oracle, while ingesting >= 5x \
+       faster at batch >= 64.";
   let seed = mode.Exp_common.seed in
   let quick = mode.Exp_common.quick in
 
@@ -151,12 +90,20 @@ let run (mode : Exp_common.mode) =
     (fun (side, pmf, corpus_seed) ->
       List.iter
         (fun (shape, lines, per_line) ->
-          let script =
-            observe_script ~n ~family ~eps ~seed ~pmf ~corpus_seed ~shards
-              ~lines ~per_line
+          let payload =
+            Exp_common.payload
+              (Array.concat
+                 [
+                   [| config_line ~n ~family ~eps ~seed |];
+                   Exp_common.observe_corpus
+                     ~rng:(Randkit.Rng.create ~seed:corpus_seed)
+                     ~pmf ~prefix:"" ~shards ~lines ~per_line;
+                   [| {|{"cmd":"verdict"}|} |];
+                 ])
           in
-          let ref_transcript, _, ref_wall, _ =
-            run_script ~repeats:9 oracle script
+          let ref_transcript, _, ref_wall =
+            Exp_common.best_of 9 (fun () ->
+                Exp_common.over_pipes payload strict_serve)
           in
           let ref_rate = float_of_int (lines * per_line) /. ref_wall in
           Exp_common.row
@@ -168,9 +115,13 @@ let run (mode : Exp_common.mode) =
           Exp_common.hline ();
           List.iter
             (fun batch ->
-              let transcript, stats, wall, _ =
-                run_script ~repeats:9 (batched batch) script
+              let transcript, stats, wall =
+                Exp_common.best_of 9 (fun () ->
+                    Exp_common.over_pipes payload
+                      (Exp_common.reactor_serve ~batch
+                         ~service:(Service.create ())))
               in
+              let stats = stats.Netio.engine in
               let rate = float_of_int stats.Service.values /. wall in
               let identical = String.equal transcript ref_transcript in
               if not identical then gate_pass := false;
@@ -221,10 +172,16 @@ let run (mode : Exp_common.mode) =
           ~family:(Printf.sprintf "khist:%d" (8 + (i mod working_set)))
           ~eps ~seed:(1000 + (i mod working_set)))
   in
-  let _, _, miss_wall, miss_t = run_script (batched 64) miss_script in
-  let _, _, hit_wall, hit_t = run_script (batched 64) hit_script in
-  let miss_stats = Service.cache_stats miss_t in
-  let hit_stats = Service.cache_stats hit_t in
+  let cache_run script =
+    let service = Service.create () in
+    let _, _, wall =
+      Exp_common.over_pipes (Exp_common.payload script)
+        (Exp_common.reactor_serve ~batch:64 ~service)
+    in
+    (Service.cache_stats service, wall)
+  in
+  let miss_stats, miss_wall = cache_run miss_script in
+  let hit_stats, hit_wall = cache_run hit_script in
   let per_config w = 1e3 *. w /. float_of_int (working_set * rounds) in
   let cache_hit_rate =
     float_of_int hit_stats.Structcache.hits
@@ -295,11 +252,5 @@ let run (mode : Exp_common.mode) =
       (miss_wall /. Float.max 1e-9 hit_wall)
       !gate_pass
   in
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 bench_file
-  in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Exp_common.row "@.%s@." json;
-  Exp_common.row "(appended to %s)@." bench_file;
+  Exp_common.append_json "BENCH_serve.json" json;
   if not !gate_pass then exit 1

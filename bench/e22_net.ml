@@ -6,16 +6,15 @@
    1. Transcript identity: across a (clients, batch) grid, on an
       accepting and a rejecting corpus, every client's response stream
       over a real loopback TCP connection must be BYTE-IDENTICAL to
-      [Service.serve] (the in-process engine) on that client's request
-      stream.
-      Any divergence exits non-zero, like E18..E21.
+      the line-at-a-time oracle [Refkit.Strict_serve] on that client's
+      request stream.  Any divergence exits non-zero, like E18..E21.
 
    2. Single-client overhead: socket serve at (clients=1, batch=64)
       must ingest within 1.3x of stdio serve — the daemon's
       stdin/stdout mode as it runs, the reactor over a pipe pair
-      ([Netio.add_pipe]), transport costs included — on the same
-      script.  Accepting, non-blocking socket I/O and the loopback
-      stack must not tax the single-client path.
+      ([Exp_common.over_pipes], the loop E21 gates), transport costs
+      included — on the same script.  Accepting, non-blocking socket
+      I/O and the loopback stack must not tax the single-client path.
 
    Also recorded (not gated): aggregate throughput as the client count
    grows.  The engine is shared and single-threaded, so this measures
@@ -26,10 +25,8 @@
    harness may hold live pool domains), each driving a non-blocking
    connect/write/shutdown/read-to-EOF loop; the server steps the
    reactor on the bench's own domain until every client it expects has
-   been admitted and has closed.  One machine-readable line per run is appended to
-   BENCH_net.json. *)
-
-let bench_file = "BENCH_net.json"
+   been admitted and has closed.  One machine-readable line per run is
+   appended to BENCH_net.json. *)
 
 let n = 4096
 let k = 4
@@ -45,40 +42,18 @@ let configure ~seed svc =
    per-client responses are independent of interleaving with the other
    clients (the engine is shared; shard totals are shard-local). *)
 let client_script ~pmf ~seed ~client ~lines ~per_line =
-  let rng = Randkit.Rng.create ~seed:(seed + (911 * client)) in
-  let alias = Alias.of_pmf pmf in
-  let buf = Buffer.create (per_line * 8) in
-  Array.init lines (fun i ->
-      Buffer.clear buf;
-      Buffer.add_string buf
-        (Printf.sprintf {|{"cmd":"observe","shard":"c%d.s%d","xs":[|} client
-           (i mod 4));
-      for j = 0 to per_line - 1 do
-        if j > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int (Alias.draw alias rng))
-      done;
-      Buffer.add_string buf "]}";
-      Buffer.contents buf)
+  Exp_common.observe_corpus
+    ~rng:(Randkit.Rng.create ~seed:(seed + (911 * client)))
+    ~pmf
+    ~prefix:(Printf.sprintf "c%d." client)
+    ~shards:4 ~lines ~per_line
 
-(* What [Service.serve] answers on this stream — the byte oracle. *)
+(* The byte oracle: what the line-at-a-time server answers on this
+   stream from a configured service. *)
 let reference_transcript ~seed script =
   let svc = Service.create () in
   configure ~seed svc;
-  let idx = ref 0 in
-  let read_line ~block:_ =
-    if !idx < Array.length script then begin
-      let l = script.(!idx) in
-      incr idx;
-      Some l
-    end
-    else None
-  in
-  let out = Buffer.create (1 lsl 20) in
-  let write buf = Buffer.add_buffer out buf in
-  let (_ : Service.serve_stats) =
-    Service.serve svc ~batch:64 ~read_line ~write
-  in
-  Buffer.contents out
+  fst (Refkit.Strict_serve.transcript svc script)
 
 (* One client: non-blocking loopback TCP.  Writes the whole payload,
    shuts down the send side, reads to EOF; returns the transcript. *)
@@ -158,78 +133,29 @@ let run_cell ~seed ~batch ~payloads () =
   (transcripts, stats, wall)
 
 (* Stdio serve with its real transport costs: the daemon's stdin/stdout
-   mode as it runs — the reactor over a pipe pair, requests arriving
-   through one pipe and responses leaving through the other, exactly as
-   bin/histotestd adopts them.  A feeder domain plays the upstream
-   producer and a drainer domain the consumer.  This is the overhead
-   bar's denominator: the socket path is allowed 1.3x of THIS, not of an
-   in-memory replay that pays no input syscalls and no line splitting. *)
-let stdio_round ~seed ~batch ~payload ~reference () =
-  let in_r, in_w = Unix.pipe ~cloexec:true () in
-  let out_r, out_w = Unix.pipe ~cloexec:true () in
-  let feeder =
-    Domain.spawn (fun () ->
-        let len = String.length payload in
-        let sent = ref 0 in
-        (try
-           while !sent < len do
-             sent :=
-               !sent
-               + Unix.write_substring in_w payload !sent
-                   (min 65536 (len - !sent))
-         done
-         with Unix.Unix_error _ -> ());
-        Unix.close in_w)
-  in
-  let drainer =
-    Domain.spawn (fun () ->
-        let buf = Buffer.create (1 lsl 16) in
-        let tmp = Bytes.create 65536 in
-        let eof = ref false in
-        while not !eof do
-          match Unix.read out_r tmp 0 (Bytes.length tmp) with
-          | 0 -> eof := true
-          | m -> Buffer.add_subbytes buf tmp 0 m
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        done;
-        Unix.close out_r;
-        Buffer.contents buf)
-  in
+   mode as it runs, requests arriving through one pipe and responses
+   leaving through the other.  This is the overhead bar's denominator:
+   the socket path is allowed 1.3x of THIS, not of an in-memory replay
+   that pays no input syscalls and no line splitting. *)
+let stdio_round ~seed ~payload ~reference =
   let service = Service.create () in
   configure ~seed service;
-  let stats, wall =
-    Exp_common.wall_time_of (fun () ->
-        let t = Netio.create_reactor ~batch ~service ~listeners:[] () in
-        (* the reactor closes both ends when the stream ends *)
-        Netio.add_pipe t ~input:in_r ~output:out_w;
-        while Netio.active t > 0 do
-          Netio.step t ~timeout:0.05
-        done;
-        Netio.stats t)
+  let transcript, stats, wall =
+    Exp_common.over_pipes payload
+      (Exp_common.reactor_serve ~batch:64 ~service)
   in
-  Domain.join feeder;
-  let transcript = Domain.join drainer in
   if not (String.equal transcript reference) then
     failwith "E22 stdio baseline transcript diverged from the reference";
   (stats, wall)
-
-let best_cell ~repeats ~seed ~batch ~payloads =
-  let best = ref (run_cell ~seed ~batch ~payloads ()) in
-  for _ = 2 to repeats do
-    let (_, _, wall) as r = run_cell ~seed ~batch ~payloads () in
-    let _, _, best_wall = !best in
-    if wall < best_wall then best := r
-  done;
-  !best
 
 let run (mode : Exp_common.mode) =
   Exp_common.section
     ~id:"E22 (socket transport: multi-client reactor, byte-identical)"
     ~claim:
       "Per-client response streams served over loopback TCP through the \
-       Netio reactor are byte-identical to stdio serve on the same request \
-       stream, at any (clients, batch); the single-client socket \
-       path ingests within 1.3x of stdio serve.";
+       Netio reactor are byte-identical to the line-at-a-time oracle on \
+       the same request stream, at any (clients, batch); the single-client \
+       socket path ingests within 1.3x of stdio serve.";
   let seed = mode.Exp_common.seed in
   let quick = mode.Exp_common.quick in
 
@@ -254,18 +180,7 @@ let run (mode : Exp_common.mode) =
         Array.init max_clients (fun c ->
             client_script ~pmf ~seed:corpus_seed ~client:c ~lines ~per_line)
       in
-      let payloads =
-        Array.map
-          (fun script ->
-            let b = Buffer.create (1 lsl 20) in
-            Array.iter
-              (fun l ->
-                Buffer.add_string b l;
-                Buffer.add_char b '\n')
-              script;
-            Buffer.contents b)
-          scripts
-      in
+      let payloads = Array.map Exp_common.payload scripts in
       let references = Array.map (reference_transcript ~seed) scripts in
       Exp_common.row "@.%s: %d clients max, %d lines x %d values each@." side
         max_clients lines per_line;
@@ -276,7 +191,8 @@ let run (mode : Exp_common.mode) =
         (fun (clients, batch) ->
           let cell_payloads = Array.sub payloads 0 clients in
           let transcripts, stats, wall =
-            best_cell ~repeats ~seed ~batch ~payloads:cell_payloads
+            Exp_common.best_of repeats
+              (run_cell ~seed ~batch ~payloads:cell_payloads)
           in
           let identical = ref true in
           Array.iteri
@@ -313,15 +229,7 @@ let run (mode : Exp_common.mode) =
   let gate_script =
     client_script ~pmf:yes ~seed:(seed + 1) ~client:0 ~lines ~per_line
   in
-  let gate_payload =
-    let b = Buffer.create (1 lsl 20) in
-    Array.iter
-      (fun l ->
-        Buffer.add_string b l;
-        Buffer.add_char b '\n')
-      gate_script;
-    Buffer.contents b
-  in
+  let gate_payload = Exp_common.payload gate_script in
   let gate_reference = reference_transcript ~seed gate_script in
   let gate_rounds = 2 * repeats in
   let best_socket = ref 0. and best_stdio = ref 0. in
@@ -332,8 +240,7 @@ let run (mode : Exp_common.mode) =
     let rate = float_of_int stats.Netio.engine.Service.values /. wall in
     if rate > !best_socket then best_socket := rate;
     let stdio_stats, stdio_wall =
-      stdio_round ~seed ~batch:64 ~payload:gate_payload
-        ~reference:gate_reference ()
+      stdio_round ~seed ~payload:gate_payload ~reference:gate_reference
     in
     let rate =
       float_of_int stdio_stats.Netio.engine.Service.values /. stdio_wall
@@ -368,11 +275,5 @@ let run (mode : Exp_common.mode) =
             rows))
       stdio_rate !best_socket overhead overhead_pass !gate_pass
   in
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 bench_file
-  in
-  output_string oc (json ^ "\n");
-  close_out oc;
-  Exp_common.row "@.%s@." json;
-  Exp_common.row "(appended to %s)@." bench_file;
+  Exp_common.append_json "BENCH_net.json" json;
   if not (!gate_pass && overhead_pass) then exit 1

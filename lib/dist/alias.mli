@@ -1,12 +1,15 @@
-(** Vose's alias method: O(n) preprocessing, O(1) per sample.  Every tester
-    experiment draws up to millions of samples per trial, so this is the hot
-    path of the whole benchmark harness.
+(** Vose's alias method: O(n) preprocessing, O(1) per sample.  It draws
+    sample streams where a caller needs the samples themselves: the serve
+    benches' request corpora, the centres of [Workload]'s query ranges and
+    the streaming examples.  Algorithm 1's trials do not draw from it:
+    each trial's oracle is a count vector split from a {!Split_tree}
+    ([Poissonize.counts_of_tree]), and the alias-stream trial path lives
+    on only as the test-only [Refkit.Stream_trials].
 
     A table is immutable after [of_pmf]: it can be built once per PMF and
-    shared read-only across trials — and across domains (see Parkit) — the
-    harness relies on this to avoid rebuilding the O(n) table per trial.
-    Only the [Randkit.Rng.t] handle passed to the draw functions is
-    mutated, so concurrent draws need only distinct generators.
+    shared read-only, across domains too (see Parkit).  Only the
+    [Randkit.Rng.t] handle passed to the draw functions is mutated, so
+    concurrent draws need only distinct generators.
 
     The [_into] variants write into caller-supplied buffers (the per-domain
     workspaces of the trial engine) and consume the **exact same generator

@@ -12,7 +12,7 @@
 
     attained at the weighted lower median (the smallest value whose
     cumulative range weight reaches half the range total — the same
-    convention as {!Wmedian}).
+    convention as the test-only [Refkit.Wmedian]).
 
     Ranges are half-open [\[lo, hi)] over the positions of the last
     build, matching the repo-wide interval convention.

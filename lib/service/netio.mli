@@ -10,10 +10,11 @@
     outbound queue flushed only when the output is writable — slow
     clients get backpressure (the reactor stops reading them past
     [max_pending_bytes]) and never stall anyone else.  Per-connection
-    response streams are byte-identical to {!Service.serve} on the same
-    request stream; the engine is shared, so shards aggregate across
-    clients exactly as one process replaying the merged arrival
-    order (the contracts E22 and the socketpair tests gate). *)
+    response streams are byte-identical to the line-at-a-time oracle
+    [Refkit.Strict_serve] (test-only) on the same request stream; the
+    engine is shared, so shards aggregate across clients exactly as one
+    process replaying the merged arrival order (the contracts E21 over a
+    pipe pair, E22 over sockets and the socketpair tests gate). *)
 
 (** The buffered line reader: one [read(2)] per refill, an
     O(1)-amortized newline scan (a watermark prevents rescans on

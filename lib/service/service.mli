@@ -200,10 +200,12 @@ val serve :
   read_line:(block:bool -> string option) ->
   write:(Buffer.t -> unit) ->
   serve_stats
-(** The batched, pipelined serve loop, abstracted over transport: the
-    in-process engine tests and benches compare the daemon against
-    (the daemon itself runs the {!Netio} reactor over the same
-    {!Batch} executor).
+(** The batched, pipelined serve loop, abstracted over transport.  The
+    daemon does not run it: it runs the {!Netio} reactor over the same
+    {!Batch} executor, and the benches gate that reactor against the
+    line-at-a-time oracle [Refkit.Strict_serve] (test-only).  This loop
+    is kept for [perf/]'s check block and for the tests that check it
+    against the same oracle.
 
     Per iteration: block for one request line, drain up to [batch - 1]
     more that are available without blocking ([read_line ~block:false]
@@ -218,7 +220,8 @@ val serve :
     each through the protocol step {!handle_line} takes (a fast-path
     line skips only the strict parse), so the response transcript is
     byte-identical at any [batch], and to {!handle_line} applied line by
-    line — the contract E21 gates.  Requests after a [quit] in the
+    line — the contract test_service checks against
+    [Refkit.Strict_serve].  Requests after a [quit] in the
     same batch are dropped unanswered, exactly as a sequential loop
     would never have read them.  [pool] is accepted for compatibility
     and ignored: ingest is a few integer adds per value into one

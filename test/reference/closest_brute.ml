@@ -17,12 +17,12 @@ let l1 ?mask pmf ~k =
     let total = ref 0. in
     for b = 0 to Array.length bounds - 2 do
       let lo = bounds.(b) and hi = bounds.(b + 1) in
-      let med = Numkit.Wmedian.create () in
+      let med = Wmedian.create () in
       for i = lo to hi - 1 do
-        Numkit.Wmedian.add med ~value:p.(i)
+        Wmedian.add med ~value:p.(i)
           ~weight:(if kept i then 1. else 0.)
       done;
-      total := !total +. Numkit.Wmedian.cost med
+      total := !total +. Wmedian.cost med
     done;
     if !total < !best then best := !total
   in

@@ -1,5 +1,5 @@
 (** Exhaustive closest-H_k search: every placement of up to k-1
-    breakpoints, each piece's cost from a fresh {!Numkit.Wmedian}.  It
+    breakpoints, each piece's cost from a fresh {!Wmedian}.  It
     shares no oracle with {!Closest} (unlike {!Closest_dense}), so the
     DP agrees with it to rounding, not bit for bit.  Exponential:
     cross-checking on tiny domains only. *)

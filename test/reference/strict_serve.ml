@@ -13,7 +13,7 @@ let serve t ~read_line ~write =
   in
   loop 0
 
-let transcript lines =
+let transcript t lines =
   let out = Buffer.create 4096 in
   let next = ref 0 in
   let read_line () =
@@ -23,7 +23,5 @@ let transcript lines =
     end
     else None
   in
-  let answered =
-    serve (Service.create ()) ~read_line ~write:(Buffer.add_string out)
-  in
+  let answered = serve t ~read_line ~write:(Buffer.add_string out) in
   (Buffer.contents out, answered)

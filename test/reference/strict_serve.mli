@@ -18,6 +18,8 @@ val serve :
     answering a [quit].  Returns the number of
     requests answered. *)
 
-val transcript : string array -> string * int
-(** [serve] over an in-memory script on a fresh service: the
-    concatenated responses and the number answered. *)
+val transcript : Service.t -> string array -> string * int
+(** [serve] over an in-memory script: the concatenated responses and
+    the number answered.  Pass [Service.create ()] for a fresh service,
+    or one already configured to answer a script without a [config]
+    line. *)

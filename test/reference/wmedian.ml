@@ -9,8 +9,8 @@
    two sides in O(1). *)
 
 type t = {
-  lower : float Heap.t; (* max-heap of (value, weight) *)
-  upper : float Heap.t; (* min-heap of (value, weight) *)
+  lower : float Numkit.Heap.t; (* max-heap of (value, weight) *)
+  upper : float Numkit.Heap.t; (* min-heap of (value, weight) *)
   mutable w_lower : float;
   mutable w_upper : float;
   mutable s_lower : float; (* sum of w*v on the lower side *)
@@ -19,8 +19,8 @@ type t = {
 
 let create () =
   {
-    lower = Heap.create ~max_heap:true ();
-    upper = Heap.create ();
+    lower = Numkit.Heap.create ~max_heap:true ();
+    upper = Numkit.Heap.create ();
     w_lower = 0.;
     w_upper = 0.;
     s_lower = 0.;
@@ -35,24 +35,24 @@ let rebalance t =
   while !continue do
     let total = total_weight t in
     if t.w_lower < total /. 2. then begin
-      match Heap.pop t.upper with
+      match Numkit.Heap.pop t.upper with
       | None -> continue := false
       | Some (v, w) ->
-          Heap.push t.lower ~priority:v w;
+          Numkit.Heap.push t.lower ~priority:v w;
           t.w_upper <- t.w_upper -. w;
           t.s_upper <- t.s_upper -. (w *. v);
           t.w_lower <- t.w_lower +. w;
           t.s_lower <- t.s_lower +. (w *. v)
     end
     else begin
-      match Heap.peek t.lower with
+      match Numkit.Heap.peek t.lower with
       | None -> continue := false
       | Some (v, w) ->
           if t.w_lower -. w >= total /. 2. then begin
-            ignore (Heap.pop t.lower);
+            ignore (Numkit.Heap.pop t.lower);
             t.w_lower <- t.w_lower -. w;
             t.s_lower <- t.s_lower -. (w *. v);
-            Heap.push t.upper ~priority:v w;
+            Numkit.Heap.push t.upper ~priority:v w;
             t.w_upper <- t.w_upper +. w;
             t.s_upper <- t.s_upper +. (w *. v)
           end
@@ -64,15 +64,15 @@ let add t ~value ~weight =
   if weight < 0. then invalid_arg "Wmedian.add: negative weight";
   if weight > 0. then begin
     let goes_lower =
-      match Heap.peek t.lower with None -> true | Some (v, _) -> value <= v
+      match Numkit.Heap.peek t.lower with None -> true | Some (v, _) -> value <= v
     in
     if goes_lower then begin
-      Heap.push t.lower ~priority:value weight;
+      Numkit.Heap.push t.lower ~priority:value weight;
       t.w_lower <- t.w_lower +. weight;
       t.s_lower <- t.s_lower +. (weight *. value)
     end
     else begin
-      Heap.push t.upper ~priority:value weight;
+      Numkit.Heap.push t.upper ~priority:value weight;
       t.w_upper <- t.w_upper +. weight;
       t.s_upper <- t.s_upper +. (weight *. value)
     end;
@@ -80,9 +80,9 @@ let add t ~value ~weight =
   end
 
 let median t =
-  match Heap.peek t.lower with
+  match Numkit.Heap.peek t.lower with
   | Some (v, _) -> v
-  | None -> ( match Heap.peek t.upper with Some (v, _) -> v | None -> nan)
+  | None -> ( match Numkit.Heap.peek t.upper with Some (v, _) -> v | None -> nan)
 
 let cost t =
   if Float.equal (total_weight t) 0. then 0.

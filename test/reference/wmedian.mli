@@ -4,7 +4,9 @@
     min_v Σ w_i·|v_i − v| for everything added so far, the per-segment cost
     of the closest-k-histogram dynamic program under (restricted) total
     variation.  Each [add] is O(log n) amortized for well-behaved weight
-    sequences. *)
+    sequences.  Test-only: {!Closest_brute} prices its pieces with it,
+    and the tests check {!Numkit.Rank_index} and [Closest.witness]'s
+    levels against it; the DP itself runs on {!Numkit.Rank_index}. *)
 
 type t
 
@@ -15,7 +17,6 @@ val add : t -> value:float -> weight:float -> unit
     weight. *)
 
 val median : t -> float
-[@@histolint.keep "[cost] is attained at it; test_numkit pins it and test_fuzz_closest checks Closest.witness's levels against it"]
 (** A weighted median of the values added so far; [nan] when empty. *)
 
 val cost : t -> float

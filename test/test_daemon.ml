@@ -112,7 +112,9 @@ let contains s sub =
   at 0
 
 let lines ls = String.concat "" (List.map (fun l -> l ^ "\n") ls)
-let oracle script = fst (Refkit.Strict_serve.transcript (Array.of_list script))
+let oracle script =
+  let svc = Service.create () in
+  fst (Refkit.Strict_serve.transcript svc (Array.of_list script))
 let config = {|{"cmd":"config","n":64,"family":"staircase:4","eps":0.25}|}
 
 let observe shard xs =

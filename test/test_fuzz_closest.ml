@@ -155,13 +155,13 @@ let prop_witness_levels_are_wmedians =
       let kept i = match mask with None -> true | Some m -> m.(i) in
       let ok = ref true in
       for j = 0 to Partition.cell_count part - 1 do
-        let med = Numkit.Wmedian.create () in
+        let med = Refkit.Wmedian.create () in
         Interval.iter
           (fun i ->
-            Numkit.Wmedian.add med ~value:(Pmf.get pmf i)
+            Refkit.Wmedian.add med ~value:(Pmf.get pmf i)
               ~weight:(if kept i then 1. else 0.))
           (Partition.cell part j);
-        let m = Numkit.Wmedian.median med in
+        let m = Refkit.Wmedian.median med in
         let expected = if Float.is_nan m then 0. else m in
         if not (Float.equal expected (Khist.level h j)) then ok := false
       done;

@@ -2,9 +2,9 @@
    threads.  Every reactor test hands socketpair ends to [add_connection]
    and interleaves [Netio.step] with adversarially chunked client I/O
    from the same thread, so schedules are reproducible; expectations are
-   never hand-written transcripts but the output of [Service.serve] (the
-   in-process engine) on the same request stream — the byte-identity
-   contract E22 gates at scale. *)
+   never hand-written transcripts but the output of the line-at-a-time
+   oracle [Refkit.Strict_serve] on the same request stream — the
+   byte-identity contract E21 and E22 gate at scale. *)
 
 (* The tests' view of [Reader.next_span]: the line as a string. *)
 type line = Line of string | Pending | Eof | Too_long
@@ -195,35 +195,21 @@ let observe_line ~shard xs =
   Printf.sprintf {|{"cmd":"observe","shard":"%s","xs":[%s]}|} shard
     (String.concat "," (List.map string_of_int xs))
 
-let configure svc =
+(* A service configured for the test scripts. *)
+let configured () =
+  let svc = Service.create () in
   match
     Service.configure svc ~n:512 ~family:"staircase:4" ~eps:0.25 ~cells:None
       ~seed:5
   with
-  | Ok _ -> ()
+  | Ok _ -> svc
   | Error e -> Alcotest.fail e
 
-(* The expectation oracle: what [Service.serve] answers on this request
-   stream (any batch — E21 pins batch-independence). *)
-let reference_transcript ?(batch = 8) script =
-  let svc = Service.create () in
-  configure svc;
-  let arr = Array.of_list script in
-  let idx = ref 0 in
-  let read_line ~block:_ =
-    if !idx < Array.length arr then begin
-      let l = arr.(!idx) in
-      incr idx;
-      Some l
-    end
-    else None
-  in
-  let out = Buffer.create 4096 in
-  let write b = Buffer.add_buffer out b in
-  let (_ : Service.serve_stats) =
-    Service.serve svc ~batch ~read_line ~write
-  in
-  (Buffer.contents out, svc)
+(* The expectation oracle: what the line-at-a-time server answers on
+   this request stream from a configured service, and that service. *)
+let reference_transcript script =
+  let svc = configured () in
+  (fst (Refkit.Strict_serve.transcript svc (Array.of_list script)), svc)
 
 let read_avail tmp buf fd =
   let rec go () =
@@ -240,6 +226,28 @@ let read_avail tmp buf fd =
   go ()
 
 let find_shard svc name = List.assoc_opt name (Service.shard_totals svc)
+
+let payload_of script = String.concat "" (List.map (fun l -> l ^ "\n") script)
+
+(* A socketpair client: the reactor adopts one end, the test drives the
+   other, non-blocking. *)
+let connect_pair reactor =
+  let sfd, cfd =
+    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
+  in
+  Netio.add_connection reactor sfd;
+  Unix.set_nonblock cfd;
+  cfd
+
+(* Step until every connection has closed (bounded), running [after]
+   after each step. *)
+let step_until_closed reactor after =
+  let guard = ref 0 in
+  while Netio.active reactor > 0 && !guard < 10_000 do
+    Netio.step reactor ~timeout:0.01;
+    after ();
+    incr guard
+  done
 
 (* Per-client request stream: observe bursts over a few private shards,
    one whitespace-prefixed line (strict-parser fallback), one garbage
@@ -265,28 +273,18 @@ let client_script i =
 
 let test_multi_client_determinism () =
   let clients = 3 in
-  let shared = Service.create () in
-  configure shared;
+  let shared = configured () in
   let reactor =
     Netio.create_reactor ~batch:5 ~service:shared
       ~listeners:[] ()
   in
   let scripts = Array.init clients client_script in
-  let payloads =
-    Array.map
-      (fun ls -> String.concat "" (List.map (fun l -> l ^ "\n") ls))
-      scripts
-  in
-  let pairs =
-    Array.init clients (fun _ ->
-        Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0)
-  in
-  Array.iter (fun (sfd, _) -> Netio.add_connection reactor sfd) pairs;
-  Array.iter (fun (_, cfd) -> Unix.set_nonblock cfd) pairs;
+  let payloads = Array.map payload_of scripts in
+  let cfds = Array.init clients (fun _ -> connect_pair reactor) in
   let transcripts = Array.init clients (fun _ -> Buffer.create 4096) in
   let tmp = Bytes.create 4096 in
   let drain_all () =
-    Array.iteri (fun i (_, cfd) -> read_avail tmp transcripts.(i) cfd) pairs
+    Array.iteri (fun i cfd -> read_avail tmp transcripts.(i) cfd) cfds
   in
   (* adversarial interleaving: round-robin the clients, trickling
      byte-odd chunk sizes so lines split across reads constantly *)
@@ -302,7 +300,7 @@ let test_multi_client_determinism () =
   in
   while unfinished () do
     Array.iteri
-      (fun i (_, cfd) ->
+      (fun i cfd ->
         let len = String.length payloads.(i) in
         if sent.(i) < len then begin
           let chunk =
@@ -315,24 +313,19 @@ let test_multi_client_determinism () =
                 ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
               ()
         end)
-      pairs;
+      cfds;
     Netio.step reactor ~timeout:0.0;
     drain_all ();
     incr tick
   done;
-  Array.iter (fun (_, cfd) -> Unix.shutdown cfd Unix.SHUTDOWN_SEND) pairs;
-  let guard = ref 0 in
-  while Netio.active reactor > 0 && !guard < 10_000 do
-    Netio.step reactor ~timeout:0.01;
-    drain_all ();
-    incr guard
-  done;
+  Array.iter (fun cfd -> Unix.shutdown cfd Unix.SHUTDOWN_SEND) cfds;
+  step_until_closed reactor drain_all;
   Alcotest.(check int) "all connections closed" 0 (Netio.active reactor);
   drain_all ();
-  (* per-client byte identity against [Service.serve] *)
+  (* per-client byte identity against the oracle *)
   Array.iteri
     (fun i script ->
-      let expect, _ = reference_transcript ~batch:9 script in
+      let expect, _ = reference_transcript script in
       Alcotest.(check string)
         (Printf.sprintf "client %d transcript" i)
         expect
@@ -341,9 +334,7 @@ let test_multi_client_determinism () =
   (* final engine state = one process replaying the merged arrival order
      (shards are client-private, so client-major replay is one such
      order; counts add exactly, so any order agrees bitwise) *)
-  let _, ref_svc =
-    reference_transcript ~batch:3 (List.concat (Array.to_list scripts))
-  in
+  let _, ref_svc = reference_transcript (List.concat (Array.to_list scripts)) in
   let norm svc = List.sort compare (Service.shard_totals svc) in
   Alcotest.(check (list (pair string int)))
     "shard totals" (norm ref_svc) (norm shared);
@@ -362,13 +353,10 @@ let test_multi_client_determinism () =
   let st = Netio.stats reactor in
   Alcotest.(check int) "accepted" clients st.Netio.accepted;
   Alcotest.(check int) "no write drops" 0 st.Netio.write_drops;
-  Array.iter
-    (fun (_, cfd) -> try Unix.close cfd with Unix.Unix_error _ -> ())
-    pairs
+  Array.iter Unix.close cfds
 
 let test_quit_mid_batch () =
-  let shared = Service.create () in
-  configure shared;
+  let shared = configured () in
   let reactor =
     Netio.create_reactor ~batch:8 ~service:shared
       ~listeners:[] ()
@@ -382,23 +370,15 @@ let test_quit_mid_batch () =
       observe_line ~shard:"tail" [ 1 ];
     ]
   in
-  let payload = String.concat "" (List.map (fun l -> l ^ "\n") script) in
-  let sfd, cfd = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Netio.add_connection reactor sfd;
-  Unix.set_nonblock cfd;
+  let cfd = connect_pair reactor in
   (* everything lands in one batch: quit at index 2, two staged observes
      behind it *)
-  write_all cfd payload;
+  write_all cfd (payload_of script);
   let buf = Buffer.create 1024 and tmp = Bytes.create 4096 in
-  let guard = ref 0 in
-  while Netio.active reactor > 0 && !guard < 1000 do
-    Netio.step reactor ~timeout:0.01;
-    read_avail tmp buf cfd;
-    incr guard
-  done;
+  step_until_closed reactor (fun () -> read_avail tmp buf cfd);
   Alcotest.(check int) "quit closes the connection" 0 (Netio.active reactor);
   read_avail tmp buf cfd;
-  let expect, _ = reference_transcript ~batch:8 script in
+  let expect, _ = reference_transcript script in
   Alcotest.(check string) "responses stop at quit" expect (Buffer.contents buf);
   Alcotest.(check (option int))
     "post-quit observes dropped" (Some 5) (find_shard shared "q");
@@ -414,8 +394,7 @@ let test_quit_mid_batch () =
    reference's, and closing the connection closes both fds — the
    consumer reads EOF and the producer gets EPIPE. *)
 let test_pipe_pair () =
-  let shared = Service.create () in
-  configure shared;
+  let shared = configured () in
   let reactor =
     Netio.create_reactor ~batch:4 ~service:shared ~listeners:[] ()
   in
@@ -428,17 +407,13 @@ let test_pipe_pair () =
     List.init 10 (fun i -> observe_line ~shard:"p" [ i; i + 1 ])
     @ [ {|{"cmd":"quit"}|}; observe_line ~shard:"after" [ 1 ] ]
   in
-  write_all in_w (String.concat "" (List.map (fun l -> l ^ "\n") script));
-  let guard = ref 0 in
-  while Netio.active reactor > 0 && !guard < 1000 do
-    Netio.step reactor ~timeout:0.01;
-    incr guard
-  done;
+  write_all in_w (payload_of script);
+  step_until_closed reactor ignore;
   Alcotest.(check int) "quit closes the pipe pair" 0 (Netio.active reactor);
   Unix.set_nonblock out_r;
   let buf = Buffer.create 1024 and tmp = Bytes.create 4096 in
   read_avail tmp buf out_r;
-  let expect, _ = reference_transcript ~batch:4 script in
+  let expect, _ = reference_transcript script in
   Alcotest.(check string) "responses stop at quit" expect (Buffer.contents buf);
   Alcotest.(check int) "output closed: the consumer reads EOF" 0
     (Unix.read out_r tmp 0 1);
@@ -452,8 +427,7 @@ let test_pipe_pair () =
   Unix.close out_r
 
 let test_overlong_line_closes () =
-  let shared = Service.create () in
-  configure shared;
+  let shared = configured () in
   let reactor =
     Netio.create_reactor ~batch:4
       ~max_line_bytes:64 ~service:shared ~listeners:[] ()
@@ -464,17 +438,10 @@ let test_overlong_line_closes () =
     ^ observe_line ~shard:"never" [ 1 ]
     ^ "\n"
   in
-  let sfd, cfd = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Netio.add_connection reactor sfd;
-  Unix.set_nonblock cfd;
+  let cfd = connect_pair reactor in
   write_all cfd payload;
   let buf = Buffer.create 1024 and tmp = Bytes.create 4096 in
-  let guard = ref 0 in
-  while Netio.active reactor > 0 && !guard < 1000 do
-    Netio.step reactor ~timeout:0.01;
-    read_avail tmp buf cfd;
-    incr guard
-  done;
+  step_until_closed reactor (fun () -> read_avail tmp buf cfd);
   Alcotest.(check int) "overlong line closes" 0 (Netio.active reactor);
   read_avail tmp buf cfd;
   let expect =
@@ -491,15 +458,14 @@ let test_overlong_line_closes () =
   Unix.close cfd
 
 let test_backpressure_bounded_queue () =
-  let shared = Service.create () in
-  configure shared;
+  let shared = configured () in
   let max_pending = 512 in
   let reactor =
     Netio.create_reactor ~batch:4
       ~max_pending_bytes:max_pending ~service:shared ~listeners:[] ()
   in
   let script = List.init 400 (fun k -> observe_line ~shard:"bp" [ k mod 512 ]) in
-  let payload = String.concat "" (List.map (fun l -> l ^ "\n") script) in
+  let payload = payload_of script in
   let sfd, cfd = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (* shrink the kernel's help so the reactor's own queue is what absorbs
      the imbalance (best-effort; the peak bound below holds regardless) *)
@@ -533,7 +499,7 @@ let test_backpressure_bounded_queue () =
     "queue bounded by max_pending + one batch" true
     (st.Netio.peak_pending <= max_pending + 512);
   (* the client wakes up and drains: nothing lost, bytes identical *)
-  let expect, _ = reference_transcript ~batch:4 script in
+  let expect, _ = reference_transcript script in
   let buf = Buffer.create (1 lsl 16) and tmp = Bytes.create 4096 in
   let guard = ref 0 in
   while Buffer.length buf < String.length expect && !guard < 100_000 do
@@ -544,12 +510,7 @@ let test_backpressure_bounded_queue () =
   Alcotest.(check string)
     "transcript identical through the stall" expect (Buffer.contents buf);
   Unix.shutdown cfd Unix.SHUTDOWN_SEND;
-  let guard = ref 0 in
-  while Netio.active reactor > 0 && !guard < 10_000 do
-    Netio.step reactor ~timeout:0.01;
-    read_avail tmp buf cfd;
-    incr guard
-  done;
+  step_until_closed reactor (fun () -> read_avail tmp buf cfd);
   Alcotest.(check int) "closed after drain" 0 (Netio.active reactor);
   Unix.close cfd
 
@@ -564,12 +525,9 @@ let test_reactor_fits_nursery () =
   let saved = Gc.get () in
   Gc.set { saved with Gc.minor_heap_size = Netio.nursery_words };
   Fun.protect ~finally:(fun () -> Gc.set saved) @@ fun () ->
-  let svc = Service.create () in
-  configure svc;
+  let svc = configured () in
   let reactor = Netio.create_reactor ~service:svc ~listeners:[] () in
-  let sfd, cfd = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Netio.add_connection reactor sfd;
-  Unix.set_nonblock cfd;
+  let cfd = connect_pair reactor in
   let line i =
     observe_line ~shard:(Printf.sprintf "s%d" (i mod 16))
       (List.init 16 (fun j -> ((31 * i) + j) mod 512))
@@ -639,6 +597,45 @@ let test_reactor_fits_nursery () =
   in
   Alcotest.(check int) "every line ingested" (16 * !lines) served;
   Unix.close cfd
+
+(* Connection churn: a closed connection's reader, executor and
+   outbound queue are parked, and the next connection takes them, so a
+   warm connect / one line / close cycle allocates no buffers in the
+   major heap (DESIGN.md "Per-connection state").  The engine's
+   counters still add up over connections that have closed. *)
+let test_churn_reuses_parked_connections () =
+  let svc = configured () in
+  let reactor = Netio.create_reactor ~service:svc ~listeners:[] () in
+  let line = observe_line ~shard:"churn" [ 1; 2; 3 ] ^ "\n" in
+  let cycle () =
+    let cfd = connect_pair reactor in
+    write_all cfd line;
+    Unix.shutdown cfd Unix.SHUTDOWN_SEND;
+    step_until_closed reactor ignore;
+    Unix.close cfd
+  in
+  let warm = 4 and cycles = 100 in
+  for _ = 1 to warm do
+    cycle ()
+  done;
+  let (), { Refkit.Alloc.direct_major; _ } =
+    Refkit.Alloc.measure (fun () ->
+        for _ = 1 to cycles do
+          cycle ()
+        done)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f direct major words over %d cycles <= 1 per cycle"
+       direct_major cycles)
+    true
+    (direct_major <= float_of_int cycles);
+  let st = Netio.stats reactor in
+  let served = warm + cycles in
+  Alcotest.(check int) "every connection closed" served st.Netio.closed;
+  Alcotest.(check int) "requests over closed connections" served
+    st.Netio.engine.Service.requests;
+  Alcotest.(check int) "values over closed connections" (3 * served)
+    st.Netio.engine.Service.values
 
 let test_unix_listener_capacity () =
   let path =
@@ -730,8 +727,7 @@ let test_idle_and_slow_clients_at_capacity () =
   in
   (try Sys.remove path with Sys_error _ -> ());
   let lfd = Netio.listener (Netio.Unix_path path) in
-  let shared = Service.create () in
-  configure shared;
+  let shared = configured () in
   let reactor =
     Netio.create_reactor ~batch:4 ~max_conns:4 ~service:shared
       ~listeners:[ lfd ] ()
@@ -823,12 +819,7 @@ let test_idle_and_slow_clients_at_capacity () =
   Array.iter
     (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ())
     [| idle1; idle2; loris; extra |];
-  let guard = ref 0 in
-  while Netio.active reactor > 0 && !guard < 1000 do
-    Netio.step reactor ~timeout:0.01;
-    read_all ();
-    incr guard
-  done;
+  step_until_closed reactor read_all;
   Alcotest.(check int) "all closed" 0 (Netio.active reactor);
   Alcotest.(check int) "no write drops" 0 (Netio.stats reactor).Netio.write_drops;
   Array.iter Unix.close fds;
@@ -952,14 +943,8 @@ let reactor_hostile r script =
     Netio.create_reactor ~batch:(1 + Randkit.Rng.int r 64) ~service:svc
       ~listeners:[] ()
   in
-  let sfd, cfd =
-    Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0
-  in
-  Netio.add_connection reactor sfd;
-  Unix.set_nonblock cfd;
-  let payload =
-    String.concat "" (Array.to_list (Array.map (fun l -> l ^ "\n") script))
-  in
+  let cfd = connect_pair reactor in
+  let payload = payload_of (Array.to_list script) in
   let buf = Buffer.create 4096 and tmp = Bytes.create 4096 in
   let ok = ref true in
   let step () =
@@ -983,13 +968,9 @@ let reactor_hostile r script =
     step ()
   done;
   (try Unix.shutdown cfd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
-  let guard = ref 0 in
-  while Netio.active reactor > 0 && !guard < 10_000 do
-    Netio.step reactor ~timeout:0.01;
-    read_avail tmp buf cfd;
-    ok := !ok && totals_consistent svc;
-    incr guard
-  done;
+  step_until_closed reactor (fun () ->
+      read_avail tmp buf cfd;
+      ok := !ok && totals_consistent svc);
   read_avail tmp buf cfd;
   Unix.close cfd;
   (Buffer.contents buf, !ok && Netio.active reactor = 0)
@@ -998,7 +979,9 @@ let prop_hostile name run =
   QCheck.Test.make ~name ~count:30 (QCheck.int_range 0 1_000_000) (fun seed ->
       let r = Randkit.Rng.create ~seed in
       let script = hostile_script r in
-      let expect, _ = Refkit.Strict_serve.transcript script in
+      let expect, _ =
+        Refkit.Strict_serve.transcript (Service.create ()) script
+      in
       let got, consistent = run r script in
       consistent && String.equal expect got)
 
@@ -1032,6 +1015,8 @@ let () =
             test_backpressure_bounded_queue;
           Alcotest.test_case "allocation fits the daemon's nursery" `Quick
             test_reactor_fits_nursery;
+          Alcotest.test_case "connection churn reuses parked buffers" `Quick
+            test_churn_reuses_parked_connections;
           Alcotest.test_case "max-conns admission" `Quick
             test_unix_listener_capacity;
           Alcotest.test_case "idle and slow-loris clients at max-conns"

@@ -388,40 +388,40 @@ let prop_wmedian_cost =
     QCheck.(list (pair (float_bound_inclusive 10.) (float_bound_inclusive 5.)))
     (fun pts ->
       let pts = List.map (fun (v, w) -> (v, Float.abs w)) pts in
-      let med = Numkit.Wmedian.create () in
+      let med = Refkit.Wmedian.create () in
       List.iter
-        (fun (v, w) -> Numkit.Wmedian.add med ~value:v ~weight:w)
+        (fun (v, w) -> Refkit.Wmedian.add med ~value:v ~weight:w)
         pts;
-      let got = Numkit.Wmedian.cost med in
+      let got = Refkit.Wmedian.cost med in
       let want = brute_l1_cost (List.filter (fun (_, w) -> w > 0.) pts) in
       let want = if want = infinity then 0. else want in
       Float.abs (got -. want) <= 1e-9 +. (1e-9 *. Float.abs want))
 
 let test_wmedian_simple () =
-  let med = Numkit.Wmedian.create () in
-  Numkit.Wmedian.add med ~value:1. ~weight:1.;
-  Numkit.Wmedian.add med ~value:2. ~weight:1.;
-  Numkit.Wmedian.add med ~value:10. ~weight:1.;
-  check_float "cost |1-2|+|10-2|" 9. (Numkit.Wmedian.cost med);
-  check_float "median" 2. (Numkit.Wmedian.median med)
+  let med = Refkit.Wmedian.create () in
+  Refkit.Wmedian.add med ~value:1. ~weight:1.;
+  Refkit.Wmedian.add med ~value:2. ~weight:1.;
+  Refkit.Wmedian.add med ~value:10. ~weight:1.;
+  check_float "cost |1-2|+|10-2|" 9. (Refkit.Wmedian.cost med);
+  check_float "median" 2. (Refkit.Wmedian.median med)
 
 let test_wmedian_heavy_weight () =
-  let med = Numkit.Wmedian.create () in
-  Numkit.Wmedian.add med ~value:0. ~weight:1.;
-  Numkit.Wmedian.add med ~value:100. ~weight:10.;
-  check_float "heavy point wins" 100. (Numkit.Wmedian.median med);
-  check_float "cost" 100. (Numkit.Wmedian.cost med)
+  let med = Refkit.Wmedian.create () in
+  Refkit.Wmedian.add med ~value:0. ~weight:1.;
+  Refkit.Wmedian.add med ~value:100. ~weight:10.;
+  check_float "heavy point wins" 100. (Refkit.Wmedian.median med);
+  check_float "cost" 100. (Refkit.Wmedian.cost med)
 
 (* --- Rank_index --- *)
 
 (* Streaming reference for any segment: replay the cells through
    Wmedian.  Independent of the wavelet tree's prefix-sum algebra. *)
 let wmedian_seg values weights lo hi =
-  let med = Numkit.Wmedian.create () in
+  let med = Refkit.Wmedian.create () in
   for i = lo to hi - 1 do
-    Numkit.Wmedian.add med ~value:values.(i) ~weight:weights.(i)
+    Refkit.Wmedian.add med ~value:values.(i) ~weight:weights.(i)
   done;
-  (Numkit.Wmedian.cost med, Numkit.Wmedian.median med)
+  (Refkit.Wmedian.cost med, Refkit.Wmedian.median med)
 
 let test_rank_index_simple () =
   let values = [| 1.; 2.; 10. |] and weights = [| 1.; 1.; 1. |] in

@@ -1059,7 +1059,9 @@ let prop_serve_batched_identical =
     (fun seed ->
       let r = Randkit.Rng.create ~seed in
       let script = random_script r in
-      let ref_out, _ = Refkit.Strict_serve.transcript script in
+      let ref_out, _ =
+        Refkit.Strict_serve.transcript (Service.create ()) script
+      in
       List.for_all
         (fun batch ->
           let out, _ = serve_in_memory ~batch script in
@@ -1085,7 +1087,9 @@ let test_serve_blank_and_quit () =
   Alcotest.(check int) "answered up to quit" 3 stats.Service.requests;
   let lines = String.split_on_char '\n' (String.trim out) in
   Alcotest.(check int) "three response lines" 3 (List.length lines);
-  let ref_out, ref_requests = Refkit.Strict_serve.transcript script in
+  let ref_out, ref_requests =
+    Refkit.Strict_serve.transcript (Service.create ()) script
+  in
   Alcotest.(check string) "batched = line-at-a-time oracle" ref_out out;
   Alcotest.(check int) "same request count" ref_requests
     stats.Service.requests;
@@ -1322,7 +1326,9 @@ let test_shard_interning_differential () =
       ((config :: round_robin)
       @ hot @ [ {|{"cmd":"stats"}|}; {|{"cmd":"verdict"}|} ])
   in
-  let ref_out, _ = Refkit.Strict_serve.transcript script in
+  let ref_out, _ =
+    Refkit.Strict_serve.transcript (Service.create ()) script
+  in
   List.iter
     (fun batch ->
       let out, stats = serve_in_memory ~batch script in
